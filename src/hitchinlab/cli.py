@@ -382,8 +382,8 @@ def main(argv=None) -> int:
         manifest = run(cfg)
         print(f"wrote {manifest}")
         return 0
-    except (ValidationError, ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -290,14 +290,27 @@ _INVERSE_SEEDS = tuple(
 )
 
 
+def _polish_log_lambda(tau: complex, target: complex) -> complex:
+    """Two Newton steps on log lambda(tau) = log target, d log lambda/dtau = i pi theta4^4.
+
+    Run at a fundamental-domain tau, where the theta series converge fast
+    and lambda is far from the cusps, this brings the relative defect of
+    lambda to rounding level (the seeding Newton stops at an absolute
+    1e-13, which is only 1e-10 relative for a target of size 1e-3).
+    """
+    for _ in range(2):
+        tau -= cmath.log(modular_lambda(tau) / target) / (1j * cmath.pi * jacobi_theta(4, tau) ** 4)
+    return tau
+
+
 def inverse_lambda(p0: complex) -> HalfPlanePoint:
     """Invert the modular lambda function.
 
     Returns tau in the fundamental domain with lambda(tau) in the six-element
     lambda-orbit of p0 (the orbit is recorded on the result).  Newton
     iteration on lambda(tau) - s, seeded from a coarse grid, then modular
-    reduction; orbit targets are tried in order of closeness to the literal
-    input.
+    reduction and a log-form Newton polish towards the nearest orbit value;
+    orbit targets are tried in order of closeness to the literal input.
     """
     p0 = complex(p0)
     if min(abs(p0), abs(p0 - 1.0)) < 1e-12:
@@ -310,8 +323,10 @@ def inverse_lambda(p0: complex) -> HalfPlanePoint:
             if tau is None:
                 continue
             tau = reduce_to_fundamental_domain(tau)
-            defect = min(abs(modular_lambda(tau) - v) for v in orbit)
-            if defect < 1e-9:
+            lam = modular_lambda(tau)
+            nearest = min(orbit, key=lambda v: abs(lam - v))
+            if abs(lam - nearest) < 1e-9:
+                tau = reduce_to_fundamental_domain(_polish_log_lambda(tau, nearest))
                 return HalfPlanePoint(tau, lam_orbit=orbit)
     raise ConvergenceError(f"inverse_lambda failed to converge for p0 = {p0}")
 

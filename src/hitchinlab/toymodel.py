@@ -9,7 +9,9 @@ This module computes the derived constants of that geometry:
 
   c_sK      base normalization, int_{CP^1} (i/2) dz dz* / |z(z-1)(z-p0)|,
             so the special Kahler metric is (dr^2 + r^2 dtheta^2)/r in the
-            rescaled polar coordinate r e^{i theta} = c_sK B;
+            rescaled polar coordinate r e^{i theta} = c_sK B; in closed form
+            2 pi^2 |theta3(tau)|^4 Im tau, with the fundamental-domain tau
+            lifted by a coset of SL(2,Z)/Gamma(2) to lambda(tau) = p0;
   tau       spectral-torus modulus, from lambda inversion or from periods;
   c_fib     fiber lattice scale pi sqrt(2/Im tau) (fiber area 2 pi^2);
   lambda_T  sqrt of the smallest positive eigenvalue of -Laplace on the
@@ -26,19 +28,19 @@ Hitchin section, -(2/pi) 8 K0(2 sqrt(2 r / Im tau)) (dr^2 + r^2 dtheta^2)
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .metrics import MetricComponents
 from .special import (
+    ConvergenceError,
     HalfPlanePoint,
     bessel_k,
     inverse_lambda,
+    jacobi_theta,
     lattice_shortest_multiplicity,
     modular_lambda,
     reduce_to_fundamental_domain,
@@ -59,17 +61,8 @@ __all__ = [
     "bps_omega",
     "gmn_correction",
     "semiflat_metric",
-    "QuadratureToleranceError",
     "NonGenericTorusWarning",
 ]
-
-
-class QuadratureToleranceError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-    def __init__(self, message, estimate):
-        super().__init__(message)
-        self.estimate = estimate
 
 
 class NonGenericTorusWarning(UserWarning):
@@ -90,155 +83,37 @@ def _validate_p0(p0: complex) -> complex:
 # special Kahler constant
 # ----------------------------------------------------------------------
 
-def _chi01(s):
-    """Smooth transition, = 1 for s <= 1/2, = 0 for s >= 1 (bump quotient), vectorized."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    out[s <= 0.5] = 1.0
-    mid = (s > 0.5) & (s < 1.0)
-    if np.any(mid):
-        sm = s[mid]
-        up = np.exp(-1.0 / (1.0 - sm))
-        dn = np.exp(-1.0 / (sm - 0.5))
-        out[mid] = up / (up + dn)
-    return out
+def _lifted_tau(p0: complex) -> complex:
+    """The tau with lambda(tau) = p0 itself, not another member of its orbit.
 
-
-@lru_cache(maxsize=8)
-def _gauss_nodes(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-def _tile_estimates(f, x0, x1, y0, y1):
-    """Gauss product estimates of int f over the rectangle at orders 12 and 24."""
-    vals = []
-    for n in (12, 24):
-        x, wx = _gauss_nodes(n)
-        gx = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * x
-        gy = 0.5 * (y0 + y1) + 0.5 * (y1 - y0) * x
-        X, Y = np.meshgrid(gx, gy, indexing="ij")
-        W = np.multiply.outer(wx, wx) * (0.25 * (x1 - x0) * (y1 - y0))
-        vals.append(float(np.sum(W * f(X, Y))))
-    return vals[1], abs(vals[1] - vals[0])
-
-
-def _adaptive_tiles(f, xbreaks, ybreaks, tol_abs: float, max_splits: int = 4000):
-    """Adaptive tile quadrature of a smooth vectorized integrand f(X, Y).
-
-    Starts from the feature-aligned rectangle grid given by the breakpoints
-    and quadtree-refines the worst tiles until the summed Gauss 12-vs-24
-    error estimate drops below ``tol_abs``.
+    :func:`inverse_lambda` returns the fundamental-domain tau, whose lambda
+    value is some member of the six-element orbit of p0; the six coset
+    representatives of SL(2, Z)/Gamma(2) applied to it realize the whole
+    orbit, and the one whose lambda value is p0 is kept.
     """
-    xb = np.unique(np.asarray(xbreaks, dtype=float))
-    yb = np.unique(np.asarray(ybreaks, dtype=float))
-    heap = []
-    total = 0.0
-    err = 0.0
-    counter = 0
-    for i in range(len(xb) - 1):
-        for j in range(len(yb) - 1):
-            v, e = _tile_estimates(f, xb[i], xb[i + 1], yb[j], yb[j + 1])
-            total += v
-            err += e
-            heapq.heappush(heap, (-e, counter, xb[i], xb[i + 1], yb[j], yb[j + 1], v))
-            counter += 1
-    splits = 0
-    while err > tol_abs and heap and splits < max_splits:
-        ne, _, x0, x1, y0, y1, v = heapq.heappop(heap)
-        total -= v
-        err += ne  # ne is negative
-        xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        for (a0, a1, b0, b1) in ((x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)):
-            v2, e2 = _tile_estimates(f, a0, a1, b0, b1)
-            total += v2
-            err += e2
-            heapq.heappush(heap, (-e2, counter, a0, a1, b0, b1, v2))
-            counter += 1
-        splits += 1
-    return total, err
+    t = inverse_lambda(p0).tau
+    cosets = (t, t + 1.0, -1.0 / t, -1.0 / (t + 1.0), (t - 1.0) / t, t / (1.0 - t))
+    lifted = min(cosets, key=lambda g: abs(modular_lambda(g) - p0))
+    defect = abs(modular_lambda(lifted) - p0)
+    if defect > 1e-9 * max(1.0, abs(p0)):  # lambda is known to relative, not absolute, precision
+        raise ConvergenceError(
+            f"no coset lift of tau = {t} has lambda = p0 = {p0} (defect {defect:.2e})"
+        )
+    return lifted
 
 
-def csk(p0: complex, rel_tol: float = 1e-9) -> float:
-    """The base integral int_{CP^1} (i/2) dz dz*/|z(z-1)(z-p0)|.
+def csk(p0: complex) -> float:
+    """The base integral int_{CP^1} (i/2) dz dz*/|z(z-1)(z-p0)|, in closed form.
 
-    The plane is split by a smooth partition of unity into polar patches of
-    radius d/4 around 0, 1, p0 (d = min pairwise puncture distance; the
-    polar Jacobian removes the 1/|z-a| singularity), a patch around infinity
-    in the w = 1/z chart (integrand 1/(|w| |(1-w)(1-p0 w)|), again polar),
-    and a smooth compactly supported remainder in Cartesian coordinates.
-    Every piece is integrated by adaptive feature-aligned Gauss tiles.
+    By the Riemann bilinear relations the integral is half the flat area
+    Im(conj(omega1) omega2) of the spectral torus, and with
+    K = (pi/2) theta3(tau)^2 (DLMF 20.9) this is
+    c_sK = 2 pi^2 |theta3(tau)|^4 Im tau for the tau with lambda(tau) = p0
+    exactly.  The expression is invariant under Gamma(2) but not under
+    SL(2, Z) (c_sK(1/p0) = |p0| c_sK(p0)), hence the coset lift.
     """
-    p0 = _validate_p0(p0)
-    pts = [0.0 + 0.0j, 1.0 + 0.0j, p0]
-    d = min(abs(a - b) for i, a in enumerate(pts) for b in pts[i + 1:])
-    rad = d / 4.0
-    r_out = 2.0 * max(1.0, abs(p0)) + 2.0
-    w_rad = 1.0 / r_out
-    # rough scale for converting the relative tolerance to per-piece absolutes
-    scale = 30.0
-    tol_piece = rel_tol * scale / 6.0
-
-    total = 0.0
-    err_total = 0.0
-    for a in pts:
-        others = [b for b in pts if b != a]
-
-        def g(RHO, TH, a=a, o0=others[0], o1=others[1]):
-            z = a + RHO * np.exp(1j * TH)
-            return _chi01(RHO / rad) / np.abs((z - o0) * (z - o1))
-
-        v, e = _adaptive_tiles(
-            g, [0.0, rad / 2, rad], np.linspace(0.0, 2.0 * np.pi, 9), tol_piece
-        )
-        total += v
-        err_total += e
-
-    def g_inf(RHO, TH):
-        w = RHO * np.exp(1j * TH)
-        return _chi01(RHO / w_rad) / np.abs((1.0 - w) * (1.0 - p0 * w))
-
-    v, e = _adaptive_tiles(
-        g_inf, [0.0, w_rad / 2, w_rad], np.linspace(0.0, 2.0 * np.pi, 9), tol_piece
-    )
-    total += v
-    err_total += e
-
-    def remainder(X, Y):
-        Z = X + 1j * Y
-        AZ = np.abs(Z)
-        cut = np.ones_like(X)
-        for a in pts:
-            cut -= _chi01(np.abs(Z - a) / rad)
-        with np.errstate(divide="ignore"):
-            cut -= _chi01(1.0 / (AZ * w_rad))
-        cut = np.clip(cut, 0.0, 1.0)
-        out = np.zeros_like(X)
-        live = cut > 0.0
-        if np.any(live):
-            zl = Z[live]
-            out[live] = cut[live] / np.abs(zl * (zl - 1.0) * (zl - p0))
-        return out
-
-    box = 2.0 * r_out  # the infinity patch transition lives in [r_out, 2 r_out]
-    breaks = {-box, box, 0.0, -r_out, r_out}
-    xbreaks = set(breaks)
-    ybreaks = set(breaks)
-    for a in pts:
-        for s in (rad, rad / 2):
-            xbreaks.update((a.real - s, a.real + s))
-            ybreaks.update((a.imag - s, a.imag + s))
-    xbreaks = [v for v in xbreaks if -box <= v <= box]
-    ybreaks = [v for v in ybreaks if -box <= v <= box]
-    v, e = _adaptive_tiles(remainder, sorted(xbreaks), sorted(ybreaks), tol_piece)
-    total += v
-    err_total += e
-
-    if err_total > max(50.0 * rel_tol * total, 1e-12):
-        raise QuadratureToleranceError(
-            f"csk quadrature error estimate {err_total:.2e} exceeds tolerance", total
-        )
-    return total
+    tau = _lifted_tau(_validate_p0(p0))
+    return float(2.0 * np.pi**2 * abs(jacobi_theta(3, tau)) ** 4 * tau.imag)
 
 
 # ----------------------------------------------------------------------
@@ -273,11 +148,13 @@ def _choose_cycles(p0: complex):
     return [(pts[i], pts[j], pts[3 - i - j]) for i, j in best]
 
 
-def _dumbbell_period(a: complex, b: complex, other: complex, p0: complex, n: int) -> complex:
+def _dumbbell_period(a: complex, b: complex, other: complex, p0: complex, n: int) -> complex | None:
     """Contour integral of dz/sqrt(z(z-1)(z-p0)) around the pair {a, b}.
 
     Ellipse surrounding the segment [a, b] with clearance from the remaining
     branch point; the square root is tracked continuously along the contour.
+    Returns None when n nodes are too few to track the branch around the
+    closed contour.
     """
     center = 0.5 * (a + b)
     span = 0.5 * abs(b - a)
@@ -299,7 +176,7 @@ def _dumbbell_period(a: complex, b: complex, other: complex, p0: complex, n: int
             f[k] = -f[k]
     # closed contour around two branch points: no monodromy, check closure
     if abs(f[0] - f[-1]) > abs(f[0] + f[-1]):
-        raise RuntimeError("branch tracking failed to close around the cycle")
+        return None
     return complex(np.sum(f * dz) * (2.0 * np.pi / n))
 
 
@@ -309,7 +186,8 @@ def periods(p0: complex, *, n_start: int = 256, tol: float = 1e-10):
     Dumbbell contours around two adjacent branch-point pairs (chosen by
     clearance among {0,1}, {1,p0}, {0,p0}); trapezoid sums on the smooth
     closed contours, doubled until converged; the square root branch is
-    tracked continuously.
+    tracked continuously, and a contour on which the tracking fails to
+    close is retried with doubled n within the same budget of 8 doublings.
     """
     p0 = _validate_p0(p0)
     cycles = _choose_cycles(p0)
@@ -320,10 +198,10 @@ def periods(p0: complex, *, n_start: int = 256, tol: float = 1e-10):
         for _ in range(8):
             n *= 2
             cur = _dumbbell_period(a, b, other, p0, n)
-            if abs(cur - prev) < tol * max(1.0, abs(cur)):
+            if None not in (cur, prev) and abs(cur - prev) < tol * max(1.0, abs(cur)):
                 return cur
             prev = cur
-        raise RuntimeError("period quadrature did not converge")
+        raise ConvergenceError(f"period quadrature did not converge at p0 = {p0} (n = {n})")
 
     om1 = converge(*cycles[0])
     om2 = converge(*cycles[1])

@@ -3,11 +3,13 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from hitchinlab.artifacts import MissingManifestError, read_manifests
 from hitchinlab.cli import ExperimentConfig, ValidationError, main, report, run
-from hitchinlab.toymodel import NonGenericTorusWarning
+from hitchinlab.special import ConvergenceError
+from hitchinlab.toymodel import NonGenericTorusWarning, ToyConfig, periods
 
 FAST_LEBRUN = {
     "p0": "0.3,0",
@@ -100,6 +102,24 @@ class TestValidationAndConfig:
         code = main(["toymodel", "--output-dir", str(tmp_path / "x")])
         assert code == 1
         assert "p0" in capsys.readouterr().err
+
+    def test_library_failure_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        def fail(cls, p0, **kwargs):
+            raise ConvergenceError("inverse_lambda failed to converge")
+
+        monkeypatch.setattr(ToyConfig, "from_p0", classmethod(fail))
+        code = main(["toymodel", "--p0", "0.3,0", "--output-dir", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: ConvergenceError: inverse_lambda failed to converge"]
+
+    def test_toymodel_near_collision(self, tmp_path):
+        code = main(["toymodel", "--p0", "0.002,0", "--output-dir", str(tmp_path / "near")])
+        assert code == 0
+        rec = json.loads((tmp_path / "near" / "toymodel.json").read_text())
+        om1, om2 = periods(0.002)
+        area = abs(np.imag(np.conj(om1) * om2))
+        assert abs(2.0 * rec["c_sk"] - area) / area < 1e-12
 
     def test_unknown_command(self):
         with pytest.raises(ValidationError):

@@ -5,8 +5,18 @@ import warnings
 
 import numpy as np
 import pytest
+from csk_quadrature import csk_quadrature
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
-from hitchinlab.special import inverse_lambda, lambda_orbit, modular_lambda, reduce_to_fundamental_domain
+import hitchinlab.toymodel as toy
+from hitchinlab.special import (
+    ConvergenceError,
+    inverse_lambda,
+    lambda_orbit,
+    modular_lambda,
+    reduce_to_fundamental_domain,
+)
 from hitchinlab.toymodel import (
     BasePoint,
     NonGenericTorusWarning,
@@ -51,9 +61,20 @@ class TestCsk:
             assert abs(2.0 * csk(p0) - area) / area < 1e-6
 
     def test_self_convergence(self):
-        a = csk(0.5, rel_tol=1e-9)
-        b = csk(0.5, rel_tol=2e-9)
+        a = csk_quadrature(0.5, rel_tol=1e-9)
+        b = csk_quadrature(0.5, rel_tol=2e-9)
         assert abs(a - b) < 1e-7
+
+    def test_quadrature_oracle(self):
+        # the 2-d quadrature accepts an error estimate of 50 rel_tol times the total
+        for p0 in (0.5, 0.3 + 0.1j, 0.032 + 0.024j):
+            assert abs(csk_quadrature(p0) - csk(p0)) / csk(p0) < 1e-7
+
+    def test_wrong_orbit_member_fails_fast(self, monkeypatch):
+        # a tau whose orbit does not contain p0 must raise, not return c_sK of another p0
+        monkeypatch.setattr(toy, "inverse_lambda", lambda p0: inverse_lambda(0.3 + 0.2j))
+        with pytest.raises(ConvergenceError):
+            csk(0.3)
 
     def test_degenerate_rejection(self):
         with pytest.raises(ValueError):
@@ -83,6 +104,68 @@ class TestPeriods:
         for p0 in (0.5, cmath.exp(1j * cmath.pi / 3), 0.3, 0.3 + 0.1j):
             assert abs(tau_from_periods(p0) - inverse_lambda(p0).tau) < 1e-8
 
+    def test_closure_retry_near_collision(self):
+        # at n = 256 the branch tracking fails to close around the {0, p0} cycle
+        p0 = 1e-3 + 1.1e-3j
+        om1, om2 = periods(p0)
+        area = abs(np.imag(np.conj(om1) * om2))
+        assert abs(2.0 * csk(p0) - area) / area < 1e-12
+
+
+def _accepted(p0):
+    return min(abs(p0), abs(p0 - 1.0)) >= 1e-3
+
+
+# p0 the validator accepts: a box around the punctures 0 and 1, and the
+# annuli 1e-3 <= |p0 - a| <= 0.05 at its edge, which a box draw rarely hits
+_ACCEPTED_P0 = st.one_of(
+    st.builds(complex, st.floats(-3.0, 4.0), st.floats(-3.0, 3.0)),
+    st.builds(
+        lambda a, d, phase: a + d * cmath.exp(1j * phase),
+        st.sampled_from([0.0, 1.0]),
+        st.floats(1e-3, 0.05),
+        st.floats(0.0, 2.0 * np.pi),
+    ),
+).filter(_accepted)
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+class TestCskProperties:
+    @given(_ACCEPTED_P0)
+    @example(1e-3 + 1.1e-3j)
+    @example(1e-3)
+    @example(0.998)
+    def test_reflection(self, p0):
+        assume(_accepted(1.0 - p0))  # rounding can move 1 - p0 just inside 1e-3
+        assert _rel(csk(1.0 - p0), csk(p0)) < 1e-12
+
+    @given(_ACCEPTED_P0)
+    @example(1e-3)
+    @example(-1e-3j)
+    def test_inversion(self, p0):
+        assume(_accepted(1.0 / p0))  # |1/p0 - 1| = |p0 - 1| / |p0|
+        assert _rel(csk(1.0 / p0), abs(p0) * csk(p0)) < 1e-12
+
+    @given(_ACCEPTED_P0)
+    def test_conjugation(self, p0):
+        assert _rel(csk(p0.conjugate()), csk(p0)) < 1e-12
+
+    @given(_ACCEPTED_P0)
+    @example(0.002)
+    def test_period_area(self, p0):
+        om1, om2 = periods(p0)
+        area = abs(np.imag(np.conj(om1) * om2))
+        assert _rel(2.0 * csk(p0), area) < 1e-12
+
+    @given(_ACCEPTED_P0)
+    def test_lifted_tau(self, p0):
+        tau = toy._lifted_tau(p0)
+        assert abs(modular_lambda(tau) - p0) < 1e-9
+        assert abs(reduce_to_fundamental_domain(tau) - inverse_lambda(p0).tau) < 1e-9
+
 
 class TestToyConfig:
     def test_invariants(self, cfg_03):
@@ -92,6 +175,12 @@ class TestToyConfig:
         defect = min(abs(modular_lambda(cfg_03.tau.tau) - s) for s in lambda_orbit(0.3))
         assert defect < 1e-9
         assert cfg_03.lambda_t**2 * im == pytest.approx(2.0, abs=1e-14)
+
+    @pytest.mark.parametrize("p0", [0.002, 0.998, 1e-3 + 1.1e-3j, 1e6])
+    def test_edge_of_accepted_domain(self, p0):
+        cfg = ToyConfig.from_p0(p0)
+        assert cfg.c_sk == csk(p0)
+        assert min(abs(modular_lambda(cfg.tau.tau) - s) for s in lambda_orbit(p0)) < 1e-12
 
     def test_non_generic_warning(self):
         with pytest.warns(NonGenericTorusWarning):
