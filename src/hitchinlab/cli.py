@@ -232,9 +232,7 @@ def _run_lebrun(params: dict, out: Path):
 
 
 def run(config: ExperimentConfig):
-    """Execute an experiment; returns the manifest path."""
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    """Execute an experiment; returns the manifest path (for ``report``, the summary)."""
     impl = {
         "fiducial": _run_fiducial,
         "glue-decay": _run_glue_decay,
@@ -247,6 +245,8 @@ def run(config: ExperimentConfig):
         if out_file:
             write_json(Path(out_file), summary)
         return summary
+    out = config.output_dir
+    out.mkdir(parents=True, exist_ok=True)
     paths = impl[config.command](config.parameters, out)
     return write_manifest(out, config.command, config.parameters, paths)
 
@@ -365,11 +365,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.command == "report":
-            summary = report(args.dir)
-            text = json.dumps(summary, sort_keys=True, indent=1)
-            if args.out:
-                Path(args.out).write_text(text + "\n")
-            print(text)
+            summary = run(ExperimentConfig("report", {"dir": args.dir, "out": args.out}))
+            print(json.dumps(summary, sort_keys=True, indent=1))
             return 0
         params = {}
         if args.config:

@@ -4,7 +4,8 @@ The 3-point stencils below are exact on quadratics for arbitrary node
 spacing; on smoothly graded (e.g. log-spaced) grids they are second-order
 accurate.  The same stencils are used by the solvers and by the residual
 checks, so a converged solve has a matching discrete residual by
-construction.
+construction; :func:`banded_three_point` stores the operators the solvers
+build from them for ``scipy.linalg.solve_banded``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ __all__ = [
     "fd_first",
     "fd_second",
     "fd_first_boundary",
+    "interior_weights",
+    "banded_three_point",
     "cumulative_from_right",
 ]
 
@@ -28,36 +31,36 @@ def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def _spacings(x: np.ndarray):
+def interior_weights(x: np.ndarray):
+    """3-point weights of the first and second derivative at interior nodes.
+
+    Returns ((b_l, b_c, b_r), (a_l, a_c, a_r)), arrays of length len(x) - 2:
+    y'(x_i) ~ b_l y_{i-1} + b_c y_i + b_r y_{i+1} and likewise a for y''.
+    """
+    x = np.asarray(x, dtype=float)
     h = np.diff(x)
     if np.any(h <= 0):
         raise ValueError("grid must be strictly increasing")
-    return h[:-1], h[1:]  # h_left[i] = x[i+1]-x[i] ... aligned to interior nodes
+    hl, hr = h[:-1], h[1:]
+    first = (-hr / (hl * (hl + hr)), (hr - hl) / (hl * hr), hl / (hr * (hl + hr)))
+    second = (2.0 / (hl * (hl + hr)), -2.0 / (hl * hr), 2.0 / (hr * (hl + hr)))
+    return first, second
+
+
+def _apply(weights, y: np.ndarray) -> np.ndarray:
+    w_l, w_c, w_r = weights
+    return w_l * y[..., :-2] + w_c * y[..., 1:-1] + w_r * y[..., 2:]
 
 
 def fd_first(x: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
     """First derivative, interior central, one-sided 3-point at the ends."""
-    x = np.asarray(x, dtype=float)
     y = np.moveaxis(np.asarray(y), axis, -1)
-    hl, hr = _spacings(x)
     out = np.empty_like(y)
-    out[..., 1:-1] = (
-        -hr / (hl * (hl + hr)) * y[..., :-2]
-        + (hr - hl) / (hl * hr) * y[..., 1:-1]
-        + hl / (hr * (hl + hr)) * y[..., 2:]
-    )
-    out[..., 0] = _one_sided(x[0], x[1], x[2], y[..., 0], y[..., 1], y[..., 2])
-    out[..., -1] = _one_sided(x[-1], x[-2], x[-3], y[..., -1], y[..., -2], y[..., -3])
+    out[..., 1:-1] = _apply(interior_weights(x)[0], y)
+    for side, end in (("left", 0), ("right", -1)):
+        idx, w = fd_first_boundary(x, side)
+        out[..., end] = w[0] * y[..., idx[0]] + w[1] * y[..., idx[1]] + w[2] * y[..., idx[2]]
     return np.moveaxis(out, -1, axis)
-
-
-def _one_sided(x0, x1, x2, y0, y1, y2):
-    # derivative at x0 from nodes (x0, x1, x2)
-    a, b = x1 - x0, x2 - x0
-    w0 = -(a + b) / (a * b)
-    w1 = b / (a * (b - a))
-    w2 = -a / (b * (b - a))
-    return w0 * y0 + w1 * y1 + w2 * y2
 
 
 def fd_first_boundary(x: np.ndarray, side: str):
@@ -85,18 +88,31 @@ def fd_second(x: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
     Endpoint values are placeholders only; every consumer restricts to
     interior nodes.
     """
-    x = np.asarray(x, dtype=float)
     y = np.moveaxis(np.asarray(y), axis, -1)
-    hl, hr = _spacings(x)
     out = np.empty_like(y)
-    out[..., 1:-1] = (
-        2.0 / (hl * (hl + hr)) * y[..., :-2]
-        - 2.0 / (hl * hr) * y[..., 1:-1]
-        + 2.0 / (hr * (hl + hr)) * y[..., 2:]
-    )
+    out[..., 1:-1] = _apply(interior_weights(x)[1], y)
     out[..., 0] = out[..., 1]
     out[..., -1] = out[..., -2]
     return np.moveaxis(out, -1, axis)
+
+
+def banded_three_point(lower, diag, upper, first, last) -> np.ndarray:
+    """(5, n) band storage, for ``solve_banded((2, 2), ...)``, of a 3-point operator.
+
+    Interior row i (1 <= i <= n-2) holds lower[i-1], diag[i-1], upper[i-1] in
+    columns i-1, i, i+1; row 0 holds the weights ``first`` in columns 0, 1, 2
+    and row n-1 the weights ``last`` in columns n-1, n-2, n-3, the index
+    order of :func:`fd_first_boundary`.
+    """
+    diag = np.asarray(diag)
+    n = len(diag) + 2
+    ab = np.zeros((5, n), dtype=np.result_type(lower, diag, upper, *first, *last))
+    ab[2, 1:-1] = diag
+    ab[3, :-2] = lower
+    ab[1, 2:] = upper
+    ab[2, 0], ab[1, 1], ab[0, 2] = first
+    ab[2, -1], ab[3, -2], ab[4, -3] = last
+    return ab
 
 
 def cumulative_from_right(x: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:

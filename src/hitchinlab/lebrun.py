@@ -43,9 +43,16 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
-from .grids import cumulative_from_right, fd_first, fd_first_boundary, fd_second
+from .grids import (
+    banded_three_point,
+    cumulative_from_right,
+    fd_first,
+    fd_first_boundary,
+    fd_second,
+    interior_weights,
+)
 from .metrics import MetricComponents
-from .special import ConvergenceError, bessel_k
+from .special import ConvergenceError, bessel_k, shortest_vectors
 
 __all__ = [
     "TorusLattice",
@@ -65,6 +72,7 @@ __all__ = [
     "MetricDifference",
     "AliasingError",
     "DegenerateShellWarning",
+    "DivergenceError",
     "PerturbativeRegimeError",
     "UnderflowWindowError",
 ]
@@ -127,21 +135,10 @@ class TorusLattice:
     def mu_norm(self, m: int, n: int) -> float:
         return float(np.linalg.norm(self.mu_vector(m, n)))
 
-    def min_dual_norm(self, bound: int = 6):
+    def min_dual_norm(self):
         """Smallest nonzero |mu| and the modes attaining it (up to sign)."""
-        best = np.inf
-        reps = []
-        for m in range(-bound, bound + 1):
-            for n in range(-bound, bound + 1):
-                if m == 0 and n == 0:
-                    continue
-                v = self.mu_norm(m, n)
-                if v < best * (1 - 1e-9):
-                    best, reps = v, [(m, n)]
-                elif abs(v - best) < 1e-9 * best:
-                    if (-m, -n) not in reps:
-                        reps.append((m, n))
-        return best, reps
+        d = self.dual_basis
+        return shortest_vectors(complex(d[0, 0], d[1, 0]), complex(d[0, 1], d[1, 1]))
 
 
 @dataclass
@@ -209,10 +206,7 @@ class TorusFourierField:
 
     def shell_amplitude(self) -> np.ndarray:
         """Summed |coeff| over the shortest nonzero dual shell, per radius."""
-        norms = self.mu_norms()
-        nz = norms[norms > 0]
-        mu0 = nz.min()
-        shell = np.abs(norms - mu0) < 1e-9 * mu0
+        _, shell = _leading_shell(self.mu_norms())
         return np.abs(self.coeffs[shell]).sum(axis=0)
 
     def truncation_diagnostic(self, rho_index: int = -1) -> float:
@@ -224,13 +218,17 @@ class TorusFourierField:
         """
         cut = self.m_cut
         outer = np.max(np.abs(self.modes), axis=1) == cut
-        norms = self.mu_norms()
-        nz = norms[norms > 0]
-        shell = np.abs(norms - nz.min()) < 1e-9 * nz.min()
+        _, shell = _leading_shell(self.mu_norms())
         lead = float(np.max(np.abs(self.coeffs[shell, rho_index])))
         if lead == 0.0:
             return 0.0
         return float(np.max(np.abs(self.coeffs[outer, rho_index]))) / lead
+
+
+def _leading_shell(norms: np.ndarray):
+    """The smallest nonzero |mu| and the mask of the norms on its shell."""
+    mu0 = norms[norms > 0].min()
+    return mu0, np.abs(norms - mu0) < 1e-9 * mu0
 
 
 def make_modes(m_cut: int) -> np.ndarray:
@@ -342,15 +340,7 @@ def _phi_log_deriv(mu_abs: float, rho: float) -> float:
 
 def _mode_rows(mu_abs: float, rho: np.ndarray):
     """Banded rows of L_mu on the grid (interior central differences)."""
-    n = len(rho)
-    hl = rho[1:-1] - rho[:-2]
-    hr = rho[2:] - rho[1:-1]
-    a_l = 2.0 / (hl * (hl + hr))
-    a_c = -2.0 / (hl * hr)
-    a_r = 2.0 / (hr * (hl + hr))
-    b_l = -hr / (hl * (hl + hr))
-    b_c = (hr - hl) / (hl * hr)
-    b_r = hl / (hr * (hl + hr))
+    (b_l, b_c, b_r), (a_l, a_c, a_r) = interior_weights(rho)
     ri = rho[1:-1]
     c_l = ri**2 * a_l + 3.0 * ri * b_l
     c_c = ri**2 * a_c + 3.0 * ri * b_c - 16.0 * np.pi**2 * mu_abs**2 * ri**2
@@ -360,24 +350,10 @@ def _mode_rows(mu_abs: float, rho: np.ndarray):
 
 def _banded_mode_solve(mu_abs: float, rho: np.ndarray, rhs_interior, bc_inner, robin_rhs=0.0):
     """Solve L_mu v = rhs with v(rho0) = bc_inner and (v' - g v)(rhoN) = robin_rhs."""
-    n = len(rho)
-    c_l, c_c, c_r = _mode_rows(mu_abs, rho)
-    (j0, j1, j2), (w0, w1, w2) = fd_first_boundary(rho, "right")
+    _, (w0, w1, w2) = fd_first_boundary(rho, "right")
     g = _phi_log_deriv(mu_abs, rho[-1])
-    ab = np.zeros((5, n), dtype=complex)
-
-    def put(i, j, val):
-        ab[2 + i - j, j] += val
-
-    put(0, 0, 1.0)
-    for k in range(1, n - 1):
-        put(k, k - 1, c_l[k - 1])
-        put(k, k, c_c[k - 1])
-        put(k, k + 1, c_r[k - 1])
-    put(n - 1, j0, w0 - g)
-    put(n - 1, j1, w1)
-    put(n - 1, j2, w2)
-    rhs = np.empty(n, dtype=complex)
+    ab = banded_three_point(*_mode_rows(mu_abs, rho), (1.0, 0.0, 0.0), (w0 - g, w1, w2))
+    rhs = np.empty(len(rho), dtype=complex)
     rhs[0] = bc_inner
     rhs[1:-1] = rhs_interior
     rhs[-1] = robin_rhs
@@ -675,10 +651,7 @@ def connection_from_w(sol: LeBrunSolution) -> LeBrunSolution:
     wa2 = cumulative_from_right(rho, wx * (2.0 * rho)[None, :])
     wa3 = cumulative_from_right(rho, wy * (2.0 * rho)[None, :])
     # leading-shell tail beyond rho_max: (wa_i)_mu -> -(i mu_i 2 pi T-hat) K1/rho
-    norms = np.linalg.norm(mu_vecs, axis=1)
-    nz = norms[norms > 0]
-    mu0 = nz.min()
-    shell = np.abs(norms - mu0) < 1e-9 * mu0
+    mu0, shell = _leading_shell(np.linalg.norm(mu_vecs, axis=1))
     phi_ref = bessel_k(1, 4.0 * np.pi * mu0 * rho[-1]) / rho[-1]
     t_hat = sol.v.coeffs[:, -1] / phi_ref
     tail = -phi_ref * t_hat
@@ -762,10 +735,7 @@ def section_profiles(sol: LeBrunSolution):
     rvr = np.sum((0.5 * rho)[None, :] * d1, axis=0).real  # rhat v_rhat = (rho/2) v_rho
     rw = np.exp(v00) * (1.0 + rvr)
     r = rho**2 * np.exp(v00)
-    norms = sol.v.mu_norms()
-    nz = norms[norms > 0]
-    mu0 = nz.min()
-    shell = np.abs(norms - mu0) < 1e-9 * mu0
+    mu0, shell = _leading_shell(sol.v.mu_norms())
     phi_ref = mu0**0.5 * bessel_k(1, 4.0 * np.pi * mu0 * rho[-1]) / rho[-1]
     t00 = float(np.sum(sol.v.coeffs[shell, -1]).real / (phi_ref / np.sqrt(mu0)))
     return r, rw, t00
@@ -889,10 +859,7 @@ def _trig_factor(sol: LeBrunSolution, n_colloc: int):
     of rho^{-1} K_1(2 lambda_T rho) at the outermost node calibrates T-hat.
     """
     rho = sol.rho
-    norms = sol.v.mu_norms()
-    nz = norms[norms > 0]
-    mu0 = nz.min()
-    shell = np.abs(norms - mu0) < 1e-9 * mu0
+    mu0, shell = _leading_shell(sol.v.mu_norms())
     phi_ref = bessel_k(1, 4.0 * np.pi * mu0 * rho[-1]) / rho[-1]
     t_hat = sol.v.coeffs[shell, -1] / phi_ref
     modes = sol.v.modes[shell]

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .grids import fd_first, fd_first_boundary, fd_second
+from .grids import banded_three_point, fd_first, fd_first_boundary, fd_second, interior_weights
 from .profiles import RadialProfile
 from .special import ConvergenceError, bessel_k, bessel_k_ratio
 
@@ -111,11 +111,7 @@ def _newton_log_solve(x, gfun, sigma_inner, robin_outer, m0, tol, max_iter=80):
     """Solve m_xx = gfun sinh(2m) with Robin rows m_x(x0)=sigma, m_x(xN)=robin*m(xN)."""
     x = np.asarray(x, dtype=float)
     n = len(x)
-    hl = x[1:-1] - x[:-2]
-    hr = x[2:] - x[1:-1]
-    a_l = 2.0 / (hl * (hl + hr))
-    a_c = -2.0 / (hl * hr)
-    a_r = 2.0 / (hr * (hl + hr))
+    _, (a_l, a_c, a_r) = interior_weights(x)
     (i0, i1, i2), (w0, w1, w2) = fd_first_boundary(x, "left")
     (j0, j1, j2), (v0, v1, v2) = fd_first_boundary(x, "right")
 
@@ -125,25 +121,6 @@ def _newton_log_solve(x, gfun, sigma_inner, robin_outer, m0, tol, max_iter=80):
         res[1:-1] = a_l * m[:-2] + a_c * m[1:-1] + a_r * m[2:] - gfun * np.sinh(2.0 * m[1:-1])
         res[-1] = (v0 * m[j0] + v1 * m[j1] + v2 * m[j2]) - robin_outer * m[-1]
         return res
-
-    def banded_jacobian(m):
-        ab = np.zeros((5, n))
-
-        def put(i, j, val):
-            ab[2 + i - j, j] += val
-
-        put(0, 0, w0)
-        put(0, 1, w1)
-        put(0, 2, w2)
-        diag = a_c - 2.0 * gfun * np.cosh(2.0 * m[1:-1])
-        for k in range(1, n - 1):
-            put(k, k - 1, a_l[k - 1])
-            put(k, k, diag[k - 1])
-            put(k, k + 1, a_r[k - 1])
-        put(n - 1, j0, v0 - robin_outer)
-        put(n - 1, j1, v1)
-        put(n - 1, j2, v2)
-        return ab
 
     m = np.asarray(m0, dtype=float).copy()
     res = residual(m)
@@ -155,7 +132,9 @@ def _newton_log_solve(x, gfun, sigma_inner, robin_outer, m0, tol, max_iter=80):
         floor = 8.0 * eps * (np.max(np.abs(a_c)) * np.max(np.abs(m)) + np.max(np.abs(res)))
         if best < max(tol, floor):
             return m
-        step = solve_banded((2, 2), banded_jacobian(m), -res)
+        diag = a_c - 2.0 * gfun * np.cosh(2.0 * m[1:-1])
+        jac = banded_three_point(a_l, diag, a_r, (w0, w1, w2), (v0 - robin_outer, v1, v2))
+        step = solve_banded((2, 2), jac, -res)
         lam = 1.0
         for _ in range(9):
             trial = m + lam * step

@@ -2,31 +2,22 @@
 
 Modified Bessel functions K0, K1, K2 (the only orders the geometry needs),
 Jacobi theta constants, the elliptic modular lambda function lambda(tau) =
-theta2^4/theta3^4 and its inverse, and shortest-vector search on the lattice
-Z + tau Z.
+theta2^4/theta3^4 and its inverse, and the shortest vectors of a planar
+lattice.
 
-K_nu is evaluated by two independent routes:
-  * x < 2   : the classical power series (accumulated in extended precision,
-              the log/psi form for integer order),
-  * x >= 2  : trapezoidal evaluation of the integral representation
-              K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt.
-The integrand is even and analytic in a strip, so the trapezoid rule
-converges geometrically; with step 0.1 the relative error is far below
-1e-13 throughout [2, 60].  All terms are positive, so there is no
-cancellation; the plain asymptotic series cannot reach 1e-12 below
-x ~ 14 and is not used.
+K_nu is scipy's ``kv``/``kve`` behind a wrapper that restricts the order
+and rejects non-positive or non-finite arguments.  Shortest vectors come
+from Lagrange-Gauss reduction, which is exact for 2-d lattices however
+skewed the basis.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-EULER_GAMMA = 0.5772156649015328606065121
+import scipy.special
 
 __all__ = [
     "HalfPlanePoint",
@@ -37,7 +28,7 @@ __all__ = [
     "lambda_orbit",
     "inverse_lambda",
     "reduce_to_fundamental_domain",
-    "lattice_shortest",
+    "shortest_vectors",
     "ConvergenceError",
 ]
 
@@ -66,109 +57,19 @@ class HalfPlanePoint:
 # modified Bessel functions
 # ----------------------------------------------------------------------
 
-def _harmonic(k: int) -> float:
-    return sum(1.0 / j for j in range(1, k + 1))
-
-
-def _bessel_k_series(nu: int, x: np.ndarray) -> np.ndarray:
-    """Power series for K_nu, nu in {0,1,2}, intended for 0 < x < 2.
-
-    DLMF 10.31 with integer order; extended-precision accumulation keeps the
-    mild cancellation of the log terms below 1e-15 relative on (0, 2].
-    """
-    x = np.asarray(x, dtype=np.longdouble)
-    t = x / 2.0
-    t2 = t * t
-    logt = np.log(t)
-    out = np.zeros_like(x)
-
-    # I_nu series values, needed by the log term.
-    def i_series(n: int) -> np.ndarray:
-        term = t**n / math.factorial(n)
-        acc = term.copy()
-        for k in range(1, 60):
-            term = term * t2 / (k * (k + n))
-            acc += term
-            if np.all(np.abs(term) < 1e-24 * np.abs(acc)):
-                break
-        return acc
-
-    if nu == 0:
-        acc = np.zeros_like(x)
-        term = np.ones_like(x)
-        for k in range(1, 60):
-            term = term * t2 / (k * k)
-            acc += term * _harmonic(k)
-            if np.all(term < 1e-24 * (1.0 + acc)):
-                break
-        out = -(logt + EULER_GAMMA) * i_series(0) + acc
-    else:
-        n = nu
-        # finite sum: (1/2) t^{-n} sum_{k=0}^{n-1} (n-k-1)!/k! (-t^2)^k
-        fin = np.zeros_like(x)
-        for k in range(n):
-            fin += math.factorial(n - k - 1) / math.factorial(k) * (-t2) ** k
-        fin *= 0.5 * t ** (-n)
-        # psi-series: (-1)^n (1/2) t^n sum_k (psi(k+1)+psi(n+k+1))/(k!(n+k)!) t^{2k}
-        def psi(m: int) -> float:
-            return -EULER_GAMMA + _harmonic(m - 1)
-
-        term = np.ones_like(x) / math.factorial(n)
-        acc = term * (psi(1) + psi(n + 1))
-        for k in range(1, 60):
-            term = term * t2 / (k * (k + n))
-            acc += term * (psi(k + 1) + psi(n + k + 1))
-            if np.all(np.abs(term) * 4.0 < 1e-24 * np.maximum(np.abs(acc), 1.0)):
-                break
-        out = fin + (-1.0) ** (n + 1) * logt * i_series(n) + (-1.0) ** n * 0.5 * t**n * acc
-    return out
-
-
-def _bessel_k_quadrature(nu: int, x: np.ndarray, scaled: bool) -> np.ndarray:
-    """Trapezoid rule on K_nu(x) = int_0^inf e^{-x cosh t} cosh(nu t) dt.
-
-    Returns e^x K_nu(x) when ``scaled`` (no underflow for large x).
-    """
-    x = np.asarray(x, dtype=float)
-    xmin = float(np.min(x))
-    h = 0.1 if xmin < 60.0 else (0.05 if xmin < 200.0 else 0.025)
-    # truncate when x (cosh T - 1) ~ 55 (relative tail below 1e-20)
-    tmax = float(np.arccosh(1.0 + (55.0 + 4.0 * nu) / xmin)) + h
-    n = int(np.ceil(tmax / h)) + 1
-    t = h * np.arange(n)
-    # scaled integrand: exp(-x (cosh t - 1)) cosh(nu t)
-    c = np.cosh(t) - 1.0
-    f = np.exp(-np.multiply.outer(x, c)) * np.cosh(nu * t)
-    val = h * (0.5 * f[..., 0] + f[..., 1:].sum(axis=-1))
-    if not scaled:
-        val = val * np.exp(-x)
-    return val
-
-
 def bessel_k(nu: int, x, scaled: bool = False):
     """Modified Bessel function K_nu(x) for nu in {0, 1, 2} and x > 0.
 
-    With ``scaled=True`` returns e^x K_nu(x).  Accepts scalars or arrays;
-    relative accuracy is better than 1e-13 on [1e-3, 60] (and degrades
-    gracefully outside).
+    With ``scaled=True`` returns e^x K_nu(x).  Accepts scalars or arrays
+    and returns a float for a scalar.
     """
     if nu not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {nu!r}")
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("argument of K_nu must be positive and finite")
-    out = np.empty_like(arr)
-    small = arr < 2.0
-    if np.any(small):
-        v = _bessel_k_series(nu, arr[small])
-        if scaled:
-            v = v * np.exp(np.asarray(arr[small], dtype=np.longdouble))
-        out[small] = v.astype(float)
-    if np.any(~small):
-        out[~small] = _bessel_k_quadrature(nu, arr[~small], scaled)
-    if out.ndim == 0 or np.isscalar(x):
-        return float(out)
-    return out
+    out = (scipy.special.kve if scaled else scipy.special.kv)(nu, arr)
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_k_ratio(nu_num: int, nu_den: int, x: float) -> float:
@@ -332,33 +233,41 @@ def inverse_lambda(p0: complex) -> HalfPlanePoint:
 
 
 # ----------------------------------------------------------------------
-# lattice search
+# shortest lattice vectors
 # ----------------------------------------------------------------------
 
-def lattice_shortest(tau) -> float:
-    """min over (m, n) != (0, 0) of |m + n tau|, searched on |m|,|n| <= ceil(2 + 2/Im tau)."""
-    tau = _as_tau(tau)
-    bound = int(np.ceil(2.0 + 2.0 / tau.imag))
-    best = np.inf
-    for m in range(-bound, bound + 1):
-        for n in range(-bound, bound + 1):
-            if m == 0 and n == 0:
-                continue
-            best = min(best, abs(m + n * tau))
-    return best
+def shortest_vectors(w1, w2):
+    """Shortest nonzero vectors of the planar lattice Z w1 + Z w2.
 
+    ``w1`` and ``w2`` are independent plane vectors written as complex
+    numbers.  Lagrange-Gauss reduction on integer coordinates yields a
+    basis (u, v) with |u| <= |v| and |2 u.v| <= |u|^2; every other lattice
+    vector is at least sqrt(3) |u| long, so the shortest vectors lie
+    among +-u, +-v, +-(u + v), +-(u - v).  Returns the shortest length and
+    the sorted coordinates (m, n) of the vectors m w1 + n w2 within a
+    relative 1e-9 of it (1 entry: a unique shortest geodesic), keeping the
+    lexicographically smaller of each +- pair; the length is that of the
+    first entry.
+    """
+    w1, w2 = complex(w1), complex(w2)
+    if not (w1.conjugate() * w2).imag:
+        raise ValueError("lattice generators must be linearly independent")
 
-def lattice_shortest_multiplicity(tau, rel_tol: float = 1e-9) -> int:
-    """Number of shortest lattice vectors up to sign (1 means unique geodesic)."""
-    tau = _as_tau(tau)
-    bound = int(np.ceil(2.0 + 2.0 / tau.imag))
-    best = lattice_shortest(tau)
-    reps = []
-    for m in range(-bound, bound + 1):
-        for n in range(-bound, bound + 1):
-            if m == 0 and n == 0:
-                continue
-            if abs(abs(m + n * tau) - best) < rel_tol * best:
-                if not any(mm == -m and nn == -n for (mm, nn) in reps):
-                    reps.append((m, n))
-    return len(reps)
+    def vec(mn):
+        return mn[0] * w1 + mn[1] * w2
+
+    u, v = (1, 0), (0, 1)
+    if abs(w1) > abs(w2):
+        u, v = v, u
+    while True:
+        uu = vec(u)
+        q = round((vec(v) * uu.conjugate()).real / abs(uu) ** 2)
+        v = (v[0] - q * u[0], v[1] - q * u[1])
+        if abs(vec(v)) >= abs(uu):
+            break
+        u, v = v, u
+    candidates = (u, v, (u[0] + v[0], u[1] + v[1]), (u[0] - v[0], u[1] - v[1]))
+    lengths = {min(mn, (-mn[0], -mn[1])): abs(vec(mn)) for mn in candidates}
+    best = min(lengths.values())
+    reps = sorted(mn for mn, s in lengths.items() if s - best < 1e-9 * best)
+    return lengths[reps[0]], reps

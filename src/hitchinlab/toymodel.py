@@ -41,9 +41,9 @@ from .special import (
     bessel_k,
     inverse_lambda,
     jacobi_theta,
-    lattice_shortest_multiplicity,
     modular_lambda,
     reduce_to_fundamental_domain,
+    shortest_vectors,
 )
 
 __all__ = [
@@ -83,15 +83,14 @@ def _validate_p0(p0: complex) -> complex:
 # special Kahler constant
 # ----------------------------------------------------------------------
 
-def _lifted_tau(p0: complex) -> complex:
+def _lifted_tau(t: complex, p0: complex) -> complex:
     """The tau with lambda(tau) = p0 itself, not another member of its orbit.
 
-    :func:`inverse_lambda` returns the fundamental-domain tau, whose lambda
-    value is some member of the six-element orbit of p0; the six coset
+    ``t`` is the fundamental-domain tau from :func:`inverse_lambda`, whose
+    lambda value is some member of the six-element orbit of p0; the six coset
     representatives of SL(2, Z)/Gamma(2) applied to it realize the whole
     orbit, and the one whose lambda value is p0 is kept.
     """
-    t = inverse_lambda(p0).tau
     cosets = (t, t + 1.0, -1.0 / t, -1.0 / (t + 1.0), (t - 1.0) / t, t / (1.0 - t))
     lifted = min(cosets, key=lambda g: abs(modular_lambda(g) - p0))
     defect = abs(modular_lambda(lifted) - p0)
@@ -100,6 +99,12 @@ def _lifted_tau(p0: complex) -> complex:
             f"no coset lift of tau = {t} has lambda = p0 = {p0} (defect {defect:.2e})"
         )
     return lifted
+
+
+def _csk_from_tau(p0: complex, t: complex) -> float:
+    """:func:`csk` at a validated p0 whose fundamental-domain tau ``t`` is known."""
+    tau = _lifted_tau(t, p0)
+    return float(2.0 * np.pi**2 * abs(jacobi_theta(3, tau)) ** 4 * tau.imag)
 
 
 def csk(p0: complex) -> float:
@@ -112,8 +117,8 @@ def csk(p0: complex) -> float:
     exactly.  The expression is invariant under Gamma(2) but not under
     SL(2, Z) (c_sK(1/p0) = |p0| c_sK(p0)), hence the coset lift.
     """
-    tau = _lifted_tau(_validate_p0(p0))
-    return float(2.0 * np.pi**2 * abs(jacobi_theta(3, tau)) ** 4 * tau.imag)
+    p0 = _validate_p0(p0)
+    return _csk_from_tau(p0, inverse_lambda(p0).tau)
 
 
 # ----------------------------------------------------------------------
@@ -231,18 +236,18 @@ class ToyConfig:
     lambda_t: float
 
     @classmethod
-    def from_p0(cls, p0: complex, *, warn_non_generic: bool = True) -> "ToyConfig":
+    def from_p0(cls, p0: complex) -> "ToyConfig":
         p0 = _validate_p0(p0)
         tau = inverse_lambda(p0)
         im = tau.tau.imag
         cfg = cls(
             p0=p0,
             tau=tau,
-            c_sk=csk(p0),
+            c_sk=_csk_from_tau(p0, tau.tau),
             c_fib=float(np.pi * np.sqrt(2.0 / im)),
             lambda_t=float(np.sqrt(2.0 / im)),
         )
-        if warn_non_generic and lattice_shortest_multiplicity(tau.tau) > 1:
+        if len(shortest_vectors(1.0, tau.tau)[1]) > 1:
             warnings.warn(
                 "spectral torus has several inequivalent shortest geodesics "
                 f"(tau = {tau.tau}); the leading BPS correction is degenerate",

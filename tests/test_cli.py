@@ -68,6 +68,15 @@ class TestCommands:
         cc = summary["cross_checks"][0]
         assert cc["within_3_percent"]
 
+    def test_report_cli_and_run_agree(self, tmp_path, monkeypatch):
+        run(ExperimentConfig("toymodel", {"p0": "0.3,0", "r_points": 6}, tmp_path / "runs" / "toy"))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("HITCHINLAB_OUTPUT", raising=False)
+        assert main(["report", str(tmp_path / "runs"), "--out", str(tmp_path / "cli.json")]) == 0
+        run(ExperimentConfig("report", {"dir": tmp_path / "runs", "out": tmp_path / "run.json"}))
+        assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "run.json").read_bytes()
+        assert not (tmp_path / "hitchinlab_out").exists()
+
     def test_report_requires_manifests(self, tmp_path):
         with pytest.raises(MissingManifestError):
             report(tmp_path)

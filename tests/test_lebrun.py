@@ -57,6 +57,14 @@ class TestLattice:
         im = lattice.tau.imag
         assert 2.0 * np.pi * mu0 == pytest.approx(np.sqrt(2.0 / im), rel=1e-12)
 
+    def test_min_dual_norm_skewed_tau(self):
+        # tau = 10 + 0.1j spans the same lattice as 0.1j; its shortest dual
+        # vector has coordinates (-1, -10), outside a fixed search box
+        mu0, reps = TorusLattice.from_tau(10 + 0.1j).min_dual_norm()
+        assert mu0 == pytest.approx(TorusLattice.from_tau(0.1j).min_dual_norm()[0], rel=1e-12)
+        assert mu0 == pytest.approx(0.0712, abs=1e-4)
+        assert reps == [(-1, -10)]
+
 
 class TestLinearModes:
     def test_mode_equation_residual(self, lattice, mu0_data):

@@ -5,7 +5,8 @@ import cmath
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.special
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hitchinlab.special import (
     HalfPlanePoint,
@@ -14,20 +15,23 @@ from hitchinlab.special import (
     inverse_lambda,
     jacobi_theta,
     lambda_orbit,
-    lattice_shortest,
-    lattice_shortest_multiplicity,
     modular_lambda,
     reduce_to_fundamental_domain,
+    shortest_vectors,
 )
 
 
 class TestBesselK:
-    def test_against_scipy(self):
-        xs = np.geomspace(1e-3, 50.0, 80)
-        for nu in (0, 1, 2):
-            mine = bessel_k(nu, xs)
-            ref = scipy.special.kn(nu, xs)
-            assert np.max(np.abs(mine - ref) / ref) < 1e-12
+    def test_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        xs = np.geomspace(1e-3, 80.0, 80)
+        with mp.workdps(30):
+            for nu in (0, 1, 2):
+                ref = [mp.besselk(nu, x) for x in xs]
+                plain = np.array([float(k) for k in ref])
+                scaled = np.array([float(k * mp.exp(x)) for k, x in zip(ref, xs)])
+                assert np.max(np.abs(bessel_k(nu, xs) / plain - 1.0)) < 1e-14
+                assert np.max(np.abs(bessel_k(nu, xs, scaled=True) / scaled - 1.0)) < 1e-14
 
     def test_integral_representation_oracle(self):
         # K1(1) by adaptive quadrature of int exp(-x cosh t) cosh t dt
@@ -69,12 +73,14 @@ class TestBesselK:
             assert np.all(np.diff(v) < 0)
 
     def test_scaled(self):
-        assert bessel_k(1, 300.0, scaled=True) == pytest.approx(
-            scipy.special.k1e(300.0), rel=1e-10
-        )
-        assert bessel_k_ratio(1, 0, 500.0) == pytest.approx(
-            scipy.special.k1e(500.0) / scipy.special.k0e(500.0), rel=1e-9
-        )
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for x in (100.0, 300.0, 500.0):
+                for nu in (0, 1, 2):
+                    ref = float(mp.besselk(nu, x) * mp.exp(x))
+                    assert bessel_k(nu, x, scaled=True) == pytest.approx(ref, rel=1e-14)
+                ratio = float(mp.besselk(1, x) / mp.besselk(0, x))
+                assert bessel_k_ratio(1, 0, x) == pytest.approx(ratio, rel=1e-14)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -165,10 +171,37 @@ class TestModularLambda:
         assert -0.5 < red.real <= 0.5 + 1e-12
 
 
+def brute_force_shortest(w1, w2):
+    """Shortest vectors of Z w1 + Z w2 by exhaustive search, as (length, reps).
+
+    By Cramer's rule a vector m w1 + n w2 no longer than L = min(|w1|, |w2|)
+    has |n| <= L |w1| / A and |m| <= L |w2| / A, A the cell area, so the
+    search box always contains the shortest vectors.
+    """
+    w1, w2 = complex(w1), complex(w2)
+    area = abs((w1.conjugate() * w2).imag)
+    length = min(abs(w1), abs(w2))
+    bound_m = int(np.ceil(length * abs(w2) / area))
+    bound_n = int(np.ceil(length * abs(w1) / area))
+    best = np.inf
+    reps = []
+    for m in range(-bound_m, bound_m + 1):
+        for n in range(-bound_n, bound_n + 1):
+            if m == 0 and n == 0:
+                continue
+            v = abs(m * w1 + n * w2)
+            if v < best * (1 - 1e-9):
+                best, reps = v, [(m, n)]
+            elif abs(v - best) < 1e-9 * best:
+                if (-m, -n) not in reps:
+                    reps.append((m, n))
+    return best, reps
+
+
 class TestLattice:
     def test_unit_square(self):
-        assert lattice_shortest(1j) == pytest.approx(1.0)
-        assert lattice_shortest(2j) == pytest.approx(1.0)
+        assert shortest_vectors(1.0, 1j)[0] == pytest.approx(1.0)
+        assert shortest_vectors(1.0, 2j)[0] == pytest.approx(1.0)
 
     def test_brute_force_radius_10(self):
         tau = 0.5 + 0.9j
@@ -178,17 +211,46 @@ class TestLattice:
             for n in range(-10, 11)
             if (m, n) != (0, 0)
         )
-        assert lattice_shortest(tau) == pytest.approx(best, rel=1e-14)
+        assert shortest_vectors(1.0, tau)[0] == pytest.approx(best, rel=1e-14)
 
     def test_modular_invariance(self):
         for tau in (0.3 + 1.2j, 1j, -0.4 + 0.8j):
-            s = lattice_shortest(tau)
-            assert lattice_shortest(tau + 1) == pytest.approx(s, rel=1e-12)
-            assert lattice_shortest(-1.0 / tau) * abs(tau) == pytest.approx(s, rel=1e-12)
+            s = shortest_vectors(1.0, tau)[0]
+            assert shortest_vectors(1.0, tau + 1)[0] == pytest.approx(s, rel=1e-12)
+            assert shortest_vectors(1.0, -1.0 / tau)[0] * abs(tau) == pytest.approx(s, rel=1e-12)
 
     def test_multiplicity(self):
-        assert lattice_shortest_multiplicity(1j) > 1
-        assert lattice_shortest_multiplicity(1.3j) == 1
+        assert shortest_vectors(1.0, 1j)[1] == [(-1, 0), (0, -1)]
+        assert shortest_vectors(1.0, cmath.exp(1j * cmath.pi / 3))[1] == [(-1, 0), (-1, 1), (0, -1)]
+        assert shortest_vectors(1.0, 1.3j)[1] == [(-1, 0)]
+
+    def test_skewed_tau(self):
+        # tau - 50 = 0.1j; a search box of fixed size around the origin misses it
+        length, reps = shortest_vectors(1.0, 50 + 0.1j)
+        assert length == pytest.approx(0.1, rel=1e-12)
+        assert reps == [(-50, 1)]
+
+    @given(
+        st.floats(-20.0, 20.0),
+        st.floats(0.1, 3.0),
+        st.floats(0.2, 5.0),
+        st.floats(0.0, 2.0 * np.pi),
+    )
+    @example(0.0, 1.0, 1.0, 0.0)
+    @example(0.5, 3**0.5 / 2, 1.0, 0.0)
+    @example(-0.5, 3**0.5 / 2, 2.0, 1.0)
+    @example(10.0, 0.1, 1.0, 0.3)
+    def test_matches_brute_force(self, re_tau, im_tau, scale, angle):
+        w1 = scale * cmath.exp(1j * angle)
+        w2 = w1 * complex(re_tau, im_tau)
+        length, reps = shortest_vectors(w1, w2)
+        ref_length, ref_reps = brute_force_shortest(w1, w2)
+        assert length == pytest.approx(ref_length, rel=1e-12)
+        assert reps == ref_reps
+
+    def test_dependent_generators_rejected(self):
+        with pytest.raises(ValueError):
+            shortest_vectors(1.0, 2.0)
 
     def test_halfplane_validation(self):
         with pytest.raises(ValueError):

@@ -162,9 +162,10 @@ class TestCskProperties:
 
     @given(_ACCEPTED_P0)
     def test_lifted_tau(self, p0):
-        tau = toy._lifted_tau(p0)
+        t = inverse_lambda(p0).tau
+        tau = toy._lifted_tau(t, p0)
         assert abs(modular_lambda(tau) - p0) < 1e-9
-        assert abs(reduce_to_fundamental_domain(tau) - inverse_lambda(p0).tau) < 1e-9
+        assert abs(reduce_to_fundamental_domain(tau) - t) < 1e-9
 
 
 class TestToyConfig:
@@ -181,6 +182,17 @@ class TestToyConfig:
         cfg = ToyConfig.from_p0(p0)
         assert cfg.c_sk == csk(p0)
         assert min(abs(modular_lambda(cfg.tau.tau) - s) for s in lambda_orbit(p0)) < 1e-12
+
+    def test_inverts_lambda_once(self, monkeypatch):
+        calls = []
+
+        def counting(p0):
+            calls.append(p0)
+            return inverse_lambda(p0)
+
+        monkeypatch.setattr(toy, "inverse_lambda", counting)
+        ToyConfig.from_p0(0.3)
+        assert len(calls) == 1
 
     def test_non_generic_warning(self):
         with pytest.warns(NonGenericTorusWarning):
