@@ -203,29 +203,28 @@ def _run_lebrun(params: dict, out: Path):
             "p0": p0,
         },
     )
-    rows = []
-    for k, (mm, nn) in enumerate(sol.v.modes):
-        for i, rho in enumerate(sol.rho):
-            if i % max(1, len(sol.rho) // 64):
-                continue
-            c = sol.v.coeffs[k, i]
-            rows.append((rho, int(mm), int(nn), c.real, c.imag))
+    stride = max(1, len(sol.rho) // 64)
+    rho_s = sol.rho[::stride].tolist()
+    rows = [
+        (rho, mm, nn, c.real, c.imag)
+        for (mm, nn), cs in zip(sol.v.modes.tolist(), sol.v.coeffs[:, ::stride].tolist())
+        for rho, c in zip(rho_s, cs)
+    ]
     s_path = write_csv(out / "solution.csv", ["rho", "mu_m", "mu_n", "re", "im"], rows)
     md = leb.metric_difference_full(sol)
     ncol = md.difference.shape[1]
     B = lattice.basis
-    j = np.arange(ncol) / ncol
+    # every (len(rho) // 24)-th radial node and every 4th collocation point
+    nodes = np.s_[:: max(1, len(sol.rho) // 24), ::4, ::4]
+    j = np.arange(ncol)[nodes[1]] / ncol
     X1 = np.add.outer(B[0, 0] * j, B[0, 1] * j)
     X2 = np.add.outer(B[1, 0] * j, B[1, 1] * j)
-    rows = []
-    stride = max(1, len(sol.rho) // 24)
+    r = md.r[nodes]
+    xy = np.broadcast_to(np.stack([X1, X2], axis=-1), r.shape + (2,))
     comps = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1)]
-    for i in range(0, len(sol.rho), stride):
-        for a in range(0, ncol, 4):
-            for b in range(0, ncol, 4):
-                row = [md.r[i, a, b], X1[a, b], X2[a, b]]
-                row += [md.difference[i, a, b, p, q] for (p, q) in comps]
-                rows.append(tuple(row))
+    first, second = np.array(comps).T
+    table = np.concatenate([r[..., None], xy, md.difference[nodes][..., first, second]], axis=-1)
+    rows = table.reshape(-1, table.shape[-1]).tolist()
     header = ["r", "x", "y"] + [f"d_{p}{q}" for (p, q) in comps]
     m_path = write_csv(out / "metric_difference.csv", header, rows)
     return [fit_path, s_path, m_path]

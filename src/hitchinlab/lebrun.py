@@ -27,16 +27,23 @@ lambda_T = 2 pi |mu_0|, i.e. rhat^{-3/4} e^{-2 lambda_T sqrt(rhat)}.
 ``solve_nonlinear`` runs an inexact Newton iteration whose correction steps
 solve the decoupled systems L_mu dv = -residual (banded), with Dirichlet
 data at rho_min and a Robin condition matched to the K_1 log-derivative at
-rho_max; nonlinear terms are evaluated pseudospectrally on a collocation
-grid.  ``fit_decay`` measures the realized decay rate and prefactor power,
-and the metric assembly routines evaluate g, the radial coordinate change
-r = rhat e^v, and the difference from the semiflat metric.
+rho_max.  L_mu depends on |mu| only, so one band is built per distinct norm
+before the iteration, and each step solves it once for all the modes of
+that norm, their right-hand sides stacked as columns.  Nonlinear terms are
+evaluated pseudospectrally on a collocation grid; every field is real
+(Hermitian coefficients), so synthesis and projection are separable real
+matmuls against the collocation phases.  ``fit_decay`` measures the
+realized decay rate and prefactor power, and the metric assembly routines
+evaluate g, the radial coordinate change r = rhat e^v, and the difference
+from the semiflat metric, whose predicted Bessel parts and remainder are
+built only when read.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -239,35 +246,67 @@ def make_modes(m_cut: int) -> np.ndarray:
     return np.column_stack([mm.ravel(), nn.ravel()])
 
 
+def _phase_blocks(m_cut: int, n: int):
+    """Real blocks of E[m, j] = exp(2 pi i j m / n), m = -m_cut..m_cut.
+
+    With E = P + i S returns B = [[P, S], [-S, P]], shape (2M, 2n) with
+    M = 2 m_cut + 1, and A = [P^T, -S^T] restricted to the rows m >= 0,
+    shape (n, 2H) with H = m_cut + 1; complex contractions against E and
+    conj(E) are then real matmuls with these.
+    """
+    ang = (2.0 * np.pi / n) * np.outer(np.arange(-m_cut, m_cut + 1), np.arange(n))
+    P, S = np.cos(ang), np.sin(ang)
+    B = np.block([[P, S], [-S, P]])
+    A = np.concatenate([P[m_cut:].T, -S[m_cut:].T], axis=1)
+    return B, A
+
+
+def _fold(T: np.ndarray) -> np.ndarray:
+    """(NR, X, 2, Y) -> (NR, 2X, Y): stack the real/imaginary halves along axis 1."""
+    nr, x, _, y = T.shape
+    return T.transpose(0, 2, 1, 3).reshape(nr, 2 * x, y)
+
+
 def _synthesize(modes: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
-    """e^{2 pi i x . mu} synthesis on the N x N collocation grid via FFT.
+    """Real samples of sum_mu c_mu e^{2 pi i x . mu} on the N x N collocation grid.
 
     At X_{jk} = (j a + k b)/n the phase is exp(2 pi i (jm + kn)/n) for any
-    lattice shape, so synthesis is a plain inverse FFT.
+    lattice shape, so the sum is separable: one fancy-index assignment
+    scatters the coefficients into an (NR, m, re/im, n) array, which is
+    contracted against E[n, k] and then E[m, j] with real matmuls.  Every
+    field here is Hermitian (coeff(-mu) = conj coeff(mu)), so the samples
+    are real and only the real part is formed; the rows -m of the first
+    contraction are the conjugates of the rows m, so only m >= 0 is kept,
+    with weight 2 on m > 0.
     """
-    spec = np.zeros((coeffs.shape[1], n, n), dtype=complex)
-    for idx in range(len(modes)):
-        spec[:, modes[idx, 0] % n, modes[idx, 1] % n] += coeffs[idx]
-    return np.fft.ifft2(spec, axes=(1, 2)) * (n * n)
+    m_cut = int(np.max(np.abs(modes)))
+    M = 2 * m_cut + 1
+    half = modes[:, 0] >= 0
+    i, j = modes[half, 0], modes[half, 1] + m_cut
+    C = np.zeros((coeffs.shape[1], m_cut + 1, 2, M))
+    C[:, i, 0, j] = coeffs[half].real.T
+    C[:, i, 1, j] = coeffs[half].imag.T
+    B, A = _phase_blocks(m_cut, n)
+    weight = np.tile(np.r_[1.0, np.full(m_cut, 2.0)], 2)
+    return (A * weight) @ _fold((C.reshape(-1, 2 * M) @ B).reshape(-1, m_cut + 1, 2, n))
 
 
 def _analyze(values: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """Project collocation samples back onto the retained modes."""
+    """Project real collocation samples (NR, N, N) back onto the retained modes.
+
+    The adjoint of :func:`_synthesize`: contraction against conj(E) over k,
+    then j, divided by N^2.  The samples are real, so only the columns n >= 0
+    are formed and the rest are read as c(m, n) = conj c(-m, -n).  Returns
+    (K, NR) complex coefficients.
+    """
     n = values.shape[-1]
-    spec = np.fft.fft2(values, axes=(1, 2)) / (n * n)
-    return np.stack([spec[:, m % n, mn % n] for (m, mn) in modes], axis=0)
-
-
-def field_from_function(lattice: TorusLattice, modes: np.ndarray, rho: np.ndarray, fn) -> TorusFourierField:
-    """Sample fn(X1, X2, rho_i) on a collocation grid and project onto modes."""
     m_cut = int(np.max(np.abs(modes)))
-    n = default_colloc(m_cut)
-    B = lattice.basis
-    j = np.arange(n) / n
-    X1 = np.add.outer(B[0, 0] * j, B[0, 1] * j)
-    X2 = np.add.outer(B[1, 0] * j, B[1, 1] * j)
-    vals = np.stack([fn(X1, X2, r) for r in rho], axis=0)
-    return TorusFourierField(lattice, modes, rho, _analyze(vals, modes))
+    M = 2 * m_cut + 1
+    B, A = _phase_blocks(m_cut, n)
+    spec = (B @ _fold((values.reshape(-1, n) @ A).reshape(-1, n, 2, m_cut + 1))) / (n * n)
+    sign = np.where(modes[:, 1] >= 0, 1, -1)
+    i, j = sign * modes[:, 0] + m_cut, sign * modes[:, 1]
+    return (spec[:, i, j] + 1j * sign * spec[:, M + i, j]).T
 
 
 def default_colloc(m_cut: int) -> int:
@@ -290,9 +329,8 @@ def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> Tor
     """L v - Q(v): zero exactly at solutions of the reduced equation.
 
     Radial derivatives by central differences; the nonlinear products are
-    evaluated on the collocation grid and
-
-    projected back (pseudospectral).
+    evaluated in real arithmetic on the collocation grid and projected back
+    (pseudospectral).
     """
     if len(v.rho) < 5:
         raise ValueError("need at least 5 radial nodes")
@@ -309,10 +347,9 @@ def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> Tor
 
     A = _synthesize(v.modes, radial, n_colloc)
     RV = _synthesize(v.modes, rho[None, :] * d1, n_colloc)
-    V = _synthesize(v.modes, v.coeffs, n_colloc)
-    ev = np.exp(V)
+    ev = np.exp(_synthesize(v.modes, v.coeffs, n_colloc))
     Q = (1.0 - ev) * A - ev * RV**2
-    q_modes = _analyze(np.moveaxis(Q, 0, 0), v.modes)
+    q_modes = _analyze(Q, v.modes)
     return TorusFourierField(v.lattice, v.modes, rho, lin - q_modes)
 
 
@@ -327,15 +364,15 @@ def linear_mode_solution(mu, rho):
     return float(out) if out.ndim == 0 else out
 
 
-def _phi_log_deriv(mu_abs: float, rho: float) -> float:
-    """d log phi_mu / d rho, evaluated stably (scaled Bessel ratios)."""
-    if mu_abs == 0.0:
-        return -2.0 / rho
-    c = 4.0 * np.pi * mu_abs
-    k0 = bessel_k(0, c * rho, scaled=True)
-    k1 = bessel_k(1, c * rho, scaled=True)
-    k2 = bessel_k(2, c * rho, scaled=True)
-    return -1.0 / rho - 0.5 * c * (k0 + k2) / k1
+def _phi_log_deriv(mu_abs, rho: float) -> np.ndarray:
+    """d log phi_mu / d rho at rho for an array of |mu|, stably (scaled Bessel ratios)."""
+    mu_abs = np.asarray(mu_abs, dtype=float)
+    out = np.full(mu_abs.shape, -2.0 / rho)
+    live = mu_abs > 0.0
+    c = 4.0 * np.pi * mu_abs[live]
+    k0, k1, k2 = (bessel_k(nu, c * rho, scaled=True) for nu in (0, 1, 2))
+    out[live] = -1.0 / rho - 0.5 * c * (k0 + k2) / k1
+    return out
 
 
 def _mode_rows(mu_abs: float, rho: np.ndarray):
@@ -348,16 +385,51 @@ def _mode_rows(mu_abs: float, rho: np.ndarray):
     return c_l, c_c, c_r
 
 
-def _banded_mode_solve(mu_abs: float, rho: np.ndarray, rhs_interior, bc_inner, robin_rhs=0.0):
-    """Solve L_mu v = rhs with v(rho0) = bc_inner and (v' - g v)(rhoN) = robin_rhs."""
+def _mode_band(mu_abs: float, rho: np.ndarray, g: float) -> np.ndarray:
+    """(5, n) band of L_mu with v(rho0) and (v' - g v)(rhoN) in the end rows."""
     _, (w0, w1, w2) = fd_first_boundary(rho, "right")
-    g = _phi_log_deriv(mu_abs, rho[-1])
-    ab = banded_three_point(*_mode_rows(mu_abs, rho), (1.0, 0.0, 0.0), (w0 - g, w1, w2))
+    return banded_three_point(*_mode_rows(mu_abs, rho), (1.0, 0.0, 0.0), (w0 - g, w1, w2))
+
+
+def _banded_mode_solve(mu_abs: float, rho: np.ndarray, rhs_interior, bc_inner, robin_rhs=0.0):
+    """Solve L_mu v = rhs with v(rho0) = bc_inner and (v' - g v)(rhoN) = robin_rhs.
+
+    g is the K_1 log-derivative at rho_max, exact for the decaying solution.
+    """
+    ab = _mode_band(mu_abs, rho, _phi_log_deriv([mu_abs], rho[-1])[0])
     rhs = np.empty(len(rho), dtype=complex)
     rhs[0] = bc_inner
     rhs[1:-1] = rhs_interior
     rhs[-1] = robin_rhs
     return solve_banded((2, 2), ab, rhs)
+
+
+def _grouped_bands(norms: np.ndarray, rho: np.ndarray):
+    """Robin coefficients per mode and one (members, band) pair per distinct |mu| > 0.
+
+    L_mu depends on |mu| only, so modes of equal norm share one band; the
+    grouping is by exact equality, which always keeps +-mu together.
+    """
+    distinct, group = np.unique(norms, return_inverse=True)
+    g = _phi_log_deriv(distinct, rho[-1])
+    bands = [
+        (np.nonzero(group == i)[0], _mode_band(mu, rho, g[i]))
+        for i, mu in enumerate(distinct)
+        if mu > 0.0
+    ]
+    return g[group], bands
+
+
+def _grouped_mode_solve(bands, rhs: np.ndarray) -> np.ndarray:
+    """Solve each band against the (K, n) ``rhs`` rows of its modes, stacked as columns.
+
+    Row layout as in :func:`_banded_mode_solve`: inner value, interior
+    right-hand side, Robin value.  Rows of modes in no band stay zero.
+    """
+    out = np.zeros_like(rhs)
+    for members, ab in bands:
+        out[members] = solve_banded((2, 2), ab, rhs[members].T).T
+    return out
 
 
 def solve_mode_bvp(mu, f_samples, rho, bc_inner=0.0):
@@ -485,11 +557,14 @@ def solve_nonlinear(
     (conjugate modes are filled in automatically); sup |data| <= 0.2.
     Newton iteration with mode-decoupled banded corrections
     L_mu dv = -residual; Dirichlet at rho_min, K_1 log-derivative Robin at
-    rho_max.  The mean mode is special: its homogeneous solutions (1 and
-    1/rhat) are not exponentially decaying, so its correction is the
-    decaying particular solution (inward march from rho_max) and its inner
-    value is dictated by decay rather than prescribed; a nonzero mean-mode
-    offset in the data must be small and is not enforced pointwise.
+    rho_max.  L_mu depends on |mu| only, so one band is built per distinct
+    norm before the iteration, and each Newton step makes one banded solve
+    per norm with the modes' right-hand sides stacked as columns.  The mean
+    mode is special: its homogeneous solutions (1 and 1/rhat) are not
+    exponentially decaying, so its correction is the decaying particular
+    solution (inward march from rho_max) and its inner value is dictated by
+    decay rather than prescribed; a nonzero mean-mode offset in the data
+    must be small and is not enforced pointwise.
     """
     mu0, reps = lattice.min_dual_norm()
     if len(reps) > 1:
@@ -533,62 +608,46 @@ def solve_nonlinear(
         if c != 0.0:
             shape = linear_mode_solution(norms[k], rho)
             coeffs[k] = c * shape / shape[0]
-    sup0 = float(np.max(np.abs(_synthesize(modes, bc[:, None], n_colloc).real)))
+    sup0 = float(np.max(np.abs(_synthesize(modes, bc[:, None], n_colloc))))
     if sup0 > 0.2:
         raise PerturbativeRegimeError(f"sup |inner data| = {sup0:.3f} > 0.2")
 
     (j0, j1, j2), (w0, w1, w2) = fd_first_boundary(rho, "right")
     idx00 = int(np.nonzero((modes[:, 0] == 0) & (modes[:, 1] == 0))[0][0])
+    g, bands = _grouped_bands(norms, rho)
+
+    def robin_defects(c):
+        return w0 * c[:, j0] + w1 * c[:, j1] + w2 * c[:, j2] - g * c[:, -1]
 
     def bc_defects(field):
         inner = np.abs(field.coeffs[:, 0] - bc)
         inner[idx00] = 0.0  # mean-mode inner value is dictated by decay
-        outer = np.empty(len(modes))
-        for k in range(len(modes)):
-            if k == idx00:
-                outer[k] = abs(field.coeffs[k, -1])
-                continue
-            g = _phi_log_deriv(norms[k], rho[-1])
-            outer[k] = abs(
-                w0 * field.coeffs[k, j0]
-                + w1 * field.coeffs[k, j1]
-                + w2 * field.coeffs[k, j2]
-                - g * field.coeffs[k, -1]
-            )
+        outer = np.abs(robin_defects(field.coeffs))
+        outer[idx00] = abs(field.coeffs[idx00, -1])
         return max(float(inner.max()), float(outer.max()))
 
-    def sup_residual(res):
-        vals = _synthesize(res.modes, res.coeffs[:, 1:-1], n_colloc)
-        return float(np.max(np.abs(vals)))
+    def residual(field):
+        """The residual of ``field`` and the larger of its sup and the boundary defects."""
+        res = nonlinear_residual(field, n_colloc)
+        sup = float(np.max(np.abs(_synthesize(res.modes, res.coeffs[:, 1:-1], n_colloc))))
+        return res, max(sup, bc_defects(field))
 
+    res, current = residual(v)
     for _ in range(max_iter):
-        res = nonlinear_residual(v, n_colloc)
-        current = max(sup_residual(res), bc_defects(v))
         if current < tol:
             break
-        step = np.empty_like(v.coeffs)
-        for k in range(len(modes)):
-            if k == idx00:
-                step[k] = _march_mean_mode(rho, -res.coeffs[k, 1:-1])
-                continue
-            g = _phi_log_deriv(norms[k], rho[-1])
-            robin_defect = (
-                w0 * v.coeffs[k, j0] + w1 * v.coeffs[k, j1] + w2 * v.coeffs[k, j2]
-                - g * v.coeffs[k, -1]
-            )
-            step[k] = _banded_mode_solve(
-                norms[k],
-                rho,
-                -res.coeffs[k, 1:-1],
-                bc[k] - v.coeffs[k, 0],
-                -robin_defect,
-            )
+        rhs = np.empty_like(v.coeffs)
+        rhs[:, 0] = bc - v.coeffs[:, 0]
+        rhs[:, 1:-1] = -res.coeffs[:, 1:-1]
+        rhs[:, -1] = -robin_defects(v.coeffs)
+        step = _grouped_mode_solve(bands, rhs)
+        step[idx00] = _march_mean_mode(rho, rhs[idx00, 1:-1])
         lam = 1.0
         for _ in range(9):
             trial = TorusFourierField(lattice, modes, rho, v.coeffs + lam * step).symmetrized()
-            trial_norm = max(sup_residual(nonlinear_residual(trial, n_colloc)), bc_defects(trial))
+            trial_res, trial_norm = residual(trial)
             if trial_norm < current or trial_norm < tol:
-                v = trial
+                v, res, current = trial, trial_res, trial_norm  # reused by the next step
                 break
             lam *= 0.5
         else:
@@ -662,11 +721,6 @@ def connection_from_w(sol: LeBrunSolution) -> LeBrunSolution:
     return sol
 
 
-def _real_values(field: TorusFourierField, n_colloc: int) -> np.ndarray:
-    vals = field.values(n_colloc)
-    return vals.real
-
-
 def assemble_metric(sol: LeBrunSolution, n_colloc: int | None = None) -> MetricComponents:
     """g = e^u w (dx^2+dy^2) + w drhat^2 + w^{-1} omega^2 in (rhat, theta, x, y).
 
@@ -678,12 +732,12 @@ def assemble_metric(sol: LeBrunSolution, n_colloc: int | None = None) -> MetricC
     if n_colloc is None:
         n_colloc = default_colloc(sol.v.m_cut)
     rho = sol.rho
-    V = _real_values(sol.v, n_colloc)
-    W = _real_values(sol.w, n_colloc)
-    RW = _real_values(_scale_by(sol.w, rho**2), n_colloc)  # rhat * w = 1 + rhat v_rhat
+    V = sol.v.values(n_colloc)
+    W = sol.w.values(n_colloc)
+    RW = _scale_by(sol.w, rho**2).values(n_colloc)  # rhat * w = 1 + rhat v_rhat
     EU = np.exp(V) * RW
-    WA2 = _real_values(sol.wa2, n_colloc)
-    WA3 = _real_values(sol.wa3, n_colloc)
+    WA2 = sol.wa2.values(n_colloc)
+    WA3 = sol.wa3.values(n_colloc)
     if np.any(W <= 0):
         raise RuntimeError("w must stay positive for a metric")
     g = np.zeros(V.shape + (4, 4))
@@ -713,7 +767,7 @@ def radial_change(sol: LeBrunSolution, n_colloc: int | None = None):
     """
     if n_colloc is None:
         n_colloc = default_colloc(sol.v.m_cut)
-    V = _real_values(sol.v, n_colloc)
+    V = sol.v.values(n_colloc)
     rhat = sol.rhat
     r = rhat[:, None, None] * np.exp(V)
     drdrhat = np.diff(r, axis=0)
@@ -757,36 +811,74 @@ def hitchin_section_difference(sol: LeBrunSolution, r_query) -> MetricComponents
 
 @dataclass
 class MetricDifference:
-    """g_L2 - g_sf split into the predicted Bessel parts and a remainder."""
+    """g_L2 - g_sf, split on demand into the predicted Bessel parts and a remainder.
+
+    ``r`` and ``difference`` are computed up front; ``predicted_k0``,
+    ``predicted_k1`` and ``remainder`` are built on first access, from the
+    trigonometric factor T(x, y) measured on the solution.
+    """
 
     r: np.ndarray
     difference: np.ndarray
-    predicted_k0: np.ndarray
-    predicted_k1: np.ndarray
-    remainder: np.ndarray
+    sol: LeBrunSolution
+    n_colloc: int
     coords: tuple = ("r", "theta", "x", "y")
+
+    @cached_property
+    def _trig(self):
+        return _trig_factor(self.sol, self.n_colloc)
+
+    @cached_property
+    def predicted_k0(self) -> np.ndarray:
+        """lam K0(2 lam sqrt r) T times diag(1/r, r, -1, -1)."""
+        r, lam = self.r, self.sol.lambda_t
+        amp = lam * bessel_k(0, 2.0 * lam * np.sqrt(r)) * self._trig[0][None, :, :]
+        pk0 = np.zeros_like(self.difference)
+        pk0[..., 0, 0] = amp / r
+        pk0[..., 1, 1] = amp * r
+        pk0[..., 2, 2] = -amp
+        pk0[..., 3, 3] = -amp
+        return pk0
+
+    @cached_property
+    def predicted_k1(self) -> np.ndarray:
+        """The K1(2 lam sqrt r) cross terms carried by the gradient of T."""
+        r = self.r
+        _, Tx, Ty = self._trig
+        K1 = bessel_k(1, 2.0 * self.sol.lambda_t * np.sqrt(r))
+        pk1 = np.zeros_like(self.difference)
+        cross = K1 / np.sqrt(r)
+        pk1[..., 0, 2] = pk1[..., 2, 0] = -cross * Tx[None, :, :]
+        pk1[..., 0, 3] = pk1[..., 3, 0] = -cross * Ty[None, :, :]
+        pk1[..., 1, 2] = pk1[..., 2, 1] = np.sqrt(r) * K1 * Ty[None, :, :]
+        pk1[..., 1, 3] = pk1[..., 3, 1] = -np.sqrt(r) * K1 * Tx[None, :, :]
+        return pk1
+
+    @cached_property
+    def remainder(self) -> np.ndarray:
+        return self.difference - self.predicted_k0 - self.predicted_k1
 
 
 def metric_difference_full(sol: LeBrunSolution, n_colloc: int | None = None) -> MetricDifference:
     """g_L2 - g_sf over the whole grid, in the (dr, dtheta, dx, dy) coframe.
 
     Substitutes drhat = (rw)^{-1} dr + a2 dx + a3 dy and omega = dtheta
-    - w a3 dx + w a2 dy, subtracts g_sf(r) node-wise, and splits off the
-    predicted K0 (diagonal) and K1 (cross) Bessel terms built from the
-    measured trigonometric factor T(x, y).
+    - w a3 dx + w a2 dy and subtracts g_sf(r) = diag(1/r, r, 1, 1) node-wise
+    on the diagonal; the predicted K0 (diagonal) and K1 (cross) Bessel terms,
+    built from the measured trigonometric factor T(x, y), and the remainder
+    are computed when first read.
     """
     if sol.wa2 is None or sol.wa3 is None:
         connection_from_w(sol)
     if n_colloc is None:
         n_colloc = default_colloc(sol.v.m_cut)
     rho = sol.rho
-    lam = sol.lambda_t
-    V = _real_values(sol.v, n_colloc)
-    W = _real_values(sol.w, n_colloc)
-    RW = _real_values(_scale_by(sol.w, rho**2), n_colloc)
+    V = sol.v.values(n_colloc)
+    W = sol.w.values(n_colloc)
+    RW = _scale_by(sol.w, rho**2).values(n_colloc)
     EU = np.exp(V) * RW
-    WA2 = _real_values(sol.wa2, n_colloc)
-    WA3 = _real_values(sol.wa3, n_colloc)
+    WA2 = sol.wa2.values(n_colloc)
+    WA3 = sol.wa3.values(n_colloc)
     A2 = WA2 / W
     A3 = WA3 / W
     r = rho[:, None, None] ** 2 * np.exp(V)
@@ -813,43 +905,12 @@ def metric_difference_full(sol: LeBrunSolution, n_colloc: int | None = None) -> 
     g[..., 3, 3] += EU
     for (i, j) in ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
         g[..., j, i] = g[..., i, j]
-
-    gsf = np.zeros_like(g)
-    gsf[..., 0, 0] = 1.0 / r
-    gsf[..., 1, 1] = r
-    gsf[..., 2, 2] = 1.0
-    gsf[..., 3, 3] = 1.0
-    diff = g - gsf
-
-    # predicted Bessel terms from the measured trigonometric factor
-    T, Tx, Ty = _trig_factor(sol, n_colloc)
-    z = 2.0 * lam * np.sqrt(r)
-    K0 = _bessel_grid(0, z)
-    K1 = _bessel_grid(1, z)
-    pk0 = np.zeros_like(g)
-    amp = lam * K0 * T[None, :, :]
-    pk0[..., 0, 0] = amp / r
-    pk0[..., 1, 1] = amp * r
-    pk0[..., 2, 2] = -amp
-    pk0[..., 3, 3] = -amp
-    pk1 = np.zeros_like(g)
-    cross = K1 / np.sqrt(r)
-    pk1[..., 0, 2] = pk1[..., 2, 0] = -cross * Tx[None, :, :]
-    pk1[..., 0, 3] = pk1[..., 3, 0] = -cross * Ty[None, :, :]
-    pk1[..., 1, 2] = pk1[..., 2, 1] = np.sqrt(r) * K1 * Ty[None, :, :]
-    pk1[..., 1, 3] = pk1[..., 3, 1] = -np.sqrt(r) * K1 * Tx[None, :, :]
-    return MetricDifference(
-        r=r,
-        difference=diff,
-        predicted_k0=pk0,
-        predicted_k1=pk1,
-        remainder=diff - pk0 - pk1,
-    )
-
-
-def _bessel_grid(nu: int, z: np.ndarray) -> np.ndarray:
-    flat = bessel_k(nu, z.ravel())
-    return np.asarray(flat).reshape(z.shape)
+    # minus g_sf, in place
+    g[..., 0, 0] -= 1.0 / r
+    g[..., 1, 1] -= r
+    g[..., 2, 2] -= 1.0
+    g[..., 3, 3] -= 1.0
+    return MetricDifference(r=r, difference=g, sol=sol, n_colloc=n_colloc)
 
 
 def _trig_factor(sol: LeBrunSolution, n_colloc: int):
@@ -864,7 +925,7 @@ def _trig_factor(sol: LeBrunSolution, n_colloc: int):
     t_hat = sol.v.coeffs[shell, -1] / phi_ref
     modes = sol.v.modes[shell]
     mu_vecs = modes @ sol.v.lattice.dual_basis.T
-    T = _synthesize(modes, t_hat[:, None], n_colloc)[0].real
-    Tx = _synthesize(modes, (2j * np.pi * mu_vecs[:, 0] * t_hat)[:, None], n_colloc)[0].real
-    Ty = _synthesize(modes, (2j * np.pi * mu_vecs[:, 1] * t_hat)[:, None], n_colloc)[0].real
+    T = _synthesize(modes, t_hat[:, None], n_colloc)[0]
+    Tx = _synthesize(modes, (2j * np.pi * mu_vecs[:, 0] * t_hat)[:, None], n_colloc)[0]
+    Ty = _synthesize(modes, (2j * np.pi * mu_vecs[:, 1] * t_hat)[:, None], n_colloc)[0]
     return T, Tx, Ty

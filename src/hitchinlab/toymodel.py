@@ -175,10 +175,10 @@ def _dumbbell_period(a: complex, b: complex, other: complex, p0: complex, n: int
     dz = direction * (-major * np.sin(s) + 1j * minor * np.cos(s))
 
     f = 1.0 / np.sqrt(z * (z - 1.0) * (z - p0))
-    # branch tracking: flip sign whenever continuity prefers it
-    for k in range(1, n):
-        if abs(f[k] - f[k - 1]) > abs(f[k] + f[k - 1]):
-            f[k] = -f[k]
+    # branch tracking: each node flips relative to its predecessor when
+    # continuity of the raw roots prefers it; the signs accumulate
+    flip = np.abs(f[1:] - f[:-1]) > np.abs(f[1:] + f[:-1])
+    f[1:] *= np.cumprod(np.where(flip, -1.0, 1.0))
     # closed contour around two branch points: no monodromy, check closure
     if abs(f[0] - f[-1]) > abs(f[0] + f[-1]):
         return None

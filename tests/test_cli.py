@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from hitchinlab.artifacts import MissingManifestError, read_manifests
+from hitchinlab.artifacts import MissingManifestError, write_csv
 from hitchinlab.cli import ExperimentConfig, ValidationError, main, report, run
+from hitchinlab.lebrun import TorusLattice, metric_difference_full, solve_nonlinear
 from hitchinlab.special import ConvergenceError
 from hitchinlab.toymodel import NonGenericTorusWarning, ToyConfig, periods
 
@@ -77,6 +78,44 @@ class TestCommands:
         assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "run.json").read_bytes()
         assert not (tmp_path / "hitchinlab_out").exists()
 
+    @pytest.mark.parametrize("n_rho", [401, 41])
+    def test_lebrun_rows_match_node_loop(self, tmp_path, n_rho):
+        # the strided CSV rows are the ones a loop over every node and mode writes
+        params = dict(FAST_LEBRUN, n_rho=n_rho)
+        run(ExperimentConfig("lebrun", dict(params), tmp_path / "leb"))
+        lattice = TorusLattice.from_tau(ToyConfig.from_p0(0.3).tau.tau)
+        m, n = lattice.min_dual_norm()[1][0]
+        amp = params["amp"]
+        sol = solve_nonlinear(
+            {(m, n): amp / 2.0, (-m, -n): amp / 2.0}, params["rho_max"], params["modes"], lattice, n_rho=n_rho
+        )
+        rows = []
+        for k, (mm, nn) in enumerate(sol.v.modes):
+            for i, rho in enumerate(sol.rho):
+                if i % max(1, len(sol.rho) // 64):
+                    continue
+                c = sol.v.coeffs[k, i]
+                rows.append((rho, int(mm), int(nn), c.real, c.imag))
+        write_csv(tmp_path / "solution.csv", ["rho", "mu_m", "mu_n", "re", "im"], rows)
+        md = metric_difference_full(sol)
+        ncol = md.difference.shape[1]
+        B = lattice.basis
+        j = np.arange(ncol) / ncol
+        X1 = np.add.outer(B[0, 0] * j, B[0, 1] * j)
+        X2 = np.add.outer(B[1, 0] * j, B[1, 1] * j)
+        comps = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1)]
+        rows = []
+        for i in range(0, len(sol.rho), max(1, len(sol.rho) // 24)):
+            for a in range(0, ncol, 4):
+                for b in range(0, ncol, 4):
+                    row = [md.r[i, a, b], X1[a, b], X2[a, b]]
+                    row += [md.difference[i, a, b, p, q] for (p, q) in comps]
+                    rows.append(tuple(row))
+        header = ["r", "x", "y"] + [f"d_{p}{q}" for (p, q) in comps]
+        write_csv(tmp_path / "metric_difference.csv", header, rows)
+        for name in ("solution.csv", "metric_difference.csv"):
+            assert (tmp_path / "leb" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
     def test_report_requires_manifests(self, tmp_path):
         with pytest.raises(MissingManifestError):
             report(tmp_path)
@@ -121,6 +160,27 @@ class TestValidationAndConfig:
         assert code == 1
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: ConvergenceError: inverse_lambda failed to converge"]
+
+    @pytest.mark.parametrize(
+        "argv, cls",
+        [
+            (["lebrun", "--p0", "0.3,0", "--amp", "1.0"], "PerturbativeRegimeError"),
+            (["toymodel", "--p0", "0.0005,0"], "ValueError"),
+        ],
+    )
+    def test_failure_is_one_error_line(self, tmp_path, capsys, argv, cls):
+        code = main(argv + ["--output-dir", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cls}: ")
+
+    def test_report_of_missing_dir_is_one_error_line(self, tmp_path, capsys):
+        assert issubclass(MissingManifestError, FileNotFoundError)
+        code = main(["report", str(tmp_path / "missing")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: MissingManifestError: ")
+        assert not (tmp_path / "missing").exists()
 
     def test_toymodel_near_collision(self, tmp_path):
         code = main(["toymodel", "--p0", "0.002,0", "--output-dir", str(tmp_path / "near")])

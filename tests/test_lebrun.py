@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hitchinlab.grids import fd_first, fd_second
 from hitchinlab.lebrun import (
@@ -25,8 +27,43 @@ from hitchinlab.lebrun import (
     solve_mode_inhomogeneous,
     solve_nonlinear,
 )
-from hitchinlab.lebrun import _banded_mode_solve, _synthesize, _trig_factor
+from hitchinlab.lebrun import (
+    _analyze,
+    _banded_mode_solve,
+    _grouped_bands,
+    _grouped_mode_solve,
+    _synthesize,
+    _trig_factor,
+)
 from hitchinlab.special import bessel_k, inverse_lambda
+
+# criterion 9 (p0 = 0.3, amplitude 0.1, m_cut = 3): the fitted rate and
+# prefactor power, which the solver's rounding-level changes must not move
+CRITERION_9_RATE = 2.5613039647794227
+CRITERION_9_POWER = -1.5692736689970173
+
+
+def _synthesize_fft(modes, coeffs, n):
+    """Oracle: per-mode scatter into an n x n spectrum and an inverse 2-d FFT."""
+    spec = np.zeros((coeffs.shape[1], n, n), dtype=complex)
+    for idx in range(len(modes)):
+        spec[:, modes[idx, 0] % n, modes[idx, 1] % n] += coeffs[idx]
+    return np.fft.ifft2(spec, axes=(1, 2)) * (n * n)
+
+
+def _analyze_fft(values, modes):
+    """Oracle: 2-d FFT of the samples, read at the retained modes."""
+    n = values.shape[-1]
+    spec = np.fft.fft2(values, axes=(1, 2)) / (n * n)
+    return np.stack([spec[:, m % n, mn % n] for (m, mn) in modes], axis=0)
+
+
+def _hermitian_coeffs(modes, n_rho, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(len(modes), n_rho)) + 1j * rng.normal(size=(len(modes), n_rho))
+    where = {(int(m), int(n)): k for k, (m, n) in enumerate(modes)}
+    neg = [where[(-int(m), -int(n))] for (m, n) in modes]
+    return 0.5 * (c + np.conj(c[neg]))
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +101,36 @@ class TestLattice:
         assert mu0 == pytest.approx(TorusLattice.from_tau(0.1j).min_dual_norm()[0], rel=1e-12)
         assert mu0 == pytest.approx(0.0712, abs=1e-4)
         assert reps == [(-1, -10)]
+
+
+class TestTransforms:
+    @given(
+        m_cut=st.integers(1, 6),
+        extra=st.integers(0, 10),
+        n_rho=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_synthesis_matches_fft_oracle(self, m_cut, extra, n_rho, seed):
+        modes = make_modes(m_cut)
+        n = 2 * m_cut + extra  # n = 2 m_cut aliases the outermost modes
+        c = _hermitian_coeffs(modes, n_rho, seed)
+        ref = _synthesize_fft(modes, c, n)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(ref.imag)) <= 1e-12 * scale
+        assert np.max(np.abs(_synthesize(modes, c, n) - ref.real)) <= 1e-12 * scale
+        vals = np.random.default_rng(seed).normal(size=(n_rho, n, n))
+        ref = _analyze_fft(vals, modes)
+        assert np.max(np.abs(_analyze(vals, modes) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        if n >= 2 * m_cut + 1:
+            back = _analyze(_synthesize(modes, c, n), modes)
+            assert np.max(np.abs(back - c)) <= 1e-12 * np.max(np.abs(c))
+
+    def test_subset_of_modes(self):
+        # the leading-shell synthesis passes a few modes with a smaller cutoff
+        modes = np.array([[0, 1], [0, -1], [1, -1], [-1, 1]])
+        c = np.array([[0.3 + 0.2j], [0.3 - 0.2j], [-0.1j], [0.1j]])
+        ref = _synthesize_fft(modes, c, 16)
+        assert np.max(np.abs(_synthesize(modes, c, 16) - ref.real)) < 1e-15
 
 
 class TestLinearModes:
@@ -202,8 +269,24 @@ class TestSolveNonlinear:
 
     def test_reality(self, solution):
         assert solution.v.reality_defect() < 1e-12
-        vals = solution.v.values(16)
+        # the production synthesis forms the real part only; the FFT oracle
+        # shows the discarded imaginary part is at rounding level
+        vals = _synthesize_fft(solution.v.modes, solution.v.coeffs, 16)
         assert np.max(np.abs(vals.imag)) < 1e-12
+
+    def test_grouped_solve_matches_per_mode(self, lattice):
+        # one band per distinct |mu| with stacked right-hand sides gives the
+        # per-mode banded solve of every mode
+        rho = np.linspace(0.5, 4.0, 301)
+        modes = make_modes(3)
+        norms = TorusFourierField(lattice, modes, rho, np.zeros((len(modes), len(rho)))).mu_norms()
+        _, bands = _grouped_bands(norms, rho)
+        assert len(bands) == len(np.unique(norms)) - 1 < len(modes) // 2
+        rhs = _hermitian_coeffs(modes, len(rho), 7)
+        step = _grouped_mode_solve(bands, rhs)
+        for k in np.nonzero(norms > 0)[0]:
+            ref = _banded_mode_solve(norms[k], rho, rhs[k, 1:-1], rhs[k, 0], rhs[k, -1])
+            assert np.max(np.abs(step[k] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_spectral_convergence(self, lattice, solution, mu0_data):
         _, (m, n) = mu0_data
@@ -252,6 +335,11 @@ class TestFitDecay:
         rate, power = fit_decay(solution)
         assert rate == pytest.approx(2.0 * (2 * np.pi * mu0), rel=0.03)
         assert power == pytest.approx(-1.5, rel=0.10)
+
+    def test_criterion_9_figures(self, solution):
+        rate, power = fit_decay(solution)
+        assert rate == pytest.approx(CRITERION_9_RATE, rel=1e-10)
+        assert power == pytest.approx(CRITERION_9_POWER, rel=1e-10)
 
     def test_amplitude_universality(self, lattice, mu0_data):
         _, (m, n) = mu0_data
@@ -438,6 +526,34 @@ class TestSectionAndDifference:
         sh = np.abs(spec[:, m % N, n % N]) ** 2 + np.abs(spec[:, -m % N, -n % N]) ** 2
         mid = len(rho) // 2
         assert (sh / tot)[mid] > 0.99
+
+    def test_lazy_predicted_parts(self, lattice, mu0_data):
+        # built on first access, bit for bit the formulas of the eager split
+        _, (m, n) = mu0_data
+        sol = solve_nonlinear({(m, n): 0.05, (-m, -n): 0.05}, None, 2, lattice, n_rho=201)
+        md = metric_difference_full(sol)
+        assert "predicted_k0" not in vars(md) and "remainder" not in vars(md)
+        lam = sol.lambda_t
+        r = md.r
+        T, Tx, Ty = _trig_factor(sol, md.difference.shape[1])
+        z = 2.0 * lam * np.sqrt(r)
+        K0, K1 = bessel_k(0, z), bessel_k(1, z)
+        pk0 = np.zeros_like(md.difference)
+        amp = lam * K0 * T[None, :, :]
+        pk0[..., 0, 0] = amp / r
+        pk0[..., 1, 1] = amp * r
+        pk0[..., 2, 2] = -amp
+        pk0[..., 3, 3] = -amp
+        pk1 = np.zeros_like(md.difference)
+        cross = K1 / np.sqrt(r)
+        pk1[..., 0, 2] = pk1[..., 2, 0] = -cross * Tx[None, :, :]
+        pk1[..., 0, 3] = pk1[..., 3, 0] = -cross * Ty[None, :, :]
+        pk1[..., 1, 2] = pk1[..., 2, 1] = np.sqrt(r) * K1 * Ty[None, :, :]
+        pk1[..., 1, 3] = pk1[..., 3, 1] = -np.sqrt(r) * K1 * Tx[None, :, :]
+        assert np.array_equal(md.predicted_k0, pk0)
+        assert np.array_equal(md.predicted_k1, pk1)
+        assert np.array_equal(md.remainder, md.difference - pk0 - pk1)
+        assert md.remainder is md.remainder
 
     def test_bessel_identity_chain_on_window(self, solution, mu0_data):
         # the identities used to assemble the K0 coefficient hold at the
