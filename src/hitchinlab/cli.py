@@ -180,8 +180,7 @@ def _run_lebrun(params: dict, out: Path):
     modes = int(params.get("modes", 3))
     cfg = toy.ToyConfig.from_p0(p0)
     lattice = leb.TorusLattice.from_tau(cfg.tau.tau)
-    mu0, reps = lattice.min_dual_norm()
-    m, n = reps[0]
+    m, n = lattice.min_dual_norm()[1][0]
     rho_max = params.get("rho_max")
     sol = leb.solve_nonlinear(
         {(m, n): amp / 2.0, (-m, -n): amp / 2.0},
@@ -192,7 +191,7 @@ def _run_lebrun(params: dict, out: Path):
         n_rho=int(params.get("n_rho", 1401)),
     )
     rate, power = leb.fit_decay(sol)
-    lam2 = 2.0 * 2.0 * np.pi * mu0
+    lam2 = 2.0 * sol.lambda_t
     fit_path = write_json(
         out / "fit.json",
         {
@@ -211,12 +210,13 @@ def _run_lebrun(params: dict, out: Path):
         for rho, c in zip(rho_s, cs)
     ]
     s_path = write_csv(out / "solution.csv", ["rho", "mu_m", "mu_n", "re", "im"], rows)
-    md = leb.metric_difference_full(sol)
+    # every (len(rho) // 24)-th radial node at every 4th collocation point:
+    # default_colloc is a multiple of 4, so those points form the quarter grid
+    md = leb.metric_difference_full(sol, leb.default_colloc(modes) // 4)
     ncol = md.difference.shape[1]
     B = lattice.basis
-    # every (len(rho) // 24)-th radial node and every 4th collocation point
-    nodes = np.s_[:: max(1, len(sol.rho) // 24), ::4, ::4]
-    j = np.arange(ncol)[nodes[1]] / ncol
+    nodes = np.s_[:: max(1, len(sol.rho) // 24)]
+    j = np.arange(ncol) / ncol
     X1 = np.add.outer(B[0, 0] * j, B[0, 1] * j)
     X2 = np.add.outer(B[1, 0] * j, B[1, 1] * j)
     r = md.r[nodes]

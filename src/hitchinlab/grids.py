@@ -1,4 +1,4 @@
-"""Grid utilities: log-spaced radial grids and non-uniform finite differences.
+"""Grid utilities: non-uniform finite differences and their banded operators.
 
 The 3-point stencils below are exact on quadratics for arbitrary node
 spacing; on smoothly graded (e.g. log-spaced) grids they are second-order
@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "log_grid",
     "fd_first",
     "fd_second",
     "fd_first_boundary",
@@ -21,14 +20,6 @@ __all__ = [
     "banded_three_point",
     "cumulative_from_right",
 ]
-
-
-def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    if not (0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    return np.geomspace(lo, hi, n)
 
 
 def interior_weights(x: np.ndarray):

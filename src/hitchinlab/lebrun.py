@@ -33,10 +33,11 @@ that norm, their right-hand sides stacked as columns.  Nonlinear terms are
 evaluated pseudospectrally on a collocation grid; every field is real
 (Hermitian coefficients), so synthesis and projection are separable real
 matmuls against the collocation phases.  ``fit_decay`` measures the
-realized decay rate and prefactor power, and the metric assembly routines
-evaluate g, the radial coordinate change r = rhat e^v, and the difference
-from the semiflat metric, whose predicted Bessel parts and remainder are
-built only when read.
+realized decay rate and prefactor power.  One builder evaluates g, with
+drhat written in the rhat coframe for ``assemble_metric`` and in the
+coframe of the radial change r = rhat e^v for the difference from the
+semiflat metric, whose predicted Bessel parts and remainder are built only
+when read.
 """
 
 from __future__ import annotations
@@ -139,9 +140,6 @@ class TorusLattice:
         d = self.dual_basis
         return m * d[:, 0] + n * d[:, 1]
 
-    def mu_norm(self, m: int, n: int) -> float:
-        return float(np.linalg.norm(self.mu_vector(m, n)))
-
     def min_dual_norm(self):
         """Smallest nonzero |mu| and the modes attaining it (up to sign)."""
         d = self.dual_basis
@@ -189,27 +187,26 @@ class TorusFourierField:
     def mu_vectors(self) -> np.ndarray:
         return self.modes @ self.lattice.dual_basis.T
 
+    def _conjugate_index(self) -> np.ndarray:
+        """Row of -mu for each mode mu; KeyError when a conjugate is missing."""
+        row = {(m, n): k for k, (m, n) in enumerate(self.modes.tolist())}
+        try:
+            return np.array([row[(-m, -n)] for (m, n) in self.modes.tolist()], dtype=int)
+        except KeyError as exc:
+            raise KeyError(f"mode {exc.args[0]} not present") from None
+
     def reality_defect(self) -> float:
-        worst = 0.0
-        for k, (m, n) in enumerate(self.modes):
-            j = self.index(-m, -n)
-            worst = max(worst, float(np.max(np.abs(self.coeffs[k] - np.conj(self.coeffs[j])))))
-        return worst
+        conj = np.conj(self.coeffs[self._conjugate_index()])
+        return float(np.max(np.abs(self.coeffs - conj), initial=0.0))
 
     def symmetrized(self) -> "TorusFourierField":
-        out = self.coeffs.copy()
-        for k, (m, n) in enumerate(self.modes):
-            j = self.index(-m, -n)
-            out[k] = 0.5 * (self.coeffs[k] + np.conj(self.coeffs[j]))
+        out = 0.5 * (self.coeffs + np.conj(self.coeffs[self._conjugate_index()]))
         return TorusFourierField(self.lattice, self.modes, self.rho, out)
 
     # -- transforms ---------------------------------------------------------
     def values(self, n_colloc: int) -> np.ndarray:
         """Real-space samples, shape (NR, N, N), at X_{jk} = (j a + k b)/N."""
         return _synthesize(self.modes, self.coeffs, n_colloc)
-
-    def zero_like(self) -> "TorusFourierField":
-        return TorusFourierField(self.lattice, self.modes, self.rho, np.zeros_like(self.coeffs))
 
     def shell_amplitude(self) -> np.ndarray:
         """Summed |coeff| over the shortest nonzero dual shell, per radius."""
@@ -318,13 +315,6 @@ def default_colloc(m_cut: int) -> int:
 # the reduced equation
 # ----------------------------------------------------------------------
 
-def _radial_parts(field: TorusFourierField):
-    rho = field.rho
-    d1 = fd_first(rho, field.coeffs)
-    d2 = fd_second(rho, field.coeffs)
-    return d1, d2
-
-
 def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> TorusFourierField:
     """L v - Q(v): zero exactly at solutions of the reduced equation.
 
@@ -340,7 +330,7 @@ def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> Tor
     if n_colloc < 2 * m_cut:
         raise AliasingError(f"collocation grid {n_colloc} < 2 x m_cut = {2 * m_cut}")
     rho = v.rho
-    d1, d2 = _radial_parts(v)
+    d1, d2 = fd_first(rho, v.coeffs), fd_second(rho, v.coeffs)
     radial = rho**2 * d2 + 3.0 * rho * d1  # per mode
     mu2 = v.mu_norms() ** 2
     lin = radial - 16.0 * np.pi**2 * mu2[:, None] * rho[None, :] ** 2 * v.coeffs
@@ -709,16 +699,45 @@ def connection_from_w(sol: LeBrunSolution) -> LeBrunSolution:
     wy = (2j * np.pi * mu_vecs[:, 1])[:, None] * w.coeffs
     wa2 = cumulative_from_right(rho, wx * (2.0 * rho)[None, :])
     wa3 = cumulative_from_right(rho, wy * (2.0 * rho)[None, :])
-    # leading-shell tail beyond rho_max: (wa_i)_mu -> -(i mu_i 2 pi T-hat) K1/rho
-    mu0, shell = _leading_shell(np.linalg.norm(mu_vecs, axis=1))
-    phi_ref = bessel_k(1, 4.0 * np.pi * mu0 * rho[-1]) / rho[-1]
-    t_hat = sol.v.coeffs[:, -1] / phi_ref
-    tail = -phi_ref * t_hat
-    wa2[shell] += ((2j * np.pi * mu_vecs[shell, 0]) * tail[shell])[:, None]
-    wa3[shell] += ((2j * np.pi * mu_vecs[shell, 1]) * tail[shell])[:, None]
+    # leading-shell tail beyond rho_max: (wa_i)_mu -> -(i mu_i 2 pi T-hat) K1/rho,
+    # and T-hat K1/rho at rho_max is the shell coefficient v_mu(rho_max) itself
+    _, shell = _leading_shell(np.linalg.norm(mu_vecs, axis=1))
+    tail = -sol.v.coeffs[shell, -1]
+    wa2[shell] += ((2j * np.pi * mu_vecs[shell, 0]) * tail)[:, None]
+    wa3[shell] += ((2j * np.pi * mu_vecs[shell, 1]) * tail)[:, None]
     sol.wa2 = TorusFourierField(w.lattice, w.modes, rho, wa2)
     sol.wa3 = TorusFourierField(w.lattice, w.modes, rho, wa3)
     return sol
+
+
+def _hyperkahler_metric(sol: LeBrunSolution, n_colloc: int | None, drhat):
+    """r, w and g = w drhat^2 + w^{-1} omega^2 + e^u w (dx^2 + dy^2) on the grid.
+
+    The coordinates are (R, theta, x, y) with drhat = d0 dR + a2 dx + a3 dy,
+    where (d0, a2, a3) = drhat(rw, w, w a2, w a3) on the samples; this is the
+    only input that depends on the radial coordinate R.  omega = dtheta
+    - w a3 dx + w a2 dy, r = rhat e^v, and e^u w = rhat w e^v = rw pointwise.
+    Nodes are (rho_i, x_j, y_k).
+    """
+    if sol.wa2 is None or sol.wa3 is None:
+        connection_from_w(sol)
+    if n_colloc is None:
+        n_colloc = default_colloc(sol.v.m_cut)
+    V, W, WA2, WA3 = (f.values(n_colloc) for f in (sol.v, sol.w, sol.wa2, sol.wa3))
+    r = sol.rho[:, None, None] ** 2 * np.exp(V)
+    RW = r * W
+    d0, a2, a3 = drhat(RW, W, WA2, WA3)
+    g = np.zeros(V.shape + (4, 4))
+    g[..., 0, 0] = W * d0**2
+    g[..., 0, 2] = g[..., 2, 0] = W * d0 * a2
+    g[..., 0, 3] = g[..., 3, 0] = W * d0 * a3
+    g[..., 1, 1] = 1.0 / W
+    g[..., 1, 2] = g[..., 2, 1] = -WA3 / W
+    g[..., 1, 3] = g[..., 3, 1] = WA2 / W
+    g[..., 2, 2] = W * a2**2 + WA3**2 / W + RW
+    g[..., 3, 3] = W * a3**2 + WA2**2 / W + RW
+    g[..., 2, 3] = g[..., 3, 2] = W * a2 * a3 - WA2 * WA3 / W
+    return r, W, g
 
 
 def assemble_metric(sol: LeBrunSolution, n_colloc: int | None = None) -> MetricComponents:
@@ -727,37 +746,15 @@ def assemble_metric(sol: LeBrunSolution, n_colloc: int | None = None) -> MetricC
     omega = dtheta - w a3 dx + w a2 dy; e^u w = e^v (1 + rhat v_rhat) is the
     product form (equal to rhat w e^v).  Nodes are (rho_i, x_j, y_k).
     """
-    if sol.wa2 is None or sol.wa3 is None:
-        connection_from_w(sol)
-    if n_colloc is None:
-        n_colloc = default_colloc(sol.v.m_cut)
-    rho = sol.rho
-    V = sol.v.values(n_colloc)
-    W = sol.w.values(n_colloc)
-    RW = _scale_by(sol.w, rho**2).values(n_colloc)  # rhat * w = 1 + rhat v_rhat
-    EU = np.exp(V) * RW
-    WA2 = sol.wa2.values(n_colloc)
-    WA3 = sol.wa3.values(n_colloc)
+    _, W, g = _hyperkahler_metric(sol, n_colloc, lambda *_: (1.0, 0.0, 0.0))
     if np.any(W <= 0):
         raise RuntimeError("w must stay positive for a metric")
-    g = np.zeros(V.shape + (4, 4))
-    g[..., 0, 0] = W
-    g[..., 1, 1] = 1.0 / W
-    g[..., 1, 2] = g[..., 2, 1] = -WA3 / W
-    g[..., 1, 3] = g[..., 3, 1] = WA2 / W
-    g[..., 2, 2] = EU + WA3**2 / W
-    g[..., 3, 3] = EU + WA2**2 / W
-    g[..., 2, 3] = g[..., 3, 2] = -WA2 * WA3 / W
     smallest = float(np.min(np.linalg.eigvalsh(g)))
     if smallest <= 0.0:
         raise RuntimeError(
             f"assembled metric is not positive definite (min eigenvalue {smallest:.3e})"
         )
     return MetricComponents(("rhat", "theta", "x", "y"), g)
-
-
-def _scale_by(field: TorusFourierField, radial: np.ndarray) -> TorusFourierField:
-    return TorusFourierField(field.lattice, field.modes, field.rho, field.coeffs * radial[None, :])
 
 
 def radial_change(sol: LeBrunSolution, n_colloc: int | None = None):
@@ -776,12 +773,22 @@ def radial_change(sol: LeBrunSolution, n_colloc: int | None = None):
     return rhat, r
 
 
+def _shell_t_hat(sol: LeBrunSolution):
+    """The leading-shell mask and T-hat, calibrated at the outermost node.
+
+    T-hat is the shell coefficients of v over rho^{-1} K_1(2 lambda_T rho)
+    there, where subleading corrections are smallest.
+    """
+    rho = sol.rho
+    mu0, shell = _leading_shell(sol.v.mu_norms())
+    phi_ref = bessel_k(1, 4.0 * np.pi * mu0 * rho[-1]) / rho[-1]
+    return shell, sol.v.coeffs[shell, -1] / phi_ref
+
+
 def section_profiles(sol: LeBrunSolution):
     """On the section (x, y) = (0, 0): r(rho), rw(rho), and the T(0,0) estimate.
 
-    rw = e^v (1 + rhat v_rhat); T(0,0) is calibrated from the shortest-shell
-    coefficients against phi_mu at the outermost node, where subleading
-    corrections are smallest.
+    rw = e^v (1 + rhat v_rhat); T(0,0) is the sum of the leading-shell T-hat.
     """
     rho = sol.rho
     v00 = np.sum(sol.v.coeffs, axis=0).real
@@ -789,10 +796,8 @@ def section_profiles(sol: LeBrunSolution):
     rvr = np.sum((0.5 * rho)[None, :] * d1, axis=0).real  # rhat v_rhat = (rho/2) v_rho
     rw = np.exp(v00) * (1.0 + rvr)
     r = rho**2 * np.exp(v00)
-    mu0, shell = _leading_shell(sol.v.mu_norms())
-    phi_ref = mu0**0.5 * bessel_k(1, 4.0 * np.pi * mu0 * rho[-1]) / rho[-1]
-    t00 = float(np.sum(sol.v.coeffs[shell, -1]).real / (phi_ref / np.sqrt(mu0)))
-    return r, rw, t00
+    _, t_hat = _shell_t_hat(sol)
+    return r, rw, float(np.sum(t_hat).real)
 
 
 def hitchin_section_difference(sol: LeBrunSolution, r_query) -> MetricComponents:
@@ -862,67 +867,30 @@ class MetricDifference:
 def metric_difference_full(sol: LeBrunSolution, n_colloc: int | None = None) -> MetricDifference:
     """g_L2 - g_sf over the whole grid, in the (dr, dtheta, dx, dy) coframe.
 
-    Substitutes drhat = (rw)^{-1} dr + a2 dx + a3 dy and omega = dtheta
-    - w a3 dx + w a2 dy and subtracts g_sf(r) = diag(1/r, r, 1, 1) node-wise
-    on the diagonal; the predicted K0 (diagonal) and K1 (cross) Bessel terms,
-    built from the measured trigonometric factor T(x, y), and the remainder
-    are computed when first read.
+    Substitutes drhat = (rw)^{-1} dr + a2 dx + a3 dy, with a_i = (w a_i)/w,
+    and subtracts g_sf(r) = diag(1/r, r, 1, 1) node-wise on the diagonal;
+    the predicted K0 (diagonal) and K1 (cross) Bessel terms, built from the
+    measured trigonometric factor T(x, y), and the remainder are computed
+    when first read.
     """
-    if sol.wa2 is None or sol.wa3 is None:
-        connection_from_w(sol)
-    if n_colloc is None:
-        n_colloc = default_colloc(sol.v.m_cut)
-    rho = sol.rho
-    V = sol.v.values(n_colloc)
-    W = sol.w.values(n_colloc)
-    RW = _scale_by(sol.w, rho**2).values(n_colloc)
-    EU = np.exp(V) * RW
-    WA2 = sol.wa2.values(n_colloc)
-    WA3 = sol.wa3.values(n_colloc)
-    A2 = WA2 / W
-    A3 = WA3 / W
-    r = rho[:, None, None] ** 2 * np.exp(V)
-    rweff = r * W  # = e^v (1 + rhat v_rhat) pointwise
-
-    g = np.zeros(V.shape + (4, 4))
-    # w drhat^2 with drhat = (rw)^{-1} dr + a2 dx + a3 dy
-    c1 = 1.0 / rweff
-    g[..., 0, 0] += W * c1**2
-    g[..., 0, 2] += W * c1 * A2
-    g[..., 0, 3] += W * c1 * A3
-    g[..., 2, 2] += W * A2**2
-    g[..., 3, 3] += W * A3**2
-    g[..., 2, 3] += W * A2 * A3
-    # w^{-1} omega^2 with omega = dtheta - w a3 dx + w a2 dy
-    g[..., 1, 1] += 1.0 / W
-    g[..., 1, 2] += -A3
-    g[..., 1, 3] += A2
-    g[..., 2, 2] += W * A3**2
-    g[..., 3, 3] += W * A2**2
-    g[..., 2, 3] += -W * A2 * A3
-    # e^u w (dx^2 + dy^2)
-    g[..., 2, 2] += EU
-    g[..., 3, 3] += EU
-    for (i, j) in ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-        g[..., j, i] = g[..., i, j]
+    r, _, g = _hyperkahler_metric(
+        sol, n_colloc, lambda rw, w, wa2, wa3: (1.0 / rw, wa2 / w, wa3 / w)
+    )
     # minus g_sf, in place
     g[..., 0, 0] -= 1.0 / r
     g[..., 1, 1] -= r
     g[..., 2, 2] -= 1.0
     g[..., 3, 3] -= 1.0
-    return MetricDifference(r=r, difference=g, sol=sol, n_colloc=n_colloc)
+    return MetricDifference(r=r, difference=g, sol=sol, n_colloc=g.shape[1])
 
 
 def _trig_factor(sol: LeBrunSolution, n_colloc: int):
     """T(x, y) and its gradient from the shortest-shell coefficients.
 
-    v ~ rhat^{-1/2} K_1(2 lambda_T sqrt(rhat)) T(x, y); the shell coefficient
-    of rho^{-1} K_1(2 lambda_T rho) at the outermost node calibrates T-hat.
+    v ~ rhat^{-1/2} K_1(2 lambda_T sqrt(rhat)) T(x, y), T the synthesis of
+    the leading-shell T-hat.
     """
-    rho = sol.rho
-    mu0, shell = _leading_shell(sol.v.mu_norms())
-    phi_ref = bessel_k(1, 4.0 * np.pi * mu0 * rho[-1]) / rho[-1]
-    t_hat = sol.v.coeffs[shell, -1] / phi_ref
+    shell, t_hat = _shell_t_hat(sol)
     modes = sol.v.modes[shell]
     mu_vecs = modes @ sol.v.lattice.dual_basis.T
     T = _synthesize(modes, t_hat[:, None], n_colloc)[0]

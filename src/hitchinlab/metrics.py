@@ -34,6 +34,3 @@ class MetricComponents:
             return True
         except np.linalg.LinAlgError:
             return False
-
-    def determinant(self) -> np.ndarray:
-        return np.linalg.det(self.g)

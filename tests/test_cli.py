@@ -166,6 +166,10 @@ class TestValidationAndConfig:
         [
             (["lebrun", "--p0", "0.3,0", "--amp", "1.0"], "PerturbativeRegimeError"),
             (["toymodel", "--p0", "0.0005,0"], "ValueError"),
+            (
+                ["lebrun", "--p0", "0.3,0", "--amp", "0", "--modes", "2", "--rho-max", "3", "--n-rho", "401"],
+                "UnderflowWindowError",
+            ),
         ],
     )
     def test_failure_is_one_error_line(self, tmp_path, capsys, argv, cls):

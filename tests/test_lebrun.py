@@ -58,6 +58,68 @@ def _analyze_fft(values, modes):
     return np.stack([spec[:, m % n, mn % n] for (m, mn) in modes], axis=0)
 
 
+def _metric_difference_hand_expanded(sol, n_colloc):
+    """Oracle: (r, g_L2 - g_sf) with every term of the dr coframe written out."""
+    rho = sol.rho
+    V = sol.v.values(n_colloc)
+    W = sol.w.values(n_colloc)
+    RW = TorusFourierField(sol.w.lattice, sol.w.modes, rho, sol.w.coeffs * rho**2).values(n_colloc)
+    EU = np.exp(V) * RW
+    WA2 = sol.wa2.values(n_colloc)
+    WA3 = sol.wa3.values(n_colloc)
+    A2 = WA2 / W
+    A3 = WA3 / W
+    r = rho[:, None, None] ** 2 * np.exp(V)
+    rweff = r * W  # = e^v (1 + rhat v_rhat) pointwise
+
+    g = np.zeros(V.shape + (4, 4))
+    # w drhat^2 with drhat = (rw)^{-1} dr + a2 dx + a3 dy
+    c1 = 1.0 / rweff
+    g[..., 0, 0] += W * c1**2
+    g[..., 0, 2] += W * c1 * A2
+    g[..., 0, 3] += W * c1 * A3
+    g[..., 2, 2] += W * A2**2
+    g[..., 3, 3] += W * A3**2
+    g[..., 2, 3] += W * A2 * A3
+    # w^{-1} omega^2 with omega = dtheta - w a3 dx + w a2 dy
+    g[..., 1, 1] += 1.0 / W
+    g[..., 1, 2] += -A3
+    g[..., 1, 3] += A2
+    g[..., 2, 2] += W * A3**2
+    g[..., 3, 3] += W * A2**2
+    g[..., 2, 3] += -W * A2 * A3
+    # e^u w (dx^2 + dy^2)
+    g[..., 2, 2] += EU
+    g[..., 3, 3] += EU
+    for (i, j) in ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+        g[..., j, i] = g[..., i, j]
+    g[..., 0, 0] -= 1.0 / r
+    g[..., 1, 1] -= r
+    g[..., 2, 2] -= 1.0
+    g[..., 3, 3] -= 1.0
+    return r, g
+
+
+def _assembled_metric_hand_expanded(sol, n_colloc):
+    """Oracle: g_L2 in the drhat coframe with every term written out."""
+    rho = sol.rho
+    V = sol.v.values(n_colloc)
+    W = sol.w.values(n_colloc)
+    RW = TorusFourierField(sol.w.lattice, sol.w.modes, rho, sol.w.coeffs * rho**2).values(n_colloc)
+    EU = np.exp(V) * RW
+    WA2 = sol.wa2.values(n_colloc)
+    WA3 = sol.wa3.values(n_colloc)
+    g = np.zeros(V.shape + (4, 4))
+    g[..., 0, 0] = W
+    g[..., 1, 1] = 1.0 / W
+    g[..., 1, 2] = g[..., 2, 1] = -WA3 / W
+    g[..., 1, 3] = g[..., 3, 1] = WA2 / W
+    g[..., 2, 2] = EU + WA3**2 / W
+    g[..., 3, 3] = EU + WA2**2 / W
+    g[..., 2, 3] = g[..., 3, 2] = -WA2 * WA3 / W
+    return g
+
+
 def _hermitian_coeffs(modes, n_rho, seed):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=(len(modes), n_rho)) + 1j * rng.normal(size=(len(modes), n_rho))
@@ -267,6 +329,29 @@ class TestSolveNonlinear:
         shell = np.abs(norms - mu0) < 1e-9 * mu0
         assert normsq[shell].sum() / normsq.sum() > 0.99
 
+    def test_conjugate_index_matches_index_scan(self, lattice):
+        # the map agrees with a scan of index() per mode, and symmetrizing
+        # through it is the per-mode loop bit for bit
+        rho = np.linspace(0.5, 4.0, 5)
+        rng = np.random.default_rng(5)
+        for modes in (make_modes(3), make_modes(2)[rng.permutation(25)]):
+            c = rng.normal(size=(len(modes), 5)) + 1j * rng.normal(size=(len(modes), 5))
+            f = TorusFourierField(lattice, modes, rho, c)
+            ref = [f.index(-m, -n) for (m, n) in f.modes]
+            assert f._conjugate_index().tolist() == ref
+            out = c.copy()
+            for k, j in enumerate(ref):
+                out[k] = 0.5 * (c[k] + np.conj(c[j]))
+            assert np.array_equal(f.symmetrized().coeffs, out)
+            worst = max(float(np.max(np.abs(c[k] - np.conj(c[j])))) for k, j in enumerate(ref))
+            assert f.reality_defect() == worst
+
+    def test_missing_conjugate_raises(self, lattice):
+        f = TorusFourierField(lattice, [[0, 0], [1, 2]], np.linspace(0.5, 4.0, 5), np.ones((2, 5)))
+        for call in (f.symmetrized, f.reality_defect):
+            with pytest.raises(KeyError, match=r"mode \(-1, -2\) not present"):
+                call()
+
     def test_reality(self, solution):
         assert solution.v.reality_defect() < 1e-12
         # the production synthesis forms the real part only; the FFT oracle
@@ -382,6 +467,10 @@ class TestConnectionAndMetric:
         mask = (rho > 1.2) & (rho < 2.4)
         dev = np.max(np.abs(WA3[mask] - pred[mask])) / np.max(np.abs(pred[mask]))
         assert dev < 0.05
+        # near rho_max the shell tail normalization carries the connection
+        mask = rho > 3.0
+        dev = np.max(np.abs(WA3[mask] - pred[mask])) / np.max(np.abs(pred[mask]))
+        assert dev < 1e-3
         # the canonical lattice has mu0 along y, so wa2 is comparatively tiny
         WA2 = solution.wa2.values(N).real
         assert np.max(np.abs(WA2[mask])) < 0.01 * np.max(np.abs(WA3[mask]))
@@ -554,6 +643,21 @@ class TestSectionAndDifference:
         assert np.array_equal(md.predicted_k1, pk1)
         assert np.array_equal(md.remainder, md.difference - pk0 - pk1)
         assert md.remainder is md.remainder
+
+    def test_builder_matches_hand_expansion(self, lattice, solution):
+        # one builder for both coframes against the written-out formulas, to
+        # 1e-13 of the largest entry (the dr-coframe d_23 cancels to exactly 0
+        # in the oracle and to rounding noise in the builder); the fixture has
+        # wa2 ~ 0, so a small solve seeded along both dual directions follows
+        seeded = {(1, 0): 0.02, (-1, 0): 0.02, (0, 1): 0.02, (0, -1): 0.02}
+        for sol in (solution, solve_nonlinear(seeded, None, 2, lattice, n_rho=201)):
+            connection_from_w(sol)
+            md = metric_difference_full(sol)
+            r, g = _metric_difference_hand_expanded(sol, md.n_colloc)
+            assert np.array_equal(md.r, r)
+            assert np.max(np.abs(md.difference - g)) <= 1e-13 * np.max(np.abs(g))
+            g = _assembled_metric_hand_expanded(sol, md.n_colloc)
+            assert np.max(np.abs(assemble_metric(sol).g - g)) <= 1e-13 * np.max(np.abs(g))
 
     def test_bessel_identity_chain_on_window(self, solution, mu0_data):
         # the identities used to assemble the K0 coefficient hold at the
