@@ -3,7 +3,8 @@
 Subcommands
 -----------
 fiducial    build a local model, report its self-duality residual and
-            linearization data, dump the fields as JSON
+            linearization data, write the profile the fields are built from
+            as JSON (``FieldSample.from_json`` rebuilds the fields)
 glue-decay  sweep the glued-metric error over t and fit the exponential rate
 toymodel    derived constants of the four-punctured-sphere geometry plus the
             predicted metric correction on a radial grid
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -130,6 +132,10 @@ def _run_glue_decay(params: dict, out: Path):
     tmin = float(params.get("tmin", 4.0))
     tmax = float(params.get("tmax", 16.0))
     tstep = float(params.get("tstep", 2.0))
+    if not (math.isfinite(tmin) and math.isfinite(tmax)):
+        raise ValidationError(f"tmin and tmax must be finite, got {tmin}, {tmax}")
+    if not (math.isfinite(tstep) and tstep > 0):
+        raise ValidationError(f"tstep must be positive and finite, got {tstep}")
     spec = glue.CutoffSpec(float(params.get("r_on", 0.5)), float(params.get("r_off", 1.0)))
     grid = fid.polar_grid(
         r_min=float(params.get("r_min", 1e-3)),

@@ -106,6 +106,8 @@ class PolarGrid:
 def polar_grid(r_min: float = 1e-3, r_max: float = 1.0, n_r: int = 1024, n_theta: int = 16) -> PolarGrid:
     if n_r < 4 or n_theta < 8:
         raise ValueError("need at least 4 radial and 8 angular nodes")
+    if not 0.0 < r_min < r_max:
+        raise ValueError(f"need 0 < r_min < r_max, got r_min={r_min}, r_max={r_max}")
     return PolarGrid(np.geomspace(r_min, r_max, n_r), np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False))
 
 
@@ -116,7 +118,8 @@ class FieldSample:
     ``A_theta`` and ``h`` are radial (shape (nr, 2, 2)); ``Phi`` carries the
     angular dependence (shape (nr, ntheta, 2, 2)).  ``xi``/``dxi`` are the
     radial exponent profile (ell or m, possibly cut off) and its derivative;
-    they are the data from which the stable residual is evaluated.
+    they are the data from which the stable residual is evaluated and, with
+    the case, t and grid, all that :meth:`to_json` stores.
     """
 
     grid: PolarGrid
@@ -153,10 +156,12 @@ class FieldSample:
         return np.linalg.det(self.h).real
 
     def to_json(self) -> str:
-        def c2(v):
-            a = np.asarray(v, dtype=complex)
-            return np.stack([a.real, a.imag], axis=-1).tolist()
+        """The data the fields are built from: case, t, grid and (xi, dxi).
 
+        :meth:`from_json` rebuilds ``A_theta``, ``Phi`` and ``h`` from these
+        through :func:`assemble_fields`, bit for bit for any sample that
+        function produced.
+        """
         case = {
             "kind": self.case.kind.value,
             "weights": None
@@ -170,9 +175,6 @@ class FieldSample:
             "case": case,
             "t": self.t,
             "grid": {"r": self.grid.r.tolist(), "theta": self.grid.theta.tolist()},
-            "A_theta": c2(self.A_theta),
-            "Phi": c2(self.Phi),
-            "h": c2(self.h),
             "xi": self.xi.tolist(),
             "dxi": self.dxi.tolist(),
         }
@@ -181,11 +183,6 @@ class FieldSample:
     @classmethod
     def from_json(cls, text: str) -> "FieldSample":
         doc = json.loads(text)
-
-        def fromc2(v):
-            a = np.asarray(v)
-            return a[..., 0] + 1j * a[..., 1]
-
         c = doc["case"]
         case = LocalCase(
             CaseKind(c["kind"]),
@@ -193,16 +190,7 @@ class FieldSample:
             None if c["residue"] is None else complex(c["residue"][0], c["residue"][1]),
         )
         grid = PolarGrid(np.asarray(doc["grid"]["r"]), np.asarray(doc["grid"]["theta"]))
-        return cls(
-            grid,
-            fromc2(doc["A_theta"]),
-            fromc2(doc["Phi"]),
-            fromc2(doc["h"]),
-            case,
-            doc["t"],
-            np.asarray(doc["xi"], dtype=float),
-            np.asarray(doc["dxi"], dtype=float),
-        )
+        return assemble_fields(case, doc["t"], grid, np.asarray(doc["xi"]), np.asarray(doc["dxi"]))
 
 
 def _f_offset(kind: CaseKind) -> float:
@@ -281,6 +269,8 @@ def assemble_fields(case: LocalCase, t: float, grid: PolarGrid, xi: np.ndarray, 
 
 def fiducial_fields(case: LocalCase, t: float, grid: PolarGrid, profile: RadialProfile | None = None) -> FieldSample:
     """The exact model solution on ``grid`` (the weak-pole model is t-independent)."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     kind = case.kind
     if kind is CaseKind.WEAK_POLE:
         zeros = np.zeros_like(grid.r)
@@ -341,11 +331,16 @@ def hitchin_residual(sample: FieldSample, t: float, window: tuple[float, float] 
 
 
 def _phi_commutator_norm(sample: FieldSample) -> np.ndarray:
-    """sup over theta of the spectral norm of Phi Phi* - Phi* Phi, per radius."""
+    """sup over theta of the spectral norm of Phi Phi* - Phi* Phi, per radius.
+
+    The commutator C is Hermitian and trace free, so its eigenvalues are
+    +-sqrt(c00^2 + |c01|^2); its entries are written out from those of Phi.
+    """
     P = sample.Phi
-    Pd = np.conj(np.swapaxes(P, -1, -2))
-    C = P @ Pd - Pd @ P
-    return np.linalg.norm(C, ord=2, axis=(-2, -1)).max(axis=1)
+    a, b, c, d = P[..., 0, 0], P[..., 0, 1], P[..., 1, 0], P[..., 1, 1]
+    c00 = (b.real**2 + b.imag**2) - (c.real**2 + c.imag**2)
+    c01 = a * c.conj() + b * d.conj() - a.conj() * b - c.conj() * d
+    return np.hypot(c00, np.abs(c01)).max(axis=1)
 
 
 def matrix_residual(sample: FieldSample, t: float) -> float:

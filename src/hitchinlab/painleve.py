@@ -33,6 +33,7 @@ on the returned nodes is the Newton residual.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -215,6 +216,26 @@ def solve_mtw(
     return SinhGordonProfile(sigma, rho, m, fd_first(np.log(rho), m) / rho)
 
 
+def _inward_extension(r0, ratio, rho_of_r, rho_x_factor, rho_target) -> np.ndarray:
+    """r0/ratio, r0/ratio^2, ... down to the first node where rho <= rho_target.
+
+    Each node is the previous one divided by ``ratio``, in sequence, as when
+    stepping inward node by node while rho(r) > rho_target.  The node count
+    comes from the power law rho(r) = rho(r0) (r/r0)^rho_x_factor; rounding
+    can move the crossing by one node, so ``rho_of_r`` (increasing) settles
+    it on the nodes next to the boundary.
+    """
+    steps = math.log(rho_of_r(r0) / rho_target) / (rho_x_factor * math.log(ratio))
+    n = max(0, math.ceil(steps))
+    # divide.accumulate divides in sequence: nodes[k] = (...(r0/ratio)...)/ratio
+    nodes = np.divide.accumulate(np.concatenate([[r0], np.full(n + 1, ratio)]))
+    while n > 0 and not rho_of_r(nodes[n - 1]) > rho_target:
+        n -= 1
+    while rho_of_r(nodes[n]) > rho_target:
+        n += 1
+    return nodes[1 : n + 1]
+
+
 def _transformed_profile(
     t: float,
     r_grid: np.ndarray,
@@ -239,16 +260,12 @@ def _transformed_profile(
         raise ValueError("r_grid must be strictly increasing and positive")
     if r_grid[-1] > 1.0 + 1e-12:
         raise ValueError("fiducial profiles are defined on (0, 1]")
-    if t < 1.0:
-        raise ValueError("profiles require t >= 1")
+    if not (math.isfinite(t) and t >= 1.0):
+        raise ValueError(f"profiles require a finite t >= 1, got {t}")
 
     ratio = max(r_grid[1] / r_grid[0], 1.0005)
-    ext = []
-    r_lo = r_grid[0]
-    while rho_of_r(r_lo) > rho_inner_target:
-        r_lo /= ratio
-        ext.append(r_lo)
-    full = np.concatenate([np.asarray(ext[::-1]), r_grid]) if ext else r_grid
+    ext = _inward_extension(r_grid[0], ratio, rho_of_r, rho_x_factor, rho_inner_target)
+    full = np.concatenate([ext[::-1], r_grid])
     n_ext = len(ext)
 
     if sigma_r == 0.0:

@@ -170,8 +170,17 @@ class TestValidationAndConfig:
                 ["lebrun", "--p0", "0.3,0", "--amp", "0", "--modes", "2", "--rho-max", "3", "--n-rho", "401"],
                 "UnderflowWindowError",
             ),
+            (["glue-decay", "--case", "simplezero", "--tstep", "0"], "ValidationError"),
+            (["glue-decay", "--case", "simplezero", "--tmin", "nan"], "ValidationError"),
+            (["glue-decay", "--case", "strongpole", "--alpha1", "0.2", "--tmax", "inf"], "ValidationError"),
+            (["fiducial", "--case", "simplezero", "--t", "nan"], "ValueError"),
+            (["fiducial", "--case", "strongpole", "--alpha1", "0.2", "--t", "inf"], "ValueError"),
+            (["fiducial", "--case", "weakpole", "--alpha1", "0.3", "--sigma", "0.5,0", "--t", "nan"], "ValueError"),
+            (["fiducial", "--case", "simplezero", "--r-min", "-1"], "ValueError"),
         ],
     )
+    # a warning printed before the error line would be a second line
+    @pytest.mark.filterwarnings("error")
     def test_failure_is_one_error_line(self, tmp_path, capsys, argv, cls):
         code = main(argv + ["--output-dir", str(tmp_path / "x")])
         assert code == 1

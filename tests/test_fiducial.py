@@ -1,7 +1,11 @@
 """Local model fields and their diagnostics."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hitchinlab.fiducial import (
     CaseKind,
@@ -17,6 +21,7 @@ from hitchinlab.fiducial import (
     mphi_eigenvalues,
     polar_grid,
     quadratic_differential,
+    _phi_commutator_norm,
 )
 from hitchinlab.painleve import ParabolicWeights, ell_profile, m_profile
 from hitchinlab.profiles import RadialProfile
@@ -117,13 +122,16 @@ class TestFieldAssembly:
         assert np.array_equal(a.h, b.h)
         assert np.array_equal(a.A_theta, b.A_theta)
 
-    def test_json_round_trip(self, weak_sample):
-        doc = weak_sample.to_json()
-        back = FieldSample.from_json(doc)
-        assert np.allclose(back.Phi, weak_sample.Phi)
-        assert np.allclose(back.h, weak_sample.h)
-        assert back.case.kind is CaseKind.WEAK_POLE
-        assert back.case.residue == 0.5
+    @pytest.mark.parametrize("name", ["zero_sample", "pole_sample", "weak_sample"])
+    def test_json_round_trip(self, request, name):
+        sample = request.getfixturevalue(name)
+        back = FieldSample.from_json(sample.to_json())
+        for attr in ("A_theta", "Phi", "h", "xi", "dxi"):
+            assert np.array_equal(getattr(back, attr), getattr(sample, attr)), attr
+        assert np.array_equal(back.grid.r, sample.grid.r)
+        assert np.array_equal(back.grid.theta, sample.grid.theta)
+        assert back.case == sample.case
+        assert back.t == sample.t
 
 
 class TestHitchinResidual:
@@ -141,6 +149,24 @@ class TestHitchinResidual:
             res[n] = hitchin_residual(fiducial_fields(ZERO, 4.0, g), 4.0)
         order = np.log2(res[1024] / res[2047])
         assert 1.7 < order < 2.3
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=-6.0, max_value=6.0),
+    )
+    def test_commutator_norm_closed_form(self, nr, nth, seed, log_scale):
+        # random trace-free complex Phi against the spectral norm from the SVD
+        rng = np.random.default_rng(seed)
+        a, b, c = (rng.normal(size=(3, nr, nth)) + 1j * rng.normal(size=(3, nr, nth))) * 10.0**log_scale
+        Phi = np.array([[a, b], [c, -a]]).transpose(2, 3, 0, 1)
+        sample = SimpleNamespace(Phi=Phi)
+        Pd = np.conj(np.swapaxes(Phi, -1, -2))
+        C = Phi @ Pd - Pd @ Phi
+        want = np.linalg.norm(C, ord=2, axis=(-2, -1)).max(axis=1)
+        got = _phi_commutator_norm(sample)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
 
     def test_matrix_path_agrees(self, zero_sample):
         a = hitchin_residual(zero_sample, 4.0)

@@ -1,9 +1,14 @@
 """Radial sinh-Gordon solver and fiducial profiles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
+from hitchinlab import painleve
 from hitchinlab.grids import fd_first, fd_second
 from hitchinlab.painleve import (
     GridCoarseWarning,
@@ -141,6 +146,11 @@ class TestEllProfile:
             ell_profile(0.5, np.geomspace(1e-3, 1.0, 128))
         with pytest.raises(ValueError):
             ell_profile(4.0, np.geomspace(0.1, 2.0, 128))
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                ell_profile(t, np.geomspace(1e-3, 1.0, 128))
+            with pytest.raises(ValueError, match="finite"):
+                m_profile(t, ParabolicWeights(0.2, 0.8), np.geomspace(1e-3, 1.0, 128))
 
 
 class TestMProfile:
@@ -168,6 +178,60 @@ class TestMProfile:
         assert np.max(np.abs(m.values)) == 0.0
         with pytest.raises(ValueError):
             ParabolicWeights(0.5, 0.5)
+
+
+def loop_extension(r0, ratio, rho_of_r, rho_x_factor, rho_target):
+    """The inward grid extension as a node-by-node loop (oracle)."""
+    ext = []
+    r_lo = r0
+    while rho_of_r(r_lo) > rho_target:
+        r_lo /= ratio
+        ext.append(r_lo)
+    return np.asarray(ext)
+
+
+class TestInwardExtension:
+    @given(
+        st.floats(min_value=1.0, max_value=64.0),
+        st.integers(min_value=64, max_value=8192),
+        st.sampled_from(["ell", "m"]),
+        st.floats(min_value=0.05, max_value=0.45),
+    )
+    # t where rho lands within an ulp of the target on the last node: the
+    # power-law count is one too high at the first and one too low at the
+    # second, so the boundary must be settled by evaluating rho
+    @example(12.257903530758002, 64, "m", 0.2)
+    @example(1.2257903530758072, 64, "m", 0.2)
+    @example(64.0, 8192, "m", 0.05)
+    @example(1.0, 64, "m", 0.45)
+    @example(64.0, 8192, "ell", 0.2)
+    @settings(max_examples=60)
+    def test_matches_loop(self, t, n_r, kind, alpha1):
+        r = np.geomspace(1e-3, 1.0, n_r)
+        if kind == "ell":
+            build = lambda: ell_profile(t, r)  # noqa: E731
+        else:
+            build = lambda: m_profile(t, ParabolicWeights(alpha1, 1.0 - alpha1), r)  # noqa: E731
+        grids = {}
+
+        def recording(name, extension):
+            def wrapped(*args):
+                grids[name] = extension(*args)
+                return grids[name]
+
+            return wrapped
+
+        with mock.patch.object(painleve, "_inward_extension", recording("fast", painleve._inward_extension)):
+            fast = build()
+        with mock.patch.object(painleve, "_inward_extension", recording("loop", loop_extension)):
+            loop = build()
+        assert grids["fast"].shape == grids["loop"].shape
+        assert np.array_equal(grids["fast"], grids["loop"])
+        # at r_min = 1e-3 the simple zero's rho = (8/3) t 10^-4.5 stays below
+        # 0.02 for t <= 64, so it needs no extension; the pole always does
+        assert (len(grids["loop"]) == 0) == (kind == "ell")
+        assert np.array_equal(fast.values, loop.values)
+        assert np.array_equal(fast.derivs, loop.derivs)
 
 
 class TestProfileContainer:
