@@ -12,14 +12,8 @@ Run:  python3 demos/painleve_profiles.py
 
 import numpy as np
 
-from hitchinlab.painleve import (
-    ParabolicWeights,
-    ell_profile,
-    m_profile,
-    ode_residual,
-    shooting_solution,
-    solve_mtw,
-)
+from hitchinlab.oracles import shooting_solution
+from hitchinlab.painleve import ParabolicWeights, ell_profile, m_profile, ode_residual, solve_mtw
 from hitchinlab.special import bessel_k
 
 

@@ -43,12 +43,9 @@ __all__ = [
     "PolarGrid",
     "FieldSample",
     "polar_grid",
-    "f_zero",
-    "f_pole",
     "fiducial_fields",
     "assemble_fields",
     "hitchin_residual",
-    "matrix_residual",
     "mphi_eigenvalues",
     "indicial_roots",
     "quadratic_differential",
@@ -130,7 +127,6 @@ class FieldSample:
     t: float
     xi: np.ndarray
     dxi: np.ndarray
-    A_r: np.ndarray | None = None
 
     def __post_init__(self):
         nr, nth = len(self.grid.r), len(self.grid.theta)
@@ -151,9 +147,6 @@ class FieldSample:
         """F(r) = (1/4)(c + r xi'), c = +1/2 (zero), -1/2 (pole), 0 (weak)."""
         c = _f_offset(self.case.kind)
         return 0.25 * (c + self.grid.r * self.dxi)
-
-    def det_h_profile(self) -> np.ndarray:
-        return np.linalg.det(self.h).real
 
     def to_json(self) -> str:
         """The data the fields are built from: case, t, grid and (xi, dxi).
@@ -195,24 +188,6 @@ class FieldSample:
 
 def _f_offset(kind: CaseKind) -> float:
     return {CaseKind.SIMPLE_ZERO: 0.5, CaseKind.STRONG_POLE: -0.5, CaseKind.WEAK_POLE: 0.0}[kind]
-
-
-# ----------------------------------------------------------------------
-# the radial connection functions
-# ----------------------------------------------------------------------
-
-def f_zero(t: float, r, ell: RadialProfile):
-    """F_t^0(r) = (1/4)(1/2 + r ell_t'(r)); vanishes at 0, tends to 1/8."""
-    r = np.asarray(r, dtype=float)
-    out = 0.25 * (0.5 + r * ell.deriv(r))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def f_pole(t: float, r, m: RadialProfile):
-    """F_t^p(r) = (1/4)(-1/2 + r m_t'(r)); tends to (a1-a2)/4 at 0 and -1/8 at infinity."""
-    r = np.asarray(r, dtype=float)
-    out = 0.25 * (-0.5 + r * m.deriv(r))
-    return float(out) if np.ndim(out) == 0 else out
 
 
 # ----------------------------------------------------------------------
@@ -341,27 +316,6 @@ def _phi_commutator_norm(sample: FieldSample) -> np.ndarray:
     c00 = (b.real**2 + b.imag**2) - (c.real**2 + c.imag**2)
     c01 = a * c.conj() + b * d.conj() - a.conj() * b - c.conj() * d
     return np.hypot(c00, np.abs(c01)).max(axis=1)
-
-
-def matrix_residual(sample: FieldSample, t: float) -> float:
-    """Cross-check residual from the assembled matrices (no analytic split).
-
-    Same log-frame measure as :func:`hitchin_residual`; loses accuracy once
-    the profile is exponentially small (cancellation against the constant
-    part of the connection), so it is a validation tool, not the production
-    path.
-    """
-    r = sample.grid.r
-    x = np.log(r)
-    nr = len(r)
-    dA = fd_first(x, sample.A_theta.reshape(nr, 4).T).T.reshape(nr, 2, 2)
-    dA = dA - 0.5 * np.trace(dA, axis1=-2, axis2=-1)[:, None, None] * _ID2
-    P = sample.Phi
-    Pd = np.conj(np.swapaxes(P, -1, -2))
-    comm = P @ Pd - Pd @ P
-    resid = dA[:, None, :, :] - 2j * (t**2) * ((r**2)[:, None, None, None]) * comm
-    vals = np.linalg.norm(resid, ord=2, axis=(-2, -1)).max(axis=1)
-    return float(np.max(vals[1:-1]))
 
 
 def mphi_eigenvalues(case: LocalCase, t: float, r: float, profile: RadialProfile | None = None):

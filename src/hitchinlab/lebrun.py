@@ -33,11 +33,9 @@ that norm, their right-hand sides stacked as columns.  Nonlinear terms are
 evaluated pseudospectrally on a collocation grid; every field is real
 (Hermitian coefficients), so synthesis and projection are separable real
 matmuls against the collocation phases.  ``fit_decay`` measures the
-realized decay rate and prefactor power.  One builder evaluates g, with
-drhat written in the rhat coframe for ``assemble_metric`` and in the
-coframe of the radial change r = rhat e^v for the difference from the
-semiflat metric, whose predicted Bessel parts and remainder are built only
-when read.
+realized decay rate and prefactor power.  ``metric_difference_full``
+evaluates g - g_sf in the coframe of the radial change r = rhat e^v; its
+predicted Bessel parts and remainder are built only when read.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
@@ -68,19 +65,14 @@ __all__ = [
     "LeBrunSolution",
     "nonlinear_residual",
     "linear_mode_solution",
-    "solve_mode_inhomogeneous",
-    "solve_mode_bvp",
     "solve_nonlinear",
     "fit_decay",
     "connection_from_w",
-    "assemble_metric",
-    "radial_change",
     "hitchin_section_difference",
     "metric_difference_full",
     "MetricDifference",
     "AliasingError",
     "DegenerateShellWarning",
-    "DivergenceError",
     "PerturbativeRegimeError",
     "UnderflowWindowError",
 ]
@@ -96,10 +88,6 @@ class PerturbativeRegimeError(ValueError):
 
 class UnderflowWindowError(RuntimeError):
     """No resolved decade available for the decay fit."""
-
-
-class DivergenceError(RuntimeError):
-    """The variation-of-parameters outer integral grows; a = infinity invalid."""
 
 
 class DegenerateShellWarning(UserWarning):
@@ -381,19 +369,6 @@ def _mode_band(mu_abs: float, rho: np.ndarray, g: float) -> np.ndarray:
     return banded_three_point(*_mode_rows(mu_abs, rho), (1.0, 0.0, 0.0), (w0 - g, w1, w2))
 
 
-def _banded_mode_solve(mu_abs: float, rho: np.ndarray, rhs_interior, bc_inner, robin_rhs=0.0):
-    """Solve L_mu v = rhs with v(rho0) = bc_inner and (v' - g v)(rhoN) = robin_rhs.
-
-    g is the K_1 log-derivative at rho_max, exact for the decaying solution.
-    """
-    ab = _mode_band(mu_abs, rho, _phi_log_deriv([mu_abs], rho[-1])[0])
-    rhs = np.empty(len(rho), dtype=complex)
-    rhs[0] = bc_inner
-    rhs[1:-1] = rhs_interior
-    rhs[-1] = robin_rhs
-    return solve_banded((2, 2), ab, rhs)
-
-
 def _grouped_bands(norms: np.ndarray, rho: np.ndarray):
     """Robin coefficients per mode and one (members, band) pair per distinct |mu| > 0.
 
@@ -413,25 +388,13 @@ def _grouped_bands(norms: np.ndarray, rho: np.ndarray):
 def _grouped_mode_solve(bands, rhs: np.ndarray) -> np.ndarray:
     """Solve each band against the (K, n) ``rhs`` rows of its modes, stacked as columns.
 
-    Row layout as in :func:`_banded_mode_solve`: inner value, interior
-    right-hand side, Robin value.  Rows of modes in no band stay zero.
+    Each row holds the inner value, the interior right-hand side and the
+    Robin value.  Rows of modes in no band stay zero.
     """
     out = np.zeros_like(rhs)
     for members, ab in bands:
         out[members] = solve_banded((2, 2), ab, rhs[members].T).T
     return out
-
-
-def solve_mode_bvp(mu, f_samples, rho, bc_inner=0.0):
-    """Direct banded finite-difference solve of L_mu v = f with decay conditions.
-
-    Dirichlet value at rho_min, Robin matched to the K_1 log-derivative at
-    rho_max (exact for the decaying homogeneous solution).
-    """
-    rho = np.asarray(rho, dtype=float)
-    f = np.asarray(f_samples, dtype=complex)
-    mu_abs = float(np.linalg.norm(mu)) if np.ndim(mu) else float(abs(mu))
-    return _banded_mode_solve(mu_abs, rho, f[1:-1], bc_inner)
 
 
 def _march_mean_mode(rho: np.ndarray, f_interior) -> np.ndarray:
@@ -449,52 +412,6 @@ def _march_mean_mode(rho: np.ndarray, f_interior) -> np.ndarray:
     for i in range(n - 2, 0, -1):
         v[i - 1] = (f_interior[i - 1] - c_c[i - 1] * v[i] - c_r[i - 1] * v[i + 1]) / c_l[i - 1]
     return v
-
-
-def solve_mode_inhomogeneous(mu, f_samples, rho, a=None):
-    """Variation-of-parameters particular solution of L_mu v = f on the grid.
-
-    v(rho) = -phi(rho) int_a^rho phi(s)^{-2} s^{-3} [int_s^inf phi f s ds] ds,
-    evaluated by nested adaptive quadrature on cubic splines of the sampled
-    integrands (the outer integral truncates at rho_max where f decays).
-    With a = inf the outer integral starts at infinity; a divergence
-    diagnostic rejects that choice when the outer integrand grows.
-    """
-    rho = np.asarray(rho, dtype=float)
-    f = np.asarray(f_samples, dtype=float)
-    mu_abs = float(np.linalg.norm(mu)) if np.ndim(mu) else float(abs(mu))
-    if np.all(f == 0.0):
-        return np.zeros_like(rho)
-    phi = linear_mode_solution(mu_abs, rho)
-    inner_spline = CubicSpline(rho, phi * f * rho)
-    F = np.zeros_like(rho)
-    for i in range(len(rho) - 2, -1, -1):
-        seg, _ = quad(inner_spline, rho[i], rho[i + 1], limit=100)
-        F[i] = F[i + 1] + seg
-    outer = F / (phi**2 * rho**3)
-    if a is not None and np.isinf(a):
-        # interior probes: the truncated top end of F is not representative
-        i_lo, i_hi = len(rho) // 4, (3 * len(rho)) // 4
-        if abs(outer[i_hi]) > abs(outer[i_lo]):
-            raise DivergenceError(
-                "outer integrand grows toward rho_max; a = infinity is invalid here"
-            )
-        H = np.zeros_like(rho)
-        outer_spline = CubicSpline(rho, outer)
-        for i in range(len(rho) - 2, -1, -1):
-            seg, _ = quad(outer_spline, rho[i], rho[i + 1], limit=100)
-            H[i] = H[i + 1] + seg
-        return phi * H
-    if a is None:
-        a = rho[0]
-    if abs(a - rho[0]) > 1e-12 * rho[0]:
-        raise ValueError("finite lower limits other than rho_min are not supported")
-    G = np.zeros_like(rho)
-    outer_spline = CubicSpline(rho, outer)
-    for i in range(1, len(rho)):
-        seg, _ = quad(outer_spline, rho[i - 1], rho[i], limit=100)
-        G[i] = G[i - 1] + seg
-    return -phi * G
 
 
 # ----------------------------------------------------------------------
@@ -680,7 +597,7 @@ def fit_decay(sol: LeBrunSolution, lambda_t: float | None = None):
 
 
 # ----------------------------------------------------------------------
-# connection, metric assembly, coordinate change
+# connection, section profiles, metric difference
 # ----------------------------------------------------------------------
 
 def connection_from_w(sol: LeBrunSolution) -> LeBrunSolution:
@@ -708,69 +625,6 @@ def connection_from_w(sol: LeBrunSolution) -> LeBrunSolution:
     sol.wa2 = TorusFourierField(w.lattice, w.modes, rho, wa2)
     sol.wa3 = TorusFourierField(w.lattice, w.modes, rho, wa3)
     return sol
-
-
-def _hyperkahler_metric(sol: LeBrunSolution, n_colloc: int | None, drhat):
-    """r, w and g = w drhat^2 + w^{-1} omega^2 + e^u w (dx^2 + dy^2) on the grid.
-
-    The coordinates are (R, theta, x, y) with drhat = d0 dR + a2 dx + a3 dy,
-    where (d0, a2, a3) = drhat(rw, w, w a2, w a3) on the samples; this is the
-    only input that depends on the radial coordinate R.  omega = dtheta
-    - w a3 dx + w a2 dy, r = rhat e^v, and e^u w = rhat w e^v = rw pointwise.
-    Nodes are (rho_i, x_j, y_k).
-    """
-    if sol.wa2 is None or sol.wa3 is None:
-        connection_from_w(sol)
-    if n_colloc is None:
-        n_colloc = default_colloc(sol.v.m_cut)
-    V, W, WA2, WA3 = (f.values(n_colloc) for f in (sol.v, sol.w, sol.wa2, sol.wa3))
-    r = sol.rho[:, None, None] ** 2 * np.exp(V)
-    RW = r * W
-    d0, a2, a3 = drhat(RW, W, WA2, WA3)
-    g = np.zeros(V.shape + (4, 4))
-    g[..., 0, 0] = W * d0**2
-    g[..., 0, 2] = g[..., 2, 0] = W * d0 * a2
-    g[..., 0, 3] = g[..., 3, 0] = W * d0 * a3
-    g[..., 1, 1] = 1.0 / W
-    g[..., 1, 2] = g[..., 2, 1] = -WA3 / W
-    g[..., 1, 3] = g[..., 3, 1] = WA2 / W
-    g[..., 2, 2] = W * a2**2 + WA3**2 / W + RW
-    g[..., 3, 3] = W * a3**2 + WA2**2 / W + RW
-    g[..., 2, 3] = g[..., 3, 2] = W * a2 * a3 - WA2 * WA3 / W
-    return r, W, g
-
-
-def assemble_metric(sol: LeBrunSolution, n_colloc: int | None = None) -> MetricComponents:
-    """g = e^u w (dx^2+dy^2) + w drhat^2 + w^{-1} omega^2 in (rhat, theta, x, y).
-
-    omega = dtheta - w a3 dx + w a2 dy; e^u w = e^v (1 + rhat v_rhat) is the
-    product form (equal to rhat w e^v).  Nodes are (rho_i, x_j, y_k).
-    """
-    _, W, g = _hyperkahler_metric(sol, n_colloc, lambda *_: (1.0, 0.0, 0.0))
-    if np.any(W <= 0):
-        raise RuntimeError("w must stay positive for a metric")
-    smallest = float(np.min(np.linalg.eigvalsh(g)))
-    if smallest <= 0.0:
-        raise RuntimeError(
-            f"assembled metric is not positive definite (min eigenvalue {smallest:.3e})"
-        )
-    return MetricComponents(("rhat", "theta", "x", "y"), g)
-
-
-def radial_change(sol: LeBrunSolution, n_colloc: int | None = None):
-    """The coordinate change r = rhat e^{v(x, y, rhat)}; monotone for small v.
-
-    Returns (rhat grid, r values of shape (NR, N, N)).
-    """
-    if n_colloc is None:
-        n_colloc = default_colloc(sol.v.m_cut)
-    V = sol.v.values(n_colloc)
-    rhat = sol.rhat
-    r = rhat[:, None, None] * np.exp(V)
-    drdrhat = np.diff(r, axis=0)
-    if np.any(drdrhat <= 0):
-        raise RuntimeError("radial change is not monotone; solution not perturbative")
-    return rhat, r
 
 
 def _shell_t_hat(sol: LeBrunSolution):
@@ -867,21 +721,33 @@ class MetricDifference:
 def metric_difference_full(sol: LeBrunSolution, n_colloc: int | None = None) -> MetricDifference:
     """g_L2 - g_sf over the whole grid, in the (dr, dtheta, dx, dy) coframe.
 
-    Substitutes drhat = (rw)^{-1} dr + a2 dx + a3 dy, with a_i = (w a_i)/w,
-    and subtracts g_sf(r) = diag(1/r, r, 1, 1) node-wise on the diagonal;
-    the predicted K0 (diagonal) and K1 (cross) Bessel terms, built from the
-    measured trigonometric factor T(x, y), and the remainder are computed
-    when first read.
+    g = w drhat^2 + w^{-1} omega^2 + e^u w (dx^2 + dy^2) with omega = dtheta
+    - w a3 dx + w a2 dy, r = rhat e^v and e^u w = rhat w e^v = rw pointwise;
+    drhat = d0 dr + a2 dx + a3 dy with d0 = (rw)^{-1} and a_i = (w a_i)/w.
+    g_sf(r) = diag(1/r, r, 1, 1) is subtracted on the diagonal.  Nodes are
+    (rho_i, x_j, y_k).  The predicted K0 (diagonal) and K1 (cross) Bessel
+    terms, built from the measured trigonometric factor T(x, y), and the
+    remainder are computed when first read.
     """
-    r, _, g = _hyperkahler_metric(
-        sol, n_colloc, lambda rw, w, wa2, wa3: (1.0 / rw, wa2 / w, wa3 / w)
-    )
-    # minus g_sf, in place
-    g[..., 0, 0] -= 1.0 / r
-    g[..., 1, 1] -= r
-    g[..., 2, 2] -= 1.0
-    g[..., 3, 3] -= 1.0
-    return MetricDifference(r=r, difference=g, sol=sol, n_colloc=g.shape[1])
+    if sol.wa2 is None or sol.wa3 is None:
+        connection_from_w(sol)
+    if n_colloc is None:
+        n_colloc = default_colloc(sol.v.m_cut)
+    V, W, WA2, WA3 = (f.values(n_colloc) for f in (sol.v, sol.w, sol.wa2, sol.wa3))
+    r = sol.rho[:, None, None] ** 2 * np.exp(V)
+    RW = r * W
+    d0, a2, a3 = 1.0 / RW, WA2 / W, WA3 / W
+    g = np.zeros(V.shape + (4, 4))
+    g[..., 0, 0] = W * d0**2 - 1.0 / r
+    g[..., 0, 2] = g[..., 2, 0] = W * d0 * a2
+    g[..., 0, 3] = g[..., 3, 0] = W * d0 * a3
+    g[..., 1, 1] = 1.0 / W - r
+    g[..., 1, 2] = g[..., 2, 1] = -WA3 / W
+    g[..., 1, 3] = g[..., 3, 1] = WA2 / W
+    g[..., 2, 2] = W * a2**2 + WA3**2 / W + RW - 1.0
+    g[..., 3, 3] = W * a3**2 + WA2**2 / W + RW - 1.0
+    g[..., 2, 3] = g[..., 3, 2] = W * a2 * a3 - WA2 * WA3 / W
+    return MetricDifference(r=r, difference=g, sol=sol, n_colloc=n_colloc)
 
 
 def _trig_factor(sol: LeBrunSolution, n_colloc: int):

@@ -27,10 +27,3 @@ class MetricComponents:
             raise ValueError(f"matrix block must be {k}x{k}")
         if not np.allclose(self.g, np.swapaxes(self.g, -1, -2), rtol=0, atol=1e-12 * max(1.0, float(np.max(np.abs(self.g))))):
             raise ValueError("metric blocks must be symmetric")
-
-    def is_positive_definite(self) -> bool:
-        try:
-            np.linalg.cholesky(self.g)
-            return True
-        except np.linalg.LinAlgError:
-            return False

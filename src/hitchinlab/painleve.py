@@ -51,7 +51,6 @@ __all__ = [
     "ell_profile",
     "m_profile",
     "ode_residual",
-    "shooting_solution",
     "GridCoarseWarning",
 ]
 
@@ -99,9 +98,6 @@ class SinhGordonProfile:
             nz = self.values[np.abs(self.values) > 0]
             if nz.size and (np.sign(nz) != np.sign(nz[0])).any():
                 warnings.warn("profile changes sign; solver output is suspect")
-
-    def to_csv(self) -> str:
-        return RadialProfile(self.grid, self.values, self.derivs, self.sigma).to_csv()
 
 
 # ----------------------------------------------------------------------
@@ -347,50 +343,3 @@ def tail_amplitude(p: SinhGordonProfile, window: tuple[float, float] = (10.0, 15
     ratio = p.values[mask] / bessel_k(0, p.grid[mask])
     spread = float((ratio.max() - ratio.min()) / abs(ratio.mean())) if ratio.mean() else np.inf
     return float(ratio.mean()), spread
-
-
-# ----------------------------------------------------------------------
-# independent shooting oracle
-# ----------------------------------------------------------------------
-
-def shooting_solution(sigma: float, rho_grid, *, rtol: float = 1e-11) -> np.ndarray:
-    """Adaptive Runge-Kutta solution shot from rho_max inward.
-
-    Starts on the K0 tail with unknown amplitude and bisects the amplitude to
-    match the log-slope condition rho m' = sigma at rho_min.  Entirely
-    independent of the finite-difference relaxation path.
-    """
-    from scipy.integrate import solve_ivp
-    from scipy.optimize import brentq
-
-    rho_grid = np.asarray(rho_grid, dtype=float)
-    if sigma == 0.0:
-        return np.zeros_like(rho_grid)
-    if sigma > 0.0:
-        return -shooting_solution(-sigma, rho_grid, rtol=rtol)
-
-    rho_min, rho_max = rho_grid[0], rho_grid[-1]
-    k0 = bessel_k(0, rho_max)
-    k1 = bessel_k(1, rho_max)
-
-    def rhs(rho, y):
-        return (y[1], -y[1] / rho + 0.5 * np.sinh(2.0 * y[0]))
-
-    def defect(amp):
-        sol = solve_ivp(
-            rhs, (rho_max, rho_min), (amp * k0, -amp * k1),
-            method="DOP853", rtol=rtol, atol=1e-300,
-        )
-        return rho_min * sol.y[1, -1] - sigma
-
-    lo, hi = 1e-8, 0.5
-    while defect(hi) > 0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise ConvergenceError("shooting bracket not found")
-    amp = brentq(defect, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    sol = solve_ivp(
-        rhs, (rho_max, rho_min), (amp * k0, -amp * k1),
-        method="DOP853", rtol=rtol, atol=1e-300, t_eval=rho_grid[::-1],
-    )
-    return sol.y[0][::-1].copy()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,20 +62,3 @@ class RadialProfile:
         out = np.atleast_1d(out)
         out[at_node] = self.derivs[idx[at_node]]
         return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
-
-    def scaled(self, factor: float) -> "RadialProfile":
-        """The profile multiplied by a constant (for sensitivity checks)."""
-        return RadialProfile(self.grid, factor * self.values, factor * self.derivs, self.sigma)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("rho,m,dm\n")
-        for r, m, dm in zip(self.grid, self.values, self.derivs):
-            buf.write(f"{r:.17g},{m:.17g},{dm:.17g}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, sigma: float = 0.0) -> "RadialProfile":
-        rows = [line for line in text.strip().splitlines()[1:] if line]
-        data = np.array([[float(v) for v in line.split(",")] for line in rows])
-        return cls(data[:, 0], data[:, 1], data[:, 2], sigma)

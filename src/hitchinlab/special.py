@@ -25,7 +25,6 @@ __all__ = [
     "bessel_k_ratio",
     "jacobi_theta",
     "modular_lambda",
-    "lambda_orbit",
     "inverse_lambda",
     "reduce_to_fundamental_domain",
     "shortest_vectors",
@@ -135,15 +134,6 @@ def modular_lambda(tau) -> complex:
     return (t2 / t3) ** 4
 
 
-def lambda_orbit(p0: complex) -> tuple:
-    """The six-element orbit of p0 under the anharmonic group.
-
-    lambda values of the same curve over the six choices of level-2 structure.
-    """
-    p0 = complex(p0)
-    return (p0, 1 - p0, 1 / p0, 1 / (1 - p0), p0 / (p0 - 1), (p0 - 1) / p0)
-
-
 def reduce_to_fundamental_domain(tau: complex, tol: float = 1e-12) -> complex:
     """Reduce tau to {|tau| >= 1, -1/2 < Re tau <= 1/2} under PSL(2, Z)."""
     tau = complex(tau)
@@ -216,7 +206,8 @@ def inverse_lambda(p0: complex) -> HalfPlanePoint:
     p0 = complex(p0)
     if min(abs(p0), abs(p0 - 1.0)) < 1e-12:
         raise ValueError("p0 must avoid the degenerate values 0 and 1")
-    orbit = lambda_orbit(p0)
+    # lambda values of the same curve over the six choices of level-2 structure
+    orbit = (p0, 1 - p0, 1 / p0, 1 / (1 - p0), p0 / (p0 - 1), (p0 - 1) / p0)
     targets = sorted(orbit, key=lambda s: abs(s - p0))
     for s in targets:
         for seed in _INVERSE_SEEDS:

@@ -20,10 +20,9 @@ This module computes the derived constants of that geometry:
             sqrt(2 |B| c_sK / Im tau);
   Omega(n)  BPS indices 8, -2, 0 for n = 1, 2, > 2;
 
-together with explicit Higgs-bundle representatives, the semiflat metric,
-and the conjectured leading correction to the moduli-space metric on the
-Hitchin section, -(2/pi) 8 K0(2 sqrt(2 r / Im tau)) (dr^2 + r^2 dtheta^2)
-/ (2 r Im tau).
+together with the semiflat metric and the conjectured leading correction
+to the moduli-space metric on the Hitchin section,
+-(2/pi) 8 K0(2 sqrt(2 r / Im tau)) (dr^2 + r^2 dtheta^2) / (2 r Im tau).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .metrics import MetricComponents
 from .special import (
@@ -49,12 +47,8 @@ from .special import (
 __all__ = [
     "ToyConfig",
     "BasePoint",
-    "SpectralFiberPoint",
-    "HiggsRepresentative",
-    "higgs_representative",
     "csk",
     "periods",
-    "semiflat_base_norm",
     "fiber_area",
     "lambda_T",
     "shortest_geodesic",
@@ -122,7 +116,8 @@ def csk(p0: complex) -> float:
 
 
 # ----------------------------------------------------------------------
-# periods of the spectral curve
+# periods of the spectral curve: the oracle for c_sK and tau, called by the
+# tests and the benchmark's toymodel gate, never by the package
 # ----------------------------------------------------------------------
 
 def _segment_distance(p: complex, a: complex, b: complex) -> float:
@@ -193,6 +188,10 @@ def periods(p0: complex, *, n_start: int = 256, tol: float = 1e-10):
     closed contours, doubled until converged; the square root branch is
     tracked continuously, and a contour on which the tracking fails to
     close is retried with doubled n within the same budget of 8 doublings.
+
+    Domain: |p0| <= 1e3, where half the lattice area matches :func:`csk` to
+    about 1e-14.  From |p0| of about 1.12e3 the sums on the long contours
+    can fail to settle within the budget, and it raises ConvergenceError.
     """
     p0 = _validate_p0(p0)
     cycles = _choose_cycles(p0)
@@ -276,109 +275,9 @@ class BasePoint:
         return float(np.angle(self.B))
 
 
-@dataclass(frozen=True)
-class SpectralFiberPoint:
-    """A point (x, u) of the elliptic fiber B x(x-1)(x-p0) + u^2 = 0."""
-
-    p0: complex
-    B: complex
-    x: complex
-    u: complex
-
-    def __post_init__(self):
-        if self.B == 0:
-            raise ValueError("fiber points require B != 0")
-        defect = abs(self.B * self.x * (self.x - 1.0) * (self.x - self.p0) + self.u**2)
-        scale = max(1.0, abs(self.B))
-        if defect > 1e-10 * scale:
-            raise ValueError(f"fiber constraint violated: |B x(x-1)(x-p0) + u^2| = {defect:.2e}")
-
-
-@dataclass
-class HiggsRepresentative:
-    """phi = numerator / (z(z-1)(z-p0)) dz with polynomial entries."""
-
-    num: list  # 2x2 nested list of coefficient arrays (ascending powers)
-    den: np.ndarray
-    p0: complex
-    B: complex
-
-    def __call__(self, z: complex) -> np.ndarray:
-        den = npoly.polyval(z, self.den)
-        return np.array(
-            [
-                [npoly.polyval(z, self.num[0][0]), npoly.polyval(z, self.num[0][1])],
-                [npoly.polyval(z, self.num[1][0]), npoly.polyval(z, self.num[1][1])],
-            ],
-            dtype=complex,
-        ) / den
-
-    def det_defect(self, z: complex) -> complex:
-        """det(phi/dz) * z(z-1)(z-p0) / B - 1 (pointwise; 0 identically)."""
-        m = self(z)
-        den = npoly.polyval(z, self.den)
-        return (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) * den / self.B - 1.0
-
-
-def higgs_representative(pt: SpectralFiberPoint | None = None, *, small_stratum_B: complex | None = None, p0: complex | None = None) -> HiggsRepresentative:
-    """Explicit Higgs field over a fiber point (large stratum) or B (small stratum).
-
-    Large stratum: phi = [[u, -(B z(z-1)(z-p0) + u^2)/(z - x)], [z - x, -u]]
-    dz / (z(z-1)(z-p0)); the upper-right division is exact because of the
-    fiber constraint.  Small stratum: off-diagonal companion form
-    [[0, 1], [-B/(z(z-1)(z-p0)), 0]] dz.
-    """
-    if (pt is None) == (small_stratum_B is None):
-        raise ValueError("pass exactly one of a fiber point or a small-stratum B")
-    if small_stratum_B is not None:
-        if p0 is None:
-            raise ValueError("small stratum requires p0")
-        p0 = _validate_p0(p0)
-        B = complex(small_stratum_B)
-        if B == 0:
-            raise ValueError("B must be nonzero")
-        den = _cubic(p0)
-        num = [
-            [np.zeros(1, dtype=complex), den.astype(complex)],
-            [np.array([-B], dtype=complex), np.zeros(1, dtype=complex)],
-        ]
-        return HiggsRepresentative(num, den, p0, B)
-
-    p0 = _validate_p0(pt.p0)
-    B, x, u = complex(pt.B), complex(pt.x), complex(pt.u)
-    den = _cubic(p0)
-    # P(z) = B z(z-1)(z-p0) + u^2, divided exactly by (z - x)
-    P = B * den
-    P = P.astype(complex)
-    P[0] += u**2
-    quot, rem = npoly.polydiv(P, np.array([-x, 1.0], dtype=complex))
-    if np.max(np.abs(rem)) > 1e-10 * max(1.0, abs(B)):
-        raise ValueError(
-            f"inexact polynomial division: remainder {np.max(np.abs(rem)):.2e}; "
-            "the fiber constraint is violated"
-        )
-    num = [
-        [np.array([u], dtype=complex), -quot],
-        [np.array([-x, 1.0], dtype=complex), np.array([-u], dtype=complex)],
-    ]
-    return HiggsRepresentative(num, den, p0, B)
-
-
-def _cubic(p0: complex) -> np.ndarray:
-    """Coefficients of z(z-1)(z-p0), ascending."""
-    return npoly.polymul(npoly.polymul([0.0, 1.0], [-1.0, 1.0]), [-p0, 1.0]).astype(complex)
-
-
 # ----------------------------------------------------------------------
 # semiflat geometry
 # ----------------------------------------------------------------------
-
-def semiflat_base_norm(cfg: ToyConfig, B: complex, Bdot: complex) -> float:
-    """Special Kahler squared norm of the base variation: c_sK |Bdot|^2 / |B|."""
-    if B == 0:
-        raise ValueError("B must be nonzero")
-    return cfg.c_sk * abs(Bdot) ** 2 / abs(B)
-
 
 def fiber_area() -> float:
     """Area of every regular semiflat torus fiber: 2 pi^2."""

@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+from lambda_orbit import lambda_orbit
 
 import hitchinlab.toymodel as toy
 from hitchinlab.cli import ExperimentConfig, run
@@ -31,22 +32,11 @@ from hitchinlab.lebrun import (
     fit_decay,
     linear_mode_solution,
     section_profiles,
-    solve_mode_bvp,
-    solve_mode_inhomogeneous,
     solve_nonlinear,
 )
-from hitchinlab.painleve import (
-    ParabolicWeights,
-    ode_residual,
-    shooting_solution,
-    solve_mtw,
-)
-from hitchinlab.special import (
-    bessel_k,
-    inverse_lambda,
-    lambda_orbit,
-    modular_lambda,
-)
+from hitchinlab.oracles import shooting_solution, solve_mode_bvp, solve_mode_inhomogeneous
+from hitchinlab.painleve import ParabolicWeights, ode_residual, solve_mtw
+from hitchinlab.special import bessel_k, inverse_lambda, modular_lambda
 
 warnings.filterwarnings("ignore", category=toy.NonGenericTorusWarning)
 

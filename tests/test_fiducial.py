@@ -11,18 +11,17 @@ from hitchinlab.fiducial import (
     CaseKind,
     FieldSample,
     LocalCase,
+    assemble_fields,
     expected_quadratic_differential,
-    f_pole,
-    f_zero,
     fiducial_fields,
     hitchin_residual,
     indicial_roots,
-    matrix_residual,
     mphi_eigenvalues,
     polar_grid,
     quadratic_differential,
     _phi_commutator_norm,
 )
+from hitchinlab.oracles import matrix_residual
 from hitchinlab.painleve import ParabolicWeights, ell_profile, m_profile
 from hitchinlab.profiles import RadialProfile
 
@@ -63,26 +62,22 @@ class TestLocalCase:
 
 
 class TestFFunctions:
+    # F(r) = (1/4)(c + r xi') of the assembled fields, at the ends of the grid
     def test_f_zero_limits(self):
-        r = np.geomspace(1e-6, 1.0, 900)
-        ell = ell_profile(6.0, r)
-        inner = f_zero(6.0, r[0], ell)
-        assert abs(inner) < 5e-3  # r ell' -> -1/2
-        outer = f_zero(6.0, 1.0, ell)
-        assert outer == pytest.approx(0.125, abs=np.exp(-6.0))
-        flat = RadialProfile(r, np.zeros_like(r), np.zeros_like(r))
-        assert f_zero(6.0, 0.3, flat) == 0.125
+        g = polar_grid(1e-6, 1.0, 900, 8)
+        f = fiducial_fields(ZERO, 6.0, g).f_values
+        assert abs(f[0]) < 5e-3  # r ell' -> -1/2
+        assert f[-1] == pytest.approx(0.125, abs=np.exp(-6.0))
+        flat = np.zeros_like(g.r)
+        assert np.all(assemble_fields(ZERO, 6.0, g, flat, flat).f_values == 0.125)
 
     def test_f_pole_limits(self):
-        w = ParabolicWeights(0.2, 0.8)
-        r = np.geomspace(1e-8, 1.0, 1100)
-        m = m_profile(2.0, w, r)
-        inner = f_pole(2.0, r[0], m)
-        assert inner == pytest.approx(w.difference / 4.0, abs=2e-3)
-        outer = f_pole(2.0, 1.0, m)
-        assert outer == pytest.approx(-0.125, abs=np.exp(-2.0 * 8.0) + 1e-6)
-        flat = RadialProfile(r, np.zeros_like(r), np.zeros_like(r))
-        assert f_pole(2.0, 0.3, flat) == -0.125
+        g = polar_grid(1e-8, 1.0, 1100, 8)
+        f = fiducial_fields(POLE2, 2.0, g).f_values
+        assert f[0] == pytest.approx(POLE2.weights.difference / 4.0, abs=2e-3)
+        assert f[-1] == pytest.approx(-0.125, abs=np.exp(-2.0 * 8.0) + 1e-6)
+        flat = np.zeros_like(g.r)
+        assert np.all(assemble_fields(POLE2, 2.0, g, flat, flat).f_values == -0.125)
 
 
 class TestFieldAssembly:
@@ -92,7 +87,7 @@ class TestFieldAssembly:
         z = grid.z
         assert np.allclose(s.Phi[..., 0, 1], (np.sqrt(r) * np.exp(s.xi))[:, None])
         assert np.allclose(s.Phi[..., 1, 0], z * (np.exp(-s.xi) / np.sqrt(r))[:, None])
-        assert np.allclose(s.det_h_profile(), 1.0)
+        assert np.allclose(np.linalg.det(s.h).real, 1.0)
         q = quadratic_differential(s)
         assert np.max(np.abs(q - expected_quadratic_differential(ZERO, z))) < 1e-12
 
@@ -102,7 +97,7 @@ class TestFieldAssembly:
         asum = 1.0
         assert np.allclose(s.h[:, 0, 0].real, r ** (asum - 0.5) * np.exp(s.xi))
         assert np.allclose(s.h[:, 1, 1].real, r ** (asum + 0.5) * np.exp(-s.xi))
-        assert np.allclose(s.det_h_profile(), r ** (2.0 * asum))
+        assert np.allclose(np.linalg.det(s.h).real, r ** (2.0 * asum))
         q = quadratic_differential(s)
         ref = expected_quadratic_differential(POLE, grid.z)
         assert np.max(np.abs((q - ref) / ref)) < 1e-12
@@ -179,7 +174,8 @@ class TestHitchinResidual:
         # probe at t = 1 where the profile is O(1) on the grid
         prof = m_profile(1.0, POLE2.weights, grid.r)
         base = hitchin_residual(fiducial_fields(POLE2, 1.0, grid, prof), 1.0)
-        bumped = hitchin_residual(fiducial_fields(POLE2, 1.0, grid, prof.scaled(1.01)), 1.0)
+        bumped_prof = RadialProfile(prof.grid, 1.01 * prof.values, 1.01 * prof.derivs, prof.sigma)
+        bumped = hitchin_residual(fiducial_fields(POLE2, 1.0, grid, bumped_prof), 1.0)
         assert bumped > 1e-6
         assert bumped > 20.0 * base
 

@@ -1,4 +1,4 @@
-"""Reduced circle-invariant equation: modes, nonlinear solve, metric assembly."""
+"""Reduced circle-invariant equation: modes, nonlinear solve, metric difference."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from hitchinlab.grids import fd_first, fd_second
 from hitchinlab.lebrun import (
     AliasingError,
-    DivergenceError,
     PerturbativeRegimeError,
     TorusFourierField,
     TorusLattice,
     UnderflowWindowError,
-    assemble_metric,
     connection_from_w,
     fit_decay,
     hitchin_section_difference,
@@ -21,19 +19,21 @@ from hitchinlab.lebrun import (
     make_modes,
     metric_difference_full,
     nonlinear_residual,
-    radial_change,
     section_profiles,
-    solve_mode_bvp,
-    solve_mode_inhomogeneous,
     solve_nonlinear,
 )
 from hitchinlab.lebrun import (
     _analyze,
-    _banded_mode_solve,
     _grouped_bands,
     _grouped_mode_solve,
     _synthesize,
     _trig_factor,
+)
+from hitchinlab.oracles import (
+    DivergenceError,
+    _banded_mode_solve,
+    solve_mode_bvp,
+    solve_mode_inhomogeneous,
 )
 from hitchinlab.special import bessel_k, inverse_lambda
 
@@ -100,23 +100,13 @@ def _metric_difference_hand_expanded(sol, n_colloc):
     return r, g
 
 
-def _assembled_metric_hand_expanded(sol, n_colloc):
-    """Oracle: g_L2 in the drhat coframe with every term written out."""
-    rho = sol.rho
-    V = sol.v.values(n_colloc)
-    W = sol.w.values(n_colloc)
-    RW = TorusFourierField(sol.w.lattice, sol.w.modes, rho, sol.w.coeffs * rho**2).values(n_colloc)
-    EU = np.exp(V) * RW
-    WA2 = sol.wa2.values(n_colloc)
-    WA3 = sol.wa3.values(n_colloc)
-    g = np.zeros(V.shape + (4, 4))
-    g[..., 0, 0] = W
-    g[..., 1, 1] = 1.0 / W
-    g[..., 1, 2] = g[..., 2, 1] = -WA3 / W
-    g[..., 1, 3] = g[..., 3, 1] = WA2 / W
-    g[..., 2, 2] = EU + WA3**2 / W
-    g[..., 3, 3] = EU + WA2**2 / W
-    g[..., 2, 3] = g[..., 3, 2] = -WA2 * WA3 / W
+def _plus_semiflat(md):
+    """g_L2 = (g_L2 - g_sf) + diag(1/r, r, 1, 1), node-wise."""
+    g = md.difference.copy()
+    g[..., 0, 0] += 1.0 / md.r
+    g[..., 1, 1] += md.r
+    g[..., 2, 2] += 1.0
+    g[..., 3, 3] += 1.0
     return g
 
 
@@ -505,44 +495,33 @@ class TestConnectionAndMetric:
             sups.append(np.max(np.abs(resid[mask])))
         assert sups[1] < 0.5 * sups[0]
 
-    def test_semiflat_assembly(self, lattice):
-        sol = solve_nonlinear({}, None, 2, lattice)
-        g = assemble_metric(sol)
-        rhat = sol.rhat
-        assert np.allclose(g.g[..., 0, 0], (1 / rhat)[:, None, None], atol=1e-14)
-        assert np.allclose(g.g[..., 1, 1], rhat[:, None, None], atol=1e-12)
-        assert np.allclose(g.g[..., 2, 2], 1.0, atol=1e-14)
-        assert np.allclose(g.g[..., 3, 3], 1.0, atol=1e-14)
-        off = g.g.copy()
-        for i in range(4):
-            off[..., i, i] = 0.0
-        assert np.max(np.abs(off)) < 1e-14
-
     def test_semiflat_matches_toymodel(self, lattice):
-        # node-for-node agreement with the four-punctured-sphere semiflat
-        # metric at r = rhat
+        # node-for-node agreement of the zero-field metric with the
+        # four-punctured-sphere semiflat metric at r = rhat
         from hitchinlab.toymodel import BasePoint, ToyConfig, semiflat_metric
 
         cfg = ToyConfig.from_p0(0.3)
-        sol = solve_nonlinear({}, None, 2, lattice)
-        g = assemble_metric(sol)
-        for i in (0, len(sol.rho) // 2, len(sol.rho) - 1):
-            r = sol.rhat[i]
+        md = metric_difference_full(solve_nonlinear({}, None, 2, lattice))
+        g = _plus_semiflat(md)
+        for i in (0, len(md.r) // 2, len(md.r) - 1):
+            r = md.r[i, 0, 0]
             ref = semiflat_metric(cfg, BasePoint(r / cfg.c_sk, cfg.c_sk))
-            assert np.max(np.abs(g.g[i, 0, 0] - ref.g)) < 1e-12
+            assert np.max(np.abs(g[i, 0, 0] - ref.g)) < 1e-12
 
     def test_positive_definite(self, solution):
-        g = assemble_metric(solution)
-        ev = np.linalg.eigvalsh(g.g)
+        ev = np.linalg.eigvalsh(_plus_semiflat(metric_difference_full(solution)))
         assert ev.min() > 0
 
     def test_radial_change(self, lattice, solution, mu0_data):
+        # r = rhat e^v: the identity at zero field, monotone in rhat and
+        # led by the K1 shell otherwise
         sol0 = solve_nonlinear({}, None, 2, lattice)
-        rhat, r = radial_change(sol0)
-        assert np.max(np.abs(r - rhat[:, None, None])) == 0.0
+        r = metric_difference_full(sol0).r
+        assert np.max(np.abs(r - sol0.rhat[:, None, None])) == 0.0
         mu0, _ = mu0_data
         lam = 2 * np.pi * mu0
-        rhat, r = radial_change(solution)
+        rhat, r = solution.rhat, metric_difference_full(solution).r
+        assert np.all(np.diff(r, axis=0) > 0)
         N = r.shape[-1]
         T, _, _ = _trig_factor(solution, N)
         pred = np.sqrt(rhat)[:, None, None] * bessel_k(1, 2 * lam * np.sqrt(rhat))[:, None, None] * T[None]
@@ -645,10 +624,10 @@ class TestSectionAndDifference:
         assert md.remainder is md.remainder
 
     def test_builder_matches_hand_expansion(self, lattice, solution):
-        # one builder for both coframes against the written-out formulas, to
-        # 1e-13 of the largest entry (the dr-coframe d_23 cancels to exactly 0
-        # in the oracle and to rounding noise in the builder); the fixture has
-        # wa2 ~ 0, so a small solve seeded along both dual directions follows
+        # the builder against the written-out formulas, to 1e-13 of the
+        # largest entry (d_23 cancels to exactly 0 in the oracle and to
+        # rounding noise in the builder); the fixture has wa2 ~ 0, so a
+        # small solve seeded along both dual directions follows
         seeded = {(1, 0): 0.02, (-1, 0): 0.02, (0, 1): 0.02, (0, -1): 0.02}
         for sol in (solution, solve_nonlinear(seeded, None, 2, lattice, n_rho=201)):
             connection_from_w(sol)
@@ -656,8 +635,6 @@ class TestSectionAndDifference:
             r, g = _metric_difference_hand_expanded(sol, md.n_colloc)
             assert np.array_equal(md.r, r)
             assert np.max(np.abs(md.difference - g)) <= 1e-13 * np.max(np.abs(g))
-            g = _assembled_metric_hand_expanded(sol, md.n_colloc)
-            assert np.max(np.abs(assemble_metric(sol).g - g)) <= 1e-13 * np.max(np.abs(g))
 
     def test_bessel_identity_chain_on_window(self, solution, mu0_data):
         # the identities used to assemble the K0 coefficient hold at the

@@ -10,18 +10,17 @@ from scipy.interpolate import CubicSpline
 
 from hitchinlab import painleve
 from hitchinlab.grids import fd_first, fd_second
+from hitchinlab.oracles import shooting_solution
 from hitchinlab.painleve import (
     GridCoarseWarning,
     ParabolicWeights,
     ell_profile,
     m_profile,
     ode_residual,
-    shooting_solution,
     solve_mtw,
     tail_amplitude,
     SinhGordonProfile,
 )
-from hitchinlab.profiles import RadialProfile
 from hitchinlab.special import bessel_k
 
 
@@ -235,14 +234,6 @@ class TestInwardExtension:
 
 
 class TestProfileContainer:
-    def test_csv_round_trip(self):
-        p = solve_mtw(-0.2, 1e-2, 10.0, 128, check_grid=False)
-        text = p.to_csv()
-        assert text.splitlines()[0] == "rho,m,dm"
-        q = RadialProfile.from_csv(text, sigma=-0.2)
-        assert np.array_equal(q.values, p.values)
-        assert np.array_equal(q.grid, p.grid)
-
     def test_interpolation_and_domain(self):
         r = np.geomspace(0.01, 1.0, 300)
         ell = ell_profile(4.0, r)

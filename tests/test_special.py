@@ -7,6 +7,7 @@ import pytest
 import scipy.integrate
 from hypothesis import example, given
 from hypothesis import strategies as st
+from lambda_orbit import lambda_orbit
 
 from hitchinlab.special import (
     HalfPlanePoint,
@@ -14,7 +15,6 @@ from hitchinlab.special import (
     bessel_k_ratio,
     inverse_lambda,
     jacobi_theta,
-    lambda_orbit,
     modular_lambda,
     reduce_to_fundamental_domain,
     shortest_vectors,
