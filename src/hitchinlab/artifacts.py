@@ -12,6 +12,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 
 __all__ = ["format_float", "write_csv", "write_json", "write_manifest", "read_manifests"]
@@ -24,8 +26,6 @@ def format_float(x) -> str:
 
 
 def _jsonable(obj):
-    import numpy as np
-
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -43,11 +43,37 @@ def _jsonable(obj):
     return obj
 
 
+def _row_format(types):
+    """One %-format for a row of these cell types, or None for the per-cell path.
+
+    ``%s`` renders ints and strings and ``%.17g`` floats exactly as the
+    per-cell path does; complex cells, and any type not listed, keep it.
+    """
+    fields = []
+    for t in types:
+        if issubclass(t, (int, str)):
+            fields.append("%s")
+        elif issubclass(t, (float, np.floating, np.integer)):
+            fields.append("%.17g")
+        else:
+            return None
+    return ",".join(fields)
+
+
 def write_csv(path: Path, header, rows) -> Path:
+    """Write ``rows`` under ``header``; one format string serves each row shape."""
     path = Path(path)
     lines = [",".join(header)]
+    formats = {}
     for row in rows:
-        lines.append(",".join(format_float(v) if not isinstance(v, (int, str)) else str(v) for v in row))
+        types = tuple(map(type, row))
+        if types not in formats:
+            formats[types] = _row_format(types)
+        fmt = formats[types]
+        if fmt is None:
+            lines.append(",".join(format_float(v) if not isinstance(v, (int, str)) else str(v) for v in row))
+        else:
+            lines.append(fmt % tuple(row))
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -27,26 +27,29 @@ lambda_T = 2 pi |mu_0|, i.e. rhat^{-3/4} e^{-2 lambda_T sqrt(rhat)}.
 ``solve_nonlinear`` runs an inexact Newton iteration whose correction steps
 solve the decoupled systems L_mu dv = -residual (banded), with Dirichlet
 data at rho_min and a Robin condition matched to the K_1 log-derivative at
-rho_max.  L_mu depends on |mu| only, so one band is built per distinct norm
-before the iteration, and each step solves it once for all the modes of
-that norm, their right-hand sides stacked as columns.  Nonlinear terms are
-evaluated pseudospectrally on a collocation grid; every field is real
+rho_max.  L_mu depends on |mu| only, so one band is built and LU-factored
+per distinct norm before the iteration, and each step makes only the
+triangular solves, once for all the modes of that norm, their right-hand
+sides stacked as columns.  Nonlinear terms are evaluated pseudospectrally
+on a collocation grid, one block of ``RADIAL_BLOCK`` radial nodes at a
+time, so the (N, block, N) temporaries stay in cache; every field is real
 (Hermitian coefficients), so synthesis and projection are separable real
-matmuls against the collocation phases.  ``fit_decay`` measures the
-realized decay rate and prefactor power.  ``metric_difference_full``
-evaluates g - g_sf in the coframe of the radial change r = rhat e^v; its
-predicted Bessel parts and remainder are built only when read.
+matmuls, one 2-d matmul per contraction, against memoized collocation
+phases.  ``fit_decay`` measures the realized decay rate and prefactor
+power.  ``metric_difference_full`` evaluates g - g_sf in the coframe of the
+radial change r = rhat e^v; its predicted Bessel parts and remainder are
+built only when read.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .grids import (
     banded_three_point,
@@ -231,72 +234,99 @@ def make_modes(m_cut: int) -> np.ndarray:
     return np.column_stack([mm.ravel(), nn.ravel()])
 
 
+@lru_cache(maxsize=None)
 def _phase_blocks(m_cut: int, n: int):
-    """Real blocks of E[m, j] = exp(2 pi i j m / n), m = -m_cut..m_cut.
+    """Read-only real blocks of E[m, j] = exp(2 pi i j m / n), m = -m_cut..m_cut.
 
-    With E = P + i S returns B = [[P, S], [-S, P]], shape (2M, 2n) with
-    M = 2 m_cut + 1, and A = [P^T, -S^T] restricted to the rows m >= 0,
-    shape (n, 2H) with H = m_cut + 1; complex contractions against E and
-    conj(E) are then real matmuls with these.
+    With E = P + i S, M = 2 m_cut + 1 and H = m_cut + 1, let B = [[P, S],
+    [-S, P]], shape (2M, 2n), and A = [P^T, -S^T] restricted to the rows
+    m >= 0, shape (n, 2H).  Returns
+
+    - ``B_split``: B's column halves stacked, shape (2, 2M, n), so that one
+      matmul puts the real/imaginary part outermost;
+    - ``A_weighted``: A with weight 2 on the columns m > 0, shape (n, 2H);
+    - ``A_split``: A's column halves stacked, shape (2, n, H);
+    - ``B`` itself.
+
+    Complex contractions against E and conj(E) are then real matmuls with
+    these.  Memoized: every transform of a solve uses the same few blocks.
     """
     ang = (2.0 * np.pi / n) * np.outer(np.arange(-m_cut, m_cut + 1), np.arange(n))
     P, S = np.cos(ang), np.sin(ang)
     B = np.block([[P, S], [-S, P]])
     A = np.concatenate([P[m_cut:].T, -S[m_cut:].T], axis=1)
-    return B, A
-
-
-def _fold(T: np.ndarray) -> np.ndarray:
-    """(NR, X, 2, Y) -> (NR, 2X, Y): stack the real/imaginary halves along axis 1."""
-    nr, x, _, y = T.shape
-    return T.transpose(0, 2, 1, 3).reshape(nr, 2 * x, y)
+    weight = np.tile(np.r_[1.0, np.full(m_cut, 2.0)], 2)
+    blocks = (
+        np.stack([B[:, :n], B[:, n:]]),
+        A * weight,
+        np.stack([A[:, : m_cut + 1], A[:, m_cut + 1 :]]),
+        B,
+    )
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
 
 
 def _synthesize(modes: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
     """Real samples of sum_mu c_mu e^{2 pi i x . mu} on the N x N collocation grid.
 
     At X_{jk} = (j a + k b)/n the phase is exp(2 pi i (jm + kn)/n) for any
-    lattice shape, so the sum is separable: one fancy-index assignment
-    scatters the coefficients into an (NR, m, re/im, n) array, which is
-    contracted against E[n, k] and then E[m, j] with real matmuls.  Every
-    field here is Hermitian (coeff(-mu) = conj coeff(mu)), so the samples
-    are real and only the real part is formed; the rows -m of the first
-    contraction are the conjugates of the rows m, so only m >= 0 is kept,
-    with weight 2 on m > 0.
+    lattice shape, so the sum is separable: the coefficients are scattered
+    into an (m, NR, re/im, n) array, contracted against E[n, k] by one
+    matmul that puts re/im outermost, and then against E[m, j] over
+    (re/im, m) by one 2-d matmul.  Every field here is Hermitian (coeff(-mu)
+    = conj coeff(mu)), so the samples are real and only the real part is
+    formed; the rows -m of the first contraction are the conjugates of the
+    rows m, so only m >= 0 is kept, with weight 2 on m > 0.  Returns shape
+    (NR, N, N) as a view of a (j, NR, k)-ordered array, the layout
+    :func:`_analyze` contracts without a copy.
     """
     m_cut = int(np.max(np.abs(modes)))
     M = 2 * m_cut + 1
     half = modes[:, 0] >= 0
     i, j = modes[half, 0], modes[half, 1] + m_cut
-    C = np.zeros((coeffs.shape[1], m_cut + 1, 2, M))
-    C[:, i, 0, j] = coeffs[half].real.T
-    C[:, i, 1, j] = coeffs[half].imag.T
-    B, A = _phase_blocks(m_cut, n)
-    weight = np.tile(np.r_[1.0, np.full(m_cut, 2.0)], 2)
-    return (A * weight) @ _fold((C.reshape(-1, 2 * M) @ B).reshape(-1, m_cut + 1, 2, n))
+    C = np.zeros((m_cut + 1, coeffs.shape[1], 2 * M))
+    C[i, :, j] = coeffs[half].real
+    C[i, :, M + j] = coeffs[half].imag
+    B_split, A_weighted, _, _ = _phase_blocks(m_cut, n)
+    X = C.reshape(-1, 2 * M) @ B_split  # (re/im, m, NR, k)
+    out = A_weighted @ X.reshape(2 * (m_cut + 1), -1)
+    return out.reshape(n, -1, n).transpose(1, 0, 2)
 
 
 def _analyze(values: np.ndarray, modes: np.ndarray) -> np.ndarray:
     """Project real collocation samples (NR, N, N) back onto the retained modes.
 
     The adjoint of :func:`_synthesize`: contraction against conj(E) over k,
-    then j, divided by N^2.  The samples are real, so only the columns n >= 0
-    are formed and the rest are read as c(m, n) = conj c(-m, -n).  Returns
-    (K, NR) complex coefficients.
+    then over (re/im, j), each one 2-d matmul, divided by N^2.  The samples
+    are real, so only the columns n >= 0 are formed and the rest are read as
+    c(m, n) = conj c(-m, -n).  Returns (K, NR) complex coefficients.
     """
     n = values.shape[-1]
     m_cut = int(np.max(np.abs(modes)))
     M = 2 * m_cut + 1
-    B, A = _phase_blocks(m_cut, n)
-    spec = (B @ _fold((values.reshape(-1, n) @ A).reshape(-1, n, 2, m_cut + 1))) / (n * n)
+    _, _, A_split, B = _phase_blocks(m_cut, n)
+    Y = values.transpose(1, 0, 2).reshape(-1, n) @ A_split  # (re/im, j, NR, n >= 0)
+    spec = (B @ Y.reshape(2 * n, -1)).reshape(2, M, -1, m_cut + 1) / (n * n)
     sign = np.where(modes[:, 1] >= 0, 1, -1)
     i, j = sign * modes[:, 0] + m_cut, sign * modes[:, 1]
-    return (spec[:, i, j] + 1j * sign * spec[:, M + i, j]).T
+    return spec[0, i, :, j] + 1j * sign[:, None] * spec[1, i, :, j]
 
 
 def default_colloc(m_cut: int) -> int:
     # 3/2-rule with margin: products of retained modes stay alias-free
     return max(16, 4 * m_cut + 4)
+
+
+# Radial nodes per transform block.  At N = 16 each (N, block, N) sample
+# array is 512 kB, so a block's syntheses, exponential and products stay in
+# cache instead of streaming whole-grid temporaries through memory.
+RADIAL_BLOCK = 256
+
+
+def _radial_blocks(n_rho: int):
+    """Slices of at most RADIAL_BLOCK consecutive radial nodes covering 0..n_rho."""
+    return [slice(a, min(a + RADIAL_BLOCK, n_rho)) for a in range(0, n_rho, RADIAL_BLOCK)]
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +338,7 @@ def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> Tor
 
     Radial derivatives by central differences; the nonlinear products are
     evaluated in real arithmetic on the collocation grid and projected back
-    (pseudospectral).
+    (pseudospectral), one block of radial nodes at a time.
     """
     if len(v.rho) < 5:
         raise ValueError("need at least 5 radial nodes")
@@ -321,14 +351,14 @@ def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> Tor
     d1, d2 = fd_first(rho, v.coeffs), fd_second(rho, v.coeffs)
     radial = rho**2 * d2 + 3.0 * rho * d1  # per mode
     mu2 = v.mu_norms() ** 2
-    lin = radial - 16.0 * np.pi**2 * mu2[:, None] * rho[None, :] ** 2 * v.coeffs
-
-    A = _synthesize(v.modes, radial, n_colloc)
-    RV = _synthesize(v.modes, rho[None, :] * d1, n_colloc)
-    ev = np.exp(_synthesize(v.modes, v.coeffs, n_colloc))
-    Q = (1.0 - ev) * A - ev * RV**2
-    q_modes = _analyze(Q, v.modes)
-    return TorusFourierField(v.lattice, v.modes, rho, lin - q_modes)
+    rv = rho * d1
+    out = radial - 16.0 * np.pi**2 * mu2[:, None] * rho[None, :] ** 2 * v.coeffs
+    for b in _radial_blocks(len(rho)):
+        A = _synthesize(v.modes, radial[:, b], n_colloc)
+        RV = _synthesize(v.modes, rv[:, b], n_colloc)
+        ev = np.exp(_synthesize(v.modes, v.coeffs[:, b], n_colloc))
+        out[:, b] -= _analyze((1.0 - ev) * A - ev * RV**2, v.modes)
+    return TorusFourierField(v.lattice, v.modes, rho, out)
 
 
 def linear_mode_solution(mu, rho):
@@ -369,16 +399,35 @@ def _mode_band(mu_abs: float, rho: np.ndarray, g: float) -> np.ndarray:
     return banded_three_point(*_mode_rows(mu_abs, rho), (1.0, 0.0, 0.0), (w0 - g, w1, w2))
 
 
+def _factor_band(ab: np.ndarray):
+    """LAPACK LU (``zgbtrf``) of a (5, n) band with two sub- and superdiagonals.
+
+    The factors are those ``solve_banded`` (``zgbsv``) forms on a complex
+    right-hand side, so solving with them reproduces it bit for bit.
+    Raises ``ValueError`` for a non-finite band and ``LinAlgError`` for a
+    singular one.
+    """
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    work = np.zeros((7, ab.shape[1]), dtype=complex)  # 2 extra rows for the pivoting fill-in
+    work[2:] = ab
+    lu, piv, info = zgbtrf(work, 2, 2, overwrite_ab=True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return lu, piv
+
+
 def _grouped_bands(norms: np.ndarray, rho: np.ndarray):
-    """Robin coefficients per mode and one (members, band) pair per distinct |mu| > 0.
+    """Robin coefficients per mode and one (members, lu, pivots) triple per distinct |mu| > 0.
 
     L_mu depends on |mu| only, so modes of equal norm share one band; the
-    grouping is by exact equality, which always keeps +-mu together.
+    grouping is by exact equality, which always keeps +-mu together.  Each
+    band is factored here, once per solve.
     """
     distinct, group = np.unique(norms, return_inverse=True)
     g = _phi_log_deriv(distinct, rho[-1])
     bands = [
-        (np.nonzero(group == i)[0], _mode_band(mu, rho, g[i]))
+        (np.nonzero(group == i)[0], *_factor_band(_mode_band(mu, rho, g[i])))
         for i, mu in enumerate(distinct)
         if mu > 0.0
     ]
@@ -386,14 +435,18 @@ def _grouped_bands(norms: np.ndarray, rho: np.ndarray):
 
 
 def _grouped_mode_solve(bands, rhs: np.ndarray) -> np.ndarray:
-    """Solve each band against the (K, n) ``rhs`` rows of its modes, stacked as columns.
+    """Solve each factored band against the (K, n) ``rhs`` rows of its modes, stacked as columns.
 
     Each row holds the inner value, the interior right-hand side and the
-    Robin value.  Rows of modes in no band stay zero.
+    Robin value.  Rows of modes in no band stay zero.  A non-finite
+    right-hand side raises ``ValueError``, as ``solve_banded`` does.
     """
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
     out = np.zeros_like(rhs)
-    for members, ab in bands:
-        out[members] = solve_banded((2, 2), ab, rhs[members].T).T
+    for members, lu, piv in bands:
+        x, _ = zgbtrs(lu, 2, 2, rhs[members].T, piv, overwrite_b=True)
+        out[members] = x.T
     return out
 
 
@@ -406,12 +459,16 @@ def _march_mean_mode(rho: np.ndarray, f_interior) -> np.ndarray:
     rounding there).  Inward marching only excites the mild rho^-2 growth,
     so the recursion is stable.
     """
-    n = len(rho)
     c_l, c_c, c_r = _mode_rows(0.0, rho)
-    v = np.zeros(n, dtype=complex)
-    for i in range(n - 2, 0, -1):
-        v[i - 1] = (f_interior[i - 1] - c_c[i - 1] * v[i] - c_r[i - 1] * v[i + 1]) / c_l[i - 1]
-    return v
+    # Python scalars: numpy scalar arithmetic costs twice as much per node.
+    # numpy divides a complex by a real through its reciprocal, so
+    # multiplying by 1 / c_l keeps the values those of the array form.
+    inv_l, c_c, c_r = (1.0 / c_l).tolist(), c_c.tolist(), c_r.tolist()
+    f = np.asarray(f_interior, dtype=complex).tolist()
+    v = [0j] * len(rho)
+    for i in range(len(rho) - 2, 0, -1):
+        v[i - 1] = (f[i - 1] - c_c[i - 1] * v[i] - c_r[i - 1] * v[i + 1]) * inv_l[i - 1]
+    return np.array(v)
 
 
 # ----------------------------------------------------------------------
@@ -464,9 +521,10 @@ def solve_nonlinear(
     (conjugate modes are filled in automatically); sup |data| <= 0.2.
     Newton iteration with mode-decoupled banded corrections
     L_mu dv = -residual; Dirichlet at rho_min, K_1 log-derivative Robin at
-    rho_max.  L_mu depends on |mu| only, so one band is built per distinct
-    norm before the iteration, and each Newton step makes one banded solve
-    per norm with the modes' right-hand sides stacked as columns.  The mean
+    rho_max.  L_mu depends on |mu| only, so one band is built and factored
+    per distinct norm before the iteration, and each Newton step makes the
+    triangular solves per norm with the modes' right-hand sides stacked as
+    columns.  The mean
     mode is special: its homogeneous solutions (1 and 1/rhat) are not
     exponentially decaying, so its correction is the decaying particular
     solution (inward march from rho_max) and its inner value is dictated by
@@ -536,7 +594,11 @@ def solve_nonlinear(
     def residual(field):
         """The residual of ``field`` and the larger of its sup and the boundary defects."""
         res = nonlinear_residual(field, n_colloc)
-        sup = float(np.max(np.abs(_synthesize(res.modes, res.coeffs[:, 1:-1], n_colloc))))
+        interior = res.coeffs[:, 1:-1]
+        sup = max(
+            float(np.max(np.abs(_synthesize(modes, interior[:, b], n_colloc))))
+            for b in _radial_blocks(interior.shape[1])
+        )
         return res, max(sup, bc_defects(field))
 
     res, current = residual(v)
@@ -656,6 +718,8 @@ def section_profiles(sol: LeBrunSolution):
 
 def hitchin_section_difference(sol: LeBrunSolution, r_query) -> MetricComponents:
     """(1/(rw) - 1) diag(1/r, r) on the section, at requested r values."""
+    from scipy.interpolate import CubicSpline
+
     r, rw, _ = section_profiles(sol)
     r_query = np.atleast_1d(np.asarray(r_query, dtype=float))
     if np.any(r_query < r[0]) or np.any(r_query > r[-1]):

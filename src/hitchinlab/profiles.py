@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 __all__ = ["RadialProfile"]
 
@@ -34,6 +33,10 @@ class RadialProfile:
             raise ValueError("values/derivs must match the grid")
 
     def _spline(self):
+        # scipy.interpolate pulls in scipy.optimize; importing it here keeps
+        # both off the start-up path of every command that never interpolates
+        from scipy.interpolate import CubicHermiteSpline
+
         return CubicHermiteSpline(self.grid, self.values, self.derivs)
 
     def _check_domain(self, r):
@@ -50,15 +53,3 @@ class RadialProfile:
         r = self._check_domain(r)
         out = self._spline()(r)
         return float(out) if out.ndim == 0 else out
-
-    def deriv(self, r):
-        """First derivative at r."""
-        r = self._check_domain(r)
-        out = self._spline().derivative()(r)
-        # Hermite data is exact at the nodes; prefer the stored derivative there.
-        idx = np.searchsorted(self.grid, np.atleast_1d(r))
-        idx = np.clip(idx, 0, len(self.grid) - 1)
-        at_node = np.isclose(np.atleast_1d(r), self.grid[idx], rtol=0, atol=1e-14)
-        out = np.atleast_1d(out)
-        out[at_node] = self.derivs[idx[at_node]]
-        return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out

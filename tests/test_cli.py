@@ -1,12 +1,18 @@
 """Experiment runner: artifacts, manifests, determinism, validation."""
 
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hitchinlab.artifacts import MissingManifestError, write_csv
+import hitchinlab
+from hitchinlab.artifacts import MissingManifestError, format_float, write_csv
 from hitchinlab.cli import ExperimentConfig, ValidationError, main, report, run
 from hitchinlab.lebrun import TorusLattice, metric_difference_full, solve_nonlinear
 from hitchinlab.special import ConvergenceError
@@ -23,6 +29,28 @@ FAST_LEBRUN = {
 
 def _files(d):
     return sorted(p.name for p in d.iterdir())
+
+
+def _csv_per_cell(header, rows) -> str:
+    """Oracle: every cell formatted on its own, as the writer did before row formats."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format_float(v) if not isinstance(v, (int, str)) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf")]))
+_CELLS = [
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**62), 2**62).map(np.int64),
+    st.complex_numbers(),
+    st.complex_numbers().map(np.complex128),
+    st.text("abc_-", max_size=3),
+]
 
 
 class TestCommands:
@@ -119,6 +147,34 @@ class TestCommands:
     def test_report_requires_manifests(self, tmp_path):
         with pytest.raises(MissingManifestError):
             report(tmp_path)
+
+
+class TestArtifacts:
+    @given(
+        shape=st.lists(st.sampled_from(range(len(_CELLS))), min_size=1, max_size=5),
+        data=st.data(),
+    )
+    def test_csv_row_formats_match_per_cell(self, tmp_path_factory, shape, data):
+        # rows of one shape share a format string; rows of another shape,
+        # and complex cells, take the per-cell path; the bytes never change
+        row = st.tuples(*(_CELLS[k] for k in shape))
+        mixed = st.lists(st.sampled_from(_CELLS).flatmap(lambda c: c), min_size=len(shape), max_size=len(shape))
+        rows = data.draw(st.lists(st.one_of(row, row, mixed), max_size=12))
+        header = [f"c{k}" for k in range(len(shape))]
+        path = write_csv(tmp_path_factory.getbasetemp() / "rows.csv", header, rows)
+        assert path.read_text() == _csv_per_cell(header, rows)
+
+    def test_cli_import_leaves_interpolate_and_optimize_unloaded(self):
+        # a fresh interpreter: this test process has loaded both already
+        code = (
+            "import sys, scipy, hitchinlab.cli; "
+            "print([m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules])"
+        )
+        src = str(Path(hitchinlab.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestDeterminism:

@@ -1,9 +1,12 @@
 """Reduced circle-invariant equation: modes, nonlinear solve, metric difference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, solve_banded
 
 from hitchinlab.grids import fd_first, fd_second
 from hitchinlab.lebrun import (
@@ -23,9 +26,15 @@ from hitchinlab.lebrun import (
     solve_nonlinear,
 )
 from hitchinlab.lebrun import (
+    RADIAL_BLOCK,
     _analyze,
+    _factor_band,
     _grouped_bands,
     _grouped_mode_solve,
+    _march_mean_mode,
+    _mode_band,
+    _mode_rows,
+    _phase_blocks,
     _synthesize,
     _trig_factor,
 )
@@ -56,6 +65,27 @@ def _analyze_fft(values, modes):
     n = values.shape[-1]
     spec = np.fft.fft2(values, axes=(1, 2)) / (n * n)
     return np.stack([spec[:, m % n, mn % n] for (m, mn) in modes], axis=0)
+
+
+def _residual_whole_grid(v, n_colloc):
+    """Oracle: L v - Q(v) with every product formed on the whole grid through the FFT oracles."""
+    rho = v.rho
+    d1, d2 = fd_first(rho, v.coeffs), fd_second(rho, v.coeffs)
+    radial = rho**2 * d2 + 3.0 * rho * d1
+    lin = radial - 16.0 * np.pi**2 * v.mu_norms()[:, None] ** 2 * rho**2 * v.coeffs
+    A = _synthesize_fft(v.modes, radial, n_colloc).real
+    RV = _synthesize_fft(v.modes, rho * d1, n_colloc).real
+    ev = np.exp(_synthesize_fft(v.modes, v.coeffs, n_colloc).real)
+    return lin - _analyze_fft((1.0 - ev) * A - ev * RV**2, v.modes)
+
+
+def _march_numpy_scalars(rho, f_interior):
+    """Oracle: the inward march of L_0 v = f, one numpy scalar at a time."""
+    c_l, c_c, c_r = _mode_rows(0.0, rho)
+    v = np.zeros(len(rho), dtype=complex)
+    for i in range(len(rho) - 2, 0, -1):
+        v[i - 1] = (f_interior[i - 1] - c_c[i - 1] * v[i] - c_r[i - 1] * v[i + 1]) / c_l[i - 1]
+    return v
 
 
 def _metric_difference_hand_expanded(sol, n_colloc):
@@ -177,6 +207,13 @@ class TestTransforms:
             back = _analyze(_synthesize(modes, c, n), modes)
             assert np.max(np.abs(back - c)) <= 1e-12 * np.max(np.abs(c))
 
+    def test_phase_blocks_are_shared_and_read_only(self):
+        first = _phase_blocks(3, 16)
+        assert _phase_blocks(3, 16) is first
+        for block in first:
+            with pytest.raises(ValueError, match="read-only"):
+                block[0] = 0.0
+
     def test_subset_of_modes(self):
         # the leading-shell synthesis passes a few modes with a smaller cutoff
         modes = np.array([[0, 1], [0, -1], [1, -1], [-1, 1]])
@@ -296,6 +333,38 @@ class TestNonlinearResidual:
         got = res.coeffs[v.index(0, 0), 2:-2].real
         assert np.max(np.abs(got + Q[2:-2])) < 5e-3 * np.max(np.abs(Q))
 
+    @given(
+        n_rho=st.one_of(
+            st.integers(5, RADIAL_BLOCK - 1),
+            st.sampled_from([RADIAL_BLOCK, RADIAL_BLOCK + 1]),
+            st.integers(2 * RADIAL_BLOCK + 1, 4 * RADIAL_BLOCK),
+        ),
+        m_cut=st.integers(1, 4),
+        extra=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_matches_whole_grid(self, lattice, n_rho, m_cut, extra, seed):
+        # radial blocks change where the products are formed, not their values
+        modes = make_modes(m_cut)
+        rho = np.linspace(0.5, 4.0, n_rho)
+        v = TorusFourierField(lattice, modes, rho, 0.02 * _hermitian_coeffs(modes, n_rho, seed))
+        n_colloc = 2 * m_cut + extra
+        ref = _residual_whole_grid(v, n_colloc)
+        got = nonlinear_residual(v, n_colloc).coeffs
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_memory_stays_blocked(self, solution):
+        # one criterion-9 residual peaks at 8.6 MB of new allocations; the
+        # whole-grid (1401, 16, 16) temporaries took it to 18.9 MB
+        nonlinear_residual(solution.v)
+        tracemalloc.start()
+        try:
+            nonlinear_residual(solution.v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
     def test_aliasing_guard(self, lattice):
         rho = np.linspace(0.5, 4.0, 101)
         modes = make_modes(3)
@@ -362,6 +431,38 @@ class TestSolveNonlinear:
         for k in np.nonzero(norms > 0)[0]:
             ref = _banded_mode_solve(norms[k], rho, rhs[k, 1:-1], rhs[k, 0], rhs[k, -1])
             assert np.max(np.abs(step[k] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_factored_bands_match_solve_banded(self, solution):
+        # every band of the criterion-9 solve, factored once, solves a
+        # complex right-hand side bit for bit as solve_banded (zgbsv) does
+        rho = solution.rho
+        norms = solution.v.mu_norms()
+        g, bands = _grouped_bands(norms, rho)
+        rhs = _hermitian_coeffs(solution.v.modes, len(rho), 11)
+        step = _grouped_mode_solve(bands, rhs)
+        for members, _, _ in bands:
+            ab = _mode_band(norms[members[0]], rho, g[members[0]])
+            ref = solve_banded((2, 2), ab, rhs[members].T).T
+            assert np.array_equal(step[members], ref)
+
+    def test_bands_fail_typed(self, solution):
+        rho = solution.rho
+        _, bands = _grouped_bands(solution.v.mu_norms(), rho)
+        # the mean mode, which is in no band, and a banded mode
+        for row in (solution.v.index(0, 0), solution.v.index(1, 0)):
+            rhs = np.zeros((len(solution.v.modes), len(rho)), dtype=complex)
+            rhs[row, 3] = np.nan
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                _grouped_mode_solve(bands, rhs)
+        with pytest.raises(LinAlgError, match="singular"):
+            _factor_band(np.zeros((5, 8)))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _factor_band(np.full((5, 8), np.inf))
+
+    def test_mean_mode_march_matches_numpy_scalars(self, solution):
+        rng = np.random.default_rng(3)
+        f = rng.normal(size=len(solution.rho) - 2) + 1j * rng.normal(size=len(solution.rho) - 2)
+        assert np.array_equal(_march_mean_mode(solution.rho, f), _march_numpy_scalars(solution.rho, f))
 
     def test_spectral_convergence(self, lattice, solution, mu0_data):
         _, (m, n) = mu0_data
