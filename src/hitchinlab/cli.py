@@ -3,8 +3,8 @@
 Subcommands
 -----------
 fiducial    build a local model, report its self-duality residual and
-            linearization data, write the profile the fields are built from
-            as JSON (``FieldSample.from_json`` rebuilds the fields)
+            linearization data, write the model as JSON: its profile, from
+            which ``FieldSample.from_json`` restores the sample
 glue-decay  sweep the glued-metric error over t and fit the exponential rate
 toymodel    derived constants of the four-punctured-sphere geometry plus the
             predicted metric correction on a radial grid
@@ -102,7 +102,7 @@ def _run_fiducial(params: dict, out: Path):
         n_theta=int(params.get("n_theta", 16)),
     )
     sample = fid.fiducial_fields(case, t, grid)
-    residual = fid.hitchin_residual(sample, t)
+    residual = fid.hitchin_residual(sample)
     roots = fid.indicial_roots(case, (-2.0, 2.0))
     r_probe = [float(grid.r[0]), float(grid.r[len(grid.r) // 2]), float(grid.r[-1])]
     prof = None
@@ -154,6 +154,10 @@ def _run_glue_decay(params: dict, out: Path):
 def _run_toymodel(params: dict, out: Path):
     p0 = _parse_complex(str(_require(params, "p0")))
     B = _parse_complex(str(params.get("B", "1,0")))
+    r_min = float(params.get("r_min", 1.0))
+    r_max = float(params.get("r_max", 100.0))
+    if not 0.0 < r_min < r_max < math.inf:
+        raise ValueError(f"need 0 < r_min < r_max < inf, got r_min={r_min}, r_max={r_max}")
     cfg = toy.ToyConfig.from_p0(p0)
     record = {
         "p0": p0,
@@ -167,11 +171,7 @@ def _run_toymodel(params: dict, out: Path):
         "bps": [toy.bps_omega(1), toy.bps_omega(2), toy.bps_omega(3)],
     }
     j_path = write_json(out / "toymodel.json", record)
-    r_grid = np.geomspace(
-        float(params.get("r_min", 1.0)),
-        float(params.get("r_max", 100.0)),
-        int(params.get("r_points", 40)),
-    )
+    r_grid = np.geomspace(r_min, r_max, int(params.get("r_points", 40)))
     rows = []
     for r in r_grid:
         block = toy.gmn_correction(cfg, float(r)).g

@@ -14,11 +14,16 @@ tested here).  With F(r) the radial connection function,
   weak pole     : A = diag(i a1, i a2) dtheta,  Phi = (s/z) diag(1,-1) dz,
                   h = diag(r^{2 a1}, r^{2 a2})      (t-independent).
 
+A model is stored as what ``fields.json`` holds: the case, t, the grid and
+the exponent profile xi (ell, m, or 0 for the weak pole) with its
+derivative; A, Phi and h are built from these when first read.
+
 The self-duality residual F^perp + t^2 [Phi, Phi*] reduces on this ansatz to
 a scalar radial quantity; ``hitchin_residual`` measures it in the
 log-radial frame (coefficient of the residual two-form against
 d(log r) ^ dtheta), which is free of the eps/h^2 rounding floor that the
-flat-frame pointwise norm suffers near r = 0.  The curvature term is
+flat-frame pointwise norm suffers near r = 0; for the simple zero and the
+strong pole it reads only xi and its derivative.  The curvature term is
 central-differenced from the connection coefficient, independently of the
 stencil the profile solver satisfied, so the measured residual of an exact
 model decreases at second order under grid refinement.
@@ -29,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 
 import numpy as np
@@ -108,39 +114,91 @@ def polar_grid(r_min: float = 1e-3, r_max: float = 1.0, n_r: int = 1024, n_theta
     return PolarGrid(np.geomspace(r_min, r_max, n_r), np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False))
 
 
+_PAULI3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
+_ID2 = np.eye(2, dtype=complex)
+
+
 @dataclass
 class FieldSample:
-    """Connection, Higgs field and Hermitian metric of a radial local model.
+    """A radial local model, stored as the profile its fields are built from.
 
-    ``A_theta`` and ``h`` are radial (shape (nr, 2, 2)); ``Phi`` carries the
-    angular dependence (shape (nr, ntheta, 2, 2)).  ``xi``/``dxi`` are the
-    radial exponent profile (ell or m, possibly cut off) and its derivative;
-    they are the data from which the stable residual is evaluated and, with
-    the case, t and grid, all that :meth:`to_json` stores.
+    ``xi``/``dxi`` are the radial exponent profile (ell or m, possibly cut
+    off) and its derivative; with the case, t and grid they are all the
+    sample holds and all that :meth:`to_json` writes.  The stable residual
+    reads only these.  ``A_theta`` and ``h`` (radial, shape (nr, 2, 2)) and
+    ``Phi`` (angular too, shape (nr, ntheta, 2, 2)) are read-only; the first
+    read of any of them builds and validates all three.
     """
 
     grid: PolarGrid
-    A_theta: np.ndarray
-    Phi: np.ndarray
-    h: np.ndarray
     case: LocalCase
     t: float
     xi: np.ndarray
     dxi: np.ndarray
 
     def __post_init__(self):
-        nr, nth = len(self.grid.r), len(self.grid.theta)
-        if self.A_theta.shape != (nr, 2, 2) or self.h.shape != (nr, 2, 2):
-            raise ValueError("A_theta and h must have shape (nr, 2, 2)")
-        if self.Phi.shape != (nr, nth, 2, 2):
-            raise ValueError("Phi must have shape (nr, ntheta, 2, 2)")
-        if np.max(np.abs(self.A_theta + np.conj(np.swapaxes(self.A_theta, -1, -2)))) > 1e-12:
+        self.t = float(self.t)
+        nr = len(self.grid.r)
+        for name in ("xi", "dxi"):
+            v = np.asarray(getattr(self, name))
+            if v.dtype.kind not in "iuf" or v.shape != (nr,) or not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be a finite real array of shape ({nr},)")
+            setattr(self, name, v.astype(float, copy=False))
+
+    @property
+    def A_theta(self) -> np.ndarray:
+        return self._fields[0]
+
+    @property
+    def Phi(self) -> np.ndarray:
+        return self._fields[1]
+
+    @property
+    def h(self) -> np.ndarray:
+        return self._fields[2]
+
+    @cached_property
+    def _fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A_theta, Phi, h) in unitary gauge from the profile, validated."""
+        r = self.grid.r
+        z = self.grid.z
+        nr, nth = len(r), len(self.grid.theta)
+        xi = self.xi
+        Phi = np.zeros((nr, nth, 2, 2), dtype=complex)
+        h = np.zeros((nr, 2, 2), dtype=complex)
+
+        kind = self.case.kind
+        if kind is CaseKind.SIMPLE_ZERO:
+            A = 2.0 * self.f_values[:, None, None] * (1j * _PAULI3)
+            Phi[..., 0, 1] = (np.sqrt(r) * np.exp(xi))[:, None]
+            Phi[..., 1, 0] = z * (np.exp(-xi) / np.sqrt(r))[:, None]
+            h[:, 0, 0] = np.sqrt(r) * np.exp(xi)
+            h[:, 1, 1] = np.exp(-xi) / np.sqrt(r)
+        elif kind is CaseKind.STRONG_POLE:
+            w = self.case.weights
+            asum = w.alpha1 + w.alpha2
+            A = (0.5j * asum) * _ID2 + 2.0 * self.f_values[:, None, None] * (1j * _PAULI3)
+            Phi[..., 0, 1] = (np.exp(xi) / np.sqrt(r))[:, None]
+            Phi[..., 1, 0] = (np.sqrt(r) * np.exp(-xi))[:, None] / z
+            h[:, 0, 0] = r**asum * np.exp(xi) / np.sqrt(r)
+            h[:, 1, 1] = r**asum * np.sqrt(r) * np.exp(-xi)
+        else:  # weak pole
+            w = self.case.weights
+            sigma = complex(self.case.residue)
+            A = np.tile(np.diag([1j * w.alpha1, 1j * w.alpha2]), (nr, 1, 1))
+            Phi[..., 0, 0] = sigma / z
+            Phi[..., 1, 1] = -sigma / z
+            h[:, 0, 0] = r ** (2.0 * w.alpha1)
+            h[:, 1, 1] = r ** (2.0 * w.alpha2)
+
+        if np.max(np.abs(A + np.conj(np.swapaxes(A, -1, -2)))) > 1e-12:
             raise ValueError("A_theta must be anti-Hermitian")
-        tr = np.abs(self.Phi[..., 0, 0] + self.Phi[..., 1, 1])
-        if np.max(tr) > 1e-12 * max(1.0, float(np.max(np.abs(self.Phi)))):
+        tr = np.abs(Phi[..., 0, 0] + Phi[..., 1, 1])
+        if np.max(tr) > 1e-12 * max(1.0, float(np.max(np.abs(Phi)))):
             raise ValueError("Phi must be trace free")
-        if np.any(self.h[:, 0, 0].real <= 0) or np.any(np.linalg.det(self.h).real <= 0):
+        if np.any(h[:, 0, 0].real <= 0) or np.any(np.linalg.det(h).real <= 0):
             raise ValueError("h must be positive definite")
+        return A, Phi, h
 
     @property
     def f_values(self) -> np.ndarray:
@@ -149,11 +207,10 @@ class FieldSample:
         return 0.25 * (c + self.grid.r * self.dxi)
 
     def to_json(self) -> str:
-        """The data the fields are built from: case, t, grid and (xi, dxi).
+        """The data the sample holds: case, t, grid and (xi, dxi).
 
-        :meth:`from_json` rebuilds ``A_theta``, ``Phi`` and ``h`` from these
-        through :func:`assemble_fields`, bit for bit for any sample that
-        function produced.
+        :meth:`from_json` restores the sample from these, so the fields it
+        builds are bit for bit those of the original.
         """
         case = {
             "kind": self.case.kind.value,
@@ -183,63 +240,20 @@ class FieldSample:
             None if c["residue"] is None else complex(c["residue"][0], c["residue"][1]),
         )
         grid = PolarGrid(np.asarray(doc["grid"]["r"]), np.asarray(doc["grid"]["theta"]))
-        return assemble_fields(case, doc["t"], grid, np.asarray(doc["xi"]), np.asarray(doc["dxi"]))
+        return cls(grid, case, doc["t"], np.asarray(doc["xi"]), np.asarray(doc["dxi"]))
 
 
 def _f_offset(kind: CaseKind) -> float:
     return {CaseKind.SIMPLE_ZERO: 0.5, CaseKind.STRONG_POLE: -0.5, CaseKind.WEAK_POLE: 0.0}[kind]
 
 
-# ----------------------------------------------------------------------
-# field assembly
-# ----------------------------------------------------------------------
-
-_PAULI3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
-_ID2 = np.eye(2, dtype=complex)
-
-
 def assemble_fields(case: LocalCase, t: float, grid: PolarGrid, xi: np.ndarray, dxi: np.ndarray) -> FieldSample:
-    """Build the unitary-gauge fields from an exponent profile (xi, dxi).
+    """The local model with exponent profile (xi, dxi); its fields build on first read.
 
     Passing the raw solver profile gives the fiducial solution; passing the
     cut-off profile gives the glued approximate solution.
     """
-    r = grid.r
-    z = grid.z
-    nr, nth = len(r), len(grid.theta)
-    xi = np.asarray(xi, dtype=float)
-    dxi = np.asarray(dxi, dtype=float)
-    Phi = np.zeros((nr, nth, 2, 2), dtype=complex)
-    h = np.zeros((nr, 2, 2), dtype=complex)
-
-    kind = case.kind
-    if kind is CaseKind.SIMPLE_ZERO:
-        F = 0.25 * (0.5 + r * dxi)
-        A = 2.0 * F[:, None, None] * (1j * _PAULI3)
-        Phi[..., 0, 1] = (np.sqrt(r) * np.exp(xi))[:, None]
-        Phi[..., 1, 0] = z * (np.exp(-xi) / np.sqrt(r))[:, None]
-        h[:, 0, 0] = np.sqrt(r) * np.exp(xi)
-        h[:, 1, 1] = np.exp(-xi) / np.sqrt(r)
-    elif kind is CaseKind.STRONG_POLE:
-        w = case.weights
-        asum = w.alpha1 + w.alpha2
-        F = 0.25 * (-0.5 + r * dxi)
-        A = (0.5j * asum) * _ID2 + 2.0 * F[:, None, None] * (1j * _PAULI3)
-        Phi[..., 0, 1] = (np.exp(xi) / np.sqrt(r))[:, None]
-        Phi[..., 1, 0] = (np.sqrt(r) * np.exp(-xi))[:, None] / z
-        h[:, 0, 0] = r**asum * np.exp(xi) / np.sqrt(r)
-        h[:, 1, 1] = r**asum * np.sqrt(r) * np.exp(-xi)
-    elif kind is CaseKind.WEAK_POLE:
-        w = case.weights
-        sigma = complex(case.residue)
-        A = np.tile(np.diag([1j * w.alpha1, 1j * w.alpha2]), (nr, 1, 1))
-        Phi[..., 0, 0] = sigma / z
-        Phi[..., 1, 1] = -sigma / z
-        h[:, 0, 0] = r ** (2.0 * w.alpha1)
-        h[:, 1, 1] = r ** (2.0 * w.alpha2)
-    else:  # pragma: no cover
-        raise ValueError(kind)
-    return FieldSample(grid, np.ascontiguousarray(A), Phi, h, case, float(t), xi, dxi)
+    return FieldSample(grid, case, t, xi, dxi)
 
 
 def fiducial_fields(case: LocalCase, t: float, grid: PolarGrid, profile: RadialProfile | None = None) -> FieldSample:
@@ -262,8 +276,8 @@ def fiducial_fields(case: LocalCase, t: float, grid: PolarGrid, profile: RadialP
 # diagnostics
 # ----------------------------------------------------------------------
 
-def hitchin_residual(sample: FieldSample, t: float, window: tuple[float, float] | None = None) -> float:
-    """sup over interior nodes of |F^perp + t^2 [Phi, Phi*]| on the ansatz.
+def hitchin_residual(sample: FieldSample, window: tuple[float, float] | None = None) -> float:
+    """sup over interior nodes of |F^perp + t^2 [Phi, Phi*]| at the sample's t.
 
     The curvature is central-differenced from the connection coefficient on
     the polar grid; the pointwise value is the operator norm of the residual
@@ -279,7 +293,7 @@ def hitchin_residual(sample: FieldSample, t: float, window: tuple[float, float] 
     if kind is CaseKind.WEAK_POLE:
         dA = fd_first(x, sample.A_theta.reshape(len(r), 4).T).T
         curv = np.abs(dA).max(axis=1)
-        vals = curv + (t**2) * (r**2) * _phi_commutator_norm(sample)
+        vals = curv + (sample.t**2) * (r**2) * _phi_commutator_norm(sample)
     else:
         # difference r*xi' rather than F = (c + r*xi')/4: the constant c is
         # the limiting connection (curvature-free) and would anchor an
@@ -288,9 +302,9 @@ def hitchin_residual(sample: FieldSample, t: float, window: tuple[float, float] 
         # relative to the local profile magnitude
         two_f_x = 0.5 * fd_first(x, r * sample.dxi)
         if kind is CaseKind.SIMPLE_ZERO:
-            nonlin = 4.0 * t**2 * r**3 * np.sinh(2.0 * sample.xi)
+            nonlin = 4.0 * sample.t**2 * r**3 * np.sinh(2.0 * sample.xi)
         else:
-            nonlin = 4.0 * t**2 * r * np.sinh(2.0 * sample.xi)
+            nonlin = 4.0 * sample.t**2 * r * np.sinh(2.0 * sample.xi)
         vals = np.abs(two_f_x - nonlin)
     # exclude two nodes per end: the boundary one-sided stencil enters the
     # neighbouring central difference with a different error constant,

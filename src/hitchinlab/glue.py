@@ -145,7 +145,7 @@ def approx_residual(
     if grid is None:
         grid = polar_grid(n_r=4096)
     sample = approx_metric(case, t, grid, spec)
-    return hitchin_residual(sample, t, window=(spec.r_on, spec.r_off))
+    return hitchin_residual(sample, window=(spec.r_on, spec.r_off))
 
 
 def decay_sweep(

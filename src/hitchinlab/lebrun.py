@@ -541,8 +541,8 @@ def solve_nonlinear(
     lambda_t = 2.0 * np.pi * mu0
     if rho_max is None:
         rho_max = max(6.0 / (2.0 * lambda_t), 4.0)
-    if not rho_min < rho_max:
-        raise ValueError("need rho_min < rho_max")
+    if not 0.0 < rho_min < rho_max < np.inf:
+        raise ValueError(f"need 0 < rho_min < rho_max < inf, got rho_min={rho_min}, rho_max={rho_max}")
     if n_colloc is None:
         n_colloc = default_colloc(m_cut)
     if n_colloc < 2 * m_cut:

@@ -45,7 +45,6 @@ from .profiles import RadialProfile
 from .special import ConvergenceError, bessel_k, bessel_k_ratio
 
 __all__ = [
-    "SinhGordonProfile",
     "ParabolicWeights",
     "solve_mtw",
     "ell_profile",
@@ -75,29 +74,6 @@ class ParabolicWeights:
     @property
     def difference(self) -> float:
         return self.alpha1 - self.alpha2
-
-
-@dataclass
-class SinhGordonProfile:
-    """Solution sample of the universal radial sinh-Gordon equation."""
-
-    sigma: float
-    grid: np.ndarray
-    values: np.ndarray
-    derivs: np.ndarray
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        self.derivs = np.asarray(self.derivs, dtype=float)
-        if np.any(np.diff(self.grid) <= 0) or self.grid[0] <= 0:
-            raise ValueError("grid must be strictly increasing and positive")
-        if abs(self.sigma) >= 1:
-            raise ValueError("sigma must lie in (-1, 1)")
-        if self.sigma != 0.0:
-            nz = self.values[np.abs(self.values) > 0]
-            if nz.size and (np.sign(nz) != np.sign(nz[0])).any():
-                warnings.warn("profile changes sign; solver output is suspect")
 
 
 # ----------------------------------------------------------------------
@@ -168,13 +144,15 @@ def solve_mtw(
     *,
     tol: float = 1e-10,
     check_grid: bool = True,
-) -> SinhGordonProfile:
+) -> RadialProfile:
     """Decaying solution of m'' + m'/rho = (1/2) sinh(2m) with log-slope sigma at 0.
 
     Newton relaxation of second-order central differences on a log-spaced
     grid (in the log-radial frame); Robin conditions rho m' = sigma (inner)
-    and m'/m = K0'/K0 (outer).  Emits :class:`GridCoarseWarning` when
-    doubling ``n_points`` moves the solution by more than 1e-4.
+    and m'/m = K0'/K0 (outer).  Warns when a nonzero-sigma solution changes
+    sign (the decaying solution has one sign), and emits
+    :class:`GridCoarseWarning` when doubling ``n_points`` moves the solution
+    by more than 1e-4.
     """
     if not (-1.0 < sigma < 1.0):
         raise ValueError("sigma must lie in (-1, 1)")
@@ -199,6 +177,9 @@ def solve_mtw(
         return rho, m
 
     rho, m = solve_on(n_points)
+    nz = m[np.abs(m) > 0]
+    if nz.size and (np.sign(nz) != np.sign(nz[0])).any():
+        warnings.warn("profile changes sign; solver output is suspect")
     if check_grid and sigma != 0.0:
         from scipy.interpolate import CubicSpline
 
@@ -209,7 +190,7 @@ def solve_mtw(
                 f"grid too coarse: doubling n_points moves sup|m| by {drift:.2e}",
                 GridCoarseWarning,
             )
-    return SinhGordonProfile(sigma, rho, m, fd_first(np.log(rho), m) / rho)
+    return RadialProfile(rho, m, fd_first(np.log(rho), m) / rho, sigma)
 
 
 def _inward_extension(r0, ratio, rho_of_r, rho_x_factor, rho_target) -> np.ndarray:
@@ -314,7 +295,7 @@ def m_profile(t: float, weights: ParabolicWeights, r_grid) -> RadialProfile:
     )
 
 
-def ode_residual(p: SinhGordonProfile) -> float:
+def ode_residual(p: RadialProfile) -> float:
     """sup over interior nodes of the discrete sinh-Gordon residual.
 
     Central differences on the log-spaced grid, in the scale-invariant
@@ -330,7 +311,7 @@ def ode_residual(p: SinhGordonProfile) -> float:
     return float(np.max(np.abs(res[1:-1])))
 
 
-def tail_amplitude(p: SinhGordonProfile, window: tuple[float, float] = (10.0, 15.0)):
+def tail_amplitude(p: RadialProfile, window: tuple[float, float] = (10.0, 15.0)):
     """Measured K0-tail amplitude: mean and relative spread of m/K0 on the window.
 
     The decaying family has m ~ A(sigma) K0(rho); A is reported, not

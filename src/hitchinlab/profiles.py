@@ -1,4 +1,4 @@
-"""Radial profile container shared by the ODE solvers and the field builders."""
+"""The one radial profile container: the sinh-Gordon solves return it, the field builders read it."""
 
 from __future__ import annotations
 

@@ -111,15 +111,15 @@ def test_criterion_04_fiducial_exactness():
     weak = LocalCase(CaseKind.WEAK_POLE, ParabolicWeights(0.3, 0.7), 0.5)
     grid = polar_grid()
     grid2 = polar_grid(n_r=2047)
-    r_weak = hitchin_residual(fiducial_fields(weak, 4.0, grid), 4.0)
+    r_weak = hitchin_residual(fiducial_fields(weak, 4.0, grid))
     ok = r_weak < 1e-10
     detail = [f"weak={r_weak:.1e}"]
     for name, case in (
         ("zero", LocalCase(CaseKind.SIMPLE_ZERO)),
         ("pole", LocalCase(CaseKind.STRONG_POLE, ParabolicWeights(0.2, 0.8))),
     ):
-        r1 = hitchin_residual(fiducial_fields(case, 4.0, grid), 4.0)
-        r2 = hitchin_residual(fiducial_fields(case, 4.0, grid2), 4.0)
+        r1 = hitchin_residual(fiducial_fields(case, 4.0, grid))
+        r2 = hitchin_residual(fiducial_fields(case, 4.0, grid2))
         order = float(np.log2(r1 / r2))
         ok &= r1 < 1e-5 and 1.7 <= order <= 2.3
         detail.append(f"{name}={r1:.1e} ord={order:.2f}")

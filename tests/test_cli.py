@@ -233,6 +233,9 @@ class TestValidationAndConfig:
             (["fiducial", "--case", "strongpole", "--alpha1", "0.2", "--t", "inf"], "ValueError"),
             (["fiducial", "--case", "weakpole", "--alpha1", "0.3", "--sigma", "0.5,0", "--t", "nan"], "ValueError"),
             (["fiducial", "--case", "simplezero", "--r-min", "-1"], "ValueError"),
+            (["lebrun", "--p0", "0.3,0", "--rho-max", "inf"], "ValueError"),
+            (["toymodel", "--p0", "0.3,0", "--r-max", "inf"], "ValueError"),
+            (["toymodel", "--p0", "0.3,0", "--r-min", "0"], "ValueError"),
         ],
     )
     # a warning printed before the error line would be a second line

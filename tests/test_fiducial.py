@@ -1,5 +1,6 @@
 """Local model fields and their diagnostics."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,7 @@ from hitchinlab.fiducial import (
     quadratic_differential,
     _phi_commutator_norm,
 )
+from hitchinlab.glue import approx_metric
 from hitchinlab.oracles import matrix_residual
 from hitchinlab.painleve import ParabolicWeights, ell_profile, m_profile
 from hitchinlab.profiles import RadialProfile
@@ -129,19 +131,80 @@ class TestFieldAssembly:
         assert back.t == sample.t
 
 
+_CASES = st.one_of(
+    st.just(ZERO),
+    st.floats(min_value=0.01, max_value=0.49).map(
+        lambda a1: LocalCase(CaseKind.STRONG_POLE, ParabolicWeights(a1, 1.0 - a1))
+    ),
+    st.tuples(
+        st.floats(min_value=0.01, max_value=0.49),
+        st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0),
+    ).map(lambda a: LocalCase(CaseKind.WEAK_POLE, ParabolicWeights(a[0], 1.0 - a[0]), a[1])),
+)
+
+
+class TestFieldSampleStorage:
+    @given(_CASES, st.integers(min_value=4, max_value=24), st.data())
+    def test_fields_built_on_read(self, case, nr, data):
+        g = polar_grid(n_r=nr, n_theta=8)
+        profile = st.lists(st.floats(min_value=-20.0, max_value=20.0), min_size=nr, max_size=nr)
+        s = FieldSample(g, case, 3.0, np.array(data.draw(profile)), np.array(data.draw(profile)))
+        A, P, h = s.A_theta, s.Phi, s.h
+        assert A.shape == h.shape == (nr, 2, 2) and P.shape == (nr, 8, 2, 2)
+        assert np.max(np.abs(A + np.conj(np.swapaxes(A, -1, -2)))) <= 1e-12
+        assert np.max(np.abs(P[..., 0, 0] + P[..., 1, 1])) <= 1e-12 * np.max(np.abs(P))
+        assert np.all(np.linalg.eigvalsh(h) > 0)
+        q = quadratic_differential(s)
+        ref = expected_quadratic_differential(case, g.z)
+        assert np.max(np.abs((q - ref) / ref)) < 1e-12
+
+    def test_residual_builds_no_fields(self):
+        am = approx_metric(ZERO, 8.0, polar_grid(n_r=2048))
+        hitchin_residual(am)
+        assert set(vars(am)) == {"grid", "case", "t", "xi", "dxi"}
+        assert am.Phi is am.Phi
+        assert set(vars(am)) == {"grid", "case", "t", "xi", "dxi", "_fields"}
+
+    def test_fields_read_only(self, zero_sample):
+        with pytest.raises(AttributeError):
+            zero_sample.Phi = zero_sample.Phi
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["xi"].__setitem__(5, float("nan")),
+            lambda doc: doc["dxi"].__setitem__(0, float("inf")),
+            lambda doc: doc["xi"].pop(),
+            lambda doc: doc.__setitem__("xi", [[v] for v in doc["xi"]]),
+            lambda doc: doc["dxi"].__setitem__(3, None),
+        ],
+        ids=["nan", "inf", "short", "2d", "null"],
+    )
+    def test_from_json_rejects_bad_profile(self, zero_sample, edit):
+        doc = json.loads(zero_sample.to_json())
+        edit(doc)
+        with pytest.raises(ValueError, match="finite real array"):
+            FieldSample.from_json(json.dumps(doc))
+
+    def test_complex_profile_rejected(self, grid):
+        xi = np.zeros(len(grid.r), dtype=complex)
+        with pytest.raises(ValueError, match="finite real array"):
+            FieldSample(grid, ZERO, 1.0, xi, xi.real)
+
+
 class TestHitchinResidual:
     def test_weak_pole_exact(self, weak_sample):
-        assert hitchin_residual(weak_sample, 4.0) < 1e-10
+        assert hitchin_residual(weak_sample) < 1e-10
 
     def test_zero_and_pole_discretization(self, zero_sample, pole_sample):
-        assert hitchin_residual(zero_sample, 4.0) < 1e-5
-        assert hitchin_residual(pole_sample, 4.0) < 1e-5
+        assert hitchin_residual(zero_sample) < 1e-5
+        assert hitchin_residual(pole_sample) < 1e-5
 
     def test_second_order_refinement(self):
         res = {}
         for n in (1024, 2047):
             g = polar_grid(n_r=n)
-            res[n] = hitchin_residual(fiducial_fields(ZERO, 4.0, g), 4.0)
+            res[n] = hitchin_residual(fiducial_fields(ZERO, 4.0, g))
         order = np.log2(res[1024] / res[2047])
         assert 1.7 < order < 2.3
 
@@ -164,7 +227,7 @@ class TestHitchinResidual:
         assert np.all(np.abs(got - want) <= 1e-13 * want)
 
     def test_matrix_path_agrees(self, zero_sample):
-        a = hitchin_residual(zero_sample, 4.0)
+        a = hitchin_residual(zero_sample)
         b = matrix_residual(zero_sample, 4.0)
         assert 0.3 < a / b < 3.0
 
@@ -173,9 +236,9 @@ class TestHitchinResidual:
         # scaling perturbation cancels at linear order where m is small, so
         # probe at t = 1 where the profile is O(1) on the grid
         prof = m_profile(1.0, POLE2.weights, grid.r)
-        base = hitchin_residual(fiducial_fields(POLE2, 1.0, grid, prof), 1.0)
+        base = hitchin_residual(fiducial_fields(POLE2, 1.0, grid, prof))
         bumped_prof = RadialProfile(prof.grid, 1.01 * prof.values, 1.01 * prof.derivs, prof.sigma)
-        bumped = hitchin_residual(fiducial_fields(POLE2, 1.0, grid, bumped_prof), 1.0)
+        bumped = hitchin_residual(fiducial_fields(POLE2, 1.0, grid, bumped_prof))
         assert bumped > 1e-6
         assert bumped > 20.0 * base
 
@@ -185,9 +248,7 @@ class TestHitchinResidual:
         bad = polar_grid(n_r=16, n_theta=8)
         object.__setattr__(bad, "theta", bad.theta[:4])
         with pytest.raises(ValueError):
-            hitchin_residual(
-                FieldSample(bad, s.A_theta, s.Phi[:, :4], s.h, WEAK, 1.0, s.xi, s.dxi), 1.0
-            )
+            hitchin_residual(FieldSample(bad, WEAK, 1.0, s.xi, s.dxi))
 
 
 def _bracket_matrix(P):

@@ -107,7 +107,7 @@ class TestApproxResidual:
     def test_exact_region_below_floor(self):
         grid = polar_grid(n_r=2048, n_theta=16)
         am = approx_metric(ZERO, 8.0, grid)
-        inner = hitchin_residual(am, 8.0, window=(grid.r[1], 0.25))
+        inner = hitchin_residual(am, window=(grid.r[1], 0.25))
         assert inner < 1e-5
 
     def test_strictly_decreasing_sweep(self):

@@ -1,5 +1,6 @@
 """Radial sinh-Gordon solver and fiducial profiles."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -19,8 +20,8 @@ from hitchinlab.painleve import (
     ode_residual,
     solve_mtw,
     tail_amplitude,
-    SinhGordonProfile,
 )
+from hitchinlab.profiles import RadialProfile
 from hitchinlab.special import bessel_k
 
 
@@ -83,6 +84,16 @@ class TestSolveMTW:
         with pytest.warns(GridCoarseWarning):
             solve_mtw(-0.6, 1e-3, 15.0, 64)
 
+    def test_sign_change_warning(self, monkeypatch):
+        # the decaying solution keeps one sign; a solver output that does not
+        # is flagged, and sigma = 0 (the zero solution, no solve) is not
+        monkeypatch.setattr(painleve, "_newton_log_solve", lambda x, *a: np.linspace(-1.0, 1.0, len(x)))
+        with pytest.warns(UserWarning, match="changes sign"):
+            solve_mtw(-0.3, 1e-3, 15.0, 64, check_grid=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve_mtw(0.0, 1e-3, 15.0, 64, check_grid=False)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             solve_mtw(1.2, 1e-3, 15.0, 128)
@@ -95,7 +106,7 @@ class TestSolveMTW:
 class TestOdeResidual:
     def test_zero_profile(self):
         grid = np.geomspace(0.1, 10, 200)
-        p = SinhGordonProfile(0.0, grid, np.zeros(200), np.zeros(200))
+        p = RadialProfile(grid, np.zeros(200), np.zeros(200), 0.0)
         assert ode_residual(p) == 0.0
 
     def test_converged_output(self):
@@ -106,7 +117,7 @@ class TestOdeResidual:
         p = solve_mtw(-0.2, 1e-3, 15.0, 512, check_grid=False)
         vals = p.values.copy()
         vals[len(vals) // 2] += 0.01
-        q = SinhGordonProfile(-0.2, p.grid, vals, p.derivs)
+        q = RadialProfile(p.grid, vals, p.derivs, -0.2)
         assert ode_residual(q) > 1e-3
 
 
