@@ -29,7 +29,7 @@ warnings.filterwarnings("ignore", category=toy.NonGenericTorusWarning)
 
 def main():
     p0 = 0.3
-    tau = inverse_lambda(p0).tau
+    tau = inverse_lambda(p0)
     lattice = TorusLattice.from_tau(tau)
     mu0, reps = lattice.min_dual_norm()
     lam = 2.0 * np.pi * mu0

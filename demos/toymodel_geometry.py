@@ -28,7 +28,7 @@ def main():
         cfg = toy.ToyConfig.from_p0(p0)
         tau_p = toy.tau_from_periods(p0)
         print(
-            f"{str(np.round(p0, 4)):14}  {cfg.c_sk:9.5f}  {str(np.round(cfg.tau.tau, 8)):>20}"
+            f"{str(np.round(p0, 4)):14}  {cfg.c_sk:9.5f}  {str(np.round(cfg.tau, 8)):>20}"
             f"  {str(np.round(tau_p, 8)):>20}  {cfg.lambda_t:8.5f}"
         )
 
@@ -38,7 +38,7 @@ def main():
     print(f"\ncross-check at p0 = 0.3: 2 c_sK = {2*cfg.c_sk:.10f}")
     print(f"  spectral-torus lattice area   = {area:.10f}")
     print(f"  fiber area (always)           = {toy.fiber_area():.10f} = 2 pi^2")
-    print(f"  c_fib^2 Im tau                = {cfg.c_fib**2*cfg.tau.tau.imag:.10f}")
+    print(f"  c_fib^2 Im tau                = {cfg.c_fib**2*cfg.tau.imag:.10f}")
     print(f"  shortest geodesic M_B at B=1  = {toy.shortest_geodesic(cfg, 1.0):.6f}")
     print(f"  BPS indices Omega(n gamma)    = {[toy.bps_omega(n) for n in (1, 2, 3)]}")
 

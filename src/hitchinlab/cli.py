@@ -93,24 +93,40 @@ def _case_from(params: dict) -> fid.LocalCase:
     return fid.LocalCase(kind, weights, residue)
 
 
+def _radial_grid(params: dict, n_r_default: int, r_max: float = 1.0, r_on: float = 0.0) -> fid.PolarGrid:
+    """The polar grid of the flags, with a node where ``hitchin_residual`` measures.
+
+    The residual skips two radial nodes at each end and, for glue-decay,
+    reads only r >= r_on; an --n-r that leaves it no node fails here,
+    before anything is solved.
+    """
+    n_r = int(params.get("n_r", n_r_default))
+    if n_r >= 5:
+        grid = fid.polar_grid(
+            r_min=float(params.get("r_min", 1e-3)),
+            r_max=r_max,
+            n_r=n_r,
+            n_theta=int(params.get("n_theta", 16)),
+        )
+        if grid.r[-3] >= r_on:
+            return grid
+    raise ValidationError(
+        f"--n-r {n_r} is too small: the residual skips two radial nodes at each end "
+        f"and needs one in [{r_on:g}, {r_max:g}]"
+    )
+
+
 def _run_fiducial(params: dict, out: Path):
     case = _case_from(params)
     t = float(params.get("t", 4.0))
-    grid = fid.polar_grid(
-        r_min=float(params.get("r_min", 1e-3)),
-        n_r=int(params.get("n_r", 1024)),
-        n_theta=int(params.get("n_theta", 16)),
-    )
+    grid = _radial_grid(params, 1024)
     sample = fid.fiducial_fields(case, t, grid)
     residual = fid.hitchin_residual(sample)
     roots = fid.indicial_roots(case, (-2.0, 2.0))
-    r_probe = [float(grid.r[0]), float(grid.r[len(grid.r) // 2]), float(grid.r[-1])]
-    prof = None
-    if case.kind is not fid.CaseKind.WEAK_POLE:
-        from .profiles import RadialProfile
-
-        prof = RadialProfile(grid.r, sample.xi, sample.dxi, 0.0)
-    eigs = {f"{r:.6g}": list(fid.mphi_eigenvalues(case, t, r, prof)) for r in r_probe}
+    eigs = {
+        f"{grid.r[i]:.6g}": list(fid.mphi_eigenvalues(case, t, float(grid.r[i]), float(sample.xi[i])))
+        for i in (0, len(grid.r) // 2, -1)
+    }
     fields_path = out / "fields.json"
     fields_path.write_text(sample.to_json())
     summary = {
@@ -137,12 +153,7 @@ def _run_glue_decay(params: dict, out: Path):
     if not (math.isfinite(tstep) and tstep > 0):
         raise ValidationError(f"tstep must be positive and finite, got {tstep}")
     spec = glue.CutoffSpec(float(params.get("r_on", 0.5)), float(params.get("r_off", 1.0)))
-    grid = fid.polar_grid(
-        r_min=float(params.get("r_min", 1e-3)),
-        r_max=spec.r_off,
-        n_r=int(params.get("n_r", 4096)),
-        n_theta=int(params.get("n_theta", 16)),
-    )
+    grid = _radial_grid(params, 4096, spec.r_off, spec.r_on)
     ts = list(np.arange(tmin, tmax + 0.5 * tstep, tstep))
     samples = glue.decay_sweep(case, ts, spec, grid)
     fit = glue.fit_exponential_decay(samples)
@@ -156,13 +167,16 @@ def _run_toymodel(params: dict, out: Path):
     B = _parse_complex(str(params.get("B", "1,0")))
     r_min = float(params.get("r_min", 1.0))
     r_max = float(params.get("r_max", 100.0))
+    r_points = int(params.get("r_points", 40))
     if not 0.0 < r_min < r_max < math.inf:
         raise ValueError(f"need 0 < r_min < r_max < inf, got r_min={r_min}, r_max={r_max}")
+    if r_points < 2:
+        raise ValidationError(f"--r-points must be at least 2, got {r_points}")
     cfg = toy.ToyConfig.from_p0(p0)
     record = {
         "p0": p0,
         "B": B,
-        "tau": cfg.tau.tau,
+        "tau": cfg.tau,
         "c_sk": cfg.c_sk,
         "c_fib": cfg.c_fib,
         "lambda_t": cfg.lambda_t,
@@ -171,7 +185,7 @@ def _run_toymodel(params: dict, out: Path):
         "bps": [toy.bps_omega(1), toy.bps_omega(2), toy.bps_omega(3)],
     }
     j_path = write_json(out / "toymodel.json", record)
-    r_grid = np.geomspace(r_min, r_max, int(params.get("r_points", 40)))
+    r_grid = np.geomspace(r_min, r_max, r_points)
     rows = []
     for r in r_grid:
         block = toy.gmn_correction(cfg, float(r)).g
@@ -185,7 +199,7 @@ def _run_lebrun(params: dict, out: Path):
     amp = float(params.get("amp", 0.1))
     modes = int(params.get("modes", 3))
     cfg = toy.ToyConfig.from_p0(p0)
-    lattice = leb.TorusLattice.from_tau(cfg.tau.tau)
+    lattice = leb.TorusLattice.from_tau(cfg.tau)
     m, n = lattice.min_dual_norm()[1][0]
     rho_max = params.get("rho_max")
     sol = leb.solve_nonlinear(

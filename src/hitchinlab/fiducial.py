@@ -332,8 +332,10 @@ def _phi_commutator_norm(sample: FieldSample) -> np.ndarray:
     return np.hypot(c00, np.abs(c01)).max(axis=1)
 
 
-def mphi_eigenvalues(case: LocalCase, t: float, r: float, profile: RadialProfile | None = None):
+def mphi_eigenvalues(case: LocalCase, t: float, r: float, xi: float = 0.0):
     """Eigenvalues of the Higgs-field bracket operator -i * M_Phi at radius r.
+
+    ``xi`` is the exponent profile (ell or m) at r; the weak pole has none.
 
     Simple zero : (16 r cosh 2ell, 8 r (cosh 2ell - 1), 8 r (cosh 2ell + 1))
     Strong pole : (16/r cosh 2m,  8/r (cosh 2m - 1),  8/r (cosh 2m + 1))
@@ -345,7 +347,6 @@ def mphi_eigenvalues(case: LocalCase, t: float, r: float, profile: RadialProfile
     if kind is CaseKind.WEAK_POLE:
         lam = 16.0 * abs(complex(case.residue)) ** 2 / r**2
         return (0.0, lam, lam)
-    xi = profile.value(r) if profile is not None else 0.0
     c = math.cosh(2.0 * xi)
     if kind is CaseKind.SIMPLE_ZERO:
         return (16.0 * r * c, 8.0 * r * (c - 1.0), 8.0 * r * (c + 1.0))

@@ -31,25 +31,3 @@ class RadialProfile:
             raise ValueError("grid must be strictly increasing and positive")
         if self.values.shape != self.grid.shape or self.derivs.shape != self.grid.shape:
             raise ValueError("values/derivs must match the grid")
-
-    def _spline(self):
-        # scipy.interpolate pulls in scipy.optimize; importing it here keeps
-        # both off the start-up path of every command that never interpolates
-        from scipy.interpolate import CubicHermiteSpline
-
-        return CubicHermiteSpline(self.grid, self.values, self.derivs)
-
-    def _check_domain(self, r):
-        r = np.asarray(r, dtype=float)
-        tol = 1e-12 * self.grid[-1]
-        if np.any(r < self.grid[0] - tol) or np.any(r > self.grid[-1] + tol):
-            raise ValueError(
-                f"radius outside profile domain [{self.grid[0]}, {self.grid[-1]}]"
-            )
-        return np.clip(r, self.grid[0], self.grid[-1])
-
-    def value(self, r):
-        """Profile value at r (cubic Hermite interpolation, exact at nodes)."""
-        r = self._check_domain(r)
-        out = self._spline()(r)
-        return float(out) if out.ndim == 0 else out

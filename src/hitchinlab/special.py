@@ -3,7 +3,8 @@
 Modified Bessel functions K0, K1, K2 (the only orders the geometry needs),
 Jacobi theta constants, the elliptic modular lambda function lambda(tau) =
 theta2^4/theta3^4 and its inverse, and the shortest vectors of a planar
-lattice.
+lattice.  The inverse is closed form: tau = i M(1, k')/M(1, k) with k^2 =
+lambda, k'^2 = 1 - lambda and M Gauss's arithmetic-geometric mean.
 
 K_nu is scipy's ``kv``/``kve`` behind a wrapper that restricts the order
 and rejects non-positive or non-finite arguments.  Shortest vectors come
@@ -14,13 +15,11 @@ skewed the basis.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
 
 __all__ = [
-    "HalfPlanePoint",
     "bessel_k",
     "bessel_k_ratio",
     "jacobi_theta",
@@ -34,22 +33,6 @@ __all__ = [
 
 class ConvergenceError(RuntimeError):
     """An iterative scheme failed to reach its tolerance."""
-
-
-@dataclass(frozen=True)
-class HalfPlanePoint:
-    """A point tau in the upper half plane.
-
-    ``lam_orbit`` is populated by :func:`inverse_lambda` with the six-element
-    lambda-orbit of the inverted value, for documentation of the branch.
-    """
-
-    tau: complex
-    lam_orbit: tuple | None = None
-
-    def __post_init__(self):
-        if not (self.tau.imag > 0):
-            raise ValueError(f"tau must satisfy Im(tau) > 0, got {self.tau}")
 
 
 # ----------------------------------------------------------------------
@@ -118,8 +101,6 @@ def jacobi_theta(kind: int, tau) -> complex:
 
 
 def _as_tau(tau) -> complex:
-    if isinstance(tau, HalfPlanePoint):
-        tau = tau.tau
     tau = complex(tau)
     if not (tau.imag > 0):
         raise ValueError(f"tau must lie in the upper half plane, got {tau}")
@@ -154,31 +135,24 @@ def reduce_to_fundamental_domain(tau: complex, tol: float = 1e-12) -> complex:
     return tau
 
 
-def _lambda_newton(target: complex, seed: complex, max_iter: int = 80) -> complex | None:
-    tau = seed
-    h = 1e-7
-    for _ in range(max_iter):
-        if not (0.05 < tau.imag < 1e4):
-            return None
-        f = modular_lambda(tau) - target
-        if abs(f) < 1e-13:
-            return tau
-        df = (modular_lambda(tau + h) - modular_lambda(tau - h)) / (2 * h)
-        if df == 0:
-            return None
-        step = f / df
-        # keep steps sane; lambda varies fast near the real axis
-        if abs(step) > 0.8:
-            step *= 0.8 / abs(step)
-        tau = tau - step
-    return None
+_AGM_MAX_ITER = 64
 
 
-_INVERSE_SEEDS = tuple(
-    complex(re, im)
-    for im in (1.0, 0.8, 1.4, 2.2, 3.5)
-    for re in (0.0, 0.49, -0.35, 0.25, -0.15)
-)
+def _agm(a: complex, b: complex) -> complex:
+    """Gauss's arithmetic-geometric mean M(a, b) on its optimal branch.
+
+    Each geometric mean takes the square-root sign with |a - b| <= |a + b|.
+    The iteration converges quadratically once a and b agree to a few
+    digits; it stops when they agree to a relative 1e-10, where the next
+    arithmetic mean is already exact to rounding.
+    """
+    for _ in range(_AGM_MAX_ITER):
+        if abs(a - b) <= 1e-10 * abs(a):
+            return 0.5 * (a + b)
+        a, b = 0.5 * (a + b), cmath.sqrt(a * b)
+        if abs(a - b) > abs(a + b):
+            b = -b
+    raise ConvergenceError(f"arithmetic-geometric mean did not converge in {_AGM_MAX_ITER} steps")
 
 
 def _polish_log_lambda(tau: complex, target: complex) -> complex:
@@ -186,41 +160,33 @@ def _polish_log_lambda(tau: complex, target: complex) -> complex:
 
     Run at a fundamental-domain tau, where the theta series converge fast
     and lambda is far from the cusps, this brings the relative defect of
-    lambda to rounding level (the seeding Newton stops at an absolute
-    1e-13, which is only 1e-10 relative for a target of size 1e-3).
+    lambda to rounding level for the orbit member the reduction landed on.
     """
     for _ in range(2):
         tau -= cmath.log(modular_lambda(tau) / target) / (1j * cmath.pi * jacobi_theta(4, tau) ** 4)
     return tau
 
 
-def inverse_lambda(p0: complex) -> HalfPlanePoint:
+def inverse_lambda(p0: complex) -> complex:
     """Invert the modular lambda function.
 
     Returns tau in the fundamental domain with lambda(tau) in the six-element
-    lambda-orbit of p0 (the orbit is recorded on the result).  Newton
-    iteration on lambda(tau) - s, seeded from a coarse grid, then modular
-    reduction and a log-form Newton polish towards the nearest orbit value;
-    orbit targets are tried in order of closeness to the literal input.
+    lambda-orbit of p0.  With k = sqrt(p0) and k' = sqrt(1 - p0),
+    tau = i K'/K = i M(1, k')/M(1, k), since K(k) = pi / (2 M(1, k'))
+    (DLMF 19.8); the result is reduced by PSL(2, Z), and a log-form Newton
+    polish towards the nearest orbit value follows.
     """
     p0 = complex(p0)
     if min(abs(p0), abs(p0 - 1.0)) < 1e-12:
         raise ValueError("p0 must avoid the degenerate values 0 and 1")
     # lambda values of the same curve over the six choices of level-2 structure
     orbit = (p0, 1 - p0, 1 / p0, 1 / (1 - p0), p0 / (p0 - 1), (p0 - 1) / p0)
-    targets = sorted(orbit, key=lambda s: abs(s - p0))
-    for s in targets:
-        for seed in _INVERSE_SEEDS:
-            tau = _lambda_newton(s, seed)
-            if tau is None:
-                continue
-            tau = reduce_to_fundamental_domain(tau)
-            lam = modular_lambda(tau)
-            nearest = min(orbit, key=lambda v: abs(lam - v))
-            if abs(lam - nearest) < 1e-9:
-                tau = reduce_to_fundamental_domain(_polish_log_lambda(tau, nearest))
-                return HalfPlanePoint(tau, lam_orbit=orbit)
-    raise ConvergenceError(f"inverse_lambda failed to converge for p0 = {p0}")
+    tau = reduce_to_fundamental_domain(1j * _agm(1.0, cmath.sqrt(1.0 - p0)) / _agm(1.0, cmath.sqrt(p0)))
+    lam = modular_lambda(tau)
+    nearest = min(orbit, key=lambda v: abs(lam - v))
+    if not abs(lam - nearest) < 1e-9:
+        raise ConvergenceError(f"inverse_lambda failed to converge for p0 = {p0}")
+    return reduce_to_fundamental_domain(_polish_log_lambda(tau, nearest))
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,8 @@ This module computes the derived constants of that geometry:
             rescaled polar coordinate r e^{i theta} = c_sK B; in closed form
             2 pi^2 |theta3(tau)|^4 Im tau, with the fundamental-domain tau
             lifted by a coset of SL(2,Z)/Gamma(2) to lambda(tau) = p0;
-  tau       spectral-torus modulus, from lambda inversion or from periods;
+  tau       spectral-torus modulus, from the arithmetic-geometric-mean
+            inversion of lambda (or, as an oracle, from periods);
   c_fib     fiber lattice scale pi sqrt(2/Im tau) (fiber area 2 pi^2);
   lambda_T  sqrt of the smallest positive eigenvalue of -Laplace on the
             fiber torus, sqrt(2/Im tau);
@@ -35,7 +36,6 @@ import numpy as np
 from .metrics import MetricComponents
 from .special import (
     ConvergenceError,
-    HalfPlanePoint,
     bessel_k,
     inverse_lambda,
     jacobi_theta,
@@ -112,7 +112,7 @@ def csk(p0: complex) -> float:
     SL(2, Z) (c_sK(1/p0) = |p0| c_sK(p0)), hence the coset lift.
     """
     p0 = _validate_p0(p0)
-    return _csk_from_tau(p0, inverse_lambda(p0).tau)
+    return _csk_from_tau(p0, inverse_lambda(p0))
 
 
 # ----------------------------------------------------------------------
@@ -226,10 +226,13 @@ def tau_from_periods(p0: complex) -> complex:
 
 @dataclass(frozen=True)
 class ToyConfig:
-    """Derived constants of the four-punctured-sphere geometry at p0."""
+    """Derived constants of the four-punctured-sphere geometry at p0.
+
+    ``tau`` is the fundamental-domain modulus from :func:`inverse_lambda`.
+    """
 
     p0: complex
-    tau: HalfPlanePoint
+    tau: complex
     c_sk: float
     c_fib: float
     lambda_t: float
@@ -238,18 +241,13 @@ class ToyConfig:
     def from_p0(cls, p0: complex) -> "ToyConfig":
         p0 = _validate_p0(p0)
         tau = inverse_lambda(p0)
-        im = tau.tau.imag
-        cfg = cls(
-            p0=p0,
-            tau=tau,
-            c_sk=_csk_from_tau(p0, tau.tau),
-            c_fib=float(np.pi * np.sqrt(2.0 / im)),
-            lambda_t=float(np.sqrt(2.0 / im)),
-        )
-        if len(shortest_vectors(1.0, tau.tau)[1]) > 1:
+        lambda_t = lambda_T(tau)
+        cfg = cls(p0=p0, tau=tau, c_sk=_csk_from_tau(p0, tau),
+                  c_fib=float(np.pi * lambda_t), lambda_t=lambda_t)
+        if len(shortest_vectors(1.0, tau)[1]) > 1:
             warnings.warn(
                 "spectral torus has several inequivalent shortest geodesics "
-                f"(tau = {tau.tau}); the leading BPS correction is degenerate",
+                f"(tau = {tau}); the leading BPS correction is degenerate",
                 NonGenericTorusWarning,
             )
         return cfg
@@ -291,7 +289,7 @@ def lambda_T(tau) -> float:
     smallest dual-lattice vector has length 1/(c_fib Im tau), giving
     lambda_T = sqrt(2 / Im tau).
     """
-    t = tau.tau if isinstance(tau, HalfPlanePoint) else complex(tau)
+    t = complex(tau)
     if not t.imag > 0:
         raise ValueError("tau must lie in the upper half plane")
     return float(np.sqrt(2.0 / t.imag))
@@ -301,7 +299,7 @@ def shortest_geodesic(cfg: ToyConfig, B: complex) -> float:
     """M_B = sqrt(2 |B| c_sK / Im tau), the shortest spectral-torus geodesic."""
     if B == 0:
         raise ValueError("B must be nonzero")
-    return float(np.sqrt(2.0 * abs(B) * cfg.c_sk / cfg.tau.tau.imag))
+    return float(np.sqrt(2.0 * abs(B) * cfg.c_sk / cfg.tau.imag))
 
 
 def bps_omega(n: int) -> int:
@@ -319,7 +317,7 @@ def gmn_correction(cfg: ToyConfig, r: float) -> MetricComponents:
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    im = cfg.tau.tau.imag
+    im = cfg.tau.imag
     coeff = -(2.0 / np.pi) * bps_omega(1) * bessel_k(0, 2.0 * np.sqrt(2.0 * r / im)) / (2.0 * r * im)
     return MetricComponents(("r", "theta"), np.diag([coeff, coeff * r**2]))
 

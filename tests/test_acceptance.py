@@ -77,7 +77,7 @@ def test_criterion_02_modular_lambda():
         if min(abs(p0), abs(p0 - 1)) < 0.05:
             continue
         count += 1
-        tau = inverse_lambda(p0).tau
+        tau = inverse_lambda(p0)
         worst = max(worst, min(abs(modular_lambda(tau) - s) for s in lambda_orbit(p0)))
     ok = ok1 and ok2 and worst < 1e-9
     _report(2, "modular lambda and inversion", ok, time.time() - t0, 5.0,
@@ -185,7 +185,7 @@ def test_criterion_07_torus_spectrum():
 
 def test_criterion_08_lebrun_linear_modes():
     t0 = time.time()
-    lattice = TorusLattice.from_tau(inverse_lambda(0.3).tau)
+    lattice = TorusLattice.from_tau(inverse_lambda(0.3))
     mu0, reps = lattice.min_dual_norm()
     mu = lattice.mu_vector(*reps[0])
     rho = np.linspace(0.5, 3.0, 8001)
@@ -208,7 +208,7 @@ def test_criterion_08_lebrun_linear_modes():
 
 @pytest.fixture(scope="module")
 def lebrun_solution():
-    lattice = TorusLattice.from_tau(inverse_lambda(0.3).tau)
+    lattice = TorusLattice.from_tau(inverse_lambda(0.3))
     mu0, reps = lattice.min_dual_norm()
     m, n = reps[0]
     sol = solve_nonlinear({(m, n): 0.05, (-m, -n): 0.05}, None, 3, lattice)

@@ -12,6 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hitchinlab
+import hitchinlab.cli as cli_module
+from hitchinlab import fiducial as fid
 from hitchinlab.artifacts import MissingManifestError, format_float, write_csv
 from hitchinlab.cli import ExperimentConfig, ValidationError, main, report, run
 from hitchinlab.lebrun import TorusLattice, metric_difference_full, solve_nonlinear
@@ -111,7 +113,7 @@ class TestCommands:
         # the strided CSV rows are the ones a loop over every node and mode writes
         params = dict(FAST_LEBRUN, n_rho=n_rho)
         run(ExperimentConfig("lebrun", dict(params), tmp_path / "leb"))
-        lattice = TorusLattice.from_tau(ToyConfig.from_p0(0.3).tau.tau)
+        lattice = TorusLattice.from_tau(ToyConfig.from_p0(0.3).tau)
         m, n = lattice.min_dual_norm()[1][0]
         amp = params["amp"]
         sol = solve_nonlinear(
@@ -245,6 +247,48 @@ class TestValidationAndConfig:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {cls}: ")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["toymodel", "--p0", "0.3,0", "--r-points", "0"], "--r-points"),
+            (["toymodel", "--p0", "0.3,0", "--r-points", "-3"], "--r-points"),
+            (["fiducial", "--case", "simplezero", "--n-r", "4"], "--n-r"),
+            (["glue-decay", "--case", "simplezero", "--n-r", "8"], "--n-r"),
+        ],
+    )
+    def test_grid_size_rejected_before_work(self, tmp_path, capsys, monkeypatch, argv, flag):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solver reached before the grid size was checked")
+
+        monkeypatch.setattr(cli_module.toy.ToyConfig, "from_p0", unreachable)
+        monkeypatch.setattr(cli_module.fid, "fiducial_fields", unreachable)
+        monkeypatch.setattr(cli_module.glue, "decay_sweep", unreachable)
+        out = tmp_path / "x"
+        assert main(argv + ["--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: ValidationError: {flag} ")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("r_on", [0.0, 0.5, 0.9])
+    def test_grid_check_matches_residual_window(self, r_on):
+        # the CLI accepts exactly the --n-r for which the residual has a node to measure
+        case = fid.LocalCase(fid.CaseKind.SIMPLE_ZERO)
+        for n_r in range(4, 60):
+            try:
+                cli_module._radial_grid({"n_r": n_r}, 0, 1.0, r_on)
+                accepted = True
+            except ValidationError:
+                accepted = False
+            grid = fid.polar_grid(n_r=n_r)
+            window = None if r_on == 0.0 else (r_on, 1.0)
+            try:
+                fid.hitchin_residual(fid.fiducial_fields(case, 4.0, grid), window)
+                measured = True
+            except ValueError as exc:
+                assert "no interior nodes" in str(exc)
+                measured = False
+            assert accepted == measured, n_r
 
     def test_report_of_missing_dir_is_one_error_line(self, tmp_path, capsys):
         assert issubclass(MissingManifestError, FileNotFoundError)

@@ -280,9 +280,10 @@ class TestMphiEigenvalues:
 
     def test_nonnegative(self, grid):
         prof = ell_profile(4.0, grid.r)
-        for r in (1e-3, 0.1, 0.9):
-            for case, p in ((ZERO, prof), (POLE2, None), (WEAK, None)):
-                lams = mphi_eigenvalues(case, 4.0, r, p if case is ZERO else None)
+        for i in (0, 512, -1):
+            r = grid.r[i]
+            for case, xi in ((ZERO, prof.values[i]), (POLE2, 0.0), (WEAK, 0.0)):
+                lams = mphi_eigenvalues(case, 4.0, r, xi)
                 assert all(v >= 0 for v in lams)
 
     @pytest.mark.parametrize("theta", [0.0, 0.9, 2.5])
@@ -294,8 +295,7 @@ class TestMphiEigenvalues:
             [[0, np.sqrt(r) * np.exp(ell)], [z * np.exp(-ell) / np.sqrt(r), 0]], dtype=complex
         )
         got = np.sort(np.linalg.eigvalsh(_bracket_matrix(P)))
-        prof = RadialProfile(np.array([0.1, r, 1.0]), np.full(3, ell), np.zeros(3))
-        want = np.sort(mphi_eigenvalues(ZERO, 1.0, r, prof))
+        want = np.sort(mphi_eigenvalues(ZERO, 1.0, r, ell))
         assert np.max(np.abs(got - want)) < 1e-10
 
         m = -0.3
@@ -303,8 +303,7 @@ class TestMphiEigenvalues:
             [[0, np.exp(m) / np.sqrt(r)], [np.sqrt(r) * np.exp(-m) / z, 0]], dtype=complex
         )
         got = np.sort(np.linalg.eigvalsh(_bracket_matrix(P)))
-        prof = RadialProfile(np.array([0.1, r, 1.0]), np.full(3, m), np.zeros(3))
-        want = np.sort(mphi_eigenvalues(POLE2, 1.0, r, prof))
+        want = np.sort(mphi_eigenvalues(POLE2, 1.0, r, m))
         assert np.max(np.abs(got - want)) < 1e-10
 
         sigma = 0.5 + 0.2j

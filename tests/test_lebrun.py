@@ -150,7 +150,7 @@ def _hermitian_coeffs(modes, n_rho, seed):
 
 @pytest.fixture(scope="module")
 def lattice():
-    return TorusLattice.from_tau(inverse_lambda(0.3).tau)
+    return TorusLattice.from_tau(inverse_lambda(0.3))
 
 
 @pytest.fixture(scope="module")
@@ -779,7 +779,7 @@ class TestCrossModuleShape:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cfg = toy.ToyConfig.from_p0(0.3)
-        lattice = TorusLattice.from_tau(cfg.tau.tau)
+        lattice = TorusLattice.from_tau(cfg.tau)
         mu0, reps = lattice.min_dual_norm()
         m, n = reps[0]
         sol = solve_nonlinear({(m, n): 0.05, (-m, -n): 0.05}, None, 3, lattice)

@@ -242,15 +242,3 @@ class TestInwardExtension:
         assert (len(grids["loop"]) == 0) == (kind == "ell")
         assert np.array_equal(fast.values, loop.values)
         assert np.array_equal(fast.derivs, loop.derivs)
-
-
-class TestProfileContainer:
-    def test_interpolation_and_domain(self):
-        r = np.geomspace(0.01, 1.0, 300)
-        ell = ell_profile(4.0, r)
-        mid = 0.3
-        assert ell.value(mid) == pytest.approx(float(CubicSpline(r, ell.values)(mid)), abs=1e-6)
-        # both ends of the domain are checked
-        for outside in (2.0, 1e-4):
-            with pytest.raises(ValueError, match="outside profile domain"):
-                ell.value(outside)

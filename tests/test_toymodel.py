@@ -10,6 +10,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from lambda_orbit import lambda_orbit
 
+import hitchinlab.special as special
 import hitchinlab.toymodel as toy
 from hitchinlab.special import (
     ConvergenceError,
@@ -99,7 +100,7 @@ class TestPeriods:
 
     def test_agreement_with_lambda_inversion(self):
         for p0 in (0.5, cmath.exp(1j * cmath.pi / 3), 0.3, 0.3 + 0.1j):
-            assert abs(tau_from_periods(p0) - inverse_lambda(p0).tau) < 1e-8
+            assert abs(tau_from_periods(p0) - inverse_lambda(p0)) < 1e-8
 
     def test_domain_edge(self):
         # |p0| <= 1e3 is the documented domain; beyond it the contour sums do
@@ -170,18 +171,54 @@ class TestCskProperties:
 
     @given(_ACCEPTED_P0)
     def test_lifted_tau(self, p0):
-        t = inverse_lambda(p0).tau
+        t = inverse_lambda(p0)
         tau = toy._lifted_tau(t, p0)
         assert abs(modular_lambda(tau) - p0) < 1e-9
         assert abs(reduce_to_fundamental_domain(tau) - t) < 1e-9
 
 
+class TestLambdaInversion:
+    @given(_ACCEPTED_P0)
+    @example(1e6)
+    @example(1e8)
+    @example(2 + 1e-12j)
+    @example(2 - 1e-12j)
+    @example(-1 + 1e-12j)
+    @example(-1 - 1e-12j)
+    def test_agm_modulus(self, p0):
+        # the closed form itself, before reduction and polish, has lambda = p0
+        tau = 1j * special._agm(1.0, cmath.sqrt(1.0 - p0)) / special._agm(1.0, cmath.sqrt(p0))
+        assert tau.imag > 0
+        assert _rel(modular_lambda(tau), p0) < 1e-12
+        t = inverse_lambda(p0)
+        assert t.imag > 0 and abs(t) >= 1.0 - 1e-12
+        assert -0.5 < t.real <= 0.5
+
+    def test_agm_iteration_cap(self):
+        with pytest.raises(ConvergenceError):
+            special._agm(1.0, float("nan"))
+
+    @pytest.mark.parametrize(
+        "p0, tau, c_sk",
+        [
+            (0.3, 1.2109084033966055j, 28.455543829736126),
+            (0.032 + 0.024j, 0.20875411612267428 + 1.9020213913887685j, 38.15355339925679),
+            (1.024 - 0.032j, -0.2901726966484749 + 1.9109888551442016j, 37.26809839839654),
+        ],
+    )
+    def test_pinned_constants(self, p0, tau, c_sk):
+        # the values of the seeded Newton inversion that the AGM replaced, bit for bit
+        cfg = ToyConfig.from_p0(p0)
+        assert cfg.tau == tau
+        assert cfg.c_sk == c_sk
+
+
 class TestToyConfig:
     def test_invariants(self, cfg_03):
-        im = cfg_03.tau.tau.imag
+        im = cfg_03.tau.imag
         assert cfg_03.c_fib == pytest.approx(np.pi * np.sqrt(2.0 / im), rel=1e-14)
         assert cfg_03.lambda_t == pytest.approx(np.sqrt(2.0 / im), rel=1e-14)
-        defect = min(abs(modular_lambda(cfg_03.tau.tau) - s) for s in lambda_orbit(0.3))
+        defect = min(abs(modular_lambda(cfg_03.tau) - s) for s in lambda_orbit(0.3))
         assert defect < 1e-9
         assert cfg_03.lambda_t**2 * im == pytest.approx(2.0, abs=1e-14)
 
@@ -189,7 +226,7 @@ class TestToyConfig:
     def test_edge_of_accepted_domain(self, p0):
         cfg = ToyConfig.from_p0(p0)
         assert cfg.c_sk == csk(p0)
-        assert min(abs(modular_lambda(cfg.tau.tau) - s) for s in lambda_orbit(p0)) < 1e-12
+        assert min(abs(modular_lambda(cfg.tau) - s) for s in lambda_orbit(p0)) < 1e-12
 
     def test_inverts_lambda_once(self, monkeypatch):
         calls = []
@@ -229,10 +266,10 @@ class TestSemiflatData:
 
     def test_fiber_area_identities(self, cfg_03):
         assert fiber_area() == pytest.approx(2.0 * np.pi**2, rel=1e-15)
-        im = cfg_03.tau.tau.imag
+        im = cfg_03.tau.imag
         assert (im) * (np.pi / im) ** 2 * (2.0 * im) == pytest.approx(2.0 * np.pi**2)
         # lattice-area oracle
-        basis = cfg_03.c_fib * np.array([[1.0, cfg_03.tau.tau.real], [0.0, im]])
+        basis = cfg_03.c_fib * np.array([[1.0, cfg_03.tau.real], [0.0, im]])
         assert abs(np.linalg.det(basis)) == pytest.approx(2.0 * np.pi**2, rel=1e-14)
 
     def test_lambda_T(self):
@@ -270,7 +307,7 @@ class TestSemiflatData:
         for t in (2.0, 3.0):
             assert shortest_geodesic(cfg_half, t**2 * 1.0) == pytest.approx(t * m1)
         M = shortest_geodesic(cfg_half, 2.7)
-        im = cfg_half.tau.tau.imag
+        im = cfg_half.tau.imag
         assert M**2 * im / (2.0 * cfg_half.c_sk) == pytest.approx(2.7)
 
     def test_bps(self):
@@ -288,7 +325,7 @@ class TestSemiflatData:
             assert block.g[0, 0] < 0
             assert block.g[1, 1] == pytest.approx(block.g[0, 0] * r**2, rel=1e-14)
         # ratio between r and 4r follows the K0 asymptotics
-        im = cfg_03.tau.tau.imag
+        im = cfg_03.tau.imag
         for r in (10.0, 25.0):
             got = gmn_correction(cfg_03, 4 * r).g[0, 0] / gmn_correction(cfg_03, r).g[0, 0]
             x1 = 2 * np.sqrt(2 * r / im)
