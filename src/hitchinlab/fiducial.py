@@ -285,8 +285,11 @@ def hitchin_residual(sample: FieldSample, window: tuple[float, float] | None = N
     measures the same sup on a sub-annulus (the glue module uses this where
     the residual of a glued metric is supported).
     """
-    if len(sample.grid.r) < 4 or len(sample.grid.theta) < 8:
-        raise ValueError("grid too small: need >= 4 radial and >= 8 angular nodes")
+    if len(sample.grid.r) < 5 or len(sample.grid.theta) < 8:
+        raise ValueError(
+            "grid too small: need >= 5 radial nodes (two are skipped at each end, "
+            "so fewer leave no interior nodes) and >= 8 angular nodes"
+        )
     r = sample.grid.r
     x = np.log(r)
     kind = sample.case.kind

@@ -4,13 +4,19 @@ The 3-point stencils below are exact on quadratics for arbitrary node
 spacing; on smoothly graded (e.g. log-spaced) grids they are second-order
 accurate.  The same stencils are used by the solvers and by the residual
 checks, so a converged solve has a matching discrete residual by
-construction; :func:`banded_three_point` stores the operators the solvers
-build from them for ``scipy.linalg.solve_banded``.
+construction.  An operator built from them is tridiagonal except for one
+corner entry in each one-sided boundary row.  :func:`banded_three_point`
+stores it as a (2, 2) band, which ``lebrun`` LU-factors once per mode with
+LAPACK ``zgbtrf``; :func:`solve_three_point` solves a real one directly,
+folding each corner into its neighbouring row and calling the tridiagonal
+LAPACK ``dgtsv``, which is what ``painleve``'s Newton steps use.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 __all__ = [
     "fd_first",
@@ -18,6 +24,7 @@ __all__ = [
     "fd_first_boundary",
     "interior_weights",
     "banded_three_point",
+    "solve_three_point",
     "cumulative_from_right",
 ]
 
@@ -93,7 +100,8 @@ def banded_three_point(lower, diag, upper, first, last) -> np.ndarray:
     Interior row i (1 <= i <= n-2) holds lower[i-1], diag[i-1], upper[i-1] in
     columns i-1, i, i+1; row 0 holds the weights ``first`` in columns 0, 1, 2
     and row n-1 the weights ``last`` in columns n-1, n-2, n-3, the index
-    order of :func:`fd_first_boundary`.
+    order of :func:`fd_first_boundary`.  ``lebrun`` factors these bands with
+    ``zgbtrf``; a real system is solved faster by :func:`solve_three_point`.
     """
     diag = np.asarray(diag)
     n = len(diag) + 2
@@ -104,6 +112,42 @@ def banded_three_point(lower, diag, upper, first, last) -> np.ndarray:
     ab[2, 0], ab[1, 1], ab[0, 2] = first
     ab[2, -1], ab[3, -2], ab[4, -3] = last
     return ab
+
+
+def solve_three_point(lower, diag, upper, first, last, rhs) -> np.ndarray:
+    """Solve the real 3-point operator of :func:`banded_three_point` against ``rhs``.
+
+    Row 0's entry in column 2 is eliminated against interior row 1, and row
+    n-1's entry in column n-3 against row n-2; that leaves a tridiagonal
+    system for one LAPACK ``dgtsv`` (Gaussian elimination with partial
+    pivoting).  The pivots of the two eliminations are upper[0] and
+    lower[-1], which must be nonzero; for second-difference weights on a
+    strictly increasing grid they are positive.  As ``solve_banded``, it
+    raises ValueError for a non-finite operator or right-hand side and
+    LinAlgError for a singular system.
+    """
+    lower, diag, upper, rhs, corners = (
+        np.asarray(a, dtype=float) for a in (lower, diag, upper, rhs, (*first, *last))
+    )
+    if not all(np.isfinite(a).all() for a in (lower, diag, upper, rhs, corners)):
+        raise ValueError("array must not contain infs or NaNs")
+    f0, f1, f2, l0, l1, l2 = corners
+    n = len(diag) + 2
+    b = rhs.copy()
+    c = f2 / upper[0]
+    b[0] -= c * b[1]
+    e = l2 / lower[-1]
+    b[-1] -= e * b[-2]
+    d = np.empty(n)
+    d[0], d[1:-1], d[-1] = f0 - c * lower[0], diag, l0 - e * upper[-1]
+    du = np.empty(n - 1)
+    du[0], du[1:] = f1 - c * diag[0], upper
+    dl = np.empty(n - 1)
+    dl[:-1], dl[-1] = lower, l1 - e * diag[-1]
+    *_, x, info = dgtsv(dl, d, du, b, True, True, True, True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
 
 
 def cumulative_from_right(x: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:

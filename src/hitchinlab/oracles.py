@@ -6,6 +6,9 @@ route that shares no solver with it:
   shooting_solution          adaptive Runge-Kutta shooting for the radial
                              sinh-Gordon family (``painleve`` relaxes Newton
                              steps on finite differences);
+  tail_amplitude             the K0-tail amplitude a solved profile reaches,
+                             measured as m/K0 on a window (``painleve``
+                             imposes only the tail's log-derivative);
   solve_mode_bvp             one banded solve per torus mode (``lebrun``
                              solves one band per distinct |mu| with stacked
                              right-hand sides);
@@ -31,10 +34,12 @@ from scipy.optimize import brentq
 from .fiducial import _ID2, FieldSample
 from .grids import fd_first
 from .lebrun import _mode_band, _phi_log_deriv, linear_mode_solution
+from .profiles import RadialProfile
 from .special import ConvergenceError, bessel_k
 
 __all__ = [
     "shooting_solution",
+    "tail_amplitude",
     "solve_mode_bvp",
     "solve_mode_inhomogeneous",
     "matrix_residual",
@@ -88,6 +93,21 @@ def shooting_solution(sigma: float, rho_grid, *, rtol: float = 1e-11) -> np.ndar
         method="DOP853", rtol=rtol, atol=1e-300, t_eval=rho_grid[::-1],
     )
     return sol.y[0][::-1].copy()
+
+
+def tail_amplitude(p: RadialProfile, window: tuple[float, float] = (10.0, 15.0)):
+    """Measured K0-tail amplitude: mean and relative spread of m/K0 on the window.
+
+    The decaying family has m ~ A(sigma) K0(rho); A is reported, not
+    assumed (numerically A tracks (2/pi) sin(-pi sigma/2), which is 1/pi
+    at sigma = -1/3, the simple-zero member).
+    """
+    mask = (p.grid >= window[0]) & (p.grid <= window[1])
+    if mask.sum() < 4:
+        raise ValueError("profile does not cover the requested tail window")
+    ratio = p.values[mask] / bessel_k(0, p.grid[mask])
+    spread = float((ratio.max() - ratio.min()) / abs(ratio.mean())) if ratio.mean() else np.inf
+    return float(ratio.mean()), spread
 
 
 # ----------------------------------------------------------------------

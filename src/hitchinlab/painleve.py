@@ -17,6 +17,11 @@ radial Laplacian collapses to d^2/dx^2:
 
     m_xx = rho^2 W(rho) sinh(2 m),          W = 1/2 for the universal equation.
 
+Each step's Jacobian is tridiagonal apart from the one-sided Robin rows and
+is solved by ``grids.solve_three_point`` (one LAPACK ``dgtsv``).  The solve
+also returns m_x on the same stencils, from which the profile's derivative
+is read.
+
 Residuals are reported in this scale-invariant form (the radial operator
 multiplied by rho^2).  The unweighted pointwise residual carries an
 irreducible eps/h^2 double-precision floor near the inner boundary
@@ -38,9 +43,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .grids import banded_three_point, fd_first, fd_first_boundary, fd_second, interior_weights
+from .grids import fd_first_boundary, fd_second, interior_weights, solve_three_point
 from .profiles import RadialProfile
 from .special import ConvergenceError, bessel_k, bessel_k_ratio
 
@@ -81,10 +85,14 @@ class ParabolicWeights:
 # ----------------------------------------------------------------------
 
 def _newton_log_solve(x, gfun, sigma_inner, robin_outer, m0, tol, max_iter=80):
-    """Solve m_xx = gfun sinh(2m) with Robin rows m_x(x0)=sigma, m_x(xN)=robin*m(xN)."""
+    """Solve m_xx = gfun sinh(2m) with Robin rows m_x(x0)=sigma, m_x(xN)=robin*m(xN).
+
+    Returns the solution m and its first derivative m_x, taken with the
+    stencils of :func:`grids.fd_first` (bit for bit the same values).
+    """
     x = np.asarray(x, dtype=float)
     n = len(x)
-    _, (a_l, a_c, a_r) = interior_weights(x)
+    (b_l, b_c, b_r), (a_l, a_c, a_r) = interior_weights(x)
     (i0, i1, i2), (w0, w1, w2) = fd_first_boundary(x, "left")
     (j0, j1, j2), (v0, v1, v2) = fd_first_boundary(x, "right")
 
@@ -95,19 +103,26 @@ def _newton_log_solve(x, gfun, sigma_inner, robin_outer, m0, tol, max_iter=80):
         res[-1] = (v0 * m[j0] + v1 * m[j1] + v2 * m[j2]) - robin_outer * m[-1]
         return res
 
+    def solution(m):
+        m_x = np.empty(n)
+        m_x[1:-1] = b_l * m[:-2] + b_c * m[1:-1] + b_r * m[2:]
+        m_x[0] = w0 * m[i0] + w1 * m[i1] + w2 * m[i2]
+        m_x[-1] = v0 * m[j0] + v1 * m[j1] + v2 * m[j2]
+        return m, m_x
+
     m = np.asarray(m0, dtype=float).copy()
     res = residual(m)
     best = np.max(np.abs(res))
     eps = np.finfo(float).eps
+    a_c_max = np.max(np.abs(a_c))
     for _ in range(max_iter):
         # evaluation floor of the residual itself: second differences of
         # rounded nodal values plus the sinh term
-        floor = 8.0 * eps * (np.max(np.abs(a_c)) * np.max(np.abs(m)) + np.max(np.abs(res)))
+        floor = 8.0 * eps * (a_c_max * np.max(np.abs(m)) + np.max(np.abs(res)))
         if best < max(tol, floor):
-            return m
+            return solution(m)
         diag = a_c - 2.0 * gfun * np.cosh(2.0 * m[1:-1])
-        jac = banded_three_point(a_l, diag, a_r, (w0, w1, w2), (v0 - robin_outer, v1, v2))
-        step = solve_banded((2, 2), jac, -res)
+        step = solve_three_point(a_l, diag, a_r, (w0, w1, w2), (v0 - robin_outer, v1, v2), -res)
         lam = 1.0
         for _ in range(9):
             trial = m + lam * step
@@ -120,10 +135,10 @@ def _newton_log_solve(x, gfun, sigma_inner, robin_outer, m0, tol, max_iter=80):
         else:
             # stalled at the rounding floor; accept if converged loosely
             if best < max(20.0 * floor, 1e-9):
-                return m
+                return solution(m)
             raise ConvergenceError("Newton damping failed to reduce the residual")
     if best < tol:
-        return m
+        return solution(m)
     raise ConvergenceError(f"Newton did not converge: residual {best:.3e} > {tol:.1e}")
 
 
@@ -164,9 +179,9 @@ def solve_mtw(
     def solve_on(n):
         rho = np.geomspace(rho_min, rho_max, n)
         if sigma == 0.0:
-            return rho, np.zeros(n)
+            return rho, np.zeros(n), np.zeros(n)
         x = np.log(rho)
-        m = _newton_log_solve(
+        m, m_x = _newton_log_solve(
             x,
             0.5 * rho[1:-1] ** 2,
             sigma,
@@ -174,23 +189,23 @@ def solve_mtw(
             _initial_guess(sigma, rho),
             tol,
         )
-        return rho, m
+        return rho, m, m_x
 
-    rho, m = solve_on(n_points)
+    rho, m, m_x = solve_on(n_points)
     nz = m[np.abs(m) > 0]
     if nz.size and (np.sign(nz) != np.sign(nz[0])).any():
         warnings.warn("profile changes sign; solver output is suspect")
     if check_grid and sigma != 0.0:
         from scipy.interpolate import CubicSpline
 
-        rho2, m2 = solve_on(2 * n_points - 1)
+        rho2, m2, _ = solve_on(2 * n_points - 1)
         drift = np.max(np.abs(CubicSpline(rho2, m2)(rho) - m))
         if drift > 1e-4:
             warnings.warn(
                 f"grid too coarse: doubling n_points moves sup|m| by {drift:.2e}",
                 GridCoarseWarning,
             )
-    return RadialProfile(rho, m, fd_first(np.log(rho), m) / rho, sigma)
+    return RadialProfile(rho, m, m_x / rho, sigma)
 
 
 def _inward_extension(r0, ratio, rho_of_r, rho_x_factor, rho_target) -> np.ndarray:
@@ -246,11 +261,11 @@ def _transformed_profile(
     n_ext = len(ext)
 
     if sigma_r == 0.0:
-        m = np.zeros(len(full))
+        m = m_x = np.zeros(len(full))
     else:
         x = np.log(full)
         rho = rho_of_r(full)
-        m = _newton_log_solve(
+        m, m_x = _newton_log_solve(
             x,
             g_of_r(full[1:-1]),
             sigma_r,
@@ -258,7 +273,7 @@ def _transformed_profile(
             _initial_guess(2.0 * sigma_r, rho),
             tol,
         )
-    dm = fd_first(np.log(full), m) / full
+    dm = m_x / full
     return RadialProfile(r_grid, m[n_ext:], dm[n_ext:], sigma_r)
 
 
@@ -309,18 +324,3 @@ def ode_residual(p: RadialProfile) -> float:
     d2 = fd_second(x, p.values)
     res = d2 - 0.5 * p.grid**2 * np.sinh(2.0 * p.values)
     return float(np.max(np.abs(res[1:-1])))
-
-
-def tail_amplitude(p: RadialProfile, window: tuple[float, float] = (10.0, 15.0)):
-    """Measured K0-tail amplitude: mean and relative spread of m/K0 on the window.
-
-    The decaying family has m ~ A(sigma) K0(rho); A is reported, not
-    assumed (numerically A tracks (2/pi) sin(-pi sigma/2), which is 1/pi
-    at sigma = -1/3, the simple-zero member).
-    """
-    mask = (p.grid >= window[0]) & (p.grid <= window[1])
-    if mask.sum() < 4:
-        raise ValueError("profile does not cover the requested tail window")
-    ratio = p.values[mask] / bessel_k(0, p.grid[mask])
-    spread = float((ratio.max() - ratio.min()) / abs(ratio.mean())) if ratio.mean() else np.inf
-    return float(ratio.mean()), spread

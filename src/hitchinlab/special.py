@@ -6,10 +6,14 @@ theta2^4/theta3^4 and its inverse, and the shortest vectors of a planar
 lattice.  The inverse is closed form: tau = i M(1, k')/M(1, k) with k^2 =
 lambda, k'^2 = 1 - lambda and M Gauss's arithmetic-geometric mean.
 
-K_nu is scipy's ``kv``/``kve`` behind a wrapper that restricts the order
-and rejects non-positive or non-finite arguments.  Shortest vectors come
-from Lagrange-Gauss reduction, which is exact for 2-d lattices however
-skewed the basis.
+K_nu is scipy's behind a wrapper that restricts the order and rejects
+non-positive or non-finite arguments.  Orders 0 and 1 call the Cephes
+Chebyshev expansions ``k0``/``k1``/``k0e``/``k1e`` (DLMF 10.25, 10.40),
+about four times faster on arrays than the general-order AMOS ``kv``/``kve``
+and within 1e-13 of them (unscaled, ``kv`` flushes to zero above x ~ 697.9,
+where ``k0``/``k1`` are still normal doubles); order 2 calls ``kv``/``kve``.
+Shortest vectors come from Lagrange-Gauss reduction, which is exact for 2-d
+lattices however skewed the basis.
 """
 
 from __future__ import annotations
@@ -39,6 +43,16 @@ class ConvergenceError(RuntimeError):
 # modified Bessel functions
 # ----------------------------------------------------------------------
 
+_BESSEL_K = {
+    (0, False): scipy.special.k0,
+    (0, True): scipy.special.k0e,
+    (1, False): scipy.special.k1,
+    (1, True): scipy.special.k1e,
+    (2, False): lambda x: scipy.special.kv(2, x),
+    (2, True): lambda x: scipy.special.kve(2, x),
+}
+
+
 def bessel_k(nu: int, x, scaled: bool = False):
     """Modified Bessel function K_nu(x) for nu in {0, 1, 2} and x > 0.
 
@@ -50,7 +64,7 @@ def bessel_k(nu: int, x, scaled: bool = False):
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("argument of K_nu must be positive and finite")
-    out = (scipy.special.kve if scaled else scipy.special.kv)(nu, arr)
+    out = _BESSEL_K[nu, bool(scaled)](arr)
     return float(out) if out.ndim == 0 else out
 
 

@@ -249,6 +249,11 @@ class TestHitchinResidual:
         object.__setattr__(bad, "theta", bad.theta[:4])
         with pytest.raises(ValueError):
             hitchin_residual(FieldSample(bad, WEAK, 1.0, s.xi, s.dxi))
+        # two radial nodes are skipped at each end, so a 4-node grid (which
+        # polar_grid accepts) fails at the guard, not at the window
+        with pytest.raises(ValueError, match="need >= 5 radial nodes"):
+            hitchin_residual(fiducial_fields(ZERO, 4.0, polar_grid(n_r=4)))
+        assert hitchin_residual(fiducial_fields(ZERO, 4.0, polar_grid(n_r=5))) >= 0.0
 
 
 def _bracket_matrix(P):

@@ -11,7 +11,7 @@ from scipy.interpolate import CubicSpline
 
 from hitchinlab import painleve
 from hitchinlab.grids import fd_first, fd_second
-from hitchinlab.oracles import shooting_solution
+from hitchinlab.oracles import shooting_solution, tail_amplitude
 from hitchinlab.painleve import (
     GridCoarseWarning,
     ParabolicWeights,
@@ -19,7 +19,6 @@ from hitchinlab.painleve import (
     m_profile,
     ode_residual,
     solve_mtw,
-    tail_amplitude,
 )
 from hitchinlab.profiles import RadialProfile
 from hitchinlab.special import bessel_k
@@ -37,6 +36,25 @@ class TestSolveMTW:
         p = solve_mtw(0.0, 1e-3, 15.0, 128)
         assert np.all(p.values == 0.0)
         assert ode_residual(p) == 0.0
+
+    def test_derivs_are_fd_first_bit_for_bit(self):
+        # the Newton solve returns m_x from the stencils of fd_first itself
+        p = solve_mtw(-0.4, 1e-3, 15.0, 512, check_grid=False)
+        assert np.array_equal(p.derivs, fd_first(np.log(p.grid), p.values) / p.grid)
+        solves, solve = [], painleve._newton_log_solve
+
+        def recording(x, *args):
+            m, m_x = solve(x, *args)
+            solves.append((x, m, m_x))
+            return m, m_x
+
+        with mock.patch.object(painleve, "_newton_log_solve", recording):
+            r = np.geomspace(1e-3, 1.0, 300)
+            ell_profile(4.0, r)
+            m_profile(4.0, ParabolicWeights(0.2, 0.8), r)
+        assert len(solves) == 2
+        for x, m, m_x in solves:
+            assert np.array_equal(m_x, fd_first(x, m))
 
     def test_reference_sigma(self):
         p = solve_mtw(-1.0 / 3.0, 1e-3, 15.0, 1024)
@@ -87,7 +105,9 @@ class TestSolveMTW:
     def test_sign_change_warning(self, monkeypatch):
         # the decaying solution keeps one sign; a solver output that does not
         # is flagged, and sigma = 0 (the zero solution, no solve) is not
-        monkeypatch.setattr(painleve, "_newton_log_solve", lambda x, *a: np.linspace(-1.0, 1.0, len(x)))
+        monkeypatch.setattr(
+            painleve, "_newton_log_solve", lambda x, *a: (np.linspace(-1.0, 1.0, len(x)), np.ones(len(x)))
+        )
         with pytest.warns(UserWarning, match="changes sign"):
             solve_mtw(-0.3, 1e-3, 15.0, 64, check_grid=False)
         with warnings.catch_warnings():

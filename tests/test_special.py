@@ -5,6 +5,7 @@ import cmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 from hypothesis import example, given
 from hypothesis import strategies as st
 from lambda_orbit import lambda_orbit
@@ -81,6 +82,31 @@ class TestBesselK:
                     assert bessel_k(nu, x, scaled=True) == pytest.approx(ref, rel=1e-14)
                 ratio = float(mp.besselk(1, x) / mp.besselk(0, x))
                 assert bessel_k_ratio(1, 0, x) == pytest.approx(ratio, rel=1e-14)
+
+    @given(
+        nu=st.sampled_from([0, 1]),
+        xs=st.lists(st.floats(1e-8, 700.0), min_size=1, max_size=50),
+    )
+    @example(nu=0, xs=[1e-8, 697.9, 700.0])
+    @example(nu=1, xs=[1e-8, 697.9, 700.0])
+    def test_orders_0_and_1_match_amos(self, nu, xs):
+        # the Cephes k0/k1 route against the general-order AMOS kv; above
+        # x ~ 697.9 kv flushes to 0 while e^-x kve(x) is still a normal
+        # double, so that product is the reference there
+        x = np.array(xs)
+        ref = scipy.special.kv(nu, x)
+        ref = np.where(ref > 0.0, ref, scipy.special.kve(nu, x) * np.exp(-x))
+        assert np.max(np.abs(bessel_k(nu, x) / ref - 1.0)) < 1e-13
+        assert np.max(np.abs(bessel_k(nu, x, scaled=True) / scipy.special.kve(nu, x) - 1.0)) < 1e-13
+
+    @given(nu=st.sampled_from([0, 1]), x=st.floats(1e-8, 1e6))
+    @example(nu=0, x=1e6)
+    @example(nu=1, x=1e6)
+    def test_scaled_orders_0_and_1_match_amos(self, nu, x):
+        got = bessel_k(nu, x, scaled=True)
+        assert type(got) is float
+        assert got == pytest.approx(float(scipy.special.kve(nu, x)), rel=1e-13)
+        assert type(bessel_k(nu, x)) is float
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
