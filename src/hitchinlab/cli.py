@@ -22,6 +22,7 @@ the default output directory.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -64,9 +65,12 @@ class ExperimentConfig:
 def _parse_complex(text: str) -> complex:
     try:
         re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
+        z = complex(float(re_s), float(im_s))
     except Exception as exc:
         raise ValidationError(f"expected 're,im', got {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise ValidationError(f"expected finite 're,im', got {text!r}")
+    return z
 
 
 def _require(params: dict, key: str):

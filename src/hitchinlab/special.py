@@ -1,19 +1,23 @@
 """Special functions used across the library.
 
 Modified Bessel functions K0, K1, K2 (the only orders the geometry needs),
-Jacobi theta constants, the elliptic modular lambda function lambda(tau) =
-theta2^4/theta3^4 and its inverse, and the shortest vectors of a planar
-lattice.  The inverse is closed form: tau = i M(1, k')/M(1, k) with k^2 =
-lambda, k'^2 = 1 - lambda and M Gauss's arithmetic-geometric mean.
+Gauss's arithmetic-geometric mean and the closed-form inverse of the
+elliptic modular lambda function, the shortest vectors of a planar lattice,
+and the Jacobi theta constants with lambda(tau) = theta2^4/theta3^4 itself.
+The inverse is tau = i M(1, k')/M(1, k) with k^2 = lambda, k'^2 = 1 - lambda
+and M the arithmetic-geometric mean, reduced to the fundamental domain; it
+reads no theta series.  The theta constants and ``modular_lambda`` are the
+reference that the tests and the acceptance gate check the inverse against,
+and no production path calls them.
 
 K_nu is scipy's behind a wrapper that restricts the order and rejects
 non-positive or non-finite arguments.  Orders 0 and 1 call the Cephes
 Chebyshev expansions ``k0``/``k1``/``k0e``/``k1e`` (DLMF 10.25, 10.40),
 about four times faster on arrays than the general-order AMOS ``kv``/``kve``
-and within 1e-13 of them (unscaled, ``kv`` flushes to zero above x ~ 697.9,
-where ``k0``/``k1`` are still normal doubles); order 2 calls ``kv``/``kve``.
-Shortest vectors come from Lagrange-Gauss reduction, which is exact for 2-d
-lattices however skewed the basis.
+and within 1e-13 of them.  Order 2 calls ``kve``; unscaled it is
+``kve(2, x) e^-x``, because ``kv`` flushes to zero above x ~ 697.9, where
+K_2 is still a normal double.  Shortest vectors come from Lagrange-Gauss
+reduction, which is exact for 2-d lattices however skewed the basis.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ _BESSEL_K = {
     (0, True): scipy.special.k0e,
     (1, False): scipy.special.k1,
     (1, True): scipy.special.k1e,
-    (2, False): lambda x: scipy.special.kv(2, x),
+    (2, False): lambda x: scipy.special.kve(2, x) * np.exp(-x),
     (2, True): lambda x: scipy.special.kve(2, x),
 }
 
@@ -169,38 +173,20 @@ def _agm(a: complex, b: complex) -> complex:
     raise ConvergenceError(f"arithmetic-geometric mean did not converge in {_AGM_MAX_ITER} steps")
 
 
-def _polish_log_lambda(tau: complex, target: complex) -> complex:
-    """Two Newton steps on log lambda(tau) = log target, d log lambda/dtau = i pi theta4^4.
-
-    Run at a fundamental-domain tau, where the theta series converge fast
-    and lambda is far from the cusps, this brings the relative defect of
-    lambda to rounding level for the orbit member the reduction landed on.
-    """
-    for _ in range(2):
-        tau -= cmath.log(modular_lambda(tau) / target) / (1j * cmath.pi * jacobi_theta(4, tau) ** 4)
-    return tau
-
-
 def inverse_lambda(p0: complex) -> complex:
     """Invert the modular lambda function.
 
     Returns tau in the fundamental domain with lambda(tau) in the six-element
     lambda-orbit of p0.  With k = sqrt(p0) and k' = sqrt(1 - p0),
     tau = i K'/K = i M(1, k')/M(1, k), since K(k) = pi / (2 M(1, k'))
-    (DLMF 19.8); the result is reduced by PSL(2, Z), and a log-form Newton
-    polish towards the nearest orbit value follows.
+    (DLMF 19.8), reduced by PSL(2, Z); no theta series is evaluated.
     """
     p0 = complex(p0)
+    if not cmath.isfinite(p0):
+        raise ValueError(f"p0 must be finite, got {p0}")
     if min(abs(p0), abs(p0 - 1.0)) < 1e-12:
         raise ValueError("p0 must avoid the degenerate values 0 and 1")
-    # lambda values of the same curve over the six choices of level-2 structure
-    orbit = (p0, 1 - p0, 1 / p0, 1 / (1 - p0), p0 / (p0 - 1), (p0 - 1) / p0)
-    tau = reduce_to_fundamental_domain(1j * _agm(1.0, cmath.sqrt(1.0 - p0)) / _agm(1.0, cmath.sqrt(p0)))
-    lam = modular_lambda(tau)
-    nearest = min(orbit, key=lambda v: abs(lam - v))
-    if not abs(lam - nearest) < 1e-9:
-        raise ConvergenceError(f"inverse_lambda failed to converge for p0 = {p0}")
-    return reduce_to_fundamental_domain(_polish_log_lambda(tau, nearest))
+    return reduce_to_fundamental_domain(1j * _agm(1.0, cmath.sqrt(1.0 - p0)) / _agm(1.0, cmath.sqrt(p0)))
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,12 @@ This module computes the derived constants of that geometry:
   c_sK      base normalization, int_{CP^1} (i/2) dz dz* / |z(z-1)(z-p0)|,
             so the special Kahler metric is (dr^2 + r^2 dtheta^2)/r in the
             rescaled polar coordinate r e^{i theta} = c_sK B; in closed form
-            2 pi^2 |theta3(tau)|^4 Im tau, with the fundamental-domain tau
-            lifted by a coset of SL(2,Z)/Gamma(2) to lambda(tau) = p0;
-  tau       spectral-torus modulus, from the arithmetic-geometric-mean
-            inversion of lambda (or, as an oracle, from periods);
+            half the area of the period lattice (2 pi/a, 2 pi i/b), with
+            a = M(1, sqrt p0) and b = M(1, sqrt(1 - p0)) arithmetic-geometric
+            means;
+  tau       spectral-torus modulus, the fundamental-domain modulus of that
+            lattice, i b/a reduced by PSL(2,Z) (or, as an oracle, from the
+            contour periods);
   c_fib     fiber lattice scale pi sqrt(2/Im tau) (fiber area 2 pi^2);
   lambda_T  sqrt of the smallest positive eigenvalue of -Laplace on the
             fiber torus, sqrt(2/Im tau);
@@ -28,6 +30,7 @@ to the moduli-space metric on the Hitchin section,
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass
 
@@ -36,10 +39,9 @@ import numpy as np
 from .metrics import MetricComponents
 from .special import (
     ConvergenceError,
+    _agm,
     bessel_k,
     inverse_lambda,
-    jacobi_theta,
-    modular_lambda,
     reduce_to_fundamental_domain,
     shortest_vectors,
 )
@@ -64,7 +66,13 @@ class NonGenericTorusWarning(UserWarning):
 
 
 def _validate_p0(p0: complex) -> complex:
+    """p0 as a complex number: finite and at least 1e-3 from the punctures 0 and 1.
+
+    Every such p0 is in the domain of :func:`csk` and :func:`ToyConfig.from_p0`.
+    """
     p0 = complex(p0)
+    if not cmath.isfinite(p0):
+        raise ValueError(f"p0 must be finite, got {p0}")
     d = min(abs(p0), abs(p0 - 1.0))
     if d < 1e-3:
         raise ValueError(
@@ -77,42 +85,20 @@ def _validate_p0(p0: complex) -> complex:
 # special Kahler constant
 # ----------------------------------------------------------------------
 
-def _lifted_tau(t: complex, p0: complex) -> complex:
-    """The tau with lambda(tau) = p0 itself, not another member of its orbit.
-
-    ``t`` is the fundamental-domain tau from :func:`inverse_lambda`, whose
-    lambda value is some member of the six-element orbit of p0; the six coset
-    representatives of SL(2, Z)/Gamma(2) applied to it realize the whole
-    orbit, and the one whose lambda value is p0 is kept.
-    """
-    cosets = (t, t + 1.0, -1.0 / t, -1.0 / (t + 1.0), (t - 1.0) / t, t / (1.0 - t))
-    lifted = min(cosets, key=lambda g: abs(modular_lambda(g) - p0))
-    defect = abs(modular_lambda(lifted) - p0)
-    if defect > 1e-9 * max(1.0, abs(p0)):  # lambda is known to relative, not absolute, precision
-        raise ConvergenceError(
-            f"no coset lift of tau = {t} has lambda = p0 = {p0} (defect {defect:.2e})"
-        )
-    return lifted
-
-
-def _csk_from_tau(p0: complex, t: complex) -> float:
-    """:func:`csk` at a validated p0 whose fundamental-domain tau ``t`` is known."""
-    tau = _lifted_tau(t, p0)
-    return float(2.0 * np.pi**2 * abs(jacobi_theta(3, tau)) ** 4 * tau.imag)
-
-
 def csk(p0: complex) -> float:
     """The base integral int_{CP^1} (i/2) dz dz*/|z(z-1)(z-p0)|, in closed form.
 
-    By the Riemann bilinear relations the integral is half the flat area
-    Im(conj(omega1) omega2) of the spectral torus, and with
-    K = (pi/2) theta3(tau)^2 (DLMF 20.9) this is
-    c_sK = 2 pi^2 |theta3(tau)|^4 Im tau for the tau with lambda(tau) = p0
-    exactly.  The expression is invariant under Gamma(2) but not under
-    SL(2, Z) (c_sK(1/p0) = |p0| c_sK(p0)), hence the coset lift.
+    With a = M(1, sqrt p0) and b = M(1, sqrt(1 - p0)) the periods of
+    dz/sqrt(z(z-1)(z-p0)) are (2 pi/a, 2 pi i/b), since
+    K(k) = pi / (2 M(1, k')) (DLMF 19.8).  By the Riemann bilinear relation
+    the integral is half the flat area Im(conj(omega1) omega2) of that
+    lattice, c_sK = 2 pi^2 Re(1/(a conj b)).  Domain: every finite p0 at
+    least 1e-3 from the punctures 0 and 1 (ValueError otherwise).
     """
     p0 = _validate_p0(p0)
-    return _csk_from_tau(p0, inverse_lambda(p0))
+    a = _agm(1.0, cmath.sqrt(p0))
+    b = _agm(1.0, cmath.sqrt(1.0 - p0))
+    return float(2.0 * np.pi**2 * (1.0 / (a * b.conjugate())).real)
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +228,7 @@ class ToyConfig:
         p0 = _validate_p0(p0)
         tau = inverse_lambda(p0)
         lambda_t = lambda_T(tau)
-        cfg = cls(p0=p0, tau=tau, c_sk=_csk_from_tau(p0, tau),
+        cfg = cls(p0=p0, tau=tau, c_sk=csk(p0),
                   c_fib=float(np.pi * lambda_t), lambda_t=lambda_t)
         if len(shortest_vectors(1.0, tau)[1]) > 1:
             warnings.warn(

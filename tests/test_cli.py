@@ -270,6 +270,25 @@ class TestValidationAndConfig:
         assert len(err) == 1 and err[0].startswith(f"error: ValidationError: {flag} ")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["toymodel", "--p0", "0.3,0", "--B", "inf,0"],
+            ["toymodel", "--p0", "nan,0"],
+            ["toymodel", "--p0", "0.3,-inf"],
+            ["lebrun", "--p0", "0.3,nan"],
+            ["fiducial", "--case", "weakpole", "--alpha1", "0.3", "--sigma", "0.5,inf"],
+        ],
+    )
+    def test_non_finite_complex_rejected_before_work(self, tmp_path, capsys, argv):
+        # a non-finite --p0, --B or --sigma would end in a ConvergenceError or
+        # write Infinity, which is not JSON, into toymodel.json
+        out = tmp_path / "x"
+        assert main(argv + ["--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ValidationError: expected finite ")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("r_on", [0.0, 0.5, 0.9])
     def test_grid_check_matches_residual_window(self, r_on):
         # the CLI accepts exactly the --n-r for which the residual has a node to measure

@@ -84,15 +84,16 @@ class TestBesselK:
                 assert bessel_k_ratio(1, 0, x) == pytest.approx(ratio, rel=1e-14)
 
     @given(
-        nu=st.sampled_from([0, 1]),
+        nu=st.sampled_from([0, 1, 2]),
         xs=st.lists(st.floats(1e-8, 700.0), min_size=1, max_size=50),
     )
     @example(nu=0, xs=[1e-8, 697.9, 700.0])
     @example(nu=1, xs=[1e-8, 697.9, 700.0])
-    def test_orders_0_and_1_match_amos(self, nu, xs):
-        # the Cephes k0/k1 route against the general-order AMOS kv; above
-        # x ~ 697.9 kv flushes to 0 while e^-x kve(x) is still a normal
-        # double, so that product is the reference there
+    @example(nu=2, xs=[1e-8, 697.9, 700.0])
+    def test_orders_0_1_2_match_amos(self, nu, xs):
+        # the Cephes k0/k1 route and e^-x kve(2, x) against the general-order
+        # AMOS kv; above x ~ 697.9 kv flushes to 0 while e^-x kve(x) is still
+        # a normal double, so that product is the reference there
         x = np.array(xs)
         ref = scipy.special.kv(nu, x)
         ref = np.where(ref > 0.0, ref, scipy.special.kve(nu, x) * np.exp(-x))
@@ -183,10 +184,9 @@ class TestModularLambda:
             assert defect < 1e-9
 
     def test_inverse_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            inverse_lambda(0.0)
-        with pytest.raises(ValueError):
-            inverse_lambda(1.0)
+        for p0 in (0.0, 1.0, complex("nan"), complex(0.3, float("inf"))):
+            with pytest.raises(ValueError):
+                inverse_lambda(p0)
 
     def test_reduction(self):
         tau = 0.3 + 0.4j
