@@ -30,10 +30,15 @@ data at rho_min and a Robin condition matched to the K_1 log-derivative at
 rho_max.  L_mu depends on |mu| only, so one band is built and LU-factored
 per distinct norm before the iteration, and each step makes only the
 triangular solves, once for all the modes of that norm, their right-hand
-sides stacked as columns.  Nonlinear terms are evaluated pseudospectrally
-on a collocation grid, one block of ``RADIAL_BLOCK`` radial nodes at a
-time, so the (N, block, N) temporaries stay in cache; every field is real
-(Hermitian coefficients), so synthesis and projection are separable real
+sides stacked as columns.  Every field is real (Hermitian coefficients),
+and the iterates, residuals and steps are exactly so: in the
+``make_modes`` order row K-1-k holds -mu of row k, so the coefficient-space
+work (radial stencils, linear part, banded solves) is done on the half
+lattice m > 0 or m = 0, n >= 0, and the other half is its conjugate.  The
+radial stencils of rho^2 d^2 + 3 rho d and rho d are built once per grid.
+Nonlinear terms are evaluated pseudospectrally on a collocation grid, one
+block of ``RADIAL_BLOCK`` radial nodes at a time, so the (N, block, N)
+temporaries stay in cache; synthesis and projection are separable real
 matmuls, one 2-d matmul per contraction, against memoized collocation
 phases.  ``fit_decay`` measures the realized decay rate and prefactor
 power.  ``metric_difference_full`` evaluates g - g_sf in the coframe of the
@@ -56,10 +61,8 @@ from .grids import (
     cumulative_from_right,
     fd_first,
     fd_first_boundary,
-    fd_second,
     interior_weights,
 )
-from .metrics import MetricComponents
 from .special import ConvergenceError, bessel_k, shortest_vectors
 
 __all__ = [
@@ -71,7 +74,6 @@ __all__ = [
     "solve_nonlinear",
     "fit_decay",
     "connection_from_w",
-    "hitchin_section_difference",
     "metric_difference_full",
     "MetricDifference",
     "AliasingError",
@@ -294,23 +296,43 @@ def _synthesize(modes: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(n, -1, n).transpose(1, 0, 2)
 
 
+@lru_cache(maxsize=64)
+def _gather(m_cut: int, n: int, key: bytes):
+    """Where :func:`_analyze` reads each mode in its n >= 0 half spectrum.
+
+    ``key`` is the bytes of an int (K, 2) mode array.  A mode with n < 0 is
+    read as the conjugate of (-m, -n).  Returns the row and column indices
+    and the (K, 1) divisors of the imaginary parts, +-N^2 with the sign of
+    that conjugation.  Memoized next to :func:`_phase_blocks`.
+    """
+    modes = np.frombuffer(key, dtype=int).reshape(-1, 2)
+    sign = np.where(modes[:, 1] >= 0, 1, -1)
+    gather = (sign * modes[:, 0] + m_cut, sign * modes[:, 1], (sign * float(n * n))[:, None])
+    for a in gather:
+        a.flags.writeable = False
+    return gather
+
+
 def _analyze(values: np.ndarray, modes: np.ndarray) -> np.ndarray:
     """Project real collocation samples (NR, N, N) back onto the retained modes.
 
     The adjoint of :func:`_synthesize`: contraction against conj(E) over k,
     then over (re/im, j), each one 2-d matmul, divided by N^2.  The samples
     are real, so only the columns n >= 0 are formed and the rest are read as
-    c(m, n) = conj c(-m, -n).  Returns (K, NR) complex coefficients.
+    c(m, n) = conj c(-m, -n).  The real and imaginary parts are written
+    straight into the (K, NR) complex result.
     """
     n = values.shape[-1]
     m_cut = int(np.max(np.abs(modes)))
     M = 2 * m_cut + 1
     _, _, A_split, B = _phase_blocks(m_cut, n)
+    i, j, im_div = _gather(m_cut, n, np.ascontiguousarray(modes, dtype=int).tobytes())
     Y = values.transpose(1, 0, 2).reshape(-1, n) @ A_split  # (re/im, j, NR, n >= 0)
-    spec = (B @ Y.reshape(2 * n, -1)).reshape(2, M, -1, m_cut + 1) / (n * n)
-    sign = np.where(modes[:, 1] >= 0, 1, -1)
-    i, j = sign * modes[:, 0] + m_cut, sign * modes[:, 1]
-    return spec[0, i, :, j] + 1j * sign[:, None] * spec[1, i, :, j]
+    spec = (B @ Y.reshape(2 * n, -1)).reshape(2, M, -1, m_cut + 1)
+    out = np.empty((len(i), spec.shape[2]), dtype=complex)
+    np.divide(spec[0, i, :, j], n * n, out=out.real)
+    np.divide(spec[1, i, :, j], im_div, out=out.imag)
+    return out
 
 
 def default_colloc(m_cut: int) -> int:
@@ -333,12 +355,59 @@ def _radial_blocks(n_rho: int):
 # the reduced equation
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _radial_stencils(grid: bytes):
+    """3-point stencils of L_0 = rho^2 d^2 + 3 rho d and of rho d on one radial grid.
+
+    ``grid`` is the bytes of the float rho array.  Row i weighs the nodes
+    i-1, i, i+1, and the end rows the windows 0..2 and n-3..n-1, where the
+    first derivative is one-sided and the second is copied from the
+    neighbouring node (the end rows of ``fd_first`` and ``fd_second``).
+    Both are returned as (3, 2n) arrays, each weight repeated for the real
+    and the imaginary part, to act on the float view of complex rows; rho^2,
+    repeated likewise, comes third.  Memoized: one solve keeps one grid.
+    """
+    rho = np.frombuffer(grid)
+    (b_l, b_c, b_r), (a_l, a_c, a_r) = interior_weights(rho)
+    first, second = np.empty((3, len(rho))), np.empty((3, len(rho)))
+    first[:, 1:-1], second[:, 1:-1] = (b_l, b_c, b_r), (a_l, a_c, a_r)
+    first[:, 0] = fd_first_boundary(rho, "left")[1]
+    first[:, -1] = fd_first_boundary(rho, "right")[1][::-1]
+    second[:, 0], second[:, -1] = second[:, 1], second[:, -2]
+    stencils = (
+        np.repeat(rho**2 * second + 3.0 * rho * first, 2, axis=1),
+        np.repeat(rho * first, 2, axis=1),
+        np.repeat(rho**2, 2),
+    )
+    for a in stencils:
+        a.flags.writeable = False
+    return stencils
+
+
+def _apply_stencil(w: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """Write the :func:`_radial_stencils` stencil ``w`` applied to the rows of ``y`` into ``out``.
+
+    ``y`` and ``out`` are complex (H, n) arrays with contiguous rows; the
+    weights are real, so the work is done on their float views.
+    """
+    y, o = y.view(float), out.view(float)
+    np.multiply(w[0, 2:-2], y[:, :-4], out=o[:, 2:-2])
+    o[:, 2:-2] += w[1, 2:-2] * y[:, 2:-2]
+    o[:, 2:-2] += w[2, 2:-2] * y[:, 4:]
+    o[:, :2] = w[0, :2] * y[:, :2] + w[1, :2] * y[:, 2:4] + w[2, :2] * y[:, 4:6]
+    o[:, -2:] = w[0, -2:] * y[:, -6:-4] + w[1, -2:] * y[:, -4:-2] + w[2, -2:] * y[:, -2:]
+
+
 def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> TorusFourierField:
     """L v - Q(v): zero exactly at solutions of the reduced equation.
 
-    Radial derivatives by central differences; the nonlinear products are
-    evaluated in real arithmetic on the collocation grid and projected back
-    (pseudospectral), one block of radial nodes at a time.
+    Radial derivatives by 3-point stencils built once per grid; the
+    nonlinear products are evaluated in real arithmetic on the collocation
+    grid and projected back (pseudospectral), one block of radial nodes at a
+    time.  ``v`` must be real (Hermitian coefficients) in the
+    ``make_modes(m_cut)`` order, where row K-1-k holds -mu of row k: the
+    coefficient-space work is done for the rows from K // 2 on (m > 0, or
+    m = 0 and n >= 0) and the other rows are their conjugates.
     """
     if len(v.rho) < 5:
         raise ValueError("need at least 5 radial nodes")
@@ -347,17 +416,38 @@ def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> Tor
         n_colloc = default_colloc(m_cut)
     if n_colloc < 2 * m_cut:
         raise AliasingError(f"collocation grid {n_colloc} < 2 x m_cut = {2 * m_cut}")
+    modes = v.modes
+    if not np.array_equal(modes, make_modes(m_cut)):
+        raise ValueError("modes must be in the make_modes(m_cut) order")
     rho = v.rho
-    d1, d2 = fd_first(rho, v.coeffs), fd_second(rho, v.coeffs)
-    radial = rho**2 * d2 + 3.0 * rho * d1  # per mode
-    mu2 = v.mu_norms() ** 2
-    rv = rho * d1
-    out = radial - 16.0 * np.pi**2 * mu2[:, None] * rho[None, :] ** 2 * v.coeffs
+    l0, r1, rho2 = _radial_stencils(rho.tobytes())
+    # rows c.. are the half lattice; rows lo.. (m >= 0) are what synthesis reads
+    c = len(modes) // 2
+    lo = c - m_cut
+    own = np.ascontiguousarray(v.coeffs[c:])
+    radial = np.empty((len(modes) - lo, len(rho)), dtype=complex)
+    rv = np.empty_like(radial)
+    for w, f in ((l0, radial), (r1, rv)):
+        _apply_stencil(w, own, f[m_cut:])
+        np.conjugate(f[2 * m_cut : m_cut : -1], out=f[:m_cut])  # (0, n < 0) from (0, -n)
+    # the linear part radial - 16 pi^2 |mu|^2 rho^2 v, on float views
+    out = np.empty(v.coeffs.shape, dtype=complex)
+    lin = out[c:].view(float)
+    np.multiply((16.0 * np.pi**2 * v.mu_norms()[c:] ** 2)[:, None], rho2, out=lin)
+    lin *= own.view(float)
+    np.subtract(radial[m_cut:].view(float), lin, out=lin)
     for b in _radial_blocks(len(rho)):
-        A = _synthesize(v.modes, radial[:, b], n_colloc)
-        RV = _synthesize(v.modes, rv[:, b], n_colloc)
-        ev = np.exp(_synthesize(v.modes, v.coeffs[:, b], n_colloc))
-        out[:, b] -= _analyze((1.0 - ev) * A - ev * RV**2, v.modes)
+        A = _synthesize(modes[lo:], radial[:, b], n_colloc)
+        RV = _synthesize(modes[lo:], rv[:, b], n_colloc)
+        E = _synthesize(modes[lo:], v.coeffs[lo:, b], n_colloc)
+        # Q = (1 - e^V) A - e^V RV^2 = A - e^V (A + RV^2), formed in A
+        np.multiply(RV, RV, out=RV)
+        RV += A
+        np.exp(E, out=E)
+        E *= RV
+        A -= E
+        out[c:, b] -= _analyze(A, modes[c:])
+    np.conjugate(out[:c:-1], out=out[:c])
     return TorusFourierField(v.lattice, v.modes, rho, out)
 
 
@@ -420,14 +510,20 @@ def _factor_band(ab: np.ndarray):
 def _grouped_bands(norms: np.ndarray, rho: np.ndarray):
     """Robin coefficients per mode and one (members, lu, pivots) triple per distinct |mu| > 0.
 
-    L_mu depends on |mu| only, so modes of equal norm share one band; the
-    grouping is by exact equality, which always keeps +-mu together.  Each
-    band is factored here, once per solve.
+    ``norms`` are in the ``make_modes`` order (ValueError otherwise).  L_mu
+    depends on |mu| only, so modes of equal norm share one band; the
+    grouping is by exact equality, which keeps +-mu together, and the
+    members are only the half-lattice rows (K // 2 on), whose conjugates
+    :func:`_grouped_mode_solve` fills in.  Each band is factored here, once
+    per solve.
     """
+    if len(norms) % 2 == 0 or not np.array_equal(norms, norms[::-1]):
+        raise ValueError("norms must be in the make_modes order")
     distinct, group = np.unique(norms, return_inverse=True)
+    own = np.arange(len(norms)) >= len(norms) // 2
     g = _phi_log_deriv(distinct, rho[-1])
     bands = [
-        (np.nonzero(group == i)[0], *_factor_band(_mode_band(mu, rho, g[i])))
+        (np.nonzero((group == i) & own)[0], *_factor_band(_mode_band(mu, rho, g[i])))
         for i, mu in enumerate(distinct)
         if mu > 0.0
     ]
@@ -438,7 +534,9 @@ def _grouped_mode_solve(bands, rhs: np.ndarray) -> np.ndarray:
     """Solve each factored band against the (K, n) ``rhs`` rows of its modes, stacked as columns.
 
     Each row holds the inner value, the interior right-hand side and the
-    Robin value.  Rows of modes in no band stay zero.  A non-finite
+    Robin value.  Only the half-lattice rows are solved; ``rhs`` is
+    Hermitian and the bands are real, so row K-1-k of the result is the
+    conjugate of row k.  Rows of modes in no band stay zero.  A non-finite
     right-hand side raises ``ValueError``, as ``solve_banded`` does.
     """
     if not np.isfinite(rhs).all():
@@ -447,6 +545,8 @@ def _grouped_mode_solve(bands, rhs: np.ndarray) -> np.ndarray:
     for members, lu, piv in bands:
         x, _ = zgbtrs(lu, 2, 2, rhs[members].T, piv, overwrite_b=True)
         out[members] = x.T
+    c = len(out) // 2
+    np.conjugate(out[:c:-1], out=out[:c])
     return out
 
 
@@ -517,20 +617,39 @@ def solve_nonlinear(
 ) -> LeBrunSolution:
     """Perturbative solve of the reduced equation with Dirichlet inner data.
 
-    ``inner_data`` maps modes (m, n) to coefficients of v at rho_min
-    (conjugate modes are filled in automatically); sup |data| <= 0.2.
+    ``inner_data`` maps modes (m, n) to coefficients of v at rho_min; a
+    missing conjugate mode is filled in, and a supplied pair with
+    c(-mu) != conj c(mu) raises ValueError before any work; sup |data| <= 0.2.
     Newton iteration with mode-decoupled banded corrections
     L_mu dv = -residual; Dirichlet at rho_min, K_1 log-derivative Robin at
     rho_max.  L_mu depends on |mu| only, so one band is built and factored
     per distinct norm before the iteration, and each Newton step makes the
-    triangular solves per norm with the modes' right-hand sides stacked as
-    columns.  The mean
+    triangular solves per norm with the right-hand sides of one mode of each
+    +-mu pair stacked as columns.  The iterates, residuals and steps are
+    exactly Hermitian, so no step symmetrizes them.  The mean
     mode is special: its homogeneous solutions (1 and 1/rhat) are not
     exponentially decaying, so its correction is the decaying particular
     solution (inward march from rho_max) and its inner value is dictated by
     decay rather than prescribed; a nonzero mean-mode offset in the data
     must be small and is not enforced pointwise.
     """
+    data = dict()
+    for (m, n), c in inner_data.items():
+        if max(abs(m), abs(n)) > m_cut:
+            raise ValueError(f"inner mode ({m},{n}) beyond cutoff {m_cut}")
+        data[(m, n)] = data.get((m, n), 0.0) + complex(c)
+    for (m, n), c in list(data.items()):
+        conj_key = (-m, -n)
+        if conj_key not in data:
+            data[conj_key] = np.conj(c)
+        elif data[conj_key] != np.conj(c):
+            raise ValueError(
+                f"inner data is not real: c({-m}, {-n}) = {data[conj_key]} is not the "
+                f"conjugate of c({m}, {n}) = {c}"
+            )
+    if abs(data.get((0, 0), 0.0)) > 0.05:
+        raise PerturbativeRegimeError("mean-mode offset must be small")
+
     mu0, reps = lattice.min_dual_norm()
     if len(reps) > 1:
         warnings.warn(
@@ -550,18 +669,6 @@ def solve_nonlinear(
 
     modes = make_modes(m_cut)
     rho = np.linspace(rho_min, rho_max, n_rho)
-
-    data = dict()
-    for (m, n), c in inner_data.items():
-        if max(abs(m), abs(n)) > m_cut:
-            raise ValueError(f"inner mode ({m},{n}) beyond cutoff {m_cut}")
-        data[(m, n)] = data.get((m, n), 0.0) + complex(c)
-    for (m, n), c in list(data.items()):
-        conj_key = (-m, -n)
-        if conj_key not in data:
-            data[conj_key] = np.conj(c)
-    if abs(data.get((0, 0), 0.0)) > 0.05:
-        raise PerturbativeRegimeError("mean-mode offset must be small")
 
     coeffs = np.zeros((len(modes), n_rho), dtype=complex)
     v = TorusFourierField(lattice, modes, rho, coeffs)
@@ -613,7 +720,7 @@ def solve_nonlinear(
         step[idx00] = _march_mean_mode(rho, rhs[idx00, 1:-1])
         lam = 1.0
         for _ in range(9):
-            trial = TorusFourierField(lattice, modes, rho, v.coeffs + lam * step).symmetrized()
+            trial = TorusFourierField(lattice, modes, rho, v.coeffs + lam * step)
             trial_res, trial_norm = residual(trial)
             if trial_norm < current or trial_norm < tol:
                 v, res, current = trial, trial_res, trial_norm  # reused by the next step
@@ -714,22 +821,6 @@ def section_profiles(sol: LeBrunSolution):
     r = rho**2 * np.exp(v00)
     _, t_hat = _shell_t_hat(sol)
     return r, rw, float(np.sum(t_hat).real)
-
-
-def hitchin_section_difference(sol: LeBrunSolution, r_query) -> MetricComponents:
-    """(1/(rw) - 1) diag(1/r, r) on the section, at requested r values."""
-    from scipy.interpolate import CubicSpline
-
-    r, rw, _ = section_profiles(sol)
-    r_query = np.atleast_1d(np.asarray(r_query, dtype=float))
-    if np.any(r_query < r[0]) or np.any(r_query > r[-1]):
-        raise ValueError("requested radius outside the solved range")
-    rw_at = CubicSpline(r, rw)(r_query)
-    coeff = 1.0 / rw_at - 1.0
-    g = np.zeros(r_query.shape + (2, 2))
-    g[..., 0, 0] = coeff / r_query
-    g[..., 1, 1] = coeff * r_query
-    return MetricComponents(("r", "theta"), g)
 
 
 @dataclass

@@ -13,6 +13,10 @@ route that shares no solver with it:
                              solves one band per distinct |mu| with stacked
                              right-hand sides);
   solve_mode_inhomogeneous   variation of parameters by nested quadrature;
+  hitchin_section_difference the metric difference on the section (0, 0),
+                             read off a cubic spline of the section
+                             profiles (``lebrun.metric_difference_full``
+                             evaluates the whole collocation grid);
   matrix_residual            the self-duality residual from the assembled
                              2x2 matrices (``fiducial.hitchin_residual``
                              uses the scalar reduction of the ansatz).
@@ -33,7 +37,14 @@ from scipy.optimize import brentq
 
 from .fiducial import _ID2, FieldSample
 from .grids import fd_first
-from .lebrun import _mode_band, _phi_log_deriv, linear_mode_solution
+from .lebrun import (
+    LeBrunSolution,
+    _mode_band,
+    _phi_log_deriv,
+    linear_mode_solution,
+    section_profiles,
+)
+from .metrics import MetricComponents
 from .profiles import RadialProfile
 from .special import ConvergenceError, bessel_k
 
@@ -42,6 +53,7 @@ __all__ = [
     "tail_amplitude",
     "solve_mode_bvp",
     "solve_mode_inhomogeneous",
+    "hitchin_section_difference",
     "matrix_residual",
     "DivergenceError",
 ]
@@ -183,6 +195,20 @@ def solve_mode_inhomogeneous(mu, f_samples, rho, a=None):
         seg, _ = quad(outer_spline, rho[i - 1], rho[i], limit=100)
         G[i] = G[i - 1] + seg
     return -phi * G
+
+
+def hitchin_section_difference(sol: LeBrunSolution, r_query) -> MetricComponents:
+    """(1/(rw) - 1) diag(1/r, r) on the section, at requested r values."""
+    r, rw, _ = section_profiles(sol)
+    r_query = np.atleast_1d(np.asarray(r_query, dtype=float))
+    if np.any(r_query < r[0]) or np.any(r_query > r[-1]):
+        raise ValueError("requested radius outside the solved range")
+    rw_at = CubicSpline(r, rw)(r_query)
+    coeff = 1.0 / rw_at - 1.0
+    g = np.zeros(r_query.shape + (2, 2))
+    g[..., 0, 0] = coeff / r_query
+    g[..., 1, 1] = coeff * r_query
+    return MetricComponents(("r", "theta"), g)
 
 
 # ----------------------------------------------------------------------

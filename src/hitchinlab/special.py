@@ -173,6 +173,21 @@ def _agm(a: complex, b: complex) -> complex:
     raise ConvergenceError(f"arithmetic-geometric mean did not converge in {_AGM_MAX_ITER} steps")
 
 
+def _period_agms(p0: complex) -> tuple[complex, complex]:
+    """a = M(1, sqrt p0) and b = M(1, sqrt(1 - p0)).
+
+    The periods of dz/sqrt(z(z-1)(z-p0)) are (2 pi/a, 2 pi i/b), so tau
+    (:func:`_tau_from_agms`) and ``toymodel``'s c_sK both read off this one
+    pair, which ``ToyConfig.from_p0`` computes once for the two.
+    """
+    return _agm(1.0, cmath.sqrt(p0)), _agm(1.0, cmath.sqrt(1.0 - p0))
+
+
+def _tau_from_agms(a: complex, b: complex) -> complex:
+    """tau = i b/a of the :func:`_period_agms` pair, reduced to the fundamental domain."""
+    return reduce_to_fundamental_domain(1j * b / a)
+
+
 def inverse_lambda(p0: complex) -> complex:
     """Invert the modular lambda function.
 
@@ -186,7 +201,7 @@ def inverse_lambda(p0: complex) -> complex:
         raise ValueError(f"p0 must be finite, got {p0}")
     if min(abs(p0), abs(p0 - 1.0)) < 1e-12:
         raise ValueError("p0 must avoid the degenerate values 0 and 1")
-    return reduce_to_fundamental_domain(1j * _agm(1.0, cmath.sqrt(1.0 - p0)) / _agm(1.0, cmath.sqrt(p0)))
+    return _tau_from_agms(*_period_agms(p0))
 
 
 # ----------------------------------------------------------------------

@@ -39,9 +39,9 @@ import numpy as np
 from .metrics import MetricComponents
 from .special import (
     ConvergenceError,
-    _agm,
+    _period_agms,
+    _tau_from_agms,
     bessel_k,
-    inverse_lambda,
     reduce_to_fundamental_domain,
     shortest_vectors,
 )
@@ -95,9 +95,11 @@ def csk(p0: complex) -> float:
     lattice, c_sK = 2 pi^2 Re(1/(a conj b)).  Domain: every finite p0 at
     least 1e-3 from the punctures 0 and 1 (ValueError otherwise).
     """
-    p0 = _validate_p0(p0)
-    a = _agm(1.0, cmath.sqrt(p0))
-    b = _agm(1.0, cmath.sqrt(1.0 - p0))
+    return _csk_from_agms(*_period_agms(_validate_p0(p0)))
+
+
+def _csk_from_agms(a: complex, b: complex) -> float:
+    """c_sK = 2 pi^2 Re(1/(a conj b)) of the ``special._period_agms`` pair."""
     return float(2.0 * np.pi**2 * (1.0 / (a * b.conjugate())).real)
 
 
@@ -214,7 +216,9 @@ def tau_from_periods(p0: complex) -> complex:
 class ToyConfig:
     """Derived constants of the four-punctured-sphere geometry at p0.
 
-    ``tau`` is the fundamental-domain modulus from :func:`inverse_lambda`.
+    ``tau`` is the fundamental-domain modulus of :func:`special.inverse_lambda`
+    and ``c_sk`` is :func:`csk`; both come from one pair of
+    arithmetic-geometric means, computed once.
     """
 
     p0: complex
@@ -226,9 +230,10 @@ class ToyConfig:
     @classmethod
     def from_p0(cls, p0: complex) -> "ToyConfig":
         p0 = _validate_p0(p0)
-        tau = inverse_lambda(p0)
+        a, b = _period_agms(p0)
+        tau = _tau_from_agms(a, b)
         lambda_t = lambda_T(tau)
-        cfg = cls(p0=p0, tau=tau, c_sk=csk(p0),
+        cfg = cls(p0=p0, tau=tau, c_sk=_csk_from_agms(a, b),
                   c_fib=float(np.pi * lambda_t), lambda_t=lambda_t)
         if len(shortest_vectors(1.0, tau)[1]) > 1:
             warnings.warn(

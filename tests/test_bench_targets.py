@@ -1,9 +1,11 @@
-"""The benchmark's per-layer tracer still finds every function it traces."""
+"""The benchmark's per-layer tracer still finds every function it traces, and sees every call."""
 
 from pathlib import Path
 
-import hitchinlab.cli  # noqa: F401  (loads every module the tracer patches)
-from hitchinlab import fiducial
+import pytest
+
+from hitchinlab import fiducial, lebrun
+from hitchinlab.cli import ExperimentConfig, run  # loads every module the tracer patches
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -18,3 +20,26 @@ def test_tracer_targets_resolve(monkeypatch):
     with tracer.Tracer().installed():
         assert fiducial.assemble_fields is not original
     assert fiducial.assemble_fields is original
+
+
+@pytest.mark.parametrize(
+    "params, calls",
+    [
+        ({"p0": "0.3,0", "amp": 0.1, "modes": 3}, 10),
+        ({"p0": "-0.15814436059767784,0.5558939790995723", "amp": 0.1381887309488307, "modes": 2}, 12),
+    ],
+)
+def test_lebrun_residual_evaluations(monkeypatch, tmp_path, params, calls):
+    # the criterion-9 op and a seeded lebrun-decay op: a solver change that
+    # adds or drops a Newton iteration, or stops calling the traced
+    # lebrun.nonlinear_residual, changes these counts
+    count = []
+    residual = lebrun.nonlinear_residual
+
+    def counting(*args, **kwargs):
+        count.append(1)
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(lebrun, "nonlinear_residual", counting)
+    run(ExperimentConfig("lebrun", dict(params), tmp_path / "leb"))
+    assert len(count) == calls

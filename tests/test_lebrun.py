@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 
@@ -16,8 +16,8 @@ from hitchinlab.lebrun import (
     TorusLattice,
     UnderflowWindowError,
     connection_from_w,
+    default_colloc,
     fit_decay,
-    hitchin_section_difference,
     linear_mode_solution,
     make_modes,
     metric_difference_full,
@@ -41,6 +41,7 @@ from hitchinlab.lebrun import (
 from hitchinlab.oracles import (
     DivergenceError,
     _banded_mode_solve,
+    hitchin_section_difference,
     solve_mode_bvp,
     solve_mode_inhomogeneous,
 )
@@ -372,6 +373,41 @@ class TestNonlinearResidual:
         with pytest.raises(AliasingError):
             nonlinear_residual(v, n_colloc=4)
 
+    def test_layout_guard(self, lattice):
+        # the half-lattice rows are those of the make_modes order
+        rho = np.linspace(0.5, 4.0, 11)
+        modes = make_modes(2)[::-1]
+        v = TorusFourierField(lattice, modes, rho, np.zeros((len(modes), 11), dtype=complex))
+        with pytest.raises(ValueError, match="make_modes"):
+            nonlinear_residual(v)
+        norms = v.mu_norms()
+        with pytest.raises(ValueError, match="make_modes"):
+            _grouped_bands(np.roll(norms, 1), rho)
+
+    @settings(max_examples=40)
+    @given(m_cut=st.integers(1, 4), n_rho=st.integers(5, 600), seed=st.integers(0, 2**32 - 1))
+    def test_half_lattice_is_exact(self, lattice, m_cut, n_rho, seed):
+        # one mode of each +-mu pair is computed and its partner is the
+        # conjugate, bit for bit; both agree with the per-mode computation
+        modes = make_modes(m_cut)
+        rho = np.linspace(0.5, 4.0, n_rho)
+        conj = len(modes) - 1 - np.arange(len(modes))  # row of -mu
+        v = TorusFourierField(lattice, modes, rho, 0.02 * _hermitian_coeffs(modes, n_rho, seed))
+        assert np.array_equal(v.coeffs[conj], np.conj(v.coeffs))
+        res = nonlinear_residual(v).coeffs
+        assert np.array_equal(res[conj], np.conj(res))
+        ref = _residual_whole_grid(v, default_colloc(m_cut))
+        assert np.max(np.abs(res - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+        norms = v.mu_norms()
+        _, bands = _grouped_bands(norms, rho)
+        rhs = _hermitian_coeffs(modes, n_rho, seed + 1)
+        step = _grouped_mode_solve(bands, rhs)
+        assert np.array_equal(step[conj], np.conj(step))
+        for k in np.nonzero(norms > 0)[0]:
+            ref = _banded_mode_solve(norms[k], rho, rhs[k, 1:-1], rhs[k, 0], rhs[k, -1])
+            assert np.max(np.abs(step[k] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
 
 class TestSolveNonlinear:
     def test_zero_data(self, lattice):
@@ -470,6 +506,28 @@ class TestSolveNonlinear:
         a = solution.v.coeffs[solution.v.index(m, n)]
         b = bigger.v.coeffs[bigger.v.index(m, n)]
         assert np.max(np.abs(a - b)) < 1e-8
+
+    def test_non_hermitian_inner_data_fails_fast(self, lattice, mu0_data, monkeypatch):
+        _, (m, n) = mu0_data
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("inner data reached the solver")
+
+        monkeypatch.setattr(TorusLattice, "min_dual_norm", unreachable)
+        pattern = rf"c\({-m}, {-n}\) = \(?0\.03.* is not the conjugate of c\({m}, {n}\) = \(?0\.07"
+        with pytest.raises(ValueError, match=pattern):
+            solve_nonlinear({(m, n): 0.07, (-m, -n): 0.03}, None, 3, lattice)
+        with pytest.raises(ValueError, match=r"c\(0, 0\)"):
+            solve_nonlinear({(0, 0): 0.01j}, None, 3, lattice)
+        with pytest.raises(ValueError, match="conjugate"):
+            solve_nonlinear({(m, n): 0.05 + 0.01j, (-m, -n): 0.05 + 0.01j}, None, 3, lattice)
+
+    def test_missing_conjugate_is_filled(self, lattice, mu0_data):
+        _, (m, n) = mu0_data
+        one = solve_nonlinear({(m, n): 0.04 + 0.02j}, None, 2, lattice)
+        both = solve_nonlinear({(m, n): 0.04 + 0.02j, (-m, -n): 0.04 - 0.02j}, None, 2, lattice)
+        assert np.array_equal(one.v.coeffs, both.v.coeffs)
+        assert one.v.coeffs[one.v.index(-m, -n), 0] == 0.04 - 0.02j
 
     def test_perturbative_guard(self, lattice, mu0_data):
         _, (m, n) = mu0_data

@@ -248,15 +248,17 @@ class TestToyConfig:
         assert min(abs(modular_lambda(cfg.tau) - s) for s in lambda_orbit(p0)) < 1e-12
 
     def test_inverts_lambda_once(self, monkeypatch):
+        # tau and c_sK share one pair of arithmetic-geometric means
         calls = []
+        agm = special._agm
 
-        def counting(p0):
-            calls.append(p0)
-            return inverse_lambda(p0)
+        def counting(a, b):
+            calls.append((a, b))
+            return agm(a, b)
 
-        monkeypatch.setattr(toy, "inverse_lambda", counting)
+        monkeypatch.setattr(special, "_agm", counting)
         ToyConfig.from_p0(0.3)
-        assert len(calls) == 1
+        assert len(calls) == 2
 
     def test_non_generic_warning(self):
         with pytest.warns(NonGenericTorusWarning):
