@@ -44,9 +44,9 @@ def main():
 
     print("\npredicted metric correction on the Hitchin section (base block):")
     print("      r      coeff(dr^2)          ratio to previous")
+    rs = np.geomspace(2.0, 64.0, 6)
     prev = None
-    for r in np.geomspace(2.0, 64.0, 6):
-        c = toy.gmn_correction(cfg, float(r)).g[0, 0]
+    for r, c in zip(rs, toy.gmn_correction(cfg, rs).g[:, 0, 0].tolist()):
         ratio = "" if prev is None else f"{c/prev:10.3e}"
         print(f"  {r:7.2f}  {c:+.6e}   {ratio}")
         prev = c

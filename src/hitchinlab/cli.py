@@ -190,10 +190,8 @@ def _run_toymodel(params: dict, out: Path):
     }
     j_path = write_json(out / "toymodel.json", record)
     r_grid = np.geomspace(r_min, r_max, r_points)
-    rows = []
-    for r in r_grid:
-        block = toy.gmn_correction(cfg, float(r)).g
-        rows.append((r, block[0, 0], block[1, 1]))
+    g = toy.gmn_correction(cfg, r_grid).g
+    rows = zip(r_grid.tolist(), g[:, 0, 0].tolist(), g[:, 1, 1].tolist())
     c_path = write_csv(out / "gmn_correction.csv", ["r", "coeff_rr", "coeff_thetatheta"], rows)
     return [j_path, c_path]
 

@@ -54,8 +54,6 @@ __all__ = [
     "hitchin_residual",
     "mphi_eigenvalues",
     "indicial_roots",
-    "quadratic_differential",
-    "expected_quadratic_differential",
 ]
 
 
@@ -385,18 +383,3 @@ def indicial_roots(case: LocalCase, window: tuple[float, float]):
         if not dedup or abs(v - dedup[-1]) > 1e-12:
             dedup.append(v)
     return dedup
-
-
-def quadratic_differential(sample: FieldSample) -> np.ndarray:
-    """-det(Phi/dz) on the grid: equals z, z^{-1} or residue^2 z^{-2} by case."""
-    P = sample.Phi
-    return -(P[..., 0, 0] * P[..., 1, 1] - P[..., 0, 1] * P[..., 1, 0])
-
-
-def expected_quadratic_differential(case: LocalCase, z: np.ndarray) -> np.ndarray:
-    kind = case.kind
-    if kind is CaseKind.SIMPLE_ZERO:
-        return z
-    if kind is CaseKind.STRONG_POLE:
-        return 1.0 / z
-    return complex(case.residue) ** 2 / z**2

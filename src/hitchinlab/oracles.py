@@ -19,7 +19,12 @@ route that shares no solver with it:
                              evaluates the whole collocation grid);
   matrix_residual            the self-duality residual from the assembled
                              2x2 matrices (``fiducial.hitchin_residual``
-                             uses the scalar reduction of the ansatz).
+                             uses the scalar reduction of the ansatz);
+  quadratic_differential     -det(Phi/dz) of the assembled fields, against
+                             the case's expected_quadratic_differential;
+  semiflat_metric            the paper's g_sf at a BasePoint of the Hitchin
+                             base (``lebrun.metric_difference_full``
+                             subtracts it in closed form).
 
 No module of the package imports this one, so the command line never
 loads it or ``scipy.integrate``.  The spectral-curve periods, the oracle
@@ -29,13 +34,15 @@ imports them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .fiducial import _ID2, FieldSample
+from .fiducial import _ID2, CaseKind, FieldSample, LocalCase
 from .grids import fd_first
 from .lebrun import (
     LeBrunSolution,
@@ -47,6 +54,7 @@ from .lebrun import (
 from .metrics import MetricComponents
 from .profiles import RadialProfile
 from .special import ConvergenceError, bessel_k
+from .toymodel import ToyConfig
 
 __all__ = [
     "shooting_solution",
@@ -55,6 +63,10 @@ __all__ = [
     "solve_mode_inhomogeneous",
     "hitchin_section_difference",
     "matrix_residual",
+    "quadratic_differential",
+    "expected_quadratic_differential",
+    "BasePoint",
+    "semiflat_metric",
     "DivergenceError",
 ]
 
@@ -212,7 +224,7 @@ def hitchin_section_difference(sol: LeBrunSolution, r_query) -> MetricComponents
 
 
 # ----------------------------------------------------------------------
-# local model fields: the matrix self-duality residual
+# local model fields: the matrix self-duality residual and the quadratic differential
 # ----------------------------------------------------------------------
 
 def matrix_residual(sample: FieldSample, t: float) -> float:
@@ -234,3 +246,55 @@ def matrix_residual(sample: FieldSample, t: float) -> float:
     resid = dA[:, None, :, :] - 2j * (t**2) * ((r**2)[:, None, None, None]) * comm
     vals = np.linalg.norm(resid, ord=2, axis=(-2, -1)).max(axis=1)
     return float(np.max(vals[1:-1]))
+
+
+def quadratic_differential(sample: FieldSample) -> np.ndarray:
+    """-det(Phi/dz) on the grid: equals z, z^{-1} or residue^2 z^{-2} by case."""
+    P = sample.Phi
+    return -(P[..., 0, 0] * P[..., 1, 1] - P[..., 0, 1] * P[..., 1, 0])
+
+
+def expected_quadratic_differential(case: LocalCase, z: np.ndarray) -> np.ndarray:
+    kind = case.kind
+    if kind is CaseKind.SIMPLE_ZERO:
+        return z
+    if kind is CaseKind.STRONG_POLE:
+        return 1.0 / z
+    return complex(case.residue) ** 2 / z**2
+
+
+# ----------------------------------------------------------------------
+# four-punctured sphere: the semiflat metric g_sf
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BasePoint:
+    """A nonzero point B of the Hitchin base with its rescaled polar coordinates."""
+
+    B: complex
+    c_sk: float
+
+    def __post_init__(self):
+        if self.B == 0:
+            raise ValueError("base point must be nonzero")
+
+    @property
+    def r(self) -> float:
+        return self.c_sk * abs(self.B)
+
+    @property
+    def theta(self) -> float:
+        return float(np.angle(self.B))
+
+
+def semiflat_metric(cfg: ToyConfig, base: BasePoint) -> MetricComponents:
+    """Block-diagonal semiflat metric at a base point, coordinates (r, theta, x, y).
+
+    Base block diag(1/r, r) (the flat cone of angle pi); fiber block the
+    Euclidean metric dx^2 + dy^2 on C / c_fib(Z + tau Z), total area 2 pi^2.
+    """
+    r = base.r
+    if r <= 0:
+        raise ValueError("base point must have positive radius")
+    g = np.diag([1.0 / r, r, 1.0, 1.0])
+    return MetricComponents(("r", "theta", "x", "y"), g)

@@ -23,9 +23,11 @@ This module computes the derived constants of that geometry:
             sqrt(2 |B| c_sK / Im tau);
   Omega(n)  BPS indices 8, -2, 0 for n = 1, 2, > 2;
 
-together with the semiflat metric and the conjectured leading correction
-to the moduli-space metric on the Hitchin section,
--(2/pi) 8 K0(2 sqrt(2 r / Im tau)) (dr^2 + r^2 dtheta^2) / (2 r Im tau).
+together with the conjectured leading correction to the moduli-space
+metric on the Hitchin section,
+-(2/pi) 8 K0(2 sqrt(2 r / Im tau)) (dr^2 + r^2 dtheta^2) / (2 r Im tau),
+at one r or a whole array of them.  The semiflat metric g_sf itself is
+``oracles.semiflat_metric``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .special import (
 
 __all__ = [
     "ToyConfig",
-    "BasePoint",
     "csk",
     "periods",
     "fiber_area",
@@ -56,7 +57,6 @@ __all__ = [
     "shortest_geodesic",
     "bps_omega",
     "gmn_correction",
-    "semiflat_metric",
     "NonGenericTorusWarning",
 ]
 
@@ -244,26 +244,6 @@ class ToyConfig:
         return cfg
 
 
-@dataclass(frozen=True)
-class BasePoint:
-    """A nonzero point B of the Hitchin base with its rescaled polar coordinates."""
-
-    B: complex
-    c_sk: float
-
-    def __post_init__(self):
-        if self.B == 0:
-            raise ValueError("base point must be nonzero")
-
-    @property
-    def r(self) -> float:
-        return self.c_sk * abs(self.B)
-
-    @property
-    def theta(self) -> float:
-        return float(np.angle(self.B))
-
-
 # ----------------------------------------------------------------------
 # semiflat geometry
 # ----------------------------------------------------------------------
@@ -300,27 +280,21 @@ def bps_omega(n: int) -> int:
     return 8 if n == 1 else (-2 if n == 2 else 0)
 
 
-def gmn_correction(cfg: ToyConfig, r: float) -> MetricComponents:
+def gmn_correction(cfg: ToyConfig, r) -> MetricComponents:
     """Predicted leading correction g_L2 - g_sf on the Hitchin section.
 
     Base block -(2/pi) 8 K0(2 sqrt(2 r / Im tau)) (dr^2 + r^2 dtheta^2)
-    / (2 r Im tau) in the rescaled polar coordinates.
+    / (2 r Im tau) in the rescaled polar coordinates.  ``r`` is a scalar or
+    an array, every element positive and finite (ValueError otherwise); the
+    blocks have shape ``r.shape + (2, 2)``, one 2x2 block for a scalar, and
+    each equals the scalar call at its ``r`` bit for bit.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
+        raise ValueError("r must be positive and finite")
     im = cfg.tau.imag
     coeff = -(2.0 / np.pi) * bps_omega(1) * bessel_k(0, 2.0 * np.sqrt(2.0 * r / im)) / (2.0 * r * im)
-    return MetricComponents(("r", "theta"), np.diag([coeff, coeff * r**2]))
-
-
-def semiflat_metric(cfg: ToyConfig, base: BasePoint) -> MetricComponents:
-    """Block-diagonal semiflat metric at a base point, coordinates (r, theta, x, y).
-
-    Base block diag(1/r, r) (the flat cone of angle pi); fiber block the
-    Euclidean metric dx^2 + dy^2 on C / c_fib(Z + tau Z), total area 2 pi^2.
-    """
-    r = base.r
-    if r <= 0:
-        raise ValueError("base point must have positive radius")
-    g = np.diag([1.0 / r, r, 1.0, 1.0])
-    return MetricComponents(("r", "theta", "x", "y"), g)
+    g = np.zeros(r.shape + (2, 2))
+    g[..., 0, 0] = coeff
+    g[..., 1, 1] = coeff * (r * r)
+    return MetricComponents(("r", "theta"), g)

@@ -43,3 +43,20 @@ def test_lebrun_residual_evaluations(monkeypatch, tmp_path, params, calls):
     monkeypatch.setattr(lebrun, "nonlinear_residual", counting)
     run(ExperimentConfig("lebrun", dict(params), tmp_path / "leb"))
     assert len(count) == calls
+
+
+@pytest.mark.parametrize("p0", ["0.3,0.1", "0.04,0"])
+def test_toymodel_correction_evaluations(monkeypatch, tmp_path, p0):
+    # one toymodel op evaluates its K0 correction table in one call, on all
+    # 40 default r nodes at once; a return to a per-r loop multiplies the
+    # traced toymodel.gmn_correction and special.bessel_k calls by 40
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    tr = tracer.Tracer()
+    with tr.installed():
+        run(ExperimentConfig("toymodel", {"p0": p0}, tmp_path / "toy"))
+    names = ("toymodel.gmn_correction", "special.bessel_k")
+    spans = [s for s in tr.spans if s.name in names]
+    assert [s.name for s in spans] == list(names)
+    assert spans[1].extra == 40  # bessel_k points

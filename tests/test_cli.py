@@ -18,7 +18,7 @@ from hitchinlab.artifacts import MissingManifestError, format_float, write_csv
 from hitchinlab.cli import ExperimentConfig, ValidationError, main, report, run
 from hitchinlab.lebrun import TorusLattice, metric_difference_full, solve_nonlinear
 from hitchinlab.special import ConvergenceError
-from hitchinlab.toymodel import NonGenericTorusWarning, ToyConfig, periods
+from hitchinlab.toymodel import NonGenericTorusWarning, ToyConfig, gmn_correction, periods
 
 FAST_LEBRUN = {
     "p0": "0.3,0",
@@ -145,6 +145,25 @@ class TestCommands:
         write_csv(tmp_path / "metric_difference.csv", header, rows)
         for name in ("solution.csv", "metric_difference.csv"):
             assert (tmp_path / "leb" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "grid",
+        [{}, {"r_points": 2}, {"r_min": 0.05, "r_max": 3.0e3, "r_points": 17}],
+        ids=["default", "two-points", "custom"],
+    )
+    def test_toymodel_rows_match_r_loop(self, tmp_path, grid):
+        # the CSV from one array call is the one a loop of scalar calls writes
+        params = dict({"p0": "0.3,0.1"}, **grid)
+        run(ExperimentConfig("toymodel", dict(params), tmp_path / "toy"))
+        cfg = ToyConfig.from_p0(0.3 + 0.1j)
+        rows = []
+        for r in np.geomspace(params.get("r_min", 1.0), params.get("r_max", 100.0), params.get("r_points", 40)):
+            block = gmn_correction(cfg, float(r)).g
+            rows.append((r, block[0, 0], block[1, 1]))
+        write_csv(tmp_path / "gmn_correction.csv", ["r", "coeff_rr", "coeff_thetatheta"], rows)
+        got = (tmp_path / "toy" / "gmn_correction.csv").read_bytes()
+        assert got == (tmp_path / "gmn_correction.csv").read_bytes()
+        assert len(got.splitlines()) == 1 + params.get("r_points", 40)
 
     def test_report_requires_manifests(self, tmp_path):
         with pytest.raises(MissingManifestError):

@@ -13,17 +13,15 @@ from hitchinlab.fiducial import (
     FieldSample,
     LocalCase,
     assemble_fields,
-    expected_quadratic_differential,
     fiducial_fields,
     hitchin_residual,
     indicial_roots,
     mphi_eigenvalues,
     polar_grid,
-    quadratic_differential,
     _phi_commutator_norm,
 )
 from hitchinlab.glue import approx_metric
-from hitchinlab.oracles import matrix_residual
+from hitchinlab.oracles import expected_quadratic_differential, matrix_residual, quadratic_differential
 from hitchinlab.painleve import ParabolicWeights, ell_profile, m_profile
 from hitchinlab.profiles import RadialProfile
 

@@ -18,8 +18,8 @@ from hitchinlab.special import (
     modular_lambda,
     reduce_to_fundamental_domain,
 )
+from hitchinlab.oracles import BasePoint, semiflat_metric
 from hitchinlab.toymodel import (
-    BasePoint,
     NonGenericTorusWarning,
     ToyConfig,
     bps_omega,
@@ -28,7 +28,6 @@ from hitchinlab.toymodel import (
     gmn_correction,
     lambda_T,
     periods,
-    semiflat_metric,
     shortest_geodesic,
     tau_from_periods,
 )
@@ -353,6 +352,39 @@ class TestSemiflatData:
             x2 = 2 * np.sqrt(2 * 4 * r / im)
             expect = (np.sqrt(x1 / x2) * np.exp(-(x2 - x1))) / 4.0
             assert got == pytest.approx(expect, rel=0.02)
+
+    @given(_ACCEPTED_P0, st.lists(st.floats(1e-3, 1e4), min_size=1, max_size=12))
+    @example(0.3, [1e-3, 1.0, 1e4])
+    @example(1e-3, [1e4])
+    @example(1e300j, [1e-3, 1e4])
+    def test_gmn_correction_array(self, p0, rs):
+        # one array call is the scalar calls, block for block and bit for bit
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonGenericTorusWarning)
+            cfg = ToyConfig.from_p0(p0)
+        r = np.array(rs)
+        g = gmn_correction(cfg, r).g
+        assert g.shape == (len(rs), 2, 2)
+        for i, ri in enumerate(rs):
+            block = gmn_correction(cfg, ri).g
+            assert block.shape == (2, 2)
+            assert block.tobytes() == g[i].tobytes()
+        assert np.array_equal(g[..., 1, 1], g[..., 0, 0] * (r * r))
+        assert np.all(g[..., 0, 1] == 0.0) and np.all(g[..., 1, 0] == 0.0)
+        assert gmn_correction(cfg, r.reshape(-1, 1)).g.shape == (len(rs), 1, 2, 2)
+
+    @given(
+        st.lists(st.floats(1e-3, 1e4), min_size=1, max_size=12),
+        st.sampled_from([0.0, -0.0, -1.0, -np.inf, np.inf, np.nan]),
+        st.integers(0, 11),
+    )
+    def test_gmn_correction_rejects_bad_r(self, cfg_03, rs, bad, i):
+        r = np.array(rs)
+        r[i % len(r)] = bad
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            gmn_correction(cfg_03, r)
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            gmn_correction(cfg_03, bad)
 
     def test_semiflat_metric(self, cfg_half):
         base = BasePoint(1.0 / cfg_half.c_sk, cfg_half.c_sk)
