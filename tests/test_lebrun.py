@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 
+from hitchinlab import lebrun
 from hitchinlab.grids import fd_first, fd_second
 from hitchinlab.lebrun import (
     AliasingError,
@@ -35,6 +36,7 @@ from hitchinlab.lebrun import (
     _mode_band,
     _mode_rows,
     _phase_blocks,
+    _radial_blocks,
     _synthesize,
     _trig_factor,
 )
@@ -69,7 +71,15 @@ def _analyze_fft(values, modes):
 
 
 def _residual_whole_grid(v, n_colloc):
-    """Oracle: L v - Q(v) with every product formed on the whole grid through the FFT oracles."""
+    """Oracle: 4 rho^2 Delta_T v + L_0 (e^v - 1), e^v - 1 projected on the whole grid by the FFT oracles."""
+    rho = v.rho
+    ev = _analyze_fft(np.expm1(_synthesize_fft(v.modes, v.coeffs, n_colloc).real), v.modes)
+    radial = rho**2 * fd_second(rho, ev) + 3.0 * rho * fd_first(rho, ev)
+    return radial - 16.0 * np.pi**2 * v.mu_norms()[:, None] ** 2 * rho**2 * v.coeffs
+
+
+def _residual_product_form(v, n_colloc):
+    """Oracle: L v - Q(v) with Q(v) = (1 - e^v) L_0 v - e^v (rho v_r)^2, the expanded discretization."""
     rho = v.rho
     d1, d2 = fd_first(rho, v.coeffs), fd_second(rho, v.coeffs)
     radial = rho**2 * d2 + 3.0 * rho * d1
@@ -354,9 +364,40 @@ class TestNonlinearResidual:
         got = nonlinear_residual(v, n_colloc).coeffs
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    def test_conservative_form_is_second_order_close_to_product_form(self, lattice):
+        # L_0(e^v - 1) and e^v (L_0 v + (rho v_r)^2) discretize the same
+        # operator; on a smooth field they differ at O(h^2) between the end rows
+        modes = make_modes(2)
+        a = _hermitian_coeffs(modes, 1, 7)
+        k = np.abs(modes).sum(axis=1)[:, None]
+        diffs = []
+        for n_rho in (201, 401):
+            rho = np.linspace(0.5, 4.0, n_rho)
+            v = TorusFourierField(lattice, modes, rho, 0.1 * a * np.exp(-(1 + k) * rho) * np.cos(rho))
+            diff = nonlinear_residual(v).coeffs - _residual_product_form(v, default_colloc(2))
+            diffs.append(np.max(np.abs(diff[:, 1:-1])))
+        assert 3.0 < diffs[0] / diffs[1] < 5.0
+
+    @pytest.mark.parametrize("n_rho", [5, RADIAL_BLOCK, RADIAL_BLOCK + 1, 1401])
+    def test_one_synthesis_per_block(self, monkeypatch, lattice, n_rho):
+        # v is synthesized once per radial block, and nothing else is
+        calls = []
+        synthesize = lebrun._synthesize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return synthesize(*args, **kwargs)
+
+        monkeypatch.setattr(lebrun, "_synthesize", counting)
+        modes = make_modes(2)
+        rho = np.linspace(0.5, 4.0, n_rho)
+        nonlinear_residual(TorusFourierField(lattice, modes, rho, 0.02 * _hermitian_coeffs(modes, n_rho, 3)))
+        assert len(calls) == len(_radial_blocks(n_rho))
+
     def test_memory_stays_blocked(self, solution):
-        # one criterion-9 residual peaks at 8.6 MB of new allocations; the
-        # whole-grid (1401, 16, 16) temporaries took it to 18.9 MB
+        # one criterion-9 residual peaks at 2.6 MB of new allocations; the
+        # product form's three syntheses per block took it to 4.8 MB, and
+        # whole-grid (1401, 16, 16) temporaries to 18.9 MB
         nonlinear_residual(solution.v)
         tracemalloc.start()
         try:
@@ -364,7 +405,7 @@ class TestNonlinearResidual:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+        assert peak < 5e6
 
     def test_aliasing_guard(self, lattice):
         rho = np.linspace(0.5, 4.0, 101)
