@@ -200,6 +200,9 @@ def _run_lebrun(params: dict, out: Path):
     p0 = _parse_complex(str(_require(params, "p0")))
     amp = float(params.get("amp", 0.1))
     modes = int(params.get("modes", 3))
+    n_rho = int(params.get("n_rho", 1401))
+    if n_rho < 5:
+        raise ValidationError(f"--n-rho {n_rho} is too small: the solution needs at least 5 radial nodes")
     cfg = toy.ToyConfig.from_p0(p0)
     lattice = leb.TorusLattice.from_tau(cfg.tau)
     m, n = lattice.min_dual_norm()[1][0]
@@ -210,7 +213,7 @@ def _run_lebrun(params: dict, out: Path):
         modes,
         lattice,
         rho_min=float(params.get("rho_min", 0.5)),
-        n_rho=int(params.get("n_rho", 1401)),
+        n_rho=n_rho,
     )
     rate, power = leb.fit_decay(sol)
     lam2 = 2.0 * sol.lambda_t

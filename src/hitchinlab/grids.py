@@ -1,15 +1,15 @@
-"""Grid utilities: non-uniform finite differences and their banded operators.
+"""Grid utilities: non-uniform finite differences and the 3-point solve.
 
 The 3-point stencils below are exact on quadratics for arbitrary node
 spacing; on smoothly graded (e.g. log-spaced) grids they are second-order
 accurate.  The same stencils are used by the solvers and by the residual
 checks, so a converged solve has a matching discrete residual by
 construction.  An operator built from them is tridiagonal except for one
-corner entry in each one-sided boundary row.  :func:`banded_three_point`
-stores it as a (2, 2) band, which ``lebrun`` LU-factors once per mode with
-LAPACK ``zgbtrf``; :func:`solve_three_point` solves a real one directly,
-folding each corner into its neighbouring row and calling the tridiagonal
-LAPACK ``dgtsv``, which is what ``painleve``'s Newton steps use.
+corner entry in each one-sided boundary row.  :func:`solve_three_point`
+solves a real one directly, folding each corner into its neighbouring row
+and calling the tridiagonal LAPACK ``dgtsv``, which is what ``painleve``'s
+Newton steps use.  ``oracles.banded_three_point`` stores the same operator
+as a (2, 2) band for the general band solve the tests compare against.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "fd_second",
     "fd_first_boundary",
     "interior_weights",
-    "banded_three_point",
     "solve_three_point",
     "cumulative_from_right",
 ]
@@ -94,28 +93,13 @@ def fd_second(x: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
-def banded_three_point(lower, diag, upper, first, last) -> np.ndarray:
-    """(5, n) band storage, for ``solve_banded((2, 2), ...)``, of a 3-point operator.
+def solve_three_point(lower, diag, upper, first, last, rhs) -> np.ndarray:
+    """Solve a real 3-point operator with one-sided end rows against ``rhs``.
 
     Interior row i (1 <= i <= n-2) holds lower[i-1], diag[i-1], upper[i-1] in
     columns i-1, i, i+1; row 0 holds the weights ``first`` in columns 0, 1, 2
     and row n-1 the weights ``last`` in columns n-1, n-2, n-3, the index
-    order of :func:`fd_first_boundary`.  ``lebrun`` factors these bands with
-    ``zgbtrf``; a real system is solved faster by :func:`solve_three_point`.
-    """
-    diag = np.asarray(diag)
-    n = len(diag) + 2
-    ab = np.zeros((5, n), dtype=np.result_type(lower, diag, upper, *first, *last))
-    ab[2, 1:-1] = diag
-    ab[3, :-2] = lower
-    ab[1, 2:] = upper
-    ab[2, 0], ab[1, 1], ab[0, 2] = first
-    ab[2, -1], ab[3, -2], ab[4, -3] = last
-    return ab
-
-
-def solve_three_point(lower, diag, upper, first, last, rhs) -> np.ndarray:
-    """Solve the real 3-point operator of :func:`banded_three_point` against ``rhs``.
+    order of :func:`fd_first_boundary`.
 
     Row 0's entry in column 2 is eliminated against interior row 1, and row
     n-1's entry in column n-3 against row n-2; that leaves a tridiagonal

@@ -30,27 +30,30 @@ same equation in conservative form is
 
 which is 4 rho^2 (Delta_T u + d^2/drhat^2 (e^u)) itself.
 
-``solve_nonlinear`` runs an inexact Newton iteration whose correction steps
-solve the decoupled systems L_mu dv = -residual (banded), with Dirichlet
-data at rho_min and a Robin condition matched to the K_1 log-derivative at
-rho_max.  L_mu depends on |mu| only, so one band is built and LU-factored
-per distinct norm before the iteration, and each step makes only the
-triangular solves, once for all the modes of that norm, their right-hand
-sides stacked as columns.  Every field is real (Hermitian coefficients),
-and the iterates, residuals and steps are exactly so: in the
-``make_modes`` order row K-1-k holds -mu of row k, so the coefficient-space
-work (radial stencil, torus part, banded solves) is done on the half
-lattice m > 0 or m = 0, n >= 0, and the other half is its conjugate.  The
-residual is evaluated in the conservative form: per block of
-``RADIAL_BLOCK`` radial nodes, v is synthesized once on a collocation grid,
-e^v - 1 is formed in place and projected back (pseudospectral), so the
-(N, block, N) temporaries stay in cache; the 3-point stencil of L_0, built
-once per grid, is applied once to the projected coefficients.  Synthesis
-and projection are separable real matmuls, one 2-d matmul per contraction,
-against memoized collocation phases.  ``fit_decay`` measures the realized
-decay rate and prefactor power.  ``metric_difference_full`` evaluates
-g - g_sf in the coframe of the radial change r = rhat e^v; its predicted
-Bessel parts and remainder are built only when read.
+``solve_nonlinear`` discretizes rho by Chebyshev collocation on
+[rho_min, rho_max] (Trefethen, *Spectral Methods in MATLAB*, SIAM 2000)
+and runs an inexact Newton iteration whose correction steps solve the
+decoupled systems L_mu dv = -residual, with Dirichlet data at rho_min and a
+Robin condition matched to the K_1 log-derivative at rho_max.  L_mu depends
+on |mu| only, so one dense collocation matrix is built and inverted per
+distinct norm before the iteration, and each step is one batched product.
+Every field is real (Hermitian coefficients), and the iterates, residuals
+and steps are exactly so: in the ``make_modes`` order row K-1-k holds -mu
+of row k, so the coefficient-space work (radial operator, torus part,
+solves) is done on the half lattice m > 0 or m = 0, n >= 0, and the other
+half is its conjugate.  The residual is evaluated in the conservative form:
+v is synthesized once on a collocation grid, e^v - 1 is formed in place and
+projected back (pseudospectral), and the dense matrix of L_0 is applied
+once to the projected coefficients.  Synthesis and projection are separable
+real matmuls, one 2-d matmul per contraction, against memoized collocation
+phases.  The node count doubles from 64 intervals until the trailing
+Chebyshev coefficients of v are negligible; the solution is returned on a
+uniform radial grid, evaluated there by one barycentric interpolation
+matrix (Berrut and Trefethen, SIAM Review 46, 2004).  ``fit_decay``
+measures the realized decay rate and prefactor power.
+``metric_difference_full`` evaluates g - g_sf in the coframe of the radial
+change r = rhat e^v; its predicted Bessel parts and remainder are built
+only when read.
 """
 
 from __future__ import annotations
@@ -60,16 +63,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import zgbtrf, zgbtrs
 
-from .grids import (
-    banded_three_point,
-    cumulative_from_right,
-    fd_first,
-    fd_first_boundary,
-    interior_weights,
-)
+from .grids import cumulative_from_right
 from .special import ConvergenceError, bessel_k, shortest_vectors
 
 __all__ = [
@@ -198,10 +193,6 @@ class TorusFourierField:
     def reality_defect(self) -> float:
         conj = np.conj(self.coeffs[self._conjugate_index()])
         return float(np.max(np.abs(self.coeffs - conj), initial=0.0))
-
-    def symmetrized(self) -> "TorusFourierField":
-        out = 0.5 * (self.coeffs + np.conj(self.coeffs[self._conjugate_index()]))
-        return TorusFourierField(self.lattice, self.modes, self.rho, out)
 
     # -- transforms ---------------------------------------------------------
     def values(self, n_colloc: int) -> np.ndarray:
@@ -347,77 +338,91 @@ def default_colloc(m_cut: int) -> int:
     return max(16, 4 * m_cut + 4)
 
 
-# Radial nodes per transform block.  At N = 16 each (N, block, N) sample
-# array is 512 kB, so a block's synthesis, exponential and projection stay
-# in cache instead of streaming whole-grid temporaries through memory.
-RADIAL_BLOCK = 256
+# A solve starts on CHEB_INTERVALS Chebyshev intervals and doubles them
+# while the trailing Chebyshev coefficients of the converged v exceed
+# CHEB_TAIL_TOL of its largest one, up to CHEB_MAX_INTERVALS.  64 intervals
+# resolve the default rho_max = max(3 / lambda_T, 4) for |p0| up to about
+# 1e7 (rho_max 5.2); larger |p0|, or a user-set rho_max of about 5 or more,
+# take 128, and p0 = 1e300 (rho_max 31.5) takes 256.
+CHEB_INTERVALS = 64
+CHEB_MAX_INTERVALS = 256
+CHEB_TAIL_TOL = 1e-12
 
 
-def _radial_blocks(n_rho: int):
-    """Slices of at most RADIAL_BLOCK consecutive radial nodes covering 0..n_rho."""
-    return [slice(a, min(a + RADIAL_BLOCK, n_rho)) for a in range(0, n_rho, RADIAL_BLOCK)]
+def _chebyshev_nodes(rho_min: float, rho_max: float, n: int) -> np.ndarray:
+    """The increasing Chebyshev-Gauss-Lobatto nodes rho_min + (rho_max - rho_min)(1 - cos(j pi / n)) / 2, j = 0..n."""
+    x = np.sin(0.5 * np.pi * (2 * np.arange(n + 1) - n) / n)  # -cos(j pi / n), symmetric about 0
+    rho = rho_min + 0.5 * (rho_max - rho_min) * (x + 1.0)
+    rho[0], rho[-1] = rho_min, rho_max
+    return rho
+
+
+@lru_cache(maxsize=8)
+def _chebyshev(rho_min: float, rho_max: float, n: int):
+    """Chebyshev-Gauss-Lobatto nodes of [rho_min, rho_max] with n intervals, and their matrices.
+
+    Returns the nodes of :func:`_chebyshev_nodes`, the differentiation
+    matrix D of the interpolant through them (Trefethen, *Spectral Methods
+    in MATLAB*, ``cheb``, with the negative row sums on the diagonal), L_0 =
+    rho^2 D^2 + 3 rho D, and the (n + 1, n + 1) cosine matrix taking node
+    values to the interpolant's Chebyshev coefficients.  Read-only and
+    memoized: a solve and its residuals keep one set of nodes.
+    """
+    j = np.arange(n + 1)
+    rho = _chebyshev_nodes(rho_min, rho_max, n)
+    x = np.sin(0.5 * np.pi * (2 * j - n) / n)
+    ends = np.where((j == 0) | (j == n), 2.0, 1.0)
+    c = ends * (-1.0) ** j
+    D = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    D -= np.diag(D.sum(axis=1))
+    D *= 2.0 / (rho_max - rho_min)
+    l0 = rho[:, None] ** 2 * (D @ D) + 3.0 * rho[:, None] * D
+    # a_k = (2/n) sum'' f_j T_k(x_j), T_k(x_j) = cos(k (n - j) pi / n); a_0, a_n halved
+    to_coeffs = np.cos(np.pi * np.outer(j, n - j) / n) / np.outer(ends, ends) * (2.0 / n)
+    out = (rho, D, l0, to_coeffs)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _barycentric(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(len(x), len(nodes)) matrix evaluating the interpolant through Chebyshev-Gauss-Lobatto nodes at x.
+
+    The second barycentric form with the weights (-1)^j, halved at both
+    ends (Berrut and Trefethen, SIAM Review 46, 2004); a point that is a
+    node takes that node's value.  Its rounding error follows the local
+    size of the interpolant, so the decaying tail that ``fit_decay`` reads
+    keeps about 1e-13 relative accuracy; a sum of Chebyshev polynomials
+    times the cosine transform errs by about eps sup|v|, 4e-10 of the
+    criterion-9 tail.
+    """
+    w = (-1.0) ** np.arange(len(nodes))
+    w[[0, -1]] *= 0.5
+    diff = x[:, None] - nodes[None, :]
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    P = w / diff
+    P /= P.sum(axis=1, keepdims=True)
+    on_node = hit.any(axis=1)
+    P[on_node] = hit[on_node]
+    return P
 
 
 # ----------------------------------------------------------------------
 # the reduced equation
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _radial_stencils(grid: bytes):
-    """The 3-point stencil of L_0 = rho^2 d^2 + 3 rho d on one radial grid, and rho^2.
-
-    ``grid`` is the bytes of the float rho array.  Row i weighs the nodes
-    i-1, i, i+1, and the end rows the windows 0..2 and n-3..n-1, where the
-    first derivative is one-sided and the second is copied from the
-    neighbouring node (the end rows of ``fd_first`` and ``fd_second``).
-    The stencil is a (3, 2n) array and rho^2 a (2n,) one, each value
-    repeated for the real and the imaginary part, to act on the float view
-    of complex rows.  Memoized: one solve keeps one grid.
-    """
-    rho = np.frombuffer(grid)
-    (b_l, b_c, b_r), (a_l, a_c, a_r) = interior_weights(rho)
-    first, second = np.empty((3, len(rho))), np.empty((3, len(rho)))
-    first[:, 1:-1], second[:, 1:-1] = (b_l, b_c, b_r), (a_l, a_c, a_r)
-    first[:, 0] = fd_first_boundary(rho, "left")[1]
-    first[:, -1] = fd_first_boundary(rho, "right")[1][::-1]
-    second[:, 0], second[:, -1] = second[:, 1], second[:, -2]
-    stencils = (
-        np.repeat(rho**2 * second + 3.0 * rho * first, 2, axis=1),
-        np.repeat(rho**2, 2),
-    )
-    for a in stencils:
-        a.flags.writeable = False
-    return stencils
-
-
-def _apply_stencil(w: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """Write the :func:`_radial_stencils` stencil ``w`` applied to the rows of ``y`` into ``out``.
-
-    ``y`` and ``out`` are complex (H, n) arrays with contiguous rows; the
-    weights are real, so the work is done on their float views.
-    """
-    y, o = y.view(float), out.view(float)
-    np.multiply(w[0, 2:-2], y[:, :-4], out=o[:, 2:-2])
-    o[:, 2:-2] += w[1, 2:-2] * y[:, 2:-2]
-    o[:, 2:-2] += w[2, 2:-2] * y[:, 4:]
-    o[:, :2] = w[0, :2] * y[:, :2] + w[1, :2] * y[:, 2:4] + w[2, :2] * y[:, 4:6]
-    o[:, -2:] = w[0, -2:] * y[:, -6:-4] + w[1, -2:] * y[:, -4:-2] + w[2, -2:] * y[:, -2:]
-
-
 def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> TorusFourierField:
     """L v - Q(v) in conservative form: 4 rho^2 Delta_T v + L_0 (e^v - 1).
 
     Since L_0(e^v) = e^v (L_0 v + (rho v_r)^2), this equals the expanded
-    L v - Q(v).  Per block of radial nodes, v is synthesized once on the
+    L v - Q(v).  ``v`` lives on the Chebyshev-Gauss-Lobatto nodes of
+    [rho[0], rho[-1]] (ValueError otherwise).  It is synthesized once on the
     collocation grid, e^v - 1 is formed in place by ``expm1`` and projected
     back onto the half lattice (pseudospectral); L_0 is radial, so it
-    commutes with the projection and its 3-point stencil is applied once to
-    the projected coefficients.  The torus part -16 pi^2 |mu|^2 rho^2 v is
-    added in coefficient space.  This discretizes the operator differently
-    from the expanded product form, at O(h^2): the criterion-9 solution
-    moved by about 1e-8 sup-relative, its fitted rate and prefactor power
-    by about 1e-12 and 5e-12 relative, and against a 4x finer radial grid
-    it is slightly closer than the product form was.  ``v`` must be real
+    commutes with the projection, and its dense collocation matrix is
+    applied once to the projected coefficients.  The torus part -16 pi^2
+    |mu|^2 rho^2 v is added in coefficient space.  ``v`` must be real
     (Hermitian coefficients) in the ``make_modes(m_cut)`` order, where row
     K-1-k holds -mu of row k: the coefficient-space work is done for the
     rows from K // 2 on (m > 0, or m = 0 and n >= 0) and the other rows are
@@ -433,25 +438,20 @@ def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> Tor
     modes = v.modes
     if not np.array_equal(modes, make_modes(m_cut)):
         raise ValueError("modes must be in the make_modes(m_cut) order")
-    rho = v.rho
-    l0, rho2 = _radial_stencils(rho.tobytes())
+    rho_min, rho_max, n = float(v.rho[0]), float(v.rho[-1]), len(v.rho) - 1
+    if not np.allclose(v.rho, _chebyshev_nodes(rho_min, rho_max, n), rtol=1e-12, atol=0.0):
+        raise ValueError("rho must be the Chebyshev-Gauss-Lobatto nodes of [rho[0], rho[-1]]")
+    rho, _, l0, _ = _chebyshev(rho_min, rho_max, n)
     # rows c.. are the half lattice; rows lo.. (m >= 0) are what synthesis reads
     c = len(modes) // 2
     lo = c - m_cut
-    ev = np.empty((len(modes) - c, len(rho)), dtype=complex)  # P_N[e^v - 1]
-    for b in _radial_blocks(len(rho)):
-        E = _synthesize(modes[lo:], v.coeffs[lo:, b], n_colloc)
-        np.expm1(E, out=E)
-        ev[:, b] = _analyze(E, modes[c:])
+    E = _synthesize(modes[lo:], v.coeffs[lo:], n_colloc)
+    np.expm1(E, out=E)
     out = np.empty(v.coeffs.shape, dtype=complex)
-    _apply_stencil(l0, ev, out[c:])
-    # minus the torus part 16 pi^2 |mu|^2 rho^2 v, on float views
-    torus = np.multiply((16.0 * np.pi**2 * v.mu_norms()[c:] ** 2)[:, None], rho2)
-    torus *= np.ascontiguousarray(v.coeffs[c:]).view(float)
-    half = out[c:].view(float)
-    half -= torus
+    out[c:] = _analyze(E, modes[c:]) @ l0.T
+    out[c:] -= (16.0 * np.pi**2 * v.mu_norms()[c:] ** 2)[:, None] * rho**2 * v.coeffs[c:]
     np.conjugate(out[:c:-1], out=out[:c])
-    return TorusFourierField(v.lattice, v.modes, rho, out)
+    return TorusFourierField(v.lattice, v.modes, v.rho, out)
 
 
 def linear_mode_solution(mu, rho):
@@ -476,102 +476,46 @@ def _phi_log_deriv(mu_abs, rho: float) -> np.ndarray:
     return out
 
 
-def _mode_rows(mu_abs: float, rho: np.ndarray):
-    """Banded rows of L_mu on the grid (interior central differences)."""
-    (b_l, b_c, b_r), (a_l, a_c, a_r) = interior_weights(rho)
-    ri = rho[1:-1]
-    c_l = ri**2 * a_l + 3.0 * ri * b_l
-    c_c = ri**2 * a_c + 3.0 * ri * b_c - 16.0 * np.pi**2 * mu_abs**2 * ri**2
-    c_r = ri**2 * a_r + 3.0 * ri * b_r
-    return c_l, c_c, c_r
+def _mode_inverses(mu_abs: np.ndarray, rho_min: float, rho_max: float, n: int):
+    """Inverses of the collocation matrices of L_mu on n Chebyshev intervals, one per |mu|, and their Robin g.
 
-
-def _mode_band(mu_abs: float, rho: np.ndarray, g: float) -> np.ndarray:
-    """(5, n) band of L_mu with v(rho0) and (v' - g v)(rhoN) in the end rows."""
-    _, (w0, w1, w2) = fd_first_boundary(rho, "right")
-    return banded_three_point(*_mode_rows(mu_abs, rho), (1.0, 0.0, 0.0), (w0 - g, w1, w2))
-
-
-def _factor_band(ab: np.ndarray):
-    """LAPACK LU (``zgbtrf``) of a (5, n) band with two sub- and superdiagonals.
-
-    The factors are those ``solve_banded`` (``zgbsv``) forms on a complex
-    right-hand side, so solving with them reproduces it bit for bit.
-    Raises ``ValueError`` for a non-finite band and ``LinAlgError`` for a
-    singular one.
+    Row 0 is the Dirichlet row v(rho_min) and row n the Robin row v' - g v
+    at rho_max, g the K_1 log-derivative there (exact for the decaying
+    solution).  At mu = 0 the homogeneous solutions 1 and 1/rhat do not
+    decay, so the mean mode takes the Cauchy rows v(rho_max) = 0 (row 0)
+    and v'(rho_max) = 0 (row n): the decaying particular solution.  Each
+    matrix is LU-factored and inverted once by ``numpy.linalg.inv``, so a
+    Newton step is one matrix-vector product per mode.  g is 0 at mu = 0.
+    Raises ``LinAlgError`` for a singular matrix.
     """
-    if not np.isfinite(ab).all():
-        raise ValueError("array must not contain infs or NaNs")
-    work = np.zeros((7, ab.shape[1]), dtype=complex)  # 2 extra rows for the pivoting fill-in
-    work[2:] = ab
-    lu, piv, info = zgbtrf(work, 2, 2, overwrite_ab=True)
-    if info > 0:
-        raise LinAlgError("singular matrix")
-    return lu, piv
+    mu_abs = np.asarray(mu_abs, dtype=float)
+    mean = mu_abs == 0.0
+    g = np.where(mean, 0.0, _phi_log_deriv(mu_abs, rho_max))
+    rho, D, l0, _ = _chebyshev(rho_min, rho_max, n)
+    A = l0 - (16.0 * np.pi**2 * mu_abs**2)[:, None, None] * np.diag(rho**2)
+    A[:, 0] = 0.0
+    A[:, 0, 0] = 1.0
+    A[:, -1] = D[-1]
+    A[:, -1, -1] -= g
+    A[mean, 0, 0], A[mean, 0, -1] = 0.0, 1.0
+    return np.linalg.inv(A), g
 
 
-def _grouped_bands(norms: np.ndarray, rho: np.ndarray):
-    """Robin coefficients per mode and one (members, lu, pivots) triple per distinct |mu| > 0.
+def _half_lattice_product(matrices: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Real ``matrices`` (one per row, or one for all) applied to the complex (H, n) half-lattice ``rows``.
 
-    ``norms`` are in the ``make_modes`` order (ValueError otherwise).  L_mu
-    depends on |mu| only, so modes of equal norm share one band; the
-    grouping is by exact equality, which keeps +-mu together, and the
-    members are only the half-lattice rows (K // 2 on), whose conjugates
-    :func:`_grouped_mode_solve` fills in.  Each band is factored here, once
-    per solve.
+    Each complex row is taken as its (re, im) column pair, so all H
+    products are one batched real matmul.  Returns all K = 2H - 1 rows in
+    the ``make_modes`` order: ``rows`` are the rows K // 2 on, and row
+    K-1-k of the result is the conjugate of row k.
     """
-    if len(norms) % 2 == 0 or not np.array_equal(norms, norms[::-1]):
-        raise ValueError("norms must be in the make_modes order")
-    distinct, group = np.unique(norms, return_inverse=True)
-    own = np.arange(len(norms)) >= len(norms) // 2
-    g = _phi_log_deriv(distinct, rho[-1])
-    bands = [
-        (np.nonzero((group == i) & own)[0], *_factor_band(_mode_band(mu, rho, g[i])))
-        for i, mu in enumerate(distinct)
-        if mu > 0.0
-    ]
-    return g[group], bands
-
-
-def _grouped_mode_solve(bands, rhs: np.ndarray) -> np.ndarray:
-    """Solve each factored band against the (K, n) ``rhs`` rows of its modes, stacked as columns.
-
-    Each row holds the inner value, the interior right-hand side and the
-    Robin value.  Only the half-lattice rows are solved; ``rhs`` is
-    Hermitian and the bands are real, so row K-1-k of the result is the
-    conjugate of row k.  Rows of modes in no band stay zero.  A non-finite
-    right-hand side raises ``ValueError``, as ``solve_banded`` does.
-    """
-    if not np.isfinite(rhs).all():
-        raise ValueError("array must not contain infs or NaNs")
-    out = np.zeros_like(rhs)
-    for members, lu, piv in bands:
-        x, _ = zgbtrs(lu, 2, 2, rhs[members].T, piv, overwrite_b=True)
-        out[members] = x.T
-    c = len(out) // 2
-    np.conjugate(out[:c:-1], out=out[:c])
+    H = len(rows)
+    half = matrices @ np.ascontiguousarray(rows).view(float).reshape(H, -1, 2)
+    half = half.reshape(H, -1).view(complex)
+    out = np.empty((2 * H - 1, half.shape[1]), dtype=complex)
+    out[H - 1 :] = half
+    np.conjugate(half[:0:-1], out=out[: H - 1])
     return out
-
-
-def _march_mean_mode(rho: np.ndarray, f_interior) -> np.ndarray:
-    """Exponentially decaying particular solution of L_0 v = f.
-
-    The homogeneous solutions of L_0 are 1 and rho^-2, so a Robin row cannot
-    remove both; instead the discrete interior equations are marched inward
-    from zero Cauchy data at rho_max (the decaying particular is below
-    rounding there).  Inward marching only excites the mild rho^-2 growth,
-    so the recursion is stable.
-    """
-    c_l, c_c, c_r = _mode_rows(0.0, rho)
-    # Python scalars: numpy scalar arithmetic costs twice as much per node.
-    # numpy divides a complex by a real through its reciprocal, so
-    # multiplying by 1 / c_l keeps the values those of the array form.
-    inv_l, c_c, c_r = (1.0 / c_l).tolist(), c_c.tolist(), c_r.tolist()
-    f = np.asarray(f_interior, dtype=complex).tolist()
-    v = [0j] * len(rho)
-    for i in range(len(rho) - 2, 0, -1):
-        v[i - 1] = (f[i - 1] - c_c[i - 1] * v[i] - c_r[i - 1] * v[i + 1]) * inv_l[i - 1]
-    return np.array(v)
 
 
 # ----------------------------------------------------------------------
@@ -597,15 +541,6 @@ class LeBrunSolution:
         return self.v.rho**2
 
 
-def _w_from_v(v: TorusFourierField) -> TorusFourierField:
-    """w = 1/rhat + (2 rho)^{-1} dv/drho (the mean mode carries 1/rhat)."""
-    rho = v.rho
-    d1 = fd_first(rho, v.coeffs)
-    coeffs = d1 / (2.0 * rho)[None, :]
-    coeffs[v.index(0, 0)] += rho**-2.0
-    return TorusFourierField(v.lattice, v.modes, rho, coeffs)
-
-
 def solve_nonlinear(
     inner_data: dict,
     rho_max: float | None,
@@ -623,19 +558,28 @@ def solve_nonlinear(
     ``inner_data`` maps modes (m, n) to coefficients of v at rho_min; a
     missing conjugate mode is filled in, and a supplied pair with
     c(-mu) != conj c(mu) raises ValueError before any work; sup |data| <= 0.2.
-    Newton iteration with mode-decoupled banded corrections
-    L_mu dv = -residual; Dirichlet at rho_min, K_1 log-derivative Robin at
-    rho_max.  L_mu depends on |mu| only, so one band is built and factored
-    per distinct norm before the iteration, and each Newton step makes the
-    triangular solves per norm with the right-hand sides of one mode of each
-    +-mu pair stacked as columns.  The iterates, residuals and steps are
-    exactly Hermitian, so no step symmetrizes them.  The mean
-    mode is special: its homogeneous solutions (1 and 1/rhat) are not
-    exponentially decaying, so its correction is the decaying particular
-    solution (inward march from rho_max) and its inner value is dictated by
-    decay rather than prescribed; a nonzero mean-mode offset in the data
-    must be small and is not enforced pointwise.
+    The radial variable is discretized by Chebyshev collocation on
+    [rho_min, rho_max]: Newton iteration with mode-decoupled corrections
+    L_mu dv = -residual, Dirichlet at rho_min and the K_1 log-derivative
+    Robin condition at rho_max.  L_mu depends on |mu| only, so one dense
+    matrix is built and inverted per distinct norm before the iteration, and
+    each Newton step is one batched product with the right-hand sides of one
+    mode of each +-mu pair.  The iterates, residuals and steps are exactly
+    Hermitian, so no step symmetrizes them.  The mean mode is special: its
+    homogeneous solutions (1 and 1/rhat) are not exponentially decaying, so
+    its correction is the decaying particular solution (zero value and
+    derivative at rho_max) and its inner value is dictated by decay rather
+    than prescribed; a nonzero mean-mode offset in the data must be small
+    and is not enforced pointwise.  The solve starts on ``CHEB_INTERVALS``
+    intervals and doubles them while the trailing Chebyshev coefficients of
+    the converged v exceed ``CHEB_TAIL_TOL`` of its largest one, raising
+    ``ConvergenceError`` past ``CHEB_MAX_INTERVALS``.  The returned v and w
+    = 1/rhat + v'/(2 rho), v' taken by the differentiation matrix on the
+    nodes, are the interpolants evaluated on ``n_rho`` uniform nodes of
+    [rho_min, rho_max].
     """
+    if n_rho < 5:
+        raise ValueError(f"need at least 5 output nodes, got n_rho={n_rho}")
     data = dict()
     for (m, n), c in inner_data.items():
         if max(abs(m), abs(n)) > m_cut:
@@ -665,75 +609,87 @@ def solve_nonlinear(
         rho_max = max(6.0 / (2.0 * lambda_t), 4.0)
     if not 0.0 < rho_min < rho_max < np.inf:
         raise ValueError(f"need 0 < rho_min < rho_max < inf, got rho_min={rho_min}, rho_max={rho_max}")
+    rho_min, rho_max = float(rho_min), float(rho_max)
     if n_colloc is None:
         n_colloc = default_colloc(m_cut)
     if n_colloc < 2 * m_cut:
         raise AliasingError(f"collocation grid {n_colloc} < 2 x m_cut = {2 * m_cut}")
 
     modes = make_modes(m_cut)
-    rho = np.linspace(rho_min, rho_max, n_rho)
-
-    coeffs = np.zeros((len(modes), n_rho), dtype=complex)
-    v = TorusFourierField(lattice, modes, rho, coeffs)
-    bc = np.zeros(len(modes), dtype=complex)
-    norms = v.mu_norms()
-    for k, (m, n) in enumerate(modes):
-        c = data.get((int(m), int(n)), 0.0)
-        bc[k] = c
-        if c != 0.0:
-            shape = linear_mode_solution(norms[k], rho)
-            coeffs[k] = c * shape / shape[0]
+    c = len(modes) // 2  # rows c.. are the half lattice, row c the mean mode
+    bc = np.array([data.get((m, n), 0.0) for m, n in modes.tolist()], dtype=complex)
     sup0 = float(np.max(np.abs(_synthesize(modes, bc[:, None], n_colloc))))
     if sup0 > 0.2:
         raise PerturbativeRegimeError(f"sup |inner data| = {sup0:.3f} > 0.2")
+    norms = np.linalg.norm(modes @ lattice.dual_basis.T, axis=1)
+    distinct, group = np.unique(norms[c:], return_inverse=True)
 
-    (j0, j1, j2), (w0, w1, w2) = fd_first_boundary(rho, "right")
-    idx00 = int(np.nonzero((modes[:, 0] == 0) & (modes[:, 1] == 0))[0][0])
-    g, bands = _grouped_bands(norms, rho)
+    def solve_on(n: int) -> TorusFourierField:
+        rho, D, _, _ = _chebyshev(rho_min, rho_max, n)
+        inverses, g = _mode_inverses(distinct, rho_min, rho_max, n)
+        inverses, g = inverses[group], g[group]
+        coeffs = np.zeros((len(modes), n + 1), dtype=complex)
+        for k in np.nonzero(bc)[0]:
+            shape = linear_mode_solution(norms[k], rho)
+            coeffs[k] = bc[k] * shape / shape[0]
 
-    def robin_defects(c):
-        return w0 * c[:, j0] + w1 * c[:, j1] + w2 * c[:, j2] - g * c[:, -1]
+        def boundary_defects(half):
+            """Row 0 and row n of the half-lattice system, as defects."""
+            inner = half[:, 0] - bc[c:]
+            inner[0] = half[0, -1]  # the mean mode's v(rho_max)
+            return inner, half @ D[-1] - g * half[:, -1]
 
-    def bc_defects(field):
-        inner = np.abs(field.coeffs[:, 0] - bc)
-        inner[idx00] = 0.0  # mean-mode inner value is dictated by decay
-        outer = np.abs(robin_defects(field.coeffs))
-        outer[idx00] = abs(field.coeffs[idx00, -1])
-        return max(float(inner.max()), float(outer.max()))
+        def residual(field):
+            """The residual of ``field`` and the larger of its sup and the boundary defects."""
+            res = nonlinear_residual(field, n_colloc)
+            sup = float(np.max(np.abs(_synthesize(modes, res.coeffs[:, 1:-1], n_colloc))))
+            inner, outer = boundary_defects(field.coeffs[c:])
+            return res, max(sup, float(np.abs(inner).max()), float(np.abs(outer).max()))
 
-    def residual(field):
-        """The residual of ``field`` and the larger of its sup and the boundary defects."""
-        res = nonlinear_residual(field, n_colloc)
-        interior = res.coeffs[:, 1:-1]
-        sup = max(
-            float(np.max(np.abs(_synthesize(modes, interior[:, b], n_colloc))))
-            for b in _radial_blocks(interior.shape[1])
-        )
-        return res, max(sup, bc_defects(field))
-
-    res, current = residual(v)
-    for _ in range(max_iter):
-        if current < tol:
-            break
-        rhs = np.empty_like(v.coeffs)
-        rhs[:, 0] = bc - v.coeffs[:, 0]
-        rhs[:, 1:-1] = -res.coeffs[:, 1:-1]
-        rhs[:, -1] = -robin_defects(v.coeffs)
-        step = _grouped_mode_solve(bands, rhs)
-        step[idx00] = _march_mean_mode(rho, rhs[idx00, 1:-1])
-        lam = 1.0
-        for _ in range(9):
-            trial = TorusFourierField(lattice, modes, rho, v.coeffs + lam * step)
-            trial_res, trial_norm = residual(trial)
-            if trial_norm < current or trial_norm < tol:
-                v, res, current = trial, trial_res, trial_norm  # reused by the next step
-                break
-            lam *= 0.5
-        else:
-            raise ConvergenceError("mode-decoupled Newton stalled")
-    else:
+        v = TorusFourierField(lattice, modes, rho, coeffs)
+        res, current = residual(v)
+        for _ in range(max_iter):
+            if current < tol:
+                return v
+            rhs = -res.coeffs[c:]
+            inner, outer = boundary_defects(v.coeffs[c:])
+            rhs[:, 0], rhs[:, -1] = -inner, -outer
+            step = _half_lattice_product(inverses, rhs)
+            lam = 1.0
+            for _ in range(9):
+                trial = TorusFourierField(lattice, modes, rho, v.coeffs + lam * step)
+                trial_res, trial_norm = residual(trial)
+                if trial_norm < current or trial_norm < tol:
+                    v, res, current = trial, trial_res, trial_norm  # reused by the next step
+                    break
+                lam *= 0.5
+            else:
+                raise ConvergenceError("mode-decoupled Newton stalled")
         raise ConvergenceError(f"nonlinear solve did not reach tol={tol:.1e}")
-    return LeBrunSolution(v=v, w=_w_from_v(v), lambda_t=float(lambda_t))
+
+    n = CHEB_INTERVALS
+    while True:
+        v = solve_on(n)
+        spectrum = np.abs(v.coeffs[c:] @ _chebyshev(rho_min, rho_max, n)[3].T)
+        if np.max(spectrum[:, -(n // 8):], initial=0.0) <= CHEB_TAIL_TOL * np.max(spectrum, initial=0.0):
+            break
+        n *= 2
+        if n > CHEB_MAX_INTERVALS:
+            raise ConvergenceError(
+                f"radial Chebyshev tail above {CHEB_TAIL_TOL:.0e} at {CHEB_MAX_INTERVALS} intervals"
+            )
+
+    # v and v'/(2 rho) on the nodes, evaluated on the uniform output grid
+    rho, D, _, _ = _chebyshev(rho_min, rho_max, n)
+    rho_out = np.linspace(rho_min, rho_max, n_rho)
+    P = _barycentric(rho, rho_out)
+    w = _half_lattice_product(P, v.coeffs[c:] @ D.T / (2.0 * rho))
+    w[c] += rho_out**-2.0
+    return LeBrunSolution(
+        v=TorusFourierField(lattice, modes, rho_out, _half_lattice_product(P, v.coeffs[c:])),
+        w=TorusFourierField(lattice, modes, rho_out, w),
+        lambda_t=float(lambda_t),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -818,8 +774,7 @@ def section_profiles(sol: LeBrunSolution):
     """
     rho = sol.rho
     v00 = np.sum(sol.v.coeffs, axis=0).real
-    d1 = fd_first(rho, sol.v.coeffs)
-    rvr = np.sum((0.5 * rho)[None, :] * d1, axis=0).real  # rhat v_rhat = (rho/2) v_rho
+    rvr = rho**2 * (np.sum(sol.w.coeffs, axis=0).real - rho**-2.0)  # rhat v_rhat = rhat w - 1
     rw = np.exp(v00) * (1.0 + rvr)
     r = rho**2 * np.exp(v00)
     _, t_hat = _shell_t_hat(sol)

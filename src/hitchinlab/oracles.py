@@ -9,9 +9,10 @@ route that shares no solver with it:
   tail_amplitude             the K0-tail amplitude a solved profile reaches,
                              measured as m/K0 on a window (``painleve``
                              imposes only the tail's log-derivative);
-  solve_mode_bvp             one banded solve per torus mode (``lebrun``
-                             solves one band per distinct |mu| with stacked
-                             right-hand sides);
+  solve_mode_bvp             one second-order finite-difference banded
+                             solve per torus mode, on any grid (``lebrun``
+                             solves by Chebyshev collocation, one dense
+                             inverse per distinct |mu|);
   solve_mode_inhomogeneous   variation of parameters by nested quadrature;
   hitchin_section_difference the metric difference on the section (0, 0),
                              read off a cubic spline of the section
@@ -43,14 +44,8 @@ from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
 from .fiducial import _ID2, CaseKind, FieldSample, LocalCase
-from .grids import fd_first
-from .lebrun import (
-    LeBrunSolution,
-    _mode_band,
-    _phi_log_deriv,
-    linear_mode_solution,
-    section_profiles,
-)
+from .grids import fd_first, fd_first_boundary, interior_weights
+from .lebrun import LeBrunSolution, _phi_log_deriv, linear_mode_solution, section_profiles
 from .metrics import MetricComponents
 from .profiles import RadialProfile
 from .special import ConvergenceError, bessel_k
@@ -59,6 +54,7 @@ from .toymodel import ToyConfig
 __all__ = [
     "shooting_solution",
     "tail_amplitude",
+    "banded_three_point",
     "solve_mode_bvp",
     "solve_mode_inhomogeneous",
     "hitchin_section_difference",
@@ -137,6 +133,42 @@ def tail_amplitude(p: RadialProfile, window: tuple[float, float] = (10.0, 15.0))
 # ----------------------------------------------------------------------
 # reduced-equation torus modes: per-mode banded solve, variation of parameters
 # ----------------------------------------------------------------------
+
+def banded_three_point(lower, diag, upper, first, last) -> np.ndarray:
+    """(5, n) band storage, for ``solve_banded((2, 2), ...)``, of a 3-point operator.
+
+    Interior row i (1 <= i <= n-2) holds lower[i-1], diag[i-1], upper[i-1] in
+    columns i-1, i, i+1; row 0 holds the weights ``first`` in columns 0, 1, 2
+    and row n-1 the weights ``last`` in columns n-1, n-2, n-3, the index
+    order of ``grids.fd_first_boundary``.  ``grids.solve_three_point`` takes
+    the same arguments and solves a real system directly.
+    """
+    diag = np.asarray(diag)
+    n = len(diag) + 2
+    ab = np.zeros((5, n), dtype=np.result_type(lower, diag, upper, *first, *last))
+    ab[2, 1:-1] = diag
+    ab[3, :-2] = lower
+    ab[1, 2:] = upper
+    ab[2, 0], ab[1, 1], ab[0, 2] = first
+    ab[2, -1], ab[3, -2], ab[4, -3] = last
+    return ab
+
+
+def _mode_rows(mu_abs: float, rho: np.ndarray):
+    """Banded rows of L_mu on the grid (interior central differences)."""
+    (b_l, b_c, b_r), (a_l, a_c, a_r) = interior_weights(rho)
+    ri = rho[1:-1]
+    c_l = ri**2 * a_l + 3.0 * ri * b_l
+    c_c = ri**2 * a_c + 3.0 * ri * b_c - 16.0 * np.pi**2 * mu_abs**2 * ri**2
+    c_r = ri**2 * a_r + 3.0 * ri * b_r
+    return c_l, c_c, c_r
+
+
+def _mode_band(mu_abs: float, rho: np.ndarray, g: float) -> np.ndarray:
+    """(5, n) band of L_mu with v(rho0) and (v' - g v)(rhoN) in the end rows."""
+    _, (w0, w1, w2) = fd_first_boundary(rho, "right")
+    return banded_three_point(*_mode_rows(mu_abs, rho), (1.0, 0.0, 0.0), (w0 - g, w1, w2))
+
 
 def _banded_mode_solve(mu_abs: float, rho: np.ndarray, rhs_interior, bc_inner, robin_rhs=0.0):
     """Solve L_mu v = rhs with v(rho0) = bc_inner and (v' - g v)(rhoN) = robin_rhs.

@@ -186,10 +186,11 @@ class TestArtifacts:
         assert path.read_text() == _csv_per_cell(header, rows)
 
     def test_cli_import_leaves_interpolate_and_optimize_unloaded(self):
-        # a fresh interpreter: this test process has loaded both already
+        # a fresh interpreter: this test process has loaded them already
         code = (
             "import sys, scipy, hitchinlab.cli; "
-            "print([m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules])"
+            "print([m for m in ('scipy.interpolate', 'scipy.optimize', 'scipy.fft', 'scipy.integrate') "
+            "if m in sys.modules])"
         )
         src = str(Path(hitchinlab.__file__).resolve().parents[1])
         out = subprocess.run(
@@ -274,6 +275,9 @@ class TestValidationAndConfig:
             (["toymodel", "--p0", "0.3,0", "--r-points", "-3"], "--r-points"),
             (["fiducial", "--case", "simplezero", "--n-r", "4"], "--n-r"),
             (["glue-decay", "--case", "simplezero", "--n-r", "8"], "--n-r"),
+            (["lebrun", "--p0", "0.3,0", "--n-rho", "0"], "--n-rho"),
+            (["lebrun", "--p0", "0.3,0", "--n-rho", "1"], "--n-rho"),
+            (["lebrun", "--p0", "0.3,0", "--n-rho", "4"], "--n-rho"),
         ],
     )
     def test_grid_size_rejected_before_work(self, tmp_path, capsys, monkeypatch, argv, flag):
@@ -283,6 +287,7 @@ class TestValidationAndConfig:
         monkeypatch.setattr(cli_module.toy.ToyConfig, "from_p0", unreachable)
         monkeypatch.setattr(cli_module.fid, "fiducial_fields", unreachable)
         monkeypatch.setattr(cli_module.glue, "decay_sweep", unreachable)
+        monkeypatch.setattr(cli_module.leb, "solve_nonlinear", unreachable)
         out = tmp_path / "x"
         assert main(argv + ["--output-dir", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()

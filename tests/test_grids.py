@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 
-from hitchinlab.grids import banded_three_point, fd_first_boundary, interior_weights, solve_three_point
+from hitchinlab.grids import fd_first_boundary, interior_weights, solve_three_point
+from hitchinlab.oracles import banded_three_point
 
 
 def random_system(seed: int, n: int, grading: float):
