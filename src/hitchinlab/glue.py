@@ -51,8 +51,8 @@ class CutoffSpec:
     r_off: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.r_on < self.r_off):
-            raise ValueError("need 0 < r_on < r_off")
+        if not (0.0 < self.r_on < self.r_off < np.inf):
+            raise ValueError(f"need 0 < r_on < r_off < inf, got r_on={self.r_on}, r_off={self.r_off}")
 
 
 def _bump(x):

@@ -2,9 +2,10 @@
 
 The 3-point stencils below are exact on quadratics for arbitrary node
 spacing; on smoothly graded (e.g. log-spaced) grids they are second-order
-accurate.  The same stencils are used by the solvers and by the residual
-checks, so a converged solve has a matching discrete residual by
-construction.  An operator built from them is tridiagonal except for one
+accurate.  The same stencils are used by the sinh-Gordon solver and by the
+residual checks, so a converged solve has a matching discrete residual by
+construction; ``lebrun`` uses none of them (its radial discretization is
+spectral and its connection a closed form).  An operator built from them is tridiagonal except for one
 corner entry in each one-sided boundary row.  :func:`solve_three_point`
 solves a real one directly, folding each corner into its neighbouring row
 and calling the tridiagonal LAPACK ``dgtsv``, which is what ``painleve``'s
@@ -24,7 +25,6 @@ __all__ = [
     "fd_first_boundary",
     "interior_weights",
     "solve_three_point",
-    "cumulative_from_right",
 ]
 
 
@@ -133,12 +133,3 @@ def solve_three_point(lower, diag, upper, first, last, rhs) -> np.ndarray:
         raise LinAlgError("singular matrix")
     return x
 
-
-def cumulative_from_right(x: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Trapezoid cumulative integral C(x_i) = int_{x_i}^{x_N} y dx."""
-    x = np.asarray(x, dtype=float)
-    y = np.moveaxis(np.asarray(y), axis, -1)
-    seg = 0.5 * np.diff(x) * (y[..., :-1] + y[..., 1:])
-    out = np.zeros_like(y)
-    out[..., :-1] = seg[..., ::-1].cumsum(axis=-1)[..., ::-1]
-    return np.moveaxis(out, -1, axis)

@@ -7,8 +7,9 @@ determined by a potential u(x, y, rhat) with
 
 through g = e^u w (dx^2 + dy^2) + w drhat^2 + w^{-1} omega^2, where omega =
 dtheta - w a3 dx + w a2 dy and the connection functions solve
-d(w a2)/drhat = -w_x, d(w a3)/drhat = -w_y.  The flat (semiflat) solution is
-u = log(rhat), w = 1/rhat.
+d(w a2)/drhat = -w_x, d(w a3)/drhat = -w_y.  Since w_x = d/drhat u_x, the
+connection that decays as rhat -> infinity is w a2 = -u_x, w a3 = -u_y in
+closed form.  The flat (semiflat) solution is u = log(rhat), w = 1/rhat.
 
 Writing u = log(rhat) + v and rhat = rho^2, the deviation solves
 
@@ -51,6 +52,8 @@ Chebyshev coefficients of v are negligible; the solution is returned on a
 uniform radial grid, evaluated there by one barycentric interpolation
 matrix (Berrut and Trefethen, SIAM Review 46, 2004).  ``fit_decay``
 measures the realized decay rate and prefactor power.
+The connection w a2 = -v_x, w a3 = -v_y is read off v by the torus gradient
+(``TorusFourierField.gradient``), with no radial quadrature.
 ``metric_difference_full`` evaluates g - g_sf in the coframe of the radial
 change r = rhat e^v; its predicted Bessel parts and remainder are built
 only when read.
@@ -59,12 +62,11 @@ only when read.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grids import cumulative_from_right
 from .special import ConvergenceError, bessel_k, shortest_vectors
 
 __all__ = [
@@ -75,7 +77,6 @@ __all__ = [
     "linear_mode_solution",
     "solve_nonlinear",
     "fit_decay",
-    "connection_from_w",
     "metric_difference_full",
     "MetricDifference",
     "AliasingError",
@@ -181,6 +182,11 @@ class TorusFourierField:
 
     def mu_vectors(self) -> np.ndarray:
         return self.modes @ self.lattice.dual_basis.T
+
+    def gradient(self) -> tuple["TorusFourierField", "TorusFourierField"]:
+        """(d/dx, d/dy) of the field: the coefficients times 2 pi i mu_x and 2 pi i mu_y."""
+        k = 2j * np.pi * self.mu_vectors()
+        return tuple(replace(self, coeffs=k[:, i, None] * self.coeffs) for i in (0, 1))
 
     def _conjugate_index(self) -> np.ndarray:
         """Row of -mu for each mode mu; KeyError when a conjugate is missing."""
@@ -529,8 +535,18 @@ class LeBrunSolution:
     v: TorusFourierField
     w: TorusFourierField
     lambda_t: float
-    wa2: TorusFourierField | None = None
-    wa3: TorusFourierField | None = None
+
+    @property
+    def wa2(self) -> TorusFourierField:
+        """The connection w a2 = -v_x (see the module docstring)."""
+        vx, _ = self.v.gradient()
+        return replace(vx, coeffs=-vx.coeffs)
+
+    @property
+    def wa3(self) -> TorusFourierField:
+        """The connection w a3 = -v_y."""
+        _, vy = self.v.gradient()
+        return replace(vy, coeffs=-vy.coeffs)
 
     @property
     def rho(self) -> np.ndarray:
@@ -556,8 +572,9 @@ def solve_nonlinear(
     """Perturbative solve of the reduced equation with Dirichlet inner data.
 
     ``inner_data`` maps modes (m, n) to coefficients of v at rho_min; a
-    missing conjugate mode is filled in, and a supplied pair with
-    c(-mu) != conj c(mu) raises ValueError before any work; sup |data| <= 0.2.
+    missing conjugate mode is filled in, and a non-finite coefficient or a
+    supplied pair with c(-mu) != conj c(mu) raises ValueError before any
+    work, as does m_cut < 1; sup |data| <= 0.2.
     The radial variable is discretized by Chebyshev collocation on
     [rho_min, rho_max]: Newton iteration with mode-decoupled corrections
     L_mu dv = -residual, Dirichlet at rho_min and the K_1 log-derivative
@@ -578,12 +595,15 @@ def solve_nonlinear(
     nodes, are the interpolants evaluated on ``n_rho`` uniform nodes of
     [rho_min, rho_max].
     """
+    modes = make_modes(m_cut)  # ValueError for m_cut < 1, before anything else
     if n_rho < 5:
         raise ValueError(f"need at least 5 output nodes, got n_rho={n_rho}")
     data = dict()
     for (m, n), c in inner_data.items():
         if max(abs(m), abs(n)) > m_cut:
             raise ValueError(f"inner mode ({m},{n}) beyond cutoff {m_cut}")
+        if not np.isfinite(complex(c)):
+            raise ValueError(f"inner data must be finite, got c({m}, {n}) = {c}")
         data[(m, n)] = data.get((m, n), 0.0) + complex(c)
     for (m, n), c in list(data.items()):
         conj_key = (-m, -n)
@@ -615,11 +635,10 @@ def solve_nonlinear(
     if n_colloc < 2 * m_cut:
         raise AliasingError(f"collocation grid {n_colloc} < 2 x m_cut = {2 * m_cut}")
 
-    modes = make_modes(m_cut)
     c = len(modes) // 2  # rows c.. are the half lattice, row c the mean mode
     bc = np.array([data.get((m, n), 0.0) for m, n in modes.tolist()], dtype=complex)
     sup0 = float(np.max(np.abs(_synthesize(modes, bc[:, None], n_colloc))))
-    if sup0 > 0.2:
+    if not sup0 <= 0.2:
         raise PerturbativeRegimeError(f"sup |inner data| = {sup0:.3f} > 0.2")
     norms = np.linalg.norm(modes @ lattice.dual_basis.T, axis=1)
     distinct, group = np.unique(norms[c:], return_inverse=True)
@@ -725,35 +744,8 @@ def fit_decay(sol: LeBrunSolution, lambda_t: float | None = None):
 
 
 # ----------------------------------------------------------------------
-# connection, section profiles, metric difference
+# section profiles, metric difference
 # ----------------------------------------------------------------------
-
-def connection_from_w(sol: LeBrunSolution) -> LeBrunSolution:
-    """Integrate d(w a2)/drhat = -w_x, d(w a3)/drhat = -w_y from rho_max inward.
-
-    Decay normalization at rho_max: the leading shell carries the closed-form
-    tail int_rhat^inf lam s^{-1} K_2(2 lam sqrt(s)) ds = rhat^{-1/2}
-    K_1(2 lam sqrt(rhat)), so the shell modes start from that asymptote and
-    all faster modes start from zero.  Per mode the remaining integral is a
-    radial quadrature int_rhat^rhat_max (w_x)_mu ds with ds = 2 rho drho.
-    """
-    w = sol.w
-    rho = w.rho
-    mu_vecs = w.mu_vectors()
-    wx = (2j * np.pi * mu_vecs[:, 0])[:, None] * w.coeffs
-    wy = (2j * np.pi * mu_vecs[:, 1])[:, None] * w.coeffs
-    wa2 = cumulative_from_right(rho, wx * (2.0 * rho)[None, :])
-    wa3 = cumulative_from_right(rho, wy * (2.0 * rho)[None, :])
-    # leading-shell tail beyond rho_max: (wa_i)_mu -> -(i mu_i 2 pi T-hat) K1/rho,
-    # and T-hat K1/rho at rho_max is the shell coefficient v_mu(rho_max) itself
-    _, shell = _leading_shell(np.linalg.norm(mu_vecs, axis=1))
-    tail = -sol.v.coeffs[shell, -1]
-    wa2[shell] += ((2j * np.pi * mu_vecs[shell, 0]) * tail)[:, None]
-    wa3[shell] += ((2j * np.pi * mu_vecs[shell, 1]) * tail)[:, None]
-    sol.wa2 = TorusFourierField(w.lattice, w.modes, rho, wa2)
-    sol.wa3 = TorusFourierField(w.lattice, w.modes, rho, wa3)
-    return sol
-
 
 def _shell_t_hat(sol: LeBrunSolution):
     """The leading-shell mask and T-hat, calibrated at the outermost node.
@@ -835,33 +827,41 @@ def metric_difference_full(sol: LeBrunSolution, n_colloc: int | None = None) -> 
     """g_L2 - g_sf over the whole grid, in the (dr, dtheta, dx, dy) coframe.
 
     g = w drhat^2 + w^{-1} omega^2 + e^u w (dx^2 + dy^2) with omega = dtheta
-    - w a3 dx + w a2 dy, r = rhat e^v and e^u w = rhat w e^v = rw pointwise;
-    drhat = d0 dr + a2 dx + a3 dy with d0 = (rw)^{-1} and a_i = (w a_i)/w.
+    - w a3 dx + w a2 dy, r = rhat e^v and e^u w = rhat w e^v = rw pointwise.
+    The connection is w a2 = -v_x, w a3 = -v_y in closed form, so drhat =
+    d0 dr - (v_x dx + v_y dy)/w with d0 = (rw)^{-1}, omega = dtheta + (v_y dx
+    - v_x dy)/w, and g collects to
+
+        g_rr = w d0^2,            g_theta theta = 1/w,
+        g_rx = -v_x d0,           g_ry = -v_y d0,
+        g_theta x = v_y/w,        g_theta y = -v_x/w,
+        g_xx = g_yy = (v_x^2 + v_y^2)/w + rw,        g_xy = 0,
+
+    the cross terms v_x v_y/w of w drhat^2 and w^{-1} omega^2 cancelling.
     g_sf(r) = diag(1/r, r, 1, 1) is subtracted on the diagonal.  Nodes are
     (rho_i, x_j, y_k).  The predicted K0 (diagonal) and K1 (cross) Bessel
     terms, built from the measured trigonometric factor T(x, y), and the
     remainder are computed when first read.
     """
-    if sol.wa2 is None or sol.wa3 is None:
-        connection_from_w(sol)
     if n_colloc is None:
         n_colloc = default_colloc(sol.v.m_cut)
-    V, W, WA2, WA3 = (f.values(n_colloc) for f in (sol.v, sol.w, sol.wa2, sol.wa3))
+    vx, vy = sol.v.gradient()
+    V, W, VX, VY = (f.values(n_colloc) for f in (sol.v, sol.w, vx, vy))
     r = sol.rho[:, None, None] ** 2 * np.exp(V)
     RW = r * W
-    d0, a2, a3 = 1.0 / RW, WA2 / W, WA3 / W
+    d0 = 1.0 / RW
     zero = np.zeros_like(V)
-    g_rx, g_ry = W * d0 * a2, W * d0 * a3
-    g_tx, g_ty = -WA3 / W, WA2 / W
-    g_xy = W * a2 * a3 - WA2 * WA3 / W
+    g_rx, g_ry = -VX * d0, -VY * d0
+    g_tx, g_ty = VY / W, -VX / W
+    g_xx = (VX**2 + VY**2) / W + RW - 1.0
     # stacked component-major, each component one contiguous write; the
     # (..., 4, 4) result is a view of that (4, 4, ...) array
     g = np.stack(
         [
             W * d0**2 - 1.0 / r, zero, g_rx, g_ry,
             zero, 1.0 / W - r, g_tx, g_ty,
-            g_rx, g_tx, W * a2**2 + WA3**2 / W + RW - 1.0, g_xy,
-            g_ry, g_ty, g_xy, W * a3**2 + WA2**2 / W + RW - 1.0,
+            g_rx, g_tx, g_xx, zero,
+            g_ry, g_ty, zero, g_xx,
         ]
     ).reshape((4, 4) + V.shape)
     return MetricDifference(r=r, difference=np.moveaxis(g, (0, 1), (-2, -1)), sol=sol, n_colloc=n_colloc)
@@ -874,9 +874,6 @@ def _trig_factor(sol: LeBrunSolution, n_colloc: int):
     the leading-shell T-hat.
     """
     shell, t_hat = _shell_t_hat(sol)
-    modes = sol.v.modes[shell]
-    mu_vecs = modes @ sol.v.lattice.dual_basis.T
-    T = _synthesize(modes, t_hat[:, None], n_colloc)[0]
-    Tx = _synthesize(modes, (2j * np.pi * mu_vecs[:, 0] * t_hat)[:, None], n_colloc)[0]
-    Ty = _synthesize(modes, (2j * np.pi * mu_vecs[:, 1] * t_hat)[:, None], n_colloc)[0]
-    return T, Tx, Ty
+    v = sol.v
+    t = TorusFourierField(v.lattice, v.modes[shell], v.rho[-1:], t_hat[:, None])
+    return tuple(f.values(n_colloc)[0] for f in (t, *t.gradient()))

@@ -258,6 +258,10 @@ class TestValidationAndConfig:
             (["lebrun", "--p0", "0.3,0", "--rho-max", "inf"], "ValueError"),
             (["toymodel", "--p0", "0.3,0", "--r-max", "inf"], "ValueError"),
             (["toymodel", "--p0", "0.3,0", "--r-min", "0"], "ValueError"),
+            (["lebrun", "--p0", "0.3,0", "--amp", "nan"], "ValueError"),
+            (["lebrun", "--p0", "0.3,0", "--amp", "inf"], "ValueError"),
+            (["lebrun", "--p0", "0.3,0", "--modes", "0"], "ValueError"),
+            (["glue-decay", "--case", "simplezero", "--r-off", "inf"], "ValueError"),
         ],
     )
     # a warning printed before the error line would be a second line

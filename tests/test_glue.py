@@ -61,6 +61,8 @@ class TestCutoff:
     def test_validation(self):
         with pytest.raises(ValueError):
             CutoffSpec(1.0, 0.5)
+        with pytest.raises(ValueError, match="r_off < inf"):
+            CutoffSpec(0.5, np.inf)
         with pytest.raises(ValueError):
             cutoff_chi(CutoffSpec(), -0.1)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 from hitchinlab import lebrun
 from hitchinlab.grids import fd_first, fd_first_boundary, fd_second
@@ -18,7 +19,6 @@ from hitchinlab.lebrun import (
     TorusFourierField,
     TorusLattice,
     UnderflowWindowError,
-    connection_from_w,
     default_colloc,
     fit_decay,
     linear_mode_solution,
@@ -317,6 +317,28 @@ class TestTransforms:
         c = np.array([[0.3 + 0.2j], [0.3 - 0.2j], [-0.1j], [0.1j]])
         ref = _synthesize_fft(modes, c, 16)
         assert np.max(np.abs(_synthesize(modes, c, 16) - ref.real)) < 1e-15
+
+    def test_gradient_matches_finite_difference(self, lattice):
+        # d/dx and d/dy of a random real field, by central differences of
+        # its Fourier sum in real space, at the collocation points
+        # X_jk = (j a + k b)/N where values() samples it
+        modes = make_modes(2)
+        c = _hermitian_coeffs(modes, 1, 5)
+        f = TorusFourierField(lattice, modes, [1.0], c)
+        mu = f.mu_vectors()
+        N, h = 8, 1e-6
+
+        def value(x):
+            return np.sum(c[:, 0] * np.exp(2j * np.pi * (mu @ x))).real
+
+        grads = [g.values(N)[0] for g in f.gradient()]
+        for j, k in ((0, 0), (1, 3), (5, 2)):
+            x = lattice.basis @ np.array([j, k]) / N
+            assert value(x) == pytest.approx(f.values(N)[0, j, k], abs=1e-12)
+            for axis in (0, 1):
+                e = h * np.eye(2)[axis]
+                fd = (value(x + e) - value(x - e)) / (2.0 * h)
+                assert abs(grads[axis][j, k] - fd) < 1e-6 * np.max(np.abs(grads[axis]))
 
 
 class TestChebyshev:
@@ -797,6 +819,21 @@ class TestSolveNonlinear:
         with pytest.raises(ValueError, match="conjugate"):
             solve_nonlinear({(m, n): 0.05 + 0.01j, (-m, -n): 0.05 + 0.01j}, None, 3, lattice)
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_data_or_no_modes_fail_fast(self, lattice, mu0_data, monkeypatch):
+        _, (m, n) = mu0_data
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("inner data reached the solver")
+
+        monkeypatch.setattr(TorusLattice, "min_dual_norm", unreachable)
+        for c in (np.nan, np.inf, complex(0.01, -np.inf)):
+            with pytest.raises(ValueError, match="inner data must be finite"):
+                solve_nonlinear({(m, n): c}, None, 3, lattice)
+        # checked before the data, which would otherwise lie "beyond cutoff 0"
+        with pytest.raises(ValueError, match="mode cutoff must be >= 1"):
+            solve_nonlinear({(m, n): 0.05}, None, 0, lattice)
+
     def test_missing_conjugate_is_filled(self, lattice, mu0_data):
         _, (m, n) = mu0_data
         one = solve_nonlinear({(m, n): 0.04 + 0.02j}, None, 2, lattice)
@@ -887,14 +924,34 @@ class TestFitDecay:
 class TestConnectionAndMetric:
     def test_zero_field_connection(self, lattice):
         sol = solve_nonlinear({}, None, 2, lattice)
-        connection_from_w(sol)
         assert np.max(np.abs(sol.wa2.coeffs)) == 0.0
         assert np.max(np.abs(sol.wa3.coeffs)) == 0.0
+
+    def test_connection_matches_trapezoid_integral(self, lattice):
+        # independent of the closed form: integrate d(w a_i)/drhat = -w_i
+        # inward by the trapezoid rule, drhat = 2 rho drho, from the decay
+        # value -v_i(rho_max); seeded along both dual directions so that
+        # wa2 and wa3 are both of order the data
+        seeded = {(1, 0): 0.02, (-1, 0): 0.02, (0, 1): 0.02, (0, -1): 0.02}
+        errs = []
+        for n_rho in (1401, 2801):
+            sol = solve_nonlinear(seeded, None, 2, lattice, n_rho=n_rho)
+            rho = sol.rho
+            err = 0.0
+            for w_i, v_i, wa in zip(sol.w.gradient(), sol.v.gradient(), (sol.wa2, sol.wa3)):
+                C = cumulative_trapezoid(-w_i.coeffs * (2.0 * rho), rho, axis=1, initial=0.0)
+                ref = C - C[:, -1:] - v_i.coeffs[:, -1:]
+                assert np.max(np.abs(wa.coeffs)) > 0.02
+                err = max(err, np.max(np.abs(ref - wa.coeffs)))
+            errs.append(err)
+        # the quadrature's O(h^2) error, 7.9e-7 and 2.0e-7: a 1 % error in
+        # the connection would read 3e-4 at both sizes
+        assert 3.5 < errs[0] / errs[1] < 4.5
+        assert errs[1] < 1e-6
 
     def test_leading_behaviour(self, solution, mu0_data):
         mu0, _ = mu0_data
         lam = 2 * np.pi * mu0
-        connection_from_w(solution)
         rho = solution.rho
         N = 16
         WA3 = solution.wa3.values(N).real
@@ -903,7 +960,8 @@ class TestConnectionAndMetric:
         mask = (rho > 1.2) & (rho < 2.4)
         dev = np.max(np.abs(WA3[mask] - pred[mask])) / np.max(np.abs(pred[mask]))
         assert dev < 0.05
-        # near rho_max the shell tail normalization carries the connection
+        # near rho_max, where T-hat is calibrated, the leading shell is
+        # nearly all of v, so wa3 = -v_y is its K1 profile
         mask = rho > 3.0
         dev = np.max(np.abs(WA3[mask] - pred[mask])) / np.max(np.abs(pred[mask]))
         assert dev < 1e-3
@@ -911,41 +969,33 @@ class TestConnectionAndMetric:
         WA2 = solution.wa2.values(N).real
         assert np.max(np.abs(WA2[mask])) < 0.01 * np.max(np.abs(WA3[mask]))
 
-    def test_third_curvature_relation_refines(self, lattice, mu0_data):
-        # the defect of the relation refines with the radial grid (the
-        # connection's trapezoid rule and the rhat difference below) down to
-        # the torus truncation, 7e-6 at m_cut = 2 and 2e-7 at m_cut = 3 on
-        # 1 < rho < 3; m_cut = 3 keeps that floor below the refining part
+    def test_third_curvature_relation_reads_torus_floor(self, lattice, mu0_data):
+        # d_x(w a2) + d_y(w a3) = d_rhat(e^u w) is the reduced equation
+        # itself once w a_i = -v_i, so its defect reads the torus
+        # truncation: 1.3e-7 to 1.4e-7 at m_cut = 3 for 501 to 2001 nodes,
+        # 2.3e-9 at m_cut = 4, on 1 < rho < 3.  The rhat derivative is a
+        # fourth-order difference in rho (rhat = rho^2), whose error is
+        # below that floor on 1001 nodes
         _, (m, n) = mu0_data
-        sups = []
-        for n_rho in (501, 1001):
-            # a generous rho_max keeps the connection's tail truncation far
-            # below the h^2 discretization part being measured
-            sol = solve_nonlinear({(m, n): 0.05, (-m, -n): 0.05}, 6.0, 3, lattice, n_rho=n_rho)
-            connection_from_w(sol)
-            mu_vecs = sol.v.mu_vectors()
-            dx_wa2 = (2j * np.pi * mu_vecs[:, 0])[:, None] * sol.wa2.coeffs
-            dy_wa3 = (2j * np.pi * mu_vecs[:, 1])[:, None] * sol.wa3.coeffs
-            # w e^u = e^v (1 + rhat v_rhat) in real space, back to modes
+        sups = {}
+        for m_cut in (3, 4):
+            sol = solve_nonlinear({(m, n): 0.05, (-m, -n): 0.05}, 6.0, m_cut, lattice, n_rho=1001)
+            dx_wa2, _ = sol.wa2.gradient()
+            _, dy_wa3 = sol.wa3.gradient()
             N = 16
             rho = sol.rho
-            V = sol.v.values(N).real
-            RW = np.einsum(
-                "k,kij->kij",
-                rho**2,
-                np.moveaxis(sol.w.values(N).real, 0, 0),
-            )
-            EU = np.exp(V) * RW
-            # FD in rhat per collocation point
-            rhat = rho**2
-            dEU = np.moveaxis(fd_first(rhat, np.moveaxis(EU, 0, -1)), -1, 0)
-            lhs = _synthesize(sol.v.modes, dx_wa2 + dy_wa3, N).real
-            resid = lhs - dEU
+            h = rho[1] - rho[0]
+            # w e^u = e^v rhat w in real space
+            EU = np.exp(sol.v.values(N)) * rho[:, None, None] ** 2 * sol.w.values(N)
+            dEU = np.full_like(EU, np.nan)
+            dEU[2:-2] = (EU[:-4] - 8.0 * EU[1:-3] + 8.0 * EU[3:-1] - EU[4:]) / (12.0 * h)
+            dEU /= 2.0 * rho[:, None, None]
+            lhs = dx_wa2.values(N) + dy_wa3.values(N)
             mask = (rho > 1.0) & (rho < 3.0)
-            sups.append(np.max(np.abs(resid[mask])))
-        assert sups[1] < 0.5 * sups[0]
+            sups[m_cut] = np.max(np.abs((lhs - dEU)[mask]))
         # against |lhs| of about 1.5e-2 there: a 1 % error in wa3 reads 1.5e-4
-        assert sups[1] < 2e-6
+        assert sups[3] < 3e-7
+        assert sups[4] < 0.1 * sups[3]
 
     def test_semiflat_matches_toymodel(self, lattice):
         # node-for-node agreement of the zero-field metric with the
@@ -1078,16 +1128,30 @@ class TestSectionAndDifference:
 
     def test_builder_matches_hand_expansion(self, lattice, solution):
         # the builder against the written-out formulas, to 1e-13 of the
-        # largest entry (d_23 cancels to exactly 0 in the oracle and to
-        # rounding noise in the builder); the fixture has wa2 ~ 0, so a
-        # small solve seeded along both dual directions follows
+        # largest entry (d_23 cancels to exactly 0 in both); the fixture
+        # has wa2 ~ 0, so a small solve seeded along both dual directions
+        # follows
         seeded = {(1, 0): 0.02, (-1, 0): 0.02, (0, 1): 0.02, (0, -1): 0.02}
         for sol in (solution, solve_nonlinear(seeded, None, 2, lattice, n_rho=201)):
-            connection_from_w(sol)
             md = metric_difference_full(sol)
             r, g = _metric_difference_hand_expanded(sol, md.n_colloc)
             assert np.array_equal(md.r, r)
             assert np.max(np.abs(md.difference - g)) <= 1e-13 * np.max(np.abs(g))
+
+    def test_builder_is_pure_with_exact_cancellations(self, lattice):
+        # the builder reads sol and writes nothing back; the closed-form
+        # connection makes d_23 vanish and d_22 equal d_33 exactly
+        seeded = {(1, 0): 0.02, (-1, 0): 0.02, (0, 1): 0.02, (0, -1): 0.02}
+        sol = solve_nonlinear(seeded, None, 2, lattice, n_rho=201)
+        v, w, names = sol.v, sol.w, set(vars(sol))
+        v_coeffs, w_coeffs = v.coeffs.copy(), w.coeffs.copy()
+        md = metric_difference_full(sol)
+        assert set(vars(sol)) == names and sol.v is v and sol.w is w
+        assert np.array_equal(v.coeffs, v_coeffs) and np.array_equal(w.coeffs, w_coeffs)
+        d = md.difference
+        assert np.max(np.abs(d[..., 0, 3])) > 1e-3  # the cross terms are live
+        assert np.all(d[..., 2, 3] == 0.0) and np.all(d[..., 3, 2] == 0.0)
+        assert np.array_equal(d[..., 2, 2], d[..., 3, 3])
 
     def test_bessel_identity_chain_on_window(self, solution, mu0_data):
         # the identities used to assemble the K0 coefficient hold at the
