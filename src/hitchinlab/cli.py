@@ -83,10 +83,15 @@ def _require(params: dict, key: str):
 # experiment implementations
 # ----------------------------------------------------------------------
 
+_CASES = {"simplezero": fid.CaseKind.SIMPLE_ZERO,
+          "strongpole": fid.CaseKind.STRONG_POLE,
+          "weakpole": fid.CaseKind.WEAK_POLE}
+
+
 def _case_from(params: dict) -> fid.LocalCase:
-    kind = {"simplezero": fid.CaseKind.SIMPLE_ZERO,
-            "strongpole": fid.CaseKind.STRONG_POLE,
-            "weakpole": fid.CaseKind.WEAK_POLE}[_require(params, "case")]
+    kind = _CASES.get(_require(params, "case"))
+    if kind is None:  # a config-file value, which argparse choices do not see
+        raise ValidationError(f"--case must be one of {', '.join(_CASES)}, got {params['case']!r}")
     weights = None
     residue = None
     if kind in (fid.CaseKind.STRONG_POLE, fid.CaseKind.WEAK_POLE):
@@ -328,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fiducial", help="local model fields and diagnostics")
     common(p)
-    p.add_argument("--case", choices=["simplezero", "strongpole", "weakpole"])
+    p.add_argument("--case", choices=list(_CASES))
     p.add_argument("--t", type=float)
     p.add_argument("--alpha1", type=float)
     p.add_argument("--sigma", type=str, help="weak-pole residue as re,im")

@@ -64,15 +64,20 @@ def _bump(x):
     return out
 
 
+def _cutoff_radii(r) -> np.ndarray:
+    r = np.asarray(r, dtype=float)  # a NaN radius fails the check too
+    if not np.all(r >= 0):
+        raise ValueError("r must be nonnegative")
+    return r
+
+
 def cutoff_chi(spec: CutoffSpec, r):
     """C-infinity cutoff: exactly 1 for r <= r_on, exactly 0 for r >= r_off.
 
     chi = f((r_off - r)/w) / (f((r_off - r)/w) + f((r - r_on)/w)) with
     f(x) = exp(-1/x) and w = r_off - r_on; monotone nonincreasing.
     """
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("r must be nonnegative")
+    r = _cutoff_radii(r)
     w = spec.r_off - spec.r_on
     up = _bump((spec.r_off - r) / w)
     dn = _bump((r - spec.r_on) / w)
@@ -88,14 +93,14 @@ def cutoff_chi(spec: CutoffSpec, r):
 
 def cutoff_chi_deriv(spec: CutoffSpec, r):
     """d chi / d r, exact (quotient rule on the bump pair); 0 outside the annulus."""
-    r = np.asarray(r, dtype=float)
+    r = _cutoff_radii(r)
     w = spec.r_off - spec.r_on
     out = np.zeros_like(r)
     mid = (r > spec.r_on) & (r < spec.r_off)
     if np.any(mid):
         a = (spec.r_off - r[mid]) / w  # argument of the numerator bump
         b = (r[mid] - spec.r_on) / w
-        fa, fb = np.exp(-1.0 / a), np.exp(-1.0 / b)
+        fa, fb = _bump(a), _bump(b)
         dfa = -fa / (a * a) / w  # d/dr f((r_off-r)/w)
         dfb = fb / (b * b) / w
         out[mid] = (dfa * fb - fa * dfb) / (fa + fb) ** 2

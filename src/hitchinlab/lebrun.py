@@ -38,14 +38,15 @@ decoupled systems L_mu dv = -residual, with Dirichlet data at rho_min and a
 Robin condition matched to the K_1 log-derivative at rho_max.  L_mu depends
 on |mu| only, so one dense collocation matrix is built and inverted per
 distinct norm before the iteration, and each step is one batched product.
-Every field is real (Hermitian coefficients), and the iterates, residuals
-and steps are exactly so: in the ``make_modes`` order row K-1-k holds -mu
-of row k, so the coefficient-space work (radial operator, torus part,
-solves) is done on the half lattice m > 0 or m = 0, n >= 0, and the other
-half is its conjugate.  The residual is evaluated in the conservative form:
-v is synthesized once on a collocation grid, e^v - 1 is formed in place and
-projected back (pseudospectral), and the dense matrix of L_0 is applied
-once to the projected coefficients.  Synthesis and projection are separable
+Every field holds the (2 m_cut + 1)^2 modes of the ``make_modes(m_cut)``
+square, where row K-1-k holds -mu of row k, and is real (Hermitian
+coefficients); the iterates, residuals and steps are exactly so, and the
+coefficient-space work (radial operator, torus part, solves) is done on the
+half lattice m > 0 or m = 0, n >= 0, the other half being its conjugate.
+The residual is evaluated in the conservative form: v is synthesized once
+on a collocation grid, e^v - 1 is formed in place and projected back
+(pseudospectral), and the dense matrix of L_0 is applied once to the
+projected coefficients.  Synthesis and projection are separable
 real matmuls, one 2-d matmul per contraction, against memoized collocation
 phases.  The node count doubles from 64 intervals until the trailing
 Chebyshev coefficients of v are negligible; the solution is returned on a
@@ -61,6 +62,7 @@ only when read.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -106,6 +108,13 @@ class DegenerateShellWarning(UserWarning):
 # torus geometry and Fourier fields
 # ----------------------------------------------------------------------
 
+def _read_only(*arrays) -> tuple:
+    """The arrays, made read-only: they are memoized and shared."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @dataclass(frozen=True)
 class TorusLattice:
     """The flat torus R^2 / c_fib (Z + tau Z) and its dual lattice."""
@@ -123,14 +132,12 @@ class TorusLattice:
     @property
     def basis(self) -> np.ndarray:
         """Columns are the lattice vectors a, b in R^2."""
-        return self.c_fib * np.array(
-            [[1.0, self.tau.real], [0.0, self.tau.imag]]
-        )
+        return self.c_fib * np.array([[1.0, self.tau.real], [0.0, self.tau.imag]])
 
-    @property
+    @cached_property
     def dual_basis(self) -> np.ndarray:
-        """Columns are the dual vectors ahat, bhat (ahat . a = 1 etc.)."""
-        return np.linalg.inv(self.basis).T
+        """Columns are the dual vectors ahat, bhat (ahat . a = 1 etc.); computed once."""
+        return _read_only(np.linalg.inv(self.basis).T)[0]
 
     def mu_vector(self, m: int, n: int) -> np.ndarray:
         d = self.dual_basis
@@ -146,64 +153,57 @@ class TorusLattice:
 class TorusFourierField:
     """Fourier data over the dual lattice, per radial node.
 
-    ``modes`` is an (K, 2) integer array of (m, n); ``coeffs`` has shape
-    (K, NR).  Real fields satisfy coeff(-mu) = conj(coeff(mu)).
+    ``coeffs`` has shape (K, NR): its K = (2 m_cut + 1)^2 rows, m_cut >= 1,
+    are the modes of the ``make_modes(m_cut)`` square, read off K.  Real
+    fields satisfy coeff(-mu) = conj(coeff(mu)).
     """
 
     lattice: TorusLattice
-    modes: np.ndarray
     rho: np.ndarray
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.modes = np.asarray(self.modes, dtype=int)
         self.rho = np.asarray(self.rho, dtype=float)
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (len(self.modes), len(self.rho)):
-            raise ValueError("coefficient array must be (n_modes, n_rho)")
+        side = math.isqrt(len(self.coeffs)) if self.coeffs.ndim == 2 else 0
+        if side % 2 == 0 or side < 3 or self.coeffs.shape != (side * side, len(self.rho)):
+            raise ValueError("coefficient array must be ((2 m_cut + 1)^2, n_rho) with m_cut >= 1")
         if np.any(np.diff(self.rho) <= 0) or self.rho[0] <= 0:
             raise ValueError("rho grid must be positive increasing")
 
     # -- mode bookkeeping --------------------------------------------------
-    def index(self, m: int, n: int) -> int:
-        hits = np.nonzero((self.modes[:, 0] == m) & (self.modes[:, 1] == n))[0]
-        if len(hits) != 1:
-            raise KeyError(f"mode ({m}, {n}) not present")
-        return int(hits[0])
-
     @property
     def m_cut(self) -> int:
-        return int(np.max(np.abs(self.modes)))
+        return (math.isqrt(len(self.coeffs)) - 1) // 2
+
+    @property
+    def modes(self) -> np.ndarray:
+        return make_modes(self.m_cut)
+
+    def index(self, m: int, n: int) -> int:
+        """The row of (m, n): (m + m_cut)(2 m_cut + 1) + n + m_cut; row K-1-k holds -mu of row k."""
+        if max(abs(m), abs(n)) > self.m_cut:
+            raise KeyError(f"mode ({m}, {n}) not present")
+        return (m + self.m_cut) * (2 * self.m_cut + 1) + n + self.m_cut
 
     def mu_norms(self) -> np.ndarray:
-        d = self.lattice.dual_basis
-        vecs = self.modes @ d.T
-        return np.linalg.norm(vecs, axis=1)
+        return _dual_vectors(self.lattice, self.m_cut)[1]
 
     def mu_vectors(self) -> np.ndarray:
-        return self.modes @ self.lattice.dual_basis.T
+        return _dual_vectors(self.lattice, self.m_cut)[0]
 
     def gradient(self) -> tuple["TorusFourierField", "TorusFourierField"]:
         """(d/dx, d/dy) of the field: the coefficients times 2 pi i mu_x and 2 pi i mu_y."""
         k = 2j * np.pi * self.mu_vectors()
         return tuple(replace(self, coeffs=k[:, i, None] * self.coeffs) for i in (0, 1))
 
-    def _conjugate_index(self) -> np.ndarray:
-        """Row of -mu for each mode mu; KeyError when a conjugate is missing."""
-        row = {(m, n): k for k, (m, n) in enumerate(self.modes.tolist())}
-        try:
-            return np.array([row[(-m, -n)] for (m, n) in self.modes.tolist()], dtype=int)
-        except KeyError as exc:
-            raise KeyError(f"mode {exc.args[0]} not present") from None
-
     def reality_defect(self) -> float:
-        conj = np.conj(self.coeffs[self._conjugate_index()])
-        return float(np.max(np.abs(self.coeffs - conj), initial=0.0))
+        return float(np.max(np.abs(self.coeffs - np.conj(self.coeffs[::-1]))))
 
     # -- transforms ---------------------------------------------------------
     def values(self, n_colloc: int) -> np.ndarray:
         """Real-space samples, shape (NR, N, N), at X_{jk} = (j a + k b)/N."""
-        return _synthesize(self.modes, self.coeffs, n_colloc)
+        return _synthesize(self.coeffs, n_colloc)
 
     def shell_amplitude(self) -> np.ndarray:
         """Summed |coeff| over the shortest nonzero dual shell, per radius."""
@@ -217,8 +217,7 @@ class TorusFourierField:
         (spectral accuracy); evaluated at the outer boundary by default,
         where the shell hierarchy is steepest.
         """
-        cut = self.m_cut
-        outer = np.max(np.abs(self.modes), axis=1) == cut
+        outer = np.max(np.abs(self.modes), axis=1) == self.m_cut
         _, shell = _leading_shell(self.mu_norms())
         lead = float(np.max(np.abs(self.coeffs[shell, rho_index])))
         if lead == 0.0:
@@ -232,12 +231,21 @@ def _leading_shell(norms: np.ndarray):
     return mu0, np.abs(norms - mu0) < 1e-9 * mu0
 
 
+@lru_cache(maxsize=None)
 def make_modes(m_cut: int) -> np.ndarray:
+    """The (K, 2) modes (m, n), |m|, |n| <= m_cut, m-major (see ``TorusFourierField.index``); read-only."""
     if m_cut < 1:
         raise ValueError("mode cutoff must be >= 1")
     grid = np.arange(-m_cut, m_cut + 1)
     mm, nn = np.meshgrid(grid, grid, indexing="ij")
-    return np.column_stack([mm.ravel(), nn.ravel()])
+    return _read_only(np.column_stack([mm.ravel(), nn.ravel()]))[0]
+
+
+@lru_cache(maxsize=64)
+def _dual_vectors(lattice: TorusLattice, m_cut: int):
+    """The (K, 2) dual vectors mu of ``make_modes(m_cut)`` and their norms; read-only."""
+    vecs = make_modes(m_cut) @ lattice.dual_basis.T
+    return _read_only(vecs, np.linalg.norm(vecs, axis=1))
 
 
 @lru_cache(maxsize=None)
@@ -262,80 +270,65 @@ def _phase_blocks(m_cut: int, n: int):
     B = np.block([[P, S], [-S, P]])
     A = np.concatenate([P[m_cut:].T, -S[m_cut:].T], axis=1)
     weight = np.tile(np.r_[1.0, np.full(m_cut, 2.0)], 2)
-    blocks = (
+    return _read_only(
         np.stack([B[:, :n], B[:, n:]]),
         A * weight,
         np.stack([A[:, : m_cut + 1], A[:, m_cut + 1 :]]),
         B,
     )
-    for block in blocks:
-        block.flags.writeable = False
-    return blocks
 
 
-def _synthesize(modes: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
+def _synthesize(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Real samples of sum_mu c_mu e^{2 pi i x . mu} on the N x N collocation grid.
 
     At X_{jk} = (j a + k b)/n the phase is exp(2 pi i (jm + kn)/n) for any
-    lattice shape, so the sum is separable: the coefficients are scattered
-    into an (m, NR, re/im, n) array, contracted against E[n, k] by one
-    matmul that puts re/im outermost, and then against E[m, j] over
-    (re/im, m) by one 2-d matmul.  Every field here is Hermitian (coeff(-mu)
-    = conj coeff(mu)), so the samples are real and only the real part is
-    formed; the rows -m of the first contraction are the conjugates of the
-    rows m, so only m >= 0 is kept, with weight 2 on m > 0.  Returns shape
-    (NR, N, N) as a view of a (j, NR, k)-ordered array, the layout
-    :func:`_analyze` contracts without a copy.
+    lattice shape, so the sum is separable: the rows m >= 0, the last
+    m_cut + 1 blocks of the ``make_modes`` square, are reshaped to (m, NR,
+    re/im, n), contracted against E[n, k] by one matmul that puts re/im
+    outermost, and then against E[m, j] over (re/im, m) by one 2-d matmul.
+    Every field here is Hermitian (coeff(-mu) = conj coeff(mu)), so the
+    samples are real and only the real part is formed; the rows -m of the
+    first contraction are the conjugates of the rows m, so only m >= 0 is
+    kept, with weight 2 on m > 0.  Returns shape (NR, N, N) as a view of a
+    (j, NR, k)-ordered array, the layout :func:`_analyze` contracts without
+    a copy.
     """
-    m_cut = int(np.max(np.abs(modes)))
+    m_cut = (math.isqrt(len(coeffs)) - 1) // 2
     M = 2 * m_cut + 1
-    half = modes[:, 0] >= 0
-    i, j = modes[half, 0], modes[half, 1] + m_cut
-    C = np.zeros((m_cut + 1, coeffs.shape[1], 2 * M))
-    C[i, :, j] = coeffs[half].real
-    C[i, :, M + j] = coeffs[half].imag
+    half = np.ascontiguousarray(coeffs[m_cut * M :]).view(float)  # (re, im) pairs
+    C = half.reshape(m_cut + 1, M, -1, 2).transpose(0, 2, 3, 1).reshape(-1, 2 * M)
     B_split, A_weighted, _, _ = _phase_blocks(m_cut, n)
-    X = C.reshape(-1, 2 * M) @ B_split  # (re/im, m, NR, k)
+    X = C @ B_split  # (re/im, m, NR, k)
     out = A_weighted @ X.reshape(2 * (m_cut + 1), -1)
     return out.reshape(n, -1, n).transpose(1, 0, 2)
 
 
-@lru_cache(maxsize=64)
-def _gather(m_cut: int, n: int, key: bytes):
-    """Where :func:`_analyze` reads each mode in its n >= 0 half spectrum.
-
-    ``key`` is the bytes of an int (K, 2) mode array.  A mode with n < 0 is
-    read as the conjugate of (-m, -n).  Returns the row and column indices
-    and the (K, 1) divisors of the imaginary parts, +-N^2 with the sign of
-    that conjugation.  Memoized next to :func:`_phase_blocks`.
-    """
-    modes = np.frombuffer(key, dtype=int).reshape(-1, 2)
-    sign = np.where(modes[:, 1] >= 0, 1, -1)
-    gather = (sign * modes[:, 0] + m_cut, sign * modes[:, 1], (sign * float(n * n))[:, None])
-    for a in gather:
-        a.flags.writeable = False
-    return gather
+@lru_cache(maxsize=None)
+def _half_gather(m_cut: int):
+    """Row, column and conjugation sign at which :func:`_analyze` reads each half-lattice mode; read-only."""
+    m, n = make_modes(m_cut)[(2 * m_cut + 1) ** 2 // 2 :].T
+    sign = np.where(n >= 0, 1, -1)  # (m, n < 0) is read as conj (-m, -n)
+    return _read_only(sign * m + m_cut, sign * n, sign[:, None])
 
 
-def _analyze(values: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """Project real collocation samples (NR, N, N) back onto the retained modes.
+def _analyze(values: np.ndarray, m_cut: int) -> np.ndarray:
+    """Project real collocation samples (NR, N, N) onto the half lattice of ``make_modes(m_cut)``.
 
     The adjoint of :func:`_synthesize`: contraction against conj(E) over k,
     then over (re/im, j), each one 2-d matmul, divided by N^2.  The samples
     are real, so only the columns n >= 0 are formed and the rest are read as
     c(m, n) = conj c(-m, -n).  The real and imaginary parts are written
-    straight into the (K, NR) complex result.
+    straight into the complex result, the rows K // 2 on of the square.
     """
     n = values.shape[-1]
-    m_cut = int(np.max(np.abs(modes)))
     M = 2 * m_cut + 1
     _, _, A_split, B = _phase_blocks(m_cut, n)
-    i, j, im_div = _gather(m_cut, n, np.ascontiguousarray(modes, dtype=int).tobytes())
+    i, j, sign = _half_gather(m_cut)
     Y = values.transpose(1, 0, 2).reshape(-1, n) @ A_split  # (re/im, j, NR, n >= 0)
     spec = (B @ Y.reshape(2 * n, -1)).reshape(2, M, -1, m_cut + 1)
     out = np.empty((len(i), spec.shape[2]), dtype=complex)
     np.divide(spec[0, i, :, j], n * n, out=out.real)
-    np.divide(spec[1, i, :, j], im_div, out=out.imag)
+    np.divide(spec[1, i, :, j], sign * float(n * n), out=out.imag)
     return out
 
 
@@ -385,10 +378,7 @@ def _chebyshev(rho_min: float, rho_max: float, n: int):
     l0 = rho[:, None] ** 2 * (D @ D) + 3.0 * rho[:, None] * D
     # a_k = (2/n) sum'' f_j T_k(x_j), T_k(x_j) = cos(k (n - j) pi / n); a_0, a_n halved
     to_coeffs = np.cos(np.pi * np.outer(j, n - j) / n) / np.outer(ends, ends) * (2.0 / n)
-    out = (rho, D, l0, to_coeffs)
-    for a in out:
-        a.flags.writeable = False
-    return out
+    return _read_only(rho, D, l0, to_coeffs)
 
 
 def _barycentric(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -429,10 +419,9 @@ def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> Tor
     commutes with the projection, and its dense collocation matrix is
     applied once to the projected coefficients.  The torus part -16 pi^2
     |mu|^2 rho^2 v is added in coefficient space.  ``v`` must be real
-    (Hermitian coefficients) in the ``make_modes(m_cut)`` order, where row
-    K-1-k holds -mu of row k: the coefficient-space work is done for the
-    rows from K // 2 on (m > 0, or m = 0 and n >= 0) and the other rows are
-    their conjugates.
+    (Hermitian coefficients): the coefficient-space work is done for the
+    rows from K // 2 on (m > 0, or m = 0 and n >= 0) and row K-1-k is the
+    conjugate of row k.
     """
     if len(v.rho) < 5:
         raise ValueError("need at least 5 radial nodes")
@@ -441,23 +430,18 @@ def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> Tor
         n_colloc = default_colloc(m_cut)
     if n_colloc < 2 * m_cut:
         raise AliasingError(f"collocation grid {n_colloc} < 2 x m_cut = {2 * m_cut}")
-    modes = v.modes
-    if not np.array_equal(modes, make_modes(m_cut)):
-        raise ValueError("modes must be in the make_modes(m_cut) order")
     rho_min, rho_max, n = float(v.rho[0]), float(v.rho[-1]), len(v.rho) - 1
     if not np.allclose(v.rho, _chebyshev_nodes(rho_min, rho_max, n), rtol=1e-12, atol=0.0):
         raise ValueError("rho must be the Chebyshev-Gauss-Lobatto nodes of [rho[0], rho[-1]]")
     rho, _, l0, _ = _chebyshev(rho_min, rho_max, n)
-    # rows c.. are the half lattice; rows lo.. (m >= 0) are what synthesis reads
-    c = len(modes) // 2
-    lo = c - m_cut
-    E = _synthesize(modes[lo:], v.coeffs[lo:], n_colloc)
+    c = len(v.coeffs) // 2  # rows c.. are the half lattice
+    E = _synthesize(v.coeffs, n_colloc)
     np.expm1(E, out=E)
     out = np.empty(v.coeffs.shape, dtype=complex)
-    out[c:] = _analyze(E, modes[c:]) @ l0.T
+    out[c:] = _analyze(E, m_cut) @ l0.T
     out[c:] -= (16.0 * np.pi**2 * v.mu_norms()[c:] ** 2)[:, None] * rho**2 * v.coeffs[c:]
     np.conjugate(out[:c:-1], out=out[:c])
-    return TorusFourierField(v.lattice, v.modes, v.rho, out)
+    return TorusFourierField(v.lattice, v.rho, out)
 
 
 def linear_mode_solution(mu, rho):
@@ -528,6 +512,11 @@ def _half_lattice_product(matrices: np.ndarray, rows: np.ndarray) -> np.ndarray:
 # the nonlinear solve
 # ----------------------------------------------------------------------
 
+# the residual sup at which Newton stops, and its step limit
+NEWTON_TOL = 1e-9
+NEWTON_MAX_ITER = 60
+
+
 @dataclass
 class LeBrunSolution:
     """Solved deviation field and derived data on T^2 x [rho_min, rho_max]."""
@@ -565,9 +554,6 @@ def solve_nonlinear(
     *,
     rho_min: float = 0.5,
     n_rho: int = 1401,
-    n_colloc: int | None = None,
-    tol: float = 1e-9,
-    max_iter: int = 60,
 ) -> LeBrunSolution:
     """Perturbative solve of the reduced equation with Dirichlet inner data.
 
@@ -580,7 +566,8 @@ def solve_nonlinear(
     L_mu dv = -residual, Dirichlet at rho_min and the K_1 log-derivative
     Robin condition at rho_max.  L_mu depends on |mu| only, so one dense
     matrix is built and inverted per distinct norm before the iteration, and
-    each Newton step is one batched product with the right-hand sides of one
+    each Newton step, up to ``NEWTON_MAX_ITER`` until the residual is below
+    ``NEWTON_TOL``, is one batched product with the right-hand sides of one
     mode of each +-mu pair.  The iterates, residuals and steps are exactly
     Hermitian, so no step symmetrizes them.  The mean mode is special: its
     homogeneous solutions (1 and 1/rhat) are not exponentially decaying, so
@@ -595,13 +582,14 @@ def solve_nonlinear(
     nodes, are the interpolants evaluated on ``n_rho`` uniform nodes of
     [rho_min, rho_max].
     """
-    modes = make_modes(m_cut)  # ValueError for m_cut < 1, before anything else
+    if m_cut < 1:
+        raise ValueError("mode cutoff must be >= 1")
     if n_rho < 5:
         raise ValueError(f"need at least 5 output nodes, got n_rho={n_rho}")
     data = dict()
     for (m, n), c in inner_data.items():
-        if max(abs(m), abs(n)) > m_cut:
-            raise ValueError(f"inner mode ({m},{n}) beyond cutoff {m_cut}")
+        if (m, n) != (int(m), int(n)) or max(abs(m), abs(n)) > m_cut:
+            raise ValueError(f"inner mode ({m},{n}) is not an integer mode within cutoff {m_cut}")
         if not np.isfinite(complex(c)):
             raise ValueError(f"inner data must be finite, got c({m}, {n}) = {c}")
         data[(m, n)] = data.get((m, n), 0.0) + complex(c)
@@ -630,24 +618,23 @@ def solve_nonlinear(
     if not 0.0 < rho_min < rho_max < np.inf:
         raise ValueError(f"need 0 < rho_min < rho_max < inf, got rho_min={rho_min}, rho_max={rho_max}")
     rho_min, rho_max = float(rho_min), float(rho_max)
-    if n_colloc is None:
-        n_colloc = default_colloc(m_cut)
-    if n_colloc < 2 * m_cut:
-        raise AliasingError(f"collocation grid {n_colloc} < 2 x m_cut = {2 * m_cut}")
+    n_colloc = default_colloc(m_cut)
 
-    c = len(modes) // 2  # rows c.. are the half lattice, row c the mean mode
-    bc = np.array([data.get((m, n), 0.0) for m, n in modes.tolist()], dtype=complex)
-    sup0 = float(np.max(np.abs(_synthesize(modes, bc[:, None], n_colloc))))
+    dirichlet = TorusFourierField(lattice, [rho_min], np.zeros(((2 * m_cut + 1) ** 2, 1), dtype=complex))
+    for (m, n), value in data.items():
+        dirichlet.coeffs[dirichlet.index(int(m), int(n)), 0] = value
+    sup0 = float(np.max(np.abs(dirichlet.values(n_colloc))))
     if not sup0 <= 0.2:
         raise PerturbativeRegimeError(f"sup |inner data| = {sup0:.3f} > 0.2")
-    norms = np.linalg.norm(modes @ lattice.dual_basis.T, axis=1)
+    bc, norms = dirichlet.coeffs[:, 0], dirichlet.mu_norms()
+    c = len(bc) // 2  # rows c.. are the half lattice, row c the mean mode
     distinct, group = np.unique(norms[c:], return_inverse=True)
 
     def solve_on(n: int) -> TorusFourierField:
         rho, D, _, _ = _chebyshev(rho_min, rho_max, n)
         inverses, g = _mode_inverses(distinct, rho_min, rho_max, n)
         inverses, g = inverses[group], g[group]
-        coeffs = np.zeros((len(modes), n + 1), dtype=complex)
+        coeffs = np.zeros((len(bc), n + 1), dtype=complex)
         for k in np.nonzero(bc)[0]:
             shape = linear_mode_solution(norms[k], rho)
             coeffs[k] = bc[k] * shape / shape[0]
@@ -661,14 +648,14 @@ def solve_nonlinear(
         def residual(field):
             """The residual of ``field`` and the larger of its sup and the boundary defects."""
             res = nonlinear_residual(field, n_colloc)
-            sup = float(np.max(np.abs(_synthesize(modes, res.coeffs[:, 1:-1], n_colloc))))
+            sup = float(np.max(np.abs(_synthesize(res.coeffs[:, 1:-1], n_colloc))))
             inner, outer = boundary_defects(field.coeffs[c:])
             return res, max(sup, float(np.abs(inner).max()), float(np.abs(outer).max()))
 
-        v = TorusFourierField(lattice, modes, rho, coeffs)
+        v = TorusFourierField(lattice, rho, coeffs)
         res, current = residual(v)
-        for _ in range(max_iter):
-            if current < tol:
+        for _ in range(NEWTON_MAX_ITER):
+            if current < NEWTON_TOL:
                 return v
             rhs = -res.coeffs[c:]
             inner, outer = boundary_defects(v.coeffs[c:])
@@ -676,15 +663,15 @@ def solve_nonlinear(
             step = _half_lattice_product(inverses, rhs)
             lam = 1.0
             for _ in range(9):
-                trial = TorusFourierField(lattice, modes, rho, v.coeffs + lam * step)
+                trial = TorusFourierField(lattice, rho, v.coeffs + lam * step)
                 trial_res, trial_norm = residual(trial)
-                if trial_norm < current or trial_norm < tol:
+                if trial_norm < current or trial_norm < NEWTON_TOL:
                     v, res, current = trial, trial_res, trial_norm  # reused by the next step
                     break
                 lam *= 0.5
             else:
                 raise ConvergenceError("mode-decoupled Newton stalled")
-        raise ConvergenceError(f"nonlinear solve did not reach tol={tol:.1e}")
+        raise ConvergenceError(f"nonlinear solve did not reach tol={NEWTON_TOL:.1e}")
 
     n = CHEB_INTERVALS
     while True:
@@ -705,8 +692,8 @@ def solve_nonlinear(
     w = _half_lattice_product(P, v.coeffs[c:] @ D.T / (2.0 * rho))
     w[c] += rho_out**-2.0
     return LeBrunSolution(
-        v=TorusFourierField(lattice, modes, rho_out, _half_lattice_product(P, v.coeffs[c:])),
-        w=TorusFourierField(lattice, modes, rho_out, w),
+        v=TorusFourierField(lattice, rho_out, _half_lattice_product(P, v.coeffs[c:])),
+        w=TorusFourierField(lattice, rho_out, w),
         lambda_t=float(lambda_t),
     )
 
@@ -871,9 +858,10 @@ def _trig_factor(sol: LeBrunSolution, n_colloc: int):
     """T(x, y) and its gradient from the shortest-shell coefficients.
 
     v ~ rhat^{-1/2} K_1(2 lambda_T sqrt(rhat)) T(x, y), T the synthesis of
-    the leading-shell T-hat.
+    the leading-shell T-hat (zero on the other modes of the square).
     """
     shell, t_hat = _shell_t_hat(sol)
-    v = sol.v
-    t = TorusFourierField(v.lattice, v.modes[shell], v.rho[-1:], t_hat[:, None])
+    coeffs = np.zeros((len(shell), 1), dtype=complex)
+    coeffs[shell, 0] = t_hat
+    t = TorusFourierField(sol.v.lattice, sol.rho[-1:], coeffs)
     return tuple(f.values(n_colloc)[0] for f in (t, *t.gradient()))

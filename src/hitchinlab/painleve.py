@@ -84,7 +84,14 @@ class ParabolicWeights:
 # Newton relaxation core (log-radial variable)
 # ----------------------------------------------------------------------
 
-def _newton_log_solve(x, gfun, sigma_inner, robin_outer, m0, tol, max_iter=80):
+# the log-frame residual sup at which Newton stops, its step limit, and the
+# rho down to which the fiducial profiles extend their grid inward
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 80
+RHO_INNER_TARGET = 0.02
+
+
+def _newton_log_solve(x, gfun, sigma_inner, robin_outer, m0):
     """Solve m_xx = gfun sinh(2m) with Robin rows m_x(x0)=sigma, m_x(xN)=robin*m(xN).
 
     Returns the solution m and its first derivative m_x, taken with the
@@ -115,11 +122,11 @@ def _newton_log_solve(x, gfun, sigma_inner, robin_outer, m0, tol, max_iter=80):
     best = np.max(np.abs(res))
     eps = np.finfo(float).eps
     a_c_max = np.max(np.abs(a_c))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         # evaluation floor of the residual itself: second differences of
         # rounded nodal values plus the sinh term
         floor = 8.0 * eps * (a_c_max * np.max(np.abs(m)) + np.max(np.abs(res)))
-        if best < max(tol, floor):
+        if best < max(NEWTON_TOL, floor):
             return solution(m)
         diag = a_c - 2.0 * gfun * np.cosh(2.0 * m[1:-1])
         step = solve_three_point(a_l, diag, a_r, (w0, w1, w2), (v0 - robin_outer, v1, v2), -res)
@@ -137,9 +144,9 @@ def _newton_log_solve(x, gfun, sigma_inner, robin_outer, m0, tol, max_iter=80):
             if best < max(20.0 * floor, 1e-9):
                 return solution(m)
             raise ConvergenceError("Newton damping failed to reduce the residual")
-    if best < tol:
+    if best < NEWTON_TOL:
         return solution(m)
-    raise ConvergenceError(f"Newton did not converge: residual {best:.3e} > {tol:.1e}")
+    raise ConvergenceError(f"Newton did not converge: residual {best:.3e} > {NEWTON_TOL:.1e}")
 
 
 def _initial_guess(sigma_rho: float, rho: np.ndarray) -> np.ndarray:
@@ -157,7 +164,6 @@ def solve_mtw(
     rho_max: float,
     n_points: int,
     *,
-    tol: float = 1e-10,
     check_grid: bool = True,
 ) -> RadialProfile:
     """Decaying solution of m'' + m'/rho = (1/2) sinh(2m) with log-slope sigma at 0.
@@ -187,7 +193,6 @@ def solve_mtw(
             sigma,
             -bessel_k_ratio(1, 0, rho_max) * rho_max,
             _initial_guess(sigma, rho),
-            tol,
         )
         return rho, m, m_x
 
@@ -235,17 +240,14 @@ def _transformed_profile(
     rho_of_r,
     g_of_r,
     rho_x_factor: float,
-    *,
-    tol: float = 1e-10,
-    rho_inner_target: float = 0.02,
 ) -> RadialProfile:
     """Solve the fiducial ODE in the log of r on ``r_grid``.
 
     ``g_of_r`` is r^2 W(r) for the equation m'' + m'/r = W(r) sinh(2m);
     ``rho_x_factor`` is d(log rho)/d(log r).  The solve grid is extended
-    below r_grid (same log spacing) until rho(r) is small enough for the
-    log-slope boundary condition; the returned profile is the restriction
-    to ``r_grid``.
+    below r_grid (same log spacing) until rho(r) <= ``RHO_INNER_TARGET``,
+    small enough for the log-slope boundary condition; the returned profile
+    is the restriction to ``r_grid``.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if np.any(np.diff(r_grid) <= 0) or r_grid[0] <= 0:
@@ -256,7 +258,7 @@ def _transformed_profile(
         raise ValueError(f"profiles require a finite t >= 1, got {t}")
 
     ratio = max(r_grid[1] / r_grid[0], 1.0005)
-    ext = _inward_extension(r_grid[0], ratio, rho_of_r, rho_x_factor, rho_inner_target)
+    ext = _inward_extension(r_grid[0], ratio, rho_of_r, rho_x_factor, RHO_INNER_TARGET)
     full = np.concatenate([ext[::-1], r_grid])
     n_ext = len(ext)
 
@@ -271,7 +273,6 @@ def _transformed_profile(
             sigma_r,
             -bessel_k_ratio(1, 0, rho[-1]) * rho[-1] * rho_x_factor,
             _initial_guess(2.0 * sigma_r, rho),
-            tol,
         )
     dm = m_x / full
     return RadialProfile(r_grid, m[n_ext:], dm[n_ext:], sigma_r)

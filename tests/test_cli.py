@@ -262,11 +262,16 @@ class TestValidationAndConfig:
             (["lebrun", "--p0", "0.3,0", "--amp", "inf"], "ValueError"),
             (["lebrun", "--p0", "0.3,0", "--modes", "0"], "ValueError"),
             (["glue-decay", "--case", "simplezero", "--r-off", "inf"], "ValueError"),
+            # argparse choices do not see config-file values; bogus.cfg holds case = bogus
+            (["fiducial", "--config", "bogus.cfg"], "ValidationError"),
         ],
     )
     # a warning printed before the error line would be a second line
     @pytest.mark.filterwarnings("error")
     def test_failure_is_one_error_line(self, tmp_path, capsys, argv, cls):
+        cfg = tmp_path / "bogus.cfg"
+        cfg.write_text("case = bogus\n")
+        argv = [str(cfg) if a == cfg.name else a for a in argv]
         code = main(argv + ["--output-dir", str(tmp_path / "x")])
         assert code == 1
         err = capsys.readouterr().err.splitlines()

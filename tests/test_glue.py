@@ -66,6 +66,14 @@ class TestCutoff:
         with pytest.raises(ValueError):
             cutoff_chi(CutoffSpec(), -0.1)
 
+    @pytest.mark.parametrize("fn", [cutoff_chi, cutoff_chi_deriv])
+    @pytest.mark.parametrize("r", [-1.0, np.nan, [0.7, -1.0], np.array([0.2, np.nan, 0.8])])
+    @pytest.mark.filterwarnings("error")
+    def test_negative_or_nan_radius_rejected(self, fn, r):
+        # the cutoff and its derivative share one check, with no RuntimeWarning first
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(CutoffSpec(), r)
+
 
 @pytest.fixture(scope="module")
 def grid():

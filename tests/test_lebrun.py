@@ -1,5 +1,6 @@
 """Reduced circle-invariant equation: modes, nonlinear solve, metric difference."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -72,10 +73,10 @@ def _analyze_fft(values, modes):
     return np.stack([spec[:, m % n, mn % n] for (m, mn) in modes], axis=0)
 
 
-def _chebyshev_field(lattice, m_cut, n, coeffs, rho_min=0.5, rho_max=4.0):
+def _chebyshev_field(lattice, n, coeffs, rho_min=0.5, rho_max=4.0):
     """A field on the n-interval Chebyshev nodes of [rho_min, rho_max]."""
     rho = _chebyshev(rho_min, rho_max, n)[0]
-    return TorusFourierField(lattice, make_modes(m_cut), rho, coeffs)
+    return TorusFourierField(lattice, rho, coeffs)
 
 
 def _residual_whole_lattice(v, n_colloc):
@@ -162,7 +163,7 @@ def _fd_reference(sol, bc, n_colloc, steps=3):
             robin = w0 * c[j0] + w1 * c[j1] + w2 * c[j2] - g * c[-1]
             step[k] = _banded_mode_solve(norms[k], rho, -res[k, 1:-1], bc[k] - c[0], -robin)
         step[mean] = _march_numpy_scalars(rho, -res[mean, 1:-1])
-        v = TorusFourierField(v.lattice, v.modes, rho, v.coeffs + step)
+        v = TorusFourierField(v.lattice, rho, v.coeffs + step)
     return v, sup
 
 
@@ -171,7 +172,7 @@ def _metric_difference_hand_expanded(sol, n_colloc):
     rho = sol.rho
     V = sol.v.values(n_colloc)
     W = sol.w.values(n_colloc)
-    RW = TorusFourierField(sol.w.lattice, sol.w.modes, rho, sol.w.coeffs * rho**2).values(n_colloc)
+    RW = TorusFourierField(sol.w.lattice, rho, sol.w.coeffs * rho**2).values(n_colloc)
     EU = np.exp(V) * RW
     WA2 = sol.wa2.values(n_colloc)
     WA3 = sol.wa3.values(n_colloc)
@@ -267,6 +268,7 @@ class TestLattice:
         B = lattice.basis
         D = lattice.dual_basis
         assert np.allclose(D.T @ B, np.eye(2), atol=1e-14)
+        assert lattice.dual_basis is D  # computed once
 
     def test_min_dual_matches_lambda(self, lattice):
         mu0, _ = lattice.min_dual_norm()
@@ -280,6 +282,45 @@ class TestLattice:
         assert mu0 == pytest.approx(TorusLattice.from_tau(0.1j).min_dual_norm()[0], rel=1e-12)
         assert mu0 == pytest.approx(0.0712, abs=1e-4)
         assert reps == [(-1, -10)]
+
+
+class TestModeLayout:
+    @given(m_cut=st.integers(1, 6), rows=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+    def test_square_layout(self, lattice, m_cut, rows, seed):
+        # the rows are the make_modes(m_cut) square: index is the row of
+        # (m, n) there, row K-1-k holds -mu of row k, and the reality defect
+        # read through that is a direct scan; no other row count constructs
+        modes = make_modes(m_cut)
+        K = len(modes)
+        rng = np.random.default_rng(seed)
+        rho = [0.5, 1.0, 2.0]
+        c = rng.normal(size=(K, 3)) + 1j * rng.normal(size=(K, 3))
+        f = TorusFourierField(lattice, rho, c)
+        assert f.m_cut == m_cut and f.modes is modes and not modes.flags.writeable
+        for k, (m, n) in enumerate(modes.tolist()):
+            assert f.index(m, n) == k
+        for m, n in ((m_cut + 1, 0), (0, -m_cut - 1), (-m_cut - 1, m_cut + 1)):
+            with pytest.raises(KeyError, match="not present"):
+                f.index(m, n)
+        assert np.array_equal(modes[::-1], -modes)
+        assert np.array_equal(f.mu_vectors()[::-1], -f.mu_vectors())
+        worst = max(
+            float(np.max(np.abs(c[k] - np.conj(c[f.index(-m, -n)])))) for k, (m, n) in enumerate(modes.tolist())
+        )
+        assert f.reality_defect() == worst
+        if rows in [(2 * j + 1) ** 2 for j in range(1, 8)]:
+            assert TorusFourierField(lattice, rho, np.zeros((rows, 3))).m_cut == (math.isqrt(rows) - 1) // 2
+        else:
+            with pytest.raises(ValueError, match="m_cut"):
+                TorusFourierField(lattice, rho, np.zeros((rows, 3)))
+
+    def test_dual_vectors_are_shared(self, lattice):
+        # one computation per (lattice, m_cut), whichever field asks
+        f = TorusFourierField(lattice, [1.0], np.zeros((25, 1)))
+        g = TorusFourierField(TorusLattice(lattice.tau, lattice.c_fib), [2.0], np.ones((25, 1)))
+        assert f.mu_norms() is g.mu_norms() and f.mu_vectors() is g.mu_vectors()
+        for a in (f.mu_norms(), f.mu_vectors(), lattice.dual_basis):
+            assert not a.flags.writeable
 
 
 class TestTransforms:
@@ -296,13 +337,15 @@ class TestTransforms:
         ref = _synthesize_fft(modes, c, n)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(ref.imag)) <= 1e-12 * scale
-        assert np.max(np.abs(_synthesize(modes, c, n) - ref.real)) <= 1e-12 * scale
+        assert np.max(np.abs(_synthesize(c, n) - ref.real)) <= 1e-12 * scale
+        # _analyze returns the half lattice, the rows K // 2 on
+        half = len(modes) // 2
         vals = np.random.default_rng(seed).normal(size=(n_rho, n, n))
-        ref = _analyze_fft(vals, modes)
-        assert np.max(np.abs(_analyze(vals, modes) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        ref = _analyze_fft(vals, modes)[half:]
+        assert np.max(np.abs(_analyze(vals, m_cut) - ref)) <= 1e-12 * np.max(np.abs(ref))
         if n >= 2 * m_cut + 1:
-            back = _analyze(_synthesize(modes, c, n), modes)
-            assert np.max(np.abs(back - c)) <= 1e-12 * np.max(np.abs(c))
+            back = _analyze(_synthesize(c, n), m_cut)
+            assert np.max(np.abs(back - c[half:])) <= 1e-12 * np.max(np.abs(c))
 
     def test_phase_blocks_are_shared_and_read_only(self):
         first = _phase_blocks(3, 16)
@@ -311,20 +354,13 @@ class TestTransforms:
             with pytest.raises(ValueError, match="read-only"):
                 block[0] = 0.0
 
-    def test_subset_of_modes(self):
-        # the leading-shell synthesis passes a few modes with a smaller cutoff
-        modes = np.array([[0, 1], [0, -1], [1, -1], [-1, 1]])
-        c = np.array([[0.3 + 0.2j], [0.3 - 0.2j], [-0.1j], [0.1j]])
-        ref = _synthesize_fft(modes, c, 16)
-        assert np.max(np.abs(_synthesize(modes, c, 16) - ref.real)) < 1e-15
-
     def test_gradient_matches_finite_difference(self, lattice):
         # d/dx and d/dy of a random real field, by central differences of
         # its Fourier sum in real space, at the collocation points
         # X_jk = (j a + k b)/N where values() samples it
         modes = make_modes(2)
         c = _hermitian_coeffs(modes, 1, 5)
-        f = TorusFourierField(lattice, modes, [1.0], c)
+        f = TorusFourierField(lattice, [1.0], c)
         mu = f.mu_vectors()
         N, h = 8, 1e-6
 
@@ -465,7 +501,7 @@ class TestInhomogeneousSolve:
 class TestNonlinearResidual:
     def test_zero_field(self, lattice):
         modes = make_modes(2)
-        v = _chebyshev_field(lattice, 2, 64, np.zeros((len(modes), 65), dtype=complex))
+        v = _chebyshev_field(lattice, 64, np.zeros((len(modes), 65), dtype=complex))
         res = nonlinear_residual(v)
         assert np.max(np.abs(res.coeffs)) == 0.0
 
@@ -479,17 +515,17 @@ class TestNonlinearResidual:
         disc = inverse[:, 0] * linear_mode_solution(mu0, rho[0])
         ratios = []
         for eps in (1e-4, 1e-5, 1e-6):
-            v = _chebyshev_field(lattice, 2, 64, np.zeros((len(modes), len(rho)), dtype=complex))
+            v = _chebyshev_field(lattice, 64, np.zeros((len(modes), len(rho)), dtype=complex))
             v.coeffs[v.index(m, n)] = 0.5 * eps * disc
             v.coeffs[v.index(-m, -n)] = 0.5 * eps * disc
             res = nonlinear_residual(v)
-            sup = np.max(np.abs(_synthesize(res.modes, res.coeffs[:, 1:-1], 16)))
+            sup = np.max(np.abs(_synthesize(res.coeffs[:, 1:-1], 16)))
             ratios.append(sup / eps**2)
         assert max(ratios) / min(ratios) < 1.5
 
     def test_mean_mode_pure_quadratic(self, lattice):
         modes = make_modes(1)
-        v = _chebyshev_field(lattice, 1, 64, np.zeros((len(modes), 65), dtype=complex))
+        v = _chebyshev_field(lattice, 64, np.zeros((len(modes), 65), dtype=complex))
         rho = v.rho
         amp = 0.01
         v.coeffs[v.index(0, 0)] = amp * rho**-2.0
@@ -512,7 +548,7 @@ class TestNonlinearResidual:
         diffs = []
         for n in (16, 48):
             rho = _chebyshev(0.5, 4.0, n)[0]
-            v = _chebyshev_field(lattice, 2, n, 0.1 * a * np.exp(-(1 + k) * rho) * np.cos(rho))
+            v = _chebyshev_field(lattice, n, 0.1 * a * np.exp(-(1 + k) * rho) * np.cos(rho))
             diff = nonlinear_residual(v).coeffs - _residual_product_form(v, default_colloc(2))
             diffs.append(np.max(np.abs(diff[:, 1:-1])))
         assert diffs[1] < 1e-6 * diffs[0]
@@ -533,7 +569,7 @@ class TestNonlinearResidual:
         modes = make_modes(2)
         n = n_rho - 1
         try:
-            nonlinear_residual(_chebyshev_field(lattice, 2, n, 0.02 * _hermitian_coeffs(modes, n_rho, 3)))
+            nonlinear_residual(_chebyshev_field(lattice, n, 0.02 * _hermitian_coeffs(modes, n_rho, 3)))
         finally:
             _chebyshev.cache_clear()  # the 1401-node matrices hold 63 MB
         assert len(calls) == 1
@@ -553,24 +589,18 @@ class TestNonlinearResidual:
 
     def test_aliasing_guard(self, lattice):
         modes = make_modes(3)
-        v = _chebyshev_field(lattice, 3, 64, np.zeros((len(modes), 65), dtype=complex))
+        v = _chebyshev_field(lattice, 64, np.zeros((len(modes), 65), dtype=complex))
         with pytest.raises(AliasingError):
             nonlinear_residual(v, n_colloc=4)
 
-    def test_layout_guard(self, lattice):
-        # the half-lattice rows are those of the make_modes order, and the
-        # radial nodes are the Chebyshev nodes of their interval; a grid
+    def test_chebyshev_node_guard(self, lattice):
+        # the radial nodes are the Chebyshev nodes of their interval; a grid
         # that is not is rejected before its matrices are built and cached
         _chebyshev.cache_clear()
-        rho = _chebyshev_nodes(0.5, 4.0, 10)
-        modes = make_modes(2)[::-1]
-        v = TorusFourierField(lattice, modes, rho, np.zeros((len(modes), 11), dtype=complex))
-        with pytest.raises(ValueError, match="make_modes"):
-            nonlinear_residual(v)
-        moved = rho.copy()
+        moved = _chebyshev_nodes(0.5, 4.0, 10)
         moved[3] += 1e-9
         for grid in (np.linspace(0.5, 4.0, 11), moved):
-            v = TorusFourierField(lattice, modes[::-1], grid, np.zeros((len(modes), 11), dtype=complex))
+            v = TorusFourierField(lattice, grid, np.zeros((25, 11), dtype=complex))
             with pytest.raises(ValueError, match="Chebyshev"):
                 nonlinear_residual(v)
         assert _chebyshev.cache_info().currsize == 0
@@ -590,7 +620,7 @@ class TestNonlinearResidual:
         # (a forward comparison would measure the conditioning, about n^4)
         modes = make_modes(m_cut)
         conj = len(modes) - 1 - np.arange(len(modes))  # row of -mu
-        v = _chebyshev_field(lattice, m_cut, n, 0.02 * _hermitian_coeffs(modes, n + 1, seed))
+        v = _chebyshev_field(lattice, n, 0.02 * _hermitian_coeffs(modes, n + 1, seed))
         assert np.array_equal(v.coeffs[conj], np.conj(v.coeffs))
         n_colloc = 2 * m_cut + extra
         res = nonlinear_residual(v, n_colloc).coeffs
@@ -649,24 +679,6 @@ class TestSolveNonlinear:
         shell = np.abs(norms - mu0) < 1e-9 * mu0
         assert normsq[shell].sum() / normsq.sum() > 0.99
 
-    def test_conjugate_index_matches_index_scan(self, lattice):
-        # the map agrees with a scan of index() per mode, and the reality
-        # defect read through it is the per-mode loop's
-        rho = np.linspace(0.5, 4.0, 5)
-        rng = np.random.default_rng(5)
-        for modes in (make_modes(3), make_modes(2)[rng.permutation(25)]):
-            c = rng.normal(size=(len(modes), 5)) + 1j * rng.normal(size=(len(modes), 5))
-            f = TorusFourierField(lattice, modes, rho, c)
-            ref = [f.index(-m, -n) for (m, n) in f.modes]
-            assert f._conjugate_index().tolist() == ref
-            worst = max(float(np.max(np.abs(c[k] - np.conj(c[j])))) for k, j in enumerate(ref))
-            assert f.reality_defect() == worst
-
-    def test_missing_conjugate_raises(self, lattice):
-        f = TorusFourierField(lattice, [[0, 0], [1, 2]], np.linspace(0.5, 4.0, 5), np.ones((2, 5)))
-        with pytest.raises(KeyError, match=r"mode \(-1, -2\) not present"):
-            f.reality_defect()
-
     def test_reality(self, solution):
         assert solution.v.reality_defect() < 1e-12
         # the production synthesis forms the real part only; the FFT oracle
@@ -679,7 +691,7 @@ class TestSolveNonlinear:
         # rows, gives the dense solve of every mode's own collocation system
         modes = make_modes(3)
         rho, D, _, _ = _chebyshev(0.5, 4.0, 64)
-        norms = TorusFourierField(lattice, modes, rho, np.zeros((len(modes), len(rho)))).mu_norms()
+        norms = TorusFourierField(lattice, rho, np.zeros((len(modes), len(rho)))).mu_norms()
         c = len(modes) // 2
         distinct, group = np.unique(norms[c:], return_inverse=True)
         assert len(distinct) < len(modes) // 2
@@ -830,15 +842,20 @@ class TestSolveNonlinear:
         for c in (np.nan, np.inf, complex(0.01, -np.inf)):
             with pytest.raises(ValueError, match="inner data must be finite"):
                 solve_nonlinear({(m, n): c}, None, 3, lattice)
-        # checked before the data, which would otherwise lie "beyond cutoff 0"
+        # checked before the data, which would otherwise lie outside cutoff 0
         with pytest.raises(ValueError, match="mode cutoff must be >= 1"):
             solve_nonlinear({(m, n): 0.05}, None, 0, lattice)
+        for mode in ((0.5, 1), (4, 0)):
+            with pytest.raises(ValueError, match="integer mode within cutoff 3"):
+                solve_nonlinear({mode: 0.05}, None, 3, lattice)
 
     def test_missing_conjugate_is_filled(self, lattice, mu0_data):
         _, (m, n) = mu0_data
         one = solve_nonlinear({(m, n): 0.04 + 0.02j}, None, 2, lattice)
         both = solve_nonlinear({(m, n): 0.04 + 0.02j, (-m, -n): 0.04 - 0.02j}, None, 2, lattice)
         assert np.array_equal(one.v.coeffs, both.v.coeffs)
+        floats = solve_nonlinear({(float(m), float(n)): 0.04 + 0.02j}, None, 2, lattice)
+        assert np.array_equal(one.v.coeffs, floats.v.coeffs)
         assert one.v.coeffs[one.v.index(-m, -n), 0] == 0.04 - 0.02j
 
     def test_perturbative_guard(self, lattice, mu0_data):
@@ -881,7 +898,7 @@ class TestFitDecay:
         rho = np.linspace(2.0, 12.0, 3000)
         modes = make_modes(1)
         coeffs = np.zeros((len(modes), len(rho)), dtype=complex)
-        f = TorusFourierField(lattice, modes, rho, coeffs)
+        f = TorusFourierField(lattice, rho, coeffs)
         phi = linear_mode_solution(lattice.mu_vector(m, n), rho)
         coeffs[f.index(m, n)] = 0.5 * phi
         coeffs[f.index(-m, -n)] = 0.5 * phi
@@ -913,7 +930,7 @@ class TestFitDecay:
         rho = np.linspace(0.5, 4.0, 200)
         modes = make_modes(1)
         coeffs = np.zeros((len(modes), len(rho)), dtype=complex)
-        f = TorusFourierField(lattice, modes, rho, coeffs)
+        f = TorusFourierField(lattice, rho, coeffs)
         coeffs[f.index(0, 1)] = 1.0
         coeffs[f.index(0, -1)] = 1.0
         sol = LeBrunSolution(v=f, w=f, lambda_t=1.0)  # fit_decay reads v only
