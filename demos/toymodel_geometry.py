@@ -46,7 +46,7 @@ def main():
     print("      r      coeff(dr^2)          ratio to previous")
     rs = np.geomspace(2.0, 64.0, 6)
     prev = None
-    for r, c in zip(rs, toy.gmn_correction(cfg, rs).g[:, 0, 0].tolist()):
+    for r, c in zip(rs, toy.gmn_correction(cfg, rs)[:, 0, 0].tolist()):
         ratio = "" if prev is None else f"{c/prev:10.3e}"
         print(f"  {r:7.2f}  {c:+.6e}   {ratio}")
         prev = c

@@ -15,7 +15,8 @@ report      aggregate the manifests of previous runs into one summary
 Every run writes CSV/JSON artifacts plus a manifest (parameters, package
 version, sha256 checksums); outputs are byte-identical across reruns with
 the same configuration.  A flat ``key = value`` config file can stand in
-for flags (flags win); the HITCHINLAB_OUTPUT environment variable overrides
+for flags (flags win; a key that names no flag of the command is an
+error); the HITCHINLAB_OUTPUT environment variable overrides
 the default output directory.
 """
 
@@ -195,9 +196,9 @@ def _run_toymodel(params: dict, out: Path):
     }
     j_path = write_json(out / "toymodel.json", record)
     r_grid = np.geomspace(r_min, r_max, r_points)
-    g = toy.gmn_correction(cfg, r_grid).g
-    rows = zip(r_grid.tolist(), g[:, 0, 0].tolist(), g[:, 1, 1].tolist())
-    c_path = write_csv(out / "gmn_correction.csv", ["r", "coeff_rr", "coeff_thetatheta"], rows)
+    g = toy.gmn_correction(cfg, r_grid)
+    table = np.column_stack([r_grid, g[:, 0, 0], g[:, 1, 1]])
+    c_path = write_csv(out / "gmn_correction.csv", ["r", "coeff_rr", "coeff_thetatheta"], table)
     return [j_path, c_path]
 
 
@@ -233,13 +234,13 @@ def _run_lebrun(params: dict, out: Path):
         },
     )
     stride = max(1, len(sol.rho) // 64)
-    rho_s = sol.rho[::stride].tolist()
-    rows = [
-        (rho, mm, nn, c.real, c.imag)
-        for (mm, nn), cs in zip(sol.v.modes.tolist(), sol.v.coeffs[:, ::stride].tolist())
-        for rho, c in zip(rho_s, cs)
-    ]
-    s_path = write_csv(out / "solution.csv", ["rho", "mu_m", "mu_n", "re", "im"], rows)
+    rho_s = sol.rho[::stride]
+    coeffs = sol.v.coeffs[:, ::stride].ravel()
+    # one row per mode and every stride-th node, the nodes of a mode together
+    table = np.column_stack(
+        [np.tile(rho_s, len(sol.v.modes)), np.repeat(sol.v.modes, len(rho_s), axis=0), coeffs.real, coeffs.imag]
+    )
+    s_path = write_csv(out / "solution.csv", ["rho", "mu_m", "mu_n", "re", "im"], table)
     # every (len(rho) // 24)-th radial node at every 4th collocation point:
     # default_colloc is a multiple of 4, so those points form the quarter grid
     md = leb.metric_difference_full(sol, leb.default_colloc(modes) // 4)
@@ -254,9 +255,8 @@ def _run_lebrun(params: dict, out: Path):
     comps = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1)]
     first, second = np.array(comps).T
     table = np.concatenate([r[..., None], xy, md.difference[nodes][..., first, second]], axis=-1)
-    rows = table.reshape(-1, table.shape[-1]).tolist()
     header = ["r", "x", "y"] + [f"d_{p}{q}" for (p, q) in comps]
-    m_path = write_csv(out / "metric_difference.csv", header, rows)
+    m_path = write_csv(out / "metric_difference.csv", header, table.reshape(-1, table.shape[-1]))
     return [fit_path, s_path, m_path]
 
 
@@ -351,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-on", dest="r_on", type=float)
     p.add_argument("--r-off", dest="r_off", type=float)
     p.add_argument("--n-r", dest="n_r", type=int)
-    p.add_argument("--n-theta", dest="n_theta", type=int)
 
     p = sub.add_parser("toymodel", help="four-punctured-sphere constants")
     common(p)
@@ -376,7 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_config_file(path: Path) -> dict:
+def _load_config_file(path: Path, flags) -> dict:
+    """The ``key = value`` lines of ``path``; every key must name one of ``flags`` (dests)."""
     out = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
@@ -385,7 +385,11 @@ def _load_config_file(path: Path) -> dict:
         if "=" not in line:
             raise ValidationError(f"bad config line: {line!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        out[key.replace("-", "_")] = val
+        key = key.replace("-", "_")
+        if key not in flags:
+            names = ", ".join("--" + f.replace("_", "-") for f in flags)
+            raise ValidationError(f"unknown config key {key!r}; this command takes {names}")
+        out[key] = val
     return out
 
 
@@ -397,13 +401,10 @@ def main(argv=None) -> int:
             summary = run(ExperimentConfig("report", {"dir": args.dir, "out": args.out}))
             print(json.dumps(summary, sort_keys=True, indent=1))
             return 0
-        params = {}
-        if args.config:
-            params.update(_load_config_file(args.config))
-        for key, val in vars(args).items():
-            if key in ("command", "output_dir", "config") or val is None:
-                continue
-            params[key] = val
+        # the subparser's own flags: every dest but these three
+        flags = {k: v for k, v in vars(args).items() if k not in ("command", "output_dir", "config")}
+        params = _load_config_file(args.config, flags) if args.config else {}
+        params.update((k, v) for k, v in flags.items() if v is not None)
         cfg = ExperimentConfig(args.command, params, args.output_dir)
         manifest = run(cfg)
         print(f"wrote {manifest}")

@@ -41,7 +41,6 @@ import numpy as np
 
 from .grids import fd_first
 from .painleve import ParabolicWeights, ell_profile, m_profile
-from .profiles import RadialProfile
 
 __all__ = [
     "CaseKind",
@@ -254,7 +253,7 @@ def assemble_fields(case: LocalCase, t: float, grid: PolarGrid, xi: np.ndarray, 
     return FieldSample(grid, case, t, xi, dxi)
 
 
-def fiducial_fields(case: LocalCase, t: float, grid: PolarGrid, profile: RadialProfile | None = None) -> FieldSample:
+def fiducial_fields(case: LocalCase, t: float, grid: PolarGrid) -> FieldSample:
     """The exact model solution on ``grid`` (the weak-pole model is t-independent)."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
@@ -262,11 +261,10 @@ def fiducial_fields(case: LocalCase, t: float, grid: PolarGrid, profile: RadialP
     if kind is CaseKind.WEAK_POLE:
         zeros = np.zeros_like(grid.r)
         return assemble_fields(case, t, grid, zeros, zeros)
-    if profile is None:
-        if kind is CaseKind.SIMPLE_ZERO:
-            profile = ell_profile(t, grid.r)
-        else:
-            profile = m_profile(t, case.weights, grid.r)
+    if kind is CaseKind.SIMPLE_ZERO:
+        profile = ell_profile(t, grid.r)
+    else:
+        profile = m_profile(t, case.weights, grid.r)
     return assemble_fields(case, t, grid, profile.values, profile.derivs)
 
 

@@ -702,7 +702,7 @@ def solve_nonlinear(
 # decay measurement
 # ----------------------------------------------------------------------
 
-def fit_decay(sol: LeBrunSolution, lambda_t: float | None = None):
+def fit_decay(sol: LeBrunSolution):
     """Fit log(shell amplitude) ~ -rate * rho + power * log(rho) + const.
 
     Uses the last resolved decade above the 1e-13 underflow floor; returns
@@ -773,7 +773,6 @@ class MetricDifference:
     difference: np.ndarray
     sol: LeBrunSolution
     n_colloc: int
-    coords: tuple = ("r", "theta", "x", "y")
 
     @cached_property
     def _trig(self):

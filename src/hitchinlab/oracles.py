@@ -46,7 +46,6 @@ from scipy.optimize import brentq
 from .fiducial import _ID2, CaseKind, FieldSample, LocalCase
 from .grids import fd_first, fd_first_boundary, interior_weights
 from .lebrun import LeBrunSolution, _phi_log_deriv, linear_mode_solution, section_profiles
-from .metrics import MetricComponents
 from .profiles import RadialProfile
 from .special import ConvergenceError, bessel_k
 from .toymodel import ToyConfig
@@ -241,8 +240,8 @@ def solve_mode_inhomogeneous(mu, f_samples, rho, a=None):
     return -phi * G
 
 
-def hitchin_section_difference(sol: LeBrunSolution, r_query) -> MetricComponents:
-    """(1/(rw) - 1) diag(1/r, r) on the section, at requested r values."""
+def hitchin_section_difference(sol: LeBrunSolution, r_query) -> np.ndarray:
+    """(1/(rw) - 1) diag(1/r, r) on the section: an array of shape ``(len(r_query), 2, 2)``."""
     r, rw, _ = section_profiles(sol)
     r_query = np.atleast_1d(np.asarray(r_query, dtype=float))
     if np.any(r_query < r[0]) or np.any(r_query > r[-1]):
@@ -252,7 +251,7 @@ def hitchin_section_difference(sol: LeBrunSolution, r_query) -> MetricComponents
     g = np.zeros(r_query.shape + (2, 2))
     g[..., 0, 0] = coeff / r_query
     g[..., 1, 1] = coeff * r_query
-    return MetricComponents(("r", "theta"), g)
+    return g
 
 
 # ----------------------------------------------------------------------
@@ -319,8 +318,8 @@ class BasePoint:
         return float(np.angle(self.B))
 
 
-def semiflat_metric(cfg: ToyConfig, base: BasePoint) -> MetricComponents:
-    """Block-diagonal semiflat metric at a base point, coordinates (r, theta, x, y).
+def semiflat_metric(cfg: ToyConfig, base: BasePoint) -> np.ndarray:
+    """Block-diagonal semiflat metric at a base point: a 4x4 array in (r, theta, x, y).
 
     Base block diag(1/r, r) (the flat cone of angle pi); fiber block the
     Euclidean metric dx^2 + dy^2 on C / c_fib(Z + tau Z), total area 2 pi^2.
@@ -328,5 +327,4 @@ def semiflat_metric(cfg: ToyConfig, base: BasePoint) -> MetricComponents:
     r = base.r
     if r <= 0:
         raise ValueError("base point must have positive radius")
-    g = np.diag([1.0 / r, r, 1.0, 1.0])
-    return MetricComponents(("r", "theta", "x", "y"), g)
+    return np.diag([1.0 / r, r, 1.0, 1.0])

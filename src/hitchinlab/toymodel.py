@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import MetricComponents
 from .special import (
     ConvergenceError,
     _period_agms,
@@ -280,14 +279,15 @@ def bps_omega(n: int) -> int:
     return 8 if n == 1 else (-2 if n == 2 else 0)
 
 
-def gmn_correction(cfg: ToyConfig, r) -> MetricComponents:
+def gmn_correction(cfg: ToyConfig, r) -> np.ndarray:
     """Predicted leading correction g_L2 - g_sf on the Hitchin section.
 
     Base block -(2/pi) 8 K0(2 sqrt(2 r / Im tau)) (dr^2 + r^2 dtheta^2)
     / (2 r Im tau) in the rescaled polar coordinates.  ``r`` is a scalar or
-    an array, every element positive and finite (ValueError otherwise); the
-    blocks have shape ``r.shape + (2, 2)``, one 2x2 block for a scalar, and
-    each equals the scalar call at its ``r`` bit for bit.
+    an array, every element positive and finite (ValueError otherwise).
+    Returns the coefficient array of shape ``r.shape + (2, 2)`` (indices
+    r, theta), one 2x2 block for a scalar; each block equals the scalar
+    call at its ``r`` bit for bit.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0) or not np.all(np.isfinite(r)):
@@ -297,4 +297,4 @@ def gmn_correction(cfg: ToyConfig, r) -> MetricComponents:
     g = np.zeros(r.shape + (2, 2))
     g[..., 0, 0] = coeff
     g[..., 1, 1] = coeff * (r * r)
-    return MetricComponents(("r", "theta"), g)
+    return g

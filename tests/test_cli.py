@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hitchinlab
 import hitchinlab.cli as cli_module
 from hitchinlab import fiducial as fid
-from hitchinlab.artifacts import MissingManifestError, format_float, write_csv
+from hitchinlab.artifacts import MissingManifestError, write_csv, write_json
 from hitchinlab.cli import ExperimentConfig, ValidationError, main, report, run
 from hitchinlab.lebrun import TorusLattice, metric_difference_full, solve_nonlinear
 from hitchinlab.special import ConvergenceError
@@ -33,26 +34,62 @@ def _files(d):
     return sorted(p.name for p in d.iterdir())
 
 
-def _csv_per_cell(header, rows) -> str:
-    """Oracle: every cell formatted on its own, as the writer did before row formats."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(v) if not isinstance(v, (int, str)) else str(v) for v in row))
+def _csv_per_cell(header, table) -> str:
+    """Oracle: every cell formatted on its own."""
+    lines = [",".join(header)] + [",".join(f"{x:.17g}" for x in row) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 
 
-_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf")]))
-_CELLS = [
-    st.integers(-(10**20), 10**20),
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -2.2250738585072009e-308]),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.integers(-(2**53), 2**53).map(float),
+)
+
+
+def _jsonable(obj):
+    """Oracle: the recursive conversion the JSON writer made before json's own encoder."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, complex):
+        return {"re": float(obj.real), "im": float(obj.imag)}
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (np.complexfloating,)):
+        return {"re": float(obj.real), "im": float(obj.imag)}
+    return obj
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
     st.booleans(),
-    _FLOATS,
-    _FLOATS.map(np.float64),
-    st.floats(width=32).map(np.float32),
-    st.integers(-(2**62), 2**62).map(np.int64),
+    st.integers(-(10**20), 10**20),
+    st.floats(),
+    st.text(max_size=4),
     st.complex_numbers(),
     st.complex_numbers().map(np.complex128),
-    st.text("abc_-", max_size=3),
-]
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**62), 2**62).map(np.int64),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=3)),
+    hnp.arrays(np.complex128, hnp.array_shapes(min_dims=1, max_dims=2, max_side=3)),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
 
 
 class TestCommands:
@@ -158,7 +195,7 @@ class TestCommands:
         cfg = ToyConfig.from_p0(0.3 + 0.1j)
         rows = []
         for r in np.geomspace(params.get("r_min", 1.0), params.get("r_max", 100.0), params.get("r_points", 40)):
-            block = gmn_correction(cfg, float(r)).g
+            block = gmn_correction(cfg, float(r))
             rows.append((r, block[0, 0], block[1, 1]))
         write_csv(tmp_path / "gmn_correction.csv", ["r", "coeff_rr", "coeff_thetatheta"], rows)
         got = (tmp_path / "toy" / "gmn_correction.csv").read_bytes()
@@ -172,18 +209,40 @@ class TestCommands:
 
 class TestArtifacts:
     @given(
-        shape=st.lists(st.sampled_from(range(len(_CELLS))), min_size=1, max_size=5),
-        data=st.data(),
+        table=hnp.arrays(
+            np.float64, st.tuples(st.integers(0, 12), st.integers(1, 5)), elements=_CELLS
+        )
     )
-    def test_csv_row_formats_match_per_cell(self, tmp_path_factory, shape, data):
-        # rows of one shape share a format string; rows of another shape,
-        # and complex cells, take the per-cell path; the bytes never change
-        row = st.tuples(*(_CELLS[k] for k in shape))
-        mixed = st.lists(st.sampled_from(_CELLS).flatmap(lambda c: c), min_size=len(shape), max_size=len(shape))
-        rows = data.draw(st.lists(st.one_of(row, row, mixed), max_size=12))
-        header = [f"c{k}" for k in range(len(shape))]
-        path = write_csv(tmp_path_factory.getbasetemp() / "rows.csv", header, rows)
-        assert path.read_text() == _csv_per_cell(header, rows)
+    def test_csv_row_formats_match_per_cell(self, tmp_path_factory, table):
+        # one %.17g row format writes what formatting each cell alone does,
+        # on -0.0, nan, +-inf, integral values and subnormals too
+        header = [f"c{k}" for k in range(table.shape[1])]
+        path = write_csv(tmp_path_factory.getbasetemp() / "rows.csv", header, table)
+        assert path.read_text() == _csv_per_cell(header, table)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.array([[1.0 + 2.0j, 0.0]]),
+            [[1.0, 1j]],
+            [[1.0, 2.0], [3.0]],
+            [1.0, 2.0],
+            np.zeros((2, 3)),
+            np.zeros((1, 2, 2)),
+            [["a", "b"]],
+        ],
+        ids=["complex-array", "complex-cell", "ragged", "1-d", "wrong-width", "3-d", "strings"],
+    )
+    def test_csv_rejects_non_float_tables(self, tmp_path, table):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            write_csv(path, ["a", "b"], table)
+        assert not path.exists()
+
+    @given(obj=_JSON_VALUES)
+    def test_json_matches_recursive_conversion(self, tmp_path_factory, obj):
+        path = write_json(tmp_path_factory.getbasetemp() / "obj.json", {"value": obj})
+        assert path.read_text() == json.dumps(_jsonable({"value": obj}), sort_keys=True, indent=1) + "\n"
 
     def test_cli_import_leaves_interpolate_and_optimize_unloaded(self):
         # a fresh interpreter: this test process has loaded them already
@@ -264,14 +323,17 @@ class TestValidationAndConfig:
             (["glue-decay", "--case", "simplezero", "--r-off", "inf"], "ValueError"),
             # argparse choices do not see config-file values; bogus.cfg holds case = bogus
             (["fiducial", "--config", "bogus.cfg"], "ValidationError"),
+            # a key no flag of the command defines; typo.cfg holds tmaxx = 6
+            (["glue-decay", "--case", "simplezero", "--config", "typo.cfg"], "ValidationError"),
         ],
     )
     # a warning printed before the error line would be a second line
     @pytest.mark.filterwarnings("error")
     def test_failure_is_one_error_line(self, tmp_path, capsys, argv, cls):
-        cfg = tmp_path / "bogus.cfg"
-        cfg.write_text("case = bogus\n")
-        argv = [str(cfg) if a == cfg.name else a for a in argv]
+        configs = {"bogus.cfg": "case = bogus\n", "typo.cfg": "tmaxx = 6\n"}
+        for name, text in configs.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a in configs else a for a in argv]
         code = main(argv + ["--output-dir", str(tmp_path / "x")])
         assert code == 1
         err = capsys.readouterr().err.splitlines()

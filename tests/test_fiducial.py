@@ -23,7 +23,6 @@ from hitchinlab.fiducial import (
 from hitchinlab.glue import approx_metric
 from hitchinlab.oracles import expected_quadratic_differential, matrix_residual, quadratic_differential
 from hitchinlab.painleve import ParabolicWeights, ell_profile, m_profile
-from hitchinlab.profiles import RadialProfile
 
 ZERO = LocalCase(CaseKind.SIMPLE_ZERO)
 POLE = LocalCase(CaseKind.STRONG_POLE, ParabolicWeights(0.25, 0.75))
@@ -234,9 +233,8 @@ class TestHitchinResidual:
         # scaling perturbation cancels at linear order where m is small, so
         # probe at t = 1 where the profile is O(1) on the grid
         prof = m_profile(1.0, POLE2.weights, grid.r)
-        base = hitchin_residual(fiducial_fields(POLE2, 1.0, grid, prof))
-        bumped_prof = RadialProfile(prof.grid, 1.01 * prof.values, 1.01 * prof.derivs, prof.sigma)
-        bumped = hitchin_residual(fiducial_fields(POLE2, 1.0, grid, bumped_prof))
+        base = hitchin_residual(assemble_fields(POLE2, 1.0, grid, prof.values, prof.derivs))
+        bumped = hitchin_residual(assemble_fields(POLE2, 1.0, grid, 1.01 * prof.values, 1.01 * prof.derivs))
         assert bumped > 1e-6
         assert bumped > 20.0 * base
 

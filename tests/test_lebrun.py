@@ -1026,7 +1026,7 @@ class TestConnectionAndMetric:
         for i in (0, len(md.r) // 2, len(md.r) - 1):
             r = md.r[i, 0, 0]
             ref = semiflat_metric(cfg, BasePoint(r / cfg.c_sk, cfg.c_sk))
-            assert np.max(np.abs(g[i, 0, 0] - ref.g)) < 1e-12
+            assert np.max(np.abs(g[i, 0, 0] - ref)) < 1e-12
 
     def test_positive_definite(self, solution):
         ev = np.linalg.eigvalsh(_plus_semiflat(metric_difference_full(solution)))
@@ -1054,7 +1054,7 @@ class TestSectionAndDifference:
     def test_zero_field(self, lattice):
         sol = solve_nonlinear({}, None, 2, lattice)
         hd = hitchin_section_difference(sol, [1.0, 2.0])
-        assert np.max(np.abs(hd.g)) == 0.0
+        assert np.max(np.abs(hd)) == 0.0
         md = metric_difference_full(sol)
         assert np.max(np.abs(md.difference)) < 1e-13
 
@@ -1064,10 +1064,10 @@ class TestSectionAndDifference:
         r00, rw, t00 = section_profiles(solution)
         r_q = np.linspace(r00[len(r00) // 2], r00[-2], 40)
         hd = hitchin_section_difference(solution, r_q)
-        got = hd.g[..., 0, 0] * r_q
+        got = hd[..., 0, 0] * r_q
         pred = lam * bessel_k(0, 2 * lam * np.sqrt(r_q)) * t00
         assert np.max(np.abs(got - pred) / np.abs(pred)) < 0.05
-        assert np.allclose(hd.g[..., 1, 1], got * r_q, rtol=1e-12)
+        assert np.allclose(hd[..., 1, 1], got * r_q, rtol=1e-12)
 
     def test_section_difference_rate(self, solution, mu0_data):
         mu0, _ = mu0_data
@@ -1216,7 +1216,7 @@ class TestCrossModuleShape:
         sol = solve_nonlinear({(m, n): 0.05, (-m, -n): 0.05}, None, 3, lattice)
         r0, rw, _ = section_profiles(sol)
         r_q = np.linspace(r0[len(r0) // 2], r0[-2], 24)
-        measured = hitchin_section_difference(sol, r_q).g[..., 0, 0]
-        predicted = toy.gmn_correction(cfg, r_q).g[:, 0, 0]
+        measured = hitchin_section_difference(sol, r_q)[..., 0, 0]
+        predicted = toy.gmn_correction(cfg, r_q)[:, 0, 0]
         ratio = measured / predicted
         assert np.max(np.abs(ratio / ratio.mean() - 1.0)) < 0.05
