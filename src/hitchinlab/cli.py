@@ -12,12 +12,13 @@ lebrun      perturbative solve of the reduced equation, decay-rate fit, and
             the metric difference from the semiflat model
 report      aggregate the manifests of previous runs into one summary
 
-Every run writes CSV/JSON artifacts plus a manifest (parameters, package
-version, sha256 checksums); outputs are byte-identical across reruns with
-the same configuration.  A flat ``key = value`` config file can stand in
-for flags (flags win; a key that names no flag of the command is an
-error); the HITCHINLAB_OUTPUT environment variable overrides
-the default output directory.
+Each command's argparse flags define its parameters (name, type, default,
+choices), on the command line and through ``run(ExperimentConfig(...))``
+alike.  Every run writes CSV/JSON artifacts plus a manifest (the effective
+parameters, package version, sha256 checksums), byte-identical across
+reruns.  A ``key = value`` config file stands in for flags (later flags
+win); HITCHINLAB_OUTPUT overrides the default output directory.  Every
+error, argparse's own included, is one ``error:`` line with exit status 1.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from .painleve import ParabolicWeights
 
 __all__ = ["ExperimentConfig", "run", "report", "main"]
 
-_COMMANDS = ("fiducial", "glue-decay", "toymodel", "lebrun", "report")
-
 
 class ValidationError(ValueError):
     pass
@@ -48,7 +47,7 @@ class ValidationError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """A named experiment with validated parameters and an output directory."""
+    """A command, its parameters keyed by flag (``n_r`` for ``--n-r``), and an output directory."""
 
     command: str
     parameters: dict = field(default_factory=dict)
@@ -74,12 +73,6 @@ def _parse_complex(text: str) -> complex:
     return z
 
 
-def _require(params: dict, key: str):
-    if key not in params or params[key] is None:
-        raise ValidationError(f"missing required parameter --{key.replace('_', '-')}")
-    return params[key]
-
-
 # ----------------------------------------------------------------------
 # experiment implementations
 # ----------------------------------------------------------------------
@@ -89,59 +82,53 @@ _CASES = {"simplezero": fid.CaseKind.SIMPLE_ZERO,
           "weakpole": fid.CaseKind.WEAK_POLE}
 
 
-def _case_from(params: dict) -> fid.LocalCase:
-    kind = _CASES.get(_require(params, "case"))
-    if kind is None:  # a config-file value, which argparse choices do not see
-        raise ValidationError(f"--case must be one of {', '.join(_CASES)}, got {params['case']!r}")
+def _case_from(args) -> fid.LocalCase:
+    kind = _CASES[args.case]
     weights = None
     residue = None
     if kind in (fid.CaseKind.STRONG_POLE, fid.CaseKind.WEAK_POLE):
-        a1 = float(_require(params, "alpha1"))
-        weights = ParabolicWeights(a1, 1.0 - a1)
+        if args.alpha1 is None:
+            raise ValidationError(f"--case {args.case} requires --alpha1")
+        weights = ParabolicWeights(args.alpha1, 1.0 - args.alpha1)
     if kind is fid.CaseKind.WEAK_POLE:
-        residue = _parse_complex(str(_require(params, "sigma")))
+        if args.sigma is None:
+            raise ValidationError("--case weakpole requires --sigma")
+        residue = _parse_complex(args.sigma)
     return fid.LocalCase(kind, weights, residue)
 
 
-def _radial_grid(params: dict, n_r_default: int, r_max: float = 1.0, r_on: float = 0.0) -> fid.PolarGrid:
-    """The polar grid of the flags, with a node where ``hitchin_residual`` measures.
+def _radial_grid(args, r_max: float = 1.0, r_on: float = 0.0, **grid) -> fid.PolarGrid:
+    """The polar grid of ``args.n_r`` radial nodes, with a node where ``hitchin_residual`` measures.
 
-    The residual skips two radial nodes at each end and, for glue-decay,
-    reads only r >= r_on; an --n-r that leaves it no node fails here,
-    before anything is solved.
+    ``grid`` holds further ``fid.polar_grid`` arguments.  The residual skips
+    two radial nodes at each end and, for glue-decay, reads only r >= r_on;
+    an --n-r that leaves it no node fails here, before anything is solved.
     """
-    n_r = int(params.get("n_r", n_r_default))
-    if n_r >= 5:
-        grid = fid.polar_grid(
-            r_min=float(params.get("r_min", 1e-3)),
-            r_max=r_max,
-            n_r=n_r,
-            n_theta=int(params.get("n_theta", 16)),
-        )
-        if grid.r[-3] >= r_on:
-            return grid
+    if args.n_r >= 5:
+        polar = fid.polar_grid(r_max=r_max, n_r=args.n_r, **grid)
+        if polar.r[-3] >= r_on:
+            return polar
     raise ValidationError(
-        f"--n-r {n_r} is too small: the residual skips two radial nodes at each end "
+        f"--n-r {args.n_r} is too small: the residual skips two radial nodes at each end "
         f"and needs one in [{r_on:g}, {r_max:g}]"
     )
 
 
-def _run_fiducial(params: dict, out: Path):
-    case = _case_from(params)
-    t = float(params.get("t", 4.0))
-    grid = _radial_grid(params, 1024)
-    sample = fid.fiducial_fields(case, t, grid)
+def _run_fiducial(args, out: Path):
+    case = _case_from(args)
+    grid = _radial_grid(args, r_min=args.r_min, n_theta=args.n_theta)
+    sample = fid.fiducial_fields(case, args.t, grid)
     residual = fid.hitchin_residual(sample)
     roots = fid.indicial_roots(case, (-2.0, 2.0))
     eigs = {
-        f"{grid.r[i]:.6g}": list(fid.mphi_eigenvalues(case, t, float(grid.r[i]), float(sample.xi[i])))
+        f"{grid.r[i]:.6g}": list(fid.mphi_eigenvalues(case, args.t, float(grid.r[i]), float(sample.xi[i])))
         for i in (0, len(grid.r) // 2, -1)
     }
     fields_path = out / "fields.json"
     fields_path.write_text(sample.to_json())
     summary = {
         "case": case.kind.value,
-        "t": t,
+        "t": args.t,
         "hitchin_residual": residual,
         "indicial_roots_[-2,2]": roots,
         "mphi_eigenvalues": eigs,
@@ -151,20 +138,15 @@ def _run_fiducial(params: dict, out: Path):
     return [fields_path, s_path]
 
 
-def _run_glue_decay(params: dict, out: Path):
-    case = _case_from(params)
-    if case.kind is fid.CaseKind.WEAK_POLE:
-        raise ValidationError("glue-decay applies to simplezero or strongpole")
-    tmin = float(params.get("tmin", 4.0))
-    tmax = float(params.get("tmax", 16.0))
-    tstep = float(params.get("tstep", 2.0))
-    if not (math.isfinite(tmin) and math.isfinite(tmax)):
-        raise ValidationError(f"tmin and tmax must be finite, got {tmin}, {tmax}")
-    if not (math.isfinite(tstep) and tstep > 0):
-        raise ValidationError(f"tstep must be positive and finite, got {tstep}")
-    spec = glue.CutoffSpec(float(params.get("r_on", 0.5)), float(params.get("r_off", 1.0)))
-    grid = _radial_grid(params, 4096, spec.r_off, spec.r_on)
-    ts = list(np.arange(tmin, tmax + 0.5 * tstep, tstep))
+def _run_glue_decay(args, out: Path):
+    case = _case_from(args)
+    if not (math.isfinite(args.tmin) and math.isfinite(args.tmax)):
+        raise ValidationError(f"tmin and tmax must be finite, got {args.tmin}, {args.tmax}")
+    if not (math.isfinite(args.tstep) and args.tstep > 0):
+        raise ValidationError(f"tstep must be positive and finite, got {args.tstep}")
+    spec = glue.CutoffSpec(args.r_on, args.r_off)
+    grid = _radial_grid(args, spec.r_off, spec.r_on)
+    ts = list(np.arange(args.tmin, args.tmax + 0.5 * args.tstep, args.tstep))
     samples = glue.decay_sweep(case, ts, spec, grid)
     fit = glue.fit_exponential_decay(samples)
     csv_path = write_csv(out / "decay.csv", ["t", "residual"], samples)
@@ -172,16 +154,13 @@ def _run_glue_decay(params: dict, out: Path):
     return [csv_path, fit_path]
 
 
-def _run_toymodel(params: dict, out: Path):
-    p0 = _parse_complex(str(_require(params, "p0")))
-    B = _parse_complex(str(params.get("B", "1,0")))
-    r_min = float(params.get("r_min", 1.0))
-    r_max = float(params.get("r_max", 100.0))
-    r_points = int(params.get("r_points", 40))
-    if not 0.0 < r_min < r_max < math.inf:
-        raise ValueError(f"need 0 < r_min < r_max < inf, got r_min={r_min}, r_max={r_max}")
-    if r_points < 2:
-        raise ValidationError(f"--r-points must be at least 2, got {r_points}")
+def _run_toymodel(args, out: Path):
+    p0 = _parse_complex(args.p0)
+    B = _parse_complex(args.B)
+    if not 0.0 < args.r_min < args.r_max < math.inf:
+        raise ValueError(f"need 0 < r_min < r_max < inf, got r_min={args.r_min}, r_max={args.r_max}")
+    if args.r_points < 2:
+        raise ValidationError(f"--r-points must be at least 2, got {args.r_points}")
     cfg = toy.ToyConfig.from_p0(p0)
     record = {
         "p0": p0,
@@ -195,31 +174,27 @@ def _run_toymodel(params: dict, out: Path):
         "bps": [toy.bps_omega(1), toy.bps_omega(2), toy.bps_omega(3)],
     }
     j_path = write_json(out / "toymodel.json", record)
-    r_grid = np.geomspace(r_min, r_max, r_points)
+    r_grid = np.geomspace(args.r_min, args.r_max, args.r_points)
     g = toy.gmn_correction(cfg, r_grid)
     table = np.column_stack([r_grid, g[:, 0, 0], g[:, 1, 1]])
     c_path = write_csv(out / "gmn_correction.csv", ["r", "coeff_rr", "coeff_thetatheta"], table)
     return [j_path, c_path]
 
 
-def _run_lebrun(params: dict, out: Path):
-    p0 = _parse_complex(str(_require(params, "p0")))
-    amp = float(params.get("amp", 0.1))
-    modes = int(params.get("modes", 3))
-    n_rho = int(params.get("n_rho", 1401))
-    if n_rho < 5:
-        raise ValidationError(f"--n-rho {n_rho} is too small: the solution needs at least 5 radial nodes")
+def _run_lebrun(args, out: Path):
+    p0 = _parse_complex(args.p0)
+    if args.n_rho < 5:
+        raise ValidationError(f"--n-rho {args.n_rho} is too small: the solution needs at least 5 radial nodes")
     cfg = toy.ToyConfig.from_p0(p0)
     lattice = leb.TorusLattice.from_tau(cfg.tau)
     m, n = lattice.min_dual_norm()[1][0]
-    rho_max = params.get("rho_max")
     sol = leb.solve_nonlinear(
-        {(m, n): amp / 2.0, (-m, -n): amp / 2.0},
-        None if rho_max is None else float(rho_max),
-        modes,
+        {(m, n): args.amp / 2.0, (-m, -n): args.amp / 2.0},
+        args.rho_max,
+        args.modes,
         lattice,
-        rho_min=float(params.get("rho_min", 0.5)),
-        n_rho=n_rho,
+        rho_min=args.rho_min,
+        n_rho=args.n_rho,
     )
     rate, power = leb.fit_decay(sol)
     lam2 = 2.0 * sol.lambda_t
@@ -243,7 +218,7 @@ def _run_lebrun(params: dict, out: Path):
     s_path = write_csv(out / "solution.csv", ["rho", "mu_m", "mu_n", "re", "im"], table)
     # every (len(rho) // 24)-th radial node at every 4th collocation point:
     # default_colloc is a multiple of 4, so those points form the quarter grid
-    md = leb.metric_difference_full(sol, leb.default_colloc(modes) // 4)
+    md = leb.metric_difference_full(sol, leb.default_colloc(args.modes) // 4)
     ncol = md.difference.shape[1]
     B = lattice.basis
     nodes = np.s_[:: max(1, len(sol.rho) // 24)]
@@ -261,23 +236,22 @@ def _run_lebrun(params: dict, out: Path):
 
 
 def run(config: ExperimentConfig):
-    """Execute an experiment; returns the manifest path (for ``report``, the summary)."""
-    impl = {
-        "fiducial": _run_fiducial,
-        "glue-decay": _run_glue_decay,
-        "toymodel": _run_toymodel,
-        "lebrun": _run_lebrun,
-    }
+    """Execute an experiment; returns the manifest path (for ``report``, the summary).
+
+    The parameters are read through the command's subparser, so an unknown
+    key, a value of the wrong type and a missing required value raise
+    ``ValidationError`` before the output directory is made.
+    """
+    args = _COMMANDS[config.command].parse_args(_tokens(config.parameters.items()))
     if config.command == "report":
-        summary = report(Path(_require(config.parameters, "dir")))
-        out_file = config.parameters.get("out")
-        if out_file:
-            write_json(Path(out_file), summary)
+        summary = report(args.dir)
+        if args.out:
+            write_json(args.out, summary)
         return summary
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    paths = impl[config.command](config.parameters, out)
-    return write_manifest(out, config.command, config.parameters, paths)
+    paths = args.impl(args, out)
+    return write_manifest(out, config.command, _parameters(args), paths)
 
 
 def report(root: Path) -> dict:
@@ -322,94 +296,122 @@ def report(root: Path) -> dict:
 # argument parsing
 # ----------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="hitchinlab", description=__doc__.splitlines()[0])
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose every error raises ``ValidationError``."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+def _build_parser() -> tuple[_Parser, dict]:
+    """The one definition of every command's parameters: name, type, default, choices.
+
+    Returns the top-level parser and each command's subparser by name.
+    """
+    ap = _Parser(prog="hitchinlab", description=__doc__.splitlines()[0])
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def experiment(name, impl, help):
+        # no prefix matching: a parameter names its flag in full ("tma" is no tmax)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(impl=impl)
         p.add_argument("--output-dir", type=Path, default=None)
-        p.add_argument("--config", type=Path, default=None, help="flat key = value file; flags win")
+        p.add_argument("--config", type=Path, default=None, help="flat key = value file; later flags win")
+        return p
 
-    p = sub.add_parser("fiducial", help="local model fields and diagnostics")
-    common(p)
-    p.add_argument("--case", choices=list(_CASES))
-    p.add_argument("--t", type=float)
+    p = experiment("fiducial", _run_fiducial, help="local model fields and diagnostics")
+    p.add_argument("--case", choices=list(_CASES), required=True)
+    p.add_argument("--t", type=float, default=4.0)
     p.add_argument("--alpha1", type=float)
     p.add_argument("--sigma", type=str, help="weak-pole residue as re,im")
-    p.add_argument("--n-r", dest="n_r", type=int)
-    p.add_argument("--n-theta", dest="n_theta", type=int)
-    p.add_argument("--r-min", dest="r_min", type=float)
+    p.add_argument("--n-r", type=int, default=1024)
+    p.add_argument("--n-theta", type=int, default=16)
+    p.add_argument("--r-min", type=float, default=1e-3)
 
-    p = sub.add_parser("glue-decay", help="exponential error of the glued metric")
-    common(p)
-    p.add_argument("--case", choices=["simplezero", "strongpole"])
+    p = experiment("glue-decay", _run_glue_decay, help="exponential error of the glued metric")
+    p.add_argument("--case", choices=["simplezero", "strongpole"], required=True)
     p.add_argument("--alpha1", type=float)
-    p.add_argument("--tmin", type=float)
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--tstep", type=float)
-    p.add_argument("--r-on", dest="r_on", type=float)
-    p.add_argument("--r-off", dest="r_off", type=float)
-    p.add_argument("--n-r", dest="n_r", type=int)
+    p.add_argument("--tmin", type=float, default=4.0)
+    p.add_argument("--tmax", type=float, default=16.0)
+    p.add_argument("--tstep", type=float, default=2.0)
+    p.add_argument("--r-on", type=float, default=0.5)
+    p.add_argument("--r-off", type=float, default=1.0)
+    p.add_argument("--n-r", type=int, default=4096)
 
-    p = sub.add_parser("toymodel", help="four-punctured-sphere constants")
-    common(p)
-    p.add_argument("--p0", type=str)
-    p.add_argument("--B", type=str)
-    p.add_argument("--r-min", dest="r_min", type=float)
-    p.add_argument("--r-max", dest="r_max", type=float)
-    p.add_argument("--r-points", dest="r_points", type=int)
+    p = experiment("toymodel", _run_toymodel, help="four-punctured-sphere constants")
+    p.add_argument("--p0", type=str, required=True)
+    p.add_argument("--B", type=str, default="1,0")
+    p.add_argument("--r-min", type=float, default=1.0)
+    p.add_argument("--r-max", type=float, default=100.0)
+    p.add_argument("--r-points", type=int, default=40)
 
-    p = sub.add_parser("lebrun", help="reduced-equation solve and decay fit")
-    common(p)
-    p.add_argument("--p0", type=str)
-    p.add_argument("--amp", type=float)
-    p.add_argument("--rho-max", dest="rho_max", type=float)
-    p.add_argument("--modes", type=int)
-    p.add_argument("--rho-min", dest="rho_min", type=float)
-    p.add_argument("--n-rho", dest="n_rho", type=int)
+    p = experiment("lebrun", _run_lebrun, help="reduced-equation solve and decay fit")
+    p.add_argument("--p0", type=str, required=True)
+    p.add_argument("--amp", type=float, default=0.1)
+    p.add_argument("--rho-max", type=float)
+    p.add_argument("--modes", type=int, default=3)
+    p.add_argument("--rho-min", type=float, default=0.5)
+    p.add_argument("--n-rho", type=int, default=1401)
 
-    p = sub.add_parser("report", help="aggregate manifests into a summary")
+    p = sub.add_parser("report", help="aggregate manifests into a summary", allow_abbrev=False)
     p.add_argument("dir", type=Path)
     p.add_argument("--out", type=Path, default=None)
-    return ap
+    return ap, sub.choices
 
 
-def _load_config_file(path: Path, flags) -> dict:
-    """The ``key = value`` lines of ``path``; every key must name one of ``flags`` (dests)."""
-    out = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _tokens(parameters) -> list:
+    """(key, value) pairs as ``--key=value`` tokens (the ``=`` keeps a value such as
+    ``-0.2,0.5`` from reading as a flag), None values dropped; report's ``dir`` is positional."""
+    tokens = []
+    for key, value in parameters:
+        flag = "--" + key.replace("_", "-")
+        if flag in ("--config", "--output-dir"):
+            raise ValidationError(f"{flag} is a command-line flag, not a parameter")
+        if value is not None:
+            tokens.append(str(value) if key == "dir" else f"{flag}={value}")
+    return tokens
+
+
+def _parameters(args) -> dict:
+    """The effective parameters of a parsed command, defaults included."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "impl", "config", "output_dir")}
+
+
+def _with_config_file(argv: list) -> list:
+    """``argv`` with its ``--config`` file's ``key = value`` lines as tokens right after
+    the command, so that the flags of ``argv`` itself come later and win."""
+    for i, token in enumerate(argv):
+        if token.startswith("--config="):
+            path = token.split("=", 1)[1]
+        elif token == "--config" and i + 1 < len(argv):
+            path = argv[i + 1]
+        else:
             continue
-        if "=" not in line:
-            raise ValidationError(f"bad config line: {line!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        key = key.replace("-", "_")
-        if key not in flags:
-            names = ", ".join("--" + f.replace("_", "-") for f in flags)
-            raise ValidationError(f"unknown config key {key!r}; this command takes {names}")
-        out[key] = val
-    return out
+        pairs = []
+        for line in Path(path).read_text().splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValidationError(f"bad config line: {line!r}")
+            key, value = (s.strip() for s in line.split("=", 1))
+            pairs.append((key, value))
+        return argv[:1] + _tokens(pairs) + argv[1:]
+    return argv
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if args.command == "report":
-            summary = run(ExperimentConfig("report", {"dir": args.dir, "out": args.out}))
-            print(json.dumps(summary, sort_keys=True, indent=1))
-            return 0
-        # the subparser's own flags: every dest but these three
-        flags = {k: v for k, v in vars(args).items() if k not in ("command", "output_dir", "config")}
-        params = _load_config_file(args.config, flags) if args.config else {}
-        params.update((k, v) for k, v in flags.items() if v is not None)
-        cfg = ExperimentConfig(args.command, params, args.output_dir)
-        manifest = run(cfg)
-        print(f"wrote {manifest}")
+        args = _PARSER.parse_args(_with_config_file(argv))
+        result = run(ExperimentConfig(args.command, _parameters(args), getattr(args, "output_dir", None)))
+        print(json.dumps(result, sort_keys=True, indent=1) if args.command == "report" else f"wrote {result}")
         return 0
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -21,10 +21,10 @@ from .fiducial import (
     LocalCase,
     PolarGrid,
     assemble_fields,
+    fiducial_fields,
     hitchin_residual,
     polar_grid,
 )
-from .painleve import ell_profile, m_profile
 
 __all__ = [
     "CutoffSpec",
@@ -123,14 +123,11 @@ def approx_metric(
         raise ValueError("the weak-pole model is exact; nothing to glue")
     if grid.r[-1] < spec.r_off:
         raise ValueError("grid must cover the transition annulus (0, r_off]")
-    if case.kind is CaseKind.SIMPLE_ZERO:
-        prof = ell_profile(t, grid.r)
-    else:
-        prof = m_profile(t, case.weights, grid.r)
+    fiducial = fiducial_fields(case, t, grid)
     chi = cutoff_chi(spec, grid.r)
     dchi = cutoff_chi_deriv(spec, grid.r)
-    xi = prof.values * chi
-    dxi = prof.derivs * chi + prof.values * dchi
+    xi = fiducial.xi * chi
+    dxi = fiducial.dxi * chi + fiducial.xi * dchi
     return assemble_fields(case, t, grid, xi, dxi)
 
 

@@ -1,5 +1,6 @@
 """Experiment runner: artifacts, manifests, determinism, validation."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -260,21 +261,16 @@ class TestArtifacts:
 
 class TestDeterminism:
     def test_byte_identical_rerun(self, tmp_path):
-        for sub in ("a", "b"):
-            run(
-                ExperimentConfig(
-                    "toymodel", {"p0": "0.3,0.1", "r_points": 10}, tmp_path / sub / "toy"
-                )
-            )
-            run(
-                ExperimentConfig(
-                    "glue-decay",
-                    {"case": "simplezero", "tmin": 4, "tmax": 10, "n_r": 1024},
-                    tmp_path / sub / "glue",
-                )
-            )
-            run(ExperimentConfig("lebrun", dict(FAST_LEBRUN), tmp_path / sub / "leb"))
-        for rel in ("toy", "glue", "leb"):
+        # the rerun reads its parameters from the first run's manifest alone
+        configs = {
+            "toy": ("toymodel", {"p0": "0.3,0.1", "r_points": 10}),
+            "glue": ("glue-decay", {"case": "simplezero", "tmin": 4, "tmax": 10, "n_r": 1024}),
+            "leb": ("lebrun", dict(FAST_LEBRUN)),
+        }
+        for rel, (command, params) in configs.items():
+            run(ExperimentConfig(command, params, tmp_path / "a" / rel))
+            man = json.loads((tmp_path / "a" / rel / "manifest.json").read_text())
+            run(ExperimentConfig(command, man["parameters"], tmp_path / "b" / rel))
             fa = sorted((tmp_path / "a" / rel).iterdir())
             fb = sorted((tmp_path / "b" / rel).iterdir())
             assert [p.name for p in fa] == [p.name for p in fb]
@@ -321,16 +317,24 @@ class TestValidationAndConfig:
             (["lebrun", "--p0", "0.3,0", "--amp", "inf"], "ValueError"),
             (["lebrun", "--p0", "0.3,0", "--modes", "0"], "ValueError"),
             (["glue-decay", "--case", "simplezero", "--r-off", "inf"], "ValueError"),
-            # argparse choices do not see config-file values; bogus.cfg holds case = bogus
+            # config-file values meet the flags' choices; bogus.cfg holds case = bogus
             (["fiducial", "--config", "bogus.cfg"], "ValidationError"),
             # a key no flag of the command defines; typo.cfg holds tmaxx = 6
             (["glue-decay", "--case", "simplezero", "--config", "typo.cfg"], "ValidationError"),
+            # the output directory is set on the command line only; out.cfg holds output-dir = y
+            (["toymodel", "--p0", "0.3,0", "--config", "out.cfg"], "ValidationError"),
+            # a config path that names a directory
+            (["toymodel", "--p0", "0.3,0", "--config", "/"], "IsADirectoryError"),
+            # argparse's own errors are one line too
+            (["toymodel", "--p0", "0.3,0", "--bogus", "1"], "ValidationError"),
+            (["toymodel", "--p0", "-0.2,0.5"], "ValidationError"),
+            (["fiducial", "--t", "2"], "ValidationError"),
         ],
     )
     # a warning printed before the error line would be a second line
     @pytest.mark.filterwarnings("error")
     def test_failure_is_one_error_line(self, tmp_path, capsys, argv, cls):
-        configs = {"bogus.cfg": "case = bogus\n", "typo.cfg": "tmaxx = 6\n"}
+        configs = {"bogus.cfg": "case = bogus\n", "typo.cfg": "tmaxx = 6\n", "out.cfg": "output-dir = y\n"}
         for name, text in configs.items():
             (tmp_path / name).write_text(text)
         argv = [str(tmp_path / a) if a in configs else a for a in argv]
@@ -390,7 +394,7 @@ class TestValidationAndConfig:
         case = fid.LocalCase(fid.CaseKind.SIMPLE_ZERO)
         for n_r in range(4, 60):
             try:
-                cli_module._radial_grid({"n_r": n_r}, 0, 1.0, r_on)
+                cli_module._radial_grid(argparse.Namespace(n_r=n_r), 1.0, r_on)
                 accepted = True
             except ValidationError:
                 accepted = False
@@ -425,14 +429,43 @@ class TestValidationAndConfig:
             ExperimentConfig("frobnicate")
 
     def test_config_file(self, tmp_path, capsys):
+        # a negative-real p0 reads as a value, not a flag, in a config file and
+        # through run(); a flag after --config overrides the file's value
         cfgfile = tmp_path / "exp.cfg"
-        cfgfile.write_text("p0 = 0.3,0\nr-points = 6\n")
+        cfgfile.write_text("p0 = -0.2,0.5\nr-points = 6\n")
         code = main(
-            ["toymodel", "--config", str(cfgfile), "--output-dir", str(tmp_path / "out")]
+            ["toymodel", "--config", str(cfgfile), "--r-points", "3", "--output-dir", str(tmp_path / "out")]
         )
         assert code == 0
         rec = json.loads((tmp_path / "out" / "toymodel.json").read_text())
-        assert rec["p0"]["re"] == 0.3
+        assert rec["p0"] == {"re": -0.2, "im": 0.5}
+        run(ExperimentConfig("toymodel", {"p0": "-0.2,0.5", "r_points": 3}, tmp_path / "lib"))
+        assert _files(tmp_path / "lib") == _files(tmp_path / "out")
+        for name in _files(tmp_path / "lib"):
+            assert (tmp_path / "lib" / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
+        assert len((tmp_path / "lib" / "gmn_correction.csv").read_text().splitlines()) == 1 + 3
+
+    @pytest.mark.parametrize(
+        "command, params",
+        [
+            ("glue-decay", {"case": "simplezero", "tmaxx": 6, "n_r": 1024}),
+            ("glue-decay", {"case": "simplezero", "tma": 6}),
+            ("glue-decay", {"case": "simplezero", "r_min": 0.01}),
+            ("glue-decay", {"case": "simplezero", "n_theta": 8}),
+            ("glue-decay", {"case": "weakpole", "alpha1": 0.3}),
+            ("lebrun", dict(FAST_LEBRUN, modes=2.5)),
+            ("toymodel", {"r_points": 6}),
+            ("toymodel", {"p0": "0.3,0", "output_dir": "elsewhere"}),
+            ("report", {"out": "summary.json"}),
+        ],
+        ids=["unknown-key", "prefix", "r_min", "n_theta", "choices", "int", "required", "output_dir", "dir"],
+    )
+    def test_library_parameters_checked_before_work(self, tmp_path, command, params):
+        # run() reads its parameters through the command's flags, before the output directory exists
+        out = tmp_path / "x"
+        with pytest.raises(ValidationError):
+            run(ExperimentConfig(command, params, out))
+        assert not out.exists()
 
     def test_env_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HITCHINLAB_OUTPUT", str(tmp_path / "envout"))
@@ -449,7 +482,9 @@ class TestValidationAndConfig:
             ]
         )
         assert code == 0
-        assert (tmp_path / "e" / "manifest.json").exists()
+        # the manifest records the effective parameters, defaults included
+        man = json.loads((tmp_path / "e" / "manifest.json").read_text())
+        assert man["parameters"] == {"p0": "0.3,0", "B": "1,0", "r_min": 1.0, "r_max": 100.0, "r_points": 6}
         code = main(["report", str(tmp_path / "e")])
         assert code == 0
         out = capsys.readouterr().out
