@@ -69,7 +69,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .special import ConvergenceError, bessel_k, shortest_vectors
+from .special import ConvergenceError, bessel_k, damped_newton, shortest_vectors
 
 __all__ = [
     "TorusLattice",
@@ -562,9 +562,9 @@ def solve_nonlinear(
     supplied pair with c(-mu) != conj c(mu) raises ValueError before any
     work, as does m_cut < 1; sup |data| <= 0.2.
     The radial variable is discretized by Chebyshev collocation on
-    [rho_min, rho_max]: Newton iteration with mode-decoupled corrections
-    L_mu dv = -residual, Dirichlet at rho_min and the K_1 log-derivative
-    Robin condition at rho_max.  L_mu depends on |mu| only, so one dense
+    [rho_min, rho_max]: ``special.damped_newton`` with mode-decoupled
+    corrections L_mu dv = -residual, Dirichlet at rho_min and the K_1
+    log-derivative Robin condition at rho_max.  L_mu depends on |mu| only, so one dense
     matrix is built and inverted per distinct norm before the iteration, and
     each Newton step, up to ``NEWTON_MAX_ITER`` until the residual is below
     ``NEWTON_TOL``, is one batched product with the right-hand sides of one
@@ -575,12 +575,12 @@ def solve_nonlinear(
     derivative at rho_max) and its inner value is dictated by decay rather
     than prescribed; a nonzero mean-mode offset in the data must be small
     and is not enforced pointwise.  The solve starts on ``CHEB_INTERVALS``
-    intervals and doubles them while the trailing Chebyshev coefficients of
-    the converged v exceed ``CHEB_TAIL_TOL`` of its largest one, raising
-    ``ConvergenceError`` past ``CHEB_MAX_INTERVALS``.  The returned v and w
-    = 1/rhat + v'/(2 rho), v' taken by the differentiation matrix on the
-    nodes, are the interpolants evaluated on ``n_rho`` uniform nodes of
-    [rho_min, rho_max].
+    intervals and doubles them when Newton fails or the trailing Chebyshev
+    coefficients of the converged v exceed ``CHEB_TAIL_TOL`` of its largest
+    one, raising ``ConvergenceError`` past ``CHEB_MAX_INTERVALS``.  The
+    returned v and w = 1/rhat + v'/(2 rho), v' taken by the differentiation
+    matrix on the nodes, are the interpolants evaluated on ``n_rho`` uniform
+    nodes of [rho_min, rho_max].
     """
     if m_cut < 1:
         raise ValueError("mode cutoff must be >= 1")
@@ -645,45 +645,34 @@ def solve_nonlinear(
             inner[0] = half[0, -1]  # the mean mode's v(rho_max)
             return inner, half @ D[-1] - g * half[:, -1]
 
-        def residual(field):
-            """The residual of ``field`` and the larger of its sup and the boundary defects."""
-            res = nonlinear_residual(field, n_colloc)
+        def residual(x):
+            """The residual at coefficients ``x`` and the larger of its sup and the boundary defects."""
+            res = nonlinear_residual(TorusFourierField(lattice, rho, x), n_colloc)
             sup = float(np.max(np.abs(_synthesize(res.coeffs[:, 1:-1], n_colloc))))
-            inner, outer = boundary_defects(field.coeffs[c:])
+            inner, outer = boundary_defects(x[c:])
             return res, max(sup, float(np.abs(inner).max()), float(np.abs(outer).max()))
 
-        v = TorusFourierField(lattice, rho, coeffs)
-        res, current = residual(v)
-        for _ in range(NEWTON_MAX_ITER):
-            if current < NEWTON_TOL:
-                return v
+        def step(x, res):
             rhs = -res.coeffs[c:]
-            inner, outer = boundary_defects(v.coeffs[c:])
+            inner, outer = boundary_defects(x[c:])
             rhs[:, 0], rhs[:, -1] = -inner, -outer
-            step = _half_lattice_product(inverses, rhs)
-            lam = 1.0
-            for _ in range(9):
-                trial = TorusFourierField(lattice, rho, v.coeffs + lam * step)
-                trial_res, trial_norm = residual(trial)
-                if trial_norm < current or trial_norm < NEWTON_TOL:
-                    v, res, current = trial, trial_res, trial_norm  # reused by the next step
-                    break
-                lam *= 0.5
-            else:
-                raise ConvergenceError("mode-decoupled Newton stalled")
-        raise ConvergenceError(f"nonlinear solve did not reach tol={NEWTON_TOL:.1e}")
+            return _half_lattice_product(inverses, rhs)
 
+        return TorusFourierField(lattice, rho, damped_newton(coeffs, residual, step, NEWTON_TOL, NEWTON_MAX_ITER))
+
+    # an unresolved tail or a failed Newton solve doubles the intervals, up to the cap
     n = CHEB_INTERVALS
     while True:
-        v = solve_on(n)
-        spectrum = np.abs(v.coeffs[c:] @ _chebyshev(rho_min, rho_max, n)[3].T)
-        if np.max(spectrum[:, -(n // 8):], initial=0.0) <= CHEB_TAIL_TOL * np.max(spectrum, initial=0.0):
-            break
+        try:
+            v = solve_on(n)
+            spectrum = np.abs(v.coeffs[c:] @ _chebyshev(rho_min, rho_max, n)[3].T)
+            if np.max(spectrum[:, -(n // 8):], initial=0.0) <= CHEB_TAIL_TOL * np.max(spectrum, initial=0.0):
+                break
+            raise ConvergenceError(f"radial Chebyshev tail above {CHEB_TAIL_TOL:.0e} at {n} intervals")
+        except ConvergenceError:
+            if n >= CHEB_MAX_INTERVALS:
+                raise
         n *= 2
-        if n > CHEB_MAX_INTERVALS:
-            raise ConvergenceError(
-                f"radial Chebyshev tail above {CHEB_TAIL_TOL:.0e} at {CHEB_MAX_INTERVALS} intervals"
-            )
 
     # v and v'/(2 rho) on the nodes, evaluated on the uniform output grid
     rho, D, _, _ = _chebyshev(rho_min, rho_max, n)

@@ -17,8 +17,10 @@ radial Laplacian collapses to d^2/dx^2:
 
     m_xx = rho^2 W(rho) sinh(2 m),          W = 1/2 for the universal equation.
 
-Each step's Jacobian is tridiagonal apart from the one-sided Robin rows and
-is solved by ``grids.solve_three_point`` (one LAPACK ``dgtsv``).  The solve
+``special.damped_newton`` stops at ``NEWTON_TOL`` or at the residual's
+rounding floor, scaled by the largest centre weight of the stencil.  Each
+step's Jacobian is tridiagonal apart from the one-sided Robin rows and is
+solved by ``grids.solve_three_point`` (one LAPACK ``dgtsv``).  The solve
 also returns m_x on the same stencils, from which the profile's derivative
 is read.
 
@@ -46,7 +48,7 @@ import numpy as np
 
 from .grids import fd_first_boundary, fd_second, interior_weights, solve_three_point
 from .profiles import RadialProfile
-from .special import ConvergenceError, bessel_k, bessel_k_ratio
+from .special import bessel_k, bessel_k_ratio, damped_newton
 
 __all__ = [
     "ParabolicWeights",
@@ -108,45 +110,19 @@ def _newton_log_solve(x, gfun, sigma_inner, robin_outer, m0):
         res[0] = (w0 * m[i0] + w1 * m[i1] + w2 * m[i2]) - sigma_inner
         res[1:-1] = a_l * m[:-2] + a_c * m[1:-1] + a_r * m[2:] - gfun * np.sinh(2.0 * m[1:-1])
         res[-1] = (v0 * m[j0] + v1 * m[j1] + v2 * m[j2]) - robin_outer * m[-1]
-        return res
+        return res, np.max(np.abs(res))
 
-    def solution(m):
-        m_x = np.empty(n)
-        m_x[1:-1] = b_l * m[:-2] + b_c * m[1:-1] + b_r * m[2:]
-        m_x[0] = w0 * m[i0] + w1 * m[i1] + w2 * m[i2]
-        m_x[-1] = v0 * m[j0] + v1 * m[j1] + v2 * m[j2]
-        return m, m_x
-
-    m = np.asarray(m0, dtype=float).copy()
-    res = residual(m)
-    best = np.max(np.abs(res))
-    eps = np.finfo(float).eps
-    a_c_max = np.max(np.abs(a_c))
-    for _ in range(NEWTON_MAX_ITER):
-        # evaluation floor of the residual itself: second differences of
-        # rounded nodal values plus the sinh term
-        floor = 8.0 * eps * (a_c_max * np.max(np.abs(m)) + np.max(np.abs(res)))
-        if best < max(NEWTON_TOL, floor):
-            return solution(m)
+    def step(m, res):
         diag = a_c - 2.0 * gfun * np.cosh(2.0 * m[1:-1])
-        step = solve_three_point(a_l, diag, a_r, (w0, w1, w2), (v0 - robin_outer, v1, v2), -res)
-        lam = 1.0
-        for _ in range(9):
-            trial = m + lam * step
-            trial_res = residual(trial)
-            trial_norm = np.max(np.abs(trial_res))
-            if trial_norm < best or not np.isfinite(best):
-                m, res, best = trial, trial_res, trial_norm
-                break
-            lam *= 0.5
-        else:
-            # stalled at the rounding floor; accept if converged loosely
-            if best < max(20.0 * floor, 1e-9):
-                return solution(m)
-            raise ConvergenceError("Newton damping failed to reduce the residual")
-    if best < NEWTON_TOL:
-        return solution(m)
-    raise ConvergenceError(f"Newton did not converge: residual {best:.3e} > {NEWTON_TOL:.1e}")
+        return solve_three_point(a_l, diag, a_r, (w0, w1, w2), (v0 - robin_outer, v1, v2), -res)
+
+    m = damped_newton(np.asarray(m0, dtype=float), residual, step, NEWTON_TOL, NEWTON_MAX_ITER,
+                      np.max(np.abs(a_c)))
+    m_x = np.empty(n)
+    m_x[1:-1] = b_l * m[:-2] + b_c * m[1:-1] + b_r * m[2:]
+    m_x[0] = w0 * m[i0] + w1 * m[i1] + w2 * m[i2]
+    m_x[-1] = v0 * m[j0] + v1 * m[j1] + v2 * m[j2]
+    return m, m_x
 
 
 def _initial_guess(sigma_rho: float, rho: np.ndarray) -> np.ndarray:

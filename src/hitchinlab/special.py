@@ -1,4 +1,4 @@
-"""Special functions used across the library.
+"""Special functions used across the library, and its one damped-Newton loop.
 
 Modified Bessel functions K0, K1, K2 (the only orders the geometry needs),
 Gauss's arithmetic-geometric mean and the closed-form inverse of the
@@ -18,6 +18,8 @@ and within 1e-13 of them.  Order 2 calls ``kve``; unscaled it is
 ``kve(2, x) e^-x``, because ``kv`` flushes to zero above x ~ 697.9, where
 K_2 is still a normal double.  Shortest vectors come from Lagrange-Gauss
 reduction, which is exact for 2-d lattices however skewed the basis.
+``damped_newton`` is the iteration both boundary-value solvers run: the
+sinh-Gordon profiles of ``painleve`` and the LeBrun reduction of ``lebrun``.
 """
 
 from __future__ import annotations
@@ -36,11 +38,41 @@ __all__ = [
     "reduce_to_fundamental_domain",
     "shortest_vectors",
     "ConvergenceError",
+    "damped_newton",
 ]
 
 
 class ConvergenceError(RuntimeError):
     """An iterative scheme failed to reach its tolerance."""
+
+
+def damped_newton(x, residual, step, tol: float, max_iter: int, scale: float = 0.0):
+    """Drive ``residual(x)`` to zero by Newton steps with a halving line search.
+
+    ``residual(x)`` returns ``(res, sup)``: what ``step(x, res)`` reads to
+    return the correction, and the sup norm.  Stops when sup < max(tol,
+    8 eps (scale max|x| + sup)), the rounding floor of a residual whose
+    linear part has entries up to ``scale``.  A step is halved up to 9 times
+    until a trial lowers sup (the first is taken while sup is not finite);
+    a stalled search, or ``max_iter`` steps, raises ConvergenceError.
+    """
+    res, sup = residual(x)
+    eps = np.finfo(float).eps
+    for _ in range(max_iter):
+        if sup < max(tol, 8.0 * eps * (scale * np.max(np.abs(x)) + sup)):
+            return x
+        dx = step(x, res)
+        lam = 1.0
+        for _ in range(9):
+            trial = x + lam * dx
+            trial_res, trial_sup = residual(trial)
+            if trial_sup < sup or not np.isfinite(sup):
+                x, res, sup = trial, trial_res, trial_sup
+                break
+            lam *= 0.5
+        else:
+            raise ConvergenceError(f"damped Newton stalled at residual {sup:.3e}")
+    raise ConvergenceError(f"damped Newton did not reach tol={tol:.1e} in {max_iter} steps")
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hitchinlab import fiducial, lebrun
+from hitchinlab import fiducial, lebrun, painleve
 from hitchinlab.cli import ExperimentConfig, run  # loads every module the tracer patches
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -42,6 +42,31 @@ def test_lebrun_residual_evaluations(monkeypatch, tmp_path, params, calls):
 
     monkeypatch.setattr(lebrun, "nonlinear_residual", counting)
     run(ExperimentConfig("lebrun", dict(params), tmp_path / "leb"))
+    assert len(count) == calls
+
+
+@pytest.mark.parametrize(
+    "params, calls",
+    [
+        ({"case": "simplezero"}, 49),
+        ({"case": "strongpole", "alpha1": 0.4}, 21),
+        ({"case": "strongpole", "alpha1": 0.2}, 14),
+    ],
+)
+def test_sinh_gordon_newton_steps(monkeypatch, tmp_path, params, calls):
+    # the three criterion-5 glue-decay ops: one tridiagonal solve per
+    # sinh-Gordon Newton step, so a solver change that adds or drops an
+    # iteration of the profiles behind h_t^app changes these counts
+    count = []
+    solve = painleve.solve_three_point
+
+    def counting(*args):
+        count.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(painleve, "solve_three_point", counting)
+    sweep = {"tmin": 4, "tmax": 16, "tstep": 2, "n_r": 4096}
+    run(ExperimentConfig("glue-decay", {**params, **sweep}, tmp_path / "glue"))
     assert len(count) == calls
 
 

@@ -795,6 +795,28 @@ class TestSolveNonlinear:
         with pytest.raises(ConvergenceError, match="Chebyshev tail"):
             solve_nonlinear(data, 12.0, 3, lattice)
 
+    def test_stall_doubles_the_intervals(self, monkeypatch, lattice, mu0_data):
+        # at rho_max = 40 Newton stalls on 64 intervals (residual 2.2e-2);
+        # the stall moves the solve to 128 intervals and the tail rule on to
+        # 256, where it meets the sharp rate; past the cap the stall is final
+        _, (m, n) = mu0_data
+        data = {(m, n): 0.05, (-m, -n): 0.05}
+        nodes = []
+        residual = lebrun.nonlinear_residual
+
+        def recording(v, *args):
+            nodes.append(len(v.rho))
+            return residual(v, *args)
+
+        monkeypatch.setattr(lebrun, "nonlinear_residual", recording)
+        sol = solve_nonlinear(data, 40.0, 3, lattice)
+        assert sorted(set(nodes)) == [65, 129, 257]
+        rate, _ = fit_decay(sol)
+        assert rate == pytest.approx(2.0 * sol.lambda_t, rel=0.03)
+        monkeypatch.setattr(lebrun, "CHEB_MAX_INTERVALS", 64)
+        with pytest.raises(ConvergenceError, match="stalled"):
+            solve_nonlinear(data, 40.0, 3, lattice)
+
     @settings(max_examples=30, deadline=None)
     @given(p0=_P0, amp=st.floats(1e-6, 0.2), m_cut=st.integers(2, 4))
     def test_whole_p0_domain(self, p0, amp, m_cut):

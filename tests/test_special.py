@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from lambda_orbit import lambda_orbit
 
 from hitchinlab.special import (
+    ConvergenceError,
     bessel_k,
     bessel_k_ratio,
+    damped_newton,
     inverse_lambda,
     jacobi_theta,
     modular_lambda,
@@ -282,3 +284,60 @@ class TestLattice:
             for f in (modular_lambda, reduce_to_fundamental_domain, lambda_T):
                 with pytest.raises(ValueError):
                     f(tau)
+
+
+class TestDampedNewton:
+    # F(x) = (x0^2 - 2, x1 - 1) with its exact Newton step
+    @staticmethod
+    def residual(x):
+        res = np.array([x[0] ** 2 - 2.0, x[1] - 1.0])
+        return res, np.max(np.abs(res))
+
+    @staticmethod
+    def newton(x, res):
+        return -res / np.array([2.0 * x[0], 1.0])
+
+    def test_stops_at_the_rounding_floor(self):
+        # with scale 1e6 the floor 8 eps (1e6 |x| + sup) is about 1e-9, so a
+        # first residual of 1e-10 stops at once although tol is 1e-20
+        x0 = np.array([np.sqrt(2.0) + 5e-11, 1.0])
+        _, sup = self.residual(x0)
+        assert 1e-20 < sup < 1e-9
+
+        def unreachable(x, res):
+            raise AssertionError("stepped below the floor")
+
+        assert damped_newton(x0, self.residual, unreachable, 1e-20, 20, scale=1e6) is x0
+        with pytest.raises(AssertionError, match="floor"):
+            damped_newton(x0, self.residual, unreachable, 1e-20, 20)
+
+    def test_stall_raises(self):
+        # a step that points uphill never lowers sup, whatever the damping
+        def uphill(x, res):
+            return -self.newton(x, res)
+
+        with pytest.raises(ConvergenceError, match="stalled"):
+            damped_newton(np.array([3.0, 0.0]), self.residual, uphill, 1e-12, 20)
+
+    def test_rejects_non_finite_trials(self):
+        # the first full steps land where the residual is NaN; the search
+        # halves them instead, so every iterate a step starts from is finite
+        nan_trials, iterates = [], []
+
+        def residual(x):
+            if x[0] > 2.5:
+                nan_trials.append(x)
+                return np.full(2, np.nan), np.nan
+            return self.residual(x)
+
+        def long_step(x, res):
+            iterates.append(x)
+            return 4.0 * self.newton(x, res)
+
+        x = damped_newton(np.array([0.5, 0.0]), residual, long_step, 1e-12, 40)
+        assert nan_trials and np.all(np.isfinite(iterates))
+        assert np.max(np.abs(x - [np.sqrt(2.0), 1.0])) < 1e-12
+
+    def test_max_iter_raises(self):
+        with pytest.raises(ConvergenceError, match="did not reach"):
+            damped_newton(np.array([3.0, 0.0]), self.residual, self.newton, 1e-12, 2)
