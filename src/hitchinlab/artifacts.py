@@ -6,7 +6,9 @@ print without a decimal point).  JSON is ``json.dumps`` with sorted keys;
 complex numbers become ``{"re": ..., "im": ...}`` and numpy scalars and
 arrays their Python values.  Manifests carry the package version and sha256
 checksums of every emitted file, and no timestamps, so identical
-configurations yield byte-identical artifacts.
+configurations yield byte-identical artifacts.  Each writer returns an
+:class:`Artifact`, its path carrying the digest of the bytes it wrote, so
+the manifest reads no file back.
 """
 
 from __future__ import annotations
@@ -19,19 +21,32 @@ import numpy as np
 
 from . import __version__
 
-__all__ = ["write_csv", "write_json", "write_manifest", "read_manifests"]
+__all__ = ["Artifact", "write_text", "write_csv", "write_json", "write_manifest", "read_manifests"]
 
 
-def write_csv(path: Path, header, table) -> Path:
+class Artifact(type(Path())):  # Path itself cannot be subclassed before Python 3.12
+    """The path of a file just written; ``sha256`` is the hex digest of the bytes written to it."""
+
+    sha256: str
+
+
+def write_text(path: Path, text: str) -> Artifact:
+    """Write ``text`` as UTF-8 and hash the same bytes."""
+    data = text.encode()
+    path = Artifact(path)
+    path.write_bytes(data)
+    path.sha256 = hashlib.sha256(data).hexdigest()
+    return path
+
+
+def write_csv(path: Path, header, table) -> Artifact:
     """Write the 2-d float ``table`` under ``header``, one column per name."""
-    path = Path(path)
     table = np.asarray(table)
     if table.dtype.kind != "f" or table.ndim != 2 or table.shape[1] != len(header):
         raise ValueError(f"need a float table of {len(header)} columns, got {table.dtype} of shape {table.shape}")
     fmt = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)] + [fmt % tuple(row) for row in table.tolist()]
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_text(path, "\n".join(lines) + "\n")
 
 
 def _json_default(obj):
@@ -43,25 +58,18 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def write_json(path: Path, obj) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=1, default=_json_default) + "\n")
-    return path
+def write_json(path: Path, obj) -> Artifact:
+    return write_text(path, json.dumps(obj, sort_keys=True, indent=1, default=_json_default) + "\n")
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
-
-
-def write_manifest(out_dir: Path, command: str, parameters: dict, artifact_paths) -> Path:
+def write_manifest(out_dir: Path, command: str, parameters: dict, artifacts) -> Artifact:
+    """Write ``manifest.json`` listing the digest each of ``artifacts`` was written with."""
     out_dir = Path(out_dir)
     manifest = {
         "command": command,
         "parameters": parameters,
         "version": __version__,
-        "artifacts": {Path(p).name: _sha256(p) for p in artifact_paths},
+        "artifacts": {a.name: a.sha256 for a in artifacts},
     }
     return write_json(out_dir / "manifest.json", manifest)
 

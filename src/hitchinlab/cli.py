@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fiducial as fid, glue, lebrun as leb, toymodel as toy
-from .artifacts import MissingManifestError, read_manifests, write_csv, write_json, write_manifest
+from .artifacts import MissingManifestError, read_manifests, write_csv, write_json, write_manifest, write_text
 from .painleve import ParabolicWeights
 
 __all__ = ["ExperimentConfig", "run", "report", "main"]
@@ -124,8 +124,7 @@ def _run_fiducial(args, out: Path):
         f"{grid.r[i]:.6g}": list(fid.mphi_eigenvalues(case, args.t, float(grid.r[i]), float(sample.xi[i])))
         for i in (0, len(grid.r) // 2, -1)
     }
-    fields_path = out / "fields.json"
-    fields_path.write_text(sample.to_json())
+    fields_path = write_text(out / "fields.json", sample.to_json())
     summary = {
         "case": case.kind.value,
         "t": args.t,
@@ -210,26 +209,31 @@ def _run_lebrun(args, out: Path):
     )
     stride = max(1, len(sol.rho) // 64)
     rho_s = sol.rho[::stride]
-    coeffs = sol.v.coeffs[:, ::stride].ravel()
-    # one row per mode and every stride-th node, the nodes of a mode together
+    # the half lattice, rows K // 2 on: the mean mode and one mode of each
+    # +-mu pair; the other half is coeff(-mu) = conj coeff(mu).  One row per
+    # mode and every stride-th node, the nodes of a mode together
+    half = len(sol.v.modes) // 2
+    modes = sol.v.modes[half:]
+    coeffs = sol.v.coeffs[half:, ::stride].ravel()
     table = np.column_stack(
-        [np.tile(rho_s, len(sol.v.modes)), np.repeat(sol.v.modes, len(rho_s), axis=0), coeffs.real, coeffs.imag]
+        [np.tile(rho_s, len(modes)), np.repeat(modes, len(rho_s), axis=0), coeffs.real, coeffs.imag]
     )
     s_path = write_csv(out / "solution.csv", ["rho", "mu_m", "mu_n", "re", "im"], table)
-    # every (len(rho) // 24)-th radial node at every 4th collocation point:
-    # default_colloc is a multiple of 4, so those points form the quarter grid
-    md = leb.metric_difference_full(sol, leb.default_colloc(args.modes) // 4)
+    # evaluated only where written: every (len(rho) // 24)-th radial node, on
+    # the quarter grid (default_colloc is a multiple of 4: its every 4th point)
+    md = leb.metric_difference_full(
+        sol, leb.default_colloc(args.modes) // 4, nodes=np.s_[:: max(1, len(sol.rho) // 24)]
+    )
     ncol = md.difference.shape[1]
     B = lattice.basis
-    nodes = np.s_[:: max(1, len(sol.rho) // 24)]
     j = np.arange(ncol) / ncol
     X1 = np.add.outer(B[0, 0] * j, B[0, 1] * j)
     X2 = np.add.outer(B[1, 0] * j, B[1, 1] * j)
-    r = md.r[nodes]
-    xy = np.broadcast_to(np.stack([X1, X2], axis=-1), r.shape + (2,))
-    comps = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1)]
+    xy = np.broadcast_to(np.stack([X1, X2], axis=-1), md.r.shape + (2,))
+    # g_r theta = g_xy = 0 and g_yy = g_xx hold exactly: d_01, d_23 and d_33 are not written
+    comps = [(0, 0), (1, 1), (2, 2), (0, 2), (0, 3), (1, 2), (1, 3)]
     first, second = np.array(comps).T
-    table = np.concatenate([r[..., None], xy, md.difference[nodes][..., first, second]], axis=-1)
+    table = np.concatenate([md.r[..., None], xy, md.difference[..., first, second]], axis=-1)
     header = ["r", "x", "y"] + [f"d_{p}{q}" for (p, q) in comps]
     m_path = write_csv(out / "metric_difference.csv", header, table.reshape(-1, table.shape[-1]))
     return [fit_path, s_path, m_path]

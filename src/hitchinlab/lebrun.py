@@ -753,9 +753,10 @@ def section_profiles(sol: LeBrunSolution):
 class MetricDifference:
     """g_L2 - g_sf, split on demand into the predicted Bessel parts and a remainder.
 
-    ``r`` and ``difference`` are computed up front; ``predicted_k0``,
-    ``predicted_k1`` and ``remainder`` are built on first access, from the
-    trigonometric factor T(x, y) measured on the solution.
+    ``r`` and ``difference`` are computed up front, at the radial nodes they
+    were asked for; ``predicted_k0``, ``predicted_k1`` and ``remainder`` are
+    built on first access at the same nodes, from the trigonometric factor
+    T(x, y) measured on the whole solution.
     """
 
     r: np.ndarray
@@ -798,8 +799,8 @@ class MetricDifference:
         return self.difference - self.predicted_k0 - self.predicted_k1
 
 
-def metric_difference_full(sol: LeBrunSolution, n_colloc: int | None = None) -> MetricDifference:
-    """g_L2 - g_sf over the whole grid, in the (dr, dtheta, dx, dy) coframe.
+def metric_difference_full(sol: LeBrunSolution, n_colloc: int | None = None, nodes=np.s_[:]) -> MetricDifference:
+    """g_L2 - g_sf at the radial nodes ``sol.rho[nodes]``, in the (dr, dtheta, dx, dy) coframe.
 
     g = w drhat^2 + w^{-1} omega^2 + e^u w (dx^2 + dy^2) with omega = dtheta
     - w a3 dx + w a2 dy, r = rhat e^v and e^u w = rhat w e^v = rw pointwise.
@@ -814,15 +815,19 @@ def metric_difference_full(sol: LeBrunSolution, n_colloc: int | None = None) -> 
 
     the cross terms v_x v_y/w of w drhat^2 and w^{-1} omega^2 cancelling.
     g_sf(r) = diag(1/r, r, 1, 1) is subtracted on the diagonal.  Nodes are
-    (rho_i, x_j, y_k).  The predicted K0 (diagonal) and K1 (cross) Bessel
-    terms, built from the measured trigonometric factor T(x, y), and the
-    remainder are computed when first read.
+    (rho_i, x_j, y_k), rho_i over ``sol.rho[nodes]`` (a slice or an
+    increasing index array; the default is every node).  Only those nodes
+    are synthesized, and the result is bit for bit the whole-grid one there.
+    The predicted K0 (diagonal) and K1 (cross) Bessel terms, built from the
+    measured trigonometric factor T(x, y), and the remainder are computed
+    when first read; T-hat stays calibrated at the outermost node of ``sol``.
     """
     if n_colloc is None:
         n_colloc = default_colloc(sol.v.m_cut)
-    vx, vy = sol.v.gradient()
-    V, W, VX, VY = (f.values(n_colloc) for f in (sol.v, sol.w, vx, vy))
-    r = sol.rho[:, None, None] ** 2 * np.exp(V)
+    v, w = (replace(f, rho=f.rho[nodes], coeffs=f.coeffs[:, nodes]) for f in (sol.v, sol.w))
+    vx, vy = v.gradient()
+    V, W, VX, VY = (f.values(n_colloc) for f in (v, w, vx, vy))
+    r = v.rho[:, None, None] ** 2 * np.exp(V)
     RW = r * W
     d0 = 1.0 / RW
     zero = np.zeros_like(V)

@@ -1,6 +1,7 @@
 """Experiment runner: artifacts, manifests, determinism, validation."""
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -33,6 +34,16 @@ FAST_LEBRUN = {
 
 def _files(d):
     return sorted(p.name for p in d.iterdir())
+
+
+def _fast_lebrun_solution(params):
+    """The solution ``run`` writes for the FAST_LEBRUN-like ``params``."""
+    lattice = TorusLattice.from_tau(ToyConfig.from_p0(0.3).tau)
+    m, n = lattice.min_dual_norm()[1][0]
+    amp = params["amp"]
+    return solve_nonlinear(
+        {(m, n): amp / 2.0, (-m, -n): amp / 2.0}, params["rho_max"], params["modes"], lattice, n_rho=params["n_rho"]
+    )
 
 
 def _csv_per_cell(header, table) -> str:
@@ -148,17 +159,16 @@ class TestCommands:
 
     @pytest.mark.parametrize("n_rho", [401, 41])
     def test_lebrun_rows_match_node_loop(self, tmp_path, n_rho):
-        # the strided CSV rows are the ones a loop over every node and mode writes
+        # the strided CSV rows are the ones a loop over every node and mode of
+        # the half lattice, and over the non-redundant metric components, writes
         params = dict(FAST_LEBRUN, n_rho=n_rho)
         run(ExperimentConfig("lebrun", dict(params), tmp_path / "leb"))
-        lattice = TorusLattice.from_tau(ToyConfig.from_p0(0.3).tau)
-        m, n = lattice.min_dual_norm()[1][0]
-        amp = params["amp"]
-        sol = solve_nonlinear(
-            {(m, n): amp / 2.0, (-m, -n): amp / 2.0}, params["rho_max"], params["modes"], lattice, n_rho=n_rho
-        )
+        sol = _fast_lebrun_solution(params)
+        lattice = sol.v.lattice
         rows = []
         for k, (mm, nn) in enumerate(sol.v.modes):
+            if k < len(sol.v.modes) // 2:
+                continue  # the conjugate of row K - 1 - k
             for i, rho in enumerate(sol.rho):
                 if i % max(1, len(sol.rho) // 64):
                     continue
@@ -171,7 +181,7 @@ class TestCommands:
         j = np.arange(ncol) / ncol
         X1 = np.add.outer(B[0, 0] * j, B[0, 1] * j)
         X2 = np.add.outer(B[1, 0] * j, B[1, 1] * j)
-        comps = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1)]
+        comps = [(0, 0), (1, 1), (2, 2), (0, 2), (0, 3), (1, 2), (1, 3)]
         rows = []
         for i in range(0, len(sol.rho), max(1, len(sol.rho) // 24)):
             for a in range(0, ncol, 4):
@@ -183,6 +193,22 @@ class TestCommands:
         write_csv(tmp_path / "metric_difference.csv", header, rows)
         for name in ("solution.csv", "metric_difference.csv"):
             assert (tmp_path / "leb" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+    @pytest.mark.parametrize("n_rho", [401, 41])
+    def test_lebrun_solution_round_trip(self, tmp_path, n_rho):
+        # the half lattice read back, the other half filled in as
+        # coeff(-mu) = conj coeff(mu), is the strided solution exactly
+        params = dict(FAST_LEBRUN, n_rho=n_rho)
+        run(ExperimentConfig("lebrun", dict(params), tmp_path))
+        sol = _fast_lebrun_solution(params)
+        stride = max(1, len(sol.rho) // 64)
+        rho = sol.rho[::stride]
+        table = np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=1)
+        half = table.reshape(-1, len(rho), 5)  # (mode, node, column)
+        assert np.array_equal(half[..., 0], np.broadcast_to(rho, half.shape[:2]))
+        assert np.array_equal(half[..., 1:3], np.repeat(sol.v.modes[len(sol.v.modes) // 2 :, None], len(rho), axis=1))
+        c = half[..., 3] + 1j * half[..., 4]
+        assert np.array_equal(np.concatenate([np.conj(c[:0:-1]), c]), sol.v.coeffs[:, ::stride])
 
     @pytest.mark.parametrize(
         "grid",
@@ -276,6 +302,23 @@ class TestDeterminism:
             assert [p.name for p in fa] == [p.name for p in fb]
             for pa, pb in zip(fa, fb):
                 assert pa.read_bytes() == pb.read_bytes(), pa.name
+
+    def test_manifest_digests_match_files(self, tmp_path):
+        # the digests the writers took of their bytes are those of the files
+        configs = {
+            "toy": ("toymodel", {"p0": "0.3,0.1", "r_points": 10}),
+            "glue": ("glue-decay", {"case": "simplezero", "tmin": 4, "tmax": 10, "n_r": 1024}),
+            "fid": ("fiducial", {"case": "weakpole", "alpha1": 0.3, "sigma": "0.5,0", "n_r": 64, "n_theta": 8}),
+            "leb": ("lebrun", dict(FAST_LEBRUN)),
+        }
+        for rel, (command, params) in configs.items():
+            out = tmp_path / rel
+            manifest = run(ExperimentConfig(command, params, out))
+            assert manifest.sha256 == hashlib.sha256(manifest.read_bytes()).hexdigest()
+            digests = json.loads(manifest.read_text())["artifacts"]
+            assert sorted(digests) == [name for name in _files(out) if name != "manifest.json"]
+            for name, digest in digests.items():
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (rel, name)
 
 
 class TestValidationAndConfig:

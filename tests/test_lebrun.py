@@ -1165,6 +1165,17 @@ class TestSectionAndDifference:
         assert np.array_equal(md.remainder, md.difference - pk0 - pk1)
         assert md.remainder is md.remainder
 
+    @pytest.mark.parametrize("n_colloc", [None, 4])
+    @pytest.mark.parametrize("nodes", [np.s_[::58], np.array([0, 5, 700, 1399])], ids=["stride", "index"])
+    def test_node_subset_matches_full_evaluation(self, solution, n_colloc, nodes):
+        # a radial subset short of the last node is the whole-grid result at
+        # those nodes, bit for bit, T-hat still calibrated at the outermost node
+        assert len(solution.rho) - 1 not in np.arange(len(solution.rho))[nodes]
+        full = metric_difference_full(solution, n_colloc)
+        part = metric_difference_full(solution, n_colloc, nodes=nodes)
+        for name in ("r", "difference", "predicted_k0", "predicted_k1", "remainder"):
+            assert np.array_equal(getattr(part, name), getattr(full, name)[nodes]), name
+
     def test_builder_matches_hand_expansion(self, lattice, solution):
         # the builder against the written-out formulas, to 1e-13 of the
         # largest entry (d_23 cancels to exactly 0 in both); the fixture
