@@ -31,10 +31,14 @@ class Artifact(type(Path())):  # Path itself cannot be subclassed before Python 
 
 
 def write_text(path: Path, text: str) -> Artifact:
-    """Write ``text`` as UTF-8 and hash the same bytes."""
+    """Write ``text`` as UTF-8, making the parent directory, and hash the same bytes."""
     data = text.encode()
     path = Artifact(path)
-    path.write_bytes(data)
+    try:
+        path.write_bytes(data)
+    except FileNotFoundError:  # the first file written into a directory makes it
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
     path.sha256 = hashlib.sha256(data).hexdigest()
     return path
 

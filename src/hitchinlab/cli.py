@@ -157,7 +157,7 @@ def _run_toymodel(args, out: Path):
     p0 = _parse_complex(args.p0)
     B = _parse_complex(args.B)
     if not 0.0 < args.r_min < args.r_max < math.inf:
-        raise ValueError(f"need 0 < r_min < r_max < inf, got r_min={args.r_min}, r_max={args.r_max}")
+        raise ValidationError(f"need 0 < r_min < r_max < inf, got r_min={args.r_min}, r_max={args.r_max}")
     if args.r_points < 2:
         raise ValidationError(f"--r-points must be at least 2, got {args.r_points}")
     cfg = toy.ToyConfig.from_p0(p0)
@@ -244,7 +244,8 @@ def run(config: ExperimentConfig):
 
     The parameters are read through the command's subparser, so an unknown
     key, a value of the wrong type and a missing required value raise
-    ``ValidationError`` before the output directory is made.
+    ``ValidationError`` before any work.  The first artifact written makes
+    the output directory, so a run that fails before writing leaves none.
     """
     args = _COMMANDS[config.command].parse_args(_tokens(config.parameters.items()))
     if config.command == "report":
@@ -253,7 +254,6 @@ def run(config: ExperimentConfig):
             write_json(args.out, summary)
         return summary
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     paths = args.impl(args, out)
     return write_manifest(out, config.command, _parameters(args), paths)
 

@@ -46,7 +46,7 @@ from scipy.optimize import brentq
 from .fiducial import _ID2, CaseKind, FieldSample, LocalCase
 from .grids import fd_first, fd_first_boundary, interior_weights
 from .lebrun import LeBrunSolution, _phi_log_deriv, linear_mode_solution, section_profiles
-from .profiles import RadialProfile
+from .painleve import RadialProfile
 from .special import ConvergenceError, bessel_k
 from .toymodel import ToyConfig
 

@@ -6,17 +6,20 @@ The universal equation on the half line,
 
 has a one-parameter family of decaying solutions indexed by the log-slope
 sigma in (-1, 1) at the origin: m ~ sigma log(rho) near 0 and m ~ A K_0(rho)
-at infinity.  Both fiducial profiles are members of this family in disguise:
+at infinity.  Both fiducial profiles are members of this family after the
+power map rho = c t r^alpha:
 
-  * simple-zero profile ell_t(r):   s   = (8/3) t r^{3/2},  sigma = -1/3,
+  * simple-zero profile ell_t(r):   rho = (8/3) t r^{3/2},  sigma = -1/3,
   * simple-pole profile m_t(r):     rho = 8 t r^{1/2},      sigma = 1 + 2(a1 - a2).
 
-All solves relax Newton steps on second-order central differences over a
-log-spaced grid, written in the log-radial variable x = log rho where the
-radial Laplacian collapses to d^2/dx^2:
+Every solve is the same one, in the one frame x = log rho, where the radial
+Laplacian collapses to d^2/dx^2:
 
-    m_xx = rho^2 W(rho) sinh(2 m),          W = 1/2 for the universal equation.
+    m_xx = (rho^2 / 2) sinh(2 m),
 
+relaxed by Newton steps on second-order central differences over the
+requested nodes (log-spaced for every caller here).  Newton starts from
+-sigma K_0(rho), which has the log-slope sigma at 0 and the tail shape.
 ``special.damped_newton`` stops at ``NEWTON_TOL`` or at the residual's
 rounding floor, scaled by the largest centre weight of the stencil.  Each
 step's Jacobian is tridiagonal apart from the one-sided Robin rows and is
@@ -33,9 +36,10 @@ meet tight tolerances honestly.
 Boundary conditions are Robin on both sides: m_x = sigma at the inner
 cutoff and m_x = (d log K_0(rho)/dx) m at the outer cutoff; both are
 insensitive to the unknown amplitude constants.  ``ell_profile`` and
-``m_profile`` solve directly in r on the requested grid (extended inward
-until the log-slope condition is valid), so the discrete residual measured
-on the returned nodes is the Newton residual.
+``m_profile`` solve on the requested r nodes mapped to rho, extended inward
+at the same log spacing until rho <= ``RHO_INNER_TARGET``, where the
+log-slope condition is valid; the returned profile is the restriction, so
+the discrete residual measured on the returned nodes is the Newton residual.
 """
 
 from __future__ import annotations
@@ -47,10 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import fd_first_boundary, fd_second, interior_weights, solve_three_point
-from .profiles import RadialProfile
 from .special import bessel_k, bessel_k_ratio, damped_newton
 
 __all__ = [
+    "RadialProfile",
     "ParabolicWeights",
     "solve_mtw",
     "ell_profile",
@@ -62,6 +66,31 @@ __all__ = [
 
 class GridCoarseWarning(UserWarning):
     """Doubling the grid changed the solution more than the advertised bound."""
+
+
+@dataclass
+class RadialProfile:
+    """A scalar radial function with its first derivative on an increasing grid.
+
+    The sinh-Gordon solves return it and the field builders read it.
+    ``sigma`` is the log-slope at the origin: values ~ sigma * log(r) as
+    r -> 0 (for the profiles produced here; zero for identically-zero
+    profiles).
+    """
+
+    grid: np.ndarray
+    values: np.ndarray
+    derivs: np.ndarray
+    sigma: float = 0.0
+
+    def __post_init__(self):
+        self.grid = np.asarray(self.grid, dtype=float)
+        self.values = np.asarray(self.values, dtype=float)
+        self.derivs = np.asarray(self.derivs, dtype=float)
+        if self.grid.ndim != 1 or np.any(np.diff(self.grid) <= 0) or self.grid[0] <= 0:
+            raise ValueError("grid must be strictly increasing and positive")
+        if self.values.shape != self.grid.shape or self.derivs.shape != self.grid.shape:
+            raise ValueError("values/derivs must match the grid")
 
 
 @dataclass(frozen=True)
@@ -93,21 +122,28 @@ NEWTON_MAX_ITER = 80
 RHO_INNER_TARGET = 0.02
 
 
-def _newton_log_solve(x, gfun, sigma_inner, robin_outer, m0):
-    """Solve m_xx = gfun sinh(2m) with Robin rows m_x(x0)=sigma, m_x(xN)=robin*m(xN).
+def _solve(sigma: float, rho: np.ndarray):
+    """The universal solution at log-slope ``sigma`` on the increasing nodes ``rho``.
 
-    Returns the solution m and its first derivative m_x, taken with the
-    stencils of :func:`grids.fd_first` (bit for bit the same values).
+    Solves m_xx = (rho^2/2) sinh(2m) in x = log rho with the Robin rows
+    m_x = sigma at rho[0] and m_x = -(rho K_1/K_0)(rho[-1]) m at rho[-1],
+    from the seed -sigma K_0(rho).  Returns the solution m and its first
+    derivative m_x, taken with the stencils of :func:`grids.fd_first` (bit
+    for bit the same values).
     """
-    x = np.asarray(x, dtype=float)
-    n = len(x)
+    n = len(rho)
+    if sigma == 0.0:  # m = 0 solves the problem exactly
+        return np.zeros(n), np.zeros(n)
+    x = np.log(rho)
+    gfun = 0.5 * rho[1:-1] ** 2
+    robin_outer = -bessel_k_ratio(1, 0, rho[-1]) * rho[-1]
     (b_l, b_c, b_r), (a_l, a_c, a_r) = interior_weights(x)
     (i0, i1, i2), (w0, w1, w2) = fd_first_boundary(x, "left")
     (j0, j1, j2), (v0, v1, v2) = fd_first_boundary(x, "right")
 
     def residual(m):
         res = np.empty(n)
-        res[0] = (w0 * m[i0] + w1 * m[i1] + w2 * m[i2]) - sigma_inner
+        res[0] = (w0 * m[i0] + w1 * m[i1] + w2 * m[i2]) - sigma
         res[1:-1] = a_l * m[:-2] + a_c * m[1:-1] + a_r * m[2:] - gfun * np.sinh(2.0 * m[1:-1])
         res[-1] = (v0 * m[j0] + v1 * m[j1] + v2 * m[j2]) - robin_outer * m[-1]
         return res, np.max(np.abs(res))
@@ -116,18 +152,13 @@ def _newton_log_solve(x, gfun, sigma_inner, robin_outer, m0):
         diag = a_c - 2.0 * gfun * np.cosh(2.0 * m[1:-1])
         return solve_three_point(a_l, diag, a_r, (w0, w1, w2), (v0 - robin_outer, v1, v2), -res)
 
-    m = damped_newton(np.asarray(m0, dtype=float), residual, step, NEWTON_TOL, NEWTON_MAX_ITER,
+    m = damped_newton(-sigma * bessel_k(0, rho), residual, step, NEWTON_TOL, NEWTON_MAX_ITER,
                       np.max(np.abs(a_c)))
     m_x = np.empty(n)
     m_x[1:-1] = b_l * m[:-2] + b_c * m[1:-1] + b_r * m[2:]
     m_x[0] = w0 * m[i0] + w1 * m[i1] + w2 * m[i2]
     m_x[-1] = v0 * m[j0] + v1 * m[j1] + v2 * m[j2]
     return m, m_x
-
-
-def _initial_guess(sigma_rho: float, rho: np.ndarray) -> np.ndarray:
-    # -sigma K0(rho) has the correct log slope at 0 and the correct tail shape.
-    return -sigma_rho * bessel_k(0, rho)
 
 
 # ----------------------------------------------------------------------
@@ -158,29 +189,16 @@ def solve_mtw(
     if n_points < 64:
         raise ValueError("need at least 64 grid points")
 
-    def solve_on(n):
-        rho = np.geomspace(rho_min, rho_max, n)
-        if sigma == 0.0:
-            return rho, np.zeros(n), np.zeros(n)
-        x = np.log(rho)
-        m, m_x = _newton_log_solve(
-            x,
-            0.5 * rho[1:-1] ** 2,
-            sigma,
-            -bessel_k_ratio(1, 0, rho_max) * rho_max,
-            _initial_guess(sigma, rho),
-        )
-        return rho, m, m_x
-
-    rho, m, m_x = solve_on(n_points)
+    rho = np.geomspace(rho_min, rho_max, n_points)
+    m, m_x = _solve(sigma, rho)
     nz = m[np.abs(m) > 0]
     if nz.size and (np.sign(nz) != np.sign(nz[0])).any():
         warnings.warn("profile changes sign; solver output is suspect")
     if check_grid and sigma != 0.0:
         from scipy.interpolate import CubicSpline
 
-        rho2, m2, _ = solve_on(2 * n_points - 1)
-        drift = np.max(np.abs(CubicSpline(rho2, m2)(rho) - m))
+        rho2 = np.geomspace(rho_min, rho_max, 2 * n_points - 1)
+        drift = np.max(np.abs(CubicSpline(rho2, _solve(sigma, rho2)[0])(rho) - m))
         if drift > 1e-4:
             warnings.warn(
                 f"grid too coarse: doubling n_points moves sup|m| by {drift:.2e}",
@@ -189,41 +207,14 @@ def solve_mtw(
     return RadialProfile(rho, m, m_x / rho, sigma)
 
 
-def _inward_extension(r0, ratio, rho_of_r, rho_x_factor, rho_target) -> np.ndarray:
-    """r0/ratio, r0/ratio^2, ... down to the first node where rho <= rho_target.
+def _fiducial_profile(t: float, r_grid, sigma: float, c: float, alpha: float) -> RadialProfile:
+    """The universal solution at ``sigma`` in rho = c t r^alpha, on ``r_grid``.
 
-    Each node is the previous one divided by ``ratio``, in sequence, as when
-    stepping inward node by node while rho(r) > rho_target.  The node count
-    comes from the power law rho(r) = rho(r0) (r/r0)^rho_x_factor; rounding
-    can move the crossing by one node, so ``rho_of_r`` (increasing) settles
-    it on the nodes next to the boundary.
-    """
-    steps = math.log(rho_of_r(r0) / rho_target) / (rho_x_factor * math.log(ratio))
-    n = max(0, math.ceil(steps))
-    # divide.accumulate divides in sequence: nodes[k] = (...(r0/ratio)...)/ratio
-    nodes = np.divide.accumulate(np.concatenate([[r0], np.full(n + 1, ratio)]))
-    while n > 0 and not rho_of_r(nodes[n - 1]) > rho_target:
-        n -= 1
-    while rho_of_r(nodes[n]) > rho_target:
-        n += 1
-    return nodes[1 : n + 1]
-
-
-def _transformed_profile(
-    t: float,
-    r_grid: np.ndarray,
-    sigma_r: float,
-    rho_of_r,
-    g_of_r,
-    rho_x_factor: float,
-) -> RadialProfile:
-    """Solve the fiducial ODE in the log of r on ``r_grid``.
-
-    ``g_of_r`` is r^2 W(r) for the equation m'' + m'/r = W(r) sinh(2m);
-    ``rho_x_factor`` is d(log rho)/d(log r).  The solve grid is extended
-    below r_grid (same log spacing) until rho(r) <= ``RHO_INNER_TARGET``,
-    small enough for the log-slope boundary condition; the returned profile
-    is the restriction to ``r_grid``.
+    The solve grid extends rho(r_grid) inward at the log ratio
+    q = max(r_1/r_0, 1.0005)^alpha by the least number of nodes,
+    ceil(log(rho_0/RHO_INNER_TARGET)/log q), that takes the first node to
+    rho <= ``RHO_INNER_TARGET``.  The returned profile is the restriction to
+    ``r_grid``, with sigma and dm/dr = alpha m_x / r in r.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if np.any(np.diff(r_grid) <= 0) or r_grid[0] <= 0:
@@ -233,41 +224,20 @@ def _transformed_profile(
     if not (math.isfinite(t) and t >= 1.0):
         raise ValueError(f"profiles require a finite t >= 1, got {t}")
 
-    ratio = max(r_grid[1] / r_grid[0], 1.0005)
-    ext = _inward_extension(r_grid[0], ratio, rho_of_r, rho_x_factor, RHO_INNER_TARGET)
-    full = np.concatenate([ext[::-1], r_grid])
-    n_ext = len(ext)
-
-    if sigma_r == 0.0:
-        m = m_x = np.zeros(len(full))
-    else:
-        x = np.log(full)
-        rho = rho_of_r(full)
-        m, m_x = _newton_log_solve(
-            x,
-            g_of_r(full[1:-1]),
-            sigma_r,
-            -bessel_k_ratio(1, 0, rho[-1]) * rho[-1] * rho_x_factor,
-            _initial_guess(2.0 * sigma_r, rho),
-        )
-    dm = m_x / full
-    return RadialProfile(r_grid, m[n_ext:], dm[n_ext:], sigma_r)
+    rho = c * t * r_grid**alpha
+    q = max(r_grid[1] / r_grid[0], 1.0005) ** alpha
+    n_ext = max(0, math.ceil(math.log(rho[0] / RHO_INNER_TARGET) / math.log(q)))
+    m, m_x = _solve(sigma, np.concatenate([rho[0] * q ** -np.arange(n_ext, 0, -1.0), rho]))
+    return RadialProfile(r_grid, m[n_ext:], alpha * m_x[n_ext:] / r_grid, alpha * sigma)
 
 
 def ell_profile(t: float, r_grid) -> RadialProfile:
     """Simple-zero profile: (d^2/dr^2 + r^-1 d/dr) ell = 8 t^2 r sinh(2 ell).
 
-    Equals the universal solution at sigma = -1/3 in s = (8/3) t r^{3/2};
+    Equals the universal solution at sigma = -1/3 in rho = (8/3) t r^{3/2};
     near zero ell ~ -(1/2) log r, at infinity ell ~ (1/pi) K0((8/3) t r^{3/2}).
     """
-    return _transformed_profile(
-        t,
-        r_grid,
-        -0.5,
-        lambda r: (8.0 / 3.0) * t * np.asarray(r) ** 1.5,
-        lambda r: 8.0 * t**2 * r**3,
-        1.5,
-    )
+    return _fiducial_profile(t, r_grid, -1.0 / 3.0, 8.0 / 3.0, 1.5)
 
 
 def m_profile(t: float, weights: ParabolicWeights, r_grid) -> RadialProfile:
@@ -276,15 +246,7 @@ def m_profile(t: float, weights: ParabolicWeights, r_grid) -> RadialProfile:
     Universal solution at sigma = 1 + 2(alpha1 - alpha2) in rho = 8 t r^{1/2};
     near zero m ~ (1/2 + alpha1 - alpha2) log r.
     """
-    sigma_r = 0.5 + weights.difference
-    return _transformed_profile(
-        t,
-        r_grid,
-        sigma_r,
-        lambda r: 8.0 * t * np.sqrt(np.asarray(r)),
-        lambda r: 8.0 * t**2 * r,
-        0.5,
-    )
+    return _fiducial_profile(t, r_grid, 1.0 + 2.0 * weights.difference, 8.0, 0.5)
 
 
 def ode_residual(p: RadialProfile) -> float:

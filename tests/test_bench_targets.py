@@ -48,7 +48,7 @@ def test_lebrun_residual_evaluations(monkeypatch, tmp_path, params, calls):
 @pytest.mark.parametrize(
     "params, calls",
     [
-        ({"case": "simplezero"}, 49),
+        ({"case": "simplezero"}, 14),
         ({"case": "strongpole", "alpha1": 0.4}, 21),
         ({"case": "strongpole", "alpha1": 0.2}, 14),
     ],

@@ -354,8 +354,8 @@ class TestValidationAndConfig:
             (["fiducial", "--case", "weakpole", "--alpha1", "0.3", "--sigma", "0.5,0", "--t", "nan"], "ValueError"),
             (["fiducial", "--case", "simplezero", "--r-min", "-1"], "ValueError"),
             (["lebrun", "--p0", "0.3,0", "--rho-max", "inf"], "ValueError"),
-            (["toymodel", "--p0", "0.3,0", "--r-max", "inf"], "ValueError"),
-            (["toymodel", "--p0", "0.3,0", "--r-min", "0"], "ValueError"),
+            (["toymodel", "--p0", "0.3,0", "--r-max", "inf"], "ValidationError"),
+            (["toymodel", "--p0", "0.3,0", "--r-min", "0"], "ValidationError"),
             (["lebrun", "--p0", "0.3,0", "--amp", "nan"], "ValueError"),
             (["lebrun", "--p0", "0.3,0", "--amp", "inf"], "ValueError"),
             (["lebrun", "--p0", "0.3,0", "--modes", "0"], "ValueError"),
@@ -372,9 +372,11 @@ class TestValidationAndConfig:
             (["toymodel", "--p0", "0.3,0", "--bogus", "1"], "ValidationError"),
             (["toymodel", "--p0", "-0.2,0.5"], "ValidationError"),
             (["fiducial", "--t", "2"], "ValidationError"),
+            (["toymodel", "--p0", "0.3,0", "--r-min", "5", "--r-max", "1"], "ValidationError"),
         ],
     )
-    # a warning printed before the error line would be a second line
+    # a warning printed before the error line would be a second line, and
+    # a failed run leaves no output directory
     @pytest.mark.filterwarnings("error")
     def test_failure_is_one_error_line(self, tmp_path, capsys, argv, cls):
         configs = {"bogus.cfg": "case = bogus\n", "typo.cfg": "tmaxx = 6\n", "out.cfg": "output-dir = y\n"}
@@ -385,6 +387,7 @@ class TestValidationAndConfig:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {cls}: ")
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -410,7 +413,7 @@ class TestValidationAndConfig:
         assert main(argv + ["--output-dir", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: ValidationError: {flag} ")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -429,7 +432,7 @@ class TestValidationAndConfig:
         assert main(argv + ["--output-dir", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ValidationError: expected finite ")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("r_on", [0.0, 0.5, 0.9])
     def test_grid_check_matches_residual_window(self, r_on):

@@ -13,14 +13,15 @@ from hitchinlab import painleve
 from hitchinlab.grids import fd_first, fd_second
 from hitchinlab.oracles import shooting_solution, tail_amplitude
 from hitchinlab.painleve import (
+    RHO_INNER_TARGET,
     GridCoarseWarning,
     ParabolicWeights,
+    RadialProfile,
     ell_profile,
     m_profile,
     ode_residual,
     solve_mtw,
 )
-from hitchinlab.profiles import RadialProfile
 from hitchinlab.special import bessel_k
 
 
@@ -41,14 +42,14 @@ class TestSolveMTW:
         # the Newton solve returns m_x from the stencils of fd_first itself
         p = solve_mtw(-0.4, 1e-3, 15.0, 512, check_grid=False)
         assert np.array_equal(p.derivs, fd_first(np.log(p.grid), p.values) / p.grid)
-        solves, solve = [], painleve._newton_log_solve
+        solves, solve = [], painleve._solve
 
-        def recording(x, *args):
-            m, m_x = solve(x, *args)
-            solves.append((x, m, m_x))
+        def recording(sigma, rho):
+            m, m_x = solve(sigma, rho)
+            solves.append((np.log(rho), m, m_x))
             return m, m_x
 
-        with mock.patch.object(painleve, "_newton_log_solve", recording):
+        with mock.patch.object(painleve, "_solve", recording):
             r = np.geomspace(1e-3, 1.0, 300)
             ell_profile(4.0, r)
             m_profile(4.0, ParabolicWeights(0.2, 0.8), r)
@@ -104,12 +105,13 @@ class TestSolveMTW:
 
     def test_sign_change_warning(self, monkeypatch):
         # the decaying solution keeps one sign; a solver output that does not
-        # is flagged, and sigma = 0 (the zero solution, no solve) is not
-        monkeypatch.setattr(
-            painleve, "_newton_log_solve", lambda x, *a: (np.linspace(-1.0, 1.0, len(x)), np.ones(len(x)))
-        )
-        with pytest.warns(UserWarning, match="changes sign"):
-            solve_mtw(-0.3, 1e-3, 15.0, 64, check_grid=False)
+        # is flagged, and sigma = 0 (the zero solution, no Newton step) is not
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                painleve, "_solve", lambda sigma, rho: (np.linspace(-1.0, 1.0, len(rho)), np.ones(len(rho)))
+            )
+            with pytest.warns(UserWarning, match="changes sign"):
+                solve_mtw(-0.3, 1e-3, 15.0, 64, check_grid=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             solve_mtw(0.0, 1e-3, 15.0, 64, check_grid=False)
@@ -164,6 +166,14 @@ class TestEllProfile:
         shifted = ell.values + 0.5 * np.log(ell.grid)
         assert np.max(np.abs(shifted[: len(shifted) // 3])) < 2.0
 
+    @pytest.mark.parametrize("t", [1.0, 4.0, 16.0])
+    def test_shooting_oracle(self, t):
+        # rho(1e-3) <= 0.02 for these t, so the solve runs on r itself
+        r = np.geomspace(1e-3, 1.0, 4096)
+        ell = ell_profile(t, r)
+        sh = shooting_solution(-1.0 / 3.0, (8.0 / 3.0) * t * r**1.5)
+        assert np.max(np.abs(sh - ell.values)) < 1e-6
+
     def test_t_doubling_covariance(self):
         r = np.geomspace(1e-3, 1.0, 700)
         lam = 2.0 ** (2.0 / 3.0)
@@ -191,6 +201,15 @@ class TestMProfile:
         m = m_profile(t, w, r)
         assert log_frame_residual(r, m.values, 8.0 * t**2 * r) < 1e-6
 
+    @pytest.mark.parametrize("alpha1", [0.2, 0.4])
+    def test_shooting_oracle(self, alpha1):
+        # rho(1e-7) = 32e-3.5 <= 0.02 at t = 4, so the solve runs on r itself
+        w = ParabolicWeights(alpha1, 1.0 - alpha1)
+        r = np.geomspace(1e-7, 1.0, 4096)
+        m = m_profile(4.0, w, r)
+        sh = shooting_solution(1.0 + 2.0 * w.difference, 32.0 * np.sqrt(r))
+        assert np.max(np.abs(sh - m.values)) < 1e-6
+
     def test_near_zero_log_slope(self):
         # two-point log slope at the deep end; the additive constant in
         # m ~ sigma log r + c makes the raw ratio m/log r converge only
@@ -210,16 +229,6 @@ class TestMProfile:
             ParabolicWeights(0.5, 0.5)
 
 
-def loop_extension(r0, ratio, rho_of_r, rho_x_factor, rho_target):
-    """The inward grid extension as a node-by-node loop (oracle)."""
-    ext = []
-    r_lo = r0
-    while rho_of_r(r_lo) > rho_target:
-        r_lo /= ratio
-        ext.append(r_lo)
-    return np.asarray(ext)
-
-
 class TestInwardExtension:
     @given(
         st.floats(min_value=1.0, max_value=64.0),
@@ -227,38 +236,38 @@ class TestInwardExtension:
         st.sampled_from(["ell", "m"]),
         st.floats(min_value=0.05, max_value=0.45),
     )
-    # t where rho lands within an ulp of the target on the last node: the
-    # power-law count is one too high at the first and one too low at the
-    # second, so the boundary must be settled by evaluating rho
+    # t where rho lands within an ulp of the target on the last node, the
+    # widest and narrowest grids, and the smallest pole slope
     @example(12.257903530758002, 64, "m", 0.2)
     @example(1.2257903530758072, 64, "m", 0.2)
     @example(64.0, 8192, "m", 0.05)
     @example(1.0, 64, "m", 0.45)
     @example(64.0, 8192, "ell", 0.2)
     @settings(max_examples=60)
-    def test_matches_loop(self, t, n_r, kind, alpha1):
+    def test_closed_form_extension(self, t, n_r, kind, alpha1):
         r = np.geomspace(1e-3, 1.0, n_r)
         if kind == "ell":
-            build = lambda: ell_profile(t, r)  # noqa: E731
+            build, alpha = (lambda: ell_profile(t, r)), 1.5
         else:
-            build = lambda: m_profile(t, ParabolicWeights(alpha1, 1.0 - alpha1), r)  # noqa: E731
-        grids = {}
+            build, alpha = (lambda: m_profile(t, ParabolicWeights(alpha1, 1.0 - alpha1), r)), 0.5
+        grids, solve = [], painleve._solve
 
-        def recording(name, extension):
-            def wrapped(*args):
-                grids[name] = extension(*args)
-                return grids[name]
+        def recording(sigma, rho):
+            grids.append(rho)
+            return solve(sigma, rho)
 
-            return wrapped
-
-        with mock.patch.object(painleve, "_inward_extension", recording("fast", painleve._inward_extension)):
-            fast = build()
-        with mock.patch.object(painleve, "_inward_extension", recording("loop", loop_extension)):
-            loop = build()
-        assert grids["fast"].shape == grids["loop"].shape
-        assert np.array_equal(grids["fast"], grids["loop"])
+        with mock.patch.object(painleve, "_solve", recording):
+            build()
+        (rho,) = grids
+        n_ext = len(rho) - n_r
+        # the extension continues the requested grid's log step, which is
+        # (r_1/r_0)^alpha in rho
+        step = np.log(rho[1:]) - np.log(rho[:-1])
+        assert np.allclose(step, alpha * np.log(r[1] / r[0]), rtol=1e-9, atol=0.0)
+        # it stops at the first node inside the target, and not one later
+        assert rho[0] <= RHO_INNER_TARGET * (1.0 + 1e-12)
+        if n_ext > 0:
+            assert rho[1] > RHO_INNER_TARGET * (1.0 - 1e-12)
         # at r_min = 1e-3 the simple zero's rho = (8/3) t 10^-4.5 stays below
         # 0.02 for t <= 64, so it needs no extension; the pole always does
-        assert (len(grids["loop"]) == 0) == (kind == "ell")
-        assert np.array_equal(fast.values, loop.values)
-        assert np.array_equal(fast.derivs, loop.derivs)
+        assert (n_ext == 0) == (kind == "ell")
