@@ -31,8 +31,8 @@ def main():
     p0 = 0.3
     tau = inverse_lambda(p0)
     lattice = TorusLattice.from_tau(tau)
-    mu0, reps = lattice.min_dual_norm()
-    lam = 2.0 * np.pi * mu0
+    lam = lattice.lambda_t
+    reps = lattice.min_dual_norm()[1]
     m, n = reps[0]
     print(f"p0 = {p0}: tau = {tau:.6f}, lambda_T = {lam:.6f}, mu0 modes = {reps}")
 

@@ -184,8 +184,7 @@ def _run_lebrun(args, out: Path):
     p0 = _parse_complex(args.p0)
     if args.n_rho < 5:
         raise ValidationError(f"--n-rho {args.n_rho} is too small: the solution needs at least 5 radial nodes")
-    cfg = toy.ToyConfig.from_p0(p0)
-    lattice = leb.TorusLattice.from_tau(cfg.tau)
+    lattice = toy.ToyConfig.from_p0(p0).torus
     m, n = lattice.min_dual_norm()[1][0]
     sol = leb.solve_nonlinear(
         {(m, n): args.amp / 2.0, (-m, -n): args.amp / 2.0},
@@ -196,14 +195,13 @@ def _run_lebrun(args, out: Path):
         n_rho=args.n_rho,
     )
     rate, power = leb.fit_decay(sol)
-    lam2 = 2.0 * sol.lambda_t
     fit_path = write_json(
         out / "fit.json",
         {
             "rate": rate,
-            "rate_over_2lambdaT": rate / lam2,
+            "rate_over_2lambdaT": rate / (2.0 * sol.lambda_t),
             "prefactor_exponent": power,
-            "lambda_t": cfg.lambda_t,
+            "lambda_t": sol.lambda_t,
             "p0": p0,
         },
     )

@@ -23,7 +23,9 @@ whose torus modes decouple in the linear part:
 with decaying solutions phi_mu = |mu|^{1/2} rho^{-1} K_1(4 pi |mu| rho)
 (phi_0 = rho^{-2}).  Hence every decaying perturbation is dominated by the
 shortest dual-lattice shell: |v| ~ rho^{-3/2} e^{-2 lambda_T rho} with
-lambda_T = 2 pi |mu_0|, i.e. rhat^{-3/4} e^{-2 lambda_T sqrt(rhat)}.
+lambda_T = 2 pi |mu_0|, i.e. rhat^{-3/4} e^{-2 lambda_T sqrt(rhat)}.  The
+torus, lambda_T and that shell (the modes +-reps of
+``TorusLattice.min_dual_norm``, in closed form) are ``toymodel``'s.
 With L_0 = rho^2 d^2 + 3 rho d, L_0(e^v) = e^v (L_0 v + (rho v_r)^2), so the
 same equation in conservative form is
 
@@ -63,13 +65,13 @@ only when read.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .special import ConvergenceError, bessel_k, damped_newton, shortest_vectors
+from .special import ConvergenceError, bessel_k, damped_newton
+from .toymodel import TorusLattice
 
 __all__ = [
     "TorusLattice",
@@ -82,7 +84,6 @@ __all__ = [
     "metric_difference_full",
     "MetricDifference",
     "AliasingError",
-    "DegenerateShellWarning",
     "PerturbativeRegimeError",
     "UnderflowWindowError",
 ]
@@ -100,12 +101,8 @@ class UnderflowWindowError(RuntimeError):
     """No resolved decade available for the decay fit."""
 
 
-class DegenerateShellWarning(UserWarning):
-    """Several inequivalent dual vectors attain |mu_0|; fits use the combined shell."""
-
-
 # ----------------------------------------------------------------------
-# torus geometry and Fourier fields
+# Fourier fields on the torus
 # ----------------------------------------------------------------------
 
 def _read_only(*arrays) -> tuple:
@@ -113,40 +110,6 @@ def _read_only(*arrays) -> tuple:
     for a in arrays:
         a.flags.writeable = False
     return arrays
-
-
-@dataclass(frozen=True)
-class TorusLattice:
-    """The flat torus R^2 / c_fib (Z + tau Z) and its dual lattice."""
-
-    tau: complex
-    c_fib: float
-
-    @classmethod
-    def from_tau(cls, tau: complex) -> "TorusLattice":
-        tau = complex(tau)
-        if not tau.imag > 0:
-            raise ValueError("tau must lie in the upper half plane")
-        return cls(tau, float(np.pi * np.sqrt(2.0 / tau.imag)))
-
-    @property
-    def basis(self) -> np.ndarray:
-        """Columns are the lattice vectors a, b in R^2."""
-        return self.c_fib * np.array([[1.0, self.tau.real], [0.0, self.tau.imag]])
-
-    @cached_property
-    def dual_basis(self) -> np.ndarray:
-        """Columns are the dual vectors ahat, bhat (ahat . a = 1 etc.); computed once."""
-        return _read_only(np.linalg.inv(self.basis).T)[0]
-
-    def mu_vector(self, m: int, n: int) -> np.ndarray:
-        d = self.dual_basis
-        return m * d[:, 0] + n * d[:, 1]
-
-    def min_dual_norm(self):
-        """Smallest nonzero |mu| and the modes attaining it (up to sign)."""
-        d = self.dual_basis
-        return shortest_vectors(complex(d[0, 0], d[1, 0]), complex(d[0, 1], d[1, 1]))
 
 
 @dataclass
@@ -205,10 +168,14 @@ class TorusFourierField:
         """Real-space samples, shape (NR, N, N), at X_{jk} = (j a + k b)/N."""
         return _synthesize(self.coeffs, n_colloc)
 
+    def shell_rows(self) -> list:
+        """The rows of the shortest nonzero dual shell, the modes +-reps of ``min_dual_norm``, ascending."""
+        reps = self.lattice.min_dual_norm()[1]
+        return sorted(self.index(s * m, s * n) for m, n in reps for s in (1, -1))
+
     def shell_amplitude(self) -> np.ndarray:
         """Summed |coeff| over the shortest nonzero dual shell, per radius."""
-        _, shell = _leading_shell(self.mu_norms())
-        return np.abs(self.coeffs[shell]).sum(axis=0)
+        return np.abs(self.coeffs[self.shell_rows()]).sum(axis=0)
 
     def truncation_diagnostic(self, rho_index: int = -1) -> float:
         """Outermost retained shell over leading shell, at one radial node.
@@ -218,17 +185,10 @@ class TorusFourierField:
         where the shell hierarchy is steepest.
         """
         outer = np.max(np.abs(self.modes), axis=1) == self.m_cut
-        _, shell = _leading_shell(self.mu_norms())
-        lead = float(np.max(np.abs(self.coeffs[shell, rho_index])))
+        lead = float(np.max(np.abs(self.coeffs[self.shell_rows(), rho_index])))
         if lead == 0.0:
             return 0.0
         return float(np.max(np.abs(self.coeffs[outer, rho_index]))) / lead
-
-
-def _leading_shell(norms: np.ndarray):
-    """The smallest nonzero |mu| and the mask of the norms on its shell."""
-    mu0 = norms[norms > 0].min()
-    return mu0, np.abs(norms - mu0) < 1e-9 * mu0
 
 
 @lru_cache(maxsize=None)
@@ -605,16 +565,8 @@ def solve_nonlinear(
     if abs(data.get((0, 0), 0.0)) > 0.05:
         raise PerturbativeRegimeError("mean-mode offset must be small")
 
-    mu0, reps = lattice.min_dual_norm()
-    if len(reps) > 1:
-        warnings.warn(
-            f"{len(reps)} inequivalent dual vectors attain |mu_0|; decay fits "
-            "use the combined shell",
-            DegenerateShellWarning,
-        )
-    lambda_t = 2.0 * np.pi * mu0
     if rho_max is None:
-        rho_max = max(6.0 / (2.0 * lambda_t), 4.0)
+        rho_max = max(3.0 / lattice.lambda_t, 4.0)
     if not 0.0 < rho_min < rho_max < np.inf:
         raise ValueError(f"need 0 < rho_min < rho_max < inf, got rho_min={rho_min}, rho_max={rho_max}")
     rho_min, rho_max = float(rho_min), float(rho_max)
@@ -683,7 +635,7 @@ def solve_nonlinear(
     return LeBrunSolution(
         v=TorusFourierField(lattice, rho_out, _half_lattice_product(P, v.coeffs[c:])),
         w=TorusFourierField(lattice, rho_out, w),
-        lambda_t=float(lambda_t),
+        lambda_t=lattice.lambda_t,
     )
 
 
@@ -724,14 +676,14 @@ def fit_decay(sol: LeBrunSolution):
 # ----------------------------------------------------------------------
 
 def _shell_t_hat(sol: LeBrunSolution):
-    """The leading-shell mask and T-hat, calibrated at the outermost node.
+    """The leading-shell rows and T-hat, calibrated at the outermost node.
 
-    T-hat is the shell coefficients of v over rho^{-1} K_1(2 lambda_T rho)
+    T-hat is the shell coefficients of v over rho^{-1} K_1(4 pi |mu_0| rho)
     there, where subleading corrections are smallest.
     """
     rho = sol.rho
-    mu0, shell = _leading_shell(sol.v.mu_norms())
-    phi_ref = bessel_k(1, 4.0 * np.pi * mu0 * rho[-1]) / rho[-1]
+    shell = sol.v.shell_rows()
+    phi_ref = bessel_k(1, 4.0 * np.pi * sol.v.lattice.min_dual_norm()[0] * rho[-1]) / rho[-1]
     return shell, sol.v.coeffs[shell, -1] / phi_ref
 
 
@@ -854,7 +806,7 @@ def _trig_factor(sol: LeBrunSolution, n_colloc: int):
     the leading-shell T-hat (zero on the other modes of the square).
     """
     shell, t_hat = _shell_t_hat(sol)
-    coeffs = np.zeros((len(shell), 1), dtype=complex)
+    coeffs = np.zeros((len(sol.v.coeffs), 1), dtype=complex)
     coeffs[shell, 0] = t_hat
     t = TorusFourierField(sol.v.lattice, sol.rho[-1:], coeffs)
     return tuple(f.values(n_colloc)[0] for f in (t, *t.gradient()))

@@ -25,7 +25,12 @@ route that shares no solver with it:
                              the case's expected_quadratic_differential;
   semiflat_metric            the paper's g_sf at a BasePoint of the Hitchin
                              base (``lebrun.metric_difference_full``
-                             subtracts it in closed form).
+                             subtracts it in closed form);
+  shortest_vectors           Lagrange-Gauss reduction of any planar lattice
+                             basis (``toymodel.TorusLattice`` reads the
+                             shortest dual vectors of a reduced tau in
+                             closed form, and ``toymodel.shortest_geodesic``
+                             is M_B in closed form).
 
 No module of the package imports this one, so the command line never
 loads it or ``scipy.integrate``.  The spectral-curve periods, the oracle
@@ -62,6 +67,7 @@ __all__ = [
     "expected_quadratic_differential",
     "BasePoint",
     "semiflat_metric",
+    "shortest_vectors",
     "DivergenceError",
 ]
 
@@ -328,3 +334,40 @@ def semiflat_metric(cfg: ToyConfig, base: BasePoint) -> np.ndarray:
     if r <= 0:
         raise ValueError("base point must have positive radius")
     return np.diag([1.0 / r, r, 1.0, 1.0])
+
+
+def shortest_vectors(w1, w2):
+    """Shortest nonzero vectors of the planar lattice Z w1 + Z w2.
+
+    ``w1`` and ``w2`` are independent plane vectors written as complex
+    numbers.  Lagrange-Gauss reduction on integer coordinates yields a
+    basis (u, v) with |u| <= |v| and |2 u.v| <= |u|^2; every other lattice
+    vector is at least sqrt(3) |u| long, so the shortest vectors lie
+    among +-u, +-v, +-(u + v), +-(u - v).  Returns the shortest length and
+    the sorted coordinates (m, n) of the vectors m w1 + n w2 within a
+    relative 1e-9 of it (1 entry: a unique shortest geodesic), keeping the
+    lexicographically smaller of each +- pair; the length is that of the
+    first entry.
+    """
+    w1, w2 = complex(w1), complex(w2)
+    if not (w1.conjugate() * w2).imag:
+        raise ValueError("lattice generators must be linearly independent")
+
+    def vec(mn):
+        return mn[0] * w1 + mn[1] * w2
+
+    u, v = (1, 0), (0, 1)
+    if abs(w1) > abs(w2):
+        u, v = v, u
+    while True:
+        uu = vec(u)
+        q = round((vec(v) * uu.conjugate()).real / abs(uu) ** 2)
+        v = (v[0] - q * u[0], v[1] - q * u[1])
+        if abs(vec(v)) >= abs(uu):
+            break
+        u, v = v, u
+    candidates = (u, v, (u[0] + v[0], u[1] + v[1]), (u[0] - v[0], u[1] - v[1]))
+    lengths = {min(mn, (-mn[0], -mn[1])): abs(vec(mn)) for mn in candidates}
+    best = min(lengths.values())
+    reps = sorted(mn for mn, s in lengths.items() if s - best < 1e-9 * best)
+    return lengths[reps[0]], reps

@@ -2,8 +2,8 @@
 
 Modified Bessel functions K0, K1, K2 (the only orders the geometry needs),
 Gauss's arithmetic-geometric mean and the closed-form inverse of the
-elliptic modular lambda function, the shortest vectors of a planar lattice,
-and the Jacobi theta constants with lambda(tau) = theta2^4/theta3^4 itself.
+elliptic modular lambda function, and the Jacobi theta constants with
+lambda(tau) = theta2^4/theta3^4 itself.
 The inverse is tau = i M(1, k')/M(1, k) with k^2 = lambda, k'^2 = 1 - lambda
 and M the arithmetic-geometric mean, reduced to the fundamental domain; it
 reads no theta series.  The theta constants and ``modular_lambda`` are the
@@ -16,10 +16,12 @@ Chebyshev expansions ``k0``/``k1``/``k0e``/``k1e`` (DLMF 10.25, 10.40),
 about four times faster on arrays than the general-order AMOS ``kv``/``kve``
 and within 1e-13 of them.  Order 2 calls ``kve``; unscaled it is
 ``kve(2, x) e^-x``, because ``kv`` flushes to zero above x ~ 697.9, where
-K_2 is still a normal double.  Shortest vectors come from Lagrange-Gauss
-reduction, which is exact for 2-d lattices however skewed the basis.
-``damped_newton`` is the iteration both boundary-value solvers run: the
-sinh-Gordon profiles of ``painleve`` and the LeBrun reduction of ``lebrun``.
+K_2 is still a normal double.  ``reduce_to_fundamental_domain`` is the
+Gauss reduction of the lattice Z + tau Z: on its output the shortest
+vectors are known in closed form (``toymodel.TorusLattice``), so no
+lattice search runs in the package.  ``damped_newton`` is the iteration
+both boundary-value solvers run: the sinh-Gordon profiles of ``painleve``
+and the LeBrun reduction of ``lebrun``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "modular_lambda",
     "inverse_lambda",
     "reduce_to_fundamental_domain",
-    "shortest_vectors",
     "ConvergenceError",
     "damped_newton",
 ]
@@ -234,44 +235,3 @@ def inverse_lambda(p0: complex) -> complex:
     if min(abs(p0), abs(p0 - 1.0)) < 1e-12:
         raise ValueError("p0 must avoid the degenerate values 0 and 1")
     return _tau_from_agms(*_period_agms(p0))
-
-
-# ----------------------------------------------------------------------
-# shortest lattice vectors
-# ----------------------------------------------------------------------
-
-def shortest_vectors(w1, w2):
-    """Shortest nonzero vectors of the planar lattice Z w1 + Z w2.
-
-    ``w1`` and ``w2`` are independent plane vectors written as complex
-    numbers.  Lagrange-Gauss reduction on integer coordinates yields a
-    basis (u, v) with |u| <= |v| and |2 u.v| <= |u|^2; every other lattice
-    vector is at least sqrt(3) |u| long, so the shortest vectors lie
-    among +-u, +-v, +-(u + v), +-(u - v).  Returns the shortest length and
-    the sorted coordinates (m, n) of the vectors m w1 + n w2 within a
-    relative 1e-9 of it (1 entry: a unique shortest geodesic), keeping the
-    lexicographically smaller of each +- pair; the length is that of the
-    first entry.
-    """
-    w1, w2 = complex(w1), complex(w2)
-    if not (w1.conjugate() * w2).imag:
-        raise ValueError("lattice generators must be linearly independent")
-
-    def vec(mn):
-        return mn[0] * w1 + mn[1] * w2
-
-    u, v = (1, 0), (0, 1)
-    if abs(w1) > abs(w2):
-        u, v = v, u
-    while True:
-        uu = vec(u)
-        q = round((vec(v) * uu.conjugate()).real / abs(uu) ** 2)
-        v = (v[0] - q * u[0], v[1] - q * u[1])
-        if abs(vec(v)) >= abs(uu):
-            break
-        u, v = v, u
-    candidates = (u, v, (u[0] + v[0], u[1] + v[1]), (u[0] - v[0], u[1] - v[1]))
-    lengths = {min(mn, (-mn[0], -mn[1])): abs(vec(mn)) for mn in candidates}
-    best = min(lengths.values())
-    reps = sorted(mn for mn, s in lengths.items() if s - best < 1e-9 * best)
-    return lengths[reps[0]], reps

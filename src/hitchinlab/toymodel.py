@@ -16,7 +16,7 @@ This module computes the derived constants of that geometry:
   tau       spectral-torus modulus, the fundamental-domain modulus of that
             lattice, i b/a reduced by PSL(2,Z) (or, as an oracle, from the
             contour periods);
-  c_fib     fiber lattice scale pi sqrt(2/Im tau) (fiber area 2 pi^2);
+  c_fib     fiber lattice scale pi lambda_T (fiber area 2 pi^2);
   lambda_T  sqrt of the smallest positive eigenvalue of -Laplace on the
             fiber torus, sqrt(2/Im tau);
   M_B       length of the shortest spectral-torus geodesic,
@@ -28,6 +28,12 @@ metric on the Hitchin section,
 -(2/pi) 8 K0(2 sqrt(2 r / Im tau)) (dr^2 + r^2 dtheta^2) / (2 r Im tau),
 at one r or a whole array of them.  The semiflat metric g_sf itself is
 ``oracles.semiflat_metric``.
+
+``TorusLattice``, shared with ``lebrun``, is the one fiber torus
+R^2 / c_fib (Z + tau Z) of a tau in the fundamental domain: lambda_T,
+c_fib, the dual lattice and its shortest shell, in closed form (no lattice
+search).  A degenerate shortest shell warns ``NonGenericTorusWarning``
+once, when the torus is built.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import cmath
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,11 +51,11 @@ from .special import (
     _tau_from_agms,
     bessel_k,
     reduce_to_fundamental_domain,
-    shortest_vectors,
 )
 
 __all__ = [
     "ToyConfig",
+    "TorusLattice",
     "csk",
     "periods",
     "fiber_area",
@@ -61,7 +68,11 @@ __all__ = [
 
 
 class NonGenericTorusWarning(UserWarning):
-    """The spectral torus has several inequivalent shortest geodesics (Im tau = 1 wall)."""
+    """The fiber torus has several inequivalent shortest dual vectors (tau on the arc |tau| = 1).
+
+    The leading BPS correction is then degenerate, and decay fits use the
+    combined shell.
+    """
 
 
 def _validate_p0(p0: complex) -> complex:
@@ -215,32 +226,25 @@ def tau_from_periods(p0: complex) -> complex:
 class ToyConfig:
     """Derived constants of the four-punctured-sphere geometry at p0.
 
-    ``tau`` is the fundamental-domain modulus of :func:`special.inverse_lambda`
-    and ``c_sk`` is :func:`csk`; both come from one pair of
-    arithmetic-geometric means, computed once.
+    ``c_sk`` is :func:`csk` and ``torus`` the fiber torus of the
+    fundamental-domain modulus of :func:`special.inverse_lambda`; both come
+    from one pair of arithmetic-geometric means, computed once.  ``tau``,
+    ``c_fib`` and ``lambda_t`` are the torus's own.
     """
 
     p0: complex
-    tau: complex
     c_sk: float
-    c_fib: float
-    lambda_t: float
+    torus: TorusLattice
 
     @classmethod
     def from_p0(cls, p0: complex) -> "ToyConfig":
         p0 = _validate_p0(p0)
         a, b = _period_agms(p0)
-        tau = _tau_from_agms(a, b)
-        lambda_t = lambda_T(tau)
-        cfg = cls(p0=p0, tau=tau, c_sk=_csk_from_agms(a, b),
-                  c_fib=float(np.pi * lambda_t), lambda_t=lambda_t)
-        if len(shortest_vectors(1.0, tau)[1]) > 1:
-            warnings.warn(
-                "spectral torus has several inequivalent shortest geodesics "
-                f"(tau = {tau}); the leading BPS correction is degenerate",
-                NonGenericTorusWarning,
-            )
-        return cfg
+        return cls(p0=p0, c_sk=_csk_from_agms(a, b), torus=TorusLattice.from_tau(_tau_from_agms(a, b)))
+
+    tau = property(lambda self: self.torus.tau)
+    c_fib = property(lambda self: self.torus.c_fib)
+    lambda_t = property(lambda self: self.torus.lambda_t)
 
 
 # ----------------------------------------------------------------------
@@ -252,17 +256,98 @@ def fiber_area() -> float:
     return 2.0 * np.pi**2
 
 
+def _reduced(tau) -> complex:
+    """tau as a complex number, checked to lie in the fundamental domain (to 1e-12)."""
+    tau = complex(tau)
+    if not tau.imag > 0:
+        raise ValueError("tau must lie in the upper half plane")
+    if abs(tau.real) > 0.5 + 1e-12 or abs(tau) < 1.0 - 1e-12:
+        raise ValueError(
+            f"tau = {tau} is outside the fundamental domain |Re tau| <= 1/2, |tau| >= 1; "
+            "map it there with special.reduce_to_fundamental_domain"
+        )
+    return tau
+
+
 def lambda_T(tau) -> float:
     """sqrt of the smallest nonzero eigenvalue of -Laplace on the fiber torus.
 
-    The fiber is C / c_fib(Z + tau Z) with c_fib = pi sqrt(2/Im tau); the
-    smallest dual-lattice vector has length 1/(c_fib Im tau), giving
-    lambda_T = sqrt(2 / Im tau).
+    The fiber is C / c_fib(Z + tau Z) with c_fib = pi lambda_T; for tau in
+    the fundamental domain the smallest dual-lattice vector is the mode
+    (0, 1), of length 1/(c_fib Im tau), giving lambda_T = sqrt(2 / Im tau).
+    Any other tau raises ValueError.
     """
-    t = complex(tau)
-    if not t.imag > 0:
-        raise ValueError("tau must lie in the upper half plane")
-    return float(np.sqrt(2.0 / t.imag))
+    return float(np.sqrt(2.0 / _reduced(tau).imag))
+
+
+@dataclass(frozen=True)
+class TorusLattice:
+    """The fiber torus R^2 / c_fib (Z + tau Z), tau in the fundamental domain, and its dual lattice."""
+
+    tau: complex
+
+    @classmethod
+    def from_tau(cls, tau: complex) -> "TorusLattice":
+        """The torus of a reduced ``tau`` (ValueError otherwise); warns if its shortest dual shell is degenerate."""
+        torus = cls(_reduced(tau))
+        reps = torus.min_dual_norm()[1]
+        if len(reps) > 1:
+            warnings.warn(
+                f"fiber torus at tau = {torus.tau} has {len(reps)} inequivalent shortest dual "
+                "vectors; the leading BPS correction is degenerate and decay fits use the combined shell",
+                NonGenericTorusWarning,
+            )
+        return torus
+
+    @property
+    def lambda_t(self) -> float:
+        return lambda_T(self.tau)
+
+    @property
+    def c_fib(self) -> float:
+        return float(np.pi * self.lambda_t)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """Columns are the lattice vectors a, b in R^2."""
+        return self.c_fib * np.array([[1.0, self.tau.real], [0.0, self.tau.imag]])
+
+    @cached_property
+    def dual_basis(self) -> np.ndarray:
+        """Columns are the dual vectors ahat, bhat (ahat . a = 1 etc.); computed once, read-only.
+
+        The transposed inverse of the upper-triangular ``basis`` c_fib [[1,
+        Re tau], [0, Im tau]], by back substitution with the reciprocal
+        diagonal: the operations, and so the bits, of ``numpy.linalg.inv``'s
+        LAPACK solve, without its cost.
+        """
+        c = self.c_fib
+        ia, id_ = 1.0 / c, 1.0 / (c * self.tau.imag)
+        dual = np.array([[ia, 0.0], [(0.0 - c * self.tau.real * id_) * ia, id_]])
+        dual.flags.writeable = False
+        return dual
+
+    def mu_vector(self, m: int, n: int) -> np.ndarray:
+        d = self.dual_basis
+        return m * d[:, 0] + n * d[:, 1]
+
+    def min_dual_norm(self):
+        """Smallest nonzero |mu| and the modes (m, n) attaining it, up to sign.
+
+        The dual vector of (m, n) has length |m tau - n| / (c_fib Im tau),
+        so on a reduced tau the shortest is (0, 1), joined by (1, 0) on the
+        arc |tau| = 1 and by (1, 1) or (1, -1) at the corner e^{i pi/3} or
+        e^{2 i pi/3}: only these four are measured.  The modes within a
+        relative 1e-9 of the shortest are returned sorted, each as the
+        lexicographically smaller of its +- pair; the length is that of the
+        first.
+        """
+        (x1, x2), (y1, y2) = self.dual_basis.tolist()
+        w1, w2 = complex(x1, y1), complex(x2, y2)
+        lengths = {mn: abs(mn[0] * w1 + mn[1] * w2) for mn in ((-1, -1), (-1, 0), (-1, 1), (0, -1))}
+        best = min(lengths.values())
+        reps = [mn for mn, s in lengths.items() if s - best < 1e-9 * best]
+        return lengths[reps[0]], reps
 
 
 def shortest_geodesic(cfg: ToyConfig, B: complex) -> float:

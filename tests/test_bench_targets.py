@@ -22,6 +22,18 @@ def test_tracer_targets_resolve(monkeypatch):
     assert fiducial.assemble_fields is original
 
 
+def test_traced_lebrun_op_records_min_dual_norm(monkeypatch, tmp_path):
+    # TorusLattice lives in toymodel and is traced through lebrun's binding;
+    # a lebrun op must still record its shortest-shell calls, not read 0
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    tr = tracer.Tracer()
+    with tr.installed():
+        run(ExperimentConfig("lebrun", {"p0": "0.3,0", "amp": 0.1, "modes": 2, "n_rho": 41}, tmp_path / "leb"))
+    assert tr.summary()["lebrun.TorusLattice.min_dual_norm.calls"] >= 1
+
+
 @pytest.mark.parametrize(
     "params, calls",
     [

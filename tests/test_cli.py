@@ -148,6 +148,29 @@ class TestCommands:
         cc = summary["cross_checks"][0]
         assert cc["within_3_percent"]
 
+    def test_degenerate_torus_warns_once(self, tmp_path):
+        # p0 = 0.5 is the square torus tau = i, whose shortest dual shell is
+        # degenerate: one warning, raised where the torus is built
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["lebrun", "--p0", "0.5,0", "--output-dir", str(tmp_path / "leb")]) == 0
+        assert [w.category for w in caught] == [NonGenericTorusWarning]
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"p0": "0.5,0"},
+            {"p0": "-0.15814436059767784,0.5558939790995723", "amp": 0.1381887309488307, "modes": 2},
+        ],
+    )
+    def test_fit_json_reads_one_lambda_t(self, tmp_path, params):
+        # the written ratio divides by the written lambda_T, bit for bit
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonGenericTorusWarning)
+            run(ExperimentConfig("lebrun", dict(params), tmp_path))
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        assert fit["rate_over_2lambdaT"] == fit["rate"] / (2 * fit["lambda_t"])
+
     def test_report_cli_and_run_agree(self, tmp_path, monkeypatch):
         run(ExperimentConfig("toymodel", {"p0": "0.3,0", "r_points": 6}, tmp_path / "runs" / "toy"))
         monkeypatch.chdir(tmp_path)

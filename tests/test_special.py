@@ -19,8 +19,8 @@ from hitchinlab.special import (
     jacobi_theta,
     modular_lambda,
     reduce_to_fundamental_domain,
-    shortest_vectors,
 )
+from hitchinlab.oracles import shortest_vectors
 from hitchinlab.toymodel import lambda_T
 
 
@@ -225,6 +225,8 @@ def brute_force_shortest(w1, w2):
 
 
 class TestLattice:
+    """``oracles.shortest_vectors``, the Lagrange-Gauss reference for ``toymodel.TorusLattice``, and tau validation."""
+
     def test_unit_square(self):
         assert shortest_vectors(1.0, 1j)[0] == pytest.approx(1.0)
         assert shortest_vectors(1.0, 2j)[0] == pytest.approx(1.0)

@@ -18,9 +18,10 @@ from hitchinlab.special import (
     modular_lambda,
     reduce_to_fundamental_domain,
 )
-from hitchinlab.oracles import BasePoint, semiflat_metric
+from hitchinlab.oracles import BasePoint, semiflat_metric, shortest_vectors
 from hitchinlab.toymodel import (
     NonGenericTorusWarning,
+    TorusLattice,
     ToyConfig,
     bps_omega,
     csk,
@@ -191,7 +192,7 @@ class TestCskProperties:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonGenericTorusWarning)
             cfg = ToyConfig.from_p0(p0)
-        assert _rel(shortest_geodesic(cfg, 1.0), special.shortest_vectors(*periods(p0))[0]) < 1e-12
+        assert _rel(shortest_geodesic(cfg, 1.0), shortest_vectors(*periods(p0))[0]) < 1e-12
 
 
 class TestLambdaInversion:
@@ -268,6 +269,55 @@ class TestToyConfig:
         with warnings.catch_warnings():
             warnings.simplefilter("error", NonGenericTorusWarning)
             ToyConfig.from_p0(0.3)
+
+
+# tau over the fundamental domain |Re tau| <= 1/2, |tau| >= 1: the interior,
+# the arc |tau| = 1, the edges Re tau = +-1/2, and what the reduction makes
+# of any tau in the upper half plane
+_REDUCED_TAU = st.one_of(
+    st.builds(
+        lambda x, h: complex(x, np.sqrt(1.0 - x * x) + h), st.floats(-0.5, 0.5), st.floats(0.0, 20.0)
+    ),
+    st.builds(lambda x: complex(x, np.sqrt(1.0 - x * x)), st.floats(-0.5, 0.5)),
+    st.builds(lambda s, y: complex(s, y), st.sampled_from([-0.5, 0.5]), st.floats(3**0.5 / 2, 20.0)),
+    st.builds(
+        lambda x, y: reduce_to_fundamental_domain(complex(x, y)), st.floats(-20.0, 20.0), st.floats(1e-3, 20.0)
+    ),
+)
+
+
+class TestTorusLattice:
+    @given(_REDUCED_TAU)
+    @example(1j)
+    @example(cmath.exp(1j * cmath.pi / 3))
+    @example(cmath.exp(2j * cmath.pi / 3))
+    @example(complex(0.5, 20.0))
+    def test_min_dual_norm_is_the_lattice_search(self, tau):
+        # the closed-form shell equals Lagrange-Gauss reduction of the dual
+        # basis bit for bit, in the length and the modes; degenerate shells
+        # warn; the closed-form dual basis is numpy's inverse bit for bit
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            torus = TorusLattice.from_tau(tau)
+        d = torus.dual_basis
+        assert np.array_equal(d, np.linalg.inv(torus.basis).T)
+        ref = shortest_vectors(complex(d[0, 0], d[1, 0]), complex(d[0, 1], d[1, 1]))
+        assert torus.min_dual_norm() == ref
+        assert [w.category for w in caught] == [NonGenericTorusWarning] * (len(ref[1]) > 1)
+        # the length is that of the first mode, within the 1e-9 tie rule of (0, 1)'s
+        assert 2.0 * np.pi * ref[0] == pytest.approx(torus.lambda_t, rel=1e-9)
+
+    def test_unreduced_tau_rejected(self):
+        # lambda_T = sqrt(2/Im tau) holds on the fundamental domain only:
+        # at 0.1j it would read 4.472 for the true 2 pi |mu_0| = 0.4472
+        for tau in (0.1j, 0.1 + 0.5j, 10 + 0.1j, 0.5 + 1e-9 + 1j, 0.3 + 0.9j):
+            for f in (lambda_T, TorusLattice.from_tau):
+                with pytest.raises(ValueError, match="reduce_to_fundamental_domain"):
+                    f(tau)
+        # within 1e-12 of the domain is in it, and of the arc is on it
+        assert TorusLattice.from_tau(0.5 + 0.5e-12 + 2j).lambda_t == lambda_T(0.5 + 0.5e-12 + 2j)
+        with pytest.warns(NonGenericTorusWarning):
+            TorusLattice.from_tau(complex(0.3, np.sqrt(0.91) - 1e-13))
 
 
 class TestSemiflatData:
