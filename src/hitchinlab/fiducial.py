@@ -25,8 +25,8 @@ d(log r) ^ dtheta), which is free of the eps/h^2 rounding floor that the
 flat-frame pointwise norm suffers near r = 0; for the simple zero and the
 strong pole it reads only xi and its derivative.  The curvature term is
 central-differenced from the connection coefficient, independently of the
-stencil the profile solver satisfied, so the measured residual of an exact
-model decreases at second order under grid refinement.
+Chebyshev collocation that the profile solver satisfies, so the measured
+residual of an exact model decreases at second order under grid refinement.
 """
 
 from __future__ import annotations

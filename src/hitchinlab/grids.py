@@ -1,30 +1,37 @@
-"""Grid utilities: non-uniform finite differences and the 3-point solve.
+"""Grid utilities: non-uniform finite differences and the Chebyshev toolkit.
 
 The 3-point stencils below are exact on quadratics for arbitrary node
 spacing; on smoothly graded (e.g. log-spaced) grids they are second-order
-accurate.  The same stencils are used by the sinh-Gordon solver and by the
-residual checks, so a converged solve has a matching discrete residual by
-construction; ``lebrun`` uses none of them (its radial discretization is
-spectral and its connection a closed form).  An operator built from them is tridiagonal except for one
-corner entry in each one-sided boundary row.  :func:`solve_three_point`
-solves a real one directly, folding each corner into its neighbouring row
-and calling the tridiagonal LAPACK ``dgtsv``, which is what ``painleve``'s
-Newton steps use.  ``oracles.banded_three_point`` stores the same operator
-as a (2, 2) band for the general band solve the tests compare against.
+accurate.  ``fiducial.hitchin_residual`` differences its fields with them,
+and ``oracles`` builds its banded finite-difference solves and its second
+difference from them.
+
+Both radial solvers discretize by Chebyshev collocation (Trefethen,
+*Spectral Methods in MATLAB*, SIAM 2000): ``painleve`` in x = log rho and
+``lebrun`` in rho.  They share the Chebyshev-Gauss-Lobatto nodes of an
+interval, the differentiation matrix, the cosine matrix taking node values
+to Chebyshev coefficients, and the rule that sizes the node set
+(:func:`chebyshev_solve`): start on ``CHEB_INTERVALS`` intervals and double
+them while Newton fails or the trailing coefficients exceed
+``CHEB_TAIL_TOL`` of the largest, up to ``CHEB_MAX_INTERVALS``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+
+from .special import ConvergenceError
 
 __all__ = [
     "fd_first",
-    "fd_second",
     "fd_first_boundary",
     "interior_weights",
-    "solve_three_point",
+    "chebyshev_nodes",
+    "chebyshev",
+    "chebyshev_vandermonde",
+    "chebyshev_solve",
 ]
 
 
@@ -44,16 +51,12 @@ def interior_weights(x: np.ndarray):
     return first, second
 
 
-def _apply(weights, y: np.ndarray) -> np.ndarray:
-    w_l, w_c, w_r = weights
-    return w_l * y[..., :-2] + w_c * y[..., 1:-1] + w_r * y[..., 2:]
-
-
 def fd_first(x: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
     """First derivative, interior central, one-sided 3-point at the ends."""
     y = np.moveaxis(np.asarray(y), axis, -1)
     out = np.empty_like(y)
-    out[..., 1:-1] = _apply(interior_weights(x)[0], y)
+    b_l, b_c, b_r = interior_weights(x)[0]
+    out[..., 1:-1] = b_l * y[..., :-2] + b_c * y[..., 1:-1] + b_r * y[..., 2:]
     for side, end in (("left", 0), ("right", -1)):
         idx, w = fd_first_boundary(x, side)
         out[..., end] = w[0] * y[..., idx[0]] + w[1] * y[..., idx[1]] + w[2] * y[..., idx[2]]
@@ -79,57 +82,99 @@ def fd_first_boundary(x: np.ndarray, side: str):
     return (i0, i1, i2), (w0, w1, w2)
 
 
-def fd_second(x: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Second derivative at interior nodes; endpoints copy their neighbours.
+# ----------------------------------------------------------------------
+# Chebyshev collocation
+# ----------------------------------------------------------------------
 
-    Endpoint values are placeholders only; every consumer restricts to
-    interior nodes.
-    """
-    y = np.moveaxis(np.asarray(y), axis, -1)
-    out = np.empty_like(y)
-    out[..., 1:-1] = _apply(interior_weights(x)[1], y)
-    out[..., 0] = out[..., 1]
-    out[..., -1] = out[..., -2]
-    return np.moveaxis(out, -1, axis)
+# A solve starts on CHEB_INTERVALS intervals and doubles them while Newton
+# fails or the trailing n/8 Chebyshev coefficients of its solution exceed
+# CHEB_TAIL_TOL of the largest one, up to CHEB_MAX_INTERVALS.  For lebrun,
+# 64 intervals resolve the default rho_max = max(3 / lambda_T, 4) for |p0|
+# up to about 1e7; a user-set rho_max of about 5 or more takes 128, and
+# p0 = 1e300 (rho_max 31.5) takes 256.  For painleve, 64 resolve rho_max up
+# to about 150 (every criterion-5 profile reaches 128), and 128 reach past
+# rho_max = 1e6.
+CHEB_INTERVALS = 64
+CHEB_MAX_INTERVALS = 256
+CHEB_TAIL_TOL = 1e-12
 
 
-def solve_three_point(lower, diag, upper, first, last, rhs) -> np.ndarray:
-    """Solve a real 3-point operator with one-sided end rows against ``rhs``.
+@lru_cache(maxsize=None)
+def _chebyshev_standard(n: int):
+    """-cos(j pi / n), j = 0..n, on [-1, 1], with the differentiation and cosine matrices there; read-only."""
+    j = np.arange(n + 1)
+    s = np.sin(0.5 * np.pi * (2 * j - n) / n)  # -cos(j pi / n), symmetric about 0
+    ends = np.where((j == 0) | (j == n), 2.0, 1.0)
+    c = ends * (-1.0) ** j
+    D = np.outer(c, 1.0 / c) / (s[:, None] - s[None, :] + np.eye(n + 1))
+    D -= np.diag(D.sum(axis=1))
+    # a_k = (2/n) sum'' f_j T_k(s_j), T_k(s_j) = cos(k (n - j) pi / n); a_0, a_n halved
+    to_coeffs = np.cos(np.pi * np.outer(j, n - j) / n) / np.outer(ends, ends) * (2.0 / n)
+    for a in (s, D, to_coeffs):
+        a.flags.writeable = False
+    return s, D, to_coeffs
 
-    Interior row i (1 <= i <= n-2) holds lower[i-1], diag[i-1], upper[i-1] in
-    columns i-1, i, i+1; row 0 holds the weights ``first`` in columns 0, 1, 2
-    and row n-1 the weights ``last`` in columns n-1, n-2, n-3, the index
-    order of :func:`fd_first_boundary`.
 
-    Row 0's entry in column 2 is eliminated against interior row 1, and row
-    n-1's entry in column n-3 against row n-2; that leaves a tridiagonal
-    system for one LAPACK ``dgtsv`` (Gaussian elimination with partial
-    pivoting).  The pivots of the two eliminations are upper[0] and
-    lower[-1], which must be nonzero; for second-difference weights on a
-    strictly increasing grid they are positive.  As ``solve_banded``, it
-    raises ValueError for a non-finite operator or right-hand side and
-    LinAlgError for a singular system.
-    """
-    lower, diag, upper, rhs, corners = (
-        np.asarray(a, dtype=float) for a in (lower, diag, upper, rhs, (*first, *last))
-    )
-    if not all(np.isfinite(a).all() for a in (lower, diag, upper, rhs, corners)):
-        raise ValueError("array must not contain infs or NaNs")
-    f0, f1, f2, l0, l1, l2 = corners
-    n = len(diag) + 2
-    b = rhs.copy()
-    c = f2 / upper[0]
-    b[0] -= c * b[1]
-    e = l2 / lower[-1]
-    b[-1] -= e * b[-2]
-    d = np.empty(n)
-    d[0], d[1:-1], d[-1] = f0 - c * lower[0], diag, l0 - e * upper[-1]
-    du = np.empty(n - 1)
-    du[0], du[1:] = f1 - c * diag[0], upper
-    dl = np.empty(n - 1)
-    dl[:-1], dl[-1] = lower, l1 - e * diag[-1]
-    *_, x, info = dgtsv(dl, d, du, b, True, True, True, True)
-    if info > 0:
-        raise LinAlgError("singular matrix")
+def chebyshev_nodes(a: float, b: float, n: int) -> np.ndarray:
+    """The increasing Chebyshev-Gauss-Lobatto nodes a + (b - a)(1 - cos(j pi / n)) / 2, j = 0..n."""
+    x = a + 0.5 * (b - a) * (_chebyshev_standard(n)[0] + 1.0)
+    x[0], x[-1] = a, b
     return x
 
+
+def chebyshev(a: float, b: float, n: int):
+    """Chebyshev-Gauss-Lobatto nodes of [a, b] with n intervals, and their matrices.
+
+    Returns the nodes of :func:`chebyshev_nodes`, the differentiation
+    matrix D of the interpolant through them (Trefethen, ``cheb``, with the
+    negative row sums on the diagonal), and the (n + 1, n + 1) cosine
+    matrix taking node values to the interpolant's Chebyshev coefficients
+    on [a, b].  The matrices on [-1, 1] are memoized per n; the cosine
+    matrix is that one, read-only.
+    """
+    _, D, to_coeffs = _chebyshev_standard(n)
+    return chebyshev_nodes(a, b, n), D * (2.0 / (b - a)), to_coeffs
+
+
+def chebyshev_vandermonde(a: float, b: float, n: int, x: np.ndarray) -> np.ndarray:
+    """(n + 1, len(x)) matrix of T_0..T_n on [a, b] at x, by the three-term recurrence.
+
+    Coefficients (k along the last axis) times it sum their series at x;
+    the error is about eps times the sum of their magnitudes, an absolute
+    error, since |T_k| <= 1 on [a, b].  Row k is T_k, so the product is one
+    contiguous matrix product.
+    """
+    s = (2.0 * np.asarray(x, dtype=float) - (a + b)) / (b - a)
+    V = np.empty((n + 1, len(s)))
+    V[0] = 1.0
+    if n:
+        V[1] = s
+    s2 = 2.0 * s
+    for k in range(2, n + 1):
+        np.multiply(s2, V[k - 1], out=V[k])
+        V[k] -= V[k - 2]
+    return V
+
+
+def chebyshev_solve(solve_on):
+    """Size a Chebyshev solve by doubling its intervals.
+
+    ``solve_on(n)`` solves on n intervals and returns (solution, its
+    Chebyshev coefficients along the last axis).  Starting at
+    ``CHEB_INTERVALS``, the intervals double while ``solve_on`` raises
+    ``ConvergenceError`` or the trailing n/8 coefficients exceed
+    ``CHEB_TAIL_TOL`` of the largest one; past ``CHEB_MAX_INTERVALS`` the
+    error is raised.  Returns (solution, n).
+    """
+    n = CHEB_INTERVALS
+    while True:
+        try:
+            out, coeffs = solve_on(n)
+            spectrum = np.abs(coeffs)
+            if np.max(spectrum[..., -(n // 8):], initial=0.0) <= CHEB_TAIL_TOL * np.max(spectrum, initial=0.0):
+                return out, n
+            raise ConvergenceError(f"radial Chebyshev tail above {CHEB_TAIL_TOL:.0e} at {n} intervals")
+        except ConvergenceError:
+            if n >= CHEB_MAX_INTERVALS:
+                raise
+        n *= 2

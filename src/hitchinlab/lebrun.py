@@ -50,10 +50,12 @@ on a collocation grid, e^v - 1 is formed in place and projected back
 (pseudospectral), and the dense matrix of L_0 is applied once to the
 projected coefficients.  Synthesis and projection are separable
 real matmuls, one 2-d matmul per contraction, against memoized collocation
-phases.  The node count doubles from 64 intervals until the trailing
-Chebyshev coefficients of v are negligible; the solution is returned on a
-uniform radial grid, evaluated there by one barycentric interpolation
-matrix (Berrut and Trefethen, SIAM Review 46, 2004).  ``fit_decay``
+phases.  The Chebyshev nodes, D and the doubling rule are ``grids``'s,
+shared with ``painleve``: the node count doubles from 64 intervals until
+the trailing Chebyshev coefficients of v are negligible.  The solution is
+returned on a uniform radial grid, evaluated there by one barycentric
+interpolation matrix (Berrut and Trefethen, SIAM Review 46, 2004), which
+keeps the relative accuracy of the decaying tail.  ``fit_decay``
 measures the realized decay rate and prefactor power.
 The connection w a2 = -v_x, w a3 = -v_y is read off v by the torus gradient
 (``TorusFourierField.gradient``), with no radial quadrature.
@@ -70,7 +72,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .special import ConvergenceError, bessel_k, damped_newton
+from .grids import chebyshev, chebyshev_nodes, chebyshev_solve
+from .special import bessel_k, damped_newton
 from .toymodel import TorusLattice
 
 __all__ = [
@@ -297,47 +300,15 @@ def default_colloc(m_cut: int) -> int:
     return max(16, 4 * m_cut + 4)
 
 
-# A solve starts on CHEB_INTERVALS Chebyshev intervals and doubles them
-# while the trailing Chebyshev coefficients of the converged v exceed
-# CHEB_TAIL_TOL of its largest one, up to CHEB_MAX_INTERVALS.  64 intervals
-# resolve the default rho_max = max(3 / lambda_T, 4) for |p0| up to about
-# 1e7 (rho_max 5.2); larger |p0|, or a user-set rho_max of about 5 or more,
-# take 128, and p0 = 1e300 (rho_max 31.5) takes 256.
-CHEB_INTERVALS = 64
-CHEB_MAX_INTERVALS = 256
-CHEB_TAIL_TOL = 1e-12
-
-
-def _chebyshev_nodes(rho_min: float, rho_max: float, n: int) -> np.ndarray:
-    """The increasing Chebyshev-Gauss-Lobatto nodes rho_min + (rho_max - rho_min)(1 - cos(j pi / n)) / 2, j = 0..n."""
-    x = np.sin(0.5 * np.pi * (2 * np.arange(n + 1) - n) / n)  # -cos(j pi / n), symmetric about 0
-    rho = rho_min + 0.5 * (rho_max - rho_min) * (x + 1.0)
-    rho[0], rho[-1] = rho_min, rho_max
-    return rho
-
-
 @lru_cache(maxsize=8)
 def _chebyshev(rho_min: float, rho_max: float, n: int):
-    """Chebyshev-Gauss-Lobatto nodes of [rho_min, rho_max] with n intervals, and their matrices.
+    """``grids.chebyshev`` of [rho_min, rho_max] with n intervals, and L_0 = rho^2 D^2 + 3 rho D.
 
-    Returns the nodes of :func:`_chebyshev_nodes`, the differentiation
-    matrix D of the interpolant through them (Trefethen, *Spectral Methods
-    in MATLAB*, ``cheb``, with the negative row sums on the diagonal), L_0 =
-    rho^2 D^2 + 3 rho D, and the (n + 1, n + 1) cosine matrix taking node
-    values to the interpolant's Chebyshev coefficients.  Read-only and
+    Returns the nodes, D, L_0 and the cosine matrix.  Read-only and
     memoized: a solve and its residuals keep one set of nodes.
     """
-    j = np.arange(n + 1)
-    rho = _chebyshev_nodes(rho_min, rho_max, n)
-    x = np.sin(0.5 * np.pi * (2 * j - n) / n)
-    ends = np.where((j == 0) | (j == n), 2.0, 1.0)
-    c = ends * (-1.0) ** j
-    D = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
-    D -= np.diag(D.sum(axis=1))
-    D *= 2.0 / (rho_max - rho_min)
+    rho, D, to_coeffs = chebyshev(rho_min, rho_max, n)
     l0 = rho[:, None] ** 2 * (D @ D) + 3.0 * rho[:, None] * D
-    # a_k = (2/n) sum'' f_j T_k(x_j), T_k(x_j) = cos(k (n - j) pi / n); a_0, a_n halved
-    to_coeffs = np.cos(np.pi * np.outer(j, n - j) / n) / np.outer(ends, ends) * (2.0 / n)
     return _read_only(rho, D, l0, to_coeffs)
 
 
@@ -391,7 +362,7 @@ def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> Tor
     if n_colloc < 2 * m_cut:
         raise AliasingError(f"collocation grid {n_colloc} < 2 x m_cut = {2 * m_cut}")
     rho_min, rho_max, n = float(v.rho[0]), float(v.rho[-1]), len(v.rho) - 1
-    if not np.allclose(v.rho, _chebyshev_nodes(rho_min, rho_max, n), rtol=1e-12, atol=0.0):
+    if not np.allclose(v.rho, chebyshev_nodes(rho_min, rho_max, n), rtol=1e-12, atol=0.0):
         raise ValueError("rho must be the Chebyshev-Gauss-Lobatto nodes of [rho[0], rho[-1]]")
     rho, _, l0, _ = _chebyshev(rho_min, rho_max, n)
     c = len(v.coeffs) // 2  # rows c.. are the half lattice
@@ -534,10 +505,10 @@ def solve_nonlinear(
     its correction is the decaying particular solution (zero value and
     derivative at rho_max) and its inner value is dictated by decay rather
     than prescribed; a nonzero mean-mode offset in the data must be small
-    and is not enforced pointwise.  The solve starts on ``CHEB_INTERVALS``
-    intervals and doubles them when Newton fails or the trailing Chebyshev
-    coefficients of the converged v exceed ``CHEB_TAIL_TOL`` of its largest
-    one, raising ``ConvergenceError`` past ``CHEB_MAX_INTERVALS``.  The
+    and is not enforced pointwise.  ``grids.chebyshev_solve`` sizes the
+    node set: it starts on 64 intervals and doubles them when Newton fails
+    or the trailing Chebyshev coefficients of the converged v exceed 1e-12
+    of its largest one, raising ``ConvergenceError`` past 256.  The
     returned v and w = 1/rhat + v'/(2 rho), v' taken by the differentiation
     matrix on the nodes, are the interpolants evaluated on ``n_rho`` uniform
     nodes of [rho_min, rho_max].
@@ -582,8 +553,9 @@ def solve_nonlinear(
     c = len(bc) // 2  # rows c.. are the half lattice, row c the mean mode
     distinct, group = np.unique(norms[c:], return_inverse=True)
 
-    def solve_on(n: int) -> TorusFourierField:
-        rho, D, _, _ = _chebyshev(rho_min, rho_max, n)
+    def solve_on(n: int):
+        """The solution on n intervals, and its half lattice's Chebyshev coefficients."""
+        rho, D, _, to_coeffs = _chebyshev(rho_min, rho_max, n)
         inverses, g = _mode_inverses(distinct, rho_min, rho_max, n)
         inverses, g = inverses[group], g[group]
         coeffs = np.zeros((len(bc), n + 1), dtype=complex)
@@ -610,21 +582,11 @@ def solve_nonlinear(
             rhs[:, 0], rhs[:, -1] = -inner, -outer
             return _half_lattice_product(inverses, rhs)
 
-        return TorusFourierField(lattice, rho, damped_newton(coeffs, residual, step, NEWTON_TOL, NEWTON_MAX_ITER))
+        v = TorusFourierField(lattice, rho, damped_newton(coeffs, residual, step, NEWTON_TOL, NEWTON_MAX_ITER))
+        return v, v.coeffs[c:] @ to_coeffs.T
 
     # an unresolved tail or a failed Newton solve doubles the intervals, up to the cap
-    n = CHEB_INTERVALS
-    while True:
-        try:
-            v = solve_on(n)
-            spectrum = np.abs(v.coeffs[c:] @ _chebyshev(rho_min, rho_max, n)[3].T)
-            if np.max(spectrum[:, -(n // 8):], initial=0.0) <= CHEB_TAIL_TOL * np.max(spectrum, initial=0.0):
-                break
-            raise ConvergenceError(f"radial Chebyshev tail above {CHEB_TAIL_TOL:.0e} at {n} intervals")
-        except ConvergenceError:
-            if n >= CHEB_MAX_INTERVALS:
-                raise
-        n *= 2
+    v, n = chebyshev_solve(solve_on)
 
     # v and v'/(2 rho) on the nodes, evaluated on the uniform output grid
     rho, D, _, _ = _chebyshev(rho_min, rho_max, n)

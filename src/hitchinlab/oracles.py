@@ -4,8 +4,8 @@ Each routine recomputes a quantity that a production module computes, by a
 route that shares no solver with it:
 
   shooting_solution          adaptive Runge-Kutta shooting for the radial
-                             sinh-Gordon family (``painleve`` relaxes Newton
-                             steps on finite differences);
+                             sinh-Gordon family (``painleve`` collocates
+                             m/K_0 on Chebyshev nodes in log rho);
   tail_amplitude             the K0-tail amplitude a solved profile reaches,
                              measured as m/K0 on a window (``painleve``
                              imposes only the tail's log-derivative);
@@ -26,6 +26,9 @@ route that shares no solver with it:
   semiflat_metric            the paper's g_sf at a BasePoint of the Hitchin
                              base (``lebrun.metric_difference_full``
                              subtracts it in closed form);
+  fd_second                  the 3-point second difference the tests'
+                             finite-difference residuals read (no package
+                             module differentiates twice on a grid);
   shortest_vectors           Lagrange-Gauss reduction of any planar lattice
                              basis (``toymodel.TorusLattice`` reads the
                              shortest dual vectors of a reduced tau in
@@ -56,6 +59,7 @@ from .special import ConvergenceError, bessel_k
 from .toymodel import ToyConfig
 
 __all__ = [
+    "fd_second",
     "shooting_solution",
     "tail_amplitude",
     "banded_three_point",
@@ -76,6 +80,19 @@ class DivergenceError(RuntimeError):
     """The variation-of-parameters outer integral grows; a = infinity invalid."""
 
 
+def fd_second(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Second derivative along the last axis at interior nodes, by ``grids.interior_weights``.
+
+    The end values copy their neighbours; they are placeholders, and every
+    check reads interior nodes only.
+    """
+    a_l, a_c, a_r = interior_weights(x)[1]
+    out = np.empty_like(y)
+    out[..., 1:-1] = a_l * y[..., :-2] + a_c * y[..., 1:-1] + a_r * y[..., 2:]
+    out[..., 0], out[..., -1] = out[..., 1], out[..., -2]
+    return out
+
+
 # ----------------------------------------------------------------------
 # radial sinh-Gordon: shooting
 # ----------------------------------------------------------------------
@@ -85,7 +102,7 @@ def shooting_solution(sigma: float, rho_grid, *, rtol: float = 1e-11) -> np.ndar
 
     Starts on the K0 tail with unknown amplitude and bisects the amplitude to
     match the log-slope condition rho m' = sigma at rho_min.  Entirely
-    independent of the finite-difference relaxation path.
+    independent of the Chebyshev collocation path.
     """
     rho_grid = np.asarray(rho_grid, dtype=float)
     if sigma == 0.0:
@@ -145,8 +162,7 @@ def banded_three_point(lower, diag, upper, first, last) -> np.ndarray:
     Interior row i (1 <= i <= n-2) holds lower[i-1], diag[i-1], upper[i-1] in
     columns i-1, i, i+1; row 0 holds the weights ``first`` in columns 0, 1, 2
     and row n-1 the weights ``last`` in columns n-1, n-2, n-3, the index
-    order of ``grids.fd_first_boundary``.  ``grids.solve_three_point`` takes
-    the same arguments and solves a real system directly.
+    order of ``grids.fd_first_boundary``.
     """
     diag = np.asarray(diag)
     n = len(diag) + 2

@@ -33,7 +33,6 @@ import scipy.special
 
 __all__ = [
     "bessel_k",
-    "bessel_k_ratio",
     "jacobi_theta",
     "modular_lambda",
     "inverse_lambda",
@@ -103,11 +102,6 @@ def bessel_k(nu: int, x, scaled: bool = False):
         raise ValueError("argument of K_nu must be positive and finite")
     out = _BESSEL_K[nu, bool(scaled)](arr)
     return float(out) if out.ndim == 0 else out
-
-
-def bessel_k_ratio(nu_num: int, nu_den: int, x: float) -> float:
-    """K_{nu_num}(x) / K_{nu_den}(x), stable for large x."""
-    return float(bessel_k(nu_num, x, scaled=True) / bessel_k(nu_den, x, scaled=True))
 
 
 # ----------------------------------------------------------------------

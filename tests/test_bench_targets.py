@@ -58,28 +58,31 @@ def test_lebrun_residual_evaluations(monkeypatch, tmp_path, params, calls):
 
 
 @pytest.mark.parametrize(
-    "params, calls",
+    "params, steps",
     [
-        ({"case": "simplezero"}, 14),
+        ({"case": "simplezero"}, 21),
         ({"case": "strongpole", "alpha1": 0.4}, 21),
         ({"case": "strongpole", "alpha1": 0.2}, 14),
     ],
 )
-def test_sinh_gordon_newton_steps(monkeypatch, tmp_path, params, calls):
-    # the three criterion-5 glue-decay ops: one tridiagonal solve per
-    # sinh-Gordon Newton step, so a solver change that adds or drops an
-    # iteration of the profiles behind h_t^app changes these counts
+def test_sinh_gordon_newton_steps(monkeypatch, tmp_path, params, steps):
+    # the three criterion-5 glue-decay ops: a solver change that adds or
+    # drops a Newton step, or a node-set doubling, of the profiles behind
+    # h_t^app changes these counts
     count = []
-    solve = painleve.solve_three_point
+    newton = painleve.damped_newton
 
-    def counting(*args):
-        count.append(1)
-        return solve(*args)
+    def counting(x, residual, step, *args):
+        def counted(*step_args):
+            count.append(1)
+            return step(*step_args)
 
-    monkeypatch.setattr(painleve, "solve_three_point", counting)
+        return newton(x, residual, counted, *args)
+
+    monkeypatch.setattr(painleve, "damped_newton", counting)
     sweep = {"tmin": 4, "tmax": 16, "tstep": 2, "n_r": 4096}
     run(ExperimentConfig("glue-decay", {**params, **sweep}, tmp_path / "glue"))
-    assert len(count) == calls
+    assert len(count) == steps
 
 
 @pytest.mark.parametrize("p0", ["0.3,0.1", "0.04,0"])

@@ -295,11 +295,13 @@ class TestArtifacts:
         assert path.read_text() == json.dumps(_jsonable({"value": obj}), sort_keys=True, indent=1) + "\n"
 
     def test_cli_import_leaves_interpolate_and_optimize_unloaded(self):
-        # a fresh interpreter: this test process has loaded them already
+        # a fresh interpreter: this test process has loaded them already;
+        # no command solves with scipy.linalg since the sinh-Gordon solve
+        # takes numpy's dense solve
         code = (
             "import sys, scipy, hitchinlab.cli; "
-            "print([m for m in ('scipy.interpolate', 'scipy.optimize', 'scipy.fft', 'scipy.integrate') "
-            "if m in sys.modules])"
+            "print([m for m in ('scipy.interpolate', 'scipy.optimize', 'scipy.fft', 'scipy.integrate', "
+            "'scipy.linalg') if m in sys.modules])"
         )
         src = str(Path(hitchinlab.__file__).resolve().parents[1])
         out = subprocess.run(

@@ -1,4 +1,4 @@
-"""The tridiagonal solve of 3-point operators against the general band solve."""
+"""The grid toolkit: the band storage of 3-point operators, and the shared Chebyshev tools."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 
-from hitchinlab.grids import fd_first_boundary, interior_weights, solve_three_point
+from hitchinlab.grids import chebyshev, chebyshev_vandermonde, fd_first_boundary, interior_weights
 from hitchinlab.oracles import banded_three_point
 
 
@@ -18,8 +18,7 @@ def random_system(seed: int, n: int, grading: float):
     diagonally dominant) and a diagonal shift of 1 to 10 times the local
     second-difference scale, which keeps the condition number bounded in n.
     The two rows next to the corners keep the positive second-difference
-    off-diagonals, as in the sinh-Gordon Newton Jacobian.  The Robin
-    coefficients take either sign.
+    off-diagonals.  The Robin coefficients take either sign.
     """
     rng = np.random.default_rng(seed)
     # spacings grow geometrically by ``grading`` from the first cell to the last
@@ -42,16 +41,30 @@ def oracle(lower, diag, upper, first, last, rhs):
     return solve_banded((2, 2), banded_three_point(lower, diag, upper, first, last), rhs)
 
 
+def dense(lower, diag, upper, first, last):
+    """The same operator as a dense matrix, row by row."""
+    n = len(diag) + 2
+    A = np.zeros((n, n))
+    i = np.arange(1, n - 1)
+    A[i, i - 1], A[i, i], A[i, i + 1] = lower, diag, upper
+    A[0, [0, 1, 2]] = first
+    A[-1, [n - 1, n - 2, n - 3]] = last
+    return A
+
+
 class TestSolveThreePoint:
+    # the band storage of oracles.banded_three_point, which the per-mode
+    # finite-difference oracle solves, against a dense solve
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n=st.integers(5, 5000),
+        n=st.integers(5, 500),
         log_grading=st.floats(-3.0, 3.0),
     )
     def test_matches_band_solve(self, seed, n, log_grading):
         system = random_system(seed, n, 10.0**log_grading)
-        x = solve_three_point(*system)
+        x = np.linalg.solve(dense(*system[:5]), system[5])
         ref = oracle(*system)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -68,20 +81,33 @@ class TestSolveThreePoint:
         args[where] = value
         with pytest.raises(ValueError, match="infs or NaNs"):
             oracle(**args)
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            solve_three_point(**args)
 
     def test_singular_system(self):
         lower, diag, upper, first, last, rhs = random_system(2, 40, 3.0)
         lower[10] = diag[10] = upper[10] = 0.0  # a zero row
         with pytest.raises(LinAlgError):
             oracle(lower, diag, upper, first, last, rhs)
-        with pytest.raises(LinAlgError):
-            solve_three_point(lower, diag, upper, first, last, rhs)
 
     def test_input_left_unchanged(self):
         system = random_system(3, 30, 0.5)
         copies = [np.array(a, dtype=float) for a in system]
-        solve_three_point(*system)
+        oracle(*system)
         for a, b in zip(system, copies):
             assert np.array_equal(np.asarray(a, dtype=float), b)
+
+
+class TestChebyshevToolkit:
+    @pytest.mark.parametrize("n", [1, 4, 64, 128])
+    def test_vandermonde_sums_the_series(self, n):
+        # the recurrence builds numpy's Chebyshev-Vandermonde matrix on the
+        # mapped interval, and its product with the cosine matrix
+        # interpolates node values
+        from numpy.polynomial import chebyshev as C
+
+        a, b = np.log(0.02), np.log(600.0)
+        x = np.linspace(a, b, 301)
+        V = chebyshev_vandermonde(a, b, n, x)
+        assert np.max(np.abs(V.T - C.chebvander((2.0 * x - a - b) / (b - a), n))) < 1e-13
+        nodes, _, to_coeffs = chebyshev(a, b, n)
+        f = np.cos(0.3 * nodes)
+        assert np.max(np.abs((to_coeffs @ f) @ chebyshev_vandermonde(a, b, n, nodes) - f)) < 1e-13

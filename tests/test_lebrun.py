@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
-from hitchinlab import lebrun
-from hitchinlab.grids import fd_first, fd_first_boundary, fd_second
+from hitchinlab import grids, lebrun
+from hitchinlab.grids import chebyshev_nodes, fd_first, fd_first_boundary
 from hitchinlab.lebrun import (
     AliasingError,
     LeBrunSolution,
@@ -32,7 +32,6 @@ from hitchinlab.lebrun import (
     _analyze,
     _barycentric,
     _chebyshev,
-    _chebyshev_nodes,
     _half_lattice_product,
     _mode_inverses,
     _phase_blocks,
@@ -44,6 +43,7 @@ from hitchinlab.oracles import (
     DivergenceError,
     _banded_mode_solve,
     _mode_rows,
+    fd_second,
     hitchin_section_difference,
     solve_mode_bvp,
     solve_mode_inhomogeneous,
@@ -588,7 +588,7 @@ class TestNonlinearResidual:
         # the radial nodes are the Chebyshev nodes of their interval; a grid
         # that is not is rejected before its matrices are built and cached
         _chebyshev.cache_clear()
-        moved = _chebyshev_nodes(0.5, 4.0, 10)
+        moved = chebyshev_nodes(0.5, 4.0, 10)
         moved[3] += 1e-9
         for grid in (np.linspace(0.5, 4.0, 11), moved):
             v = TorusFourierField(lattice, grid, np.zeros((25, 11), dtype=complex))
@@ -777,12 +777,12 @@ class TestSolveNonlinear:
         monkeypatch.setattr(lebrun, "nonlinear_residual", recording)
         sol = solve_nonlinear(data, 12.0, 3, lattice)
         assert sorted(set(nodes)) == [65, 129]
-        monkeypatch.setattr(lebrun, "CHEB_INTERVALS", 256)
+        monkeypatch.setattr(grids, "CHEB_INTERVALS", 256)
         finer = solve_nonlinear(data, 12.0, 3, lattice)
         scale = np.max(np.abs(finer.v.coeffs))
-        assert np.max(np.abs(sol.v.coeffs - finer.v.coeffs)) < lebrun.CHEB_TAIL_TOL * scale
-        monkeypatch.setattr(lebrun, "CHEB_INTERVALS", 64)
-        monkeypatch.setattr(lebrun, "CHEB_MAX_INTERVALS", 64)
+        assert np.max(np.abs(sol.v.coeffs - finer.v.coeffs)) < grids.CHEB_TAIL_TOL * scale
+        monkeypatch.setattr(grids, "CHEB_INTERVALS", 64)
+        monkeypatch.setattr(grids, "CHEB_MAX_INTERVALS", 64)
         with pytest.raises(ConvergenceError, match="Chebyshev tail"):
             solve_nonlinear(data, 12.0, 3, lattice)
 
@@ -804,7 +804,7 @@ class TestSolveNonlinear:
         assert sorted(set(nodes)) == [65, 129, 257]
         rate, _ = fit_decay(sol)
         assert rate == pytest.approx(2.0 * sol.lambda_t, rel=0.03)
-        monkeypatch.setattr(lebrun, "CHEB_MAX_INTERVALS", 64)
+        monkeypatch.setattr(grids, "CHEB_MAX_INTERVALS", 64)
         with pytest.raises(ConvergenceError, match="stalled"):
             solve_nonlinear(data, 40.0, 3, lattice)
 

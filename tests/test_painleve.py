@@ -1,5 +1,6 @@
 """Radial sinh-Gordon solver and fiducial profiles."""
 
+import math
 import warnings
 from unittest import mock
 
@@ -7,22 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline
 
-from hitchinlab import painleve
-from hitchinlab.grids import fd_first, fd_second
-from hitchinlab.oracles import shooting_solution, tail_amplitude
+from hitchinlab import grids, painleve
+from hitchinlab.fiducial import polar_grid
+from hitchinlab.grids import fd_first
+from hitchinlab.oracles import fd_second, shooting_solution, tail_amplitude
 from hitchinlab.painleve import (
     RHO_INNER_TARGET,
-    GridCoarseWarning,
     ParabolicWeights,
-    RadialProfile,
     ell_profile,
     m_profile,
-    ode_residual,
     solve_mtw,
 )
-from hitchinlab.special import bessel_k
+from hitchinlab.special import ConvergenceError, bessel_k
 
 
 def log_frame_residual(grid, values, gfun):
@@ -32,46 +30,86 @@ def log_frame_residual(grid, values, gfun):
     return np.max(np.abs(res[1:-1]))
 
 
+def shooting_from_inner_point(sigma, rho):
+    """The shooting oracle on ``rho``, shot to the solve's inner point min(RHO_INNER_TARGET, rho[0])."""
+    if rho[0] <= RHO_INNER_TARGET:
+        return shooting_solution(sigma, rho)
+    return shooting_solution(sigma, np.r_[RHO_INNER_TARGET, rho])[1:]
+
+
+def relative_error(values, reference):
+    return np.max(np.abs(values / reference - 1.0))
+
+
+def residual_order(profile, gfun):
+    """Convergence order of the log-frame finite-difference residual of an exact profile, 800 -> 1600 nodes."""
+    res = []
+    for n in (800, 1600):
+        r = np.geomspace(1e-3, 1.0, n)
+        res.append(log_frame_residual(r, profile(r).values, gfun(r)))
+    return math.log2(res[0] / res[1])
+
+
 class TestSolveMTW:
     def test_sigma_zero_trivial(self):
-        p = solve_mtw(0.0, 1e-3, 15.0, 128)
+        p = solve_mtw(0.0, np.geomspace(1e-3, 15.0, 128))
         assert np.all(p.values == 0.0)
-        assert ode_residual(p) == 0.0
+        assert np.all(p.derivs == 0.0)
 
-    def test_derivs_are_fd_first_bit_for_bit(self):
-        # the Newton solve returns m_x from the stencils of fd_first itself
-        p = solve_mtw(-0.4, 1e-3, 15.0, 512, check_grid=False)
-        assert np.array_equal(p.derivs, fd_first(np.log(p.grid), p.values) / p.grid)
-        solves, solve = [], painleve._solve
-
-        def recording(sigma, rho):
-            m, m_x = solve(sigma, rho)
-            solves.append((np.log(rho), m, m_x))
-            return m, m_x
-
-        with mock.patch.object(painleve, "_solve", recording):
-            r = np.geomspace(1e-3, 1.0, 300)
-            ell_profile(4.0, r)
-            m_profile(4.0, ParabolicWeights(0.2, 0.8), r)
-        assert len(solves) == 2
-        for x, m, m_x in solves:
-            assert np.array_equal(m_x, fd_first(x, m))
+    def test_derivs_are_the_derivative(self):
+        # the boundary rows hold to rounding, m_x = sigma at the inner end and
+        # m_x = -(rho K_1/K_0) m at rho_max, and a second-order difference of
+        # the values converges to m_x at second order
+        sigma = -0.4
+        p = solve_mtw(sigma, np.geomspace(1e-3, 15.0, 512))
+        assert p.grid[0] * p.derivs[0] == pytest.approx(sigma, abs=1e-11)
+        tail = -15.0 * bessel_k(1, 15.0) / bessel_k(0, 15.0)
+        assert p.grid[-1] * p.derivs[-1] / p.values[-1] == pytest.approx(tail, rel=1e-11)
+        errs = []
+        for n in (1024, 2048):
+            q = solve_mtw(sigma, np.geomspace(1e-3, 15.0, n))
+            errs.append(np.max(np.abs(fd_first(np.log(q.grid), q.values) - q.grid * q.derivs)))
+        assert 1.9 < math.log2(errs[0] / errs[1]) < 2.1
 
     def test_reference_sigma(self):
-        p = solve_mtw(-1.0 / 3.0, 1e-3, 15.0, 1024)
+        p = solve_mtw(-1.0 / 3.0, np.geomspace(1e-3, 15.0, 1024))
         assert np.all(p.values > 0)
         assert np.all(np.diff(p.values) < 0)
-        assert ode_residual(p) < 1e-8
+        assert np.all(p.derivs < 0)
 
     def test_shooting_oracle(self):
-        p = solve_mtw(-1.0 / 3.0, 1e-3, 15.0, 2048, check_grid=False)
+        p = solve_mtw(-1.0 / 3.0, np.geomspace(1e-3, 15.0, 2048))
         sh = shooting_solution(-1.0 / 3.0, p.grid)
-        assert np.max(np.abs(sh - p.values)) < 1e-5
+        assert np.max(np.abs(sh - p.values)) < 1e-9
+        assert relative_error(p.values, sh) < 1e-9
+
+    @pytest.mark.parametrize("sigma, rho_max", [(-0.998, 600.0), (-1.0 / 3.0, 300.0), (0.6, 100.0)])
+    def test_large_rho_max_relative_accuracy(self, sigma, rho_max):
+        # q = m/K_0 carries the exponentially small tail with relative
+        # accuracy; 300 and 600 take 128 intervals by the tail rule.  Each
+        # slope and each rho_max is paired once: a shot to rho = 600 takes 2-3 s
+        p = solve_mtw(sigma, np.geomspace(RHO_INNER_TARGET, rho_max, 2000))
+        tail = p.grid >= 1.0
+        assert relative_error(p.values[tail], shooting_solution(sigma, p.grid)[tail]) < 1e-8
+
+    def test_unresolved_tail_past_the_cap(self, monkeypatch):
+        # rho_max = 300 needs 128 intervals; capped at 64 the tail rule raises
+        rho = np.geomspace(RHO_INNER_TARGET, 300.0, 200)
+        monkeypatch.setattr(grids, "CHEB_MAX_INTERVALS", 64)
+        with pytest.raises(ConvergenceError, match="Chebyshev tail"):
+            solve_mtw(-1.0 / 3.0, rho)
+
+    def test_doubled_intervals_agree(self, monkeypatch):
+        # the tail rule's 64 intervals are converged: 128 move q by rounding only
+        rho = np.geomspace(1e-3, 15.0, 512)
+        p = solve_mtw(-0.4, rho)
+        monkeypatch.setattr(grids, "CHEB_INTERVALS", 128)
+        assert relative_error(p.values, solve_mtw(-0.4, rho).values) < 1e-11
 
     def test_tail_is_bessel_shaped(self):
         # m/K0 settles to a constant; for the simple-zero slope the measured
         # amplitude is 1/pi (the fiducial tail normalization)
-        p = solve_mtw(-1.0 / 3.0, 1e-3, 15.0, 2048, check_grid=False)
+        p = solve_mtw(-1.0 / 3.0, np.geomspace(1e-3, 15.0, 2048))
         amp, spread = tail_amplitude(p)
         assert spread < 0.01
         assert amp == pytest.approx(1.0 / np.pi, rel=5e-3)
@@ -80,67 +118,50 @@ class TestSolveMTW:
         # measured, not asserted by the profile builders: the family's tail
         # amplitude follows (2/pi) sin(-pi sigma / 2)
         for sigma in (-0.2, 0.6):
-            p = solve_mtw(sigma, 1e-3, 15.0, 2048, check_grid=False)
+            p = solve_mtw(sigma, np.geomspace(1e-3, 15.0, 2048))
             amp, _ = tail_amplitude(p)
             assert amp == pytest.approx(2.0 / np.pi * np.sin(-np.pi * sigma / 2.0), rel=5e-3)
 
-    def test_refinement_second_order(self):
-        sols = {}
-        for n in (512, 1024, 2048):
-            sols[n] = solve_mtw(-0.4, 1e-3, 15.0, n, check_grid=False)
-        d1 = np.max(np.abs(CubicSpline(sols[1024].grid, sols[1024].values)(sols[512].grid) - sols[512].values))
-        d2 = np.max(np.abs(CubicSpline(sols[2048].grid, sols[2048].values)(sols[1024].grid) - sols[1024].values))
-        order = np.log2(d1 / d2)
-        assert 1.7 < order < 2.3
-
     def test_odd_symmetry(self):
-        plus = solve_mtw(0.35, 0.01, 12.0, 512, check_grid=False)
-        minus = solve_mtw(-0.35, 0.01, 12.0, 512, check_grid=False)
+        rho = np.geomspace(0.01, 12.0, 512)
+        plus = solve_mtw(0.35, rho)
+        minus = solve_mtw(-0.35, rho)
         assert np.max(np.abs(plus.values + minus.values)) < 1e-12
-
-    @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_coarse_grid_warning(self):
-        with pytest.warns(GridCoarseWarning):
-            solve_mtw(-0.6, 1e-3, 15.0, 64)
 
     def test_sign_change_warning(self, monkeypatch):
         # the decaying solution keeps one sign; a solver output that does not
         # is flagged, and sigma = 0 (the zero solution, no Newton step) is not
+        rho = np.geomspace(1e-3, 15.0, 64)
         with monkeypatch.context() as patch:
             patch.setattr(
                 painleve, "_solve", lambda sigma, rho: (np.linspace(-1.0, 1.0, len(rho)), np.ones(len(rho)))
             )
             with pytest.warns(UserWarning, match="changes sign"):
-                solve_mtw(-0.3, 1e-3, 15.0, 64, check_grid=False)
+                solve_mtw(-0.3, rho)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            solve_mtw(0.0, 1e-3, 15.0, 64, check_grid=False)
+            solve_mtw(0.0, rho)
 
     def test_validation(self):
+        rho = np.geomspace(1e-3, 15.0, 128)
         with pytest.raises(ValueError):
-            solve_mtw(1.2, 1e-3, 15.0, 128)
-        with pytest.raises(ValueError):
-            solve_mtw(0.3, 1.0, 0.5, 128)
-        with pytest.raises(ValueError):
-            solve_mtw(0.3, 1e-3, 15.0, 32)
+            solve_mtw(1.2, rho)
+        for bad in (rho[::-1], rho[:1], np.r_[rho, np.inf], np.r_[0.0, rho], rho.reshape(2, -1)):
+            with pytest.raises(ValueError, match="nodes"):
+                solve_mtw(0.3, bad)
 
 
 class TestOdeResidual:
+    # log_frame_residual, the finite-difference residual the profile tests read
     def test_zero_profile(self):
         grid = np.geomspace(0.1, 10, 200)
-        p = RadialProfile(grid, np.zeros(200), np.zeros(200), 0.0)
-        assert ode_residual(p) == 0.0
-
-    def test_converged_output(self):
-        p = solve_mtw(-0.2, 1e-3, 15.0, 512, check_grid=False)
-        assert ode_residual(p) < 1e-8
+        assert log_frame_residual(grid, np.zeros(200), 0.5 * grid**2) == 0.0
 
     def test_single_node_perturbation(self):
-        p = solve_mtw(-0.2, 1e-3, 15.0, 512, check_grid=False)
+        p = solve_mtw(-0.2, np.geomspace(1e-3, 15.0, 512))
         vals = p.values.copy()
         vals[len(vals) // 2] += 0.01
-        q = RadialProfile(p.grid, vals, p.derivs, -0.2)
-        assert ode_residual(q) > 1e-3
+        assert log_frame_residual(p.grid, vals, 0.5 * p.grid**2) > 1e-3
 
 
 class TestParabolicWeights:
@@ -156,10 +177,11 @@ class TestParabolicWeights:
 
 class TestEllProfile:
     def test_ode_residual(self):
+        # the finite-difference residual of the exact profile is truncation
+        # only: it falls at second order when the nodes double
         t = 4.0
-        r = np.geomspace(1e-3, 1.0, 800)
-        ell = ell_profile(t, r)
-        assert log_frame_residual(r, ell.values, 8.0 * t**2 * r**3) < 1e-6
+        order = residual_order(lambda r: ell_profile(t, r), lambda r: 8.0 * t**2 * r**3)
+        assert 1.9 < order < 2.1
 
     def test_log_singularity_bounded(self):
         ell = ell_profile(4.0, np.geomspace(1e-3, 1.0, 600))
@@ -168,11 +190,11 @@ class TestEllProfile:
 
     @pytest.mark.parametrize("t", [1.0, 4.0, 16.0])
     def test_shooting_oracle(self, t):
-        # rho(1e-3) <= 0.02 for these t, so the solve runs on r itself
+        # rho(1e-3) <= 0.02 for these t, so the solve starts at r[0] itself
         r = np.geomspace(1e-3, 1.0, 4096)
         ell = ell_profile(t, r)
         sh = shooting_solution(-1.0 / 3.0, (8.0 / 3.0) * t * r**1.5)
-        assert np.max(np.abs(sh - ell.values)) < 1e-6
+        assert np.max(np.abs(sh - ell.values)) < 1e-9
 
     def test_t_doubling_covariance(self):
         r = np.geomspace(1e-3, 1.0, 700)
@@ -197,18 +219,17 @@ class TestMProfile:
     def test_ode_residual(self):
         t = 4.0
         w = ParabolicWeights(0.2, 0.8)
-        r = np.geomspace(1e-3, 1.0, 800)
-        m = m_profile(t, w, r)
-        assert log_frame_residual(r, m.values, 8.0 * t**2 * r) < 1e-6
+        order = residual_order(lambda r: m_profile(t, w, r), lambda r: 8.0 * t**2 * r)
+        assert 1.9 < order < 2.1
 
     @pytest.mark.parametrize("alpha1", [0.2, 0.4])
     def test_shooting_oracle(self, alpha1):
-        # rho(1e-7) = 32e-3.5 <= 0.02 at t = 4, so the solve runs on r itself
+        # rho(1e-7) = 32e-3.5 <= 0.02 at t = 4, so the solve starts at r[0] itself
         w = ParabolicWeights(alpha1, 1.0 - alpha1)
         r = np.geomspace(1e-7, 1.0, 4096)
         m = m_profile(4.0, w, r)
         sh = shooting_solution(1.0 + 2.0 * w.difference, 32.0 * np.sqrt(r))
-        assert np.max(np.abs(sh - m.values)) < 1e-6
+        assert np.max(np.abs(sh - m.values)) < 1e-9
 
     def test_near_zero_log_slope(self):
         # two-point log slope at the deep end; the additive constant in
@@ -229,6 +250,23 @@ class TestMProfile:
             ParabolicWeights(0.5, 0.5)
 
 
+@pytest.mark.parametrize("t", [4.0, 8.0, 16.0])
+def test_glue_annulus_relative_accuracy(t):
+    # on the glue annulus [0.5, 1] of the criterion-5 grid both profiles keep
+    # 1e-9 relative accuracy in their exponentially small tails, against
+    # shooting from the solve's inner point
+    r = polar_grid(n_r=4096).r
+    annulus = (r >= 0.5) & (r <= 1.0)
+    rho = (8.0 / 3.0) * t * r**1.5
+    ell = ell_profile(t, r)
+    assert relative_error(ell.values[annulus], shooting_from_inner_point(-1.0 / 3.0, rho)[annulus]) < 1e-9
+    for alpha1 in (0.2, 0.4):
+        w = ParabolicWeights(alpha1, 1.0 - alpha1)
+        m = m_profile(t, w, r)
+        sh = shooting_from_inner_point(1.0 + 2.0 * w.difference, 8.0 * t * np.sqrt(r))
+        assert relative_error(m.values[annulus], sh[annulus]) < 1e-9
+
+
 class TestInwardExtension:
     @given(
         st.floats(min_value=1.0, max_value=64.0),
@@ -236,38 +274,30 @@ class TestInwardExtension:
         st.sampled_from(["ell", "m"]),
         st.floats(min_value=0.05, max_value=0.45),
     )
-    # t where rho lands within an ulp of the target on the last node, the
-    # widest and narrowest grids, and the smallest pole slope
-    @example(12.257903530758002, 64, "m", 0.2)
-    @example(1.2257903530758072, 64, "m", 0.2)
+    # the widest and narrowest grids, the smallest pole slope, and the largest
+    # simple-zero rho(r_0), 64 x 8/3 x 10^-4.5 = 0.0054
     @example(64.0, 8192, "m", 0.05)
     @example(1.0, 64, "m", 0.45)
     @example(64.0, 8192, "ell", 0.2)
     @settings(max_examples=60)
     def test_closed_form_extension(self, t, n_r, kind, alpha1):
+        # the solve interval in x = log rho reaches inward to the first of
+        # rho(r_0) and RHO_INNER_TARGET, and outward to rho(r_max) itself
         r = np.geomspace(1e-3, 1.0, n_r)
         if kind == "ell":
-            build, alpha = (lambda: ell_profile(t, r)), 1.5
+            build, rho = (lambda: ell_profile(t, r)), 8.0 / 3.0 * t * r**1.5
         else:
-            build, alpha = (lambda: m_profile(t, ParabolicWeights(alpha1, 1.0 - alpha1), r)), 0.5
-        grids, solve = [], painleve._solve
+            build, rho = (lambda: m_profile(t, ParabolicWeights(alpha1, 1.0 - alpha1), r)), 8.0 * t * r**0.5
+        intervals, collocate = [], painleve._collocate
 
-        def recording(sigma, rho):
-            grids.append(rho)
-            return solve(sigma, rho)
+        def recording(sigma, a, b, n):
+            intervals.append((a, b))
+            return collocate(sigma, a, b, n)
 
-        with mock.patch.object(painleve, "_solve", recording):
-            build()
-        (rho,) = grids
-        n_ext = len(rho) - n_r
-        # the extension continues the requested grid's log step, which is
-        # (r_1/r_0)^alpha in rho
-        step = np.log(rho[1:]) - np.log(rho[:-1])
-        assert np.allclose(step, alpha * np.log(r[1] / r[0]), rtol=1e-9, atol=0.0)
-        # it stops at the first node inside the target, and not one later
-        assert rho[0] <= RHO_INNER_TARGET * (1.0 + 1e-12)
-        if n_ext > 0:
-            assert rho[1] > RHO_INNER_TARGET * (1.0 - 1e-12)
-        # at r_min = 1e-3 the simple zero's rho = (8/3) t 10^-4.5 stays below
-        # 0.02 for t <= 64, so it needs no extension; the pole always does
-        assert (n_ext == 0) == (kind == "ell")
+        with mock.patch.object(painleve, "_collocate", recording):
+            p = build()
+        assert set(intervals) == {(math.log(min(RHO_INNER_TARGET, rho[0])), math.log(rho[-1]))}
+        assert np.array_equal(p.grid, r)
+        # at r_min = 1e-3 the simple zero's rho stays below 0.02 for t <= 64,
+        # so its interval starts at rho(r_0); the pole's always extends
+        assert (intervals[0][0] == math.log(rho[0])) == (kind == "ell")
