@@ -16,12 +16,8 @@ import warnings
 import numpy as np
 
 import hitchinlab.toymodel as toy
-from hitchinlab.lebrun import (
-    TorusLattice,
-    fit_decay,
-    section_profiles,
-    solve_nonlinear,
-)
+from hitchinlab.lebrun import TorusLattice, fit_decay, solve_nonlinear
+from hitchinlab.oracles import section_profiles
 from hitchinlab.special import bessel_k, inverse_lambda
 
 warnings.filterwarnings("ignore", category=toy.NonGenericTorusWarning)

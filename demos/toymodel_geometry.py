@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 import hitchinlab.toymodel as toy
-from hitchinlab.special import inverse_lambda
+from hitchinlab.oracles import tau_from_periods
 
 warnings.filterwarnings("ignore", category=toy.NonGenericTorusWarning)
 
@@ -26,7 +26,7 @@ def main():
     print("p0              c_sK        tau (from lambda)      tau (from periods)    lambda_T")
     for p0 in (0.5, 0.3, 0.3 + 0.1j, cmath.exp(1j * cmath.pi / 3)):
         cfg = toy.ToyConfig.from_p0(p0)
-        tau_p = toy.tau_from_periods(p0)
+        tau_p = tau_from_periods(p0)
         print(
             f"{str(np.round(p0, 4)):14}  {cfg.c_sk:9.5f}  {str(np.round(cfg.tau, 8)):>20}"
             f"  {str(np.round(tau_p, 8)):>20}  {cfg.lambda_t:8.5f}"

@@ -2,7 +2,8 @@
 
 Submodules
 ----------
-special   : Bessel K0/K1/K2, theta constants, modular lambda and inverse, lattices
+special   : Bessel K0/K1/K2, theta constants, modular lambda and its inverse by
+            arithmetic-geometric means, fundamental-domain reduction, damped Newton
 painleve  : radial sinh-Gordon (Painleve III) boundary-value solver and profiles
 fiducial  : local model fields near zeros and parabolic points, diagnostics
 glue      : cutoff gluing of model metrics and exponential error measurement

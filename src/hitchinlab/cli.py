@@ -3,8 +3,8 @@
 Subcommands
 -----------
 fiducial    build a local model, report its self-duality residual and
-            linearization data, write the model as JSON: its profile, from
-            which ``FieldSample.from_json`` restores the sample
+            linearization data, write the model as JSON: the case, t, grid
+            and profile a ``FieldSample`` is built from
 glue-decay  sweep the glued-metric error over t and fit the exponential rate
 toymodel    derived constants of the four-punctured-sphere geometry plus the
             predicted metric correction on a radial grid
@@ -143,6 +143,11 @@ def _run_glue_decay(args, out: Path):
         raise ValidationError(f"tmin and tmax must be finite, got {args.tmin}, {args.tmax}")
     if not (math.isfinite(args.tstep) and args.tstep > 0):
         raise ValidationError(f"tstep must be positive and finite, got {args.tstep}")
+    # np.arange below makes ceil of this quotient t values, and the fit needs 4
+    if not (args.tmax + 0.5 * args.tstep - args.tmin) / args.tstep > 3:
+        raise ValidationError(
+            f"--tmin {args.tmin:g} to --tmax {args.tmax:g} by --tstep {args.tstep:g} gives fewer than 4 t values"
+        )
     spec = glue.CutoffSpec(args.r_on, args.r_off)
     grid = _radial_grid(args, spec.r_off, spec.r_on)
     ts = list(np.arange(args.tmin, args.tmax + 0.5 * args.tstep, args.tstep))
@@ -272,11 +277,11 @@ def report(root: Path) -> dict:
         if man["command"] == "lebrun" and (d / "fit.json").exists():
             fit = json.loads((d / "fit.json").read_text())
             entry["fit"] = fit
-            fits[str(man["parameters"].get("p0"))] = fit
+            fits[(fit["p0"]["re"], fit["p0"]["im"])] = fit
         if man["command"] == "toymodel" and (d / "toymodel.json").exists():
             rec = json.loads((d / "toymodel.json").read_text())
             entry["constants"] = rec
-            toy_records[str(man["parameters"].get("p0"))] = rec
+            toy_records[(rec["p0"]["re"], rec["p0"]["im"])] = rec
         runs.append(entry)
     cross = []
     for key, fit in fits.items():
@@ -284,7 +289,7 @@ def report(root: Path) -> dict:
             lam2 = 2.0 * toy_records[key]["lambda_t"]
             cross.append(
                 {
-                    "p0": key,
+                    "p0": fit["p0"],
                     "fitted_rate": fit["rate"],
                     "two_lambda_t": lam2,
                     "relative_defect": abs(fit["rate"] - lam2) / lam2,
@@ -413,7 +418,7 @@ def main(argv=None) -> int:
         result = run(ExperimentConfig(args.command, _parameters(args), getattr(args, "output_dir", None)))
         print(json.dumps(result, sort_keys=True, indent=1) if args.command == "report" else f"wrote {result}")
         return 0
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -206,8 +206,8 @@ class FieldSample:
     def to_json(self) -> str:
         """The data the sample holds: case, t, grid and (xi, dxi).
 
-        :meth:`from_json` restores the sample from these, so the fields it
-        builds are bit for bit those of the original.
+        A sample built from these builds bit for bit the fields of the
+        original.
         """
         case = {
             "kind": self.case.kind.value,
@@ -226,18 +226,6 @@ class FieldSample:
             "dxi": self.dxi.tolist(),
         }
         return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FieldSample":
-        doc = json.loads(text)
-        c = doc["case"]
-        case = LocalCase(
-            CaseKind(c["kind"]),
-            None if c["weights"] is None else ParabolicWeights(*c["weights"]),
-            None if c["residue"] is None else complex(c["residue"][0], c["residue"][1]),
-        )
-        grid = PolarGrid(np.asarray(doc["grid"]["r"]), np.asarray(doc["grid"]["theta"]))
-        return cls(grid, case, doc["t"], np.asarray(doc["xi"]), np.asarray(doc["dxi"]))
 
 
 def _f_offset(kind: CaseKind) -> float:

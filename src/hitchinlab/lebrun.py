@@ -60,15 +60,14 @@ measures the realized decay rate and prefactor power.
 The connection w a2 = -v_x, w a3 = -v_y is read off v by the torus gradient
 (``TorusFourierField.gradient``), with no radial quadrature.
 ``metric_difference_full`` evaluates g - g_sf in the coframe of the radial
-change r = rhat e^v; its predicted Bessel parts and remainder are built
-only when read.
+change r = rhat e^v.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -163,9 +162,6 @@ class TorusFourierField:
         k = 2j * np.pi * self.mu_vectors()
         return tuple(replace(self, coeffs=k[:, i, None] * self.coeffs) for i in (0, 1))
 
-    def reality_defect(self) -> float:
-        return float(np.max(np.abs(self.coeffs - np.conj(self.coeffs[::-1]))))
-
     # -- transforms ---------------------------------------------------------
     def values(self, n_colloc: int) -> np.ndarray:
         """Real-space samples, shape (NR, N, N), at X_{jk} = (j a + k b)/N."""
@@ -179,19 +175,6 @@ class TorusFourierField:
     def shell_amplitude(self) -> np.ndarray:
         """Summed |coeff| over the shortest nonzero dual shell, per radius."""
         return np.abs(self.coeffs[self.shell_rows()]).sum(axis=0)
-
-    def truncation_diagnostic(self, rho_index: int = -1) -> float:
-        """Outermost retained shell over leading shell, at one radial node.
-
-        A small ratio certifies that the mode cutoff resolves the field
-        (spectral accuracy); evaluated at the outer boundary by default,
-        where the shell hierarchy is steepest.
-        """
-        outer = np.max(np.abs(self.modes), axis=1) == self.m_cut
-        lead = float(np.max(np.abs(self.coeffs[self.shell_rows(), rho_index])))
-        if lead == 0.0:
-            return 0.0
-        return float(np.max(np.abs(self.coeffs[outer, rho_index]))) / lead
 
 
 @lru_cache(maxsize=None)
@@ -375,10 +358,10 @@ def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> Tor
     return TorusFourierField(v.lattice, v.rho, out)
 
 
-def linear_mode_solution(mu, rho):
+def linear_mode_solution(mu_abs: float, rho):
     """Decaying solution of L_mu: |mu|^{1/2} rho^{-1} K_1(4 pi |mu| rho); rho^{-2} at mu = 0."""
     rho = np.asarray(rho, dtype=float)
-    mu_abs = float(np.linalg.norm(mu)) if np.ndim(mu) else float(abs(mu))
+    mu_abs = float(mu_abs)
     if mu_abs == 0.0:
         out = rho**-2.0
     else:
@@ -457,24 +440,8 @@ class LeBrunSolution:
     lambda_t: float
 
     @property
-    def wa2(self) -> TorusFourierField:
-        """The connection w a2 = -v_x (see the module docstring)."""
-        vx, _ = self.v.gradient()
-        return replace(vx, coeffs=-vx.coeffs)
-
-    @property
-    def wa3(self) -> TorusFourierField:
-        """The connection w a3 = -v_y."""
-        _, vy = self.v.gradient()
-        return replace(vy, coeffs=-vy.coeffs)
-
-    @property
     def rho(self) -> np.ndarray:
         return self.v.rho
-
-    @property
-    def rhat(self) -> np.ndarray:
-        return self.v.rho**2
 
 
 def solve_nonlinear(
@@ -634,83 +601,15 @@ def fit_decay(sol: LeBrunSolution):
 
 
 # ----------------------------------------------------------------------
-# section profiles, metric difference
+# metric difference
 # ----------------------------------------------------------------------
-
-def _shell_t_hat(sol: LeBrunSolution):
-    """The leading-shell rows and T-hat, calibrated at the outermost node.
-
-    T-hat is the shell coefficients of v over rho^{-1} K_1(4 pi |mu_0| rho)
-    there, where subleading corrections are smallest.
-    """
-    rho = sol.rho
-    shell = sol.v.shell_rows()
-    phi_ref = bessel_k(1, 4.0 * np.pi * sol.v.lattice.min_dual_norm()[0] * rho[-1]) / rho[-1]
-    return shell, sol.v.coeffs[shell, -1] / phi_ref
-
-
-def section_profiles(sol: LeBrunSolution):
-    """On the section (x, y) = (0, 0): r(rho), rw(rho), and the T(0,0) estimate.
-
-    rw = e^v (1 + rhat v_rhat); T(0,0) is the sum of the leading-shell T-hat.
-    """
-    rho = sol.rho
-    v00 = np.sum(sol.v.coeffs, axis=0).real
-    rvr = rho**2 * (np.sum(sol.w.coeffs, axis=0).real - rho**-2.0)  # rhat v_rhat = rhat w - 1
-    rw = np.exp(v00) * (1.0 + rvr)
-    r = rho**2 * np.exp(v00)
-    _, t_hat = _shell_t_hat(sol)
-    return r, rw, float(np.sum(t_hat).real)
-
 
 @dataclass
 class MetricDifference:
-    """g_L2 - g_sf, split on demand into the predicted Bessel parts and a remainder.
-
-    ``r`` and ``difference`` are computed up front, at the radial nodes they
-    were asked for; ``predicted_k0``, ``predicted_k1`` and ``remainder`` are
-    built on first access at the same nodes, from the trigonometric factor
-    T(x, y) measured on the whole solution.
-    """
+    """r, shape (NR, N, N), and g_L2 - g_sf, shape (NR, N, N, 4, 4), at the nodes (rho_i, x_j, y_k) asked for."""
 
     r: np.ndarray
     difference: np.ndarray
-    sol: LeBrunSolution
-    n_colloc: int
-
-    @cached_property
-    def _trig(self):
-        return _trig_factor(self.sol, self.n_colloc)
-
-    @cached_property
-    def predicted_k0(self) -> np.ndarray:
-        """lam K0(2 lam sqrt r) T times diag(1/r, r, -1, -1)."""
-        r, lam = self.r, self.sol.lambda_t
-        amp = lam * bessel_k(0, 2.0 * lam * np.sqrt(r)) * self._trig[0][None, :, :]
-        pk0 = np.zeros_like(self.difference)
-        pk0[..., 0, 0] = amp / r
-        pk0[..., 1, 1] = amp * r
-        pk0[..., 2, 2] = -amp
-        pk0[..., 3, 3] = -amp
-        return pk0
-
-    @cached_property
-    def predicted_k1(self) -> np.ndarray:
-        """The K1(2 lam sqrt r) cross terms carried by the gradient of T."""
-        r = self.r
-        _, Tx, Ty = self._trig
-        K1 = bessel_k(1, 2.0 * self.sol.lambda_t * np.sqrt(r))
-        pk1 = np.zeros_like(self.difference)
-        cross = K1 / np.sqrt(r)
-        pk1[..., 0, 2] = pk1[..., 2, 0] = -cross * Tx[None, :, :]
-        pk1[..., 0, 3] = pk1[..., 3, 0] = -cross * Ty[None, :, :]
-        pk1[..., 1, 2] = pk1[..., 2, 1] = np.sqrt(r) * K1 * Ty[None, :, :]
-        pk1[..., 1, 3] = pk1[..., 3, 1] = -np.sqrt(r) * K1 * Tx[None, :, :]
-        return pk1
-
-    @cached_property
-    def remainder(self) -> np.ndarray:
-        return self.difference - self.predicted_k0 - self.predicted_k1
 
 
 def metric_difference_full(sol: LeBrunSolution, n_colloc: int | None = None, nodes=np.s_[:]) -> MetricDifference:
@@ -732,9 +631,6 @@ def metric_difference_full(sol: LeBrunSolution, n_colloc: int | None = None, nod
     (rho_i, x_j, y_k), rho_i over ``sol.rho[nodes]`` (a slice or an
     increasing index array; the default is every node).  Only those nodes
     are synthesized, and the result is bit for bit the whole-grid one there.
-    The predicted K0 (diagonal) and K1 (cross) Bessel terms, built from the
-    measured trigonometric factor T(x, y), and the remainder are computed
-    when first read; T-hat stays calibrated at the outermost node of ``sol``.
     """
     if n_colloc is None:
         n_colloc = default_colloc(sol.v.m_cut)
@@ -758,17 +654,5 @@ def metric_difference_full(sol: LeBrunSolution, n_colloc: int | None = None, nod
             g_ry, g_ty, zero, g_xx,
         ]
     ).reshape((4, 4) + V.shape)
-    return MetricDifference(r=r, difference=np.moveaxis(g, (0, 1), (-2, -1)), sol=sol, n_colloc=n_colloc)
+    return MetricDifference(r=r, difference=np.moveaxis(g, (0, 1), (-2, -1)))
 
-
-def _trig_factor(sol: LeBrunSolution, n_colloc: int):
-    """T(x, y) and its gradient from the shortest-shell coefficients.
-
-    v ~ rhat^{-1/2} K_1(2 lambda_T sqrt(rhat)) T(x, y), T the synthesis of
-    the leading-shell T-hat (zero on the other modes of the square).
-    """
-    shell, t_hat = _shell_t_hat(sol)
-    coeffs = np.zeros((len(sol.v.coeffs), 1), dtype=complex)
-    coeffs[shell, 0] = t_hat
-    t = TorusFourierField(sol.v.lattice, sol.rho[-1:], coeffs)
-    return tuple(f.values(n_colloc)[0] for f in (t, *t.gradient()))

@@ -15,9 +15,9 @@ route that shares no solver with it:
                              inverse per distinct |mu|);
   solve_mode_inhomogeneous   variation of parameters by nested quadrature;
   hitchin_section_difference the metric difference on the section (0, 0),
-                             read off a cubic spline of the section
-                             profiles (``lebrun.metric_difference_full``
-                             evaluates the whole collocation grid);
+                             read off a cubic spline of ``section_profiles``
+                             (``lebrun.metric_difference_full`` evaluates
+                             the whole collocation grid);
   matrix_residual            the self-duality residual from the assembled
                              2x2 matrices (``fiducial.hitchin_residual``
                              uses the scalar reduction of the ansatz);
@@ -33,7 +33,17 @@ route that shares no solver with it:
                              basis (``toymodel.TorusLattice`` reads the
                              shortest dual vectors of a reduced tau in
                              closed form, and ``toymodel.shortest_geodesic``
-                             is M_B in closed form).
+                             is M_B in closed form);
+  tau_from_periods           tau from the ratio of the contour periods
+                             (``toymodel.ToyConfig`` reads it off two
+                             arithmetic-geometric means);
+
+and the references, computed by no command, that the tests hold the LeBrun
+solve against: ``section_profiles`` (r, rw and T(0, 0) on the section),
+``predicted_bessel_parts`` (the predicted K0 and K1 parts of g_L2 - g_sf,
+from the leading-shell T-hat), ``reality_defect`` and
+``truncation_diagnostic`` (a torus field's Hermitian defect and its
+outermost retained shell over its leading one).
 
 No module of the package imports this one, so the command line never
 loads it or ``scipy.integrate``.  The spectral-curve periods, the oracle
@@ -53,10 +63,10 @@ from scipy.optimize import brentq
 
 from .fiducial import _ID2, CaseKind, FieldSample, LocalCase
 from .grids import fd_first, fd_first_boundary, interior_weights
-from .lebrun import LeBrunSolution, _phi_log_deriv, linear_mode_solution, section_profiles
+from .lebrun import LeBrunSolution, TorusFourierField, _phi_log_deriv, linear_mode_solution
 from .painleve import RadialProfile
-from .special import ConvergenceError, bessel_k
-from .toymodel import ToyConfig
+from .special import ConvergenceError, bessel_k, reduce_to_fundamental_domain
+from .toymodel import ToyConfig, periods
 
 __all__ = [
     "fd_second",
@@ -65,6 +75,10 @@ __all__ = [
     "banded_three_point",
     "solve_mode_bvp",
     "solve_mode_inhomogeneous",
+    "section_profiles",
+    "predicted_bessel_parts",
+    "reality_defect",
+    "truncation_diagnostic",
     "hitchin_section_difference",
     "matrix_residual",
     "quadratic_differential",
@@ -72,6 +86,7 @@ __all__ = [
     "BasePoint",
     "semiflat_metric",
     "shortest_vectors",
+    "tau_from_periods",
     "DivergenceError",
 ]
 
@@ -204,7 +219,7 @@ def _banded_mode_solve(mu_abs: float, rho: np.ndarray, rhs_interior, bc_inner, r
     return solve_banded((2, 2), ab, rhs)
 
 
-def solve_mode_bvp(mu, f_samples, rho, bc_inner=0.0):
+def solve_mode_bvp(mu_abs: float, f_samples, rho, bc_inner=0.0):
     """Direct banded finite-difference solve of L_mu v = f with decay conditions.
 
     Dirichlet value at rho_min, Robin matched to the K_1 log-derivative at
@@ -212,11 +227,10 @@ def solve_mode_bvp(mu, f_samples, rho, bc_inner=0.0):
     """
     rho = np.asarray(rho, dtype=float)
     f = np.asarray(f_samples, dtype=complex)
-    mu_abs = float(np.linalg.norm(mu)) if np.ndim(mu) else float(abs(mu))
-    return _banded_mode_solve(mu_abs, rho, f[1:-1], bc_inner)
+    return _banded_mode_solve(float(mu_abs), rho, f[1:-1], bc_inner)
 
 
-def solve_mode_inhomogeneous(mu, f_samples, rho, a=None):
+def solve_mode_inhomogeneous(mu_abs: float, f_samples, rho, a=None):
     """Variation-of-parameters particular solution of L_mu v = f on the grid.
 
     v(rho) = -phi(rho) int_a^rho phi(s)^{-2} s^{-3} [int_s^inf phi f s ds] ds,
@@ -227,7 +241,6 @@ def solve_mode_inhomogeneous(mu, f_samples, rho, a=None):
     """
     rho = np.asarray(rho, dtype=float)
     f = np.asarray(f_samples, dtype=float)
-    mu_abs = float(np.linalg.norm(mu)) if np.ndim(mu) else float(abs(mu))
     if np.all(f == 0.0):
         return np.zeros_like(rho)
     phi = linear_mode_solution(mu_abs, rho)
@@ -260,6 +273,91 @@ def solve_mode_inhomogeneous(mu, f_samples, rho, a=None):
         seg, _ = quad(outer_spline, rho[i - 1], rho[i], limit=100)
         G[i] = G[i - 1] + seg
     return -phi * G
+
+
+# ----------------------------------------------------------------------
+# LeBrun references: torus-field diagnostics, section profiles, Bessel prediction
+# ----------------------------------------------------------------------
+
+def reality_defect(field: TorusFourierField) -> float:
+    """max |coeff(mu) - conj coeff(-mu)|: zero for a real field."""
+    return float(np.max(np.abs(field.coeffs - np.conj(field.coeffs[::-1]))))
+
+
+def truncation_diagnostic(field: TorusFourierField) -> float:
+    """Outermost retained shell over leading shell, at the outermost radial node.
+
+    A small ratio certifies that the mode cutoff resolves the field
+    (spectral accuracy); it is read at the outer boundary, where the shell
+    hierarchy is steepest.
+    """
+    outer = np.max(np.abs(field.modes), axis=1) == field.m_cut
+    lead = float(np.max(np.abs(field.coeffs[field.shell_rows(), -1])))
+    if lead == 0.0:
+        return 0.0
+    return float(np.max(np.abs(field.coeffs[outer, -1]))) / lead
+
+
+def _shell_t_hat(sol: LeBrunSolution):
+    """The leading-shell rows and T-hat, calibrated at the outermost node.
+
+    T-hat is the shell coefficients of v over rho^{-1} K_1(4 pi |mu_0| rho)
+    there, where subleading corrections are smallest.
+    """
+    rho = sol.rho
+    shell = sol.v.shell_rows()
+    phi_ref = bessel_k(1, 4.0 * np.pi * sol.v.lattice.min_dual_norm()[0] * rho[-1]) / rho[-1]
+    return shell, sol.v.coeffs[shell, -1] / phi_ref
+
+
+def section_profiles(sol: LeBrunSolution):
+    """On the section (x, y) = (0, 0): r(rho), rw(rho), and the T(0,0) estimate.
+
+    rw = e^v (1 + rhat v_rhat); T(0,0) is the sum of the leading-shell T-hat.
+    """
+    rho = sol.rho
+    v00 = np.sum(sol.v.coeffs, axis=0).real
+    rvr = rho**2 * (np.sum(sol.w.coeffs, axis=0).real - rho**-2.0)  # rhat v_rhat = rhat w - 1
+    rw = np.exp(v00) * (1.0 + rvr)
+    r = rho**2 * np.exp(v00)
+    _, t_hat = _shell_t_hat(sol)
+    return r, rw, float(np.sum(t_hat).real)
+
+
+def _trig_factor(sol: LeBrunSolution, n_colloc: int):
+    """T(x, y) and its gradient on the n_colloc grid, from the shortest-shell coefficients.
+
+    v ~ rhat^{-1/2} K_1(2 lambda_T sqrt(rhat)) T(x, y), T the synthesis of
+    the leading-shell T-hat (zero on the other modes of the square).
+    """
+    shell, t_hat = _shell_t_hat(sol)
+    coeffs = np.zeros((len(sol.v.coeffs), 1), dtype=complex)
+    coeffs[shell, 0] = t_hat
+    t = TorusFourierField(sol.v.lattice, sol.rho[-1:], coeffs)
+    return tuple(f.values(n_colloc)[0] for f in (t, *t.gradient()))
+
+
+def predicted_bessel_parts(sol: LeBrunSolution, r: np.ndarray, n_colloc: int):
+    """The predicted K0 and K1 parts of g_L2 - g_sf at the r (NR, n_colloc, n_colloc) of ``metric_difference_full``.
+
+    K0: lam K0(2 lam sqrt r) T diag(1/r, r, -1, -1); K1: the cross terms
+    carried by the gradient of T; each of shape r.shape + (4, 4).  T-hat is
+    calibrated at the outermost node of ``sol`` whatever nodes ``r`` holds,
+    so a node subset gets the whole grid's parts there, bit for bit.  The
+    remainder is the difference minus both parts.
+    """
+    lam = sol.lambda_t
+    T, Tx, Ty = _trig_factor(sol, n_colloc)
+    sqrt_r = np.sqrt(r)
+    K0, K1 = (bessel_k(nu, 2.0 * lam * sqrt_r) for nu in (0, 1))
+    amp = lam * K0 * T
+    pk0, pk1 = np.zeros((2,) + r.shape + (4, 4))
+    pk0[..., 0, 0], pk0[..., 1, 1], pk0[..., 2, 2], pk0[..., 3, 3] = amp / r, amp * r, -amp, -amp
+    pk1[..., 0, 2] = pk1[..., 2, 0] = -K1 / sqrt_r * Tx
+    pk1[..., 0, 3] = pk1[..., 3, 0] = -K1 / sqrt_r * Ty
+    pk1[..., 1, 2] = pk1[..., 2, 1] = sqrt_r * K1 * Ty
+    pk1[..., 1, 3] = pk1[..., 3, 1] = -sqrt_r * K1 * Tx
+    return pk0, pk1
 
 
 def hitchin_section_difference(sol: LeBrunSolution, r_query) -> np.ndarray:
@@ -387,3 +485,9 @@ def shortest_vectors(w1, w2):
     best = min(lengths.values())
     reps = sorted(mn for mn, s in lengths.items() if s - best < 1e-9 * best)
     return lengths[reps[0]], reps
+
+
+def tau_from_periods(p0: complex) -> complex:
+    """Fundamental-domain modulus of the spectral torus from the contour ``toymodel.periods``."""
+    om1, om2 = periods(p0)
+    return reduce_to_fundamental_domain(om2 / om1)

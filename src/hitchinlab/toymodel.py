@@ -14,8 +14,7 @@ This module computes the derived constants of that geometry:
             a = M(1, sqrt p0) and b = M(1, sqrt(1 - p0)) arithmetic-geometric
             means;
   tau       spectral-torus modulus, the fundamental-domain modulus of that
-            lattice, i b/a reduced by PSL(2,Z) (or, as an oracle, from the
-            contour periods);
+            lattice, i b/a reduced by PSL(2,Z);
   c_fib     fiber lattice scale pi lambda_T (fiber area 2 pi^2);
   lambda_T  sqrt of the smallest positive eigenvalue of -Laplace on the
             fiber torus, sqrt(2/Im tau);
@@ -50,7 +49,6 @@ from .special import (
     _period_agms,
     _tau_from_agms,
     bessel_k,
-    reduce_to_fundamental_domain,
 )
 
 __all__ = [
@@ -114,8 +112,9 @@ def _csk_from_agms(a: complex, b: complex) -> float:
 
 
 # ----------------------------------------------------------------------
-# periods of the spectral curve: the oracle for c_sK and tau, called by the
-# tests and the benchmark's toymodel gate, never by the package
+# periods of the spectral curve: the oracle for c_sK (and, through
+# oracles.tau_from_periods, for tau), called by the tests and the benchmark's
+# toymodel gate, never by the package
 # ----------------------------------------------------------------------
 
 def _segment_distance(p: complex, a: complex, b: complex) -> float:
@@ -212,12 +211,6 @@ def periods(p0: complex, *, n_start: int = 256, tol: float = 1e-10):
     return om1, om2
 
 
-def tau_from_periods(p0: complex) -> complex:
-    """Fundamental-domain modulus of the spectral torus computed from periods."""
-    om1, om2 = periods(p0)
-    return reduce_to_fundamental_domain(om2 / om1)
-
-
 # ----------------------------------------------------------------------
 # configuration and derived constants
 # ----------------------------------------------------------------------
@@ -226,10 +219,10 @@ def tau_from_periods(p0: complex) -> complex:
 class ToyConfig:
     """Derived constants of the four-punctured-sphere geometry at p0.
 
-    ``c_sk`` is :func:`csk` and ``torus`` the fiber torus of the
-    fundamental-domain modulus of :func:`special.inverse_lambda`; both come
-    from one pair of arithmetic-geometric means, computed once.  ``tau``,
-    ``c_fib`` and ``lambda_t`` are the torus's own.
+    ``c_sk`` is :func:`csk` and ``torus`` the fiber torus of tau = i b/a
+    reduced to the fundamental domain, the modulus with lambda(tau) = p0;
+    both come from one pair of arithmetic-geometric means, computed once.
+    ``tau``, ``c_fib`` and ``lambda_t`` are the torus's own.
     """
 
     p0: complex
@@ -326,10 +319,6 @@ class TorusLattice:
         dual = np.array([[ia, 0.0], [(0.0 - c * self.tau.real * id_) * ia, id_]])
         dual.flags.writeable = False
         return dual
-
-    def mu_vector(self, m: int, n: int) -> np.ndarray:
-        d = self.dual_basis
-        return m * d[:, 0] + n * d[:, 1]
 
     def min_dual_norm(self):
         """Smallest nonzero |mu| and the modes (m, n) attaining it, up to sign.

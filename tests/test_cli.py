@@ -148,6 +148,15 @@ class TestCommands:
         cc = summary["cross_checks"][0]
         assert cc["within_3_percent"]
 
+    def test_report_pairs_runs_by_p0_value(self, tmp_path):
+        # "0.3,0" and "0.30,0.0" are one p0: the pair is made on the value
+        # both runs record, not on the text of the flag
+        run(ExperimentConfig("lebrun", dict(FAST_LEBRUN), tmp_path / "runs" / "leb"))
+        run(ExperimentConfig("toymodel", {"p0": "0.30,0.0", "r_points": 6}, tmp_path / "runs" / "toy"))
+        (cc,) = report(tmp_path / "runs")["cross_checks"]
+        assert cc["p0"] == {"re": 0.3, "im": 0.0}
+        assert cc["within_3_percent"]
+
     def test_degenerate_torus_warns_once(self, tmp_path):
         # p0 = 0.5 is the square torus tau = i, whose shortest dual shell is
         # degenerate: one warning, raised where the torus is built
@@ -297,11 +306,11 @@ class TestArtifacts:
     def test_cli_import_leaves_interpolate_and_optimize_unloaded(self):
         # a fresh interpreter: this test process has loaded them already;
         # no command solves with scipy.linalg since the sinh-Gordon solve
-        # takes numpy's dense solve
+        # takes numpy's dense solve, and no production module imports the oracles
         code = (
             "import sys, scipy, hitchinlab.cli; "
             "print([m for m in ('scipy.interpolate', 'scipy.optimize', 'scipy.fft', 'scipy.integrate', "
-            "'scipy.linalg') if m in sys.modules])"
+            "'scipy.linalg', 'hitchinlab.oracles') if m in sys.modules])"
         )
         src = str(Path(hitchinlab.__file__).resolve().parents[1])
         out = subprocess.run(
@@ -421,6 +430,8 @@ class TestValidationAndConfig:
             (["toymodel", "--p0", "0.3,0", "--r-points", "-3"], "--r-points"),
             (["fiducial", "--case", "simplezero", "--n-r", "4"], "--n-r"),
             (["glue-decay", "--case", "simplezero", "--n-r", "8"], "--n-r"),
+            # t = 4, 6, 8: fewer than the 4 values the fit needs
+            (["glue-decay", "--case", "simplezero", "--tmin", "4", "--tmax", "8", "--tstep", "2"], "--tmin"),
             (["lebrun", "--p0", "0.3,0", "--n-rho", "0"], "--n-rho"),
             (["lebrun", "--p0", "0.3,0", "--n-rho", "1"], "--n-rho"),
             (["lebrun", "--p0", "0.3,0", "--n-rho", "4"], "--n-rho"),
@@ -439,6 +450,15 @@ class TestValidationAndConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: ValidationError: {flag} ")
         assert not out.exists()
+
+    def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # what numpy raises for a t range it cannot allocate, without allocating it
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli_module.glue, "decay_sweep", out_of_memory)
+        assert main(["glue-decay", "--case", "simplezero", "--output-dir", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: MemoryError: Unable to allocate 7.28 TiB"]
 
     @pytest.mark.parametrize(
         "argv",

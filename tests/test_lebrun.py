@@ -25,7 +25,6 @@ from hitchinlab.lebrun import (
     make_modes,
     metric_difference_full,
     nonlinear_residual,
-    section_profiles,
     solve_nonlinear,
 )
 from hitchinlab.lebrun import (
@@ -37,16 +36,20 @@ from hitchinlab.lebrun import (
     _phase_blocks,
     _phi_log_deriv,
     _synthesize,
-    _trig_factor,
 )
 from hitchinlab.oracles import (
     DivergenceError,
     _banded_mode_solve,
     _mode_rows,
+    _trig_factor,
     fd_second,
     hitchin_section_difference,
+    predicted_bessel_parts,
+    reality_defect,
+    section_profiles,
     solve_mode_bvp,
     solve_mode_inhomogeneous,
+    truncation_diagnostic,
 )
 from hitchinlab.special import ConvergenceError, bessel_k, inverse_lambda
 from hitchinlab.toymodel import NonGenericTorusWarning, ToyConfig
@@ -173,8 +176,7 @@ def _metric_difference_hand_expanded(sol, n_colloc):
     W = sol.w.values(n_colloc)
     RW = TorusFourierField(sol.w.lattice, rho, sol.w.coeffs * rho**2).values(n_colloc)
     EU = np.exp(V) * RW
-    WA2 = sol.wa2.values(n_colloc)
-    WA3 = sol.wa3.values(n_colloc)
+    WA2, WA3 = (-f.values(n_colloc) for f in sol.v.gradient())  # w a2 = -v_x, w a3 = -v_y
     A2 = WA2 / W
     A3 = WA3 / W
     r = rho[:, None, None] ** 2 * np.exp(V)
@@ -298,7 +300,7 @@ class TestModeLayout:
         worst = max(
             float(np.max(np.abs(c[k] - np.conj(c[f.index(-m, -n)])))) for k, (m, n) in enumerate(modes.tolist())
         )
-        assert f.reality_defect() == worst
+        assert reality_defect(f) == worst
         if rows in [(2 * j + 1) ** 2 for j in range(1, 8)]:
             assert TorusFourierField(lattice, rho, np.zeros((rows, 3))).m_cut == (math.isqrt(rows) - 1) // 2
         else:
@@ -406,11 +408,10 @@ class TestChebyshev:
 
 
 class TestLinearModes:
-    def test_mode_equation_residual(self, lattice, mu0_data):
-        mu0, (m, n) = mu0_data
+    def test_mode_equation_residual(self, mu0_data):
+        mu0, _ = mu0_data
         rho = np.linspace(0.5, 3.0, 8001)
-        mu = lattice.mu_vector(m, n)
-        phi = linear_mode_solution(mu, rho)
+        phi = linear_mode_solution(mu0, rho)
         res = (
             rho**2 * fd_second(rho, phi)
             + 3 * rho * fd_first(rho, phi)
@@ -426,9 +427,9 @@ class TestLinearModes:
         assert np.allclose(linear_mode_solution(0.0, rho), rho**-2)
 
     def test_tail_shape(self):
-        # unit dual vector: the rho^{-3/2} exp(-4 pi rho) envelope to < 1%
+        # |mu| = 1: the rho^{-3/2} exp(-4 pi rho) envelope to < 1%
         rho = np.linspace(3.0, 6.0, 400)
-        phi = linear_mode_solution(np.array([1.0, 0.0]), rho)
+        phi = linear_mode_solution(1.0, rho)
         ratio = phi / (rho**-1.5 * np.exp(-4 * np.pi * rho))
         assert (ratio.max() - ratio.min()) / ratio.mean() < 0.01
 
@@ -451,42 +452,38 @@ class TestLinearModes:
 
 
 class TestInhomogeneousSolve:
-    def test_manufactured_solution(self, lattice, mu0_data):
+    def test_manufactured_solution(self, mu0_data):
         import sympy as sp
 
-        mu0, (m, n) = mu0_data
+        mu0, _ = mu0_data
         rho = np.linspace(0.5, 4.0, 1601)
-        mu = lattice.mu_vector(m, n)
         rs = sp.symbols("r", positive=True)
         gs = sp.exp(-6 * rs) / rs
         Ls = rs**2 * sp.diff(gs, rs, 2) + 3 * rs * sp.diff(gs, rs) - 16 * sp.pi**2 * mu0**2 * rs**2 * gs
         f = sp.lambdify(rs, Ls, "numpy")(rho)
         g = np.exp(-6 * rho) / rho
-        phi = linear_mode_solution(mu, rho)
-        v = solve_mode_inhomogeneous(mu, f, rho)
+        phi = linear_mode_solution(mu0, rho)
+        v = solve_mode_inhomogeneous(mu0, f, rho)
         c = (v[-1] - g[-1]) / phi[-1]
         assert np.max(np.abs(v - g - c * phi)) < 1e-5
 
-    def test_zero_rhs(self, lattice, mu0_data):
-        _, (m, n) = mu0_data
+    def test_zero_rhs(self, mu0_data):
         rho = np.linspace(0.5, 4.0, 101)
-        assert np.all(solve_mode_inhomogeneous(lattice.mu_vector(m, n), np.zeros(101), rho) == 0)
+        assert np.all(solve_mode_inhomogeneous(mu0_data[0], np.zeros(101), rho) == 0)
 
-    def test_against_direct_bvp(self, lattice, mu0_data):
-        mu0, (m, n) = mu0_data
+    def test_against_direct_bvp(self, mu0_data):
+        mu0, _ = mu0_data
         rho = np.linspace(0.5, 4.0, 2001)
-        mu = lattice.mu_vector(m, n)
         f = np.exp(-5.0 * rho) * np.sin(rho)
-        v = solve_mode_inhomogeneous(mu, f, rho)
-        bvp = solve_mode_bvp(mu, f, rho, bc_inner=v[0])
+        v = solve_mode_inhomogeneous(mu0, f, rho)
+        bvp = solve_mode_bvp(mu0, f, rho, bc_inner=v[0])
         assert np.max(np.abs(bvp.real - v)) < 1e-5
 
-    def test_divergence_diagnostic(self, lattice, mu0_data):
-        _, (m, n) = mu0_data
+    def test_divergence_diagnostic(self, mu0_data):
         rho = np.linspace(0.5, 4.0, 801)
         slow = np.exp(-0.3 * rho)  # decays slower than phi_mu
         with pytest.raises(DivergenceError):
-            solve_mode_inhomogeneous(lattice.mu_vector(m, n), slow, rho, a=np.inf)
+            solve_mode_inhomogeneous(mu0_data[0], slow, rho, a=np.inf)
 
 
 class TestNonlinearResidual:
@@ -671,7 +668,7 @@ class TestSolveNonlinear:
         assert normsq[shell].sum() / normsq.sum() > 0.99
 
     def test_reality(self, solution):
-        assert solution.v.reality_defect() < 1e-12
+        assert reality_defect(solution.v) < 1e-12
         # the production synthesis forms the real part only; the FFT oracle
         # shows the discarded imaginary part is at rounding level
         vals = _synthesize_fft(solution.v.modes, solution.v.coeffs, 16)
@@ -878,7 +875,7 @@ class TestSolveNonlinear:
 
     def test_spectral_truncation_diagnostic(self, solution):
         # last retained shell below 1e-10 of the leading shell
-        assert solution.v.truncation_diagnostic() < 1e-10
+        assert truncation_diagnostic(solution.v) < 1e-10
 
     def test_w_consistency(self, solution, nodal):
         # w - 1/rhat = (2 rho)^{-1} dv/drho: by construction, the nodal
@@ -912,7 +909,7 @@ class TestFitDecay:
         modes = make_modes(1)
         coeffs = np.zeros((len(modes), len(rho)), dtype=complex)
         f = TorusFourierField(lattice, rho, coeffs)
-        phi = linear_mode_solution(lattice.mu_vector(m, n), rho)
+        phi = linear_mode_solution(mu0, rho)
         coeffs[f.index(m, n)] = 0.5 * phi
         coeffs[f.index(-m, -n)] = 0.5 * phi
         sol = LeBrunSolution(v=f, w=f, lambda_t=2 * np.pi * mu0)  # fit_decay reads v only
@@ -954,8 +951,8 @@ class TestFitDecay:
 class TestConnectionAndMetric:
     def test_zero_field_connection(self, lattice):
         sol = solve_nonlinear({}, None, 2, lattice)
-        assert np.max(np.abs(sol.wa2.coeffs)) == 0.0
-        assert np.max(np.abs(sol.wa3.coeffs)) == 0.0
+        for v_i in sol.v.gradient():  # w a2 = -v_x, w a3 = -v_y
+            assert np.max(np.abs(v_i.coeffs)) == 0.0
 
     def test_connection_matches_trapezoid_integral(self, lattice):
         # independent of the closed form: integrate d(w a_i)/drhat = -w_i
@@ -968,11 +965,12 @@ class TestConnectionAndMetric:
             sol = solve_nonlinear(seeded, None, 2, lattice, n_rho=n_rho)
             rho = sol.rho
             err = 0.0
-            for w_i, v_i, wa in zip(sol.w.gradient(), sol.v.gradient(), (sol.wa2, sol.wa3)):
+            for w_i, v_i in zip(sol.w.gradient(), sol.v.gradient()):
+                wa = -v_i.coeffs  # the closed form w a2 = -v_x, w a3 = -v_y
                 C = cumulative_trapezoid(-w_i.coeffs * (2.0 * rho), rho, axis=1, initial=0.0)
                 ref = C - C[:, -1:] - v_i.coeffs[:, -1:]
-                assert np.max(np.abs(wa.coeffs)) > 0.02
-                err = max(err, np.max(np.abs(ref - wa.coeffs)))
+                assert np.max(np.abs(wa)) > 0.02
+                err = max(err, np.max(np.abs(ref - wa)))
             errs.append(err)
         # the quadrature's O(h^2) error, 7.9e-7 and 2.0e-7: a 1 % error in
         # the connection would read 3e-4 at both sizes
@@ -984,7 +982,7 @@ class TestConnectionAndMetric:
         lam = 2 * np.pi * mu0
         rho = solution.rho
         N = 16
-        WA3 = solution.wa3.values(N).real
+        WA2, WA3 = (-f.values(N) for f in solution.v.gradient())
         T, Tx, Ty = _trig_factor(solution, N)
         pred = -bessel_k(1, 2 * lam * rho)[:, None, None] / rho[:, None, None] * Ty[None]
         mask = (rho > 1.2) & (rho < 2.4)
@@ -996,7 +994,6 @@ class TestConnectionAndMetric:
         dev = np.max(np.abs(WA3[mask] - pred[mask])) / np.max(np.abs(pred[mask]))
         assert dev < 1e-3
         # the canonical lattice has mu0 along y, so wa2 is comparatively tiny
-        WA2 = solution.wa2.values(N).real
         assert np.max(np.abs(WA2[mask])) < 0.01 * np.max(np.abs(WA3[mask]))
 
     def test_third_curvature_relation_reads_torus_floor(self, lattice, mu0_data):
@@ -1010,8 +1007,7 @@ class TestConnectionAndMetric:
         sups = {}
         for m_cut in (3, 4):
             sol = solve_nonlinear({(m, n): 0.05, (-m, -n): 0.05}, 6.0, m_cut, lattice, n_rho=1001)
-            dx_wa2, _ = sol.wa2.gradient()
-            _, dy_wa3 = sol.wa3.gradient()
+            vx, vy = sol.v.gradient()
             N = 16
             rho = sol.rho
             h = rho[1] - rho[0]
@@ -1020,7 +1016,7 @@ class TestConnectionAndMetric:
             dEU = np.full_like(EU, np.nan)
             dEU[2:-2] = (EU[:-4] - 8.0 * EU[1:-3] + 8.0 * EU[3:-1] - EU[4:]) / (12.0 * h)
             dEU /= 2.0 * rho[:, None, None]
-            lhs = dx_wa2.values(N) + dy_wa3.values(N)
+            lhs = -(vx.gradient()[0].values(N) + vy.gradient()[1].values(N))  # w a2 = -v_x, w a3 = -v_y
             mask = (rho > 1.0) & (rho < 3.0)
             sups[m_cut] = np.max(np.abs((lhs - dEU)[mask]))
         # against |lhs| of about 1.5e-2 there: a 1 % error in wa3 reads 1.5e-4
@@ -1050,10 +1046,10 @@ class TestConnectionAndMetric:
         # led by the K1 shell otherwise
         sol0 = solve_nonlinear({}, None, 2, lattice)
         r = metric_difference_full(sol0).r
-        assert np.max(np.abs(r - sol0.rhat[:, None, None])) == 0.0
+        assert np.max(np.abs(r - sol0.rho[:, None, None] ** 2)) == 0.0
         mu0, _ = mu0_data
         lam = 2 * np.pi * mu0
-        rhat, r = solution.rhat, metric_difference_full(solution).r
+        rhat, r = solution.rho**2, metric_difference_full(solution).r
         assert np.all(np.diff(r, axis=0) > 0)
         N = r.shape[-1]
         T, _, _ = _trig_factor(solution, N)
@@ -1114,7 +1110,8 @@ class TestSectionAndDifference:
         lam = 2 * np.pi * mu0
         md = metric_difference_full(solution)
         rho = solution.rho
-        fro = np.sqrt((md.remainder**2).sum(axis=(-2, -1))).max(axis=(1, 2))
+        pk0, pk1 = predicted_bessel_parts(solution, md.r, md.difference.shape[1])
+        fro = np.sqrt(((md.difference - pk0 - pk1) ** 2).sum(axis=(-2, -1))).max(axis=(1, 2))
         mask = (rho > 1.0) & (rho < 2.5)
         A = np.column_stack([rho[mask], np.ones(mask.sum())])
         coef, *_ = np.linalg.lstsq(A, np.log(fro[mask]), rcond=None)
@@ -1128,12 +1125,13 @@ class TestSectionAndDifference:
         mid = len(rho) // 2
         assert (sh / tot)[mid] > 0.99
 
-    def test_lazy_predicted_parts(self, lattice, mu0_data):
-        # built on first access, bit for bit the formulas of the eager split
+    def test_predicted_parts_formulas(self, lattice, mu0_data):
+        # the metric difference holds its two arrays only, and the predicted
+        # parts are bit for bit the K0 and K1 formulas
         _, (m, n) = mu0_data
         sol = solve_nonlinear({(m, n): 0.05, (-m, -n): 0.05}, None, 2, lattice, n_rho=201)
         md = metric_difference_full(sol)
-        assert "predicted_k0" not in vars(md) and "remainder" not in vars(md)
+        assert set(vars(md)) == {"r", "difference"}
         lam = sol.lambda_t
         r = md.r
         T, Tx, Ty = _trig_factor(sol, md.difference.shape[1])
@@ -1151,10 +1149,9 @@ class TestSectionAndDifference:
         pk1[..., 0, 3] = pk1[..., 3, 0] = -cross * Ty[None, :, :]
         pk1[..., 1, 2] = pk1[..., 2, 1] = np.sqrt(r) * K1 * Ty[None, :, :]
         pk1[..., 1, 3] = pk1[..., 3, 1] = -np.sqrt(r) * K1 * Tx[None, :, :]
-        assert np.array_equal(md.predicted_k0, pk0)
-        assert np.array_equal(md.predicted_k1, pk1)
-        assert np.array_equal(md.remainder, md.difference - pk0 - pk1)
-        assert md.remainder is md.remainder
+        got_k0, got_k1 = predicted_bessel_parts(sol, r, md.difference.shape[1])
+        assert np.array_equal(got_k0, pk0)
+        assert np.array_equal(got_k1, pk1)
 
     @pytest.mark.parametrize("n_colloc", [None, 4])
     @pytest.mark.parametrize("nodes", [np.s_[::58], np.array([0, 5, 700, 1399])], ids=["stride", "index"])
@@ -1164,8 +1161,11 @@ class TestSectionAndDifference:
         assert len(solution.rho) - 1 not in np.arange(len(solution.rho))[nodes]
         full = metric_difference_full(solution, n_colloc)
         part = metric_difference_full(solution, n_colloc, nodes=nodes)
-        for name in ("r", "difference", "predicted_k0", "predicted_k1", "remainder"):
+        for name in ("r", "difference"):
             assert np.array_equal(getattr(part, name), getattr(full, name)[nodes]), name
+        n = full.r.shape[-1]
+        for got, whole in zip(predicted_bessel_parts(solution, part.r, n), predicted_bessel_parts(solution, full.r, n)):
+            assert np.array_equal(got, whole[nodes])
 
     def test_builder_matches_hand_expansion(self, lattice, solution):
         # the builder against the written-out formulas, to 1e-13 of the
@@ -1175,7 +1175,7 @@ class TestSectionAndDifference:
         seeded = {(1, 0): 0.02, (-1, 0): 0.02, (0, 1): 0.02, (0, -1): 0.02}
         for sol in (solution, solve_nonlinear(seeded, None, 2, lattice, n_rho=201)):
             md = metric_difference_full(sol)
-            r, g = _metric_difference_hand_expanded(sol, md.n_colloc)
+            r, g = _metric_difference_hand_expanded(sol, default_colloc(sol.v.m_cut))
             assert np.array_equal(md.r, r)
             assert np.max(np.abs(md.difference - g)) <= 1e-13 * np.max(np.abs(g))
 
@@ -1199,7 +1199,7 @@ class TestSectionAndDifference:
         # evaluated arguments
         mu0, _ = mu0_data
         lam = 2 * np.pi * mu0
-        z = 2 * lam * np.sqrt(solution.rhat)
+        z = 2 * lam * solution.rho
         k0, k1, k2 = (bessel_k(nu, z) for nu in (0, 1, 2))
         assert np.max(np.abs(k0 - k2 + 2.0 / z * k1)) < 1e-10
         h = 1e-6

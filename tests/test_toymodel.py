@@ -18,7 +18,7 @@ from hitchinlab.special import (
     modular_lambda,
     reduce_to_fundamental_domain,
 )
-from hitchinlab.oracles import BasePoint, semiflat_metric, shortest_vectors
+from hitchinlab.oracles import BasePoint, semiflat_metric, shortest_vectors, tau_from_periods
 from hitchinlab.toymodel import (
     NonGenericTorusWarning,
     TorusLattice,
@@ -30,7 +30,6 @@ from hitchinlab.toymodel import (
     lambda_T,
     periods,
     shortest_geodesic,
-    tau_from_periods,
 )
 
 
