@@ -430,11 +430,11 @@ class TestValidationAndConfig:
             (["toymodel", "--p0", "0.3,0", "--r-points", "-3"], "--r-points"),
             (["fiducial", "--case", "simplezero", "--n-r", "4"], "--n-r"),
             (["glue-decay", "--case", "simplezero", "--n-r", "8"], "--n-r"),
-            # t = 4, 6, 8: fewer than the 4 values the fit needs
-            (["glue-decay", "--case", "simplezero", "--tmin", "4", "--tmax", "8", "--tstep", "2"], "--tmin"),
             (["lebrun", "--p0", "0.3,0", "--n-rho", "0"], "--n-rho"),
             (["lebrun", "--p0", "0.3,0", "--n-rho", "1"], "--n-rho"),
             (["lebrun", "--p0", "0.3,0", "--n-rho", "4"], "--n-rho"),
+            # t = 4, 6, 8: fewer than the 4 values the fit needs
+            (["glue-decay", "--case", "simplezero", "--tmin", "4", "--tmax", "8", "--tstep", "2"], "--tmin"),
         ],
     )
     def test_grid_size_rejected_before_work(self, tmp_path, capsys, monkeypatch, argv, flag):
