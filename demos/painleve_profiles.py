@@ -21,34 +21,34 @@ def main():
     print("=== the universal family, a few slopes ===")
     rho = np.geomspace(1e-3, 15.0, 1024)
     for sigma in (-1 / 3, -0.2, 0.6):
-        p = solve_mtw(sigma, rho)
-        tail = p.values[rho >= 10] / bessel_k(0, rho[rho >= 10])
+        m, _ = solve_mtw(sigma, rho)
+        tail = m[rho >= 10] / bessel_k(0, rho[rho >= 10])
         sh = shooting_solution(sigma, rho)
         print(
             f"sigma={sigma:+.3f}: tail amplitude m/K0 = {tail.mean():+.6f}  "
-            f"shooting diff = {np.max(np.abs(sh - p.values)):.1e} "
-            f"(relative {np.max(np.abs(p.values / sh - 1.0)):.1e})"
+            f"shooting diff = {np.max(np.abs(sh - m)):.1e} "
+            f"(relative {np.max(np.abs(m / sh - 1.0)):.1e})"
         )
     print(f"(for sigma = -1/3 the tail amplitude is 1/pi = {1/np.pi:.6f})")
 
     print("\n=== simple-zero profile ell_t ===")
     r = np.geomspace(1e-3, 1.0, 800)
     for t in (4.0, 8.0):
-        ell = ell_profile(t, r)
+        ell, _ = ell_profile(t, r)
         print(
-            f"t={t:4.1f}: ell(r_min)+log(r_min)/2 = {ell.values[0] + 0.5*np.log(r[0]):+.4f}"
-            f"   ell(1) = {ell.values[-1]:.3e}"
+            f"t={t:4.1f}: ell(r_min)+log(r_min)/2 = {ell[0] + 0.5*np.log(r[0]):+.4f}"
+            f"   ell(1) = {ell[-1]:.3e}"
         )
     lam = 2.0 ** (2.0 / 3.0)
-    a, b = ell_profile(4.0, r), ell_profile(8.0, r / lam)
+    a, b = ell_profile(4.0, r)[0], ell_profile(8.0, r / lam)[0]
     print(f"t-doubling covariance ell_2t(r) = ell_t(2^(2/3) r): sup diff = "
-          f"{np.max(np.abs(a.values - b.values)):.1e}")
+          f"{np.max(np.abs(a - b)):.1e}")
 
     print("\n=== simple-pole profile m_t ===")
     w = ParabolicWeights(0.2, 0.8)
     deep = np.geomspace(1e-8, 1.0, 1200)
-    m = m_profile(1.0, w, deep)
-    slope = (m.values[1] - m.values[0]) / np.diff(np.log(deep[:2]))[0]
+    m, _ = m_profile(1.0, w, deep)
+    slope = (m[1] - m[0]) / np.diff(np.log(deep[:2]))[0]
     print(f"weights (0.2, 0.8): near-zero log slope = {slope:+.4f} "
           f"(expected 1/2 + a1 - a2 = {0.5 + w.difference:+.4f})")
 
@@ -59,9 +59,8 @@ def main():
         import matplotlib.pyplot as plt
 
         fig, ax = plt.subplots(figsize=(6, 4))
-        p = solve_mtw(-1 / 3, np.geomspace(1e-3, 15.0, 1024))
-        ax.loglog(p.grid, p.values, label="m (sigma = -1/3)")
-        ax.loglog(p.grid, bessel_k(0, p.grid) / np.pi, "--", label="K0/pi tail")
+        ax.loglog(rho, solve_mtw(-1 / 3, rho)[0], label="m (sigma = -1/3)")
+        ax.loglog(rho, bessel_k(0, rho) / np.pi, "--", label="K0/pi tail")
         ax.set_xlabel("rho")
         ax.legend()
         fig.tight_layout()

@@ -212,12 +212,11 @@ def _run_lebrun(args, out: Path):
     )
     stride = max(1, len(sol.rho) // 64)
     rho_s = sol.rho[::stride]
-    # the half lattice, rows K // 2 on: the mean mode and one mode of each
+    # the half lattice the solve stores: the mean mode and one mode of each
     # +-mu pair; the other half is coeff(-mu) = conj coeff(mu).  One row per
     # mode and every stride-th node, the nodes of a mode together
-    half = len(sol.v.modes) // 2
-    modes = sol.v.modes[half:]
-    coeffs = sol.v.coeffs[half:, ::stride].ravel()
+    modes = sol.v.modes
+    coeffs = sol.v.coeffs[:, ::stride].ravel()
     table = np.column_stack(
         [np.tile(rho_s, len(modes)), np.repeat(modes, len(rho_s), axis=0), coeffs.real, coeffs.imag]
     )

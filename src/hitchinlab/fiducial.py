@@ -250,10 +250,10 @@ def fiducial_fields(case: LocalCase, t: float, grid: PolarGrid) -> FieldSample:
         zeros = np.zeros_like(grid.r)
         return assemble_fields(case, t, grid, zeros, zeros)
     if kind is CaseKind.SIMPLE_ZERO:
-        profile = ell_profile(t, grid.r)
+        xi, dxi = ell_profile(t, grid.r)
     else:
-        profile = m_profile(t, case.weights, grid.r)
-    return assemble_fields(case, t, grid, profile.values, profile.derivs)
+        xi, dxi = m_profile(t, case.weights, grid.r)
+    return assemble_fields(case, t, grid, xi, dxi)
 
 
 # ----------------------------------------------------------------------

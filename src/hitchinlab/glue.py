@@ -29,8 +29,7 @@ from .fiducial import (
 __all__ = [
     "CutoffSpec",
     "DecayFit",
-    "cutoff_chi",
-    "cutoff_chi_deriv",
+    "cutoff",
     "approx_metric",
     "approx_residual",
     "decay_sweep",
@@ -55,56 +54,30 @@ class CutoffSpec:
             raise ValueError(f"need 0 < r_on < r_off < inf, got r_on={self.r_on}, r_off={self.r_off}")
 
 
-def _bump(x):
-    """exp(-1/x) for x > 0, 0 otherwise; all orders vanish at 0."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = np.exp(-1.0 / x[pos])
-    return out
+def cutoff(spec: CutoffSpec, r):
+    """The C-infinity cutoff chi and d chi/dr at r: chi is exactly 1 for r <= r_on, exactly 0 for r >= r_off.
 
-
-def _cutoff_radii(r) -> np.ndarray:
+    chi = f(a) / (f(a) + f(b)) with a = (r_off - r)/w, b = (r - r_on)/w,
+    f(x) = exp(-1/x) and w = r_off - r_on; monotone nonincreasing.  d chi/dr
+    is exact, by the quotient rule on the bump pair, and 0 outside the
+    annulus.  ``r`` must be nonnegative (ValueError otherwise); a scalar
+    gives two floats.
+    """
     r = np.asarray(r, dtype=float)  # a NaN radius fails the check too
     if not np.all(r >= 0):
         raise ValueError("r must be nonnegative")
-    return r
-
-
-def cutoff_chi(spec: CutoffSpec, r):
-    """C-infinity cutoff: exactly 1 for r <= r_on, exactly 0 for r >= r_off.
-
-    chi = f((r_off - r)/w) / (f((r_off - r)/w) + f((r - r_on)/w)) with
-    f(x) = exp(-1/x) and w = r_off - r_on; monotone nonincreasing.
-    """
-    r = _cutoff_radii(r)
     w = spec.r_off - spec.r_on
-    up = _bump((spec.r_off - r) / w)
-    dn = _bump((r - spec.r_on) / w)
-    out = np.empty_like(r)
-    lo = r <= spec.r_on
-    hi = r >= spec.r_off
-    mid = ~(lo | hi)
-    out[lo] = 1.0
-    out[hi] = 0.0
-    out[mid] = up[mid] / (up[mid] + dn[mid])
-    return float(out) if np.ndim(r) == 0 else out
-
-
-def cutoff_chi_deriv(spec: CutoffSpec, r):
-    """d chi / d r, exact (quotient rule on the bump pair); 0 outside the annulus."""
-    r = _cutoff_radii(r)
-    w = spec.r_off - spec.r_on
-    out = np.zeros_like(r)
+    chi = np.array(r <= spec.r_on, dtype=float)
+    dchi = np.zeros_like(r)
     mid = (r > spec.r_on) & (r < spec.r_off)
-    if np.any(mid):
-        a = (spec.r_off - r[mid]) / w  # argument of the numerator bump
-        b = (r[mid] - spec.r_on) / w
-        fa, fb = _bump(a), _bump(b)
-        dfa = -fa / (a * a) / w  # d/dr f((r_off-r)/w)
-        dfb = fb / (b * b) / w
-        out[mid] = (dfa * fb - fa * dfb) / (fa + fb) ** 2
-    return float(out) if np.ndim(r) == 0 else out
+    a = (spec.r_off - r[mid]) / w
+    b = (r[mid] - spec.r_on) / w
+    fa, fb = np.exp(-1.0 / a), np.exp(-1.0 / b)
+    chi[mid] = fa / (fa + fb)
+    dfa = -fa / (a * a) / w  # d/dr f((r_off - r)/w)
+    dfb = fb / (b * b) / w
+    dchi[mid] = (dfa * fb - fa * dfb) / (fa + fb) ** 2
+    return (float(chi), float(dchi)) if r.ndim == 0 else (chi, dchi)
 
 
 def approx_metric(
@@ -124,8 +97,7 @@ def approx_metric(
     if grid.r[-1] < spec.r_off:
         raise ValueError("grid must cover the transition annulus (0, r_off]")
     fiducial = fiducial_fields(case, t, grid)
-    chi = cutoff_chi(spec, grid.r)
-    dchi = cutoff_chi_deriv(spec, grid.r)
+    chi, dchi = cutoff(spec, grid.r)
     xi = fiducial.xi * chi
     dxi = fiducial.dxi * chi + fiducial.xi * dchi
     return assemble_fields(case, t, grid, xi, dxi)
@@ -167,7 +139,6 @@ def decay_sweep(
 class DecayFit:
     """Least-squares fit of residual ~ c exp(-mu t)."""
 
-    samples: list
     c: float
     mu: float
     r2: float
@@ -193,4 +164,4 @@ def fit_exponential_decay(samples) -> DecayFit:
     ss_res = float(np.sum((y - yhat) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot
-    return DecayFit(samples, c=float(np.exp(coef[1])), mu=float(-coef[0]), r2=r2)
+    return DecayFit(c=float(np.exp(coef[1])), mu=float(-coef[0]), r2=r2)

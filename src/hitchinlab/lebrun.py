@@ -40,11 +40,11 @@ decoupled systems L_mu dv = -residual, with Dirichlet data at rho_min and a
 Robin condition matched to the K_1 log-derivative at rho_max.  L_mu depends
 on |mu| only, so one dense collocation matrix is built and inverted per
 distinct norm before the iteration, and each step is one batched product.
-Every field holds the (2 m_cut + 1)^2 modes of the ``make_modes(m_cut)``
-square, where row K-1-k holds -mu of row k, and is real (Hermitian
-coefficients); the iterates, residuals and steps are exactly so, and the
-coefficient-space work (radial operator, torus part, solves) is done on the
-half lattice m > 0 or m = 0, n >= 0, the other half being its conjugate.
+Every field is real, so it holds one mode of each +-mu pair: the half
+lattice ``make_modes(m_cut)`` of the modes m > 0, or m = 0 and n >= 0, whose
+partners -mu carry the conjugate coefficients and are not stored.  The
+coefficient-space work (radial operator, torus part, solves) is done on
+these rows only.
 The residual is evaluated in the conservative form: v is synthesized once
 on a collocation grid, e^v - 1 is formed in place and projected back
 (pseudospectral), and the dense matrix of L_0 is applied once to the
@@ -116,11 +116,12 @@ def _read_only(*arrays) -> tuple:
 
 @dataclass
 class TorusFourierField:
-    """Fourier data over the dual lattice, per radial node.
+    """Fourier data of a real field over the dual lattice, per radial node.
 
-    ``coeffs`` has shape (K, NR): its K = (2 m_cut + 1)^2 rows, m_cut >= 1,
-    are the modes of the ``make_modes(m_cut)`` square, read off K.  Real
-    fields satisfy coeff(-mu) = conj(coeff(mu)).
+    ``coeffs`` has shape (H, NR): its H = 2 m_cut (m_cut + 1) + 1 rows,
+    m_cut >= 1, are the half lattice ``make_modes(m_cut)``, and m_cut is
+    read off H.  The field is real: coeff(-mu) = conj coeff(mu) gives the
+    other half, which is not stored.
     """
 
     lattice: TorusLattice
@@ -130,26 +131,27 @@ class TorusFourierField:
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=float)
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        side = math.isqrt(len(self.coeffs)) if self.coeffs.ndim == 2 else 0
-        if side % 2 == 0 or side < 3 or self.coeffs.shape != (side * side, len(self.rho)):
-            raise ValueError("coefficient array must be ((2 m_cut + 1)^2, n_rho) with m_cut >= 1")
+        rows = len(self.coeffs) if self.coeffs.ndim == 2 else 0
+        side = math.isqrt(max(2 * rows - 1, 0))
+        if side < 3 or side * side != 2 * rows - 1 or self.coeffs.shape != (rows, len(self.rho)):
+            raise ValueError("coefficient array must be (2 m_cut (m_cut + 1) + 1, n_rho) with m_cut >= 1")
         if np.any(np.diff(self.rho) <= 0) or self.rho[0] <= 0:
             raise ValueError("rho grid must be positive increasing")
 
     # -- mode bookkeeping --------------------------------------------------
     @property
     def m_cut(self) -> int:
-        return (math.isqrt(len(self.coeffs)) - 1) // 2
+        return _m_cut(len(self.coeffs))
 
     @property
     def modes(self) -> np.ndarray:
         return make_modes(self.m_cut)
 
     def index(self, m: int, n: int) -> int:
-        """The row of (m, n): (m + m_cut)(2 m_cut + 1) + n + m_cut; row K-1-k holds -mu of row k."""
-        if max(abs(m), abs(n)) > self.m_cut:
-            raise KeyError(f"mode ({m}, {n}) not present")
-        return (m + self.m_cut) * (2 * self.m_cut + 1) + n + self.m_cut
+        """The row of (m, n) on the stored half: m (2 m_cut + 1) + n."""
+        if max(abs(m), abs(n)) > self.m_cut or m < 0 or (m == 0 and n < 0):
+            raise KeyError(f"mode ({m}, {n}) not present: the half lattice holds m > 0, or m = 0 and n >= 0")
+        return m * (2 * self.m_cut + 1) + n
 
     def mu_norms(self) -> np.ndarray:
         return _dual_vectors(self.lattice, self.m_cut)[1]
@@ -168,28 +170,32 @@ class TorusFourierField:
         return _synthesize(self.coeffs, n_colloc)
 
     def shell_rows(self) -> list:
-        """The rows of the shortest nonzero dual shell, the modes +-reps of ``min_dual_norm``, ascending."""
-        reps = self.lattice.min_dual_norm()[1]
-        return sorted(self.index(s * m, s * n) for m, n in reps for s in (1, -1))
+        """The shortest nonzero dual shell's rows: the stored partner -rep of each ``min_dual_norm`` rep, in order."""
+        return [self.index(-m, -n) for m, n in self.lattice.min_dual_norm()[1]]
 
     def shell_amplitude(self) -> np.ndarray:
-        """Summed |coeff| over the shortest nonzero dual shell, per radius."""
-        return np.abs(self.coeffs[self.shell_rows()]).sum(axis=0)
+        """Summed |coeff| over the shortest nonzero dual shell, both modes of each pair, per radius."""
+        return 2.0 * np.abs(self.coeffs[self.shell_rows()]).sum(axis=0)
+
+
+def _m_cut(rows: int) -> int:
+    """The cutoff of a half lattice of ``rows`` = 2 m_cut (m_cut + 1) + 1 modes."""
+    return (math.isqrt(2 * rows - 1) - 1) // 2
 
 
 @lru_cache(maxsize=None)
 def make_modes(m_cut: int) -> np.ndarray:
-    """The (K, 2) modes (m, n), |m|, |n| <= m_cut, m-major (see ``TorusFourierField.index``); read-only."""
+    """The (H, 2) half lattice (m, n), |m|, |n| <= m_cut: (0, 0), m = 0 < n, then m > 0, m-major; read-only."""
     if m_cut < 1:
         raise ValueError("mode cutoff must be >= 1")
-    grid = np.arange(-m_cut, m_cut + 1)
-    mm, nn = np.meshgrid(grid, grid, indexing="ij")
-    return _read_only(np.column_stack([mm.ravel(), nn.ravel()]))[0]
+    n = range(-m_cut, m_cut + 1)
+    modes = [(0, k) for k in range(m_cut + 1)] + [(m, k) for m in range(1, m_cut + 1) for k in n]
+    return _read_only(np.array(modes))[0]
 
 
 @lru_cache(maxsize=64)
 def _dual_vectors(lattice: TorusLattice, m_cut: int):
-    """The (K, 2) dual vectors mu of ``make_modes(m_cut)`` and their norms; read-only."""
+    """The (H, 2) dual vectors mu of ``make_modes(m_cut)`` and their norms; read-only."""
     vecs = make_modes(m_cut) @ lattice.dual_basis.T
     return _read_only(vecs, np.linalg.norm(vecs, axis=1))
 
@@ -228,20 +234,20 @@ def _synthesize(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Real samples of sum_mu c_mu e^{2 pi i x . mu} on the N x N collocation grid.
 
     At X_{jk} = (j a + k b)/n the phase is exp(2 pi i (jm + kn)/n) for any
-    lattice shape, so the sum is separable: the rows m >= 0, the last
-    m_cut + 1 blocks of the ``make_modes`` square, are reshaped to (m, NR,
-    re/im, n), contracted against E[n, k] by one matmul that puts re/im
-    outermost, and then against E[m, j] over (re/im, m) by one 2-d matmul.
-    Every field here is Hermitian (coeff(-mu) = conj coeff(mu)), so the
-    samples are real and only the real part is formed; the rows -m of the
-    first contraction are the conjugates of the rows m, so only m >= 0 is
-    kept, with weight 2 on m > 0.  Returns shape (NR, N, N) as a view of a
-    (j, NR, k)-ordered array, the layout :func:`_analyze` contracts without
-    a copy.
+    lattice shape, so the sum is separable: the rows m >= 0, n = -m_cut..m_cut
+    (the half lattice ``coeffs``, after the rows m = 0, n < 0, the
+    conjugates of m = 0, n > 0), are reshaped to (m, NR, re/im, n),
+    contracted against E[n, k] by one matmul that puts re/im outermost, and
+    then against E[m, j] over (re/im, m) by one 2-d matmul.  The field is
+    real (coeff(-mu) = conj coeff(mu)), so only the real part is formed;
+    the rows -m of the first contraction are the conjugates of the rows m,
+    so only m >= 0 is kept, with weight 2 on m > 0.  Returns shape
+    (NR, N, N) as a view of a (j, NR, k)-ordered array, the layout
+    :func:`_analyze` contracts without a copy.
     """
-    m_cut = (math.isqrt(len(coeffs)) - 1) // 2
+    m_cut = _m_cut(len(coeffs))
     M = 2 * m_cut + 1
-    half = np.ascontiguousarray(coeffs[m_cut * M :]).view(float)  # (re, im) pairs
+    half = np.ascontiguousarray(np.concatenate([np.conj(coeffs[m_cut:0:-1]), coeffs])).view(float)  # (re, im) pairs
     C = half.reshape(m_cut + 1, M, -1, 2).transpose(0, 2, 3, 1).reshape(-1, 2 * M)
     B_split, A_weighted, _, _ = _phase_blocks(m_cut, n)
     X = C @ B_split  # (re/im, m, NR, k)
@@ -252,7 +258,7 @@ def _synthesize(coeffs: np.ndarray, n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _half_gather(m_cut: int):
     """Row, column and conjugation sign at which :func:`_analyze` reads each half-lattice mode; read-only."""
-    m, n = make_modes(m_cut)[(2 * m_cut + 1) ** 2 // 2 :].T
+    m, n = make_modes(m_cut).T
     sign = np.where(n >= 0, 1, -1)  # (m, n < 0) is read as conj (-m, -n)
     return _read_only(sign * m + m_cut, sign * n, sign[:, None])
 
@@ -264,7 +270,7 @@ def _analyze(values: np.ndarray, m_cut: int) -> np.ndarray:
     then over (re/im, j), each one 2-d matmul, divided by N^2.  The samples
     are real, so only the columns n >= 0 are formed and the rest are read as
     c(m, n) = conj c(-m, -n).  The real and imaginary parts are written
-    straight into the complex result, the rows K // 2 on of the square.
+    straight into the complex result.
     """
     n = values.shape[-1]
     M = 2 * m_cut + 1
@@ -332,10 +338,8 @@ def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> Tor
     back onto the half lattice (pseudospectral); L_0 is radial, so it
     commutes with the projection, and its dense collocation matrix is
     applied once to the projected coefficients.  The torus part -16 pi^2
-    |mu|^2 rho^2 v is added in coefficient space.  ``v`` must be real
-    (Hermitian coefficients): the coefficient-space work is done for the
-    rows from K // 2 on (m > 0, or m = 0 and n >= 0) and row K-1-k is the
-    conjugate of row k.
+    |mu|^2 rho^2 v is added in coefficient space, on the half lattice that
+    ``v`` holds.
     """
     if len(v.rho) < 5:
         raise ValueError("need at least 5 radial nodes")
@@ -348,13 +352,10 @@ def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> Tor
     if not np.allclose(v.rho, chebyshev_nodes(rho_min, rho_max, n), rtol=1e-12, atol=0.0):
         raise ValueError("rho must be the Chebyshev-Gauss-Lobatto nodes of [rho[0], rho[-1]]")
     rho, _, l0, _ = _chebyshev(rho_min, rho_max, n)
-    c = len(v.coeffs) // 2  # rows c.. are the half lattice
     E = _synthesize(v.coeffs, n_colloc)
     np.expm1(E, out=E)
-    out = np.empty(v.coeffs.shape, dtype=complex)
-    out[c:] = _analyze(E, m_cut) @ l0.T
-    out[c:] -= (16.0 * np.pi**2 * v.mu_norms()[c:] ** 2)[:, None] * rho**2 * v.coeffs[c:]
-    np.conjugate(out[:c:-1], out=out[:c])
+    out = _analyze(E, m_cut) @ l0.T
+    out -= (16.0 * np.pi**2 * v.mu_norms() ** 2)[:, None] * rho**2 * v.coeffs
     return TorusFourierField(v.lattice, v.rho, out)
 
 
@@ -409,17 +410,11 @@ def _half_lattice_product(matrices: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Real ``matrices`` (one per row, or one for all) applied to the complex (H, n) half-lattice ``rows``.
 
     Each complex row is taken as its (re, im) column pair, so all H
-    products are one batched real matmul.  Returns all K = 2H - 1 rows in
-    the ``make_modes`` order: ``rows`` are the rows K // 2 on, and row
-    K-1-k of the result is the conjugate of row k.
+    products are one batched real matmul.
     """
     H = len(rows)
-    half = matrices @ np.ascontiguousarray(rows).view(float).reshape(H, -1, 2)
-    half = half.reshape(H, -1).view(complex)
-    out = np.empty((2 * H - 1, half.shape[1]), dtype=complex)
-    out[H - 1 :] = half
-    np.conjugate(half[:0:-1], out=out[: H - 1])
-    return out
+    out = matrices @ np.ascontiguousarray(rows).view(float).reshape(H, -1, 2)
+    return out.reshape(H, -1).view(complex)
 
 
 # ----------------------------------------------------------------------
@@ -455,8 +450,8 @@ def solve_nonlinear(
 ) -> LeBrunSolution:
     """Perturbative solve of the reduced equation with Dirichlet inner data.
 
-    ``inner_data`` maps modes (m, n) to coefficients of v at rho_min; a
-    missing conjugate mode is filled in, and a non-finite coefficient or a
+    ``inner_data`` maps modes (m, n) to coefficients of v at rho_min; either
+    mode of a +-mu pair stands for both, and a non-finite coefficient or a
     supplied pair with c(-mu) != conj c(mu) raises ValueError before any
     work, as does m_cut < 1; sup |data| <= 0.2.
     The radial variable is discretized by Chebyshev collocation on
@@ -465,9 +460,9 @@ def solve_nonlinear(
     log-derivative Robin condition at rho_max.  L_mu depends on |mu| only, so one dense
     matrix is built and inverted per distinct norm before the iteration, and
     each Newton step, up to ``NEWTON_MAX_ITER`` until the residual is below
-    ``NEWTON_TOL``, is one batched product with the right-hand sides of one
-    mode of each +-mu pair.  The iterates, residuals and steps are exactly
-    Hermitian, so no step symmetrizes them.  The mean mode is special: its
+    ``NEWTON_TOL``, is one batched product with the right-hand sides of the
+    half lattice, one mode of each +-mu pair, which is all a field stores.
+    The mean mode, row 0, is special: its
     homogeneous solutions (1 and 1/rhat) are not exponentially decaying, so
     its correction is the decaying particular solution (zero value and
     derivative at rho_max) and its inner value is dictated by decay rather
@@ -491,13 +486,11 @@ def solve_nonlinear(
         if not np.isfinite(complex(c)):
             raise ValueError(f"inner data must be finite, got c({m}, {n}) = {c}")
         data[(m, n)] = data.get((m, n), 0.0) + complex(c)
-    for (m, n), c in list(data.items()):
-        conj_key = (-m, -n)
-        if conj_key not in data:
-            data[conj_key] = np.conj(c)
-        elif data[conj_key] != np.conj(c):
+    for (m, n), c in data.items():
+        partner = data.get((-m, -n), np.conj(c))
+        if partner != np.conj(c):
             raise ValueError(
-                f"inner data is not real: c({-m}, {-n}) = {data[conj_key]} is not the "
+                f"inner data is not real: c({-m}, {-n}) = {partner} is not the "
                 f"conjugate of c({m}, {n}) = {c}"
             )
     if abs(data.get((0, 0), 0.0)) > 0.05:
@@ -510,18 +503,20 @@ def solve_nonlinear(
     rho_min, rho_max = float(rho_min), float(rho_max)
     n_colloc = default_colloc(m_cut)
 
-    dirichlet = TorusFourierField(lattice, [rho_min], np.zeros(((2 * m_cut + 1) ** 2, 1), dtype=complex))
+    dirichlet = TorusFourierField(lattice, [rho_min], np.zeros((len(make_modes(m_cut)), 1), dtype=complex))
     for (m, n), value in data.items():
-        dirichlet.coeffs[dirichlet.index(int(m), int(n)), 0] = value
+        m, n = int(m), int(n)
+        if m < 0 or (m == 0 and n < 0):  # stored as the conjugate of -mu
+            m, n, value = -m, -n, np.conj(value)
+        dirichlet.coeffs[dirichlet.index(m, n), 0] = value
     sup0 = float(np.max(np.abs(dirichlet.values(n_colloc))))
     if not sup0 <= 0.2:
         raise PerturbativeRegimeError(f"sup |inner data| = {sup0:.3f} > 0.2")
     bc, norms = dirichlet.coeffs[:, 0], dirichlet.mu_norms()
-    c = len(bc) // 2  # rows c.. are the half lattice, row c the mean mode
-    distinct, group = np.unique(norms[c:], return_inverse=True)
+    distinct, group = np.unique(norms, return_inverse=True)
 
     def solve_on(n: int):
-        """The solution on n intervals, and its half lattice's Chebyshev coefficients."""
+        """The solution on n intervals, and its Chebyshev coefficients."""
         rho, D, _, to_coeffs = _chebyshev(rho_min, rho_max, n)
         inverses, g = _mode_inverses(distinct, rho_min, rho_max, n)
         inverses, g = inverses[group], g[group]
@@ -530,27 +525,27 @@ def solve_nonlinear(
             shape = linear_mode_solution(norms[k], rho)
             coeffs[k] = bc[k] * shape / shape[0]
 
-        def boundary_defects(half):
-            """Row 0 and row n of the half-lattice system, as defects."""
-            inner = half[:, 0] - bc[c:]
-            inner[0] = half[0, -1]  # the mean mode's v(rho_max)
-            return inner, half @ D[-1] - g * half[:, -1]
+        def boundary_defects(x):
+            """Row 0 and row n of the system, as defects."""
+            inner = x[:, 0] - bc
+            inner[0] = x[0, -1]  # the mean mode's v(rho_max)
+            return inner, x @ D[-1] - g * x[:, -1]
 
         def residual(x):
             """The residual at coefficients ``x`` and the larger of its sup and the boundary defects."""
             res = nonlinear_residual(TorusFourierField(lattice, rho, x), n_colloc)
             sup = float(np.max(np.abs(_synthesize(res.coeffs[:, 1:-1], n_colloc))))
-            inner, outer = boundary_defects(x[c:])
+            inner, outer = boundary_defects(x)
             return res, max(sup, float(np.abs(inner).max()), float(np.abs(outer).max()))
 
         def step(x, res):
-            rhs = -res.coeffs[c:]
-            inner, outer = boundary_defects(x[c:])
+            rhs = -res.coeffs
+            inner, outer = boundary_defects(x)
             rhs[:, 0], rhs[:, -1] = -inner, -outer
             return _half_lattice_product(inverses, rhs)
 
         v = TorusFourierField(lattice, rho, damped_newton(coeffs, residual, step, NEWTON_TOL, NEWTON_MAX_ITER))
-        return v, v.coeffs[c:] @ to_coeffs.T
+        return v, v.coeffs @ to_coeffs.T
 
     # an unresolved tail or a failed Newton solve doubles the intervals, up to the cap
     v, n = chebyshev_solve(solve_on)
@@ -559,10 +554,10 @@ def solve_nonlinear(
     rho, D, _, _ = _chebyshev(rho_min, rho_max, n)
     rho_out = np.linspace(rho_min, rho_max, n_rho)
     P = _barycentric(rho, rho_out)
-    w = _half_lattice_product(P, v.coeffs[c:] @ D.T / (2.0 * rho))
-    w[c] += rho_out**-2.0
+    w = _half_lattice_product(P, v.coeffs @ D.T / (2.0 * rho))
+    w[0] += rho_out**-2.0
     return LeBrunSolution(
-        v=TorusFourierField(lattice, rho_out, _half_lattice_product(P, v.coeffs[c:])),
+        v=TorusFourierField(lattice, rho_out, _half_lattice_product(P, v.coeffs)),
         w=TorusFourierField(lattice, rho_out, w),
         lambda_t=lattice.lambda_t,
     )

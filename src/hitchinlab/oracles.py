@@ -41,9 +41,8 @@ route that shares no solver with it:
 and the references, computed by no command, that the tests hold the LeBrun
 solve against: ``section_profiles`` (r, rw and T(0, 0) on the section),
 ``predicted_bessel_parts`` (the predicted K0 and K1 parts of g_L2 - g_sf,
-from the leading-shell T-hat), ``reality_defect`` and
-``truncation_diagnostic`` (a torus field's Hermitian defect and its
-outermost retained shell over its leading one).
+from the leading-shell T-hat) and ``truncation_diagnostic`` (a torus
+field's outermost retained shell over its leading one).
 
 No module of the package imports this one, so the command line never
 loads it or ``scipy.integrate``.  The spectral-curve periods, the oracle
@@ -64,9 +63,8 @@ from scipy.optimize import brentq
 from .fiducial import _ID2, CaseKind, FieldSample, LocalCase
 from .grids import fd_first, fd_first_boundary, interior_weights
 from .lebrun import LeBrunSolution, TorusFourierField, _phi_log_deriv, linear_mode_solution
-from .painleve import RadialProfile
 from .special import ConvergenceError, bessel_k, reduce_to_fundamental_domain
-from .toymodel import ToyConfig, periods
+from .toymodel import periods
 
 __all__ = [
     "fd_second",
@@ -77,7 +75,6 @@ __all__ = [
     "solve_mode_inhomogeneous",
     "section_profiles",
     "predicted_bessel_parts",
-    "reality_defect",
     "truncation_diagnostic",
     "hitchin_section_difference",
     "matrix_residual",
@@ -152,17 +149,18 @@ def shooting_solution(sigma: float, rho_grid, *, rtol: float = 1e-11) -> np.ndar
     return sol.y[0][::-1].copy()
 
 
-def tail_amplitude(p: RadialProfile, window: tuple[float, float] = (10.0, 15.0)):
-    """Measured K0-tail amplitude: mean and relative spread of m/K0 on the window.
+def tail_amplitude(rho, m, window: tuple[float, float] = (10.0, 15.0)):
+    """Measured K0-tail amplitude of the profile m on the nodes rho: mean and relative spread of m/K0 on the window.
 
     The decaying family has m ~ A(sigma) K0(rho); A is reported, not
     assumed (numerically A tracks (2/pi) sin(-pi sigma/2), which is 1/pi
     at sigma = -1/3, the simple-zero member).
     """
-    mask = (p.grid >= window[0]) & (p.grid <= window[1])
+    rho, m = np.asarray(rho, dtype=float), np.asarray(m, dtype=float)
+    mask = (rho >= window[0]) & (rho <= window[1])
     if mask.sum() < 4:
         raise ValueError("profile does not cover the requested tail window")
-    ratio = p.values[mask] / bessel_k(0, p.grid[mask])
+    ratio = m[mask] / bessel_k(0, rho[mask])
     spread = float((ratio.max() - ratio.min()) / abs(ratio.mean())) if ratio.mean() else np.inf
     return float(ratio.mean()), spread
 
@@ -279,17 +277,13 @@ def solve_mode_inhomogeneous(mu_abs: float, f_samples, rho, a=None):
 # LeBrun references: torus-field diagnostics, section profiles, Bessel prediction
 # ----------------------------------------------------------------------
 
-def reality_defect(field: TorusFourierField) -> float:
-    """max |coeff(mu) - conj coeff(-mu)|: zero for a real field."""
-    return float(np.max(np.abs(field.coeffs - np.conj(field.coeffs[::-1]))))
-
-
 def truncation_diagnostic(field: TorusFourierField) -> float:
     """Outermost retained shell over leading shell, at the outermost radial node.
 
     A small ratio certifies that the mode cutoff resolves the field
     (spectral accuracy); it is read at the outer boundary, where the shell
-    hierarchy is steepest.
+    hierarchy is steepest.  The half lattice holds one mode of each +-mu
+    pair, and |coeff(-mu)| = |coeff(mu)|.
     """
     outer = np.max(np.abs(field.modes), axis=1) == field.m_cut
     lead = float(np.max(np.abs(field.coeffs[field.shell_rows(), -1])))
@@ -310,25 +304,31 @@ def _shell_t_hat(sol: LeBrunSolution):
     return shell, sol.v.coeffs[shell, -1] / phi_ref
 
 
+def _at_origin(coeffs: np.ndarray) -> np.ndarray:
+    """A real field's value at (x, y) = (0, 0), the sum over every mode: c_0 + 2 Re of the rest of the half lattice."""
+    return coeffs[0].real + 2.0 * np.sum(coeffs[1:], axis=0).real
+
+
 def section_profiles(sol: LeBrunSolution):
     """On the section (x, y) = (0, 0): r(rho), rw(rho), and the T(0,0) estimate.
 
-    rw = e^v (1 + rhat v_rhat); T(0,0) is the sum of the leading-shell T-hat.
+    rw = e^v (1 + rhat v_rhat); T(0,0) is the sum of the leading-shell T-hat
+    over both modes of each pair.
     """
     rho = sol.rho
-    v00 = np.sum(sol.v.coeffs, axis=0).real
-    rvr = rho**2 * (np.sum(sol.w.coeffs, axis=0).real - rho**-2.0)  # rhat v_rhat = rhat w - 1
+    v00 = _at_origin(sol.v.coeffs)
+    rvr = rho**2 * (_at_origin(sol.w.coeffs) - rho**-2.0)  # rhat v_rhat = rhat w - 1
     rw = np.exp(v00) * (1.0 + rvr)
     r = rho**2 * np.exp(v00)
     _, t_hat = _shell_t_hat(sol)
-    return r, rw, float(np.sum(t_hat).real)
+    return r, rw, 2.0 * float(np.sum(t_hat).real)
 
 
 def _trig_factor(sol: LeBrunSolution, n_colloc: int):
     """T(x, y) and its gradient on the n_colloc grid, from the shortest-shell coefficients.
 
     v ~ rhat^{-1/2} K_1(2 lambda_T sqrt(rhat)) T(x, y), T the synthesis of
-    the leading-shell T-hat (zero on the other modes of the square).
+    the leading-shell T-hat (zero on the other modes).
     """
     shell, t_hat = _shell_t_hat(sol)
     coeffs = np.zeros((len(sol.v.coeffs), 1), dtype=complex)
@@ -438,7 +438,7 @@ class BasePoint:
         return float(np.angle(self.B))
 
 
-def semiflat_metric(cfg: ToyConfig, base: BasePoint) -> np.ndarray:
+def semiflat_metric(base: BasePoint) -> np.ndarray:
     """Block-diagonal semiflat metric at a base point: a 4x4 array in (r, theta, x, y).
 
     Base block diag(1/r, r) (the flat cone of angle pi); fiber block the

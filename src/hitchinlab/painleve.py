@@ -44,11 +44,12 @@ nodes, differentiation matrix and doubling rule, which ``lebrun`` shares:
 solve per step, and stops at ``NEWTON_TOL`` or at the rounding floor of the
 collocation matrix.
 
-The profile is returned at the requested nodes only, with no Bessel
-function evaluated there: q, q_x, S = log(e^rho K_0) and S_x = g + rho are
-interpolated on the collocation nodes and summed from their Chebyshev
-coefficients by one Chebyshev-Vandermonde product, and K = e^(S - rho),
-g = S_x - rho, m = K q, m_x = K (q_x + g q).  S is smoother in x than q:
+The profile and its derivative are returned as two arrays at the
+requested nodes only, with no Bessel function evaluated there: q, q_x,
+S = log(e^rho K_0) and S_x = g + rho are interpolated on the collocation
+nodes and summed from their Chebyshev coefficients by one
+Chebyshev-Vandermonde product, and K = e^(S - rho), g = S_x - rho,
+m = K q, m_x = K (q_x + g q).  S is smoother in x than q:
 on every interval tried, from [1e-120, 2.7] to [0.02, 1e6], the node count
 that resolves q leaves S's trailing coefficients below 1e-14 of its
 largest, and K within 1e-13 relative of K_0 (a Bessel evaluation at 4096
@@ -67,37 +68,11 @@ from .grids import chebyshev, chebyshev_solve, chebyshev_vandermonde
 from .special import bessel_k, damped_newton
 
 __all__ = [
-    "RadialProfile",
     "ParabolicWeights",
     "solve_mtw",
     "ell_profile",
     "m_profile",
 ]
-
-
-@dataclass
-class RadialProfile:
-    """A scalar radial function with its first derivative on an increasing grid.
-
-    The sinh-Gordon solves return it and the field builders read it.
-    ``sigma`` is the log-slope at the origin: values ~ sigma * log(r) as
-    r -> 0 (for the profiles produced here; zero for identically-zero
-    profiles).
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-    derivs: np.ndarray
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        self.derivs = np.asarray(self.derivs, dtype=float)
-        if self.grid.ndim != 1 or np.any(np.diff(self.grid) <= 0) or self.grid[0] <= 0:
-            raise ValueError("grid must be strictly increasing and positive")
-        if self.values.shape != self.grid.shape or self.derivs.shape != self.grid.shape:
-            raise ValueError("values/derivs must match the grid")
 
 
 @dataclass(frozen=True)
@@ -193,8 +168,8 @@ def _solve(sigma: float, rho: np.ndarray):
 # public solvers
 # ----------------------------------------------------------------------
 
-def solve_mtw(sigma: float, rho) -> RadialProfile:
-    """Decaying solution of m'' + m'/rho = (1/2) sinh(2m) with log-slope sigma at 0, on the nodes ``rho``.
+def solve_mtw(sigma: float, rho) -> tuple[np.ndarray, np.ndarray]:
+    """(m, dm/drho) on the nodes ``rho``: the decaying m'' + m'/rho = (1/2) sinh(2m) with log-slope sigma at 0.
 
     ``rho`` holds at least two finite, positive, strictly increasing nodes;
     the log-slope is imposed at min(``RHO_INNER_TARGET``, rho[0]) and the
@@ -210,11 +185,11 @@ def solve_mtw(sigma: float, rho) -> RadialProfile:
     nz = m[np.abs(m) > 0]
     if nz.size and (np.sign(nz) != np.sign(nz[0])).any():
         warnings.warn("profile changes sign; solver output is suspect")
-    return RadialProfile(rho, m, m_x / rho, sigma)
+    return m, m_x / rho
 
 
-def _fiducial_profile(t: float, r_grid, sigma: float, c: float, alpha: float) -> RadialProfile:
-    """:func:`solve_mtw` at ``sigma`` in rho = c t r^alpha, on ``r_grid``, with sigma and dm/dr in r."""
+def _fiducial_profile(t: float, r_grid, sigma: float, c: float, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`solve_mtw` at ``sigma`` in rho = c t r^alpha, on ``r_grid``: the profile and its r-derivative."""
     r_grid = np.asarray(r_grid, dtype=float)
     if np.any(np.diff(r_grid) <= 0) or r_grid[0] <= 0:
         raise ValueError("r_grid must be strictly increasing and positive")
@@ -224,12 +199,12 @@ def _fiducial_profile(t: float, r_grid, sigma: float, c: float, alpha: float) ->
         raise ValueError(f"profiles require a finite t >= 1, got {t}")
 
     rho = c * t * r_grid**alpha
-    p = solve_mtw(sigma, rho)
-    return RadialProfile(r_grid, p.values, alpha * rho * p.derivs / r_grid, alpha * sigma)
+    m, dm = solve_mtw(sigma, rho)
+    return m, alpha * rho * dm / r_grid
 
 
-def ell_profile(t: float, r_grid) -> RadialProfile:
-    """Simple-zero profile: (d^2/dr^2 + r^-1 d/dr) ell = 8 t^2 r sinh(2 ell).
+def ell_profile(t: float, r_grid) -> tuple[np.ndarray, np.ndarray]:
+    """Simple-zero profile (ell, d ell/dr): (d^2/dr^2 + r^-1 d/dr) ell = 8 t^2 r sinh(2 ell).
 
     Equals the universal solution at sigma = -1/3 in rho = (8/3) t r^{3/2};
     near zero ell ~ -(1/2) log r, at infinity ell ~ (1/pi) K0((8/3) t r^{3/2}).
@@ -237,8 +212,8 @@ def ell_profile(t: float, r_grid) -> RadialProfile:
     return _fiducial_profile(t, r_grid, -1.0 / 3.0, 8.0 / 3.0, 1.5)
 
 
-def m_profile(t: float, weights: ParabolicWeights, r_grid) -> RadialProfile:
-    """Simple-pole profile: (d^2/dr^2 + r^-1 d/dr) m = 8 t^2 r^-1 sinh(2 m).
+def m_profile(t: float, weights: ParabolicWeights, r_grid) -> tuple[np.ndarray, np.ndarray]:
+    """Simple-pole profile (m, dm/dr): (d^2/dr^2 + r^-1 d/dr) m = 8 t^2 r^-1 sinh(2 m).
 
     Universal solution at sigma = 1 + 2(alpha1 - alpha2) in rho = 8 t r^{1/2};
     near zero m ~ (1/2 + alpha1 - alpha2) log r.

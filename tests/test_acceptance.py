@@ -89,11 +89,11 @@ def test_criterion_03_mtw_solver():
     detail = []
     rho = np.geomspace(0.05, 15.0, 1024)
     for sigma in (-1.0 / 3.0, 0.2, -0.2, 0.6, -0.6):
-        p = solve_mtw(sigma, rho)
+        m, _ = solve_mtw(sigma, rho)
         # shot to the solve's inner point, where the log-slope is imposed
         sh = shooting_solution(sigma, np.r_[RHO_INNER_TARGET, rho])[1:]
-        dist = float(np.max(np.abs(sh - p.values)))
-        rel = float(np.max(np.abs(p.values / sh - 1.0)))
+        dist = float(np.max(np.abs(sh - m)))
+        rel = float(np.max(np.abs(m / sh - 1.0)))
         ok &= dist < 1e-9
         detail.append(f"s={sigma:+.2f}: shoot={dist:.1e} rel={rel:.1e}")
     _report(3, "MTW solver", ok, time.time() - t0, 30.0, "; ".join(detail))

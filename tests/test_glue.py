@@ -9,8 +9,7 @@ from hitchinlab.glue import (
     DegenerateFitError,
     approx_metric,
     approx_residual,
-    cutoff_chi,
-    cutoff_chi_deriv,
+    cutoff,
     decay_sweep,
     fit_exponential_decay,
 )
@@ -24,19 +23,21 @@ POLE_06 = LocalCase(CaseKind.STRONG_POLE, ParabolicWeights(0.2, 0.8))
 class TestCutoff:
     def test_plateaus_exact(self):
         spec = CutoffSpec()
-        assert cutoff_chi(spec, 0.25) == 1.0
-        assert cutoff_chi(spec, 0.5) == 1.0
-        assert cutoff_chi(spec, 1.0) == 0.0
-        assert cutoff_chi(spec, 1.5) == 0.0
+        assert cutoff(spec, 0.25) == (1.0, 0.0)
+        assert cutoff(spec, 0.5) == (1.0, 0.0)
+        assert cutoff(spec, 1.0) == (0.0, 0.0)
+        assert cutoff(spec, 1.5) == (0.0, 0.0)
+        assert all(type(x) is float for x in cutoff(spec, 0.7))
 
     def test_midpoint_symmetry(self):
         spec = CutoffSpec()
-        assert cutoff_chi(spec, 0.75) == pytest.approx(0.5, abs=1e-15)
+        assert cutoff(spec, 0.75)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_monotone(self):
         spec = CutoffSpec(0.3, 0.9)
         r = np.linspace(0.0, 1.2, 500)
-        assert np.all(np.diff(cutoff_chi(spec, r)) <= 0)
+        chi, dchi = cutoff(spec, r)
+        assert np.all(np.diff(chi) <= 0) and np.all(dchi <= 0)
 
     def test_smooth_at_junctions(self):
         # one-sided FD derivatives up to order 3 vanish at both plateau edges
@@ -44,7 +45,7 @@ class TestCutoff:
         h = 0.01
         for r0, side in ((0.5, -1.0), (1.0, +1.0)):
             pts = r0 + side * h * np.arange(5)
-            vals = cutoff_chi(spec, pts) - cutoff_chi(spec, r0)
+            vals = cutoff(spec, pts)[0] - cutoff(spec, r0)[0]
             d1 = (vals[1] - vals[0]) / h
             d2 = (vals[2] - 2 * vals[1] + vals[0]) / h**2
             d3 = (vals[3] - 3 * vals[2] + 3 * vals[1] - vals[0]) / h**3
@@ -55,8 +56,8 @@ class TestCutoff:
         spec = CutoffSpec(0.4, 1.1)
         r = np.linspace(0.45, 1.05, 200)
         h = 1e-6
-        fd = (cutoff_chi(spec, r + h) - cutoff_chi(spec, r - h)) / (2 * h)
-        assert np.max(np.abs(fd - cutoff_chi_deriv(spec, r))) < 1e-7
+        fd = (cutoff(spec, r + h)[0] - cutoff(spec, r - h)[0]) / (2 * h)
+        assert np.max(np.abs(fd - cutoff(spec, r)[1])) < 1e-7
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -64,15 +65,14 @@ class TestCutoff:
         with pytest.raises(ValueError, match="r_off < inf"):
             CutoffSpec(0.5, np.inf)
         with pytest.raises(ValueError):
-            cutoff_chi(CutoffSpec(), -0.1)
+            cutoff(CutoffSpec(), -0.1)
 
-    @pytest.mark.parametrize("fn", [cutoff_chi, cutoff_chi_deriv])
     @pytest.mark.parametrize("r", [-1.0, np.nan, [0.7, -1.0], np.array([0.2, np.nan, 0.8])])
     @pytest.mark.filterwarnings("error")
-    def test_negative_or_nan_radius_rejected(self, fn, r):
-        # the cutoff and its derivative share one check, with no RuntimeWarning first
+    def test_negative_or_nan_radius_rejected(self, r):
+        # rejected before chi or its derivative is formed, with no RuntimeWarning first
         with pytest.raises(ValueError, match="nonnegative"):
-            fn(CutoffSpec(), r)
+            cutoff(CutoffSpec(), r)
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,11 @@
 """Reduced circle-invariant equation: modes, nonlinear solve, metric difference."""
 
-import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
@@ -45,7 +44,6 @@ from hitchinlab.oracles import (
     fd_second,
     hitchin_section_difference,
     predicted_bessel_parts,
-    reality_defect,
     section_profiles,
     solve_mode_bvp,
     solve_mode_inhomogeneous,
@@ -60,8 +58,17 @@ CRITERION_9_RATE = 2.561095875737904
 CRITERION_9_POWER = -1.5699960180682742
 
 
+def _square(modes, coeffs):
+    """Oracle: a real field's whole (2 m_cut + 1)^2 square, m-major, from its half lattice.
+
+    The rows before the stored half are -mu with the conjugate coefficients,
+    so row K-1-k of the square holds -mu of row k.
+    """
+    return np.concatenate([-modes[:0:-1], modes]), np.concatenate([np.conj(coeffs[:0:-1]), coeffs])
+
+
 def _synthesize_fft(modes, coeffs, n):
-    """Oracle: per-mode scatter into an n x n spectrum and an inverse 2-d FFT."""
+    """Oracle: per-mode scatter into an n x n spectrum and an inverse 2-d FFT (pass every mode, e.g. a ``_square``)."""
     spec = np.zeros((coeffs.shape[1], n, n), dtype=complex)
     for idx in range(len(modes)):
         spec[:, modes[idx, 0] % n, modes[idx, 1] % n] += coeffs[idx]
@@ -82,17 +89,19 @@ def _chebyshev_field(lattice, n, coeffs, rho_min=0.5, rho_max=4.0):
 
 
 def _residual_whole_lattice(v, n_colloc):
-    """Oracle: 4 rho^2 Delta_T v + L_0 (e^v - 1) on every mode, e^v - 1 projected by the FFT oracles."""
+    """Oracle: 4 rho^2 Delta_T v + L_0 (e^v - 1) on every mode of the square, e^v - 1 projected by the FFT oracles."""
     rho = v.rho
     l0 = _chebyshev(rho[0], rho[-1], len(rho) - 1)[2]
-    ev = _analyze_fft(np.expm1(_synthesize_fft(v.modes, v.coeffs, n_colloc).real), v.modes)
-    return ev @ l0.T - 16.0 * np.pi**2 * v.mu_norms()[:, None] ** 2 * rho**2 * v.coeffs
+    modes, coeffs = _square(v.modes, v.coeffs)
+    norms = np.linalg.norm(modes @ v.lattice.dual_basis.T, axis=1)
+    ev = _analyze_fft(np.expm1(_synthesize_fft(modes, coeffs, n_colloc).real), modes)
+    return ev @ l0.T - 16.0 * np.pi**2 * norms[:, None] ** 2 * rho**2 * coeffs
 
 
 def _residual_fd(v, n_colloc):
     """Oracle: the residual with second-order finite differences on v's own grid, whole-grid FFT transforms."""
     rho = v.rho
-    ev = _analyze_fft(np.expm1(_synthesize_fft(v.modes, v.coeffs, n_colloc).real), v.modes)
+    ev = _analyze_fft(np.expm1(_synthesize_fft(*_square(v.modes, v.coeffs), n_colloc).real), v.modes)
     radial = rho**2 * fd_second(rho, ev) + 3.0 * rho * fd_first(rho, ev)
     return radial - 16.0 * np.pi**2 * v.mu_norms()[:, None] ** 2 * rho**2 * v.coeffs
 
@@ -103,9 +112,9 @@ def _residual_product_form(v, n_colloc):
     _, D, l0, _ = _chebyshev(rho[0], rho[-1], len(rho) - 1)
     radial = v.coeffs @ l0.T
     lin = radial - 16.0 * np.pi**2 * v.mu_norms()[:, None] ** 2 * rho**2 * v.coeffs
-    A = _synthesize_fft(v.modes, radial, n_colloc).real
-    RV = _synthesize_fft(v.modes, rho * (v.coeffs @ D.T), n_colloc).real
-    ev = np.exp(_synthesize_fft(v.modes, v.coeffs, n_colloc).real)
+    A = _synthesize_fft(*_square(v.modes, radial), n_colloc).real
+    RV = _synthesize_fft(*_square(v.modes, rho * (v.coeffs @ D.T)), n_colloc).real
+    ev = np.exp(_synthesize_fft(*_square(v.modes, v.coeffs), n_colloc).real)
     return lin - _analyze_fft((1.0 - ev) * A - ev * RV**2, v.modes)
 
 
@@ -221,11 +230,11 @@ def _plus_semiflat(md):
 
 
 def _hermitian_coeffs(modes, n_rho, seed):
+    """Random coefficients of a real field on the half lattice ``modes``: the half of a random Hermitian square."""
+    K = 2 * len(modes) - 1
     rng = np.random.default_rng(seed)
-    c = rng.normal(size=(len(modes), n_rho)) + 1j * rng.normal(size=(len(modes), n_rho))
-    where = {(int(m), int(n)): k for k, (m, n) in enumerate(modes)}
-    neg = [where[(-int(m), -int(n))] for (m, n) in modes]
-    return 0.5 * (c + np.conj(c[neg]))
+    c = rng.normal(size=(K, n_rho)) + 1j * rng.normal(size=(K, n_rho))
+    return 0.5 * (c + np.conj(c[::-1]))[len(modes) - 1 :]
 
 
 @pytest.fixture(scope="module")
@@ -279,30 +288,39 @@ class TestLattice:
 
 class TestModeLayout:
     @given(m_cut=st.integers(1, 6), rows=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+    @example(m_cut=1, rows=9, seed=0)
+    @example(m_cut=3, rows=49, seed=0)
+    @example(m_cut=4, rows=81, seed=0)
     def test_square_layout(self, lattice, m_cut, rows, seed):
-        # the rows are the make_modes(m_cut) square: index is the row of
-        # (m, n) there, row K-1-k holds -mu of row k, and the reality defect
-        # read through that is a direct scan; no other row count constructs
+        # the rows are the half of the (2 m_cut + 1)^2 square that a real
+        # field needs, from its mean mode on: the mean, then m = 0 and n > 0,
+        # then m > 0, m-major.  index is the row of (m, n) there, the other
+        # half is not present, and no other row count constructs: the
+        # examples pass the whole square (m_cut = 2's 25 rows are m_cut =
+        # 3's half)
         modes = make_modes(m_cut)
-        K = len(modes)
+        H = len(modes)
+        assert H == 2 * m_cut * (m_cut + 1) + 1
+        square = [[m, n] for m in range(-m_cut, m_cut + 1) for n in range(-m_cut, m_cut + 1)]
+        assert modes.tolist() == square[H - 1 :]
         rng = np.random.default_rng(seed)
         rho = [0.5, 1.0, 2.0]
-        c = rng.normal(size=(K, 3)) + 1j * rng.normal(size=(K, 3))
+        c = rng.normal(size=(H, 3)) + 1j * rng.normal(size=(H, 3))
         f = TorusFourierField(lattice, rho, c)
         assert f.m_cut == m_cut and f.modes is modes and not modes.flags.writeable
         for k, (m, n) in enumerate(modes.tolist()):
             assert f.index(m, n) == k
-        for m, n in ((m_cut + 1, 0), (0, -m_cut - 1), (-m_cut - 1, m_cut + 1)):
+            if k:
+                with pytest.raises(KeyError, match="not present"):
+                    f.index(-m, -n)
+        for m, n in ((m_cut + 1, 0), (0, m_cut + 1), (1, -m_cut - 1)):
             with pytest.raises(KeyError, match="not present"):
                 f.index(m, n)
-        assert np.array_equal(modes[::-1], -modes)
-        assert np.array_equal(f.mu_vectors()[::-1], -f.mu_vectors())
-        worst = max(
-            float(np.max(np.abs(c[k] - np.conj(c[f.index(-m, -n)])))) for k, (m, n) in enumerate(modes.tolist())
-        )
-        assert reality_defect(f) == worst
-        if rows in [(2 * j + 1) ** 2 for j in range(1, 8)]:
-            assert TorusFourierField(lattice, rho, np.zeros((rows, 3))).m_cut == (math.isqrt(rows) - 1) // 2
+        mu = modes[:, :1] * lattice.dual_basis[:, 0] + modes[:, 1:] * lattice.dual_basis[:, 1]
+        assert np.max(np.abs(f.mu_vectors() - mu)) <= 1e-15 * np.max(np.abs(mu))
+        halves = {2 * j * (j + 1) + 1: j for j in range(1, 10)}
+        if rows in halves:
+            assert TorusFourierField(lattice, rho, np.zeros((rows, 3))).m_cut == halves[rows]
         else:
             with pytest.raises(ValueError, match="m_cut"):
                 TorusFourierField(lattice, rho, np.zeros((rows, 3)))
@@ -327,18 +345,16 @@ class TestTransforms:
         modes = make_modes(m_cut)
         n = 2 * m_cut + extra  # n = 2 m_cut aliases the outermost modes
         c = _hermitian_coeffs(modes, n_rho, seed)
-        ref = _synthesize_fft(modes, c, n)
+        ref = _synthesize_fft(*_square(modes, c), n)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(ref.imag)) <= 1e-12 * scale
         assert np.max(np.abs(_synthesize(c, n) - ref.real)) <= 1e-12 * scale
-        # _analyze returns the half lattice, the rows K // 2 on
-        half = len(modes) // 2
         vals = np.random.default_rng(seed).normal(size=(n_rho, n, n))
-        ref = _analyze_fft(vals, modes)[half:]
+        ref = _analyze_fft(vals, modes)
         assert np.max(np.abs(_analyze(vals, m_cut) - ref)) <= 1e-12 * np.max(np.abs(ref))
         if n >= 2 * m_cut + 1:
             back = _analyze(_synthesize(c, n), m_cut)
-            assert np.max(np.abs(back - c[half:])) <= 1e-12 * np.max(np.abs(c))
+            assert np.max(np.abs(back - c)) <= 1e-12 * np.max(np.abs(c))
 
     def test_phase_blocks_are_shared_and_read_only(self):
         first = _phase_blocks(3, 16)
@@ -354,11 +370,12 @@ class TestTransforms:
         modes = make_modes(2)
         c = _hermitian_coeffs(modes, 1, 5)
         f = TorusFourierField(lattice, [1.0], c)
-        mu = f.mu_vectors()
+        square, c_square = _square(modes, c)
+        mu = square @ lattice.dual_basis.T
         N, h = 8, 1e-6
 
         def value(x):
-            return np.sum(c[:, 0] * np.exp(2j * np.pi * (mu @ x))).real
+            return np.sum(c_square[:, 0] * np.exp(2j * np.pi * (mu @ x))).real
 
         grads = [g.values(N)[0] for g in f.gradient()]
         for j, k in ((0, 0), (1, 3), (5, 2)):
@@ -504,8 +521,7 @@ class TestNonlinearResidual:
         ratios = []
         for eps in (1e-4, 1e-5, 1e-6):
             v = _chebyshev_field(lattice, 64, np.zeros((len(modes), len(rho)), dtype=complex))
-            v.coeffs[v.index(m, n)] = 0.5 * eps * disc
-            v.coeffs[v.index(-m, -n)] = 0.5 * eps * disc
+            v.coeffs[v.index(-m, -n)] = 0.5 * eps * disc  # and its conjugate at (m, n)
             res = nonlinear_residual(v)
             sup = np.max(np.abs(_synthesize(res.coeffs[:, 1:-1], 16)))
             ratios.append(sup / eps**2)
@@ -601,30 +617,28 @@ class TestNonlinearResidual:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_half_lattice_is_exact(self, lattice, m_cut, n, extra, seed):
-        # one mode of each +-mu pair is computed and its partner is the
-        # conjugate, bit for bit; both agree with the per-mode computation:
-        # the whole-lattice residual oracle, and each mode's own collocation
-        # system, which the step solves to a backward error at rounding level
-        # (a forward comparison would measure the conditioning, about n^4)
+        # the residual and the step hold one mode of each +-mu pair; the
+        # residual, expanded to the whole square, is the per-mode computation
+        # of every mode, the whole-lattice residual oracle, and the step
+        # solves each mode's own collocation system to a backward error at
+        # rounding level (a forward comparison would measure the
+        # conditioning, about n^4)
         modes = make_modes(m_cut)
-        conj = len(modes) - 1 - np.arange(len(modes))  # row of -mu
         v = _chebyshev_field(lattice, n, 0.02 * _hermitian_coeffs(modes, n + 1, seed))
-        assert np.array_equal(v.coeffs[conj], np.conj(v.coeffs))
         n_colloc = 2 * m_cut + extra
         res = nonlinear_residual(v, n_colloc).coeffs
-        assert np.array_equal(res[conj], np.conj(res))
+        assert res.shape == v.coeffs.shape
         ref = _residual_whole_lattice(v, n_colloc)
-        assert np.max(np.abs(res - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(_square(modes, res)[1] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
         norms = v.mu_norms()
-        c = len(modes) // 2
-        distinct, group = np.unique(norms[c:], return_inverse=True)
+        distinct, group = np.unique(norms, return_inverse=True)
         inverses = _mode_inverses(distinct, 0.5, 4.0, n)[0][group]
         rhs = _hermitian_coeffs(modes, n + 1, seed + 1)
-        step = _half_lattice_product(inverses, rhs[c:])
-        assert np.array_equal(step[conj], np.conj(step))
+        step = _half_lattice_product(inverses, rhs)
+        assert step.shape == rhs.shape
         D = _chebyshev(0.5, 4.0, n)[1]
-        for k in range(c, len(modes)):
+        for k in range(len(modes)):
             A = _collocation_matrix(norms[k], v.rho, D)
             scale = np.max(np.abs(A).sum(axis=1)) * np.max(np.abs(step[k]))
             assert np.max(np.abs(A @ step[k] - rhs[k])) <= 1e-14 * scale
@@ -668,10 +682,10 @@ class TestSolveNonlinear:
         assert normsq[shell].sum() / normsq.sum() > 0.99
 
     def test_reality(self, solution):
-        assert reality_defect(solution.v) < 1e-12
         # the production synthesis forms the real part only; the FFT oracle
-        # shows the discarded imaginary part is at rounding level
-        vals = _synthesize_fft(solution.v.modes, solution.v.coeffs, 16)
+        # of the whole square shows the discarded imaginary part, that of
+        # the mean mode included, is at rounding level
+        vals = _synthesize_fft(*_square(solution.v.modes, solution.v.coeffs), 16)
         assert np.max(np.abs(vals.imag)) < 1e-12
 
     def test_grouped_solve_matches_per_mode(self, lattice):
@@ -680,16 +694,15 @@ class TestSolveNonlinear:
         modes = make_modes(3)
         rho, D, _, _ = _chebyshev(0.5, 4.0, 64)
         norms = TorusFourierField(lattice, rho, np.zeros((len(modes), len(rho)))).mu_norms()
-        c = len(modes) // 2
-        distinct, group = np.unique(norms[c:], return_inverse=True)
-        assert len(distinct) < len(modes) // 2
+        distinct, group = np.unique(norms, return_inverse=True)
+        assert len(distinct) < len(modes)
         inverses, g = _mode_inverses(distinct, 0.5, 4.0, 64)
         rhs = _hermitian_coeffs(modes, len(rho), 7)
-        step = _half_lattice_product(inverses[group], rhs[c:])
-        for k in range(c, len(modes)):
+        step = _half_lattice_product(inverses[group], rhs)
+        for k in range(len(modes)):
             A = _collocation_matrix(norms[k], rho, D)
             if norms[k] > 0.0:
-                assert g[group[k - c]] == pytest.approx(D[-1, -1] - A[-1, -1], rel=1e-13)
+                assert g[group[k]] == pytest.approx(D[-1, -1] - A[-1, -1], rel=1e-13)
             ref = np.linalg.solve(A, rhs[k])
             assert np.max(np.abs(step[k] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -733,8 +746,8 @@ class TestSolveNonlinear:
     def test_spectral_convergence(self, lattice, solution, mu0_data):
         _, (m, n) = mu0_data
         bigger = solve_nonlinear({(m, n): 0.05, (-m, -n): 0.05}, None, 6, lattice)
-        a = solution.v.coeffs[solution.v.index(m, n)]
-        b = bigger.v.coeffs[bigger.v.index(m, n)]
+        a = solution.v.coeffs[solution.v.index(-m, -n)]
+        b = bigger.v.coeffs[bigger.v.index(-m, -n)]
         assert np.max(np.abs(a - b)) < 1e-8
 
     def test_matches_finite_difference_reference(self, lattice, mu0_data, solution):
@@ -808,8 +821,8 @@ class TestSolveNonlinear:
     @settings(max_examples=30, deadline=None)
     @given(p0=_P0, amp=st.floats(1e-6, 0.2), m_cut=st.integers(2, 4))
     def test_whole_p0_domain(self, p0, amp, m_cut):
-        # every validated p0 either solves, with exactly Hermitian
-        # coefficients and the sharp rate 2 lambda_T, or fails typed;
+        # every validated p0 either solves, with the sharp rate 2 lambda_T,
+        # or fails typed;
         # amplitudes below about 1e-9 leave the whole field under
         # fit_decay's 1e-13 underflow floor
         with warnings.catch_warnings():
@@ -820,9 +833,6 @@ class TestSolveNonlinear:
             sol = solve_nonlinear({(m, n): amp / 2, (-m, -n): amp / 2}, None, m_cut, lattice)
         except (PerturbativeRegimeError, ConvergenceError):
             return
-        conj = len(sol.v.modes) - 1 - np.arange(len(sol.v.modes))
-        for field in (sol.v, sol.w):
-            assert np.array_equal(field.coeffs[conj], np.conj(field.coeffs))
         rate, _ = fit_decay(sol)
         assert rate == pytest.approx(2.0 * sol.lambda_t, rel=0.03)
 
@@ -866,6 +876,8 @@ class TestSolveNonlinear:
         assert np.array_equal(one.v.coeffs, both.v.coeffs)
         floats = solve_nonlinear({(float(m), float(n)): 0.04 + 0.02j}, None, 2, lattice)
         assert np.array_equal(one.v.coeffs, floats.v.coeffs)
+        stored = solve_nonlinear({(-m, -n): 0.04 - 0.02j}, None, 2, lattice)
+        assert np.array_equal(one.v.coeffs, stored.v.coeffs)
         assert one.v.coeffs[one.v.index(-m, -n), 0] == 0.04 - 0.02j
 
     def test_perturbative_guard(self, lattice, mu0_data):
@@ -910,8 +922,7 @@ class TestFitDecay:
         coeffs = np.zeros((len(modes), len(rho)), dtype=complex)
         f = TorusFourierField(lattice, rho, coeffs)
         phi = linear_mode_solution(mu0, rho)
-        coeffs[f.index(m, n)] = 0.5 * phi
-        coeffs[f.index(-m, -n)] = 0.5 * phi
+        coeffs[f.index(-m, -n)] = 0.5 * phi  # and its conjugate at (m, n)
         sol = LeBrunSolution(v=f, w=f, lambda_t=2 * np.pi * mu0)  # fit_decay reads v only
         rate, power = fit_decay(sol)
         assert rate == pytest.approx(4 * np.pi * mu0, rel=0.005)
@@ -941,8 +952,7 @@ class TestFitDecay:
         modes = make_modes(1)
         coeffs = np.zeros((len(modes), len(rho)), dtype=complex)
         f = TorusFourierField(lattice, rho, coeffs)
-        coeffs[f.index(0, 1)] = 1.0
-        coeffs[f.index(0, -1)] = 1.0
+        coeffs[f.index(0, 1)] = 1.0  # and its conjugate at (0, -1)
         sol = LeBrunSolution(v=f, w=f, lambda_t=1.0)  # fit_decay reads v only
         with pytest.raises(UnderflowWindowError):
             fit_decay(sol)
@@ -1027,14 +1037,13 @@ class TestConnectionAndMetric:
         # node-for-node agreement of the zero-field metric with the
         # four-punctured-sphere semiflat metric at r = rhat
         from hitchinlab.oracles import BasePoint, semiflat_metric
-        from hitchinlab.toymodel import ToyConfig
 
         cfg = ToyConfig.from_p0(0.3)
         md = metric_difference_full(solve_nonlinear({}, None, 2, lattice))
         g = _plus_semiflat(md)
         for i in (0, len(md.r) // 2, len(md.r) - 1):
             r = md.r[i, 0, 0]
-            ref = semiflat_metric(cfg, BasePoint(r / cfg.c_sk, cfg.c_sk))
+            ref = semiflat_metric(BasePoint(r / cfg.c_sk, cfg.c_sk))
             assert np.max(np.abs(g[i, 0, 0] - ref)) < 1e-12
 
     def test_positive_definite(self, solution):
@@ -1208,6 +1217,27 @@ class TestSectionAndDifference:
 
 
 class TestDegenerateShell:
+    @pytest.mark.parametrize("p0, n_reps", [(0.5, 2), (complex(0.5, 0.75**0.5), 3)], ids=["square", "hexagonal"])
+    def test_shell_rows_one_per_rep(self, p0, n_reps):
+        # p0 = 1/2 gives tau = i, two shortest dual vectors, and e^{i pi/3}
+        # the hexagonal torus, three: the shell holds one stored row per
+        # rep, the partner of each, and its amplitude is the |coeff| sum
+        # over +-reps of the whole square
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonGenericTorusWarning)
+            lat = ToyConfig.from_p0(p0).torus
+            reps = lat.min_dual_norm()[1]
+        assert len(reps) == n_reps
+        m, n = reps[0]
+        sol = solve_nonlinear({(m, n): 0.05, (-m, -n): 0.05}, None, 3, lat)
+        rows = sol.v.shell_rows()
+        assert [tuple(sol.v.modes[k]) for k in rows] == [(-a, -b) for a, b in reps]
+        modes, coeffs = _square(sol.v.modes, sol.v.coeffs)
+        shell = [k for k, mn in enumerate(modes.tolist()) if tuple(mn) in reps or (-mn[0], -mn[1]) in reps]
+        assert len(shell) == 2 * n_reps
+        ref = np.abs(coeffs[shell]).sum(axis=0)
+        assert np.max(np.abs(sol.v.shell_amplitude() / ref - 1.0)) <= 1e-15
+
     def test_hexagonal_lattice_warns_and_fits(self):
         # three inequivalent shortest dual vectors; the fit uses the
         # combined shell and still lands on 2 lambda_T

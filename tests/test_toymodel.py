@@ -330,7 +330,7 @@ class TestSemiflatData:
             rdot = cfg.c_sk * (np.conj(B) * Bdot).real / abs(B)
             radial_Bdot = (np.conj(B) * Bdot).real / abs(B) * B / abs(B)
             norm = cfg.c_sk * abs(radial_Bdot) ** 2 / abs(B)
-            g = semiflat_metric(cfg, BasePoint(B, cfg.c_sk))
+            g = semiflat_metric(BasePoint(B, cfg.c_sk))
             assert norm / (g[0, 0] * rdot**2) == pytest.approx(1.0, rel=1e-12)
 
     def test_fiber_area_identities(self, cfg_03):
@@ -437,10 +437,10 @@ class TestSemiflatData:
 
     def test_semiflat_metric(self, cfg_half):
         base = BasePoint(1.0 / cfg_half.c_sk, cfg_half.c_sk)
-        g = semiflat_metric(cfg_half, base)
+        g = semiflat_metric(base)
         assert np.allclose(np.diag(g), [1.0, 1.0, 1.0, 1.0])
         for B in (0.3, 2.0, 1.0 + 1.0j):
             bp = BasePoint(B, cfg_half.c_sk)
-            gg = semiflat_metric(cfg_half, bp)
+            gg = semiflat_metric(bp)
             assert np.linalg.det(gg[:2, :2]) == pytest.approx(1.0, rel=1e-12)
             assert np.linalg.eigvalsh(gg).min() > 0
