@@ -67,12 +67,13 @@ class TestCutoff:
         with pytest.raises(ValueError):
             cutoff(CutoffSpec(), -0.1)
 
+    @pytest.mark.parametrize("part", [0, 1], ids=["cutoff_chi", "cutoff_chi_deriv"])
     @pytest.mark.parametrize("r", [-1.0, np.nan, [0.7, -1.0], np.array([0.2, np.nan, 0.8])])
     @pytest.mark.filterwarnings("error")
-    def test_negative_or_nan_radius_rejected(self, r):
+    def test_negative_or_nan_radius_rejected(self, part, r):
         # rejected before chi or its derivative is formed, with no RuntimeWarning first
         with pytest.raises(ValueError, match="nonnegative"):
-            cutoff(CutoffSpec(), r)
+            cutoff(CutoffSpec(), r)[part]
 
 
 @pytest.fixture(scope="module")
