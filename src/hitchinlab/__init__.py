@@ -5,7 +5,7 @@ Submodules
 special   : Bessel K0/K1/K2, theta constants, modular lambda and its inverse by
             arithmetic-geometric means, fundamental-domain reduction, damped Newton
 painleve  : radial sinh-Gordon (Painleve III) boundary-value solver and profiles
-fiducial  : local model fields near zeros and parabolic points, diagnostics
+fiducial  : radial local models near zeros and parabolic points, diagnostics
 glue      : cutoff gluing of model metrics and exponential error measurement
 toymodel  : four-punctured-sphere moduli space (special Kahler base, spectral
             torus, BPS data, predicted metric correction)

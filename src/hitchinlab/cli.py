@@ -2,9 +2,9 @@
 
 Subcommands
 -----------
-fiducial    build a local model, report its self-duality residual and
-            linearization data, write the model as JSON: the case, t, grid
-            and profile a ``FieldSample`` is built from
+fiducial    build a radial local model, report its self-duality residual and
+            linearization data, write the model as JSON: the case, t,
+            radial grid and profile a ``FieldSample`` holds
 glue-decay  sweep the glued-metric error over t and fit the exponential rate
 toymodel    derived constants of the four-punctured-sphere geometry plus the
             predicted metric correction on a radial grid
@@ -98,7 +98,7 @@ def _case_from(args) -> fid.LocalCase:
 
 
 def _radial_grid(args, r_max: float = 1.0, r_on: float = 0.0, **grid) -> fid.PolarGrid:
-    """The polar grid of ``args.n_r`` radial nodes, with a node where ``hitchin_residual`` measures.
+    """The grid of ``args.n_r`` radial nodes, with a node where ``hitchin_residual`` measures.
 
     ``grid`` holds further ``fid.polar_grid`` arguments.  The residual skips
     two radial nodes at each end and, for glue-decay, reads only r >= r_on;
@@ -116,7 +116,7 @@ def _radial_grid(args, r_max: float = 1.0, r_on: float = 0.0, **grid) -> fid.Pol
 
 def _run_fiducial(args, out: Path):
     case = _case_from(args)
-    grid = _radial_grid(args, r_min=args.r_min, n_theta=args.n_theta)
+    grid = _radial_grid(args, r_min=args.r_min)
     sample = fid.fiducial_fields(case, args.t, grid)
     residual = fid.hitchin_residual(sample)
     roots = fid.indicial_roots(case, (-2.0, 2.0))
@@ -332,7 +332,6 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--alpha1", type=float)
     p.add_argument("--sigma", type=str, help="weak-pole residue as re,im")
     p.add_argument("--n-r", type=int, default=1024)
-    p.add_argument("--n-theta", type=int, default=16)
     p.add_argument("--r-min", type=float, default=1e-3)
 
     p = experiment("glue-decay", _run_glue_decay, help="exponential error of the glued metric")

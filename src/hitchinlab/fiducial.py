@@ -14,19 +14,21 @@ tested here).  With F(r) the radial connection function,
   weak pole     : A = diag(i a1, i a2) dtheta,  Phi = (s/z) diag(1,-1) dz,
                   h = diag(r^{2 a1}, r^{2 a2})      (t-independent).
 
-A model is stored as what ``fields.json`` holds: the case, t, the grid and
-the exponent profile xi (ell, m, or 0 for the weak pole) with its
-derivative; A, Phi and h are built from these when first read.
+A model is radial, so it is stored as what ``fields.json`` holds: the
+case, t, the radial nodes and the exponent profile xi (ell, m, or 0 for the
+weak pole) with its derivative.  The 2x2 matrices A, Phi and h on an
+(r, theta) grid are built from these by ``oracles.local_fields``, which the
+tests read; no command builds them.
 
 The self-duality residual F^perp + t^2 [Phi, Phi*] reduces on this ansatz to
 a scalar radial quantity; ``hitchin_residual`` measures it in the
 log-radial frame (coefficient of the residual two-form against
 d(log r) ^ dtheta), which is free of the eps/h^2 rounding floor that the
-flat-frame pointwise norm suffers near r = 0; for the simple zero and the
-strong pole it reads only xi and its derivative.  The curvature term is
-central-differenced from the connection coefficient, independently of the
-Chebyshev collocation that the profile solver satisfies, so the measured
-residual of an exact model decreases at second order under grid refinement.
+flat-frame pointwise norm suffers near r = 0, and reads only xi and its
+derivative.  The curvature term is central-differenced from the connection
+coefficient, independently of the Chebyshev collocation that the profile
+solver satisfies, so the measured residual of an exact model decreases at
+second order under grid refinement.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from enum import Enum
 
 import numpy as np
@@ -85,46 +86,32 @@ class LocalCase:
 
 @dataclass(frozen=True)
 class PolarGrid:
-    """Polar grid (r_i, theta_j); r excludes the origin, theta uniform on [0, 2pi)."""
+    """The radial nodes r of a polar grid: positive and increasing (the models are radial)."""
 
     r: np.ndarray
-    theta: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
         if self.r[0] <= 0 or np.any(np.diff(self.r) <= 0):
             raise ValueError("radial grid must be positive and increasing")
-        if len(self.theta) < 1:
-            raise ValueError("need at least one angular node")
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.r[:, None] * np.exp(1j * self.theta[None, :])
 
 
-def polar_grid(r_min: float = 1e-3, r_max: float = 1.0, n_r: int = 1024, n_theta: int = 16) -> PolarGrid:
-    if n_r < 4 or n_theta < 8:
-        raise ValueError("need at least 4 radial and 8 angular nodes")
+def polar_grid(r_min: float = 1e-3, r_max: float = 1.0, n_r: int = 1024) -> PolarGrid:
+    if n_r < 4:
+        raise ValueError("need at least 4 radial nodes")
     if not 0.0 < r_min < r_max:
         raise ValueError(f"need 0 < r_min < r_max, got r_min={r_min}, r_max={r_max}")
-    return PolarGrid(np.geomspace(r_min, r_max, n_r), np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False))
-
-
-_PAULI3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
-_ID2 = np.eye(2, dtype=complex)
+    return PolarGrid(np.geomspace(r_min, r_max, n_r))
 
 
 @dataclass
 class FieldSample:
-    """A radial local model, stored as the profile its fields are built from.
+    """A radial local model: the case, t, the grid and the exponent profile.
 
     ``xi``/``dxi`` are the radial exponent profile (ell or m, possibly cut
     off) and its derivative; with the case, t and grid they are all the
-    sample holds and all that :meth:`to_json` writes.  The stable residual
-    reads only these.  ``A_theta`` and ``h`` (radial, shape (nr, 2, 2)) and
-    ``Phi`` (angular too, shape (nr, ntheta, 2, 2)) are read-only; the first
-    read of any of them builds and validates all three.
+    sample holds, all that :meth:`to_json` writes and all that
+    :func:`hitchin_residual` reads.
     """
 
     grid: PolarGrid
@@ -143,71 +130,15 @@ class FieldSample:
             setattr(self, name, v.astype(float, copy=False))
 
     @property
-    def A_theta(self) -> np.ndarray:
-        return self._fields[0]
-
-    @property
-    def Phi(self) -> np.ndarray:
-        return self._fields[1]
-
-    @property
-    def h(self) -> np.ndarray:
-        return self._fields[2]
-
-    @cached_property
-    def _fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(A_theta, Phi, h) in unitary gauge from the profile, validated."""
-        r = self.grid.r
-        z = self.grid.z
-        nr, nth = len(r), len(self.grid.theta)
-        xi = self.xi
-        Phi = np.zeros((nr, nth, 2, 2), dtype=complex)
-        h = np.zeros((nr, 2, 2), dtype=complex)
-
-        kind = self.case.kind
-        if kind is CaseKind.SIMPLE_ZERO:
-            A = 2.0 * self.f_values[:, None, None] * (1j * _PAULI3)
-            Phi[..., 0, 1] = (np.sqrt(r) * np.exp(xi))[:, None]
-            Phi[..., 1, 0] = z * (np.exp(-xi) / np.sqrt(r))[:, None]
-            h[:, 0, 0] = np.sqrt(r) * np.exp(xi)
-            h[:, 1, 1] = np.exp(-xi) / np.sqrt(r)
-        elif kind is CaseKind.STRONG_POLE:
-            w = self.case.weights
-            asum = w.alpha1 + w.alpha2
-            A = (0.5j * asum) * _ID2 + 2.0 * self.f_values[:, None, None] * (1j * _PAULI3)
-            Phi[..., 0, 1] = (np.exp(xi) / np.sqrt(r))[:, None]
-            Phi[..., 1, 0] = (np.sqrt(r) * np.exp(-xi))[:, None] / z
-            h[:, 0, 0] = r**asum * np.exp(xi) / np.sqrt(r)
-            h[:, 1, 1] = r**asum * np.sqrt(r) * np.exp(-xi)
-        else:  # weak pole
-            w = self.case.weights
-            sigma = complex(self.case.residue)
-            A = np.tile(np.diag([1j * w.alpha1, 1j * w.alpha2]), (nr, 1, 1))
-            Phi[..., 0, 0] = sigma / z
-            Phi[..., 1, 1] = -sigma / z
-            h[:, 0, 0] = r ** (2.0 * w.alpha1)
-            h[:, 1, 1] = r ** (2.0 * w.alpha2)
-
-        if np.max(np.abs(A + np.conj(np.swapaxes(A, -1, -2)))) > 1e-12:
-            raise ValueError("A_theta must be anti-Hermitian")
-        tr = np.abs(Phi[..., 0, 0] + Phi[..., 1, 1])
-        if np.max(tr) > 1e-12 * max(1.0, float(np.max(np.abs(Phi)))):
-            raise ValueError("Phi must be trace free")
-        if np.any(h[:, 0, 0].real <= 0) or np.any(np.linalg.det(h).real <= 0):
-            raise ValueError("h must be positive definite")
-        return A, Phi, h
-
-    @property
     def f_values(self) -> np.ndarray:
         """F(r) = (1/4)(c + r xi'), c = +1/2 (zero), -1/2 (pole), 0 (weak)."""
         c = _f_offset(self.case.kind)
         return 0.25 * (c + self.grid.r * self.dxi)
 
     def to_json(self) -> str:
-        """The data the sample holds: case, t, grid and (xi, dxi).
+        """The data the sample holds: case, t, radial grid and (xi, dxi).
 
-        A sample built from these builds bit for bit the fields of the
-        original.
+        A sample built from these equals the original bit for bit.
         """
         case = {
             "kind": self.case.kind.value,
@@ -221,7 +152,7 @@ class FieldSample:
         doc = {
             "case": case,
             "t": self.t,
-            "grid": {"r": self.grid.r.tolist(), "theta": self.grid.theta.tolist()},
+            "grid": {"r": self.grid.r.tolist()},
             "xi": self.xi.tolist(),
             "dxi": self.dxi.tolist(),
         }
@@ -233,7 +164,7 @@ def _f_offset(kind: CaseKind) -> float:
 
 
 def assemble_fields(case: LocalCase, t: float, grid: PolarGrid, xi: np.ndarray, dxi: np.ndarray) -> FieldSample:
-    """The local model with exponent profile (xi, dxi); its fields build on first read.
+    """The local model with exponent profile (xi, dxi).
 
     Passing the raw solver profile gives the fiducial solution; passing the
     cut-off profile gives the glued approximate solution.
@@ -263,36 +194,29 @@ def fiducial_fields(case: LocalCase, t: float, grid: PolarGrid) -> FieldSample:
 def hitchin_residual(sample: FieldSample, window: tuple[float, float] | None = None) -> float:
     """sup over interior nodes of |F^perp + t^2 [Phi, Phi*]| at the sample's t.
 
-    The curvature is central-differenced from the connection coefficient on
-    the polar grid; the pointwise value is the operator norm of the residual
-    two-form against d(log r) ^ dtheta.  Restricting to a radial ``window``
-    measures the same sup on a sub-annulus (the glue module uses this where
-    the residual of a glued metric is supported).
+    On the radial ansatz the residual two-form against d(log r) ^ dtheta is
+    |(1/2) d/dx (r xi') - 4 t^2 r^p sinh 2 xi|, x = log r, with p = 3 at the
+    simple zero and p = 1 at either pole; the derivative is central-differenced
+    on the radial grid.  The weak pole has a constant A and a diagonal Phi, so
+    F = 0 and [Phi, Phi*] = 0: its profile xi = 0 makes the residual exactly
+    0.  Restricting to a radial ``window`` measures the same sup on a
+    sub-annulus (the glue module uses this where the residual of a glued
+    metric is supported).
     """
-    if len(sample.grid.r) < 5 or len(sample.grid.theta) < 8:
+    r = sample.grid.r
+    if len(r) < 5:
         raise ValueError(
             "grid too small: need >= 5 radial nodes (two are skipped at each end, "
-            "so fewer leave no interior nodes) and >= 8 angular nodes"
+            "so fewer leave no interior nodes)"
         )
-    r = sample.grid.r
-    x = np.log(r)
-    kind = sample.case.kind
-    if kind is CaseKind.WEAK_POLE:
-        dA = fd_first(x, sample.A_theta.reshape(len(r), 4).T).T
-        curv = np.abs(dA).max(axis=1)
-        vals = curv + (sample.t**2) * (r**2) * _phi_commutator_norm(sample)
-    else:
-        # difference r*xi' rather than F = (c + r*xi')/4: the constant c is
-        # the limiting connection (curvature-free) and would anchor an
-        # absolute eps/h rounding floor that swamps exponentially small
-        # profiles; dropping it analytically keeps the evaluation accurate
-        # relative to the local profile magnitude
-        two_f_x = 0.5 * fd_first(x, r * sample.dxi)
-        if kind is CaseKind.SIMPLE_ZERO:
-            nonlin = 4.0 * sample.t**2 * r**3 * np.sinh(2.0 * sample.xi)
-        else:
-            nonlin = 4.0 * sample.t**2 * r * np.sinh(2.0 * sample.xi)
-        vals = np.abs(two_f_x - nonlin)
+    # difference r*xi' rather than F = (c + r*xi')/4: the constant c is
+    # the limiting connection (curvature-free) and would anchor an
+    # absolute eps/h rounding floor that swamps exponentially small
+    # profiles; dropping it analytically keeps the evaluation accurate
+    # relative to the local profile magnitude
+    two_f_x = 0.5 * fd_first(np.log(r), r * sample.dxi)
+    p = 3 if sample.case.kind is CaseKind.SIMPLE_ZERO else 1
+    vals = np.abs(two_f_x - 4.0 * sample.t**2 * r**p * np.sinh(2.0 * sample.xi))
     # exclude two nodes per end: the boundary one-sided stencil enters the
     # neighbouring central difference with a different error constant,
     # polluting those nodes at first order
@@ -304,19 +228,6 @@ def hitchin_residual(sample: FieldSample, window: tuple[float, float] | None = N
     if not mask.any():
         raise ValueError("window contains no interior nodes")
     return float(np.max(vals[mask]))
-
-
-def _phi_commutator_norm(sample: FieldSample) -> np.ndarray:
-    """sup over theta of the spectral norm of Phi Phi* - Phi* Phi, per radius.
-
-    The commutator C is Hermitian and trace free, so its eigenvalues are
-    +-sqrt(c00^2 + |c01|^2); its entries are written out from those of Phi.
-    """
-    P = sample.Phi
-    a, b, c, d = P[..., 0, 0], P[..., 0, 1], P[..., 1, 0], P[..., 1, 1]
-    c00 = (b.real**2 + b.imag**2) - (c.real**2 + c.imag**2)
-    c01 = a * c.conj() + b * d.conj() - a.conj() * b - c.conj() * d
-    return np.hypot(c00, np.abs(c01)).max(axis=1)
 
 
 def mphi_eigenvalues(case: LocalCase, t: float, r: float, xi: float = 0.0):

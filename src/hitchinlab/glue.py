@@ -128,11 +128,23 @@ def decay_sweep(
     spec: CutoffSpec = CutoffSpec(),
     grid: PolarGrid | None = None,
 ):
-    """(t, residual) samples of the glued-metric error over a t sweep."""
+    """(t, residual) samples of the glued-metric error over a t sweep.
+
+    The residual decays like exp(-mu t) and underflows to 0 at large t,
+    where no log-linear fit can read it; the sweep stops there with
+    ``DegenerateFitError`` rather than solve the rest of the t values.
+    """
     t_values = [float(t) for t in t_values]
     if sorted(t_values) != t_values:
         raise ValueError("t values must be increasing")
-    return [(t, approx_residual(case, t, spec, grid)) for t in t_values]
+    samples = []
+    for t in t_values:
+        e = approx_residual(case, t, spec, grid)
+        if e == 0.0:
+            before = f"last positive at t = {samples[-1][0]:g}" if samples else "no earlier t"
+            raise DegenerateFitError(f"glued residual underflows to 0 at t = {t:g} ({before})")
+        samples.append((t, e))
+    return samples
 
 
 @dataclass

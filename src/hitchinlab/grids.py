@@ -2,9 +2,9 @@
 
 The 3-point stencils below are exact on quadratics for arbitrary node
 spacing; on smoothly graded (e.g. log-spaced) grids they are second-order
-accurate.  ``fiducial.hitchin_residual`` differences its fields with them,
-and ``oracles`` builds its banded finite-difference solves and its second
-difference from them.
+accurate.  ``fiducial.hitchin_residual`` differences the radial connection
+coefficient r xi' with them, and ``oracles`` builds its matrix residual,
+its banded finite-difference solves and its second difference from them.
 
 Both radial solvers discretize by Chebyshev collocation (Trefethen,
 *Spectral Methods in MATLAB*, SIAM 2000): ``painleve`` in x = log rho and

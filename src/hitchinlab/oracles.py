@@ -18,11 +18,15 @@ route that shares no solver with it:
                              read off a cubic spline of ``section_profiles``
                              (``lebrun.metric_difference_full`` evaluates
                              the whole collocation grid);
-  matrix_residual            the self-duality residual from the assembled
-                             2x2 matrices (``fiducial.hitchin_residual``
-                             uses the scalar reduction of the ansatz);
-  quadratic_differential     -det(Phi/dz) of the assembled fields, against
-                             the case's expected_quadratic_differential;
+  local_fields               the 2x2 matrices (A_theta, Phi, h) of a radial
+                             ``fiducial.FieldSample`` on an (r, theta) grid,
+                             checked anti-Hermitian, trace free and positive
+                             definite (the package stores the profile only);
+  matrix_residual            the self-duality residual from those matrices
+                             (``fiducial.hitchin_residual`` uses the scalar
+                             reduction of the ansatz);
+  quadratic_differential     -det(Phi/dz) of those matrices, against the
+                             case's expected_quadratic_differential;
   semiflat_metric            the paper's g_sf at a BasePoint of the Hitchin
                              base (``lebrun.metric_difference_full``
                              subtracts it in closed form);
@@ -60,7 +64,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .fiducial import _ID2, CaseKind, FieldSample, LocalCase
+from .fiducial import CaseKind, FieldSample, LocalCase
 from .grids import fd_first, fd_first_boundary, interior_weights
 from .lebrun import LeBrunSolution, TorusFourierField, _phi_log_deriv, linear_mode_solution
 from .special import ConvergenceError, bessel_k, reduce_to_fundamental_domain
@@ -77,6 +81,8 @@ __all__ = [
     "predicted_bessel_parts",
     "truncation_diagnostic",
     "hitchin_section_difference",
+    "ANGLES",
+    "local_fields",
     "matrix_residual",
     "quadratic_differential",
     "expected_quadratic_differential",
@@ -378,20 +384,75 @@ def hitchin_section_difference(sol: LeBrunSolution, r_query) -> np.ndarray:
 # local model fields: the matrix self-duality residual and the quadratic differential
 # ----------------------------------------------------------------------
 
-def matrix_residual(sample: FieldSample, t: float) -> float:
-    """Cross-check residual from the assembled matrices (no analytic split).
+_PAULI3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
+_ID2 = np.eye(2, dtype=complex)
+# the angular nodes the matrix checks sample by default
+ANGLES = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
 
-    Same log-frame measure as ``fiducial.hitchin_residual``; loses accuracy
-    once the profile is exponentially small (cancellation against the
-    constant part of the connection), so it is a validation tool, not the
-    production path.
+
+def local_fields(sample: FieldSample, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A_theta, Phi, h) of the radial model in unitary gauge, built from its profile and validated.
+
+    ``A_theta`` and ``h`` are radial, shape (nr, 2, 2); ``Phi`` has shape
+    (nr, len(theta), 2, 2), at z = r e^{i theta}.  The ansatz of each case is
+    in the ``fiducial`` module docstring.  Raises ``ValueError`` unless A is
+    anti-Hermitian, Phi trace free and h positive definite.
+    """
+    r = sample.grid.r
+    theta = np.asarray(theta, dtype=float)
+    z = r[:, None] * np.exp(1j * theta[None, :])
+    nr = len(r)
+    xi = sample.xi
+    Phi = np.zeros((nr, len(theta), 2, 2), dtype=complex)
+    h = np.zeros((nr, 2, 2), dtype=complex)
+
+    kind = sample.case.kind
+    if kind is CaseKind.SIMPLE_ZERO:
+        A = 2.0 * sample.f_values[:, None, None] * (1j * _PAULI3)
+        Phi[..., 0, 1] = (np.sqrt(r) * np.exp(xi))[:, None]
+        Phi[..., 1, 0] = z * (np.exp(-xi) / np.sqrt(r))[:, None]
+        h[:, 0, 0] = np.sqrt(r) * np.exp(xi)
+        h[:, 1, 1] = np.exp(-xi) / np.sqrt(r)
+    elif kind is CaseKind.STRONG_POLE:
+        asum = sample.case.weights.alpha1 + sample.case.weights.alpha2
+        A = (0.5j * asum) * _ID2 + 2.0 * sample.f_values[:, None, None] * (1j * _PAULI3)
+        Phi[..., 0, 1] = (np.exp(xi) / np.sqrt(r))[:, None]
+        Phi[..., 1, 0] = (np.sqrt(r) * np.exp(-xi))[:, None] / z
+        h[:, 0, 0] = r**asum * np.exp(xi) / np.sqrt(r)
+        h[:, 1, 1] = r**asum * np.sqrt(r) * np.exp(-xi)
+    else:  # weak pole
+        w = sample.case.weights
+        sigma = complex(sample.case.residue)
+        A = np.tile(np.diag([1j * w.alpha1, 1j * w.alpha2]), (nr, 1, 1))
+        Phi[..., 0, 0] = sigma / z
+        Phi[..., 1, 1] = -sigma / z
+        h[:, 0, 0] = r ** (2.0 * w.alpha1)
+        h[:, 1, 1] = r ** (2.0 * w.alpha2)
+
+    if np.max(np.abs(A + np.conj(np.swapaxes(A, -1, -2)))) > 1e-12:
+        raise ValueError("A_theta must be anti-Hermitian")
+    tr = np.abs(Phi[..., 0, 0] + Phi[..., 1, 1])
+    if np.max(tr) > 1e-12 * max(1.0, float(np.max(np.abs(Phi)))):
+        raise ValueError("Phi must be trace free")
+    if np.any(h[:, 0, 0].real <= 0) or np.any(np.linalg.det(h).real <= 0):
+        raise ValueError("h must be positive definite")
+    return A, Phi, h
+
+
+def matrix_residual(sample: FieldSample, t: float, theta=ANGLES) -> float:
+    """Cross-check residual from the ``local_fields`` matrices (no analytic split).
+
+    Same log-frame measure as ``fiducial.hitchin_residual``, sup over the
+    angles ``theta`` too; loses accuracy once the profile is exponentially
+    small (cancellation against the constant part of the connection), so it
+    is a validation tool, not the production path.
     """
     r = sample.grid.r
     x = np.log(r)
     nr = len(r)
-    dA = fd_first(x, sample.A_theta.reshape(nr, 4).T).T.reshape(nr, 2, 2)
+    A, P, _ = local_fields(sample, theta)
+    dA = fd_first(x, A.reshape(nr, 4).T).T.reshape(nr, 2, 2)
     dA = dA - 0.5 * np.trace(dA, axis1=-2, axis2=-1)[:, None, None] * _ID2
-    P = sample.Phi
     Pd = np.conj(np.swapaxes(P, -1, -2))
     comm = P @ Pd - Pd @ P
     resid = dA[:, None, :, :] - 2j * (t**2) * ((r**2)[:, None, None, None]) * comm
@@ -399,9 +460,9 @@ def matrix_residual(sample: FieldSample, t: float) -> float:
     return float(np.max(vals[1:-1]))
 
 
-def quadratic_differential(sample: FieldSample) -> np.ndarray:
-    """-det(Phi/dz) on the grid: equals z, z^{-1} or residue^2 z^{-2} by case."""
-    P = sample.Phi
+def quadratic_differential(sample: FieldSample, theta=ANGLES) -> np.ndarray:
+    """-det(Phi/dz) at z = r e^{i theta}: equals z, z^{-1} or residue^2 z^{-2} by case."""
+    P = local_fields(sample, theta)[1]
     return -(P[..., 0, 0] * P[..., 1, 1] - P[..., 0, 1] * P[..., 1, 0])
 
 

@@ -33,7 +33,14 @@ from hitchinlab.lebrun import (
     linear_mode_solution,
     solve_nonlinear,
 )
-from hitchinlab.oracles import fd_second, section_profiles, shooting_solution, solve_mode_bvp, solve_mode_inhomogeneous
+from hitchinlab.oracles import (
+    fd_second,
+    matrix_residual,
+    section_profiles,
+    shooting_solution,
+    solve_mode_bvp,
+    solve_mode_inhomogeneous,
+)
 from hitchinlab.painleve import RHO_INNER_TARGET, ParabolicWeights, solve_mtw
 from hitchinlab.special import bessel_k, inverse_lambda, modular_lambda
 
@@ -104,9 +111,11 @@ def test_criterion_04_fiducial_exactness():
     weak = LocalCase(CaseKind.WEAK_POLE, ParabolicWeights(0.3, 0.7), 0.5)
     grid = polar_grid()
     grid2 = polar_grid(n_r=2047)
-    r_weak = hitchin_residual(fiducial_fields(weak, 4.0, grid))
-    ok = r_weak < 1e-10
-    detail = [f"weak={r_weak:.1e}"]
+    weak_sample = fiducial_fields(weak, 4.0, grid)
+    r_weak = hitchin_residual(weak_sample)
+    m_weak = matrix_residual(weak_sample, 4.0)
+    ok = r_weak < 1e-10 and m_weak < 1e-10
+    detail = [f"weak={r_weak:.1e} matrix={m_weak:.1e}"]
     for name, case in (
         ("zero", LocalCase(CaseKind.SIMPLE_ZERO)),
         ("pole", LocalCase(CaseKind.STRONG_POLE, ParabolicWeights(0.2, 0.8))),
@@ -240,7 +249,8 @@ def test_criterion_11_determinism(tmp_path):
     configs = [
         ("toymodel", {"p0": "0.3,0.1", "r_points": 10}),
         ("glue-decay", {"case": "strongpole", "alpha1": 0.2, "tmin": 4, "tmax": 10, "n_r": 2048}),
-        ("fiducial", {"case": "weakpole", "alpha1": 0.3, "sigma": "0.5,0", "n_r": 64, "n_theta": 8}),
+        ("fiducial", {"case": "weakpole", "alpha1": 0.3, "sigma": "0.5,0", "n_r": 64}),
+        ("fiducial", {"case": "simplezero", "n_r": 64}),
         ("lebrun", {"p0": "0.3,0", "amp": 0.1, "modes": 2, "rho_max": 3.0, "n_rho": 401}),
     ]
     ok = True

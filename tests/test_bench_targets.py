@@ -100,3 +100,17 @@ def test_toymodel_correction_evaluations(monkeypatch, tmp_path, p0):
     spans = [s for s in tr.spans if s.name in names]
     assert [s.name for s in spans] == list(names)
     assert spans[1].extra == 40  # bessel_k points
+
+
+def test_traced_fiducial_op_records_every_layer(monkeypatch, tmp_path):
+    # the glue-fiducial workload's fiducial layers must still record calls
+    # on a solved model, not read 0
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    tr = tracer.Tracer()
+    with tr.installed():
+        run(ExperimentConfig("fiducial", {"case": "simplezero", "n_r": 64}, tmp_path / "fid"))
+    summary = tr.summary()
+    for name in ("fiducial_fields", "assemble_fields", "hitchin_residual", "FieldSample.to_json"):
+        assert summary[f"fiducial.{name}.calls"] >= 1, name

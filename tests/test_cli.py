@@ -134,7 +134,7 @@ class TestCommands:
         assert len(lines) == 5
 
     def test_fiducial(self, tmp_path):
-        params = {"case": "weakpole", "alpha1": 0.3, "sigma": "0.5,0", "n_r": 64, "n_theta": 8, "t": 2.0}
+        params = {"case": "weakpole", "alpha1": 0.3, "sigma": "0.5,0", "n_r": 64, "t": 2.0}
         run(ExperimentConfig("fiducial", params, tmp_path / "f"))
         summary = json.loads((tmp_path / "f" / "summary.json").read_text())
         assert summary["hitchin_residual"] < 1e-10
@@ -338,7 +338,8 @@ class TestDeterminism:
         configs = {
             "toy": ("toymodel", {"p0": "0.3,0.1", "r_points": 10}),
             "glue": ("glue-decay", {"case": "simplezero", "tmin": 4, "tmax": 10, "n_r": 1024}),
-            "fid": ("fiducial", {"case": "weakpole", "alpha1": 0.3, "sigma": "0.5,0", "n_r": 64, "n_theta": 8}),
+            "fid": ("fiducial", {"case": "weakpole", "alpha1": 0.3, "sigma": "0.5,0", "n_r": 64}),
+            "fid-zero": ("fiducial", {"case": "simplezero", "n_r": 64}),
             "leb": ("lebrun", dict(FAST_LEBRUN)),
         }
         for rel, (command, params) in configs.items():
@@ -447,6 +448,26 @@ class TestValidationAndConfig:
         assert len(err) == 1 and err[0].startswith(f"error: ValidationError: {flag} ")
         assert not out.exists()
 
+    def test_residual_underflow_stops_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # the strong-pole annulus residual reads 5.65e-12 at t = 4, 1.02e-252 at
+        # t = 103 and 0.0 from t = 202 on: the sweep fails there, after 3
+        # profile solves, not after all 5
+        solves = []
+        m_profile = cli_module.fid.m_profile
+
+        def counting(*args):
+            solves.append(args[0])
+            return m_profile(*args)
+
+        monkeypatch.setattr(cli_module.fid, "m_profile", counting)
+        argv = ["glue-decay", "--case", "strongpole", "--alpha1", "0.2", "--tmin", "4", "--tmax", "400",
+                "--tstep", "99", "--output-dir", str(tmp_path / "x")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: DegenerateFitError: glued residual underflows to 0 at t = 202 (last positive at t = 103)"]
+        assert solves == [4.0, 103.0, 202.0]
+        assert not (tmp_path / "x").exists()
+
     def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         # what numpy raises for a t range it cannot allocate, without allocating it
         def out_of_memory(*args, **kwargs):
@@ -544,8 +565,12 @@ class TestValidationAndConfig:
             ("toymodel", {"r_points": 6}),
             ("toymodel", {"p0": "0.3,0", "output_dir": "elsewhere"}),
             ("report", {"out": "summary.json"}),
+            ("fiducial", {"case": "simplezero", "n_theta": 8}),
         ],
-        ids=["unknown-key", "prefix", "r_min", "n_theta", "choices", "int", "required", "output_dir", "dir"],
+        ids=[
+            "unknown-key", "prefix", "r_min", "n_theta", "choices", "int", "required", "output_dir", "dir",
+            "fiducial-n_theta",
+        ],
     )
     def test_library_parameters_checked_before_work(self, tmp_path, command, params):
         # run() reads its parameters through the command's flags, before the output directory exists

@@ -8,11 +8,11 @@ from hitchinlab.glue import (
     CutoffSpec,
     DegenerateFitError,
     approx_metric,
-    approx_residual,
     cutoff,
     decay_sweep,
     fit_exponential_decay,
 )
+from hitchinlab.oracles import ANGLES, local_fields, matrix_residual
 from hitchinlab.painleve import ParabolicWeights
 
 ZERO = LocalCase(CaseKind.SIMPLE_ZERO)
@@ -78,33 +78,32 @@ class TestCutoff:
 
 @pytest.fixture(scope="module")
 def grid():
-    return polar_grid(n_r=2048, n_theta=16)
+    return polar_grid(n_r=2048)
 
 
 class TestApproxMetric:
     def test_inner_region_bitwise(self, grid):
         spec = CutoffSpec()
-        am = approx_metric(ZERO, 8.0, grid, spec)
-        fid = fiducial_fields(ZERO, 8.0, grid)
+        A, Phi, h = local_fields(approx_metric(ZERO, 8.0, grid, spec), ANGLES)
+        fid_A, fid_Phi, fid_h = local_fields(fiducial_fields(ZERO, 8.0, grid), ANGLES)
         inner = grid.r <= spec.r_on
-        assert np.array_equal(am.Phi[inner], fid.Phi[inner])
-        assert np.array_equal(am.h[inner], fid.h[inner])
-        assert np.array_equal(am.A_theta[inner], fid.A_theta[inner])
+        assert np.array_equal(Phi[inner], fid_Phi[inner])
+        assert np.array_equal(h[inner], fid_h[inner])
+        assert np.array_equal(A[inner], fid_A[inner])
 
     def test_outer_region_power_law(self, grid):
         spec = CutoffSpec()
-        am = approx_metric(ZERO, 8.0, grid, spec)
+        A, _, h = local_fields(approx_metric(ZERO, 8.0, grid, spec), ANGLES)
         outer = grid.r >= spec.r_off
         r = grid.r[outer]
-        assert np.allclose(am.h[outer, 0, 0].real, np.sqrt(r))
-        assert np.allclose(am.h[outer, 1, 1].real, 1.0 / np.sqrt(r))
+        assert np.allclose(h[outer, 0, 0].real, np.sqrt(r))
+        assert np.allclose(h[outer, 1, 1].real, 1.0 / np.sqrt(r))
         # limiting connection: F = 1/8
-        assert np.allclose(am.A_theta[outer, 0, 0].imag, 0.25)
+        assert np.allclose(A[outer, 0, 0].imag, 0.25)
 
     def test_continuity_across_junctions(self, grid):
         spec = CutoffSpec()
-        am = approx_metric(POLE_06, 8.0, grid, spec)
-        h00 = am.h[:, 0, 0].real
+        h00 = local_fields(approx_metric(POLE_06, 8.0, grid, spec), ANGLES)[2][:, 0, 0].real
         jumps = np.abs(np.diff(np.log(h00)))
         assert jumps.max() < 0.05  # no discontinuity anywhere on the log grid
 
@@ -116,7 +115,7 @@ class TestApproxMetric:
 
 class TestApproxResidual:
     def test_exact_region_below_floor(self):
-        grid = polar_grid(n_r=2048, n_theta=16)
+        grid = polar_grid(n_r=2048)
         am = approx_metric(ZERO, 8.0, grid)
         inner = hitchin_residual(am, window=(grid.r[1], 0.25))
         assert inner < 1e-5
@@ -127,8 +126,11 @@ class TestApproxResidual:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_angular_resolution_insensitive(self):
-        e1 = approx_residual(ZERO, 8.0, grid=polar_grid(n_r=2048, n_theta=16))
-        e2 = approx_residual(ZERO, 8.0, grid=polar_grid(n_r=2048, n_theta=32))
+        # the glued model is radial: the oracle's matrix residual, a sup over
+        # the angles it samples, reads the same at 16 and at 32 of them
+        am = approx_metric(ZERO, 8.0, polar_grid(n_r=2048))
+        e1 = matrix_residual(am, 8.0, np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False))
+        e2 = matrix_residual(am, 8.0, np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False))
         assert abs(e1 - e2) <= 0.05 * e1
 
 
