@@ -121,7 +121,7 @@ def _run_fiducial(args, out: Path):
     residual = fid.hitchin_residual(sample)
     roots = fid.indicial_roots(case, (-2.0, 2.0))
     eigs = {
-        f"{grid.r[i]:.6g}": list(fid.mphi_eigenvalues(case, args.t, float(grid.r[i]), float(sample.xi[i])))
+        f"{grid.r[i]:.6g}": list(fid.mphi_eigenvalues(case, float(grid.r[i]), float(sample.xi[i])))
         for i in (0, len(grid.r) // 2, -1)
     }
     fields_path = write_text(out / "fields.json", sample.to_json())

@@ -230,10 +230,12 @@ def hitchin_residual(sample: FieldSample, window: tuple[float, float] | None = N
     return float(np.max(vals[mask]))
 
 
-def mphi_eigenvalues(case: LocalCase, t: float, r: float, xi: float = 0.0):
+def mphi_eigenvalues(case: LocalCase, r: float, xi: float = 0.0):
     """Eigenvalues of the Higgs-field bracket operator -i * M_Phi at radius r.
 
     ``xi`` is the exponent profile (ell or m) at r; the weak pole has none.
+    The operator holds no t (the self-duality equation multiplies the
+    bracket by t^2), so t enters only through the profile value xi.
 
     Simple zero : (16 r cosh 2ell, 8 r (cosh 2ell - 1), 8 r (cosh 2ell + 1))
     Strong pole : (16/r cosh 2m,  8/r (cosh 2m - 1),  8/r (cosh 2m + 1))

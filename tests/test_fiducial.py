@@ -282,19 +282,19 @@ def _bracket_matrix(P):
 
 class TestMphiEigenvalues:
     def test_limiting_zero(self):
-        lam = mphi_eigenvalues(ZERO, 1.0, 2.0)
+        lam = mphi_eigenvalues(ZERO, 2.0)
         assert lam == (32.0, 0.0, 32.0)
 
     def test_weak_example(self):
         case = LocalCase(CaseKind.WEAK_POLE, ParabolicWeights(0.3, 0.7), 1.0)
-        assert mphi_eigenvalues(case, 1.0, 2.0) == (0.0, 4.0, 4.0)
+        assert mphi_eigenvalues(case, 2.0) == (0.0, 4.0, 4.0)
 
     def test_nonnegative(self, grid):
         ell, _ = ell_profile(4.0, grid.r)
         for i in (0, 512, -1):
             r = grid.r[i]
             for case, xi in ((ZERO, ell[i]), (POLE2, 0.0), (WEAK, 0.0)):
-                lams = mphi_eigenvalues(case, 4.0, r, xi)
+                lams = mphi_eigenvalues(case, r, xi)
                 assert all(v >= 0 for v in lams)
 
     @pytest.mark.parametrize("theta", [0.0, 0.9, 2.5])
@@ -306,7 +306,7 @@ class TestMphiEigenvalues:
             [[0, np.sqrt(r) * np.exp(ell)], [z * np.exp(-ell) / np.sqrt(r), 0]], dtype=complex
         )
         got = np.sort(np.linalg.eigvalsh(_bracket_matrix(P)))
-        want = np.sort(mphi_eigenvalues(ZERO, 1.0, r, ell))
+        want = np.sort(mphi_eigenvalues(ZERO, r, ell))
         assert np.max(np.abs(got - want)) < 1e-10
 
         m = -0.3
@@ -314,14 +314,14 @@ class TestMphiEigenvalues:
             [[0, np.exp(m) / np.sqrt(r)], [np.sqrt(r) * np.exp(-m) / z, 0]], dtype=complex
         )
         got = np.sort(np.linalg.eigvalsh(_bracket_matrix(P)))
-        want = np.sort(mphi_eigenvalues(POLE2, 1.0, r, m))
+        want = np.sort(mphi_eigenvalues(POLE2, r, m))
         assert np.max(np.abs(got - want)) < 1e-10
 
         sigma = 0.5 + 0.2j
         P = (sigma / z) * np.diag([1.0 + 0j, -1.0 + 0j])
         got = np.sort(np.linalg.eigvalsh(_bracket_matrix(P)))
         case = LocalCase(CaseKind.WEAK_POLE, ParabolicWeights(0.3, 0.7), sigma)
-        want = np.sort(mphi_eigenvalues(case, 1.0, r))
+        want = np.sort(mphi_eigenvalues(case, r))
         assert np.max(np.abs(got - want)) < 1e-10
 
 

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hitchinlab import painleve
 from hitchinlab.fiducial import CaseKind, LocalCase, fiducial_fields, hitchin_residual, polar_grid
 from hitchinlab.glue import (
     CutoffSpec,
     DegenerateFitError,
     approx_metric,
+    approx_residual,
     cutoff,
     decay_sweep,
     fit_exponential_decay,
@@ -18,6 +22,10 @@ from hitchinlab.painleve import ParabolicWeights
 ZERO = LocalCase(CaseKind.SIMPLE_ZERO)
 POLE_02 = LocalCase(CaseKind.STRONG_POLE, ParabolicWeights(0.4, 0.6))
 POLE_06 = LocalCase(CaseKind.STRONG_POLE, ParabolicWeights(0.2, 0.8))
+
+
+def _no_solve(sigma, rho):
+    raise AssertionError("a profile was solved")
 
 
 class TestCutoff:
@@ -119,6 +127,60 @@ class TestApproxResidual:
         am = approx_metric(ZERO, 8.0, grid)
         inner = hitchin_residual(am, window=(grid.r[1], 0.25))
         assert inner < 1e-5
+
+    @settings(max_examples=60)
+    @given(
+        case=st.sampled_from([ZERO, POLE_02, POLE_06]),
+        t=st.floats(1.0, 20.0),
+        n_r=st.integers(5, 3000),
+        r_min=st.floats(1e-4, 0.1),
+        r_on=st.floats(5e-5, 0.95),
+        at_end=st.booleans(),
+        frac=st.floats(0.01, 0.99),
+    )
+    @example(case=ZERO, t=8.0, n_r=2048, r_min=1e-3, r_on=5e-4, at_end=False, frac=0.3)  # r_on < r_min
+    @example(case=POLE_06, t=8.0, n_r=64, r_min=1e-3, r_on=0.8, at_end=True, frac=0.5)  # window at the grid's end
+    @example(case=POLE_02, t=4.0, n_r=5, r_min=0.1, r_on=0.05, at_end=True, frac=0.5)  # every node read
+    def test_matches_full_grid_residual(self, case, t, n_r, r_min, r_on, at_end, frac):
+        # the residual read on the annulus, its halo and the grid ends is, bit
+        # for bit, that of the glued metric on the whole grid
+        spec = CutoffSpec(r_on, 1.0 if at_end else r_on + frac * (1.0 - r_on))
+        grid = polar_grid(r_min, 1.0, n_r)
+        try:
+            want = hitchin_residual(approx_metric(case, t, grid, spec), window=(spec.r_on, spec.r_off))
+        except ValueError as exc:
+            assert "no interior nodes" in str(exc)
+            with pytest.raises(ValueError, match="no interior nodes"):
+                approx_residual(case, t, spec, grid)
+            return
+        assert approx_residual(case, t, spec, grid) == want
+
+    def test_profiles_solved_only_where_read(self, monkeypatch):
+        grid, spec = polar_grid(n_r=4096), CutoffSpec()
+        sizes = []
+        solve = painleve.solve_mtw
+
+        def recording(sigma, rho):
+            sizes.append(len(rho))
+            return solve(sigma, rho)
+
+        monkeypatch.setattr(painleve, "solve_mtw", recording)
+        decay_sweep(ZERO, [4, 6, 8, 10], spec, grid)
+        window = np.count_nonzero((grid.r >= spec.r_on) & (grid.r <= spec.r_off))
+        assert len(sizes) == 4
+        assert max(sizes) <= window + 6 < len(grid.r)
+
+    def test_empty_window_rejected_before_solving(self, monkeypatch):
+        monkeypatch.setattr(painleve, "solve_mtw", _no_solve)
+        grid = polar_grid(n_r=16)
+        spec = CutoffSpec(1.001 * grid.r[8], 0.999 * grid.r[9])  # between two nodes
+        with pytest.raises(ValueError, match="window contains no interior nodes"):
+            approx_residual(ZERO, 4.0, spec, grid)
+
+    def test_repeated_t_rejected_before_solving(self, monkeypatch):
+        monkeypatch.setattr(painleve, "solve_mtw", _no_solve)
+        with pytest.raises(ValueError, match="t values must be strictly increasing"):
+            decay_sweep(ZERO, [4, 4, 6, 8])
 
     def test_strictly_decreasing_sweep(self):
         samples = decay_sweep(ZERO, [4, 6, 8, 10, 12])
