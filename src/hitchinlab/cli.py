@@ -97,32 +97,30 @@ def _case_from(args) -> fid.LocalCase:
     return fid.LocalCase(kind, weights, residue)
 
 
-def _radial_grid(args, r_max: float = 1.0, r_on: float = 0.0, **grid) -> fid.PolarGrid:
-    """The grid of ``args.n_r`` radial nodes, with a node where ``hitchin_residual`` measures.
+def _radial_grid(args, r_max: float = 1.0, r_on: float = 0.0, **grid) -> np.ndarray:
+    """The ``args.n_r`` radial nodes (``grid`` holds further ``fid.polar_grid`` arguments).
 
-    ``grid`` holds further ``fid.polar_grid`` arguments.  The residual skips
-    two radial nodes at each end and, for glue-decay, reads only r >= r_on;
-    an --n-r that leaves it no node fails here, before anything is solved.
+    An --n-r that leaves ``fid.residual_nodes`` no node in [r_on, r_max] fails here, before any solve.
     """
-    if args.n_r >= 5:
-        polar = fid.polar_grid(r_max=r_max, n_r=args.n_r, **grid)
-        if polar.r[-3] >= r_on:
-            return polar
-    raise ValidationError(
-        f"--n-r {args.n_r} is too small: the residual skips two radial nodes at each end "
-        f"and needs one in [{r_on:g}, {r_max:g}]"
-    )
+    if args.n_r < 4:
+        raise ValidationError(f"--n-r {args.n_r} is too small: polar_grid needs at least 4 radial nodes")
+    r = fid.polar_grid(r_max=r_max, n_r=args.n_r, **grid)
+    try:
+        fid.residual_nodes(r, (r_on, r_max))
+    except ValueError as exc:
+        raise ValidationError(f"--n-r {args.n_r} leaves no residual node in [{r_on:g}, {r_max:g}]: {exc}") from exc
+    return r
 
 
 def _run_fiducial(args, out: Path):
     case = _case_from(args)
-    grid = _radial_grid(args, r_min=args.r_min)
-    sample = fid.fiducial_fields(case, args.t, grid)
+    r = _radial_grid(args, r_min=args.r_min)
+    sample = fid.fiducial_fields(case, args.t, r)
     residual = fid.hitchin_residual(sample)
     roots = fid.indicial_roots(case, (-2.0, 2.0))
     eigs = {
-        f"{grid.r[i]:.6g}": list(fid.mphi_eigenvalues(case, float(grid.r[i]), float(sample.xi[i])))
-        for i in (0, len(grid.r) // 2, -1)
+        f"{r[i]:.6g}": list(fid.mphi_eigenvalues(case, float(r[i]), float(sample.xi[i])))
+        for i in (0, len(r) // 2, -1)
     }
     fields_path = write_text(out / "fields.json", sample.to_json())
     summary = {
@@ -149,9 +147,9 @@ def _run_glue_decay(args, out: Path):
             f"--tmin {args.tmin:g} to --tmax {args.tmax:g} by --tstep {args.tstep:g} gives fewer than 4 t values"
         )
     spec = glue.CutoffSpec(args.r_on, args.r_off)
-    grid = _radial_grid(args, spec.r_off, spec.r_on)
+    r = _radial_grid(args, spec.r_off, spec.r_on)
     ts = list(np.arange(args.tmin, args.tmax + 0.5 * args.tstep, args.tstep))
-    samples = glue.decay_sweep(case, ts, spec, grid)
+    samples = glue.decay_sweep(case, ts, spec, r)
     fit = glue.fit_exponential_decay(samples)
     csv_path = write_csv(out / "decay.csv", ["t", "residual"], samples)
     fit_path = write_json(out / "fit.json", {"c": fit.c, "mu": fit.mu, "r2": fit.r2})

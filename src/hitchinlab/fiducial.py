@@ -15,10 +15,11 @@ tested here).  With F(r) the radial connection function,
                   h = diag(r^{2 a1}, r^{2 a2})      (t-independent).
 
 A model is radial, so it is stored as what ``fields.json`` holds: the
-case, t, the radial nodes and the exponent profile xi (ell, m, or 0 for the
-weak pole) with its derivative.  The 2x2 matrices A, Phi and h on an
-(r, theta) grid are built from these by ``oracles.local_fields``, which the
-tests read; no command builds them.
+case, t, the radial nodes r (a plain 1-d array: finite, positive, strictly
+increasing) and the exponent profile xi (ell, m, or 0 for the weak pole)
+with its derivative.  The 2x2 matrices A, Phi and h on an (r, theta) grid
+are built from these by ``oracles.local_fields``, which the tests read; no
+command builds them.
 
 The self-duality residual F^perp + t^2 [Phi, Phi*] reduces on this ansatz to
 a scalar radial quantity; ``hitchin_residual`` measures it in the
@@ -28,7 +29,8 @@ flat-frame pointwise norm suffers near r = 0, and reads only xi and its
 derivative.  The curvature term is central-differenced from the connection
 coefficient, independently of the Chebyshev collocation that the profile
 solver satisfies, so the measured residual of an exact model decreases at
-second order under grid refinement.
+second order under grid refinement.  ``residual_nodes`` alone states
+which nodes it reads: all but ``RESIDUAL_SKIP`` at each end of the grid.
 """
 
 from __future__ import annotations
@@ -46,11 +48,12 @@ from .painleve import ParabolicWeights, ell_profile, m_profile
 __all__ = [
     "CaseKind",
     "LocalCase",
-    "PolarGrid",
     "FieldSample",
+    "RESIDUAL_SKIP",
     "polar_grid",
     "fiducial_fields",
     "assemble_fields",
+    "residual_nodes",
     "hitchin_residual",
     "mphi_eigenvalues",
     "indicial_roots",
@@ -84,59 +87,50 @@ class LocalCase:
             raise ValueError("residue is only meaningful for a weak pole")
 
 
-@dataclass(frozen=True)
-class PolarGrid:
-    """The radial nodes r of a polar grid: positive and increasing (the models are radial)."""
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
-        if self.r[0] <= 0 or np.any(np.diff(self.r) <= 0):
-            raise ValueError("radial grid must be positive and increasing")
-
-
-def polar_grid(r_min: float = 1e-3, r_max: float = 1.0, n_r: int = 1024) -> PolarGrid:
+def polar_grid(r_min: float = 1e-3, r_max: float = 1.0, n_r: int = 1024) -> np.ndarray:
     if n_r < 4:
         raise ValueError("need at least 4 radial nodes")
     if not 0.0 < r_min < r_max:
         raise ValueError(f"need 0 < r_min < r_max, got r_min={r_min}, r_max={r_max}")
-    return PolarGrid(np.geomspace(r_min, r_max, n_r))
+    return np.geomspace(r_min, r_max, n_r)
 
 
 @dataclass
 class FieldSample:
-    """A radial local model: the case, t, the grid and the exponent profile.
+    """A radial local model: the case, t, the nodes ``r`` and the exponent profile there.
 
-    ``xi``/``dxi`` are the radial exponent profile (ell or m, possibly cut
-    off) and its derivative; with the case, t and grid they are all the
-    sample holds, all that :meth:`to_json` writes and all that
-    :func:`hitchin_residual` reads.
+    ``xi``/``dxi`` are ell or m (possibly cut off) and its derivative; these
+    five are all the sample holds, all that :meth:`to_json` writes and all
+    that :func:`hitchin_residual` reads.
     """
 
-    grid: PolarGrid
+    r: np.ndarray
     case: LocalCase
     t: float
     xi: np.ndarray
     dxi: np.ndarray
 
     def __post_init__(self):
+        r = self.r = np.asarray(self.r, dtype=float)
         self.t = float(self.t)
-        nr = len(self.grid.r)
+        if not (r.ndim == 1 and r.size and np.all(np.isfinite(r)) and r[0] > 0 and np.all(np.diff(r) > 0)):
+            raise ValueError("radial nodes must be a finite, positive, strictly increasing 1-d array")
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t}")
         for name in ("xi", "dxi"):
             v = np.asarray(getattr(self, name))
-            if v.dtype.kind not in "iuf" or v.shape != (nr,) or not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be a finite real array of shape ({nr},)")
+            if v.dtype.kind not in "iuf" or v.shape != r.shape or not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be a finite real array of shape ({len(r)},)")
             setattr(self, name, v.astype(float, copy=False))
 
     @property
     def f_values(self) -> np.ndarray:
         """F(r) = (1/4)(c + r xi'), c = +1/2 (zero), -1/2 (pole), 0 (weak)."""
         c = _f_offset(self.case.kind)
-        return 0.25 * (c + self.grid.r * self.dxi)
+        return 0.25 * (c + self.r * self.dxi)
 
     def to_json(self) -> str:
-        """The data the sample holds: case, t, radial grid and (xi, dxi).
+        """The data the sample holds: case, t, radial nodes (under ``grid``) and (xi, dxi).
 
         A sample built from these equals the original bit for bit.
         """
@@ -152,7 +146,7 @@ class FieldSample:
         doc = {
             "case": case,
             "t": self.t,
-            "grid": {"r": self.grid.r.tolist()},
+            "grid": {"r": self.r.tolist()},
             "xi": self.xi.tolist(),
             "dxi": self.dxi.tolist(),
         }
@@ -163,52 +157,65 @@ def _f_offset(kind: CaseKind) -> float:
     return {CaseKind.SIMPLE_ZERO: 0.5, CaseKind.STRONG_POLE: -0.5, CaseKind.WEAK_POLE: 0.0}[kind]
 
 
-def assemble_fields(case: LocalCase, t: float, grid: PolarGrid, xi: np.ndarray, dxi: np.ndarray) -> FieldSample:
-    """The local model with exponent profile (xi, dxi).
+def assemble_fields(case: LocalCase, t: float, r: np.ndarray, xi: np.ndarray, dxi: np.ndarray) -> FieldSample:
+    """The local model with exponent profile (xi, dxi) at the nodes r.
 
     Passing the raw solver profile gives the fiducial solution; passing the
     cut-off profile gives the glued approximate solution.
     """
-    return FieldSample(grid, case, t, xi, dxi)
+    return FieldSample(r, case, t, xi, dxi)
 
 
-def fiducial_fields(case: LocalCase, t: float, grid: PolarGrid) -> FieldSample:
-    """The exact model solution on ``grid`` (the weak-pole model is t-independent)."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    kind = case.kind
-    if kind is CaseKind.WEAK_POLE:
-        zeros = np.zeros_like(grid.r)
-        return assemble_fields(case, t, grid, zeros, zeros)
-    if kind is CaseKind.SIMPLE_ZERO:
-        xi, dxi = ell_profile(t, grid.r)
+def fiducial_fields(case: LocalCase, t: float, r: np.ndarray) -> FieldSample:
+    """The exact model solution at the nodes r (the weak-pole model is t-independent)."""
+    if case.kind is CaseKind.WEAK_POLE:
+        xi = dxi = np.zeros_like(r)
+    elif case.kind is CaseKind.SIMPLE_ZERO:
+        xi, dxi = ell_profile(t, r)
     else:
-        xi, dxi = m_profile(t, case.weights, grid.r)
-    return assemble_fields(case, t, grid, xi, dxi)
+        xi, dxi = m_profile(t, case.weights, r)
+    return assemble_fields(case, t, r, xi, dxi)
 
 
 # ----------------------------------------------------------------------
 # diagnostics
 # ----------------------------------------------------------------------
 
+# the residual skips this many nodes at each grid end: the boundary
+# one-sided stencil enters the neighbouring central difference with a
+# different error constant, polluting those nodes at first order
+RESIDUAL_SKIP = 2
+
+
+def residual_nodes(r: np.ndarray, window: tuple[float, float] | None = None) -> np.ndarray:
+    """Indices of a sample's nodes r where ``hitchin_residual`` reads: all but ``RESIDUAL_SKIP`` per end.
+
+    Only those in the closed ``window``, if one is given; ``ValueError`` if none is left.
+    """
+    if len(r) <= 2 * RESIDUAL_SKIP:
+        raise ValueError(f"grid too small: need >= {2 * RESIDUAL_SKIP + 1} radial nodes (no interior nodes)")
+    lo, hi = (-np.inf, np.inf) if window is None else window
+    inner = r[RESIDUAL_SKIP : len(r) - RESIDUAL_SKIP]
+    nodes = RESIDUAL_SKIP + np.flatnonzero((inner >= lo) & (inner <= hi))
+    if nodes.size == 0:
+        raise ValueError("window contains no interior nodes")
+    return nodes
+
+
 def hitchin_residual(sample: FieldSample, window: tuple[float, float] | None = None) -> float:
-    """sup over interior nodes of |F^perp + t^2 [Phi, Phi*]| at the sample's t.
+    """sup over ``residual_nodes`` of |F^perp + t^2 [Phi, Phi*]| at the sample's t.
 
     On the radial ansatz the residual two-form against d(log r) ^ dtheta is
     |(1/2) d/dx (r xi') - 4 t^2 r^p sinh 2 xi|, x = log r, with p = 3 at the
     simple zero and p = 1 at either pole; the derivative is central-differenced
-    on the radial grid.  The weak pole has a constant A and a diagonal Phi, so
+    on the radial nodes.  The weak pole has a constant A and a diagonal Phi, so
     F = 0 and [Phi, Phi*] = 0: its profile xi = 0 makes the residual exactly
     0.  Restricting to a radial ``window`` measures the same sup on a
     sub-annulus (the glue module uses this where the residual of a glued
     metric is supported).
     """
-    r = sample.grid.r
-    if len(r) < 5:
-        raise ValueError(
-            "grid too small: need >= 5 radial nodes (two are skipped at each end, "
-            "so fewer leave no interior nodes)"
-        )
+    r = sample.r
+    nodes = residual_nodes(r, window)
     # difference r*xi' rather than F = (c + r*xi')/4: the constant c is
     # the limiting connection (curvature-free) and would anchor an
     # absolute eps/h rounding floor that swamps exponentially small
@@ -217,17 +224,7 @@ def hitchin_residual(sample: FieldSample, window: tuple[float, float] | None = N
     two_f_x = 0.5 * fd_first(np.log(r), r * sample.dxi)
     p = 3 if sample.case.kind is CaseKind.SIMPLE_ZERO else 1
     vals = np.abs(two_f_x - 4.0 * sample.t**2 * r**p * np.sinh(2.0 * sample.xi))
-    # exclude two nodes per end: the boundary one-sided stencil enters the
-    # neighbouring central difference with a different error constant,
-    # polluting those nodes at first order
-    mask = np.zeros_like(r, dtype=bool)
-    mask[2:-2] = True
-    if window is not None:
-        lo, hi = window
-        mask &= (r >= lo) & (r <= hi)
-    if not mask.any():
-        raise ValueError("window contains no interior nodes")
-    return float(np.max(vals[mask]))
+    return float(np.max(vals[nodes]))
 
 
 def mphi_eigenvalues(case: LocalCase, r: float, xi: float = 0.0):

@@ -6,9 +6,9 @@ above r_off, so the glued fields coincide bitwise with the fiducial
 solution on the inner region and with the power-law limiting configuration
 on the outer region.  The self-duality residual is then supported on the
 transition annulus and decays exponentially in t; ``approx_residual``
-measures its sup there, evaluating each profile only on the annulus nodes,
-a two-node halo and the two grid ends, and ``fit_exponential_decay``
-extracts the rate.
+measures its sup there, evaluating each profile only where the residual
+reads (``fiducial.residual_nodes``), and ``fit_exponential_decay`` extracts
+the rate.  A radial grid is a plain array of nodes.
 """
 
 from __future__ import annotations
@@ -18,14 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fiducial import (
+    RESIDUAL_SKIP,
     CaseKind,
     FieldSample,
     LocalCase,
-    PolarGrid,
     assemble_fields,
     fiducial_fields,
     hitchin_residual,
     polar_grid,
+    residual_nodes,
 )
 
 __all__ = [
@@ -85,7 +86,7 @@ def cutoff(spec: CutoffSpec, r):
 def approx_metric(
     case: LocalCase,
     t: float,
-    grid: PolarGrid,
+    r: np.ndarray,
     spec: CutoffSpec = CutoffSpec(),
 ) -> FieldSample:
     """Glued fields: the fiducial exponent profile multiplied by the cutoff.
@@ -96,20 +97,20 @@ def approx_metric(
     """
     if case.kind is CaseKind.WEAK_POLE:
         raise ValueError("the weak-pole model is exact; nothing to glue")
-    if grid.r[-1] < spec.r_off:
+    if r[-1] < spec.r_off:
         raise ValueError("grid must cover the transition annulus (0, r_off]")
-    fiducial = fiducial_fields(case, t, grid)
-    chi, dchi = cutoff(spec, grid.r)
+    fiducial = fiducial_fields(case, t, r)
+    chi, dchi = cutoff(spec, fiducial.r)
     xi = fiducial.xi * chi
     dxi = fiducial.dxi * chi + fiducial.xi * dchi
-    return assemble_fields(case, t, grid, xi, dxi)
+    return assemble_fields(case, t, fiducial.r, xi, dxi)
 
 
 def approx_residual(
     case: LocalCase,
     t: float,
     spec: CutoffSpec = CutoffSpec(),
-    grid: PolarGrid | None = None,
+    r: np.ndarray | None = None,
 ) -> float:
     """Self-duality residual of the glued metric, sup over the cutoff annulus.
 
@@ -118,33 +119,27 @@ def approx_residual(
     equals the global sup; restricting the measured sup keeps the deep
     interior's rounding floor out of the exponentially small signal.
 
-    The glued profile is evaluated only on the nodes of ``grid`` that the
-    residual reads: the interior annulus nodes with a two-node halo each
-    side, so that every read node keeps its central-difference neighbours
-    and none falls among the two nodes per end that ``hitchin_residual``
-    skips, plus both grid ends, which fix the profile solve's collocation
-    interval.  The result equals the residual of the glued metric on all
-    of ``grid`` bit for bit.
+    The glued profile is evaluated only at the nodes r (default 4096 from
+    ``polar_grid``) that the residual reads: the annulus nodes of
+    ``residual_nodes`` with a halo of ``RESIDUAL_SKIP`` nodes each side, so
+    that each keeps its central-difference neighbours and none is skipped,
+    plus both grid ends, which fix the profile solve's collocation interval.
+    The result equals the glued metric's residual on all of r bit for bit.
     """
-    if grid is None:
-        grid = polar_grid(n_r=4096)
-    r = grid.r
-    # the annulus nodes hitchin_residual reads: it skips two at each grid end
-    inside = 2 + np.flatnonzero((r[2:-2] >= spec.r_on) & (r[2:-2] <= spec.r_off))
-    if inside.size == 0:
-        raise ValueError("window contains no interior nodes")
+    r = polar_grid(n_r=4096) if r is None else np.asarray(r, dtype=float)
+    window = (spec.r_on, spec.r_off)
+    inside = residual_nodes(r, window)
     read = np.zeros(len(r), dtype=bool)
     read[[0, -1]] = True
-    read[inside[0] - 2 : inside[-1] + 3] = True
-    sample = approx_metric(case, t, PolarGrid(r[read]), spec)
-    return hitchin_residual(sample, window=(spec.r_on, spec.r_off))
+    read[inside[0] - RESIDUAL_SKIP : inside[-1] + RESIDUAL_SKIP + 1] = True
+    return hitchin_residual(approx_metric(case, t, r[read], spec), window)
 
 
 def decay_sweep(
     case: LocalCase,
     t_values,
     spec: CutoffSpec = CutoffSpec(),
-    grid: PolarGrid | None = None,
+    r: np.ndarray | None = None,
 ):
     """(t, residual) samples of the glued-metric error over a t sweep.
 
@@ -157,7 +152,7 @@ def decay_sweep(
         raise ValueError("t values must be strictly increasing")
     samples = []
     for t in t_values:
-        e = approx_residual(case, t, spec, grid)
+        e = approx_residual(case, t, spec, r)
         if e == 0.0:
             before = f"last positive at t = {samples[-1][0]:g}" if samples else "no earlier t"
             raise DegenerateFitError(f"glued residual underflows to 0 at t = {t:g} ({before})")

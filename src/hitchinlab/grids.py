@@ -51,16 +51,16 @@ def interior_weights(x: np.ndarray):
     return first, second
 
 
-def fd_first(x: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
-    """First derivative, interior central, one-sided 3-point at the ends."""
-    y = np.moveaxis(np.asarray(y), axis, -1)
+def fd_first(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """First derivative along the last axis of y, interior central, one-sided 3-point at the ends."""
+    y = np.asarray(y)
     out = np.empty_like(y)
     b_l, b_c, b_r = interior_weights(x)[0]
     out[..., 1:-1] = b_l * y[..., :-2] + b_c * y[..., 1:-1] + b_r * y[..., 2:]
     for side, end in (("left", 0), ("right", -1)):
         idx, w = fd_first_boundary(x, side)
         out[..., end] = w[0] * y[..., idx[0]] + w[1] * y[..., idx[1]] + w[2] * y[..., idx[2]]
-    return np.moveaxis(out, -1, axis)
+    return out
 
 
 def fd_first_boundary(x: np.ndarray, side: str):

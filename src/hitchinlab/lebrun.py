@@ -428,11 +428,14 @@ NEWTON_MAX_ITER = 60
 
 @dataclass
 class LeBrunSolution:
-    """Solved deviation field and derived data on T^2 x [rho_min, rho_max]."""
+    """Solved deviation field and derived data on T^2 x [rho_min, rho_max]; lambda_t is the lattice's."""
 
     v: TorusFourierField
     w: TorusFourierField
-    lambda_t: float
+
+    @property
+    def lambda_t(self) -> float:
+        return self.v.lattice.lambda_t
 
     @property
     def rho(self) -> np.ndarray:
@@ -559,7 +562,6 @@ def solve_nonlinear(
     return LeBrunSolution(
         v=TorusFourierField(lattice, rho_out, _half_lattice_product(P, v.coeffs)),
         w=TorusFourierField(lattice, rho_out, w),
-        lambda_t=lattice.lambda_t,
     )
 
 

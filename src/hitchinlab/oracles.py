@@ -398,7 +398,7 @@ def local_fields(sample: FieldSample, theta) -> tuple[np.ndarray, np.ndarray, np
     in the ``fiducial`` module docstring.  Raises ``ValueError`` unless A is
     anti-Hermitian, Phi trace free and h positive definite.
     """
-    r = sample.grid.r
+    r = sample.r
     theta = np.asarray(theta, dtype=float)
     z = r[:, None] * np.exp(1j * theta[None, :])
     nr = len(r)
@@ -447,7 +447,7 @@ def matrix_residual(sample: FieldSample, t: float, theta=ANGLES) -> float:
     small (cancellation against the constant part of the connection), so it
     is a validation tool, not the production path.
     """
-    r = sample.grid.r
+    r = sample.r
     x = np.log(r)
     nr = len(r)
     A, P, _ = local_fields(sample, theta)

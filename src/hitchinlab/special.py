@@ -109,6 +109,8 @@ def bessel_k(nu: int, x, scaled: bool = False):
 # ----------------------------------------------------------------------
 
 _THETA_MAX_TERMS = 600
+# the distance within which reduce_to_fundamental_domain treats tau as on the domain's boundary
+_REDUCE_TOL = 1e-12
 
 
 def jacobi_theta(kind: int, tau) -> complex:
@@ -160,22 +162,22 @@ def modular_lambda(tau) -> complex:
     return (t2 / t3) ** 4
 
 
-def reduce_to_fundamental_domain(tau: complex, tol: float = 1e-12) -> complex:
+def reduce_to_fundamental_domain(tau: complex) -> complex:
     """Reduce tau to {|tau| >= 1, -1/2 < Re tau <= 1/2} under PSL(2, Z)."""
     tau = complex(tau)
     if not tau.imag > 0:
         raise ValueError("tau must lie in the upper half plane")
     for _ in range(256):
         tau = complex(tau.real - round(tau.real), tau.imag)
-        if abs(tau) < 1.0 - tol:
+        if abs(tau) < 1.0 - _REDUCE_TOL:
             tau = -1.0 / tau
         else:
             break
     else:
         raise ConvergenceError("fundamental-domain reduction did not terminate")
-    if abs(tau.real + 0.5) < tol:
+    if abs(tau.real + 0.5) < _REDUCE_TOL:
         tau += 1.0
-    if abs(abs(tau) - 1.0) < tol and tau.real < -tol:
+    if abs(abs(tau) - 1.0) < _REDUCE_TOL and tau.real < -_REDUCE_TOL:
         tau = -1.0 / tau
     return tau
 

@@ -117,6 +117,10 @@ def _csk_from_agms(a: complex, b: complex) -> float:
 # toymodel gate, never by the package
 # ----------------------------------------------------------------------
 
+# the trapezoid nodes each period sum starts from, and the relative change that ends the doubling
+_PERIOD_N_START, _PERIOD_TOL = 256, 1e-10
+
+
 def _segment_distance(p: complex, a: complex, b: complex) -> float:
     """Distance from p to the segment [a, b]."""
     ab = b - a
@@ -177,7 +181,7 @@ def _dumbbell_period(a: complex, b: complex, other: complex, p0: complex, n: int
     return complex(np.sum(f * dz) * (2.0 * np.pi / n))
 
 
-def periods(p0: complex, *, n_start: int = 256, tol: float = 1e-10):
+def periods(p0: complex):
     """Periods (omega1, omega2) of dz/sqrt(z(z-1)(z-p0)), Im(omega2/omega1) > 0.
 
     Dumbbell contours around two adjacent branch-point pairs (chosen by
@@ -194,12 +198,12 @@ def periods(p0: complex, *, n_start: int = 256, tol: float = 1e-10):
     cycles = _choose_cycles(p0)
 
     def converge(a, b, other):
-        n = n_start
+        n = _PERIOD_N_START
         prev = _dumbbell_period(a, b, other, p0, n)
         for _ in range(8):
             n *= 2
             cur = _dumbbell_period(a, b, other, p0, n)
-            if None not in (cur, prev) and abs(cur - prev) < tol * max(1.0, abs(cur)):
+            if None not in (cur, prev) and abs(cur - prev) < _PERIOD_TOL * max(1.0, abs(cur)):
                 return cur
             prev = cur
         raise ConvergenceError(f"period quadrature did not converge at p0 = {p0} (n = {n})")

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hitchinlab import painleve
 from hitchinlab.fiducial import (
     CaseKind,
     FieldSample,
     LocalCase,
-    PolarGrid,
     assemble_fields,
     fiducial_fields,
     hitchin_residual,
@@ -35,9 +35,9 @@ POLE2 = LocalCase(CaseKind.STRONG_POLE, ParabolicWeights(0.2, 0.8))
 WEAK = LocalCase(CaseKind.WEAK_POLE, ParabolicWeights(0.3, 0.7), 0.5)
 
 
-def _points(grid, theta=ANGLES):
+def _points(r, theta=ANGLES):
     """z = r e^{i theta} on the (r, theta) grid that ``local_fields`` samples."""
-    return grid.r[:, None] * np.exp(1j * theta[None, :])
+    return r[:, None] * np.exp(1j * theta[None, :])
 
 
 def _sample_from(doc) -> FieldSample:
@@ -45,8 +45,11 @@ def _sample_from(doc) -> FieldSample:
     c, grid = doc["case"], doc["grid"]
     weights = None if c["weights"] is None else ParabolicWeights(*c["weights"])
     case = LocalCase(CaseKind(c["kind"]), weights, None if c["residue"] is None else complex(*c["residue"]))
-    polar = PolarGrid(np.asarray(grid["r"]))
-    return FieldSample(polar, case, doc["t"], np.asarray(doc["xi"]), np.asarray(doc["dxi"]))
+    return FieldSample(np.asarray(grid["r"]), case, doc["t"], np.asarray(doc["xi"]), np.asarray(doc["dxi"]))
+
+
+def _no_solve(sigma, rho):
+    raise AssertionError("a profile was solved")
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +89,7 @@ class TestFFunctions:
         f = fiducial_fields(ZERO, 6.0, g).f_values
         assert abs(f[0]) < 5e-3  # r ell' -> -1/2
         assert f[-1] == pytest.approx(0.125, abs=np.exp(-6.0))
-        flat = np.zeros_like(g.r)
+        flat = np.zeros_like(g)
         assert np.all(assemble_fields(ZERO, 6.0, g, flat, flat).f_values == 0.125)
 
     def test_f_pole_limits(self):
@@ -94,7 +97,7 @@ class TestFFunctions:
         f = fiducial_fields(POLE2, 2.0, g).f_values
         assert f[0] == pytest.approx(POLE2.weights.difference / 4.0, abs=2e-3)
         assert f[-1] == pytest.approx(-0.125, abs=np.exp(-2.0 * 8.0) + 1e-6)
-        flat = np.zeros_like(g.r)
+        flat = np.zeros_like(g)
         assert np.all(assemble_fields(POLE2, 2.0, g, flat, flat).f_values == -0.125)
 
 
@@ -102,7 +105,7 @@ class TestFieldAssembly:
     def test_simple_zero_entries(self, grid, zero_sample):
         s = zero_sample
         _, Phi, h = local_fields(s, ANGLES)
-        r = grid.r
+        r = grid
         z = _points(grid)
         assert np.allclose(Phi[..., 0, 1], (np.sqrt(r) * np.exp(s.xi))[:, None])
         assert np.allclose(Phi[..., 1, 0], z * (np.exp(-s.xi) / np.sqrt(r))[:, None])
@@ -113,7 +116,7 @@ class TestFieldAssembly:
     def test_strong_pole_entries(self, grid):
         s = fiducial_fields(POLE, 4.0, grid)
         h = local_fields(s, ANGLES)[2]
-        r = grid.r
+        r = grid
         asum = 1.0
         assert np.allclose(h[:, 0, 0].real, r ** (asum - 0.5) * np.exp(s.xi))
         assert np.allclose(h[:, 1, 1].real, r ** (asum + 0.5) * np.exp(-s.xi))
@@ -146,7 +149,7 @@ class TestFieldAssembly:
             assert np.array_equal(a, b), name
         for attr in ("xi", "dxi"):
             assert np.array_equal(getattr(back, attr), getattr(sample, attr)), attr
-        assert np.array_equal(back.grid.r, sample.grid.r)
+        assert np.array_equal(back.r, sample.r)
         assert back.case == sample.case
         assert back.t == sample.t
 
@@ -183,7 +186,7 @@ class TestFieldSampleStorage:
         # a sample holds the profile alone; the matrices exist only in the oracle
         am = approx_metric(ZERO, 8.0, polar_grid(n_r=2048))
         hitchin_residual(am)
-        assert set(vars(am)) == {"grid", "case", "t", "xi", "dxi"}
+        assert set(vars(am)) == {"r", "case", "t", "xi", "dxi"}
         assert not any(hasattr(am, name) for name in ("A_theta", "Phi", "h"))
 
     @pytest.mark.parametrize(
@@ -203,8 +206,49 @@ class TestFieldSampleStorage:
         with pytest.raises(ValueError, match="finite real array"):
             _sample_from(doc)
 
+    @given(
+        _CASES,
+        st.sampled_from(["nan", "inf", "-inf", "nonpositive", "repeated", "decreasing", "2d"]),
+        st.integers(min_value=5, max_value=24),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=1.0, max_value=10.0),
+    )
+    def test_bad_nodes_rejected_before_any_solve(self, case, defect, nr, frac, t):
+        # the weak pole has no profile solver to check its nodes: a NaN node
+        # used to give a NaN residual, an infinite one Infinity (not JSON) in fields.json
+        r = polar_grid(n_r=nr)
+        i = max(1, int(frac * (nr - 1)))
+        if defect in ("nan", "inf", "-inf"):
+            r[i] = float(defect)
+        elif defect == "nonpositive":
+            r[: i + 1] -= r[i]  # increasing, with r[i] = 0
+        elif defect == "repeated":
+            r[i] = r[i - 1]
+        elif defect == "decreasing":
+            r[[i - 1, i]] = r[[i, i - 1]]
+        else:
+            r = np.stack([r, r])
+        zeros = np.zeros(r.shape)
+        with pytest.raises(ValueError, match="radial nodes must be a finite, positive, strictly increasing"):
+            FieldSample(r, case, t, zeros, zeros)
+        # the zero and pole profile solvers reject such nodes before they solve
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(painleve, "_solve", _no_solve)
+            with pytest.raises(ValueError):
+                fiducial_fields(case, t, r)
+
+    @given(_CASES, st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    def test_non_finite_t_rejected_before_any_solve(self, case, t):
+        r = polar_grid(n_r=16)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(painleve, "_solve", _no_solve)
+            with pytest.raises(ValueError, match="t must be finite|finite t"):
+                fiducial_fields(case, t, r)
+        with pytest.raises(ValueError, match="t must be finite"):
+            FieldSample(r, case, t, np.zeros_like(r), np.zeros_like(r))
+
     def test_complex_profile_rejected(self, grid):
-        xi = np.zeros(len(grid.r), dtype=complex)
+        xi = np.zeros(len(grid), dtype=complex)
         with pytest.raises(ValueError, match="finite real array"):
             FieldSample(grid, ZERO, 1.0, xi, xi.real)
 
@@ -248,7 +292,7 @@ class TestHitchinResidual:
         # a 1% profile error must stand far above the converged floor; the
         # scaling perturbation cancels at linear order where m is small, so
         # probe at t = 1 where the profile is O(1) on the grid
-        m, dm = m_profile(1.0, POLE2.weights, grid.r)
+        m, dm = m_profile(1.0, POLE2.weights, grid)
         base = hitchin_residual(assemble_fields(POLE2, 1.0, grid, m, dm))
         bumped = hitchin_residual(assemble_fields(POLE2, 1.0, grid, 1.01 * m, 1.01 * dm))
         assert bumped > 1e-6
@@ -290,9 +334,9 @@ class TestMphiEigenvalues:
         assert mphi_eigenvalues(case, 2.0) == (0.0, 4.0, 4.0)
 
     def test_nonnegative(self, grid):
-        ell, _ = ell_profile(4.0, grid.r)
+        ell, _ = ell_profile(4.0, grid)
         for i in (0, 512, -1):
-            r = grid.r[i]
+            r = grid[i]
             for case, xi in ((ZERO, ell[i]), (POLE2, 0.0), (WEAK, 0.0)):
                 lams = mphi_eigenvalues(case, r, xi)
                 assert all(v >= 0 for v in lams)

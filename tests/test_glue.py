@@ -94,7 +94,7 @@ class TestApproxMetric:
         spec = CutoffSpec()
         A, Phi, h = local_fields(approx_metric(ZERO, 8.0, grid, spec), ANGLES)
         fid_A, fid_Phi, fid_h = local_fields(fiducial_fields(ZERO, 8.0, grid), ANGLES)
-        inner = grid.r <= spec.r_on
+        inner = grid <= spec.r_on
         assert np.array_equal(Phi[inner], fid_Phi[inner])
         assert np.array_equal(h[inner], fid_h[inner])
         assert np.array_equal(A[inner], fid_A[inner])
@@ -102,8 +102,8 @@ class TestApproxMetric:
     def test_outer_region_power_law(self, grid):
         spec = CutoffSpec()
         A, _, h = local_fields(approx_metric(ZERO, 8.0, grid, spec), ANGLES)
-        outer = grid.r >= spec.r_off
-        r = grid.r[outer]
+        outer = grid >= spec.r_off
+        r = grid[outer]
         assert np.allclose(h[outer, 0, 0].real, np.sqrt(r))
         assert np.allclose(h[outer, 1, 1].real, 1.0 / np.sqrt(r))
         # limiting connection: F = 1/8
@@ -125,7 +125,7 @@ class TestApproxResidual:
     def test_exact_region_below_floor(self):
         grid = polar_grid(n_r=2048)
         am = approx_metric(ZERO, 8.0, grid)
-        inner = hitchin_residual(am, window=(grid.r[1], 0.25))
+        inner = hitchin_residual(am, window=(grid[1], 0.25))
         assert inner < 1e-5
 
     @settings(max_examples=60)
@@ -166,14 +166,14 @@ class TestApproxResidual:
 
         monkeypatch.setattr(painleve, "solve_mtw", recording)
         decay_sweep(ZERO, [4, 6, 8, 10], spec, grid)
-        window = np.count_nonzero((grid.r >= spec.r_on) & (grid.r <= spec.r_off))
+        window = np.count_nonzero((grid >= spec.r_on) & (grid <= spec.r_off))
         assert len(sizes) == 4
-        assert max(sizes) <= window + 6 < len(grid.r)
+        assert max(sizes) <= window + 6 < len(grid)
 
     def test_empty_window_rejected_before_solving(self, monkeypatch):
         monkeypatch.setattr(painleve, "solve_mtw", _no_solve)
         grid = polar_grid(n_r=16)
-        spec = CutoffSpec(1.001 * grid.r[8], 0.999 * grid.r[9])  # between two nodes
+        spec = CutoffSpec(1.001 * grid[8], 0.999 * grid[9])  # between two nodes
         with pytest.raises(ValueError, match="window contains no interior nodes"):
             approx_residual(ZERO, 4.0, spec, grid)
 

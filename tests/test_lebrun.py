@@ -923,7 +923,7 @@ class TestFitDecay:
         f = TorusFourierField(lattice, rho, coeffs)
         phi = linear_mode_solution(mu0, rho)
         coeffs[f.index(-m, -n)] = 0.5 * phi  # and its conjugate at (m, n)
-        sol = LeBrunSolution(v=f, w=f, lambda_t=2 * np.pi * mu0)  # fit_decay reads v only
+        sol = LeBrunSolution(v=f, w=f)  # fit_decay reads v only
         rate, power = fit_decay(sol)
         assert rate == pytest.approx(4 * np.pi * mu0, rel=0.005)
         assert power == pytest.approx(-1.5, rel=0.05)
@@ -953,7 +953,7 @@ class TestFitDecay:
         coeffs = np.zeros((len(modes), len(rho)), dtype=complex)
         f = TorusFourierField(lattice, rho, coeffs)
         coeffs[f.index(0, 1)] = 1.0  # and its conjugate at (0, -1)
-        sol = LeBrunSolution(v=f, w=f, lambda_t=1.0)  # fit_decay reads v only
+        sol = LeBrunSolution(v=f, w=f)  # fit_decay reads v only
         with pytest.raises(UnderflowWindowError):
             fit_decay(sol)
 

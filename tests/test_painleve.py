@@ -260,7 +260,7 @@ def test_glue_annulus_relative_accuracy(t):
     # on the glue annulus [0.5, 1] of the criterion-5 grid both profiles keep
     # 1e-9 relative accuracy in their exponentially small tails, against
     # shooting from the solve's inner point
-    r = polar_grid(n_r=4096).r
+    r = polar_grid(n_r=4096)
     annulus = (r >= 0.5) & (r <= 1.0)
     rho = (8.0 / 3.0) * t * r**1.5
     ell, _ = ell_profile(t, r)
