@@ -43,7 +43,7 @@ from enum import Enum
 import numpy as np
 
 from .grids import fd_first
-from .painleve import ParabolicWeights, ell_profile, m_profile
+from .painleve import ParabolicWeights, ell_profile, ell_profiles, m_profile, m_profiles
 
 __all__ = [
     "CaseKind",
@@ -51,7 +51,9 @@ __all__ = [
     "FieldSample",
     "RESIDUAL_SKIP",
     "polar_grid",
+    "check_nodes",
     "fiducial_fields",
+    "profile_sweep",
     "assemble_fields",
     "residual_nodes",
     "hitchin_residual",
@@ -95,6 +97,14 @@ def polar_grid(r_min: float = 1e-3, r_max: float = 1.0, n_r: int = 1024) -> np.n
     return np.geomspace(r_min, r_max, n_r)
 
 
+def check_nodes(r) -> np.ndarray:
+    """``r`` as a float array; ValueError unless it is a finite, positive, strictly increasing 1-d array."""
+    r = np.asarray(r, dtype=float)
+    if not (r.ndim == 1 and r.size and np.all(np.isfinite(r)) and r[0] > 0 and np.all(np.diff(r) > 0)):
+        raise ValueError("radial nodes must be a finite, positive, strictly increasing 1-d array")
+    return r
+
+
 @dataclass
 class FieldSample:
     """A radial local model: the case, t, the nodes ``r`` and the exponent profile there.
@@ -111,10 +121,8 @@ class FieldSample:
     dxi: np.ndarray
 
     def __post_init__(self):
-        r = self.r = np.asarray(self.r, dtype=float)
+        r = self.r = check_nodes(self.r)
         self.t = float(self.t)
-        if not (r.ndim == 1 and r.size and np.all(np.isfinite(r)) and r[0] > 0 and np.all(np.diff(r) > 0)):
-            raise ValueError("radial nodes must be a finite, positive, strictly increasing 1-d array")
         if not math.isfinite(self.t):
             raise ValueError(f"t must be finite, got {self.t}")
         for name in ("xi", "dxi"):
@@ -175,6 +183,21 @@ def fiducial_fields(case: LocalCase, t: float, r: np.ndarray) -> FieldSample:
     else:
         xi, dxi = m_profile(t, case.weights, r)
     return assemble_fields(case, t, r, xi, dxi)
+
+
+def profile_sweep(case: LocalCase, t_values, r: np.ndarray):
+    """The exponent profile (xi, dxi) of :func:`fiducial_fields` at the nodes r, for each t of ``t_values`` in turn.
+
+    The profiles come from ``painleve.ell_profiles``/``m_profiles``, which
+    collocate once for each run of t values sharing an interval's inner end;
+    a t collocated on its own interval gets :func:`fiducial_fields`'s bit for bit.
+    """
+    t_values = list(t_values)
+    if case.kind is CaseKind.WEAK_POLE:
+        return ((np.zeros_like(r),) * 2 for _ in t_values)
+    if case.kind is CaseKind.SIMPLE_ZERO:
+        return ell_profiles(t_values, r)
+    return m_profiles(t_values, case.weights, r)
 
 
 # ----------------------------------------------------------------------

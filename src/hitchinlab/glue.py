@@ -5,10 +5,14 @@ xi * chi for a smooth cutoff chi that is exactly 1 below r_on and exactly 0
 above r_off, so the glued fields coincide bitwise with the fiducial
 solution on the inner region and with the power-law limiting configuration
 on the outer region.  The self-duality residual is then supported on the
-transition annulus and decays exponentially in t; ``approx_residual``
-measures its sup there, evaluating each profile only where the residual
-reads (``fiducial.residual_nodes``), and ``fit_exponential_decay`` extracts
-the rate.  A radial grid is a plain array of nodes.
+transition annulus and decays exponentially in t; ``decay_sweep``
+measures its sup there over a sweep in t, and ``fit_exponential_decay``
+extracts the rate.  ``approx_residual`` is the sweep's one-t case.  A sweep
+checks its grid, picks the nodes the residual reads (``fiducial.residual_nodes``
+with a halo, and the grid ends) and evaluates the cutoff there once; the
+profiles are evaluated only at those nodes, from one collocation per run of
+t values whose profile intervals share an inner end (``painleve.m_profiles``).
+A radial grid is a plain array of nodes.
 """
 
 from __future__ import annotations
@@ -23,9 +27,11 @@ from .fiducial import (
     FieldSample,
     LocalCase,
     assemble_fields,
+    check_nodes,
     fiducial_fields,
     hitchin_residual,
     polar_grid,
+    profile_sweep,
     residual_nodes,
 )
 
@@ -83,6 +89,19 @@ def cutoff(spec: CutoffSpec, r):
     return (float(chi), float(dchi)) if r.ndim == 0 else (chi, dchi)
 
 
+def _check_gluable(case: LocalCase, r: np.ndarray, spec: CutoffSpec) -> None:
+    """ValueError unless the case has a profile to cut off and r covers the annulus."""
+    if case.kind is CaseKind.WEAK_POLE:
+        raise ValueError("the weak-pole model is exact; nothing to glue")
+    if r[-1] < spec.r_off:
+        raise ValueError("grid must cover the transition annulus (0, r_off]")
+
+
+def _glued(case: LocalCase, t: float, r: np.ndarray, xi, dxi, chi, dchi) -> FieldSample:
+    """The model with exponent profile xi chi at the nodes r; the F-functions pick up the xi d chi/dr term."""
+    return assemble_fields(case, t, r, xi * chi, dxi * chi + xi * dchi)
+
+
 def approx_metric(
     case: LocalCase,
     t: float,
@@ -95,15 +114,34 @@ def approx_metric(
     power-law configuration for r >= r_off; the F-functions pick up the
     d(xi chi)/dr term.
     """
-    if case.kind is CaseKind.WEAK_POLE:
-        raise ValueError("the weak-pole model is exact; nothing to glue")
-    if r[-1] < spec.r_off:
-        raise ValueError("grid must cover the transition annulus (0, r_off]")
+    _check_gluable(case, r, spec)
     fiducial = fiducial_fields(case, t, r)
-    chi, dchi = cutoff(spec, fiducial.r)
-    xi = fiducial.xi * chi
-    dxi = fiducial.dxi * chi + fiducial.xi * dchi
-    return assemble_fields(case, t, fiducial.r, xi, dxi)
+    return _glued(case, t, fiducial.r, fiducial.xi, fiducial.dxi, *cutoff(spec, fiducial.r))
+
+
+def _annulus_residuals(case: LocalCase, t_values, spec: CutoffSpec, r: np.ndarray | None):
+    """The glued metric's annulus residual at each t of ``t_values`` in turn.
+
+    The grid r (default 4096 nodes from ``polar_grid``) is checked once, by
+    ``FieldSample``'s node rule.  The nodes the residual reads, the annulus
+    nodes of ``residual_nodes`` with a halo of ``RESIDUAL_SKIP`` nodes each
+    side so that each keeps its central-difference neighbours and none is
+    skipped, plus both grid ends, and the cutoff there, do not depend on t
+    and are computed once.  ``profile_sweep`` evaluates the profiles only
+    there; the grid ends set each profile's collocation interval, which t
+    values sharing its inner end share.
+    """
+    r = check_nodes(polar_grid(n_r=4096) if r is None else r)
+    window = (spec.r_on, spec.r_off)
+    inside = residual_nodes(r, window)
+    _check_gluable(case, r, spec)
+    read = np.zeros(len(r), dtype=bool)
+    read[[0, -1]] = True
+    read[inside[0] - RESIDUAL_SKIP : inside[-1] + RESIDUAL_SKIP + 1] = True
+    nodes = r[read]
+    chi, dchi = cutoff(spec, nodes)
+    for t, (xi, dxi) in zip(t_values, profile_sweep(case, t_values, nodes)):
+        yield hitchin_residual(_glued(case, t, nodes, xi, dxi, chi, dchi), window)
 
 
 def approx_residual(
@@ -119,20 +157,12 @@ def approx_residual(
     equals the global sup; restricting the measured sup keeps the deep
     interior's rounding floor out of the exponentially small signal.
 
-    The glued profile is evaluated only at the nodes r (default 4096 from
-    ``polar_grid``) that the residual reads: the annulus nodes of
-    ``residual_nodes`` with a halo of ``RESIDUAL_SKIP`` nodes each side, so
-    that each keeps its central-difference neighbours and none is skipped,
-    plus both grid ends, which fix the profile solve's collocation interval.
-    The result equals the glued metric's residual on all of r bit for bit.
+    The one-t case of :func:`decay_sweep`: the glued profile is evaluated
+    only at the nodes of r (default 4096 from ``polar_grid``) that the
+    residual reads, the annulus with a two-node halo and both grid ends, and
+    the result equals the glued metric's residual on all of r bit for bit.
     """
-    r = polar_grid(n_r=4096) if r is None else np.asarray(r, dtype=float)
-    window = (spec.r_on, spec.r_off)
-    inside = residual_nodes(r, window)
-    read = np.zeros(len(r), dtype=bool)
-    read[[0, -1]] = True
-    read[inside[0] - RESIDUAL_SKIP : inside[-1] + RESIDUAL_SKIP + 1] = True
-    return hitchin_residual(approx_metric(case, t, r[read], spec), window)
+    return next(_annulus_residuals(case, [t], spec, r))
 
 
 def decay_sweep(
@@ -143,6 +173,17 @@ def decay_sweep(
 ):
     """(t, residual) samples of the glued-metric error over a t sweep.
 
+    Checks the grid and finds the nodes the residual reads once, and
+    evaluates every profile there.  A run of consecutive t values whose
+    profile intervals share an inner end min(0.02, rho_t(r_0)) is solved
+    once (``painleve.ell_profiles``/``m_profiles``): on the default grid
+    that is every pole t up to 93, where rho_t(r_0) = 8 t r_0^(1/2) >= 0.25
+    and rho_t(1) = 8t stays below ``painleve.RHO_UNDERFLOW``, while each
+    simple-zero t below 238 keeps its own solve, since its
+    rho_t(r_0) = (8/3) t r_0^(3/2) < 0.02 moves with t.  A t solved on its
+    own interval gets exactly
+    :func:`approx_residual`; the others move by about 1e-10 relative.
+
     The residual decays like exp(-mu t) and underflows to 0 at large t,
     where no log-linear fit can read it; the sweep stops there with
     ``DegenerateFitError`` rather than solve the rest of the t values.
@@ -151,8 +192,7 @@ def decay_sweep(
     if any(b <= a for a, b in zip(t_values, t_values[1:])):
         raise ValueError("t values must be strictly increasing")
     samples = []
-    for t in t_values:
-        e = approx_residual(case, t, spec, r)
+    for t, e in zip(t_values, _annulus_residuals(case, t_values, spec, r)):
         if e == 0.0:
             before = f"last positive at t = {samples[-1][0]:g}" if samples else "no earlier t"
             raise DegenerateFitError(f"glued residual underflows to 0 at t = {t:g} ({before})")

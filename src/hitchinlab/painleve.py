@@ -54,6 +54,15 @@ on every interval tried, from [1e-120, 2.7] to [0.02, 1e6], the node count
 that resolves q leaves S's trailing coefficients below 1e-14 of its
 largest, and K within 1e-13 relative of K_0 (a Bessel evaluation at 4096
 nodes would cost about as much as the whole collocation).
+
+Collocating and evaluating are separate steps, so one collocation serves
+every node set inside its interval.  ``ell_profiles``/``m_profiles`` use
+this over a sweep in t: t values whose intervals share the inner end (every
+t with rho_t(r_0) >= 0.02) are collocated once, out to the largest rho of
+the run, which moves each profile by the outer row's e^(-2 rho_max)
+defect (about 1e-10 relative on the criterion-5 annulus).  A shared
+interval ends at or below ``RHO_UNDERFLOW``, where every profile has
+underflowed to 0.
 """
 
 from __future__ import annotations
@@ -72,6 +81,8 @@ __all__ = [
     "solve_mtw",
     "ell_profile",
     "m_profile",
+    "ell_profiles",
+    "m_profiles",
 ]
 
 
@@ -147,21 +158,48 @@ def _collocate(sigma: float, a: float, b: float, n: int):
     return coeffs, coeffs[:, 0]
 
 
-def _solve(sigma: float, rho: np.ndarray):
-    """The universal solution at log-slope ``sigma`` and its m_x at the increasing nodes ``rho``.
+def _collocation(sigma: float, rho_lo: float, rho_hi: float):
+    """The universal solution at log-slope ``sigma`` collocated on [log rho_lo, log rho_hi].
 
-    Collocates q on [log min(RHO_INNER_TARGET, rho[0]), log rho[-1]], sized
-    by ``grids.chebyshev_solve``, and sums q, q_x, S and S_x at log rho by
-    one Chebyshev-Vandermonde product: with K = e^(S - rho) and
-    g = S_x - rho, m = K q and m_x = K (q_x + g q).
+    Returns (a, b, n, coeffs): the interval in x, the interval count that
+    ``grids.chebyshev_solve`` sized and the coefficients of q, q_x, S and
+    S_x there; None at sigma = 0, where m = 0 solves the problem exactly.
     """
-    if sigma == 0.0:  # m = 0 solves the problem exactly
-        return np.zeros(len(rho)), np.zeros(len(rho))
-    a, b = math.log(min(RHO_INNER_TARGET, rho[0])), math.log(rho[-1])
+    if sigma == 0.0:
+        return None
+    a, b = math.log(rho_lo), math.log(rho_hi)
     coeffs, n = chebyshev_solve(lambda n: _collocate(sigma, a, b, n))
-    q, q_x, S, S_x = coeffs.T @ chebyshev_vandermonde(a, b, n, np.log(rho))
+    return a, b, n, coeffs
+
+
+def _solve(collocation, rho: np.ndarray):
+    """m and m_x at the nodes ``rho`` (an array of any shape) of a :func:`_collocation`'s interval.
+
+    Sums q, q_x, S and S_x at log rho by one Chebyshev-Vandermonde product:
+    with K = e^(S - rho) and g = S_x - rho, m = K q and m_x = K (q_x + g q).
+    """
+    if collocation is None:
+        return np.zeros(rho.shape), np.zeros(rho.shape)
+    a, b, n, coeffs = collocation
+    V = chebyshev_vandermonde(a, b, n, np.log(rho).ravel())
+    q, q_x, S, S_x = (coeffs.T @ V).reshape(4, *rho.shape)
     K = np.exp(S - rho)
     return K * q, K * (q_x + (S_x - rho) * q)
+
+
+def _warn_on_sign_change(m: np.ndarray) -> None:
+    """Warn when m changes sign: the decaying solution has one sign."""
+    nz = m[np.abs(m) > 0]
+    if nz.size and (np.sign(nz) != np.sign(nz[0])).any():
+        warnings.warn("profile changes sign; solver output is suspect")
+
+
+def _check_nodes(x, name: str) -> np.ndarray:
+    """``x`` as a float array; ValueError unless it holds at least 2 finite, positive, strictly increasing nodes."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or len(x) < 2 or not np.all(np.isfinite(x)) or x[0] <= 0 or np.any(np.diff(x) <= 0):
+        raise ValueError(f"{name} must hold at least 2 finite, positive, strictly increasing nodes")
+    return x
 
 
 # ----------------------------------------------------------------------
@@ -178,29 +216,62 @@ def solve_mtw(sigma: float, rho) -> tuple[np.ndarray, np.ndarray]:
     """
     if not (-1.0 < sigma < 1.0):
         raise ValueError("sigma must lie in (-1, 1)")
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim != 1 or len(rho) < 2 or not np.all(np.isfinite(rho)) or rho[0] <= 0 or np.any(np.diff(rho) <= 0):
-        raise ValueError("rho must hold at least 2 finite, positive, strictly increasing nodes")
-    m, m_x = _solve(sigma, rho)
-    nz = m[np.abs(m) > 0]
-    if nz.size and (np.sign(nz) != np.sign(nz[0])).any():
-        warnings.warn("profile changes sign; solver output is suspect")
+    rho = _check_nodes(rho, "rho")
+    m, m_x = _solve(_collocation(sigma, min(RHO_INNER_TARGET, rho[0]), rho[-1]), rho)
+    _warn_on_sign_change(m)
     return m, m_x / rho
 
 
-def _fiducial_profile(t: float, r_grid, sigma: float, c: float, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`solve_mtw` at ``sigma`` in rho = c t r^alpha, on ``r_grid``: the profile and its r-derivative."""
-    r_grid = np.asarray(r_grid, dtype=float)
-    if np.any(np.diff(r_grid) <= 0) or r_grid[0] <= 0:
-        raise ValueError("r_grid must be strictly increasing and positive")
+# a collocation shared by several t ends at or below this rho: from
+# rho = 745 on e^(-rho), and with it every profile, is at most the smallest
+# subnormal 2^-1074, so a shared interval never reaches past where its
+# profiles are nonzero, and 128 Chebyshev intervals resolve it
+RHO_UNDERFLOW = 745.0
+
+
+def _fiducial_profiles(t_values, r_grid, sigma: float, c: float, alpha: float):
+    """:func:`solve_mtw` at ``sigma`` in rho = c t r^alpha on ``r_grid``, for each t in turn: the profile and its r-derivative.
+
+    Each t's interval is [min(``RHO_INNER_TARGET``, rho_t(r_0)), rho_t(r_max)]
+    for the grid ends r_0 and r_max.  A run of consecutive t values with
+    the same inner end is collocated once, out to the largest rho_t(r_max)
+    of the run, and evaluated at all its t values by one product, when the
+    first of them is asked for; a t whose rho_t(r_max) passes
+    ``RHO_UNDERFLOW`` keeps its own collocation.  A run of one t computes
+    exactly what :func:`solve_mtw` on its rho would.
+    """
+    r_grid = _check_nodes(r_grid, "r_grid")
     if r_grid[-1] > 1.0 + 1e-12:
         raise ValueError("fiducial profiles are defined on (0, 1]")
-    if not (math.isfinite(t) and t >= 1.0):
-        raise ValueError(f"profiles require a finite t >= 1, got {t}")
+    t_values = [float(t) for t in t_values]
+    for t in t_values:
+        if not (math.isfinite(t) and t >= 1.0):
+            raise ValueError(f"profiles require a finite t >= 1, got {t}")
+    power = r_grid**alpha
+    runs = []  # [inner end, outer end, t values]
+    for t in t_values:
+        lo, hi = min(RHO_INNER_TARGET, c * t * power[0]), c * t * power[-1]
+        if runs and runs[-1][0] == lo and max(runs[-1][1], hi) <= RHO_UNDERFLOW:
+            runs[-1][1] = max(runs[-1][1], hi)
+            runs[-1][2].append(t)
+        else:
+            runs.append([lo, hi, [t]])
+    for lo, hi, ts in runs:
+        rho = c * np.array(ts)[:, None] * power  # row k: c t_k r^alpha
+        m, m_x = _solve(_collocation(sigma, lo, hi), rho)
+        for k in range(len(ts)):
+            _warn_on_sign_change(m[k])
+            yield m[k], alpha * rho[k] * (m_x[k] / rho[k]) / r_grid
 
-    rho = c * t * r_grid**alpha
-    m, dm = solve_mtw(sigma, rho)
-    return m, alpha * rho * dm / r_grid
+
+def ell_profiles(t_values, r_grid):
+    """:func:`ell_profile` at each t of ``t_values`` in turn, sharing collocations as ``_fiducial_profiles`` does."""
+    return _fiducial_profiles(t_values, r_grid, -1.0 / 3.0, 8.0 / 3.0, 1.5)
+
+
+def m_profiles(t_values, weights: ParabolicWeights, r_grid):
+    """:func:`m_profile` at each t of ``t_values`` in turn, sharing collocations as ``_fiducial_profiles`` does."""
+    return _fiducial_profiles(t_values, r_grid, 1.0 + 2.0 * weights.difference, 8.0, 0.5)
 
 
 def ell_profile(t: float, r_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +280,7 @@ def ell_profile(t: float, r_grid) -> tuple[np.ndarray, np.ndarray]:
     Equals the universal solution at sigma = -1/3 in rho = (8/3) t r^{3/2};
     near zero ell ~ -(1/2) log r, at infinity ell ~ (1/pi) K0((8/3) t r^{3/2}).
     """
-    return _fiducial_profile(t, r_grid, -1.0 / 3.0, 8.0 / 3.0, 1.5)
+    return next(ell_profiles([t], r_grid))
 
 
 def m_profile(t: float, weights: ParabolicWeights, r_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -218,4 +289,4 @@ def m_profile(t: float, weights: ParabolicWeights, r_grid) -> tuple[np.ndarray, 
     Universal solution at sigma = 1 + 2(alpha1 - alpha2) in rho = 8 t r^{1/2};
     near zero m ~ (1/2 + alpha1 - alpha2) log r.
     """
-    return _fiducial_profile(t, r_grid, 1.0 + 2.0 * weights.difference, 8.0, 0.5)
+    return next(m_profiles([t], weights, r_grid))

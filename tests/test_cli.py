@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 import hitchinlab
 import hitchinlab.cli as cli_module
-from hitchinlab import fiducial as fid
+from hitchinlab import fiducial as fid, grids, painleve
 from hitchinlab.artifacts import MissingManifestError, write_csv, write_json
 from hitchinlab.cli import ExperimentConfig, ValidationError, main, report, run
 from hitchinlab.lebrun import TorusLattice, metric_difference_full, solve_nonlinear
@@ -451,22 +451,43 @@ class TestValidationAndConfig:
     def test_residual_underflow_stops_the_sweep(self, tmp_path, capsys, monkeypatch):
         # the strong-pole annulus residual reads 5.65e-12 at t = 4, 1.02e-252 at
         # t = 103 and 0.0 from t = 202 on: the sweep fails there, after 3
-        # profile solves, not after all 5
+        # profile collocations, not after all 5; t = 103 and 202 reach past
+        # painleve.RHO_UNDERFLOW, so no t shares its collocation
         solves = []
-        m_profile = cli_module.fid.m_profile
+        collocation = painleve._collocation
 
-        def counting(*args):
-            solves.append(args[0])
-            return m_profile(*args)
+        def counting(sigma, lo, hi):
+            solves.append(hi)
+            return collocation(sigma, lo, hi)
 
-        monkeypatch.setattr(cli_module.fid, "m_profile", counting)
+        monkeypatch.setattr(painleve, "_collocation", counting)
         argv = ["glue-decay", "--case", "strongpole", "--alpha1", "0.2", "--tmin", "4", "--tmax", "400",
                 "--tstep", "99", "--output-dir", str(tmp_path / "x")]
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: DegenerateFitError: glued residual underflows to 0 at t = 202 (last positive at t = 103)"]
-        assert solves == [4.0, 103.0, 202.0]
+        assert solves == [8.0 * 4, 8.0 * 103, 8.0 * 202]
         assert not (tmp_path / "x").exists()
+
+    def test_long_zero_sweep_stops_at_underflow(self, tmp_path, capsys, monkeypatch):
+        # t = 4..787 are solved, 784 of them; the 42 t values 238..279 have
+        # rho_t(r_0) >= 0.02 and rho_t(1) <= RHO_UNDERFLOW, so they share one
+        # collocation, and every other t keeps its own
+        sizings = []
+        collocate = painleve._collocate
+
+        def counting(sigma, a, b, n):
+            if n == grids.CHEB_INTERVALS:
+                sizings.append(a)
+            return collocate(sigma, a, b, n)
+
+        monkeypatch.setattr(painleve, "_collocate", counting)
+        argv = ["glue-decay", "--case", "simplezero", "--tmin", "4", "--tmax", "3000", "--tstep", "1",
+                "--output-dir", str(tmp_path / "x")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: DegenerateFitError: glued residual underflows to 0 at t = 787 (last positive at t = 786)"]
+        assert len(sizings) == 784 - 41
 
     def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         # what numpy raises for a t range it cannot allocate, without allocating it

@@ -1,11 +1,13 @@
 """Cutoff gluing and the exponential error law."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hitchinlab import painleve
+from hitchinlab import grids, painleve
 from hitchinlab.fiducial import CaseKind, LocalCase, fiducial_fields, hitchin_residual, polar_grid
 from hitchinlab.glue import (
     CutoffSpec,
@@ -24,8 +26,19 @@ POLE_02 = LocalCase(CaseKind.STRONG_POLE, ParabolicWeights(0.4, 0.6))
 POLE_06 = LocalCase(CaseKind.STRONG_POLE, ParabolicWeights(0.2, 0.8))
 
 
-def _no_solve(sigma, rho):
+def _no_solve(*args):
     raise AssertionError("a profile was solved")
+
+
+def _recording_collocations(intervals):
+    """A stand-in for ``painleve._collocation`` that records each collocated (rho_lo, rho_hi)."""
+    collocation = painleve._collocation
+
+    def recording(sigma, lo, hi):
+        intervals.append((lo, hi))
+        return collocation(sigma, lo, hi)
+
+    return recording
 
 
 class TestCutoff:
@@ -158,27 +171,90 @@ class TestApproxResidual:
     def test_profiles_solved_only_where_read(self, monkeypatch):
         grid, spec = polar_grid(n_r=4096), CutoffSpec()
         sizes = []
-        solve = painleve.solve_mtw
+        evaluate = painleve._solve
 
-        def recording(sigma, rho):
+        def recording(collocation, rho):
             sizes.append(len(rho))
-            return solve(sigma, rho)
+            return evaluate(collocation, rho)
 
-        monkeypatch.setattr(painleve, "solve_mtw", recording)
+        monkeypatch.setattr(painleve, "_solve", recording)
         decay_sweep(ZERO, [4, 6, 8, 10], spec, grid)
         window = np.count_nonzero((grid >= spec.r_on) & (grid <= spec.r_off))
         assert len(sizes) == 4
         assert max(sizes) <= window + 6 < len(grid)
 
+    @pytest.mark.parametrize(
+        "case, t_values, sizings",
+        [(POLE_02, [4, 6, 8, 10, 12, 14, 16], 1), (POLE_06, [4, 6, 8, 10, 12, 14, 16], 1), (ZERO, [4, 6, 8, 10], 4)],
+        ids=["pole02", "pole06", "zero"],
+    )
+    def test_one_collocation_per_shared_inner_end(self, monkeypatch, case, t_values, sizings):
+        # on the default grid every pole t starts its interval at 0.02, so the
+        # criterion-5 sweep collocates once; each simple-zero t starts at its
+        # own rho_t(r_0) < 0.02 and keeps its own collocation
+        starts = []
+        collocate = painleve._collocate
+
+        def recording(sigma, a, b, n):
+            if n == grids.CHEB_INTERVALS:  # each sizing starts here
+                starts.append((a, b))
+            return collocate(sigma, a, b, n)
+
+        monkeypatch.setattr(painleve, "_collocate", recording)
+        decay_sweep(case, t_values)
+        assert len(starts) == sizings
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.sampled_from([ZERO, POLE_02, POLE_06]),
+        t_values=st.lists(st.floats(2.0, 20.0), min_size=2, max_size=5, unique=True).map(sorted),
+        n_r=st.integers(64, 4096),
+        log_r_min=st.floats(-8.0, -1.0),
+    )
+    @example(case=POLE_06, t_values=[4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0], n_r=4096, log_r_min=-3.0)  # one run
+    @example(case=POLE_02, t_values=[2.0, 3.0, 20.0], n_r=4096, log_r_min=-8.0)  # rho_t(r_0) < 0.02: runs of one
+    @example(case=ZERO, t_values=[4.0, 6.0, 8.0, 10.0], n_r=4096, log_r_min=-3.0)  # runs of one
+    def test_sweep_matches_one_t_residual(self, case, t_values, n_r, log_r_min):
+        # a t collocated on its own interval (a run of one, or a run's last t)
+        # gets approx_residual bit for bit; inside a shared run the longer
+        # interval moves the residual by rounding and the outer row's e^(-2 rho)
+        # defect: at most 4.0e-9 relative over 3000 draws of this domain
+        grid, spec = polar_grid(10.0**log_r_min, 1.0, n_r), CutoffSpec()
+        shared = []
+        with mock.patch.object(painleve, "_collocation", _recording_collocations(shared)):
+            samples = decay_sweep(case, t_values, spec, grid)
+        for t, e in samples:
+            own = []
+            with mock.patch.object(painleve, "_collocation", _recording_collocations(own)):
+                want = approx_residual(case, t, spec, grid)
+            if own[0] in shared:
+                assert e == want
+            else:
+                assert abs(e / want - 1.0) < 5e-8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "swap"])
+    def test_bad_node_outside_read_set_rejected(self, bad):
+        # r[5] of a 64-node grid lies below the annulus and its halo, so no
+        # profile is evaluated there; the grid is still checked as a whole
+        grid = polar_grid(n_r=64)
+        if bad == "swap":
+            grid[[5, 6]] = grid[[6, 5]]
+        else:
+            grid[5] = bad
+        with pytest.raises(ValueError, match="radial nodes must be a finite, positive, strictly increasing"):
+            approx_residual(ZERO, 4.0, CutoffSpec(), grid)
+        with pytest.raises(ValueError, match="radial nodes must be a finite, positive, strictly increasing"):
+            decay_sweep(POLE_02, [4, 6, 8, 10], CutoffSpec(), grid)
+
     def test_empty_window_rejected_before_solving(self, monkeypatch):
-        monkeypatch.setattr(painleve, "solve_mtw", _no_solve)
+        monkeypatch.setattr(painleve, "_collocation", _no_solve)
         grid = polar_grid(n_r=16)
         spec = CutoffSpec(1.001 * grid[8], 0.999 * grid[9])  # between two nodes
         with pytest.raises(ValueError, match="window contains no interior nodes"):
             approx_residual(ZERO, 4.0, spec, grid)
 
     def test_repeated_t_rejected_before_solving(self, monkeypatch):
-        monkeypatch.setattr(painleve, "solve_mtw", _no_solve)
+        monkeypatch.setattr(painleve, "_collocation", _no_solve)
         with pytest.raises(ValueError, match="t values must be strictly increasing"):
             decay_sweep(ZERO, [4, 4, 6, 8])
 

@@ -219,6 +219,31 @@ class TestEllProfile:
             with pytest.raises(ValueError, match="finite"):
                 m_profile(t, ParabolicWeights(0.2, 0.8), np.geomspace(1e-3, 1.0, 128))
 
+    @pytest.mark.parametrize("kind", ["ell", "m"])
+    def test_two_dimensional_grid_rejected(self, kind):
+        # the node shape is checked before any node is compared
+        r = np.geomspace(1e-3, 1.0, 128)
+        build = ell_profile if kind == "ell" else (lambda t, g: m_profile(t, ParabolicWeights(0.2, 0.8), g))
+        with pytest.raises(ValueError, match="r_grid must hold at least 2 finite, positive, strictly increasing nodes"):
+            build(4.0, np.stack([r, r]))
+
+    def test_shared_collocation_stops_below_underflow(self):
+        # pole t values on the default grid share the inner end 0.02; t = 90
+        # reaches rho = 720 and joins t = 4, while t = 100 reaches 800, past
+        # RHO_UNDERFLOW, and keeps its own collocation
+        r = polar_grid(n_r=512)
+        intervals, collocation = [], painleve._collocation
+
+        def recording(sigma, lo, hi):
+            intervals.append((lo, hi))
+            return collocation(sigma, lo, hi)
+
+        with mock.patch.object(painleve, "_collocation", recording):
+            profiles = list(painleve.m_profiles([4.0, 90.0, 100.0], ParabolicWeights(0.2, 0.8), r))
+        assert intervals == [(RHO_INNER_TARGET, 720.0), (RHO_INNER_TARGET, 800.0)]
+        assert painleve.RHO_UNDERFLOW == 745.0
+        assert len(profiles) == 3 and all(xi.shape == dxi.shape == r.shape for xi, dxi in profiles)
+
 
 class TestMProfile:
     def test_ode_residual(self):
