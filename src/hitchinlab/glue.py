@@ -11,8 +11,9 @@ extracts the rate.  ``approx_residual`` is the sweep's one-t case.  A sweep
 checks its grid, picks the nodes the residual reads (``fiducial.residual_nodes``
 with a halo, and the grid ends) and evaluates the cutoff there once; the
 profiles are evaluated only at those nodes, from one collocation per run of
-t values whose profile intervals share an inner end (``painleve.m_profiles``).
-A radial grid is a plain array of nodes.
+t values whose profile intervals share an inner end
+(``painleve.ell_profiles``/``m_profiles``).  A radial grid is a plain array
+of nodes.
 """
 
 from __future__ import annotations
@@ -120,16 +121,12 @@ def approx_metric(
 
 
 def _annulus_residuals(case: LocalCase, t_values, spec: CutoffSpec, r: np.ndarray | None):
-    """The glued metric's annulus residual at each t of ``t_values`` in turn.
+    """The glued metric's annulus residual at each t of ``t_values`` in turn, on r (default 4096 nodes from ``polar_grid``).
 
-    The grid r (default 4096 nodes from ``polar_grid``) is checked once, by
-    ``FieldSample``'s node rule.  The nodes the residual reads, the annulus
-    nodes of ``residual_nodes`` with a halo of ``RESIDUAL_SKIP`` nodes each
-    side so that each keeps its central-difference neighbours and none is
-    skipped, plus both grid ends, and the cutoff there, do not depend on t
-    and are computed once.  ``profile_sweep`` evaluates the profiles only
-    there; the grid ends set each profile's collocation interval, which t
-    values sharing its inner end share.
+    The read nodes are the annulus nodes of ``residual_nodes`` with a halo
+    of ``RESIDUAL_SKIP`` nodes each side, so that each keeps its
+    central-difference neighbours, and both grid ends, which set the
+    profiles' collocation intervals.
     """
     r = check_nodes(polar_grid(n_r=4096) if r is None else r)
     window = (spec.r_on, spec.r_off)
@@ -173,16 +170,17 @@ def decay_sweep(
 ):
     """(t, residual) samples of the glued-metric error over a t sweep.
 
-    Checks the grid and finds the nodes the residual reads once, and
-    evaluates every profile there.  A run of consecutive t values whose
-    profile intervals share an inner end min(0.02, rho_t(r_0)) is solved
-    once (``painleve.ell_profiles``/``m_profiles``): on the default grid
-    that is every pole t up to 93, where rho_t(r_0) = 8 t r_0^(1/2) >= 0.25
-    and rho_t(1) = 8t stays below ``painleve.RHO_UNDERFLOW``, while each
-    simple-zero t below 238 keeps its own solve, since its
-    rho_t(r_0) = (8/3) t r_0^(3/2) < 0.02 moves with t.  A t solved on its
-    own interval gets exactly
-    :func:`approx_residual`; the others move by about 1e-10 relative.
+    Checks the grid, and finds the nodes the residual reads and the cutoff
+    there, once.  Consecutive t values whose profile intervals share the
+    inner end min(0.02, rho_t(r_0)) share one collocation
+    (``painleve.ell_profiles``/``m_profiles``).  On the default grid that is
+    every pole t up to 93: rho_t(r_0) = 8 t r_0^(1/2) > 0.02, and
+    rho_t(1) = 8t stays below ``painleve.RHO_UNDERFLOW``.  Each simple-zero
+    t below 238 keeps its own collocation, since its
+    rho_t(r_0) = (8/3) t r_0^(3/2) < 0.02 moves with t.  A t collocated on
+    its own interval gets exactly :func:`approx_residual`; the others move
+    by rounding and the outer row's e^(-2 rho_max) defect (at most 2.7e-10
+    relative on the criterion-5 sweeps).
 
     The residual decays like exp(-mu t) and underflows to 0 at large t,
     where no log-linear fit can read it; the sweep stops there with

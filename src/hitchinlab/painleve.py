@@ -60,7 +60,7 @@ every node set inside its interval.  ``ell_profiles``/``m_profiles`` use
 this over a sweep in t: t values whose intervals share the inner end (every
 t with rho_t(r_0) >= 0.02) are collocated once, out to the largest rho of
 the run, which moves each profile by the outer row's e^(-2 rho_max)
-defect (about 1e-10 relative on the criterion-5 annulus).  A shared
+defect (at most 2.7e-10 relative in the criterion-5 residuals).  A shared
 interval ends at or below ``RHO_UNDERFLOW``, where every profile has
 underflowed to 0.
 """
@@ -173,16 +173,15 @@ def _collocation(sigma: float, rho_lo: float, rho_hi: float):
 
 
 def _solve(collocation, rho: np.ndarray):
-    """m and m_x at the nodes ``rho`` (an array of any shape) of a :func:`_collocation`'s interval.
+    """m and m_x at the increasing nodes ``rho`` inside a :func:`_collocation`'s interval.
 
     Sums q, q_x, S and S_x at log rho by one Chebyshev-Vandermonde product:
     with K = e^(S - rho) and g = S_x - rho, m = K q and m_x = K (q_x + g q).
     """
     if collocation is None:
-        return np.zeros(rho.shape), np.zeros(rho.shape)
+        return np.zeros(len(rho)), np.zeros(len(rho))
     a, b, n, coeffs = collocation
-    V = chebyshev_vandermonde(a, b, n, np.log(rho).ravel())
-    q, q_x, S, S_x = (coeffs.T @ V).reshape(4, *rho.shape)
+    q, q_x, S, S_x = coeffs.T @ chebyshev_vandermonde(a, b, n, np.log(rho))
     K = np.exp(S - rho)
     return K * q, K * (q_x + (S_x - rho) * q)
 
@@ -235,8 +234,8 @@ def _fiducial_profiles(t_values, r_grid, sigma: float, c: float, alpha: float):
     Each t's interval is [min(``RHO_INNER_TARGET``, rho_t(r_0)), rho_t(r_max)]
     for the grid ends r_0 and r_max.  A run of consecutive t values with
     the same inner end is collocated once, out to the largest rho_t(r_max)
-    of the run, and evaluated at all its t values by one product, when the
-    first of them is asked for; a t whose rho_t(r_max) passes
+    of the run when the first of them is asked for, and evaluated at each
+    t's nodes in turn; a t whose rho_t(r_max) passes
     ``RHO_UNDERFLOW`` keeps its own collocation.  A run of one t computes
     exactly what :func:`solve_mtw` on its rho would.
     """
@@ -244,10 +243,10 @@ def _fiducial_profiles(t_values, r_grid, sigma: float, c: float, alpha: float):
     if r_grid[-1] > 1.0 + 1e-12:
         raise ValueError("fiducial profiles are defined on (0, 1]")
     t_values = [float(t) for t in t_values]
-    for t in t_values:
-        if not (math.isfinite(t) and t >= 1.0):
-            raise ValueError(f"profiles require a finite t >= 1, got {t}")
     power = r_grid**alpha
+    for t in t_values:
+        if not (t >= 1.0 and math.isfinite(c * t * power[-1])):
+            raise ValueError(f"profiles require a finite t >= 1 with a finite rho_t(r_max), got {t}")
     runs = []  # [inner end, outer end, t values]
     for t in t_values:
         lo, hi = min(RHO_INNER_TARGET, c * t * power[0]), c * t * power[-1]
@@ -257,11 +256,12 @@ def _fiducial_profiles(t_values, r_grid, sigma: float, c: float, alpha: float):
         else:
             runs.append([lo, hi, [t]])
     for lo, hi, ts in runs:
-        rho = c * np.array(ts)[:, None] * power  # row k: c t_k r^alpha
-        m, m_x = _solve(_collocation(sigma, lo, hi), rho)
-        for k in range(len(ts)):
-            _warn_on_sign_change(m[k])
-            yield m[k], alpha * rho[k] * (m_x[k] / rho[k]) / r_grid
+        collocation = _collocation(sigma, lo, hi)
+        for t in ts:
+            rho = c * t * power
+            m, m_x = _solve(collocation, rho)
+            _warn_on_sign_change(m)
+            yield m, alpha * rho * (m_x / rho) / r_grid
 
 
 def ell_profiles(t_values, r_grid):

@@ -48,7 +48,7 @@ def _sample_from(doc) -> FieldSample:
     return FieldSample(np.asarray(grid["r"]), case, doc["t"], np.asarray(doc["xi"]), np.asarray(doc["dxi"]))
 
 
-def _no_solve(sigma, rho):
+def _no_solve(*args):
     raise AssertionError("a profile was solved")
 
 
@@ -233,7 +233,7 @@ class TestFieldSampleStorage:
             FieldSample(r, case, t, zeros, zeros)
         # the zero and pole profile solvers reject such nodes before they solve
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(painleve, "_solve", _no_solve)
+            mp.setattr(painleve, "_collocation", _no_solve)
             with pytest.raises(ValueError):
                 fiducial_fields(case, t, r)
 
@@ -241,7 +241,7 @@ class TestFieldSampleStorage:
     def test_non_finite_t_rejected_before_any_solve(self, case, t):
         r = polar_grid(n_r=16)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(painleve, "_solve", _no_solve)
+            mp.setattr(painleve, "_collocation", _no_solve)
             with pytest.raises(ValueError, match="t must be finite|finite t"):
                 fiducial_fields(case, t, r)
         with pytest.raises(ValueError, match="t must be finite"):

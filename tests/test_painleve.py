@@ -138,7 +138,7 @@ class TestSolveMTW:
         rho = np.geomspace(1e-3, 15.0, 64)
         with monkeypatch.context() as patch:
             patch.setattr(
-                painleve, "_solve", lambda sigma, rho: (np.linspace(-1.0, 1.0, len(rho)), np.ones(len(rho)))
+                painleve, "_solve", lambda collocation, rho: (np.linspace(-1.0, 1.0, len(rho)), np.ones(len(rho)))
             )
             with pytest.warns(UserWarning, match="changes sign"):
                 solve_mtw(-0.3, rho)
@@ -213,7 +213,7 @@ class TestEllProfile:
             ell_profile(0.5, np.geomspace(1e-3, 1.0, 128))
         with pytest.raises(ValueError):
             ell_profile(4.0, np.geomspace(0.1, 2.0, 128))
-        for t in (float("nan"), float("inf")):
+        for t in (float("nan"), float("inf"), 1e308):  # 1e308: rho_t(1) overflows
             with pytest.raises(ValueError, match="finite"):
                 ell_profile(t, np.geomspace(1e-3, 1.0, 128))
             with pytest.raises(ValueError, match="finite"):
