@@ -40,6 +40,9 @@ decoupled systems L_mu dv = -residual, with Dirichlet data at rho_min and a
 Robin condition matched to the K_1 log-derivative at rho_max.  L_mu depends
 on |mu| only, so one dense collocation matrix is built and inverted per
 distinct norm before the iteration, and each step is one batched product.
+Newton reaches only the modes in the integer span of the data's modes and
+of the collocation grid's period; only those are solved, and the others
+are exactly 0.
 Every field is real, so it holds one mode of each +-mu pair: the half
 lattice ``make_modes(m_cut)`` of the modes m > 0, or m = 0 and n >= 0, whose
 partners -mu carry the conjugate coefficients and are not stored.  The
@@ -289,6 +292,27 @@ def default_colloc(m_cut: int) -> int:
     return max(16, 4 * m_cut + 4)
 
 
+def _in_span(modes: np.ndarray, generators, n: int) -> np.ndarray:
+    """Which rows of the integer ``modes`` lie in the integer span of ``generators``, (n, 0) and (0, n).
+
+    The span is a full-rank sublattice of Z^2; Euclid on the first entries
+    folds each generator into its Hermite normal form, the rows (a, b) and
+    (0, d) with a, d > 0 dividing n.  Then (m, k) lies in it exactly when
+    a | m and d | k - (m / a) b.
+    """
+    a, b, d = n, 0, n
+    for m, k in generators:
+        m, k = int(m), int(k)
+        while m:
+            q = a // m
+            a, b, m, k = m, k, a - q * m, b - q * k
+        if a < 0:
+            a, b = -a, -b
+        d = math.gcd(d, k)
+    m, k = np.asarray(modes).T
+    return (m % a == 0) & ((k - (m // a) * b) % d == 0)
+
+
 @lru_cache(maxsize=8)
 def _chebyshev(rho_min: float, rho_max: float, n: int):
     """``grids.chebyshev`` of [rho_min, rho_max] with n intervals, and L_0 = rho^2 D^2 + 3 rho D.
@@ -354,7 +378,7 @@ def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> Tor
     rho, _, l0, _ = _chebyshev(rho_min, rho_max, n)
     E = _synthesize(v.coeffs, n_colloc)
     np.expm1(E, out=E)
-    out = _analyze(E, m_cut) @ l0.T
+    out = _half_lattice_product(l0, _analyze(E, m_cut))
     out -= (16.0 * np.pi**2 * v.mu_norms() ** 2)[:, None] * rho**2 * v.coeffs
     return TorusFourierField(v.lattice, v.rho, out)
 
@@ -391,7 +415,8 @@ def _mode_inverses(mu_abs: np.ndarray, rho_min: float, rho_max: float, n: int):
     and v'(rho_max) = 0 (row n): the decaying particular solution.  Each
     matrix is LU-factored and inverted once by ``numpy.linalg.inv``, so a
     Newton step is one matrix-vector product per mode.  g is 0 at mu = 0.
-    Raises ``LinAlgError`` for a singular matrix.
+    ``solve_nonlinear`` asks only for the norms of its support, the rows its
+    data can reach.  Raises ``LinAlgError`` for a singular matrix.
     """
     mu_abs = np.asarray(mu_abs, dtype=float)
     mean = mu_abs == 0.0
@@ -460,17 +485,23 @@ def solve_nonlinear(
     The radial variable is discretized by Chebyshev collocation on
     [rho_min, rho_max]: ``special.damped_newton`` with mode-decoupled
     corrections L_mu dv = -residual, Dirichlet at rho_min and the K_1
-    log-derivative Robin condition at rho_max.  L_mu depends on |mu| only, so one dense
-    matrix is built and inverted per distinct norm before the iteration, and
-    each Newton step, up to ``NEWTON_MAX_ITER`` until the residual is below
-    ``NEWTON_TOL``, is one batched product with the right-hand sides of the
-    half lattice, one mode of each +-mu pair, which is all a field stores.
+    log-derivative Robin condition at rho_max.
+    Newton works on the support of the data: the rows of the half lattice in
+    the integer span of the modes with nonzero data and of (n_colloc, 0) and
+    (0, n_colloc), which closes it under aliasing on the collocation grid.
+    The grid translations that fix every data phase commute with the
+    residual, so every iterate vanishes off the support, and there the
+    solution is exactly 0.  L_mu depends on |mu| only, so one dense matrix
+    is built and inverted per distinct norm of the support before the
+    iteration, and each Newton step, up to ``NEWTON_MAX_ITER`` until the
+    residual (on the whole half lattice) is below ``NEWTON_TOL``, is one
+    batched product with the right-hand sides of the support rows.
     The mean mode, row 0, is special: its
     homogeneous solutions (1 and 1/rhat) are not exponentially decaying, so
     its correction is the decaying particular solution (zero value and
     derivative at rho_max) and its inner value is dictated by decay rather
-    than prescribed; a nonzero mean-mode offset in the data must be small
-    and is not enforced pointwise.  ``grids.chebyshev_solve`` sizes the
+    than prescribed; it starts at 0, and a nonzero mean-mode offset in the
+    data must be small and is not enforced.  ``grids.chebyshev_solve`` sizes the
     node set: it starts on 64 intervals and doubles them when Newton fails
     or the trailing Chebyshev coefficients of the converged v exceed 1e-12
     of its largest one, raising ``ConvergenceError`` past 256.  The
@@ -516,7 +547,9 @@ def solve_nonlinear(
     if not sup0 <= 0.2:
         raise PerturbativeRegimeError(f"sup |inner data| = {sup0:.3f} > 0.2")
     bc, norms = dirichlet.coeffs[:, 0], dirichlet.mu_norms()
-    distinct, group = np.unique(norms, return_inverse=True)
+    # the rows Newton can reach from the data; the others stay exactly 0
+    support = np.flatnonzero(_in_span(dirichlet.modes, dirichlet.modes[bc != 0], n_colloc))
+    distinct, group = np.unique(norms[support], return_inverse=True)
 
     def solve_on(n: int):
         """The solution on n intervals, and its Chebyshev coefficients."""
@@ -524,13 +557,16 @@ def solve_nonlinear(
         inverses, g = _mode_inverses(distinct, rho_min, rho_max, n)
         inverses, g = inverses[group], g[group]
         coeffs = np.zeros((len(bc), n + 1), dtype=complex)
-        for k in np.nonzero(bc)[0]:
+        # the mean mode starts at 0: its inner value is not prescribed, and
+        # mean-only data solves to v = 0 exactly
+        for k in np.nonzero(bc[1:])[0] + 1:
             shape = linear_mode_solution(norms[k], rho)
             coeffs[k] = bc[k] * shape / shape[0]
 
         def boundary_defects(x):
-            """Row 0 and row n of the system, as defects."""
-            inner = x[:, 0] - bc
+            """Row 0 and row n of the system on the support, as defects; off it they are 0."""
+            x = x[support]
+            inner = x[:, 0] - bc[support]
             inner[0] = x[0, -1]  # the mean mode's v(rho_max)
             return inner, x @ D[-1] - g * x[:, -1]
 
@@ -542,10 +578,12 @@ def solve_nonlinear(
             return res, max(sup, float(np.abs(inner).max()), float(np.abs(outer).max()))
 
         def step(x, res):
-            rhs = -res.coeffs
+            rhs = -res.coeffs[support]
             inner, outer = boundary_defects(x)
             rhs[:, 0], rhs[:, -1] = -inner, -outer
-            return _half_lattice_product(inverses, rhs)
+            dx = np.zeros_like(x)
+            dx[support] = _half_lattice_product(inverses, rhs)
+            return dx
 
         v = TorusFourierField(lattice, rho, damped_newton(coeffs, residual, step, NEWTON_TOL, NEWTON_MAX_ITER))
         return v, v.coeffs @ to_coeffs.T

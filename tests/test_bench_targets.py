@@ -40,6 +40,7 @@ def test_traced_lebrun_op_records_min_dual_norm(monkeypatch, tmp_path):
         ({"p0": "0.3,0", "amp": 0.1, "modes": 3}, 10),
         ({"p0": "-0.15814436059767784,0.5558939790995723", "amp": 0.1381887309488307, "modes": 2}, 12),
     ],
+    ids=["criterion-9", "seeded"],
 )
 def test_lebrun_residual_evaluations(monkeypatch, tmp_path, params, calls):
     # the criterion-9 op and a seeded lebrun-decay op: a solver change that
@@ -64,6 +65,7 @@ def test_lebrun_residual_evaluations(monkeypatch, tmp_path, params, calls):
         ({"case": "strongpole", "alpha1": 0.4}, 3),
         ({"case": "strongpole", "alpha1": 0.2}, 2),
     ],
+    ids=["simplezero", "strongpole-0.4", "strongpole-0.2"],
 )
 def test_sinh_gordon_newton_steps(monkeypatch, tmp_path, params, steps):
     # the three criterion-5 glue-decay ops: a solver change that adds or

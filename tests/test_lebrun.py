@@ -31,6 +31,7 @@ from hitchinlab.lebrun import (
     _barycentric,
     _chebyshev,
     _half_lattice_product,
+    _in_span,
     _mode_inverses,
     _phase_blocks,
     _phi_log_deriv,
@@ -54,8 +55,8 @@ from hitchinlab.toymodel import NonGenericTorusWarning, ToyConfig
 
 # criterion 9 (p0 = 0.3, amplitude 0.1, m_cut = 3): the fitted rate and
 # prefactor power, which the solver's rounding-level changes must not move
-CRITERION_9_RATE = 2.561095875737904
-CRITERION_9_POWER = -1.5699960180682742
+CRITERION_9_RATE = 2.5610958756389617
+CRITERION_9_POWER = -1.5699960184039439
 
 
 def _square(modes, coeffs):
@@ -912,6 +913,126 @@ class TestSolveNonlinear:
         w_again[mean] += rho**-2.0
         assert np.max(np.abs(v - solution.v.coeffs)) < 1e-14
         assert np.max(np.abs(w_again - solution.w.coeffs)) < 1e-12
+
+
+def _span_mod_n(generators, n):
+    """Oracle: the subgroup of (Z/n)^2 that ``generators`` generate, by closing {0} under adding each one."""
+    group, frontier = {(0, 0)}, [(0, 0)]
+    while frontier:
+        m, k = frontier.pop()
+        for a, b in generators:
+            point = ((m + a) % n, (k + b) % n)
+            if point not in group:
+                group.add(point)
+                frontier.append(point)
+    return group
+
+
+def _every_row(modes, generators, n):
+    """``_in_span`` replaced: every row solved, the oracle of the support restriction."""
+    return np.ones(len(modes), dtype=bool)
+
+
+def _pair_data(pairs):
+    """Inner data of +- pairs: c at mu and conj c at -mu."""
+    data = {}
+    for (m, n), c in pairs:
+        data[(m, n)], data[(-m, -n)] = c, np.conj(c)
+    return data
+
+
+def _support_against_every_row(lattice, data, m_cut):
+    """The solve on its support and the every-row oracle, and the support mask."""
+    sol = solve_nonlinear(data, None, m_cut, lattice, n_rho=65)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lebrun, "_in_span", _every_row)
+        oracle = solve_nonlinear(data, None, m_cut, lattice, n_rho=65)
+    on = _in_span(make_modes(m_cut), [mode for mode, c in data.items() if c != 0], default_colloc(m_cut))
+    return sol, oracle, on
+
+
+def _assert_support_matches(sol, oracle, on):
+    # the support rows agree with the oracle, whose other rows of v hold
+    # rounding only (those of w hold its radial derivative, up to 1e3 times
+    # larger), and the restricted solve leaves those rows exactly 0
+    assert np.max(np.abs(oracle.v.coeffs[~on]), initial=0.0) <= 1e-15
+    assert np.max(np.abs(oracle.w.coeffs[~on]), initial=0.0) <= 1e-12
+    for f, ref in ((sol.v, oracle.v), (sol.w, oracle.w)):
+        assert np.max(np.abs(f.coeffs[on] - ref.coeffs[on])) <= 1e-12
+        assert np.all(f.coeffs[~on] == 0.0)
+
+
+_DATA_MODE = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda mode: mode != (0, 0))
+
+
+class TestSupport:
+    """``solve_nonlinear`` solves only the rows in the integer span of its data's modes and the grid's period."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        generators=st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), max_size=3),
+        m_cut=st.integers(1, 4),
+        n=st.sampled_from([7, 12, 16, 20]),
+    )
+    def test_in_span_matches_closure(self, generators, m_cut, n):
+        # the Hermite normal form decides membership as the closure of the
+        # generators in (Z/n)^2 does, also where a point of the span needs an
+        # intermediate sum outside the box
+        modes = make_modes(m_cut)
+        group = _span_mod_n(generators, n)
+        expected = [(int(m) % n, int(k) % n) in group for m, k in modes]
+        assert _in_span(modes, generators, n).tolist() == expected
+
+    def test_in_span_reaches_outside_the_box(self):
+        # (3, 2) and (2, 3) span a sublattice of index 5, which with 16 Z^2
+        # is all of Z^2; sums that stay inside the m_cut 3 box reach only
+        # 0, +-(3, 2), +-(2, 3) and +-k (1, -1), k <= 3
+        assert _in_span(make_modes(3), [(3, 2), (2, 3)], 16).all()
+        assert _in_span(make_modes(3), [(2, 0)], 16).tolist() == [m % 2 == 0 and k == 0 for m, k in make_modes(3)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p0=st.one_of(
+            st.floats(0.05, 0.95).map(complex),
+            st.builds(complex, st.floats(-1.0, 2.0), st.floats(0.05, 1.5)),
+        ),
+        pairs=st.lists(
+            st.tuples(_DATA_MODE, st.complex_numbers(max_magnitude=0.05, allow_nan=False, allow_infinity=False)),
+            min_size=1,
+            max_size=2,
+        ),
+        m_cut=st.integers(1, 3),
+    )
+    def test_matches_every_row_solve(self, p0, pairs, m_cut):
+        pairs = [((max(-m_cut, min(m_cut, m)), max(-m_cut, min(m_cut, n))), c) for (m, n), c in pairs]
+        pairs = [(mode, c) for mode, c in pairs if mode != (0, 0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonGenericTorusWarning)
+            lattice = ToyConfig.from_p0(p0).torus
+        _assert_support_matches(*_support_against_every_row(lattice, _pair_data(pairs), m_cut))
+
+    def test_empty_and_mean_only_data(self, lattice):
+        # only the mean mode is in the support; it is solved, all else is 0
+        for data in ({}, {(0, 0): 0.05}, {(0, 0): -0.03}):
+            sol, oracle, on = _support_against_every_row(lattice, data, 2)
+            assert on.tolist() == [True] + [False] * (len(on) - 1)
+            _assert_support_matches(sol, oracle, on)
+
+    def test_spanning_pairs_drop_no_row(self, lattice):
+        # (2, 1) and (1, 1) span Z^2, so every row is solved
+        data = _pair_data([((2, 1), 0.04 + 0.01j), ((1, 1), -0.03j)])
+        sol, oracle, on = _support_against_every_row(lattice, data, 2)
+        assert on.all()
+        _assert_support_matches(sol, oracle, on)
+
+    def test_criterion_9_support(self, lattice, mu0_data, solution):
+        # the leading pair (0, +-1) reaches the four rows (0, 0..3), so four
+        # distinct norms are inverted instead of sixteen
+        _, (m, n) = mu0_data
+        on = _in_span(make_modes(3), [(m, n)], default_colloc(3))
+        assert make_modes(3)[on].tolist() == [[0, 0], [0, 1], [0, 2], [0, 3]]
+        assert np.all(solution.v.coeffs[~on] == 0.0)
+        assert np.all(solution.w.coeffs[~on] == 0.0)
 
 
 class TestFitDecay:
