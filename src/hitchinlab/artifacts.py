@@ -1,14 +1,17 @@
 """Deterministic artifact files: CSV/JSON with fixed formatting and manifests.
 
-A CSV holds one 2-d float table, every cell written as ``%.17g`` (17
-significant digits, round-trip exact; integral values such as mode indices
-print without a decimal point).  JSON is ``json.dumps`` with sorted keys;
-complex numbers become ``{"re": ..., "im": ...}`` and numpy scalars and
-arrays their Python values.  Manifests carry the package version and sha256
-checksums of every emitted file, and no timestamps, so identical
-configurations yield byte-identical artifacts.  Each writer returns an
-:class:`Artifact`, its path carrying the digest of the bytes it wrote, so
-the manifest reads no file back.
+A CSV holds one 2-d float table, every cell written as ``%.17g`` of its
+double (17 significant digits, round-trip exact; integral values such as
+mode indices print without a decimal point).  Each distinct 64-bit pattern
+is formatted once and its text indexed back into the rows, which writes
+the same bytes as formatting every cell on its own.  JSON is
+``json.dumps`` with sorted keys; complex numbers become
+``{"re": ..., "im": ...}`` and numpy scalars and arrays their Python
+values.  Manifests carry the package version and sha256 checksums of
+every emitted file, and no timestamps, so identical configurations yield
+byte-identical artifacts.  Each writer returns an :class:`Artifact`, its
+path carrying the digest of the bytes it wrote, so the manifest reads no
+file back.
 """
 
 from __future__ import annotations
@@ -48,8 +51,12 @@ def write_csv(path: Path, header, table) -> Artifact:
     table = np.asarray(table)
     if table.dtype.kind != "f" or table.ndim != 2 or table.shape[1] != len(header):
         raise ValueError(f"need a float table of {len(header)} columns, got {table.dtype} of shape {table.shape}")
-    fmt = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)] + [fmt % tuple(row) for row in table.tolist()]
+    # keyed on bits, so -0.0 and 0.0, and NaNs of different payloads, stay apart;
+    # the distinct values are formatted by one % and split at the commas
+    bits, where = np.unique(np.ascontiguousarray(table, dtype=np.float64).view(np.int64), return_inverse=True)
+    text = ",".join(["%.17g"] * len(bits)) % tuple(bits.view(np.float64).tolist())
+    cells = np.array(text.split(","), dtype=object)
+    lines = [",".join(header)] + [",".join(row) for row in cells[where.reshape(table.shape)].tolist()]
     return write_text(path, "\n".join(lines) + "\n")
 
 

@@ -185,8 +185,10 @@ def _run_toymodel(args, out: Path):
 
 def _run_lebrun(args, out: Path):
     p0 = _parse_complex(args.p0)
-    if args.n_rho < 5:
-        raise ValidationError(f"--n-rho {args.n_rho} is too small: the solution needs at least 5 radial nodes")
+    if args.n_rho < leb.FIT_MIN_NODES:
+        raise ValidationError(
+            f"--n-rho {args.n_rho} is too small: the decay fit needs at least {leb.FIT_MIN_NODES} radial nodes"
+        )
     lattice = toy.ToyConfig.from_p0(p0).torus
     m, n = lattice.min_dual_norm()[1][0]
     sol = leb.solve_nonlinear(

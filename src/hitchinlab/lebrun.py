@@ -373,7 +373,8 @@ def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> Tor
     if n_colloc < 2 * m_cut:
         raise AliasingError(f"collocation grid {n_colloc} < 2 x m_cut = {2 * m_cut}")
     rho_min, rho_max, n = float(v.rho[0]), float(v.rho[-1]), len(v.rho) - 1
-    if not np.allclose(v.rho, chebyshev_nodes(rho_min, rho_max, n), rtol=1e-12, atol=0.0):
+    nodes = chebyshev_nodes(rho_min, rho_max, n)
+    if not np.all(np.abs(v.rho - nodes) <= 1e-12 * np.abs(nodes)):
         raise ValueError("rho must be the Chebyshev-Gauss-Lobatto nodes of [rho[0], rho[-1]]")
     rho, _, l0, _ = _chebyshev(rho_min, rho_max, n)
     E = _synthesize(v.coeffs, n_colloc)
@@ -507,7 +508,8 @@ def solve_nonlinear(
     of its largest one, raising ``ConvergenceError`` past 256.  The
     returned v and w = 1/rhat + v'/(2 rho), v' taken by the differentiation
     matrix on the nodes, are the interpolants evaluated on ``n_rho`` uniform
-    nodes of [rho_min, rho_max].
+    nodes of [rho_min, rho_max], on the support rows only: every other row
+    of v and w is exactly 0.
     """
     if m_cut < 1:
         raise ValueError("mode cutoff must be >= 1")
@@ -591,40 +593,51 @@ def solve_nonlinear(
     # an unresolved tail or a failed Newton solve doubles the intervals, up to the cap
     v, n = chebyshev_solve(solve_on)
 
-    # v and v'/(2 rho) on the nodes, evaluated on the uniform output grid
+    # v and v'/(2 rho) on the nodes, evaluated on the uniform output grid on
+    # the support only; the other rows are exactly 0, and row 0 (the mean,
+    # always in the support) carries 1/rhat
     rho, D, _, _ = _chebyshev(rho_min, rho_max, n)
     rho_out = np.linspace(rho_min, rho_max, n_rho)
     P = _barycentric(rho, rho_out)
-    w = _half_lattice_product(P, v.coeffs @ D.T / (2.0 * rho))
-    w[0] += rho_out**-2.0
-    return LeBrunSolution(
-        v=TorusFourierField(lattice, rho_out, _half_lattice_product(P, v.coeffs)),
-        w=TorusFourierField(lattice, rho_out, w),
-    )
+    on = v.coeffs[support]
+    v_out = np.zeros((len(bc), n_rho), dtype=complex)
+    w_out = np.zeros_like(v_out)
+    v_out[support] = _half_lattice_product(P, on)
+    w_out[support] = _half_lattice_product(P, on @ D.T / (2.0 * rho))
+    w_out[0] += rho_out**-2.0
+    return LeBrunSolution(v=TorusFourierField(lattice, rho_out, v_out), w=TorusFourierField(lattice, rho_out, w_out))
 
 
 # ----------------------------------------------------------------------
 # decay measurement
 # ----------------------------------------------------------------------
 
+# the fewest radial nodes the decay fit reads
+FIT_MIN_NODES = 8
+
+
 def fit_decay(sol: LeBrunSolution):
     """Fit log(shell amplitude) ~ -rate * rho + power * log(rho) + const.
 
     Uses the last resolved decade above the 1e-13 underflow floor; returns
     (rate, power) with rate expected near 2 lambda_T and power near -3/2.
+    A grid of fewer than ``FIT_MIN_NODES`` nodes raises ValueError, and one
+    with too few of them above the floor ``UnderflowWindowError``.
     """
-    amp = sol.v.shell_amplitude()
     rho = sol.rho
+    if len(rho) < FIT_MIN_NODES:
+        raise ValueError(f"the decay fit needs at least {FIT_MIN_NODES} radial nodes, got {len(rho)}")
+    amp = sol.v.shell_amplitude()
     live = amp > 1e-13
-    if live.sum() < 8 or amp.max() < 1e-12:
+    if live.sum() < FIT_MIN_NODES or amp.max() < 1e-12:
         raise UnderflowWindowError("no resolved window above the underflow floor")
     rho_live = rho[live]
     amp_live = amp[live]
     a_end = amp_live[-1]
     window = amp_live <= 10.0 * a_end
-    if window.sum() < 8:
+    if window.sum() < FIT_MIN_NODES:
         window = amp_live <= 100.0 * a_end
-    if window.sum() < 8:
+    if window.sum() < FIT_MIN_NODES:
         raise UnderflowWindowError("resolved decade contains too few nodes")
     x = rho_live[window]
     y = np.log(amp_live[window])

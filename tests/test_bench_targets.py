@@ -34,14 +34,12 @@ def test_traced_lebrun_op_records_min_dual_norm(monkeypatch, tmp_path):
     assert tr.summary()["lebrun.TorusLattice.min_dual_norm.calls"] >= 1
 
 
-@pytest.mark.parametrize(
-    "params, calls",
-    [
-        ({"p0": "0.3,0", "amp": 0.1, "modes": 3}, 10),
-        ({"p0": "-0.15814436059767784,0.5558939790995723", "amp": 0.1381887309488307, "modes": 2}, 12),
-    ],
-    ids=["criterion-9", "seeded"],
-)
+# the criterion-9 op and a seeded lebrun-decay op
+CRITERION_9 = {"p0": "0.3,0", "amp": 0.1, "modes": 3}
+SEEDED = {"p0": "-0.15814436059767784,0.5558939790995723", "amp": 0.1381887309488307, "modes": 2}
+
+
+@pytest.mark.parametrize("params, calls", [(CRITERION_9, 10), (SEEDED, 12)], ids=["criterion-9", "seeded"])
 def test_lebrun_residual_evaluations(monkeypatch, tmp_path, params, calls):
     # the criterion-9 op and a seeded lebrun-decay op: a solver change that
     # adds or drops a Newton iteration, or stops calling the traced
@@ -56,6 +54,25 @@ def test_lebrun_residual_evaluations(monkeypatch, tmp_path, params, calls):
     monkeypatch.setattr(lebrun, "nonlinear_residual", counting)
     run(ExperimentConfig("lebrun", dict(params), tmp_path / "leb"))
     assert len(count) == calls
+
+
+@pytest.mark.parametrize("params, support", [(CRITERION_9, 4), (SEEDED, 3)], ids=["criterion-9", "seeded"])
+def test_lebrun_output_rows(monkeypatch, tmp_path, params, support):
+    # the solution is evaluated on the output grid (the CLI's default 1401
+    # nodes) only on the support of its inner data, 4 of 25 modes and 3 of
+    # 13: one barycentric product for v and one for v'/(2 rho), each on the
+    # support rows; applying it to every row multiplies the work by 6 and 4
+    rows = []
+    product = lebrun._half_lattice_product
+
+    def recording(matrices, half):
+        if matrices.shape[-2] == 1401:
+            rows.append(len(half))
+        return product(matrices, half)
+
+    monkeypatch.setattr(lebrun, "_half_lattice_product", recording)
+    run(ExperimentConfig("lebrun", dict(params), tmp_path / "leb"))
+    assert rows == [support, support]
 
 
 @pytest.mark.parametrize(

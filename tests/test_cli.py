@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -57,6 +57,19 @@ _CELLS = st.one_of(
     st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -2.2250738585072009e-308]),
     st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
     st.integers(-(2**53), 2**53).map(float),
+)
+
+
+# a small pool of cells, so that a table drawn from it is mostly repeats:
+# -0.0 beside 0.0, three NaNs of distinct bit payloads (one of them
+# signalling, one negative), +-inf, subnormals, integral values and a few
+# that float16 and float32 round
+_POOL = np.concatenate(
+    [
+        [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0, -3.0, 2.0**53],
+        [0.1, 1.0 / 3.0, -2.5e-7, 6.02214076e23],
+        np.array([0x7FF8000000000001, 0x7FF0000000000002, -0x8000000000000], dtype=np.int64).view(np.float64),
+    ]
 )
 
 
@@ -275,6 +288,24 @@ class TestArtifacts:
         path = write_csv(tmp_path_factory.getbasetemp() / "rows.csv", header, table)
         assert path.read_text() == _csv_per_cell(header, table)
 
+    @example(dtype=np.float64, picks=np.zeros((0, 3), dtype=np.intp))
+    @given(
+        dtype=st.sampled_from([np.float16, np.float32, np.float64, np.longdouble]),
+        picks=hnp.arrays(
+            np.intp, st.tuples(st.integers(0, 30), st.integers(1, 6)), elements=st.integers(0, len(_POOL) - 1)
+        ),
+    )
+    def test_csv_repeated_values_match_per_cell(self, tmp_path_factory, dtype, picks):
+        # tables drawn from a small pool, so that most cells repeat another:
+        # the writer formats each distinct bit pattern once and must still
+        # write what formatting each cell alone does, keeping -0.0 apart from
+        # 0.0, at every float width (each cell written as its double)
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN payloads and 6e23 cast to a narrower float
+            table = _POOL[picks].astype(dtype)
+        header = [f"c{k}" for k in range(table.shape[1])]
+        path = write_csv(tmp_path_factory.getbasetemp() / "repeats.csv", header, table)
+        assert path.read_text() == _csv_per_cell(header, table)
+
     @pytest.mark.parametrize(
         "table",
         [
@@ -432,6 +463,10 @@ class TestValidationAndConfig:
             (["lebrun", "--p0", "0.3,0", "--n-rho", "4"], "--n-rho"),
             # t = 4, 6, 8: fewer than the 4 values the fit needs
             (["glue-decay", "--case", "simplezero", "--tmin", "4", "--tmax", "8", "--tstep", "2"], "--tmin"),
+            # the decay fit reads at least 8 radial nodes; 5 to 7 used to run
+            # the whole solve and fail in the fit as if it had underflowed
+            (["lebrun", "--p0", "0.3,0", "--n-rho", "5"], "--n-rho"),
+            (["lebrun", "--p0", "0.3,0", "--n-rho", "7"], "--n-rho"),
         ],
     )
     def test_grid_size_rejected_before_work(self, tmp_path, capsys, monkeypatch, argv, flag):

@@ -602,13 +602,25 @@ class TestNonlinearResidual:
         # the radial nodes are the Chebyshev nodes of their interval; a grid
         # that is not is rejected before its matrices are built and cached
         _chebyshev.cache_clear()
-        moved = chebyshev_nodes(0.5, 4.0, 10)
-        moved[3] += 1e-9
-        for grid in (np.linspace(0.5, 4.0, 11), moved):
+        nodes = chebyshev_nodes(0.5, 4.0, 10)
+
+        def moved(k, rel):
+            grid = nodes.copy()
+            grid[k] *= 1.0 + rel
+            return grid
+
+        nan_node, inf_end = nodes.copy(), nodes.copy()
+        nan_node[4], inf_end[-1] = np.nan, np.inf
+        rejected = [np.linspace(0.5, 4.0, 11), moved(3, 1e-9), moved(3, 2e-12), moved(7, -2e-12), nan_node, inf_end]
+        for grid in rejected:
             v = TorusFourierField(lattice, grid, np.zeros((25, 11), dtype=complex))
-            with pytest.raises(ValueError, match="Chebyshev"):
+            with pytest.raises(ValueError, match="Chebyshev"), np.errstate(invalid="ignore"):  # inf - inf
                 nonlinear_residual(v)
-        assert _chebyshev.cache_info().currsize == 0
+            assert _chebyshev.cache_info().currsize == 0
+        # within 1e-12 of each node, relative to it, a grid is accepted
+        for grid in (moved(3, 5e-13), moved(7, -5e-13)):
+            res = nonlinear_residual(TorusFourierField(lattice, grid, np.zeros((25, 11), dtype=complex)))
+            assert np.all(res.coeffs == 0.0)
 
     @settings(max_examples=40)
     @given(
@@ -1067,6 +1079,17 @@ class TestFitDecay:
             sol = solve_nonlinear({(m, n): amp / 2, (-m, -n): amp / 2}, None, 3, lattice)
             rates.append(fit_decay(sol)[0])
         assert (max(rates) - min(rates)) / min(rates) < 0.01
+
+    @pytest.mark.parametrize("n_rho", [5, 7])
+    def test_too_short_grid_is_not_underflow(self, lattice, mu0_data, n_rho):
+        # a grid shorter than the fit window is named as such, not as a
+        # field that underflowed (its shell amplitude here is about 0.1)
+        _, (m, n) = mu0_data
+        sol = solve_nonlinear({(m, n): 0.05, (-m, -n): 0.05}, None, 2, lattice, n_rho=n_rho)
+        assert sol.v.shell_amplitude().max() > 0.05
+        with pytest.raises(ValueError, match=f"at least 8 radial nodes, got {n_rho}") as err:
+            fit_decay(sol)
+        assert not isinstance(err.value, UnderflowWindowError)
 
     def test_constant_field_degenerate(self, lattice):
         rho = np.linspace(0.5, 4.0, 200)
