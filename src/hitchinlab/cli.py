@@ -189,6 +189,8 @@ def _run_lebrun(args, out: Path):
         raise ValidationError(
             f"--n-rho {args.n_rho} is too small: the decay fit needs at least {leb.FIT_MIN_NODES} radial nodes"
         )
+    if args.amp == 0:
+        raise ValidationError("--amp 0 gives no inner data: the solution is v = 0, which has no decay to fit")
     lattice = toy.ToyConfig.from_p0(p0).torus
     m, n = lattice.min_dual_norm()[1][0]
     sol = leb.solve_nonlinear(

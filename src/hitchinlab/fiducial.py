@@ -42,7 +42,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grids import fd_first
+from .grids import check_nodes, fd_first
 from .painleve import ParabolicWeights, ell_profile, ell_profiles, m_profile, m_profiles
 
 __all__ = [
@@ -95,14 +95,6 @@ def polar_grid(r_min: float = 1e-3, r_max: float = 1.0, n_r: int = 1024) -> np.n
     if not 0.0 < r_min < r_max:
         raise ValueError(f"need 0 < r_min < r_max, got r_min={r_min}, r_max={r_max}")
     return np.geomspace(r_min, r_max, n_r)
-
-
-def check_nodes(r) -> np.ndarray:
-    """``r`` as a float array; ValueError unless it is a finite, positive, strictly increasing 1-d array."""
-    r = np.asarray(r, dtype=float)
-    if not (r.ndim == 1 and r.size and np.all(np.isfinite(r)) and r[0] > 0 and np.all(np.diff(r) > 0)):
-        raise ValueError("radial nodes must be a finite, positive, strictly increasing 1-d array")
-    return r
 
 
 @dataclass

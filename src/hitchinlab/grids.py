@@ -5,6 +5,9 @@ spacing; on smoothly graded (e.g. log-spaced) grids they are second-order
 accurate.  ``fiducial.hitchin_residual`` differences the radial connection
 coefficient r xi' with them, and ``oracles`` builds its matrix residual,
 its banded finite-difference solves and its second difference from them.
+:func:`check_nodes` states the rule for a radial node array that
+``fiducial`` samples and ``lebrun``'s Fourier fields hold: finite,
+positive, strictly increasing and 1-d.
 
 Both radial solvers discretize by Chebyshev collocation (Trefethen,
 *Spectral Methods in MATLAB*, SIAM 2000): ``painleve`` in x = log rho and
@@ -25,6 +28,7 @@ import numpy as np
 from .special import ConvergenceError
 
 __all__ = [
+    "check_nodes",
     "fd_first",
     "fd_first_boundary",
     "interior_weights",
@@ -33,6 +37,16 @@ __all__ = [
     "chebyshev_vandermonde",
     "chebyshev_solve",
 ]
+
+
+def check_nodes(r) -> np.ndarray:
+    """``r`` as a float array; ValueError unless it is a finite, positive, strictly increasing 1-d array."""
+    r = np.asarray(r, dtype=float)
+    # strictly increasing from a positive first node to a finite last one
+    # leaves every node finite: nan fails each comparison
+    if not (r.ndim == 1 and r.size and r[0] > 0 and r[-1] < np.inf and np.all(r[1:] > r[:-1])):
+        raise ValueError("radial nodes must be a finite, positive, strictly increasing 1-d array")
+    return r
 
 
 def interior_weights(x: np.ndarray):

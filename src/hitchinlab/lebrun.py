@@ -41,8 +41,8 @@ Robin condition matched to the K_1 log-derivative at rho_max.  L_mu depends
 on |mu| only, so one dense collocation matrix is built and inverted per
 distinct norm before the iteration, and each step is one batched product.
 Newton reaches only the modes in the integer span of the data's modes and
-of the collocation grid's period; only those are solved, and the others
-are exactly 0.
+of the collocation grid's period; it iterates on those rows alone, and the
+others are exactly 0.
 Every field is real, so it holds one mode of each +-mu pair: the half
 lattice ``make_modes(m_cut)`` of the modes m > 0, or m = 0 and n >= 0, whose
 partners -mu carry the conjugate coefficients and are not stored.  The
@@ -51,11 +51,17 @@ these rows only.
 The residual is evaluated in the conservative form: v is synthesized once
 on a collocation grid, e^v - 1 is formed in place and projected back
 (pseudospectral), and the dense matrix of L_0 is applied once to the
-projected coefficients.  Synthesis and projection are separable
-real matmuls, one 2-d matmul per contraction, against memoized collocation
-phases.  The Chebyshev nodes, D and the doubling rule are ``grids``'s,
-shared with ``painleve``: the node count doubles from 64 intervals until
-the trailing Chebyshev coefficients of v are negligible.  The solution is
+projected coefficients.  The residual reaches only the rows in the integer
+span of v's nonzero modes and of the grid period, and it is computed on
+those rows alone; the others are exactly 0.  Synthesis and projection are
+each one real matmul against a memoized phase matrix of the rows they
+touch, direct rather than separable: synthesis sums only the nonzero rows,
+and a field on those rows is constant on each class of grid points between
+which no row's phase changes, so it is formed once per class (16 of the
+256 grid points for the criterion-9 data).  The Chebyshev nodes, D and
+the doubling rule are ``grids``'s, shared with ``painleve``: the node
+count doubles from 64 intervals until the trailing Chebyshev coefficients
+of v are negligible.  The solution is
 returned on a uniform radial grid, evaluated there by one barycentric
 interpolation matrix (Berrut and Trefethen, SIAM Review 46, 2004), which
 keeps the relative accuracy of the decaying tail.  ``fit_decay``
@@ -74,7 +80,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import chebyshev, chebyshev_nodes, chebyshev_solve
+from .grids import check_nodes, chebyshev, chebyshev_nodes, chebyshev_solve
 from .special import bessel_k, damped_newton
 from .toymodel import TorusLattice
 
@@ -132,14 +138,12 @@ class TorusFourierField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=float)
+        self.rho = check_nodes(self.rho)
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         rows = len(self.coeffs) if self.coeffs.ndim == 2 else 0
         side = math.isqrt(max(2 * rows - 1, 0))
         if side < 3 or side * side != 2 * rows - 1 or self.coeffs.shape != (rows, len(self.rho)):
             raise ValueError("coefficient array must be (2 m_cut (m_cut + 1) + 1, n_rho) with m_cut >= 1")
-        if np.any(np.diff(self.rho) <= 0) or self.rho[0] <= 0:
-            raise ValueError("rho grid must be positive increasing")
 
     # -- mode bookkeeping --------------------------------------------------
     @property
@@ -169,8 +173,10 @@ class TorusFourierField:
 
     # -- transforms ---------------------------------------------------------
     def values(self, n_colloc: int) -> np.ndarray:
-        """Real-space samples, shape (NR, N, N), at X_{jk} = (j a + k b)/N."""
-        return _synthesize(self.coeffs, n_colloc)
+        """Real-space samples, shape (NR, N, N), at X_{jk} = (j a + k b)/N, summed over the nonzero rows only."""
+        rows = _nonzero_rows(self.coeffs)
+        classes = _phases(self.m_cut, rows, n_colloc)[2]
+        return _synthesize(self.coeffs, n_colloc, rows)[classes].T.reshape(-1, n_colloc, n_colloc)
 
     def shell_rows(self) -> list:
         """The shortest nonzero dual shell's rows: the stored partner -rep of each ``min_dual_norm`` rep, in order."""
@@ -203,87 +209,83 @@ def _dual_vectors(lattice: TorusLattice, m_cut: int):
     return _read_only(vecs, np.linalg.norm(vecs, axis=1))
 
 
-@lru_cache(maxsize=None)
-def _phase_blocks(m_cut: int, n: int):
-    """Read-only real blocks of E[m, j] = exp(2 pi i j m / n), m = -m_cut..m_cut.
+@lru_cache(maxsize=16)
+def _phases(m_cut: int, rows: tuple, n: int):
+    """The read-only real phase matrix of the direct transform between the half-lattice ``rows`` and the n x n grid.
 
-    With E = P + i S, M = 2 m_cut + 1 and H = m_cut + 1, let B = [[P, S],
-    [-S, P]], shape (2M, 2n), and A = [P^T, -S^T] restricted to the rows
-    m >= 0, shape (n, 2H).  Returns
+    ``rows`` index ``make_modes(m_cut)``; the phase of row r = (m, k) at
+    X_{jl} = (j a + l b)/n, grid point j n + l, is theta = 2 pi q/n for any
+    lattice shape, q = j m + l k reduced to the residue mod n nearest 0, so
+    that the phases of q and -q are exact mirrors.  Two grid points are in
+    one class when every row has the same phase at both; a class is a coset
+    of the translations that fix every phase, a field on the rows takes one
+    value on it, and each of the G classes holds n^2/G points.  The classes are numbered
+    in the order of their first grid point, so row sets with the same
+    integer span (with the grid period) number them alike.  Returns
 
-    - ``B_split``: B's column halves stacked, shape (2, 2M, n), so that one
-      matmul puts the real/imaginary part outermost;
-    - ``A_weighted``: A with weight 2 on the columns m > 0, shape (n, 2H);
-    - ``A_split``: A's column halves stacked, shape (2, n, H);
-    - ``B`` itself.
+    - the synthesis matrix, (G, 2R), one row per class: the columns
+      w_r cos theta_r, then -w_r sin theta_r, with w_r = 1 on the mean row
+      and 2 on the others (each stored mode stands for itself and its
+      conjugate partner);
+    - the (2R, 1) column w_r G, then again w_r G;
+    - the class of each grid point, (n^2,).
 
-    Complex contractions against E and conj(E) are then real matmuls with
-    these.  Memoized: every transform of a solve uses the same few blocks.
+    The analysis matrix, (2R, G), the rows cos theta_r, then -sin theta_r,
+    over G, is the synthesis matrix's transpose over that column: the mean
+    over the grid is the mean over the classes.  So one matrix is kept for
+    both, and the division is applied to the (2R, NR) product.  Memoized on
+    integers only: a solve reuses the same few row sets.  The criterion-9
+    support, the rows (0, 0..3), has 16 classes on the 16 x 16 grid, and the
+    17 rows (0, 0..16) of m_cut 16 have 68 on the 68 x 68 grid.
     """
-    ang = (2.0 * np.pi / n) * np.outer(np.arange(-m_cut, m_cut + 1), np.arange(n))
-    P, S = np.cos(ang), np.sin(ang)
-    B = np.block([[P, S], [-S, P]])
-    A = np.concatenate([P[m_cut:].T, -S[m_cut:].T], axis=1)
-    weight = np.tile(np.r_[1.0, np.full(m_cut, 2.0)], 2)
-    return _read_only(
-        np.stack([B[:, :n], B[:, n:]]),
-        A * weight,
-        np.stack([A[:, : m_cut + 1], A[:, m_cut + 1 :]]),
-        B,
-    )
+    m, k = make_modes(m_cut)[list(rows)].T
+    j = np.arange(n)
+    q = ((np.multiply.outer(j, m)[:, None] + np.multiply.outer(j, k)[None]) % n).reshape(n * n, -1)
+    _, first, classes = np.unique(q, axis=0, return_index=True, return_inverse=True)
+    first, classes = np.unique(first[classes.ravel()], return_inverse=True)
+    angle = (2.0 * np.pi / n) * np.where(2 * j > n, j - n, j)
+    weight = np.tile(np.where(np.asarray(rows) == 0, 1.0, 2.0), 2)
+    synthesis = np.concatenate([np.cos(angle)[q[first]], -np.sin(angle)[q[first]]], axis=1)
+    synthesis *= weight
+    return _read_only(synthesis, weight[:, None] * float(len(first)), classes)
 
 
-def _synthesize(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Real samples of sum_mu c_mu e^{2 pi i x . mu} on the N x N collocation grid.
+def _nonzero_rows(coeffs: np.ndarray) -> tuple:
+    """The rows of ``coeffs`` with a nonzero entry, as a tuple of ints."""
+    return tuple(np.flatnonzero(coeffs.any(axis=1)).tolist())
 
-    At X_{jk} = (j a + k b)/n the phase is exp(2 pi i (jm + kn)/n) for any
-    lattice shape, so the sum is separable: the rows m >= 0, n = -m_cut..m_cut
-    (the half lattice ``coeffs``, after the rows m = 0, n < 0, the
-    conjugates of m = 0, n > 0), are reshaped to (m, NR, re/im, n),
-    contracted against E[n, k] by one matmul that puts re/im outermost, and
-    then against E[m, j] over (re/im, m) by one 2-d matmul.  The field is
-    real (coeff(-mu) = conj coeff(mu)), so only the real part is formed;
-    the rows -m of the first contraction are the conjugates of the rows m,
-    so only m >= 0 is kept, with weight 2 on m > 0.  Returns shape
-    (NR, N, N) as a view of a (j, NR, k)-ordered array, the layout
-    :func:`_analyze` contracts without a copy.
+
+def _synthesize(coeffs: np.ndarray, n: int, rows) -> np.ndarray:
+    """Real values of sum_mu c_mu e^{2 pi i x . mu} on the N x N grid, one per phase class of ``rows``: (G, NR).
+
+    ``coeffs`` is the (H, NR) half lattice; only ``rows`` of it are summed
+    (its nonzero rows, or a set holding them), so a field on a few modes
+    costs a few columns and a few classes.  The field is real (coeff(-mu) =
+    conj coeff(mu)), so each stored mode is Re(c) cos theta - Im(c) sin
+    theta, counted twice off the mean: one real matmul of the synthesis
+    matrix of :func:`_phases` with the stacked real and imaginary parts.
+    The value at every grid point is the row of its class
+    (``TorusFourierField.values``).
     """
-    m_cut = _m_cut(len(coeffs))
-    M = 2 * m_cut + 1
-    half = np.ascontiguousarray(np.concatenate([np.conj(coeffs[m_cut:0:-1]), coeffs])).view(float)  # (re, im) pairs
-    C = half.reshape(m_cut + 1, M, -1, 2).transpose(0, 2, 3, 1).reshape(-1, 2 * M)
-    B_split, A_weighted, _, _ = _phase_blocks(m_cut, n)
-    X = C @ B_split  # (re/im, m, NR, k)
-    out = A_weighted @ X.reshape(2 * (m_cut + 1), -1)
-    return out.reshape(n, -1, n).transpose(1, 0, 2)
+    c = coeffs[list(rows)]
+    return _phases(_m_cut(len(coeffs)), tuple(rows), n)[0] @ np.concatenate([c.real, c.imag])
 
 
-@lru_cache(maxsize=None)
-def _half_gather(m_cut: int):
-    """Row, column and conjugation sign at which :func:`_analyze` reads each half-lattice mode; read-only."""
-    m, n = make_modes(m_cut).T
-    sign = np.where(n >= 0, 1, -1)  # (m, n < 0) is read as conj (-m, -n)
-    return _read_only(sign * m + m_cut, sign * n, sign[:, None])
+def _analyze(values: np.ndarray, m_cut: int, n: int, rows) -> np.ndarray:
+    """Project real values (G, NR) on the phase classes of ``rows`` of ``make_modes(m_cut)`` onto those rows.
 
-
-def _analyze(values: np.ndarray, m_cut: int) -> np.ndarray:
-    """Project real collocation samples (NR, N, N) onto the half lattice of ``make_modes(m_cut)``.
-
-    The adjoint of :func:`_synthesize`: contraction against conj(E) over k,
-    then over (re/im, j), each one 2-d matmul, divided by N^2.  The samples
-    are real, so only the columns n >= 0 are formed and the rest are read as
-    c(m, n) = conj c(-m, -n).  The real and imaginary parts are written
-    straight into the complex result.
+    The adjoint of :func:`_synthesize` without its weights: one real matmul
+    of the analysis matrix of :func:`_phases` with the values, whose first R
+    rows are the real parts and the last R the imaginary parts.  Returns
+    (R, NR), one row per entry of ``rows``.  The classes are those of the
+    n x n grid; with every row they are its n^2 points in order.
     """
-    n = values.shape[-1]
-    M = 2 * m_cut + 1
-    _, _, A_split, B = _phase_blocks(m_cut, n)
-    i, j, sign = _half_gather(m_cut)
-    Y = values.transpose(1, 0, 2).reshape(-1, n) @ A_split  # (re/im, j, NR, n >= 0)
-    spec = (B @ Y.reshape(2 * n, -1)).reshape(2, M, -1, m_cut + 1)
-    out = np.empty((len(i), spec.shape[2]), dtype=complex)
-    np.divide(spec[0, i, :, j], n * n, out=out.real)
-    np.divide(spec[1, i, :, j], sign * float(n * n), out=out.imag)
+    rows = tuple(rows)
+    synthesis, scale, _ = _phases(m_cut, rows, n)
+    Y = synthesis.T @ values
+    Y /= scale
+    out = np.empty((len(rows), Y.shape[1]), dtype=complex)
+    out.real, out.imag = Y[: len(rows)], Y[len(rows) :]
     return out
 
 
@@ -313,6 +315,13 @@ def _in_span(modes: np.ndarray, generators, n: int) -> np.ndarray:
     return (m % a == 0) & ((k - (m // a) * b) % d == 0)
 
 
+@lru_cache(maxsize=64)
+def _span_rows(m_cut: int, live: tuple, n: int) -> tuple:
+    """The rows of ``make_modes(m_cut)`` in the integer span of the rows ``live``, (n, 0) and (0, n), as ints."""
+    modes = make_modes(m_cut)
+    return tuple(np.flatnonzero(_in_span(modes, modes[list(live)], n)).tolist())
+
+
 @lru_cache(maxsize=8)
 def _chebyshev(rho_min: float, rho_max: float, n: int):
     """``grids.chebyshev`` of [rho_min, rho_max] with n intervals, and L_0 = rho^2 D^2 + 3 rho D.
@@ -338,13 +347,14 @@ def _barycentric(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     w = (-1.0) ** np.arange(len(nodes))
     w[[0, -1]] *= 0.5
-    diff = x[:, None] - nodes[None, :]
-    hit = diff == 0.0
-    diff[hit] = 1.0
-    P = w / diff
-    P /= P.sum(axis=1, keepdims=True)
-    on_node = hit.any(axis=1)
-    P[on_node] = hit[on_node]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        P = np.subtract.outer(x, nodes)
+        np.divide(w, P, out=P)
+        total = P.sum(axis=1)
+        P /= total[:, None]
+    # a point on a node divides by 0 there, and only its row sum is not finite
+    hit = np.flatnonzero(~np.isfinite(total))
+    P[hit] = np.equal.outer(x[hit], nodes)
     return P
 
 
@@ -357,13 +367,17 @@ def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> Tor
 
     Since L_0(e^v) = e^v (L_0 v + (rho v_r)^2), this equals the expanded
     L v - Q(v).  ``v`` lives on the Chebyshev-Gauss-Lobatto nodes of
-    [rho[0], rho[-1]] (ValueError otherwise).  It is synthesized once on the
-    collocation grid, e^v - 1 is formed in place by ``expm1`` and projected
-    back onto the half lattice (pseudospectral); L_0 is radial, so it
-    commutes with the projection, and its dense collocation matrix is
-    applied once to the projected coefficients.  The torus part -16 pi^2
-    |mu|^2 rho^2 v is added in coefficient space, on the half lattice that
-    ``v`` holds.
+    [rho[0], rho[-1]] (ValueError otherwise).  The residual reaches only the
+    rows in the integer span of v's nonzero modes and of the grid period
+    (n_colloc, 0) and (0, n_colloc): a grid translation that fixes every
+    phase of v fixes e^v - 1 too.  It is computed on those rows, and every
+    other row is exactly 0.  v is synthesized once on the collocation grid
+    from its nonzero rows, one value per phase class of those rows (the
+    span rows have the same classes), e^v - 1 is formed in place by
+    ``expm1`` and projected onto the span rows (pseudospectral); L_0 is
+    radial, so it commutes with the projection, and its dense collocation
+    matrix is applied once to the projected coefficients.  The torus part
+    -16 pi^2 |mu|^2 rho^2 v is added in coefficient space.
     """
     if len(v.rho) < 5:
         raise ValueError("need at least 5 radial nodes")
@@ -377,10 +391,14 @@ def nonlinear_residual(v: TorusFourierField, n_colloc: int | None = None) -> Tor
     if not np.all(np.abs(v.rho - nodes) <= 1e-12 * np.abs(nodes)):
         raise ValueError("rho must be the Chebyshev-Gauss-Lobatto nodes of [rho[0], rho[-1]]")
     rho, _, l0, _ = _chebyshev(rho_min, rho_max, n)
-    E = _synthesize(v.coeffs, n_colloc)
+    live = _nonzero_rows(v.coeffs)
+    span = list(_span_rows(m_cut, live, n_colloc))
+    E = _synthesize(v.coeffs, n_colloc, live)
     np.expm1(E, out=E)
-    out = _half_lattice_product(l0, _analyze(E, m_cut))
-    out -= (16.0 * np.pi**2 * v.mu_norms() ** 2)[:, None] * rho**2 * v.coeffs
+    on = _half_lattice_product(l0, _analyze(E, m_cut, n_colloc, span))
+    on -= (16.0 * np.pi**2 * v.mu_norms()[span] ** 2)[:, None] * rho**2 * v.coeffs[span]
+    out = np.zeros_like(v.coeffs)
+    out[span] = on
     return TorusFourierField(v.lattice, v.rho, out)
 
 
@@ -494,9 +512,12 @@ def solve_nonlinear(
     residual, so every iterate vanishes off the support, and there the
     solution is exactly 0.  L_mu depends on |mu| only, so one dense matrix
     is built and inverted per distinct norm of the support before the
-    iteration, and each Newton step, up to ``NEWTON_MAX_ITER`` until the
-    residual (on the whole half lattice) is below ``NEWTON_TOL``, is one
-    batched product with the right-hand sides of the support rows.
+    iteration.  Newton iterates on the support rows alone: each residual
+    evaluation wraps them in a full half-lattice field for
+    :func:`nonlinear_residual`, which is 0 off the support, and synthesizes
+    its sup from the support rows; each step, up to ``NEWTON_MAX_ITER``
+    until that sup and the boundary defects are below ``NEWTON_TOL``, is
+    one batched product with the right-hand sides of the support rows.
     The mean mode, row 0, is special: its
     homogeneous solutions (1 and 1/rhat) are not exponentially decaying, so
     its correction is the decaying particular solution (zero value and
@@ -548,62 +569,60 @@ def solve_nonlinear(
     sup0 = float(np.max(np.abs(dirichlet.values(n_colloc))))
     if not sup0 <= 0.2:
         raise PerturbativeRegimeError(f"sup |inner data| = {sup0:.3f} > 0.2")
-    bc, norms = dirichlet.coeffs[:, 0], dirichlet.mu_norms()
     # the rows Newton can reach from the data; the others stay exactly 0
-    support = np.flatnonzero(_in_span(dirichlet.modes, dirichlet.modes[bc != 0], n_colloc))
-    distinct, group = np.unique(norms[support], return_inverse=True)
+    support = list(_span_rows(m_cut, _nonzero_rows(dirichlet.coeffs), n_colloc))
+    bc, norms = dirichlet.coeffs[support, 0], dirichlet.mu_norms()[support]
+    distinct, group = np.unique(norms, return_inverse=True)
 
     def solve_on(n: int):
-        """The solution on n intervals, and its Chebyshev coefficients."""
+        """The solution's support rows on n intervals, and their Chebyshev coefficients."""
         rho, D, _, to_coeffs = _chebyshev(rho_min, rho_max, n)
         inverses, g = _mode_inverses(distinct, rho_min, rho_max, n)
         inverses, g = inverses[group], g[group]
-        coeffs = np.zeros((len(bc), n + 1), dtype=complex)
-        # the mean mode starts at 0: its inner value is not prescribed, and
-        # mean-only data solves to v = 0 exactly
+        coeffs = np.zeros((len(support), n + 1), dtype=complex)
+        # the mean mode (support row 0) starts at 0: its inner value is not
+        # prescribed, and mean-only data solves to v = 0 exactly
         for k in np.nonzero(bc[1:])[0] + 1:
             shape = linear_mode_solution(norms[k], rho)
             coeffs[k] = bc[k] * shape / shape[0]
 
         def boundary_defects(x):
-            """Row 0 and row n of the system on the support, as defects; off it they are 0."""
-            x = x[support]
-            inner = x[:, 0] - bc[support]
+            """Row 0 and row n of the system on the support, as defects."""
+            inner = x[:, 0] - bc
             inner[0] = x[0, -1]  # the mean mode's v(rho_max)
             return inner, x @ D[-1] - g * x[:, -1]
 
         def residual(x):
-            """The residual at coefficients ``x`` and the larger of its sup and the boundary defects."""
-            res = nonlinear_residual(TorusFourierField(lattice, rho, x), n_colloc)
-            sup = float(np.max(np.abs(_synthesize(res.coeffs[:, 1:-1], n_colloc))))
+            """The residual's support rows at support rows ``x``, and the larger of its sup and the boundary defects."""
+            field = np.zeros((len(dirichlet.coeffs), n + 1), dtype=complex)
+            field[support] = x
+            res = nonlinear_residual(TorusFourierField(lattice, rho, field), n_colloc).coeffs
+            values = _synthesize(res[:, 1:-1], n_colloc, support)
+            sup = max(float(values.max()), -float(values.min()))
             inner, outer = boundary_defects(x)
-            return res, max(sup, float(np.abs(inner).max()), float(np.abs(outer).max()))
+            return res[support], max(sup, float(np.abs(inner).max()), float(np.abs(outer).max()))
 
         def step(x, res):
-            rhs = -res.coeffs[support]
+            rhs = -res
             inner, outer = boundary_defects(x)
             rhs[:, 0], rhs[:, -1] = -inner, -outer
-            dx = np.zeros_like(x)
-            dx[support] = _half_lattice_product(inverses, rhs)
-            return dx
+            return _half_lattice_product(inverses, rhs)
 
-        v = TorusFourierField(lattice, rho, damped_newton(coeffs, residual, step, NEWTON_TOL, NEWTON_MAX_ITER))
-        return v, v.coeffs @ to_coeffs.T
+        x = damped_newton(coeffs, residual, step, NEWTON_TOL, NEWTON_MAX_ITER)
+        return x, x @ to_coeffs.T
 
     # an unresolved tail or a failed Newton solve doubles the intervals, up to the cap
-    v, n = chebyshev_solve(solve_on)
+    x, n = chebyshev_solve(solve_on)
 
     # v and v'/(2 rho) on the nodes, evaluated on the uniform output grid on
-    # the support only; the other rows are exactly 0, and row 0 (the mean,
-    # always in the support) carries 1/rhat
+    # the support only, by one product; the other rows are exactly 0, and
+    # row 0 (the mean, always in the support) carries 1/rhat
     rho, D, _, _ = _chebyshev(rho_min, rho_max, n)
     rho_out = np.linspace(rho_min, rho_max, n_rho)
-    P = _barycentric(rho, rho_out)
-    on = v.coeffs[support]
-    v_out = np.zeros((len(bc), n_rho), dtype=complex)
+    out = _half_lattice_product(_barycentric(rho, rho_out), np.concatenate([x, x @ D.T / (2.0 * rho)]))
+    v_out = np.zeros((len(dirichlet.coeffs), n_rho), dtype=complex)
     w_out = np.zeros_like(v_out)
-    v_out[support] = _half_lattice_product(P, on)
-    w_out[support] = _half_lattice_product(P, on @ D.T / (2.0 * rho))
+    v_out[support], w_out[support] = out[: len(support)], out[len(support) :]
     w_out[0] += rho_out**-2.0
     return LeBrunSolution(v=TorusFourierField(lattice, rho_out, v_out), w=TorusFourierField(lattice, rho_out, w_out))
 

@@ -60,8 +60,9 @@ def test_lebrun_residual_evaluations(monkeypatch, tmp_path, params, calls):
 def test_lebrun_output_rows(monkeypatch, tmp_path, params, support):
     # the solution is evaluated on the output grid (the CLI's default 1401
     # nodes) only on the support of its inner data, 4 of 25 modes and 3 of
-    # 13: one barycentric product for v and one for v'/(2 rho), each on the
-    # support rows; applying it to every row multiplies the work by 6 and 4
+    # 13: one barycentric product of the support rows of v and v'/(2 rho)
+    # stacked, 8 and 6 rows; applying it to every row multiplies the work
+    # by 6 and 4
     rows = []
     product = lebrun._half_lattice_product
 
@@ -72,7 +73,31 @@ def test_lebrun_output_rows(monkeypatch, tmp_path, params, support):
 
     monkeypatch.setattr(lebrun, "_half_lattice_product", recording)
     run(ExperimentConfig("lebrun", dict(params), tmp_path / "leb"))
-    assert rows == [support, support]
+    assert rows == [2 * support]
+
+
+@pytest.mark.parametrize("params, support", [(CRITERION_9, 4), (SEEDED, 3)], ids=["criterion-9", "seeded"])
+def test_lebrun_residual_rows(monkeypatch, tmp_path, params, support):
+    # every residual evaluation of the criterion-9 op and the seeded op
+    # projects e^v - 1 onto the support of the inner data, 4 of 25 modes and
+    # 3 of 13, and every synthesis sums at most those rows; a residual on
+    # every row projects onto 25 and 13
+    projected, synthesized = [], []
+    analyze, synthesize = lebrun._analyze, lebrun._synthesize
+
+    def recording_analyze(values, m_cut, n, rows):
+        projected.append(len(rows))
+        return analyze(values, m_cut, n, rows)
+
+    def recording_synthesize(coeffs, n, rows):
+        synthesized.append(len(rows))
+        return synthesize(coeffs, n, rows)
+
+    monkeypatch.setattr(lebrun, "_analyze", recording_analyze)
+    monkeypatch.setattr(lebrun, "_synthesize", recording_synthesize)
+    run(ExperimentConfig("lebrun", dict(params), tmp_path / "leb"))
+    assert len(projected) > 0 and set(projected) == {support}
+    assert 0 < max(synthesized) <= support
 
 
 @pytest.mark.parametrize(

@@ -406,7 +406,7 @@ class TestValidationAndConfig:
             (["toymodel", "--p0", "0.0005,0"], "ValueError"),
             (
                 ["lebrun", "--p0", "0.3,0", "--amp", "0", "--modes", "2", "--rho-max", "3", "--n-rho", "401"],
-                "UnderflowWindowError",
+                "ValidationError",
             ),
             (["glue-decay", "--case", "simplezero", "--tstep", "0"], "ValidationError"),
             (["glue-decay", "--case", "simplezero", "--tmin", "nan"], "ValidationError"),
@@ -481,6 +481,20 @@ class TestValidationAndConfig:
         assert main(argv + ["--output-dir", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: ValidationError: {flag} ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("amp", ["0", "0.0", "-0"])
+    def test_zero_amplitude_rejected_before_work(self, tmp_path, capsys, monkeypatch, amp):
+        # --amp 0 gives no inner data, so v = 0 and there is no decay to fit;
+        # it used to run the whole solve and fail in the fit as an underflow
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solver reached with no inner data")
+
+        monkeypatch.setattr(cli_module.leb, "solve_nonlinear", unreachable)
+        out = tmp_path / "x"
+        assert main(["lebrun", "--p0", "0.3,0", "--amp", amp, "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: ValidationError: --amp 0 gives no inner data: the solution is v = 0, which has no decay to fit"]
         assert not out.exists()
 
     def test_residual_underflow_stops_the_sweep(self, tmp_path, capsys, monkeypatch):

@@ -33,7 +33,7 @@ from hitchinlab.lebrun import (
     _half_lattice_product,
     _in_span,
     _mode_inverses,
-    _phase_blocks,
+    _phases,
     _phi_log_deriv,
     _synthesize,
 )
@@ -55,8 +55,8 @@ from hitchinlab.toymodel import NonGenericTorusWarning, ToyConfig
 
 # criterion 9 (p0 = 0.3, amplitude 0.1, m_cut = 3): the fitted rate and
 # prefactor power, which the solver's rounding-level changes must not move
-CRITERION_9_RATE = 2.5610958756389617
-CRITERION_9_POWER = -1.5699960184039439
+CRITERION_9_RATE = 2.5610958747128145
+CRITERION_9_POWER = -1.5699960215603985
 
 
 def _square(modes, coeffs):
@@ -238,6 +238,16 @@ def _hermitian_coeffs(modes, n_rho, seed):
     return 0.5 * (c + np.conj(c[::-1]))[len(modes) - 1 :]
 
 
+def _hermitian_coeffs_on(modes, data, n_rho, seed):
+    """:func:`_hermitian_coeffs` kept only on the rows of the ``data`` modes (clamped to the cutoff) or their partners."""
+    m_cut = int(modes.max())
+    picked = {(max(-m_cut, min(m_cut, m)), max(-m_cut, min(m_cut, k))) for m, k in data}
+    rows = [i for i, (m, k) in enumerate(modes.tolist()) if (m, k) in picked or (-m, -k) in picked]
+    out = np.zeros((len(modes), n_rho), dtype=complex)
+    out[rows] = _hermitian_coeffs(modes, n_rho, seed)[rows]
+    return out
+
+
 @pytest.fixture(scope="module")
 def lattice():
     return TorusLattice.from_tau(inverse_lambda(0.3))
@@ -342,27 +352,74 @@ class TestTransforms:
         n_rho=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_synthesis_matches_fft_oracle(self, m_cut, extra, n_rho, seed):
+    def test_synthesis_matches_fft_oracle(self, lattice, m_cut, extra, n_rho, seed):
+        # every row: its phase classes are the n^2 grid points in order, so
+        # the class values are the samples, (j, k) along the first axis
         modes = make_modes(m_cut)
         n = 2 * m_cut + extra  # n = 2 m_cut aliases the outermost modes
         c = _hermitian_coeffs(modes, n_rho, seed)
         ref = _synthesize_fft(*_square(modes, c), n)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(ref.imag)) <= 1e-12 * scale
-        assert np.max(np.abs(_synthesize(c, n) - ref.real)) <= 1e-12 * scale
+        every = range(len(modes))
+        assert np.max(np.abs(_synthesize(c, n, every).T.reshape(-1, n, n) - ref.real)) <= 1e-12 * scale
+        field = TorusFourierField(lattice, np.arange(1.0, n_rho + 1.0), c)
+        assert np.max(np.abs(field.values(n) - ref.real)) <= 1e-12 * scale
         vals = np.random.default_rng(seed).normal(size=(n_rho, n, n))
         ref = _analyze_fft(vals, modes)
-        assert np.max(np.abs(_analyze(vals, m_cut) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(_analyze(vals.reshape(n_rho, -1).T, m_cut, n, every) - ref)) <= 1e-12 * np.max(np.abs(ref))
         if n >= 2 * m_cut + 1:
-            back = _analyze(_synthesize(c, n), m_cut)
+            back = _analyze(_synthesize(c, n, every), m_cut, n, every)
             assert np.max(np.abs(back - c)) <= 1e-12 * np.max(np.abs(c))
 
-    def test_phase_blocks_are_shared_and_read_only(self):
-        first = _phase_blocks(3, 16)
-        assert _phase_blocks(3, 16) is first
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m_cut=st.integers(1, 4),
+        data=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=3),
+        extra=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_classes_carry_the_samples(self, lattice, m_cut, data, extra, seed):
+        # a field on a few modes takes one value on each phase class of its
+        # rows; spread to the grid they are the FFT oracle's samples, and the
+        # rows of its integer span (with the grid period) share its classes
+        modes = make_modes(m_cut)
+        c = _hermitian_coeffs_on(modes, data, 2, seed)
+        n = 2 * m_cut + extra
+        live = lebrun._nonzero_rows(c)
+        synthesis, _, classes = _phases(m_cut, live, n)
+        ref = _synthesize_fft(*_square(modes, c), n).real
+        assert np.max(np.abs(_synthesize(c, n, live)[classes].T.reshape(-1, n, n) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert n * n % len(synthesis) == 0 and np.all(np.bincount(classes) == n * n // len(synthesis))
+        assert np.array_equal(_phases(m_cut, lebrun._span_rows(m_cut, live, n), n)[2], classes)
+
+    def test_phases_are_shared_and_read_only(self):
+        # the criterion-9 support on the 16 x 16 grid: the synthesis matrix
+        # on its 16 phase classes, the (2R, 1) scale of its adjoint and the
+        # class of each grid point, memoized on integers alone
+        first = _phases(3, (0, 1, 2, 3), 16)
+        assert _phases(3, (0, 1, 2, 3), 16) is first
+        assert [a.shape for a in first] == [(16, 8), (8, 1), (256,)]
         for block in first:
             with pytest.raises(ValueError, match="read-only"):
                 block[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            [0.5, np.nan, 2.0],
+            [0.5, 1.0, np.inf],
+            [np.nan, 1.0, 2.0],
+            [[0.5], [1.0], [2.0]],
+            [0.0, 1.0, 2.0],
+            [1.0, 1.0, 2.0],
+        ],
+        ids=["nan-inside", "inf-end", "nan-start", "column", "zero", "repeated"],
+    )
+    def test_field_rejects_bad_radial_nodes(self, lattice, rho):
+        # the rule of grids.check_nodes: finite, positive, strictly increasing, 1-d
+        with pytest.raises(ValueError, match="radial nodes must be a finite, positive, strictly increasing 1-d"):
+            TorusFourierField(lattice, rho, np.zeros((5, 3), dtype=complex))
 
     def test_gradient_matches_finite_difference(self, lattice):
         # d/dx and d/dy of a random real field, by central differences of
@@ -423,6 +480,24 @@ class TestChebyshev:
         grid = np.linspace(0.5, 4.0, 1401)
         out = _barycentric(rho, grid) @ np.exp(-2.5 * rho)
         assert np.max(np.abs(out / np.exp(-2.5 * grid) - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("n, n_out", [(64, 1401), (128, 401), (7, 41)])
+    def test_barycentric_matches_masked_construction(self, n, n_out):
+        # the matrix, bit for bit, of the construction that masks every node
+        # hit before dividing: the output grids hold both ends, which are nodes
+        rho = _chebyshev(0.5, 4.0, n)[0]
+        grid = np.concatenate([np.linspace(0.5, 4.0, n_out), rho[1:-1:3]])
+        w = (-1.0) ** np.arange(n + 1)
+        w[[0, -1]] *= 0.5
+        diff = grid[:, None] - rho[None, :]
+        hit = diff == 0.0
+        diff[hit] = 1.0
+        P = w / diff
+        P /= P.sum(axis=1, keepdims=True)
+        on_node = hit.any(axis=1)
+        P[on_node] = hit[on_node]
+        assert on_node.sum() >= 2
+        assert np.array_equal(_barycentric(rho, grid), P)
 
 
 class TestLinearModes:
@@ -524,7 +599,7 @@ class TestNonlinearResidual:
             v = _chebyshev_field(lattice, 64, np.zeros((len(modes), len(rho)), dtype=complex))
             v.coeffs[v.index(-m, -n)] = 0.5 * eps * disc  # and its conjugate at (m, n)
             res = nonlinear_residual(v)
-            sup = np.max(np.abs(_synthesize(res.coeffs[:, 1:-1], 16)))
+            sup = np.max(np.abs(res.values(16)[1:-1]))
             ratios.append(sup / eps**2)
         assert max(ratios) / min(ratios) < 1.5
 
@@ -609,12 +684,10 @@ class TestNonlinearResidual:
             grid[k] *= 1.0 + rel
             return grid
 
-        nan_node, inf_end = nodes.copy(), nodes.copy()
-        nan_node[4], inf_end[-1] = np.nan, np.inf
-        rejected = [np.linspace(0.5, 4.0, 11), moved(3, 1e-9), moved(3, 2e-12), moved(7, -2e-12), nan_node, inf_end]
+        rejected = [np.linspace(0.5, 4.0, 11), moved(3, 1e-9), moved(3, 2e-12), moved(7, -2e-12)]
         for grid in rejected:
             v = TorusFourierField(lattice, grid, np.zeros((25, 11), dtype=complex))
-            with pytest.raises(ValueError, match="Chebyshev"), np.errstate(invalid="ignore"):  # inf - inf
+            with pytest.raises(ValueError, match="Chebyshev"):
                 nonlinear_residual(v)
             assert _chebyshev.cache_info().currsize == 0
         # within 1e-12 of each node, relative to it, a grid is accepted
@@ -655,6 +728,29 @@ class TestNonlinearResidual:
             A = _collocation_matrix(norms[k], v.rho, D)
             scale = np.max(np.abs(A).sum(axis=1)) * np.max(np.abs(step[k]))
             assert np.max(np.abs(A @ step[k] - rhs[k])) <= 1e-14 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m_cut=st.integers(1, 4),
+        data=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=3),
+        extra=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m_cut=3, data=[(0, 1)], extra=10, seed=0)  # the criterion-9 modes: 4 span rows of 25
+    @example(m_cut=2, data=[(1, 1)], extra=12, seed=1)  # a diagonal pair on the default grid
+    def test_residual_is_zero_off_the_span(self, lattice, m_cut, data, extra, seed):
+        # a field on a few modes: on the rows in the integer span of its
+        # nonzero modes and of the grid period the residual is the every-row
+        # FFT oracle's; on every other row it is exactly 0, not rounding
+        modes = make_modes(m_cut)
+        coeffs = 0.02 * _hermitian_coeffs_on(modes, data, 17, seed)
+        v = _chebyshev_field(lattice, 16, coeffs)
+        n_colloc = 2 * m_cut + extra
+        res = nonlinear_residual(v, n_colloc).coeffs
+        on = _in_span(modes, modes[np.abs(coeffs).max(axis=1) > 0], n_colloc)
+        ref = _residual_whole_lattice(v, n_colloc)[-len(modes) :]
+        assert np.max(np.abs(res[on] - ref[on])) <= 1e-12 * np.max(np.abs(ref))
+        assert np.all(res[~on] == 0.0)
 
 
 def _near(z, log_distance, angle):
